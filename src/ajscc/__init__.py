@@ -4,9 +4,9 @@ Library layout:
 
 - ``mapping``: the ideal 2:1 (and nested 3:1) codec
 - ``circuit``: behavioral model of the analog encoder and its power budget
-- ``signal_chain``: FM tone, AWGN channel, FFT peak receiver
+- ``signal_chain``: tone-sum capture with seeded AWGN, FFT peak receiver
 - ``multisensor``: FDMA band planning, joint capture, diversity combining
-- ``metrics``: MSE, SDR, spectral CSNR estimate
+- ``metrics``: SDR, spectral CSNR estimate
 - ``experiments``: seeded Monte-Carlo sweeps, self checks, CSV/JSON output
 """
 from .mapping import (
@@ -34,7 +34,7 @@ from .signal_chain import (
     FmConfig,
     ReceiverConfig,
     Waveform,
-    apply_channel,
+    capture,
     detect_peak,
     fm_modulate,
     freq_to_voltage,
@@ -48,7 +48,7 @@ from .multisensor import (
     diversity_combine,
     simulate_cluster,
 )
-from .metrics import SDR_CAP_DB, MetricsReport, estimate_csnr, make_report, mse, sdr
+from .metrics import SDR_CAP_DB, estimate_csnr, sdr
 from .experiments import (
     DEFAULT_L_GRID,
     ExperimentConfig,

@@ -144,11 +144,7 @@ def vcvs_complement(cfg: CircuitConfig, vt: float) -> float:
     return float(np.clip(cfg.v_r - _vcvs_raw(cfg, vt), 0.0, cfg.v_r))
 
 
-def level_contribution(cfg: CircuitConfig, level_index: int, vt: float, vh: float) -> LevelContribution:
-    """What one level adds to the total encoded voltage."""
-    if not 0 <= level_index < cfg.num_levels:
-        raise ValueError(f"level_index out of range [0, {cfg.num_levels - 1}]")
-    sel = comparator_selects(cfg, vh)[level_index]
+def _contribution(cfg: CircuitConfig, level_index: int, sel: LevelSelect, vt: float) -> LevelContribution:
     if sel is LevelSelect.BELOW:
         return LevelContribution(ContributionKind.ZERO, 0.0)
     if sel is LevelSelect.ABOVE:
@@ -158,11 +154,18 @@ def level_contribution(cfg: CircuitConfig, level_index: int, vt: float, vh: floa
     return LevelContribution(ContributionKind.PARTIAL, vcvs_complement(cfg, vt))
 
 
+def level_contribution(cfg: CircuitConfig, level_index: int, vt: float, vh: float) -> LevelContribution:
+    """What one level adds to the total encoded voltage."""
+    if not 0 <= level_index < cfg.num_levels:
+        raise ValueError(f"level_index out of range [0, {cfg.num_levels - 1}]")
+    return _contribution(cfg, level_index, comparator_selects(cfg, vh)[level_index], vt)
+
+
 def circuit_encode(cfg: CircuitConfig, vt: float, vh: float) -> float:
     """Sum of all level contributions, the encoded voltage in [0, num_levels*v_r]."""
     total = 0.0
-    for i in range(cfg.num_levels):
-        total += level_contribution(cfg, i, vt, vh).voltage
+    for i, sel in enumerate(comparator_selects(cfg, vh)):
+        total += _contribution(cfg, i, sel, vt).voltage
     return total
 
 

@@ -1,47 +1,18 @@
-"""Distortion and quality metrics: MSE, SDR, and a spectral CSNR estimate."""
+"""Distortion and quality metrics: SDR and a spectral CSNR estimate."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import DecodedPair, SourceSample
-
 __all__ = [
     "SDR_CAP_DB",
-    "MetricsReport",
-    "component_errors",
-    "mse",
     "sdr",
     "estimate_csnr",
-    "make_report",
 ]
 
 # reported instead of infinity when the error is exactly zero
 SDR_CAP_DB = 200.0
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Summary of one decode: sum MSE, its split per component, SDR, optional CSNR."""
-
-    mse: float
-    mse_x1: float
-    mse_x2: float
-    sdr_db: float
-    csnr_db: float | None = None
-
-
-def component_errors(truth: SourceSample, est: DecodedPair) -> tuple[float, float]:
-    """Squared reconstruction errors of (x1, x2)."""
-    return (truth.x1 - est.x1_hat) ** 2, (truth.x2 - est.x2_hat) ** 2
-
-
-def mse(truth: SourceSample, est: DecodedPair) -> float:
-    """Sum of squared per-component errors."""
-    e1, e2 = component_errors(truth, est)
-    return e1 + e2
 
 
 def sdr(mse_value: float) -> float:
@@ -68,10 +39,3 @@ def estimate_csnr(spectrum: np.ndarray, peak_bin: int) -> float:
     if floor == 0.0:
         return SDR_CAP_DB if peak_power > 0 else -SDR_CAP_DB
     return 10.0 * math.log10(peak_power / floor) if peak_power > 0 else -SDR_CAP_DB
-
-
-def make_report(truth: SourceSample, est: DecodedPair, csnr_db: float | None = None) -> MetricsReport:
-    """Bundle the metrics for one decoded sample."""
-    e1, e2 = component_errors(truth, est)
-    total = e1 + e2
-    return MetricsReport(mse=total, mse_x1=e1, mse_x2=e2, sdr_db=sdr(total), csnr_db=csnr_db)

@@ -8,7 +8,6 @@ recovery bit-identical to running each sensor alone.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .signal_chain import (
     FmConfig,
     ReceiverConfig,
     Waveform,
+    capture,
     magnitude_spectrum,
     peak_from_spectrum,
 )
@@ -149,36 +149,16 @@ def build_capture(
     seed: int = 0,
 ) -> ClusterCapture:
     """Superpose all sensors' offset tones and add independent noise per antenna."""
-    if antennas < 1:
-        raise ValueError("antennas must be >= 1")
     fm = _validate_cluster(sensors, plan, channels)
-    n = np.arange(fm.num_samples)
-    mix = np.zeros(fm.num_samples)
     # fixed summation order (by sensor id) keeps results invariant under
     # permutation of the sensor list
+    tones = []
     for idx in sorted(range(len(sensors)), key=lambda i: sensors[i].id):
         s, ch = sensors[idx], channels[idx]
         vd = encode(s.mapping, s.truth.x1, s.truth.x2)
-        freq = plan.offsets[idx] + s.fm.scale * vd
-        mix += ch.gain * s.fm.amplitude * np.cos(
-            2.0 * np.pi * freq / fm.sample_rate * n + ch.phase
-        )
-
-    ch0 = channels[0]
-    if math.isinf(ch0.snr_db):
-        sigma = 0.0
-    else:
-        p_tx = 1.0 if ch0.power_convention == "unity" else float(np.mean(mix**2))
-        sigma = math.sqrt(p_tx * 10.0 ** (-ch0.snr_db / 10.0))
-
-    waveforms = []
-    for a in range(antennas):
-        y = mix
-        if sigma > 0.0:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, a]))
-            y = mix + rng.normal(0.0, sigma, mix.size)
-        waveforms.append(Waveform(y.copy() if y is mix else y, fm.sample_rate))
-    return ClusterCapture(waveforms=tuple(waveforms), channels=tuple(channels))
+        tones.append((plan.offsets[idx] + s.fm.scale * vd, ch.gain * s.fm.amplitude, ch.phase))
+    waveforms = capture(fm, channels[0], tones, seed, antennas)
+    return ClusterCapture(waveforms=waveforms, channels=tuple(channels))
 
 
 def diversity_combine(spectra: list[np.ndarray]) -> np.ndarray:

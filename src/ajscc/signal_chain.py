@@ -6,6 +6,10 @@ noise at a configured SNR, and the receiver locates the strongest FFT bin
 and maps it back to a voltage.  With the default 65536 Hz sampling and
 65536-point FFT the bin width is exactly 1 Hz, so the noiseless end-to-end
 voltage error is at most half a bin over the scale factor (5e-4 V).
+
+``capture`` is the one received-signal model: a sum of tones plus seeded
+noise per antenna.  A single sensor is a one-tone capture; the FDMA cluster
+in ``multisensor`` passes one tone per sensor.
 """
 from __future__ import annotations
 
@@ -19,8 +23,8 @@ __all__ = [
     "Waveform",
     "ChannelSpec",
     "ReceiverConfig",
+    "capture",
     "fm_modulate",
-    "apply_channel",
     "noise_sigma",
     "magnitude_spectrum",
     "peak_from_spectrum",
@@ -77,86 +81,88 @@ class Waveform:
 class ChannelSpec:
     """Static channel: constant gain and phase, AWGN set by SNR.
 
-    snr_db = math.inf disables noise.  The "unity" power convention takes the
-    transmitted power as 1 regardless of the waveform (so a -20 dB channel has
-    noise variance 100); "measured" uses the actual mean-square sample power.
+    snr_db = math.inf disables noise.  Transmitted power is taken as 1
+    regardless of the waveform, so a -20 dB channel has noise variance 100.
+    The phase is the synthesis phase of the received tone, cos(wn + phase).
     """
 
     snr_db: float = math.inf
     gain: float = 1.0
     phase: float = 0.0
     rng_seed: int = 0
-    power_convention: str = "unity"
 
     def __post_init__(self) -> None:
         if not self.gain > 0:
             raise ValueError(f"gain must be positive, got {self.gain}")
-        if self.power_convention not in ("unity", "measured"):
-            raise ValueError(f"unknown power convention {self.power_convention!r}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
 
 
 @dataclass(frozen=True)
 class ReceiverConfig:
-    """FFT peak detector parameters."""
+    """FFT peak detector parameters (rectangular window)."""
 
     fft_size: int = 65536
-    window: str = "rectangular"
 
     def __post_init__(self) -> None:
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if self.window != "rectangular":
-            raise ValueError(f"unsupported window {self.window!r}")
+
+
+def noise_sigma(ch: ChannelSpec) -> float:
+    """AWGN standard deviation for unit transmitted power; 0 when noiseless."""
+    if math.isinf(ch.snr_db):
+        return 0.0
+    return math.sqrt(1.0 * 10.0 ** (-ch.snr_db / 10.0))
+
+
+def capture(
+    fm: FmConfig,
+    ch: ChannelSpec,
+    tones: list[tuple[float, float, float]],
+    seed: int,
+    antennas: int = 1,
+) -> tuple[Waveform, ...]:
+    """Received waveform per antenna: a sum of tones plus independent AWGN.
+
+    Each tone is (freq Hz, amplitude, phase), synthesized as
+    amplitude * cos(2*pi*freq/fs*n + phase) and summed in the given order.
+    The noise standard deviation is noise_sigma(ch); antenna a draws it from
+    SeedSequence([seed, a]), which for antenna 0 is the same stream as
+    default_rng(seed).  Only ch.snr_db is read: callers fold gain and phase
+    into the tones.
+    """
+    if antennas < 1:
+        raise ValueError("antennas must be >= 1")
+    if not tones:
+        raise ValueError("capture needs at least one tone")
+    n = np.arange(fm.num_samples)
+    mix = None
+    for freq, amplitude, phase in tones:
+        if not 0.0 <= freq < fm.sample_rate / 2:
+            raise ValueError(
+                f"tone at {freq} Hz is outside [0, Nyquist) for fs={fm.sample_rate} Hz"
+            )
+        tone = amplitude * np.cos(2.0 * np.pi * freq / fm.sample_rate * n + phase)
+        if mix is None:
+            mix = tone
+        else:
+            mix += tone
+    sigma = noise_sigma(ch)
+    waveforms = []
+    for a in range(antennas):
+        if sigma > 0.0:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, a]))
+            y = mix + rng.normal(0.0, sigma, mix.size)
+        else:
+            y = mix if a == 0 else mix.copy()
+        waveforms.append(Waveform(y, fm.sample_rate))
+    return tuple(waveforms)
 
 
 def fm_modulate(fm: FmConfig, vd: float) -> Waveform:
-    """Cosine tone at scale*vd Hz with zero initial phase."""
-    if not np.isfinite(vd) or vd < 0:
-        raise ValueError(f"vd must be finite and non-negative, got {vd}")
-    freq = fm.scale * vd
-    if freq >= fm.sample_rate / 2:
-        raise ValueError(
-            f"tone at {freq} Hz violates Nyquist for fs={fm.sample_rate} Hz"
-        )
-    n = np.arange(fm.num_samples)
-    return Waveform(fm.amplitude * np.cos(2.0 * np.pi * freq / fm.sample_rate * n), fm.sample_rate)
-
-
-def _analytic_imag(x: np.ndarray) -> np.ndarray:
-    """Imaginary part of the analytic signal (FFT-based Hilbert transform)."""
-    n = x.size
-    spec = np.fft.fft(x)
-    h = np.zeros(n)
-    h[0] = 1.0
-    if n % 2 == 0:
-        h[n // 2] = 1.0
-        h[1 : n // 2] = 2.0
-    else:
-        h[1 : (n + 1) // 2] = 2.0
-    return np.fft.ifft(spec * h).imag
-
-
-def noise_sigma(ch: ChannelSpec, wf: Waveform) -> float:
-    """AWGN standard deviation implied by the SNR convention; 0 when noiseless."""
-    if math.isinf(ch.snr_db):
-        return 0.0
-    p_tx = 1.0 if ch.power_convention == "unity" else float(np.mean(wf.samples**2))
-    return math.sqrt(p_tx * 10.0 ** (-ch.snr_db / 10.0))
-
-
-def apply_channel(ch: ChannelSpec, wf: Waveform) -> Waveform:
-    """gain * phase-shifted input + white Gaussian noise, deterministic per seed."""
-    x = wf.samples
-    if ch.phase != 0.0:
-        x = math.cos(ch.phase) * x - math.sin(ch.phase) * _analytic_imag(x)
-    y = ch.gain * x
-    sigma = noise_sigma(ch, wf)
-    if sigma > 0.0:
-        rng = np.random.default_rng(ch.rng_seed)
-        y = y + rng.normal(0.0, sigma, y.size)
-    return Waveform(y, wf.sample_rate)
+    """Noiseless cosine tone at scale*vd Hz with zero initial phase."""
+    return capture(fm, ChannelSpec(), [(fm.scale * vd, fm.amplitude, 0.0)], seed=0)[0]
 
 
 def magnitude_spectrum(rx: ReceiverConfig, wf: Waveform) -> np.ndarray:
@@ -202,5 +208,7 @@ def freq_to_voltage(fm: FmConfig, freq: float) -> float:
 
 
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, rx: ReceiverConfig, vd: float) -> float:
-    """Full chain: modulate, channel, peak detection, back to voltage."""
-    return freq_to_voltage(fm, detect_peak(rx, apply_channel(ch, fm_modulate(fm, vd))))
+    """Full chain: one-tone capture seeded by ch.rng_seed, peak detection, back to voltage."""
+    tone = (fm.scale * vd, ch.gain * fm.amplitude, ch.phase)
+    (wf,) = capture(fm, ch, [tone], ch.rng_seed)
+    return freq_to_voltage(fm, detect_peak(rx, wf))

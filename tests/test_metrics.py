@@ -1,4 +1,4 @@
-"""Metric tests: MSE arithmetic, SDR mapping, CSNR estimator sanity bands."""
+"""Metric tests: SDR mapping, CSNR estimator sanity bands."""
 import math
 
 import numpy as np
@@ -6,35 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajscc.mapping import DecodedPair, SourceSample
-from ajscc.metrics import (
-    SDR_CAP_DB,
-    component_errors,
-    estimate_csnr,
-    make_report,
-    mse,
-    sdr,
-)
+from ajscc.metrics import SDR_CAP_DB, estimate_csnr, sdr
 from ajscc.signal_chain import FmConfig, ReceiverConfig, fm_modulate, magnitude_spectrum
-
-
-class TestMse:
-    def test_perfect_estimate(self):
-        assert mse(SourceSample(0.4, 0.7), DecodedPair(0.4, 0.7, 3)) == 0.0
-
-    def test_direct_arithmetic(self):
-        got = mse(SourceSample(0.5, 0.5), DecodedPair(0.51, 0.52, 2))
-        assert got == pytest.approx(5e-4, rel=1e-9)
-
-    def test_component_split_sums_to_total(self):
-        truth, est = SourceSample(0.2, 0.9), DecodedPair(0.25, 0.8, 1)
-        e1, e2 = component_errors(truth, est)
-        assert e1 + e2 == pytest.approx(mse(truth, est))
-
-    def test_symmetric_under_component_swap(self):
-        a = mse(SourceSample(0.5, 0.5), DecodedPair(0.5 + 0.03, 0.5, 0))
-        b = mse(SourceSample(0.5, 0.5), DecodedPair(0.5, 0.5 + 0.03, 0))
-        assert a == pytest.approx(b)
 
 
 class TestSdr:
@@ -45,7 +18,6 @@ class TestSdr:
 
     def test_zero_error_hits_cap(self):
         assert sdr(0.0) == SDR_CAP_DB
-        assert sdr(mse(SourceSample(0.1, 0.2), DecodedPair(0.1, 0.2, 0))) == SDR_CAP_DB
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -57,12 +29,6 @@ class TestSdr:
     @settings(max_examples=200)
     def test_strictly_decreasing_property(self, m, factor):
         assert sdr(m * factor) < sdr(m)
-
-    def test_report_bundle(self):
-        rep = make_report(SourceSample(0.5, 0.5), DecodedPair(0.51, 0.52, 2), csnr_db=12.0)
-        assert rep.mse == pytest.approx(5e-4)
-        assert rep.sdr_db == pytest.approx(sdr(5e-4))
-        assert rep.csnr_db == 12.0
 
 
 class TestCsnrEstimate:
