@@ -7,8 +7,12 @@ executes the round-trip self-check suite, and writes CSV or JSON results.
 Reproducibility: every trial draws from a generator seeded by
 SeedSequence([master_seed, trial]) (and [..., antenna] for capture noise),
 so results depend only on the configuration and never on scheduling or the
-worker count.  Trial streams are shared across sweep points (common random
-numbers), which stabilizes the location of the sweep minimum.
+worker count.  Trial streams are common to all sweep points (common random
+numbers), which stabilizes the location of the sweep minimum.  The level
+sweep also shares the work: a trial's noise is drawn and transformed once,
+and every level count adds its tone's spectrum to it in closed form (see
+``_window_peak``), falling back to the full chain where that cannot prove
+the chain's peak.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import dataclasses
 import enum
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -27,7 +30,16 @@ from .circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from .mapping import MappingConfig, Quantizer, SourceSample, decode, encode
 from .metrics import sdr
 from .multisensor import SensorNode, SensorResult, assign_channels, simulate_cluster
-from .signal_chain import ChannelSpec, FmConfig, ReceiverConfig, transmit_receive
+from .signal_chain import (
+    ChannelSpec,
+    FmConfig,
+    ReceiverConfig,
+    chain_tone,
+    channel_noise,
+    freq_to_voltage,
+    tone_bins,
+    transmit_receive,
+)
 
 __all__ = [
     "DEFAULT_L_GRID",
@@ -163,6 +175,9 @@ def _finish(kind: ExperimentKind, rows: list[SweepRow], details: dict) -> SweepR
 def _map_points(cfg: ExperimentConfig, params, point_fn):
     if cfg.workers == 1:
         return [point_fn(cfg, p) for p in params]
+    # imported here: serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(partial(point_fn, cfg), params))
 
@@ -171,37 +186,113 @@ def _map_points(cfg: ExperimentConfig, params, point_fn):
 # mean MSE vs number of levels
 
 
-def _mse_vs_l_point(cfg: ExperimentConfig, num_levels: int) -> SweepRow:
-    mapping = MappingConfig(cfg.d_max, num_levels, cfg.v2, cfg.quantizer)
-    sum1 = sum2 = 0.0
-    for trial in range(cfg.trials):
+# half-width in bins of the window around the tone that is evaluated in
+# closed form, and the relative margin by which the window's peak must beat
+# its runner-up and the bound on every bin outside the window.  The margin
+# keeps any accepted peak about 1e-9 * |amplitude| * fft_size above its
+# rivals; the closed form and np.fft.rfft of the synthesized tone agree to
+# ~1e-11 of that scale, so rounding cannot change an accepted decision
+PEAK_WINDOW = 32
+PEAK_MARGIN = 1e-7
+
+
+def _window_peak(
+    fm: FmConfig,
+    rx: ReceiverConfig,
+    tone: tuple[float, float, float],
+    noise_spectrum: np.ndarray,
+    noise_max: float,
+) -> int | None:
+    """FFT argmax bin of tone plus noise, or None when the window cannot prove it.
+
+    The tone's spectrum is evaluated in closed form within PEAK_WINDOW bins
+    of its nearest bin c0 and added to the noise spectrum there.  Outside the
+    window each Dirichlet kernel is at least PEAK_WINDOW + 1/2 bins (mod M)
+    from every rfft bin as long as the window stays clear of Nyquist, so no
+    bin there exceeds |amplitude| / sin(pi*(PEAK_WINDOW + 1/2)/M) + max|noise|.
+    """
+    freq, amplitude, _ = tone
+    m = rx.fft_size
+    c0 = round(freq * m / fm.sample_rate)
+    if c0 + PEAK_WINDOW + 1 > m // 2:
+        return None
+    lo = max(c0 - PEAK_WINDOW, 0)
+    hi = c0 + PEAK_WINDOW + 1
+    mags = np.abs(tone_bins(fm, rx, tone, np.arange(lo, hi)) + noise_spectrum[lo:hi])
+    j = int(np.argmax(mags))
+    runner_up = float(np.partition(mags, -2)[-2])
+    outside = abs(amplitude) / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m) + noise_max
+    if mags[j] > (1.0 + PEAK_MARGIN) * max(runner_up, outside):
+        return lo + j
+    return None
+
+
+def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float, float]]]:
+    """Normalized squared errors (x1, x2) per trial and per swept level count.
+
+    Every level count of a trial sees the trial's noise, so its spectrum is
+    the tone's plus one rfft of that noise.  A (trial, L) chain whose peak
+    the window cannot prove runs the full transmit_receive chain instead.
+    """
+    fm, rx = cfg.fm, cfg.receiver
+    mappings = [
+        MappingConfig(cfg.d_max, num_levels, cfg.v2, cfg.quantizer) for num_levels in cfg.l_values
+    ]
+    errors = []
+    for trial in trials:
         rng = _trial_rng(cfg.master_seed, trial)
         u1, u2 = cfg.source.draw(rng)
-        noise_seed = int(rng.integers(0, 2**62))
-        x1 = u1 * mapping.v1
-        x2 = u2 * mapping.v2
-        vd = encode(mapping, x1, x2)
-        channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=noise_seed)
-        vd_hat = transmit_receive(cfg.fm, channel, cfg.receiver, vd)
-        dec = decode(mapping, vd_hat)
-        sum1 += ((dec.x1_hat - x1) / mapping.v1) ** 2
-        sum2 += ((dec.x2_hat - x2) / mapping.v2) ** 2
-    m1, m2 = sum1 / cfg.trials, sum2 / cfg.trials
-    return SweepRow(
-        param=float(num_levels),
-        mean_mse=m1 + m2,
-        mean_sdr_db=sdr(m1 + m2),
-        mse_x1=m1,
-        mse_x2=m2,
-        trials=cfg.trials,
-    )
+        channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
+        noise_spectrum = np.fft.rfft(channel_noise(fm, channel, channel.rng_seed)[: rx.fft_size])
+        noise_max = float(np.max(np.abs(noise_spectrum)))
+        row = []
+        for mapping in mappings:
+            x1 = u1 * mapping.v1
+            x2 = u2 * mapping.v2
+            vd = encode(mapping, x1, x2)
+            k = _window_peak(fm, rx, chain_tone(fm, channel, vd), noise_spectrum, noise_max)
+            if k is None:
+                vd_hat = transmit_receive(fm, channel, rx, vd)
+            else:
+                vd_hat = freq_to_voltage(fm, k * (fm.sample_rate / rx.fft_size))
+            dec = decode(mapping, vd_hat)
+            e1 = ((dec.x1_hat - x1) / mapping.v1) ** 2
+            e2 = ((dec.x2_hat - x2) / mapping.v2) ** 2
+            row.append((e1, e2))
+        errors.append(row)
+    return errors
 
 
 def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
-    """Sweep the level count: uniform sources, full chain, normalized mean MSE."""
+    """Sweep the level count: uniform sources, the full chain's peak decisions, normalized mean MSE.
+
+    Workers take contiguous chunks of trials; the per-L sums run in trial
+    order, so the rows do not depend on the worker count.
+    """
     if cfg.kind is not ExperimentKind.MSE_VS_L:
         raise ValueError(f"config kind is {cfg.kind}, expected MSE_VS_L")
-    rows = _map_points(cfg, cfg.l_values, _mse_vs_l_point)
+    step = -(-cfg.trials // cfg.workers)
+    chunks = [range(a, min(a + step, cfg.trials)) for a in range(0, cfg.trials, step)]
+    sum1 = [0.0] * len(cfg.l_values)
+    sum2 = [0.0] * len(cfg.l_values)
+    for chunk in _map_points(cfg, chunks, _level_errors):
+        for row in chunk:
+            for j, (e1, e2) in enumerate(row):
+                sum1[j] += e1
+                sum2[j] += e2
+    rows = []
+    for num_levels, s1, s2 in zip(cfg.l_values, sum1, sum2):
+        m1, m2 = s1 / cfg.trials, s2 / cfg.trials
+        rows.append(
+            SweepRow(
+                param=float(num_levels),
+                mean_mse=m1 + m2,
+                mean_sdr_db=sdr(m1 + m2),
+                mse_x1=m1,
+                mse_x2=m2,
+                trials=cfg.trials,
+            )
+        )
     return _finish(cfg.kind, rows, details={})
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import DecodedPair, MappingConfig, SourceSample, decode, encode
-from .metrics import estimate_csnr
+from .metrics import estimate_csnr, spectral_floor
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
@@ -126,6 +126,10 @@ def _validate_cluster(sensors, plan: FdmaPlan, channels) -> FmConfig:
             raise ValueError("all sensors must share sample rate and record length")
     if len({ch.snr_db for ch in channels}) > 1:
         raise ValueError("cluster capture needs a single common snr_db")
+    if any(ch.rng_seed != 0 for ch in channels):
+        raise ValueError(
+            "cluster capture is seeded by its seed argument; channel rng_seed must be 0"
+        )
     for i, s in enumerate(sensors):
         width = s.fm.scale * s.mapping.d_max
         if width > plan.band_width_hz + 1e-9:
@@ -148,7 +152,10 @@ def build_capture(
     antennas: int = 1,
     seed: int = 0,
 ) -> ClusterCapture:
-    """Superpose all sensors' offset tones and add independent noise per antenna."""
+    """Superpose all sensors' offset tones and add independent noise per antenna.
+
+    The noise is seeded by ``seed`` alone, so every channel's rng_seed must be 0.
+    """
     fm = _validate_cluster(sensors, plan, channels)
     # fixed summation order (by sensor id) keeps results invariant under
     # permutation of the sensor list
@@ -183,6 +190,7 @@ def simulate_cluster(
     capture = build_capture(sensors, plan, channels, antennas=antennas, seed=seed)
     spectra = [magnitude_spectrum(rx, wf) for wf in capture.waveforms]
     combined = spectra[0] if len(spectra) == 1 else diversity_combine(spectra)
+    floor = spectral_floor(combined)
 
     fs = sensors[0].fm.sample_rate
     bin_width = fs / rx.fft_size
@@ -198,7 +206,7 @@ def simulate_cluster(
                 vd_hat=vd_hat,
                 peak_hz=peak,
                 decoded=decode(s.mapping, vd_hat),
-                csnr_est_db=estimate_csnr(combined, round(peak / bin_width)),
+                csnr_est_db=estimate_csnr(combined, round(peak / bin_width), floor),
             )
         )
     return results

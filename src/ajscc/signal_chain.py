@@ -8,8 +8,10 @@ and maps it back to a voltage.  With the default 65536 Hz sampling and
 voltage error is at most half a bin over the scale factor (5e-4 V).
 
 ``capture`` is the one received-signal model: a sum of tones plus seeded
-noise per antenna.  A single sensor is a one-tone capture; the FDMA cluster
-in ``multisensor`` passes one tone per sensor.
+noise per antenna (``channel_noise``).  A single sensor is a one-tone capture;
+the FDMA cluster in ``multisensor`` passes one tone per sensor.  ``tone_bins``
+is the closed-form FFT of one capture tone, so a spectrum can be formed as
+tone bins plus the FFT of the noise.
 """
 from __future__ import annotations
 
@@ -24,12 +26,15 @@ __all__ = [
     "ChannelSpec",
     "ReceiverConfig",
     "capture",
+    "channel_noise",
+    "tone_bins",
     "fm_modulate",
     "noise_sigma",
     "magnitude_spectrum",
     "peak_from_spectrum",
     "detect_peak",
     "freq_to_voltage",
+    "chain_tone",
     "transmit_receive",
 ]
 
@@ -116,6 +121,19 @@ def noise_sigma(ch: ChannelSpec) -> float:
     return math.sqrt(1.0 * 10.0 ** (-ch.snr_db / 10.0))
 
 
+def channel_noise(fm: FmConfig, ch: ChannelSpec, seed: int, antenna: int = 0) -> np.ndarray:
+    """AWGN samples of one antenna: normal(0, noise_sigma(ch)) per sample.
+
+    Drawn from SeedSequence([seed, antenna]); for antenna 0 that is the
+    default_rng(seed) stream.  All zeros when the channel is noiseless.
+    """
+    sigma = noise_sigma(ch)
+    if sigma == 0.0:
+        return np.zeros(fm.num_samples)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, antenna]))
+    return rng.normal(0.0, sigma, fm.num_samples)
+
+
 def capture(
     fm: FmConfig,
     ch: ChannelSpec,
@@ -127,10 +145,8 @@ def capture(
 
     Each tone is (freq Hz, amplitude, phase), synthesized as
     amplitude * cos(2*pi*freq/fs*n + phase) and summed in the given order.
-    The noise standard deviation is noise_sigma(ch); antenna a draws it from
-    SeedSequence([seed, a]), which for antenna 0 is the same stream as
-    default_rng(seed).  Only ch.snr_db is read: callers fold gain and phase
-    into the tones.
+    Antenna a adds channel_noise(fm, ch, seed, a).  Only ch.snr_db is read:
+    callers fold gain and phase into the tones.
     """
     if antennas < 1:
         raise ValueError("antennas must be >= 1")
@@ -152,12 +168,40 @@ def capture(
     waveforms = []
     for a in range(antennas):
         if sigma > 0.0:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, a]))
-            y = mix + rng.normal(0.0, sigma, mix.size)
+            y = mix + channel_noise(fm, ch, seed, a)
         else:
             y = mix if a == 0 else mix.copy()
         waveforms.append(Waveform(y, fm.sample_rate))
     return tuple(waveforms)
+
+
+def tone_bins(
+    fm: FmConfig,
+    rx: ReceiverConfig,
+    tone: tuple[float, float, float],
+    bins: np.ndarray,
+) -> np.ndarray:
+    """rfft of one capture tone over the receiver's fft_size samples, in closed form, at 1-D bins.
+
+    The tone (freq, amplitude, phase) is amplitude*cos(w*n + phase) as
+    ``capture`` synthesizes it, w = 2*pi*freq/fs.  Each of its two complex
+    exponentials sums over n < M = fft_size to a Dirichlet kernel: at offset
+    d = +-freq*M/fs - k bins from bin k, exp(i*pi*d*(M-1)/M) * sin(pi*d) /
+    sin(pi*d/M).  Within 1e-9 bins of d = 0 the ratio is taken as its limit
+    M, which it equals to double precision (and tiny offsets would lose it to
+    underflow).  For 0 <= freq < fs/2 and bins in [0, M/2] the result equals
+    np.fft.rfft of the synthesized samples up to rounding.
+    """
+    m = rx.fft_size
+    if fm.num_samples < m:
+        raise ValueError(f"record has {fm.num_samples} samples, receiver needs {m}")
+    freq, amplitude, phase = tone
+    sign = np.array([[1.0], [-1.0]])  # rows: the exp(+iwn) and exp(-iwn) halves
+    d = sign * (freq * m / fm.sample_rate) - np.asarray(bins, dtype=float)
+    on_bin = np.abs(d) < 1e-9
+    kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * np.where(on_bin, 1.0, d)))
+    halves = kernel * np.exp(1j * (np.pi * (m - 1) / m * d + sign * phase))
+    return 0.5 * amplitude * halves.sum(axis=0)
 
 
 def fm_modulate(fm: FmConfig, vd: float) -> Waveform:
@@ -207,8 +251,12 @@ def freq_to_voltage(fm: FmConfig, freq: float) -> float:
     return freq / fm.scale
 
 
+def chain_tone(fm: FmConfig, ch: ChannelSpec, vd: float) -> tuple[float, float, float]:
+    """The received (freq, amplitude, phase) tone of voltage vd on a single-sensor link."""
+    return (fm.scale * vd, ch.gain * fm.amplitude, ch.phase)
+
+
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, rx: ReceiverConfig, vd: float) -> float:
     """Full chain: one-tone capture seeded by ch.rng_seed, peak detection, back to voltage."""
-    tone = (fm.scale * vd, ch.gain * fm.amplitude, ch.phase)
-    (wf,) = capture(fm, ch, [tone], ch.rng_seed)
+    (wf,) = capture(fm, ch, [chain_tone(fm, ch, vd)], ch.rng_seed)
     return freq_to_voltage(fm, detect_peak(rx, wf))

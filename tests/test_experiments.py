@@ -1,15 +1,18 @@
 """Runner tests: determinism, CSV/JSON round trips, config files, self checks."""
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from ajscc import experiments
 from ajscc.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     ExperimentKind,
     SourceSpec,
+    SweepRow,
     config_from_mapping,
     emit_csv,
     emit_json,
@@ -23,7 +26,9 @@ from ajscc.experiments import (
     run_roundtrip_suite,
     run_sdr_vs_csnr,
 )
-from ajscc.mapping import Quantizer
+from ajscc.mapping import MappingConfig, Quantizer, decode, encode
+from ajscc.metrics import sdr
+from ajscc.signal_chain import ChannelSpec, FmConfig, ReceiverConfig, tone_bins, transmit_receive
 
 TINY_SWEEP = ExperimentConfig(
     kind=ExperimentKind.MSE_VS_L,
@@ -103,13 +108,136 @@ class TestMseVsL:
         assert a == b
 
     def test_worker_count_does_not_change_bytes(self):
-        import dataclasses
+        # 7 trials split into uneven contiguous chunks for 2 and 3 workers
+        cfg = dataclasses.replace(TINY_SWEEP, trials=7, snr_db=-20.0)
+        serial = render_csv(run_mse_vs_L(cfg))
+        for workers in (2, 3):
+            assert render_csv(run_mse_vs_L(dataclasses.replace(cfg, workers=workers))) == serial
 
-        serial = render_csv(run_mse_vs_L(TINY_SWEEP))
-        parallel = render_csv(
-            run_mse_vs_L(dataclasses.replace(TINY_SWEEP, workers=2))
+
+def scalar_rows(cfg):
+    """The level sweep as one full transmit_receive chain per (L, trial): the oracle."""
+    rows = []
+    for num_levels in cfg.l_values:
+        mapping = MappingConfig(cfg.d_max, num_levels, cfg.v2, cfg.quantizer)
+        sum1 = sum2 = 0.0
+        for trial in range(cfg.trials):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial]))
+            u1, u2 = cfg.source.draw(rng)
+            noise_seed = int(rng.integers(0, 2**62))
+            x1 = u1 * mapping.v1
+            x2 = u2 * mapping.v2
+            vd = encode(mapping, x1, x2)
+            channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=noise_seed)
+            dec = decode(mapping, transmit_receive(cfg.fm, channel, cfg.receiver, vd))
+            sum1 += ((dec.x1_hat - x1) / mapping.v1) ** 2
+            sum2 += ((dec.x2_hat - x2) / mapping.v2) ** 2
+        m1, m2 = sum1 / cfg.trials, sum2 / cfg.trials
+        rows.append(SweepRow(float(num_levels), m1 + m2, sdr(m1 + m2), m1, m2, cfg.trials))
+    return rows
+
+
+def counting_fallbacks(monkeypatch):
+    """Count the (trial, L) chains the sweep hands to the scalar chain."""
+    calls = []
+    original = experiments.transmit_receive
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "transmit_receive", counted)
+    return calls
+
+
+ENGINE_SWEEP = ExperimentConfig(
+    kind=ExperimentKind.MSE_VS_L,
+    trials=5,
+    l_values=(5, 11, 41, 71, 101),
+    snr_db=0.0,
+    quantizer=Quantizer.NEAREST,
+    master_seed=31,
+)
+
+
+class TestSharedNoiseEngine:
+    """The shared-noise sweep must reproduce the scalar chain's CSV bytes."""
+
+    def assert_matches_oracle(self, cfg):
+        result = run_mse_vs_L(cfg)
+        oracle = dataclasses.replace(result, rows=scalar_rows(cfg))
+        assert render_csv(result) == render_csv(oracle)
+
+    @pytest.mark.parametrize("snr_db", [0.0, -20.0, math.inf, -35.0])
+    def test_rows_equal_scalar_chain(self, snr_db):
+        self.assert_matches_oracle(dataclasses.replace(ENGINE_SWEEP, snr_db=snr_db))
+
+    def test_half_bin_tones_equal_scalar_chain(self):
+        # v1 = 1 V, so x1 = 0.0625 V puts a noiseless tone exactly at 62.5 Hz
+        cfg = dataclasses.replace(
+            ENGINE_SWEEP,
+            snr_db=math.inf,
+            l_values=(5, 10),
+            source=SourceSpec("fixed", x1=0.0625, x2=0.0),
         )
-        assert serial == parallel
+        self.assert_matches_oracle(cfg)
+
+    def test_non_unit_bin_geometry_equals_scalar_chain(self):
+        cfg = dataclasses.replace(
+            ENGINE_SWEEP,
+            snr_db=-20.0,
+            fm=FmConfig(sample_rate=48000.0),
+            receiver=ReceiverConfig(fft_size=16384),
+        )
+        self.assert_matches_oracle(cfg)
+
+    def test_no_fallback_at_0_db(self, monkeypatch):
+        calls = counting_fallbacks(monkeypatch)
+        run_mse_vs_L(ENGINE_SWEEP)
+        assert calls == []
+
+    def test_fallback_at_minus_35_db(self, monkeypatch):
+        # the noise spectrum's maximum beats the tone, so no window proves its peak
+        calls = counting_fallbacks(monkeypatch)
+        run_mse_vs_L(dataclasses.replace(ENGINE_SWEEP, snr_db=-35.0))
+        assert len(calls) > 0
+
+    def test_record_shorter_than_fft_rejected(self):
+        cfg = dataclasses.replace(ENGINE_SWEEP, receiver=ReceiverConfig(fft_size=131072))
+        with pytest.raises(ValueError):
+            run_mse_vs_L(cfg)
+
+
+class TestWindowPeak:
+    """The three accept conditions of the windowed peak search."""
+
+    FM = FmConfig()
+    RX = ReceiverConfig()
+    QUIET = np.zeros(RX.fft_size // 2 + 1, dtype=complex)
+
+    def test_clean_tone_is_accepted(self):
+        tone = (2500.0, 1.0, 0.0)
+        assert experiments._window_peak(self.FM, self.RX, tone, self.QUIET, 0.0) == 2500
+
+    def test_noise_bound_above_peak_falls_back(self):
+        tone = (2500.0, 1.0, 0.0)
+        assert experiments._window_peak(self.FM, self.RX, tone, self.QUIET, 40000.0) is None
+
+    def test_near_tie_in_window_falls_back(self):
+        # a half-bin tone plus a small noise value that lifts bin 2501 to
+        # within 1e-12 of bin 2500; the image term alone separates them by ~2e-4
+        tone = (2500.5, 1.0, 0.0)
+        t = tone_bins(self.FM, self.RX, tone, np.array([2500, 2501]))
+        noise = self.QUIET.copy()
+        noise[2501] = t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0)
+        noise_max = abs(noise[2501])
+        assert noise_max < 10.0
+        assert experiments._window_peak(self.FM, self.RX, tone, self.QUIET, 0.0) is not None
+        assert experiments._window_peak(self.FM, self.RX, tone, noise, noise_max) is None
+
+    def test_window_near_nyquist_falls_back(self):
+        tone = (self.FM.sample_rate / 2 - 10.0, 1.0, 0.0)
+        assert experiments._window_peak(self.FM, self.RX, tone, self.QUIET, 0.0) is None
 
 
 class TestSdrVsCsnr:

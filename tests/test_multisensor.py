@@ -13,7 +13,8 @@ from ajscc.multisensor import (
     diversity_combine,
     simulate_cluster,
 )
-from ajscc.signal_chain import ChannelSpec, FmConfig, ReceiverConfig
+from ajscc.metrics import estimate_csnr
+from ajscc.signal_chain import ChannelSpec, FmConfig, ReceiverConfig, magnitude_spectrum
 
 FM = FmConfig()
 RX = ReceiverConfig()
@@ -97,6 +98,16 @@ class TestCapture:
         with pytest.raises(ValueError):
             build_capture(sensors, plan, no_noise(2))
 
+    def test_channel_rng_seed_rejected(self):
+        # the capture is seeded by its seed argument; a channel seed would be ignored
+        sensors = make_sensors([(0.2, 0.4)])
+        plan = assign_channels(1, FM, 5.0)
+        chans = [ChannelSpec(snr_db=-20.0, rng_seed=1)]
+        with pytest.raises(ValueError, match="rng_seed"):
+            build_capture(sensors, plan, chans, seed=5)
+        with pytest.raises(ValueError, match="rng_seed"):
+            simulate_cluster(sensors, plan, chans, RX, seed=5)
+
 
 class TestSimulateCluster:
     def test_single_sensor_roundtrip(self):
@@ -105,6 +116,16 @@ class TestSimulateCluster:
         (res,) = simulate_cluster(sensors, plan, no_noise(1), RX)
         assert abs(res.vd_hat - res.vd_true) <= 0.5 / FM.scale + 1e-9
         assert abs(res.decoded.x1_hat - 0.21) <= 0.5 / FM.scale + 1e-9
+
+    def test_csnr_is_per_sensor_estimate_of_combined_spectrum(self):
+        sensors = make_sensors([(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)])
+        plan = assign_channels(3, FM, 5.0)
+        chans = [ChannelSpec(snr_db=-20.0) for _ in range(3)]
+        results = simulate_cluster(sensors, plan, chans, RX, antennas=2, seed=4)
+        capture = build_capture(sensors, plan, chans, antennas=2, seed=4)
+        combined = diversity_combine([magnitude_spectrum(RX, wf) for wf in capture.waveforms])
+        for res in results:
+            assert res.csnr_est_db == estimate_csnr(combined, round(res.peak_hz))
 
     def test_three_sensors_noiseless_match_solo_runs(self):
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]

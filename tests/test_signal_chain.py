@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ajscc.signal_chain import (
     ChannelSpec,
@@ -10,12 +12,14 @@ from ajscc.signal_chain import (
     ReceiverConfig,
     Waveform,
     capture,
+    channel_noise,
     detect_peak,
     fm_modulate,
     freq_to_voltage,
     magnitude_spectrum,
     noise_sigma,
     peak_from_spectrum,
+    tone_bins,
     transmit_receive,
 )
 
@@ -107,6 +111,57 @@ class TestCapture:
             capture(FM, NO_NOISE, [(FM.sample_rate / 2, 1.0, 0.0)], seed=0)
         with pytest.raises(ValueError):
             capture(FM, NO_NOISE, [(math.nan, 1.0, 0.0)], seed=0)
+
+    def test_channel_noise_is_the_capture_noise(self):
+        ch = ChannelSpec(snr_db=-13.0)
+        tones = [(700.0, 1.0, 0.0)]
+        (clean,) = capture(FM, NO_NOISE, tones, seed=21)
+        noisy = capture(FM, ch, tones, seed=21, antennas=2)
+        for a, wf in enumerate(noisy):
+            assert np.array_equal(wf.samples, clean.samples + channel_noise(FM, ch, 21, a))
+        assert not np.any(channel_noise(FM, NO_NOISE, 21))
+
+
+# closed-form bins agree with np.fft.rfft of the synthesized tone to this
+# fraction of amplitude * fft_size (measured worst ~5e-12)
+TONE_BINS_TOL = 1e-10
+
+
+class TestToneBins:
+    @given(
+        sample_rate=st.integers(8, 200_000),
+        num_samples=st.integers(2, 70_000),
+        fft_exp=st.integers(1, 16),
+        freq_frac=st.floats(0.0, 1.0, exclude_max=True),
+        amplitude=st.floats(1e-3, 10.0),
+        phase=st.floats(-2 * math.pi, 2 * math.pi),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rfft_of_capture(
+        self, sample_rate, num_samples, fft_exp, freq_frac, amplitude, phase
+    ):
+        fft_size = 2 ** fft_exp
+        if fft_size > num_samples:
+            fft_size = 2 ** (num_samples.bit_length() - 1)
+        fm = FmConfig(sample_rate=float(sample_rate), record_seconds=num_samples / sample_rate)
+        rx = ReceiverConfig(fft_size=fft_size)
+        tone = (freq_frac * fm.sample_rate / 2, amplitude, phase)
+        (wf,) = capture(fm, NO_NOISE, [tone], seed=0)
+        expected = np.fft.rfft(wf.samples[:fft_size])
+        got = tone_bins(fm, rx, tone, np.arange(fft_size // 2 + 1))
+        assert np.max(np.abs(got - expected)) <= TONE_BINS_TOL * amplitude * fft_size
+
+    def test_on_bin_and_dc_values(self):
+        got = tone_bins(FM, RX, (2500.0, 2.0, 0.0), np.array([2499, 2500, 2501]))
+        assert got[1] == pytest.approx(RX.fft_size)
+        assert np.all(np.abs(got[[0, 2]]) < 1e-6)
+        dc = tone_bins(FM, RX, (0.0, 1.5, 0.3), np.array([0]))
+        assert dc[0] == pytest.approx(1.5 * RX.fft_size * math.cos(0.3))
+
+    def test_record_shorter_than_fft_rejected(self):
+        rx = ReceiverConfig(fft_size=2 * FM.num_samples)
+        with pytest.raises(ValueError):
+            tone_bins(FM, rx, (100.0, 1.0, 0.0), np.arange(4))
 
 
 class TestChannel:
