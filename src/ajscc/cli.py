@@ -1,25 +1,27 @@
 """Command-line interface.
 
 Subcommands: encode, decode, chain, sweep-l, sdr-sweep, cluster, selftest.
-Sweep commands accept a flat key=value --config file; explicit flags override
-file values.  Exit code 0 on success; on failure a single machine-readable
-JSON error line goes to stderr and the exit code is nonzero.
+Each flag of sweep-l, sdr-sweep, cluster and selftest sets one config key and
+takes the same values as that key in a flat key=value --config file, which
+the sweep commands accept; explicit flags override file values.  Exit code 0
+on success; on bad input (ValueError, OSError) a single machine-readable JSON
+error line goes to stderr and the exit code is 1.  Any other error propagates
+with its traceback.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .experiments import (
-    DEFAULT_L_GRID,
+    CONFIG_KEYS,
     ExperimentConfig,
     ExperimentKind,
-    SourceSpec,
+    config_from_mapping,
     emit_csv,
     emit_json,
-    load_config_file,
+    read_config_file,
     render_csv,
     render_json,
     run_cluster_demo,
@@ -30,26 +32,44 @@ from .experiments import (
 from .mapping import MappingConfig, Quantizer, decode, encode
 from .signal_chain import ChannelSpec, FmConfig, ReceiverConfig, transmit_receive
 
+# the config key each experiment flag sets, and its help text
+_CONFIG_FLAGS = {
+    "--trials": ("trials", None),
+    "--snr-db": ("snr_db", None),
+    "--snrs": ("snr_values", "comma-separated SNR list in dB"),
+    "--seed": ("master_seed", None),
+    "--dmax": ("d_max", None),
+    "--v2": ("v2", None),
+    "--levels": ("num_levels", None),
+    "--quantizer": ("quantizer", None),
+    "--l-grid": ("l_values", "e.g. 10:150:5 or 60,70,80"),
+    "--sensors": ("sensor_count", None),
+    "--antennas": ("antennas", None),
+    "--source": ("source_kind", None),
+    "--x1": ("source_x1", "fixed source x1 in [0,1]"),
+    "--x2": ("source_x2", "fixed source x2 in [0,1]"),
+    "--workers": ("workers", None),
+    "--gain-error": ("gain_error", None),
+    "--offset-error": ("offset_error", None),
+}
+_FLAG_CHOICES = {"--quantizer": [q.value for q in Quantizer], "--source": ["uniform", "fixed"]}
 
-def _parse_l_grid(text: str) -> tuple[int, ...]:
-    """Comma-separated level counts; a:b:s tokens expand to inclusive ranges."""
-    values: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            parts = [int(p) for p in token.split(":")]
-            start, stop = parts[0], parts[1]
-            step = parts[2] if len(parts) > 2 else 1
-            values.extend(range(start, stop + 1, step))
-        else:
-            values.append(int(token))
-    return tuple(values)
 
-
-def _parse_snrs(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _add_config_flags(
+    p: argparse.ArgumentParser, flags: tuple[str, ...], defaults: dict[str, str] | None = None
+) -> None:
+    """Each flag stores its raw string under its config key; config_from_mapping parses it."""
+    for flag in flags:
+        key, help_text = _CONFIG_FLAGS[flag]
+        choices = _FLAG_CHOICES.get(flag)
+        p.add_argument(
+            flag,
+            dest=key,
+            metavar=None if choices else flag[2:].upper().replace("-", "_"),
+            choices=choices,
+            default=(defaults or {}).get(flag),
+            help=help_text,
+        )
 
 
 def _add_codec_flags(p: argparse.ArgumentParser) -> None:
@@ -90,104 +110,55 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-l", help="mean MSE vs number of levels")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--snr-db", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dmax", type=float)
-    p.add_argument("--v2", type=float)
-    p.add_argument("--quantizer", choices=[q.value for q in Quantizer])
-    p.add_argument("--l-grid", help="e.g. 10:150:5 or 60,70,80")
-    p.add_argument("--workers", type=int)
+    _add_config_flags(
+        p,
+        ("--trials", "--snr-db", "--seed", "--dmax", "--v2", "--quantizer", "--l-grid",
+         "--workers"),
+    )
     p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("sdr-sweep", help="SDR vs channel SNR for FDMA sensors")
     p.add_argument("--config")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--snrs", help="comma-separated SNR list in dB")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dmax", type=float)
-    p.add_argument("--v2", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--quantizer", choices=[q.value for q in Quantizer])
-    p.add_argument("--sensors", type=int)
-    p.add_argument("--antennas", type=int)
-    p.add_argument("--source", choices=["uniform", "fixed"])
-    p.add_argument("--x1", type=float, help="fixed source x1 in [0,1]")
-    p.add_argument("--x2", type=float, help="fixed source x2 in [0,1]")
-    p.add_argument("--workers", type=int)
+    _add_config_flags(
+        p,
+        ("--trials", "--snrs", "--seed", "--dmax", "--v2", "--levels", "--quantizer", "--sensors",
+         "--antennas", "--source", "--x1", "--x2", "--workers"),
+    )
     p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("cluster", help="one joint capture of several sensors")
-    p.add_argument("--sensors", type=int, default=3)
-    p.add_argument("--antennas", type=int, default=1)
-    p.add_argument("--snr-db", type=float, default=float("inf"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dmax", type=float, default=5.0)
-    p.add_argument("--levels", type=int, default=11)
-    p.add_argument("--quantizer", choices=[q.value for q in Quantizer], default="floor")
+    _add_config_flags(
+        p,
+        ("--sensors", "--antennas", "--snr-db", "--seed", "--dmax", "--levels", "--quantizer"),
+        defaults={"--sensors": "3", "--snr-db": "inf", "--levels": "11"},
+    )
 
     p = sub.add_parser("selftest", help="run the round-trip self-check suite")
-    p.add_argument("--levels", type=int, default=73)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--quantizer", choices=[q.value for q in Quantizer], default="floor")
-    p.add_argument("--gain-error", type=float, default=0.0)
-    p.add_argument("--offset-error", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(
+        p, ("--levels", "--trials", "--quantizer", "--gain-error", "--offset-error", "--seed")
+    )
 
     return parser
 
 
-def _sweep_config(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config_file(args.config)
-        cfg = dataclasses.replace(cfg, kind=kind)
-    else:
-        cfg = ExperimentConfig(kind=kind)
-    overrides: dict = {}
-    for flag, field_name in (
-        ("trials", "trials"),
-        ("snr_db", "snr_db"),
-        ("seed", "master_seed"),
-        ("dmax", "d_max"),
-        ("v2", "v2"),
-        ("levels", "num_levels"),
-        ("sensors", "sensor_count"),
-        ("antennas", "antennas"),
-        ("workers", "workers"),
-        ("out", "output_path"),
-        ("format", "output_format"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    if getattr(args, "quantizer", None) is not None:
-        overrides["quantizer"] = Quantizer(args.quantizer)
-    if getattr(args, "l_grid", None) is not None:
-        overrides["l_values"] = _parse_l_grid(args.l_grid)
-    if getattr(args, "snrs", None) is not None:
-        overrides["snr_values"] = _parse_snrs(args.snrs)
-    if getattr(args, "source", None) is not None or getattr(args, "x1", None) is not None:
-        kind_name = getattr(args, "source", None) or "fixed"
-        overrides["source"] = SourceSpec(
-            kind=kind_name,
-            x1=args.x1 if args.x1 is not None else 0.5,
-            x2=args.x2 if args.x2 is not None else 0.5,
-        )
-    return dataclasses.replace(cfg, **overrides)
+def _config(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
+    """The --config file's values overlaid by the flags that were set, parsed once."""
+    values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update(
+        (key, raw) for key, raw in vars(args).items() if key in CONFIG_KEYS and raw is not None
+    )
+    return config_from_mapping(values, kind)
 
 
-def _emit_result(result, cfg: ExperimentConfig) -> None:
-    render = render_csv if cfg.output_format == "csv" else render_json
-    if cfg.output_path:
-        (emit_csv if cfg.output_format == "csv" else emit_json)(result, cfg.output_path)
-        print(
-            f"wrote {cfg.output_path} best_param={result.best_param!r} "
-            f"best_mse={result.best_mse!r}"
-        )
+def _emit_result(result, args: argparse.Namespace) -> None:
+    as_csv = args.format == "csv"
+    if args.out:
+        (emit_csv if as_csv else emit_json)(result, args.out)
+        print(f"wrote {args.out} best_param={result.best_param!r} best_mse={result.best_mse!r}")
     else:
-        sys.stdout.write(render(result))
+        sys.stdout.write((render_csv if as_csv else render_json)(result))
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -218,23 +189,11 @@ def _run(args: argparse.Namespace) -> int:
             )
         )
     elif args.command == "sweep-l":
-        cfg = _sweep_config(args, ExperimentKind.MSE_VS_L)
-        _emit_result(run_mse_vs_L(cfg), cfg)
+        _emit_result(run_mse_vs_L(_config(args, ExperimentKind.MSE_VS_L)), args)
     elif args.command == "sdr-sweep":
-        cfg = _sweep_config(args, ExperimentKind.SDR_VS_CSNR)
-        _emit_result(run_sdr_vs_csnr(cfg), cfg)
+        _emit_result(run_sdr_vs_csnr(_config(args, ExperimentKind.SDR_VS_CSNR)), args)
     elif args.command == "cluster":
-        cfg = ExperimentConfig(
-            kind=ExperimentKind.CLUSTER_DEMO,
-            sensor_count=args.sensors,
-            antennas=args.antennas,
-            snr_db=args.snr_db,
-            master_seed=args.seed,
-            d_max=args.dmax,
-            num_levels=args.levels,
-            quantizer=Quantizer(args.quantizer),
-        )
-        for res in run_cluster_demo(cfg):
+        for res in run_cluster_demo(_config(args, ExperimentKind.CLUSTER_DEMO)):
             print(
                 json.dumps(
                     {
@@ -250,16 +209,7 @@ def _run(args: argparse.Namespace) -> int:
                 )
             )
     elif args.command == "selftest":
-        cfg = ExperimentConfig(
-            kind=ExperimentKind.ROUND_TRIP,
-            num_levels=args.levels,
-            trials=args.trials,
-            quantizer=Quantizer(args.quantizer),
-            gain_error=args.gain_error,
-            offset_error=args.offset_error,
-            master_seed=args.seed,
-        )
-        report = run_roundtrip_suite(cfg)
+        report = run_roundtrip_suite(_config(args, ExperimentKind.ROUND_TRIP))
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{status} {check.name} worst={check.worst:.3e} bound={check.bound:.3e}")
@@ -271,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except Exception as exc:  # single machine-readable error line
+    except (ValueError, OSError) as exc:  # bad input: one machine-readable error line
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

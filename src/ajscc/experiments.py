@@ -20,6 +20,8 @@ import dataclasses
 import enum
 import json
 import math
+import typing
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -29,7 +31,7 @@ import numpy as np
 from .circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from .mapping import MappingConfig, Quantizer, SourceSample, decode, encode
 from .metrics import sdr
-from .multisensor import SensorNode, SensorResult, assign_channels, simulate_cluster
+from .multisensor import FdmaPlan, SensorNode, SensorResult, assign_channels, simulate_cluster
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
@@ -57,8 +59,10 @@ __all__ = [
     "run_experiment",
     "emit_csv",
     "emit_json",
-    "load_config_file",
+    "CONFIG_KEYS",
     "config_from_mapping",
+    "read_config_file",
+    "load_config_file",
 ]
 
 # dense near the documented optimum, coarse elsewhere
@@ -118,8 +122,6 @@ class ExperimentConfig:
     offset_error: float = 0.0
     master_seed: int = 0
     workers: int = 1
-    output_path: str | None = None
-    output_format: str = "csv"
     fm: FmConfig = FmConfig()
     receiver: ReceiverConfig = ReceiverConfig()
 
@@ -136,14 +138,14 @@ class ExperimentConfig:
             raise ValueError("sensor_count and antennas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         # construction validates the codec parameters
         MappingConfig(self.d_max, self.num_levels, self.v2, self.quantizer)
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep point; ``mean_sdr_db`` is the SDR of ``mean_mse``, not a mean of per-trial SDRs."""
+
     param: float
     mean_mse: float
     mean_sdr_db: float
@@ -300,6 +302,29 @@ def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
 # SDR vs channel SNR for one or more FDMA sensors
 
 
+def _cluster_trial(
+    cfg: ExperimentConfig, plan: FdmaPlan, mapping: MappingConfig, snr_db: float, trial: int
+) -> tuple[list[tuple[float, float]], list[SensorResult]]:
+    """One joint capture: the trial's stream draws every source, then the capture seed."""
+    rng = _trial_rng(cfg.master_seed, trial)
+    draws = [cfg.source.draw(rng) for _ in range(cfg.sensor_count)]
+    capture_seed = int(rng.integers(0, 2**62))
+    sensors = [
+        SensorNode(
+            id=i,
+            mapping=mapping,
+            fm=cfg.fm,
+            truth=SourceSample(u1 * mapping.v1, u2 * mapping.v2),
+        )
+        for i, (u1, u2) in enumerate(draws)
+    ]
+    channels = [ChannelSpec(snr_db=snr_db, rng_seed=0) for _ in draws]
+    results = simulate_cluster(
+        sensors, plan, channels, cfg.receiver, antennas=cfg.antennas, seed=capture_seed
+    )
+    return draws, results
+
+
 def _sdr_point(cfg: ExperimentConfig, snr_db: float) -> tuple[SweepRow, dict]:
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
@@ -311,22 +336,7 @@ def _sdr_point(cfg: ExperimentConfig, snr_db: float) -> tuple[SweepRow, dict]:
     per_trial_vd_err = np.zeros((cfg.trials, n))
     per_trial_csnr = np.zeros((cfg.trials, n))
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.master_seed, trial)
-        draws = [cfg.source.draw(rng) for _ in range(n)]
-        capture_seed = int(rng.integers(0, 2**62))
-        sensors = [
-            SensorNode(
-                id=i,
-                mapping=mapping,
-                fm=cfg.fm,
-                truth=SourceSample(u1 * mapping.v1, u2 * mapping.v2),
-            )
-            for i, (u1, u2) in enumerate(draws)
-        ]
-        channels = [ChannelSpec(snr_db=snr_db, rng_seed=0) for _ in range(n)]
-        results = simulate_cluster(
-            sensors, plan, channels, cfg.receiver, antennas=cfg.antennas, seed=capture_seed
-        )
+        draws, results = _cluster_trial(cfg, plan, mapping, snr_db, trial)
         for i, res in enumerate(results):
             u1, u2 = draws[i]
             e1 = (res.decoded.x1_hat / mapping.v1 - u1) ** 2
@@ -470,23 +480,7 @@ def run_cluster_demo(cfg: ExperimentConfig) -> list[SensorResult]:
         raise ValueError(f"config kind is {cfg.kind}, expected CLUSTER_DEMO")
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
-    rng = _trial_rng(cfg.master_seed, 0)
-    sensors = []
-    for i in range(cfg.sensor_count):
-        u1, u2 = cfg.source.draw(rng)
-        sensors.append(
-            SensorNode(
-                id=i,
-                mapping=mapping,
-                fm=cfg.fm,
-                truth=SourceSample(u1 * mapping.v1, u2 * mapping.v2),
-            )
-        )
-    capture_seed = int(rng.integers(0, 2**62))
-    channels = [ChannelSpec(snr_db=cfg.snr_db, rng_seed=0) for _ in range(cfg.sensor_count)]
-    return simulate_cluster(
-        sensors, plan, channels, cfg.receiver, antennas=cfg.antennas, seed=capture_seed
-    )
+    return _cluster_trial(cfg, plan, mapping, cfg.snr_db, 0)[1]
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -556,55 +550,98 @@ def parse_csv(text: str) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 # flat key=value config files
 
+# key prefix of each nested dataclass field of ExperimentConfig
+_NESTED_PREFIX = {"source": "source_", "fm": "fm_", "receiver": ""}
 
-def _parse_tuple(text: str, typ):
-    return tuple(typ(tok) for tok in text.split(",") if tok.strip())
 
-
-def config_from_mapping(values: dict[str, str]) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat string key/value pairs."""
-    kwargs: dict = {}
-    source: dict = {}
-    fm: dict = {}
-    receiver: dict = {}
-    for key, raw in values.items():
-        if key == "kind":
-            kwargs["kind"] = ExperimentKind(raw)
-        elif key == "quantizer":
-            kwargs["quantizer"] = Quantizer(raw)
-        elif key == "l_values":
-            kwargs["l_values"] = _parse_tuple(raw, int)
-        elif key == "snr_values":
-            kwargs["snr_values"] = _parse_tuple(raw, float)
-        elif key in ("trials", "num_levels", "sensor_count", "antennas", "master_seed", "workers"):
-            kwargs[key] = int(raw)
-        elif key in ("snr_db", "d_max", "v2", "guard_hz", "gain_error", "offset_error"):
-            kwargs[key] = float(raw)
-        elif key in ("output_path", "output_format"):
-            kwargs[key] = raw
-        elif key == "source_kind":
-            source["kind"] = raw
-        elif key in ("source_x1", "source_x2"):
-            source[key.removeprefix("source_")] = float(raw)
-        elif key in ("fm_scale", "fm_amplitude", "fm_sample_rate", "fm_record_seconds"):
-            fm[key.removeprefix("fm_")] = float(raw)
-        elif key == "fft_size":
-            receiver["fft_size"] = int(raw)
+def _parse_list(text: str, typ: type) -> tuple:
+    """Comma-separated values; for integers an a:b or a:b:s token is an inclusive range."""
+    values: list = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if typ is int and ":" in token:
+            parts = [int(p) for p in token.split(":")]
+            if len(parts) not in (2, 3):
+                raise ValueError(f"range {token!r} is not a:b or a:b:s")
+            values.extend(range(parts[0], parts[1] + 1, *parts[2:]))
         else:
-            raise ValueError(f"unknown config key {key!r}")
-    if "kind" not in kwargs:
+            values.append(typ(token))
+    return tuple(values)
+
+
+def _value_parser(typ) -> Callable[[str], object]:
+    """The one string parser for a config field of type ``typ``."""
+    if typing.get_origin(typ) is tuple:
+        return partial(_parse_list, typ=typing.get_args(typ)[0])
+    if isinstance(typ, enum.EnumMeta) or typ in (int, float, str):
+        return typ
+    raise TypeError(f"no config parser for field type {typ!r}")
+
+
+def _config_keys() -> dict[str, tuple[str, str | None, Callable[[str], object]]]:
+    """Flat key -> (ExperimentConfig field, field of the nested dataclass or None, parser)."""
+    keys = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        typ = _FIELD_TYPES[f.name]
+        if dataclasses.is_dataclass(typ):
+            nested_types = typing.get_type_hints(typ)
+            for sub in dataclasses.fields(typ):
+                parser = _value_parser(nested_types[sub.name])
+                keys[_NESTED_PREFIX[f.name] + sub.name] = (f.name, sub.name, parser)
+        else:
+            keys[f.name] = (f.name, None, _value_parser(typ))
+    return keys
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+CONFIG_KEYS = _config_keys()
+
+
+def config_from_mapping(
+    values: dict[str, str], kind: ExperimentKind | None = None
+) -> ExperimentConfig:
+    """Build an ExperimentConfig from flat string key/value pairs (keys: ``CONFIG_KEYS``).
+
+    With ``kind`` given the mapping may omit its ``kind`` key but not contradict
+    it.  ``source_x1``/``source_x2`` imply ``source_kind=fixed``; an explicit
+    uniform source with either coordinate is rejected.
+    """
+    values = dict(values)
+    if kind is not None:
+        given = values.setdefault("kind", kind.value)
+        if given != kind.value:
+            raise ValueError(f"config kind {given!r} does not match {kind.value!r}")
+    elif "kind" not in values:
         raise ValueError("config must set kind")
-    if source:
-        kwargs["source"] = SourceSpec(**source)
-    if fm:
-        kwargs["fm"] = FmConfig(**fm)
-    if receiver:
-        kwargs["receiver"] = ReceiverConfig(**receiver)
+    if "source_x1" in values or "source_x2" in values:
+        source_kind = values.setdefault("source_kind", "fixed")
+        if source_kind != "fixed":
+            raise ValueError(
+                f"source_x1/source_x2 set a fixed source point, but source_kind is {source_kind!r}"
+            )
+    kwargs: dict = {}
+    nested: dict[str, dict] = {}
+    for key, raw in values.items():
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        name, sub, parse = CONFIG_KEYS[key]
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}={raw!r}: {exc}") from exc
+        if sub is None:
+            kwargs[name] = value
+        else:
+            nested.setdefault(name, {})[sub] = value
+    for name, sub_values in nested.items():
+        kwargs[name] = _FIELD_TYPES[name](**sub_values)
     return ExperimentConfig(**kwargs)
 
 
-def load_config_file(path: str | Path) -> ExperimentConfig:
-    """Parse a flat key=value file (blank lines and # comments ignored)."""
+def read_config_file(path: str | Path) -> dict[str, str]:
+    """Flat key=value pairs of a config file (blank lines and # comments ignored)."""
     values: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -614,4 +651,9 @@ def load_config_file(path: str | Path) -> ExperimentConfig:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
         values[key.strip()] = value.strip()
-    return config_from_mapping(values)
+    return values
+
+
+def load_config_file(path: str | Path) -> ExperimentConfig:
+    """Parse a flat key=value file into a config; the file must set kind."""
+    return config_from_mapping(read_config_file(path))

@@ -27,7 +27,6 @@ from .signal_chain import (
 __all__ = [
     "SensorNode",
     "FdmaPlan",
-    "ClusterCapture",
     "SensorResult",
     "assign_channels",
     "build_capture",
@@ -87,20 +86,6 @@ def assign_channels(num_sensors: int, fm: FmConfig, d_max: float, guard_hz: floa
     return FdmaPlan(offsets=offsets, guard_hz=guard_hz, band_width_hz=width)
 
 
-@dataclass(eq=False)
-class ClusterCapture:
-    """Received waveform per antenna plus the per-sensor channel specs."""
-
-    waveforms: tuple[Waveform, ...]
-    channels: tuple[ChannelSpec, ...]
-
-    def __post_init__(self) -> None:
-        rates = {wf.sample_rate for wf in self.waveforms}
-        lengths = {len(wf) for wf in self.waveforms}
-        if len(rates) > 1 or len(lengths) > 1:
-            raise ValueError("all antenna waveforms must share sample rate and length")
-
-
 @dataclass(frozen=True)
 class SensorResult:
     """Per-sensor receiver output and metrics inputs."""
@@ -151,8 +136,8 @@ def build_capture(
     channels: list[ChannelSpec],
     antennas: int = 1,
     seed: int = 0,
-) -> ClusterCapture:
-    """Superpose all sensors' offset tones and add independent noise per antenna.
+) -> tuple[Waveform, ...]:
+    """Superpose all sensors' offset tones; one waveform per antenna, each with its own noise.
 
     The noise is seeded by ``seed`` alone, so every channel's rng_seed must be 0.
     """
@@ -164,8 +149,7 @@ def build_capture(
         s, ch = sensors[idx], channels[idx]
         vd = encode(s.mapping, s.truth.x1, s.truth.x2)
         tones.append((plan.offsets[idx] + s.fm.scale * vd, ch.gain * s.fm.amplitude, ch.phase))
-    waveforms = capture(fm, channels[0], tones, seed, antennas)
-    return ClusterCapture(waveforms=waveforms, channels=tuple(channels))
+    return capture(fm, channels[0], tones, seed, antennas)
 
 
 def diversity_combine(spectra: list[np.ndarray]) -> np.ndarray:
@@ -187,8 +171,8 @@ def simulate_cluster(
     seed: int = 0,
 ) -> list[SensorResult]:
     """Capture all sensors jointly and decode each from its own band."""
-    capture = build_capture(sensors, plan, channels, antennas=antennas, seed=seed)
-    spectra = [magnitude_spectrum(rx, wf) for wf in capture.waveforms]
+    waveforms = build_capture(sensors, plan, channels, antennas=antennas, seed=seed)
+    spectra = [magnitude_spectrum(rx, wf) for wf in waveforms]
     combined = spectra[0] if len(spectra) == 1 else diversity_combine(spectra)
     floor = spectral_floor(combined)
 

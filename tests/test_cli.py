@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from ajscc import cli
 from ajscc.cli import main
+from ajscc.experiments import ExperimentKind, SourceSpec, SweepResult, SweepRow
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +47,25 @@ class TestCodecCommands:
         assert out == ""
         payload = json.loads(err.strip())
         assert "num_levels" in payload["error"]
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Stub the CLI's experiment runners; the list collects the configs they receive."""
+    configs = []
+
+    def sweep(cfg):
+        configs.append(cfg)
+        return SweepResult(cfg.kind, [SweepRow(0.0, 1.0, 0.0, 0.5, 0.5, 1)], 0.0, 1.0)
+
+    def cluster(cfg):
+        configs.append(cfg)
+        return []
+
+    monkeypatch.setattr(cli, "run_mse_vs_L", sweep)
+    monkeypatch.setattr(cli, "run_sdr_vs_csnr", sweep)
+    monkeypatch.setattr(cli, "run_cluster_demo", cluster)
+    return configs
 
 
 class TestSweepCommands:
@@ -102,6 +123,66 @@ class TestSweepCommands:
         assert code == 0
         rows = [ln for ln in out.splitlines()[1:] if ln]
         assert len(rows) == 2  # flag overrides the file's single-point grid
+
+    def test_rejects_bad_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-l", "--format", "xml"])
+        assert exc.value.code == 2
+        assert "xml" in capsys.readouterr().err
+
+
+class TestConfigContract:
+    def test_x2_alone_sets_fixed_source(self, capsys, runs):
+        code, _, _ = run_cli(capsys, "sdr-sweep", "--x2", "0.9")
+        assert code == 0
+        assert runs[0].source == SourceSpec(kind="fixed", x1=0.5, x2=0.9)
+
+    def test_uniform_source_with_coordinate_rejected(self, capsys, runs):
+        code, out, err = run_cli(capsys, "sdr-sweep", "--source", "uniform", "--x1", "0.3")
+        assert code == 1
+        assert "source_kind" in json.loads(err.strip())["error"]
+        assert runs == []
+
+    def test_file_coordinate_sets_fixed_source(self, capsys, runs, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("source_x1=0.25\n")
+        code, _, _ = run_cli(capsys, "sdr-sweep", "--config", str(cfg_path))
+        assert code == 0
+        assert runs[0].source == SourceSpec(kind="fixed", x1=0.25, x2=0.5)
+        code, _, _ = run_cli(capsys, "sdr-sweep", "--config", str(cfg_path), "--x2", "0.6")
+        assert code == 0
+        assert runs[1].source == SourceSpec(kind="fixed", x1=0.25, x2=0.6)
+
+    def test_config_file_kind_must_match_subcommand(self, capsys, runs, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("kind=sdr-vs-csnr\ntrials=2\n")
+        code, _, err = run_cli(capsys, "sweep-l", "--config", str(cfg_path))
+        assert code == 1
+        assert "kind" in json.loads(err.strip())["error"]
+        code, _, _ = run_cli(capsys, "sdr-sweep", "--config", str(cfg_path))
+        assert code == 0
+        assert runs[0].kind is ExperimentKind.SDR_VS_CSNR and runs[0].trials == 2
+
+    def test_range_grammar_same_in_file_and_flag(self, capsys, runs, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("l_values=10:20:5\n")
+        run_cli(capsys, "sweep-l", "--config", str(cfg_path))
+        run_cli(capsys, "sweep-l", "--l-grid", "10:20:5")
+        assert runs[0].l_values == runs[1].l_values == (10, 15, 20)
+
+    def test_cluster_keeps_its_defaults(self, capsys, runs):
+        code, _, _ = run_cli(capsys, "cluster")
+        assert code == 0
+        cfg = runs[0]
+        assert (cfg.sensor_count, cfg.snr_db, cfg.num_levels) == (3, float("inf"), 11)
+
+    def test_internal_error_propagates(self, capsys, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("bug in a runner")
+
+        monkeypatch.setattr(cli, "run_mse_vs_L", broken)
+        with pytest.raises(RuntimeError, match="bug in a runner"):
+            main(["sweep-l", "--trials", "1"])
 
 
 class TestClusterCommand:

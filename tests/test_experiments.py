@@ -8,6 +8,7 @@ import pytest
 
 from ajscc import experiments
 from ajscc.experiments import (
+    CONFIG_KEYS,
     CSV_HEADER,
     ExperimentConfig,
     ExperimentKind,
@@ -53,10 +54,6 @@ class TestConfigValidation:
     def test_rejects_bad_level_in_sweep(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind=ExperimentKind.MSE_VS_L, l_values=(5, 1))
-
-    def test_rejects_bad_format(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind=ExperimentKind.MSE_VS_L, output_format="xml")
 
     def test_rejects_bad_source(self):
         with pytest.raises(ValueError):
@@ -370,13 +367,57 @@ class TestConfigFile:
         assert cfg.quantizer is Quantizer.NEAREST
         assert cfg.source == SourceSpec(kind="fixed", x1=0.25, x2=0.75)
 
+    def test_keys_follow_the_config_fields(self):
+        assert sorted(CONFIG_KEYS) == sorted(
+            [
+                "kind", "trials", "l_values", "snr_values", "snr_db", "d_max", "v2",
+                "num_levels", "quantizer", "sensor_count", "antennas", "guard_hz",
+                "gain_error", "offset_error", "master_seed", "workers",
+                "source_kind", "source_x1", "source_x2",
+                "fm_scale", "fm_amplitude", "fm_sample_rate", "fm_record_seconds",
+                "fft_size",
+            ]
+        )
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_mapping({"kind": "mse-vs-l", "bogus": "1"})
+        with pytest.raises(ValueError, match="unknown config key"):
+            config_from_mapping({"kind": "mse-vs-l", "output_format": "json"})
 
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError):
             config_from_mapping({"trials": "5"})
+
+    def test_kind_argument(self):
+        cfg = config_from_mapping({"trials": "5"}, ExperimentKind.SDR_VS_CSNR)
+        assert cfg.kind is ExperimentKind.SDR_VS_CSNR
+        same = {"kind": "sdr-vs-csnr", "trials": "5"}
+        assert config_from_mapping(same, ExperimentKind.SDR_VS_CSNR) == cfg
+        with pytest.raises(ValueError, match="does not match"):
+            config_from_mapping(same, ExperimentKind.MSE_VS_L)
+
+    def test_integer_lists_take_inclusive_ranges(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("kind=mse-vs-l\nl_values=10:20:5\n")
+        assert load_config_file(path).l_values == (10, 15, 20)
+        cfg = config_from_mapping({"kind": "mse-vs-l", "l_values": "5, 60:62 ,90:100:10,"})
+        assert cfg.l_values == (5, 60, 61, 62, 90, 100)
+        for bad in ("10:20:5:1", "10:20:0", "10.5"):
+            with pytest.raises(ValueError, match="l_values"):
+                config_from_mapping({"kind": "mse-vs-l", "l_values": bad})
+        snrs = config_from_mapping({"kind": "sdr-vs-csnr", "snr_values": "-30,inf"}).snr_values
+        assert snrs == (-30.0, math.inf)
+
+    def test_source_coordinate_implies_fixed_source(self):
+        cfg = config_from_mapping({"kind": "sdr-vs-csnr", "source_x1": "0.25"})
+        assert cfg.source == SourceSpec(kind="fixed", x1=0.25, x2=0.5)
+        cfg = config_from_mapping({"kind": "sdr-vs-csnr", "source_x2": "0.75"})
+        assert cfg.source == SourceSpec(kind="fixed", x1=0.5, x2=0.75)
+        with pytest.raises(ValueError, match="source_kind"):
+            config_from_mapping(
+                {"kind": "sdr-vs-csnr", "source_kind": "uniform", "source_x2": "0.75"}
+            )
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

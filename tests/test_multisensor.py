@@ -70,17 +70,17 @@ class TestCapture:
     def test_antenna_waveforms_share_geometry(self):
         sensors = make_sensors([(0.2, 0.3), (0.1, 0.8)])
         plan = assign_channels(2, FM, 5.0)
-        cap = build_capture(sensors, plan, no_noise(2), antennas=3, seed=5)
-        assert len(cap.waveforms) == 3
-        assert len({len(w) for w in cap.waveforms}) == 1
+        waveforms = build_capture(sensors, plan, no_noise(2), antennas=3, seed=5)
+        assert len(waveforms) == 3
+        assert len({len(w) for w in waveforms}) == 1
 
     def test_noiseless_capture_is_tone_sum(self):
         sensors = make_sensors([(0.0, 0.0)])
         plan = assign_channels(1, FM, 5.0)
-        cap = build_capture(sensors, plan, no_noise(1))
+        waveforms = build_capture(sensors, plan, no_noise(1))
         n = np.arange(FM.num_samples)
         expected = np.cos(2 * np.pi * 1000.0 / 65536.0 * n)
-        assert np.allclose(cap.waveforms[0].samples, expected, atol=1e-12)
+        assert np.allclose(waveforms[0].samples, expected, atol=1e-12)
 
     def test_mixed_snr_rejected(self):
         sensors = make_sensors([(0.2, 0.3), (0.1, 0.8)])
@@ -122,8 +122,8 @@ class TestSimulateCluster:
         plan = assign_channels(3, FM, 5.0)
         chans = [ChannelSpec(snr_db=-20.0) for _ in range(3)]
         results = simulate_cluster(sensors, plan, chans, RX, antennas=2, seed=4)
-        capture = build_capture(sensors, plan, chans, antennas=2, seed=4)
-        combined = diversity_combine([magnitude_spectrum(RX, wf) for wf in capture.waveforms])
+        waveforms = build_capture(sensors, plan, chans, antennas=2, seed=4)
+        combined = diversity_combine([magnitude_spectrum(RX, wf) for wf in waveforms])
         for res in results:
             assert res.csnr_est_db == estimate_csnr(combined, round(res.peak_hz))
 
