@@ -117,20 +117,30 @@ class CircuitConfig:
         return (self.num_levels - 1) * self.delta_h
 
 
+def _in_range(x, hi: float, name: str) -> np.ndarray:
+    """x as a float array, checked elementwise against [0, hi]; NaN fails too."""
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0.0) & (x <= hi)).all():
+        raise ValueError(f"{name} out of range [0, {hi}]")
+    return x
+
+
+def _active_level(cfg: CircuitConfig, vh) -> np.ndarray:
+    """Index of the level each vh selects: the count of thresholds at or below it."""
+    return np.searchsorted(cfg.thresholds, _in_range(vh, cfg.vh_max, "vh"), side="right")
+
+
 def comparator_selects(cfg: CircuitConfig, vh: float) -> tuple[LevelSelect, ...]:
     """Per-level select signals from threshold comparisons; exactly one is ON."""
-    if not np.isfinite(vh) or vh < 0 or vh > cfg.vh_max:
-        raise ValueError(f"vh out of range [0, {cfg.vh_max}]")
-    active = int(np.searchsorted(cfg.thresholds, vh, side="right"))
+    active = int(_active_level(cfg, vh))
     return tuple(
         LevelSelect.ABOVE if i < active else LevelSelect.ON if i == active else LevelSelect.BELOW
         for i in range(cfg.num_levels)
     )
 
 
-def _vcvs_raw(cfg: CircuitConfig, vt: float) -> float:
-    if not np.isfinite(vt) or vt < 0 or vt > cfg.vt_max:
-        raise ValueError(f"vt out of range [0, {cfg.vt_max}]")
+def _vcvs_raw(cfg: CircuitConfig, vt) -> np.ndarray:
+    vt = _in_range(vt, cfg.vt_max, "vt")
     return (1.0 + cfg.gain_error) * (cfg.v_r / cfg.vt_max) * vt + cfg.offset_error
 
 
@@ -161,12 +171,23 @@ def level_contribution(cfg: CircuitConfig, level_index: int, vt: float, vh: floa
     return _contribution(cfg, level_index, comparator_selects(cfg, vh)[level_index], vt)
 
 
-def circuit_encode(cfg: CircuitConfig, vt: float, vh: float) -> float:
-    """Sum of all level contributions, the encoded voltage in [0, num_levels*v_r]."""
+def circuit_encode(cfg: CircuitConfig, vt, vh):
+    """Sum of all level contributions, the encoded voltage in [0, num_levels*v_r].
+
+    Takes scalars or broadcastable arrays; a scalar pair returns a float.
+    Levels are summed in index order, so each element takes the float
+    operations of one scalar encode.
+    """
+    active = _active_level(cfg, vh)
+    raw = _vcvs_raw(cfg, vt)
+    # the active level's mux forwards the proportional VCVS on even levels, the complement on odd
+    on = np.where(active % 2 == 0, np.clip(raw, 0.0, cfg.v_r), np.clip(cfg.v_r - raw, 0.0, cfg.v_r))
+    level = np.arange(cfg.num_levels).reshape((-1,) + (1,) * on.ndim)
+    contributions = np.where(level < active, cfg.v_r, np.where(level == active, on, 0.0))
     total = 0.0
-    for i, sel in enumerate(comparator_selects(cfg, vh)):
-        total += _contribution(cfg, i, sel, vt).voltage
-    return total
+    for contribution in contributions:
+        total = total + contribution
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def equivalent_mapping(cfg: CircuitConfig) -> MappingConfig:

@@ -424,14 +424,13 @@ def _check_circuit_equivalence(cfg: ExperimentConfig) -> CheckResult:
         offset_error=cfg.offset_error,
     )
     mapping = equivalent_mapping(circuit)
-    vts = np.linspace(0.0, circuit.vt_max, 100)
-    vhs = np.linspace(0.0, circuit.vh_max, 100)
-    worst = 0.0
-    for vt in vts:
-        x1 = vt * circuit.v_r / circuit.vt_max
-        for vh in vhs:
-            diff = abs(circuit_encode(circuit, vt, vh) - encode(mapping, x1, vh))
-            worst = max(worst, diff)
+    vt, vh = np.meshgrid(
+        np.linspace(0.0, circuit.vt_max, 100),
+        np.linspace(0.0, circuit.vh_max, 100),
+        indexing="ij",
+    )
+    x1 = vt * circuit.v_r / circuit.vt_max
+    worst = float(np.max(np.abs(circuit_encode(circuit, vt, vh) - encode(mapping, x1, vh))))
     bound = 1e-9 * mapping.d_max
     return CheckResult("circuit-codec-equivalence", worst <= bound, worst, bound)
 
@@ -461,7 +460,13 @@ def _check_chain_roundtrip(cfg: ExperimentConfig) -> list[CheckResult]:
 
 
 def run_roundtrip_suite(cfg: ExperimentConfig) -> RoundTripReport:
-    """Codec, circuit and chain invariants over seeded inputs, with worst errors."""
+    """Codec, circuit and chain invariants over seeded inputs, with worst errors.
+
+    The circuit check runs on the 11-level prototype board (``CircuitConfig``
+    defaults) with the config's quantizer, ``gain_error`` and ``offset_error``,
+    over a 100 x 100 (vt, vh) grid; ``num_levels``, ``d_max`` and ``v2`` apply
+    only to the mapping and chain checks.
+    """
     if cfg.kind is not ExperimentKind.ROUND_TRIP:
         raise ValueError(f"config kind is {cfg.kind}, expected ROUND_TRIP")
     checks = _check_mapping_roundtrip(cfg)

@@ -5,7 +5,9 @@ volt), the channel applies a constant gain and phase plus white Gaussian
 noise at a configured SNR, and the receiver locates the strongest FFT bin
 and maps it back to a voltage.  With the default 65536 Hz sampling and
 65536-point FFT the bin width is exactly 1 Hz, so the noiseless end-to-end
-voltage error is at most half a bin over the scale factor (5e-4 V).
+voltage error is half a bin over the scale factor (5e-4 V) away from DC and
+Nyquist; within a bin or two of either edge the tone's image leaks into the
+peak and the error reaches ~0.6 bins, under the one-bin bound.
 
 ``capture`` is the one received-signal model: a sum of tones plus seeded
 noise per antenna (``channel_noise``).  A single sensor is a one-tone capture;
@@ -52,9 +54,9 @@ class FmConfig:
         if self.scale <= 0 or self.sample_rate <= 0 or self.record_seconds <= 0:
             raise ValueError("scale, sample_rate and record_seconds must be positive")
         n = self.record_seconds * self.sample_rate
-        if abs(n - round(n)) > 1e-6:
+        if abs(n - round(n)) > 1e-6 or round(n) < 1:
             raise ValueError(
-                f"record must hold a whole number of samples, got {n}"
+                f"record must hold a whole, positive number of samples, got {n}"
             )
 
     @property
@@ -64,7 +66,11 @@ class FmConfig:
 
 @dataclass(eq=False)
 class Waveform:
-    """A uniformly sampled real baseband signal."""
+    """A uniformly sampled real baseband signal.
+
+    Samples given here are checked to be finite.  ``capture`` checks its tone
+    and noise parameters instead and builds its waveforms without the scan.
+    """
 
     samples: np.ndarray
     sample_rate: float
@@ -80,6 +86,14 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
+
+
+def _built_waveform(samples: np.ndarray, sample_rate: float) -> Waveform:
+    """A Waveform of samples finite by construction, skipping the per-sample scan."""
+    wf = object.__new__(Waveform)
+    wf.samples = samples
+    wf.sample_rate = sample_rate
+    return wf
 
 
 @dataclass(frozen=True)
@@ -99,8 +113,8 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         if not self.gain > 0:
             raise ValueError(f"gain must be positive, got {self.gain}")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must not be NaN or -inf, got {self.snr_db}")
 
 
 @dataclass(frozen=True)
@@ -146,12 +160,17 @@ def capture(
     Each tone is (freq Hz, amplitude, phase), synthesized as
     amplitude * cos(2*pi*freq/fs*n + phase) and summed in the given order.
     Antenna a adds channel_noise(fm, ch, seed, a).  Only ch.snr_db is read:
-    callers fold gain and phase into the tones.
+    callers fold gain and phase into the tones.  Amplitudes and phases must be
+    finite, and so must the sum of |amplitude|, which bounds the tone sum.
     """
     if antennas < 1:
         raise ValueError("antennas must be >= 1")
     if not tones:
         raise ValueError("capture needs at least one tone")
+    if not all(math.isfinite(a) and math.isfinite(p) for _, a, p in tones):
+        raise ValueError("tone amplitudes and phases must be finite")
+    if not math.isfinite(sum(abs(a) for _, a, _ in tones)):
+        raise ValueError("the sum of |amplitude| over the tones overflows")
     n = np.arange(fm.num_samples)
     mix = None
     for freq, amplitude, phase in tones:
@@ -171,7 +190,7 @@ def capture(
             y = mix + channel_noise(fm, ch, seed, a)
         else:
             y = mix if a == 0 else mix.copy()
-        waveforms.append(Waveform(y, fm.sample_rate))
+        waveforms.append(_built_waveform(y, fm.sample_rate))
     return tuple(waveforms)
 
 

@@ -196,6 +196,72 @@ class TestCircuitEncode:
         assert 0.0 <= out <= c.num_levels * c.v_r
 
 
+@st.composite
+def circuits_and_points(draw):
+    """A random circuit and (vt, vh) points, some on thresholds and range ends."""
+    num_levels = draw(st.integers(2, 24))
+    delta_h = draw(st.floats(0.01, 2.0))
+    vh_max = (num_levels - 1) * delta_h
+    # positive gaps, scaled so the thresholds increase strictly inside [0, vh_max]
+    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=num_levels, max_size=num_levels)))
+    thresholds = tuple(float(t) for t in np.cumsum(gaps)[:-1] * (vh_max / gaps.sum()))
+    cfg = CircuitConfig(
+        num_levels=num_levels,
+        delta_h=delta_h,
+        v_r=draw(st.floats(0.01, 10.0)),
+        vt_max=draw(st.floats(0.01, 10.0)),
+        quantizer=draw(st.sampled_from(list(Quantizer))),
+        thresholds=thresholds,
+        gain_error=draw(st.floats(-0.5, 0.5)),
+        offset_error=draw(st.floats(-0.5, 0.5)),
+    )
+    vt = st.one_of(st.floats(0.0, cfg.vt_max), st.sampled_from([0.0, cfg.vt_max]))
+    vh = st.one_of(st.floats(0.0, cfg.vh_max), st.sampled_from((0.0, cfg.vh_max) + thresholds))
+    points = draw(st.lists(st.tuples(vt, vh), min_size=1, max_size=20))
+    return cfg, np.array([p[0] for p in points]), np.array([p[1] for p in points])
+
+
+class TestCircuitEncodeArrays:
+    @given(circuits_and_points())
+    @settings(max_examples=100, deadline=None)
+    def test_array_equals_scalar_loop(self, drawn):
+        cfg, vt, vh = drawn
+        got = circuit_encode(cfg, vt, vh)
+        assert np.array_equal(got, [circuit_encode(cfg, a, b) for a, b in zip(vt, vh)])
+        # the per-level contributions summed in level order, the scalar circuit
+        by_level = []
+        for a, b in zip(vt, vh):
+            total = 0.0
+            for i in range(cfg.num_levels):
+                total += level_contribution(cfg, i, a, b).voltage
+            by_level.append(total)
+        assert np.array_equal(got, by_level)
+        # broadcasting a column of vt against a row of vh is the outer loop
+        vt, vh = vt[:6], vh[:6]
+        outer = circuit_encode(cfg, vt[:, None], vh[None, :])
+        assert np.array_equal(outer, [[circuit_encode(cfg, a, b) for b in vh] for a in vt])
+
+    def test_scalar_input_returns_float(self):
+        c = prototype_config()
+        scalars = [(0.3, 0.7), (np.float64(0.3), np.float64(0.7)), (np.array(0.3), np.array(0.7))]
+        for vt, vh in scalars:
+            assert type(circuit_encode(c, vt, vh)) is float
+        got = circuit_encode(c, np.array([0.3]), 0.7)
+        assert isinstance(got, np.ndarray) and got.shape == (1,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.1])
+    def test_one_bad_vt_element_rejected(self, bad):
+        c = prototype_config()
+        with pytest.raises(ValueError, match="vt out of range"):
+            circuit_encode(c, np.array([0.0, 0.5, bad]), np.array([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -0.1, 3.1])
+    def test_one_bad_vh_element_rejected(self, bad):
+        c = prototype_config()
+        with pytest.raises(ValueError, match="vh out of range"):
+            circuit_encode(c, np.array([0.0, 0.5, 1.0]), np.array([0.0, bad, 2.0]))
+
+
 class TestPower:
     def test_prototype_budget(self):
         watts = estimate_power(PROTOTYPE_BUDGET)

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from ajscc import experiments
+from ajscc.circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from ajscc.experiments import (
     CONFIG_KEYS,
     CSV_HEADER,
+    CheckResult,
     ExperimentConfig,
     ExperimentKind,
     SourceSpec,
@@ -261,7 +263,45 @@ class TestSdrVsCsnr:
         assert noiseless.max() <= 0.5 / 1000.0 + 1e-9
 
 
+def scalar_circuit_check(cfg):
+    """The circuit-codec check as one scalar encode pair per grid point."""
+    circuit = CircuitConfig(
+        quantizer=cfg.quantizer,
+        gain_error=cfg.gain_error,
+        offset_error=cfg.offset_error,
+    )
+    mapping = equivalent_mapping(circuit)
+    worst = 0.0
+    for vt in np.linspace(0.0, circuit.vt_max, 100):
+        x1 = vt * circuit.v_r / circuit.vt_max
+        for vh in np.linspace(0.0, circuit.vh_max, 100):
+            diff = abs(circuit_encode(circuit, vt, vh) - encode(mapping, x1, vh))
+            worst = max(worst, diff)
+    bound = 1e-9 * mapping.d_max
+    return CheckResult("circuit-codec-equivalence", worst <= bound, worst, bound)
+
+
 class TestRoundTripSuite:
+    @pytest.mark.parametrize(
+        "quantizer, errors",
+        [
+            (Quantizer.FLOOR, (0.0, 0.0)),
+            (Quantizer.NEAREST, (0.0, 0.0)),
+            (Quantizer.NEAREST, (0.05, -0.02)),
+        ],
+    )
+    def test_circuit_check_equals_scalar_loop(self, quantizer, errors):
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.ROUND_TRIP,
+            quantizer=quantizer,
+            gain_error=errors[0],
+            offset_error=errors[1],
+        )
+        got = experiments._check_circuit_equivalence(cfg)
+        assert got == scalar_circuit_check(cfg)
+        assert type(got.worst) is float and type(got.passed) is bool
+        assert (got.worst > 0) == (errors != (0.0, 0.0))
+
     def test_defaults_pass(self):
         report = run_roundtrip_suite(
             ExperimentConfig(kind=ExperimentKind.ROUND_TRIP, trials=40)

@@ -60,6 +60,8 @@ class TestFmModulate:
     def test_fractional_record_rejected(self):
         with pytest.raises(ValueError):
             FmConfig(sample_rate=65536.0, record_seconds=1 / 3)
+        with pytest.raises(ValueError):
+            FmConfig(sample_rate=1e-7, record_seconds=1.0)
 
 
 def tone(freq, phase=0.0, fm=FM):
@@ -111,6 +113,27 @@ class TestCapture:
             capture(FM, NO_NOISE, [(FM.sample_rate / 2, 1.0, 0.0)], seed=0)
         with pytest.raises(ValueError):
             capture(FM, NO_NOISE, [(math.nan, 1.0, 0.0)], seed=0)
+
+    def test_non_finite_tone_parameters_rejected(self):
+        # capture builds its samples without scanning them, so every tone
+        # parameter that could make a sample non-finite is checked up front
+        for bad in [
+            [(2500.0, math.nan, 0.0)],
+            [(2500.0, math.inf, 0.0)],
+            [(2500.0, 1.0, math.nan)],
+            [(2500.0, 1.0, -math.inf)],
+            [(2500.0, 1e308, 0.0), (3500.0, -1e308, 0.0)],
+        ]:
+            with pytest.raises(ValueError):
+                capture(FM, NO_NOISE, bad, seed=0)
+
+    def test_direct_waveform_samples_must_be_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Waveform(np.array([0.0, bad, 1.0]), FM.sample_rate)
+        with pytest.raises(ValueError):
+            Waveform(np.array([]), FM.sample_rate)
+        assert len(Waveform([0.0, 1.0], FM.sample_rate)) == 2
 
     def test_channel_noise_is_the_capture_noise(self):
         ch = ChannelSpec(snr_db=-13.0)
@@ -218,6 +241,8 @@ class TestChannel:
             ChannelSpec(gain=0.0)
         with pytest.raises(ValueError):
             ChannelSpec(snr_db=math.nan)
+        with pytest.raises(ValueError):
+            ChannelSpec(snr_db=-math.inf)
 
 
 class TestPeakDetection:
@@ -267,6 +292,27 @@ class TestEndToEnd:
         for vd in rng.uniform(0.0, 5.0, 60):
             got = transmit_receive(FM, NO_NOISE, RX, float(vd))
             assert abs(got - vd) <= 0.5 / FM.scale + 1e-9
+
+    @given(
+        sample_rate=st.floats(8.0, 200_000.0),
+        num_samples=st.integers(2, 8192),
+        fft_exp=st.integers(1, 12),
+        scale=st.floats(0.1, 10_000.0),
+        freq_frac=st.floats(0.0, 0.99),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_noiseless_one_bin_bound_over_geometries(
+        self, sample_rate, num_samples, fft_exp, scale, freq_frac
+    ):
+        # the bound _check_chain_roundtrip states: one bin over the scale
+        fft_size = min(2**fft_exp, 2 ** (num_samples.bit_length() - 1))
+        fm = FmConfig(
+            scale=scale, sample_rate=sample_rate, record_seconds=num_samples / sample_rate
+        )
+        rx = ReceiverConfig(fft_size=fft_size)
+        vd = freq_frac * fm.sample_rate / 2 / scale
+        got = transmit_receive(fm, NO_NOISE, rx, vd)
+        assert abs(got - vd) <= fm.sample_rate / fft_size / scale + 1e-9
 
     def test_zero_voltage_roundtrip(self):
         assert transmit_receive(FM, NO_NOISE, RX, 0.0) == 0.0
