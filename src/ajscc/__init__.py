@@ -2,11 +2,11 @@
 
 Library layout:
 
-- ``mapping``: the ideal 2:1 (and nested 3:1) codec
+- ``mapping``: the ideal 2:1 codec
 - ``circuit``: behavioral model of the analog encoder and its power budget
 - ``signal_chain``: tone-sum capture with seeded AWGN, FFT peak receiver
 - ``multisensor``: FDMA band planning, joint capture, diversity combining
-- ``metrics``: SDR, spectral CSNR estimate
+- ``metrics``: SDR
 - ``experiments``: seeded Monte-Carlo sweeps, self checks, CSV/JSON output
 """
 from .mapping import (
@@ -15,9 +15,7 @@ from .mapping import (
     Quantizer,
     SourceSample,
     decode,
-    decode3,
     encode,
-    encode3,
     quantize_level,
 )
 from .circuit import (
@@ -36,7 +34,6 @@ from .signal_chain import (
     Waveform,
     capture,
     detect_peak,
-    fm_modulate,
     freq_to_voltage,
     transmit_receive,
 )
@@ -48,7 +45,7 @@ from .multisensor import (
     diversity_combine,
     simulate_cluster,
 )
-from .metrics import SDR_CAP_DB, estimate_csnr, sdr
+from .metrics import SDR_CAP_DB, sdr
 from .experiments import (
     DEFAULT_L_GRID,
     ExperimentConfig,
@@ -59,7 +56,6 @@ from .experiments import (
     emit_csv,
     emit_json,
     run_cluster_demo,
-    run_experiment,
     run_mse_vs_L,
     run_roundtrip_suite,
     run_sdr_vs_csnr,

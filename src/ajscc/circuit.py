@@ -12,7 +12,6 @@ Also hosts the component power budget used for feasibility estimates.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,44 +19,15 @@ import numpy as np
 from .mapping import MappingConfig, Quantizer
 
 __all__ = [
-    "LevelSelect",
-    "ContributionKind",
-    "LevelContribution",
     "CircuitConfig",
     "ComponentBudget",
     "PROTOTYPE_BUDGET",
     "prototype_config",
     "default_thresholds",
-    "comparator_selects",
-    "vcvs_proportional",
-    "vcvs_complement",
-    "level_contribution",
     "circuit_encode",
     "equivalent_mapping",
     "estimate_power",
 ]
-
-
-class LevelSelect(enum.Enum):
-    """Position of vh relative to one level's band of the quantized axis."""
-
-    BELOW = "below"
-    ON = "on"
-    ABOVE = "above"
-
-
-class ContributionKind(enum.Enum):
-    ZERO = "zero"
-    PARTIAL = "partial"
-    FULL = "full"
-
-
-@dataclass(frozen=True)
-class LevelContribution:
-    """One level's summand: 0, a partial VCVS output in [0, v_r], or v_r."""
-
-    kind: ContributionKind
-    voltage: float
 
 
 def default_thresholds(num_levels: int, delta_h: float, quantizer: Quantizer) -> tuple[float, ...]:
@@ -130,45 +100,10 @@ def _active_level(cfg: CircuitConfig, vh) -> np.ndarray:
     return np.searchsorted(cfg.thresholds, _in_range(vh, cfg.vh_max, "vh"), side="right")
 
 
-def comparator_selects(cfg: CircuitConfig, vh: float) -> tuple[LevelSelect, ...]:
-    """Per-level select signals from threshold comparisons; exactly one is ON."""
-    active = int(_active_level(cfg, vh))
-    return tuple(
-        LevelSelect.ABOVE if i < active else LevelSelect.ON if i == active else LevelSelect.BELOW
-        for i in range(cfg.num_levels)
-    )
-
-
 def _vcvs_raw(cfg: CircuitConfig, vt) -> np.ndarray:
+    """Proportional VCVS output before the mux clamps it to [0, v_r]."""
     vt = _in_range(vt, cfg.vt_max, "vt")
     return (1.0 + cfg.gain_error) * (cfg.v_r / cfg.vt_max) * vt + cfg.offset_error
-
-
-def vcvs_proportional(cfg: CircuitConfig, vt: float) -> float:
-    """VCVS output proportional to vt, clamped to [0, v_r]."""
-    return float(np.clip(_vcvs_raw(cfg, vt), 0.0, cfg.v_r))
-
-
-def vcvs_complement(cfg: CircuitConfig, vt: float) -> float:
-    """VCVS output v_r minus the proportional output, clamped to [0, v_r]."""
-    return float(np.clip(cfg.v_r - _vcvs_raw(cfg, vt), 0.0, cfg.v_r))
-
-
-def _contribution(cfg: CircuitConfig, level_index: int, sel: LevelSelect, vt: float) -> LevelContribution:
-    if sel is LevelSelect.BELOW:
-        return LevelContribution(ContributionKind.ZERO, 0.0)
-    if sel is LevelSelect.ABOVE:
-        return LevelContribution(ContributionKind.FULL, cfg.v_r)
-    if level_index % 2 == 0:
-        return LevelContribution(ContributionKind.PARTIAL, vcvs_proportional(cfg, vt))
-    return LevelContribution(ContributionKind.PARTIAL, vcvs_complement(cfg, vt))
-
-
-def level_contribution(cfg: CircuitConfig, level_index: int, vt: float, vh: float) -> LevelContribution:
-    """What one level adds to the total encoded voltage."""
-    if not 0 <= level_index < cfg.num_levels:
-        raise ValueError(f"level_index out of range [0, {cfg.num_levels - 1}]")
-    return _contribution(cfg, level_index, comparator_selects(cfg, vh)[level_index], vt)
 
 
 def circuit_encode(cfg: CircuitConfig, vt, vh):

@@ -204,7 +204,6 @@ def _run(args: argparse.Namespace) -> int:
                         "x1_hat": res.decoded.x1_hat,
                         "x2_hat": res.decoded.x2_hat,
                         "level_index": res.decoded.level_index,
-                        "csnr_est_db": res.csnr_est_db,
                     }
                 )
             )

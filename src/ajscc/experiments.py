@@ -56,13 +56,11 @@ __all__ = [
     "run_sdr_vs_csnr",
     "run_roundtrip_suite",
     "run_cluster_demo",
-    "run_experiment",
     "emit_csv",
     "emit_json",
     "CONFIG_KEYS",
     "config_from_mapping",
     "read_config_file",
-    "load_config_file",
 ]
 
 # dense near the documented optimum, coarse elsewhere
@@ -334,7 +332,6 @@ def _sdr_point(cfg: ExperimentConfig, snr_db: float) -> tuple[SweepRow, dict]:
     per_trial_mse_x2 = np.zeros((cfg.trials, n))
     per_trial_x2_hat = np.zeros((cfg.trials, n))
     per_trial_vd_err = np.zeros((cfg.trials, n))
-    per_trial_csnr = np.zeros((cfg.trials, n))
     for trial in range(cfg.trials):
         draws, results = _cluster_trial(cfg, plan, mapping, snr_db, trial)
         for i, res in enumerate(results):
@@ -346,7 +343,6 @@ def _sdr_point(cfg: ExperimentConfig, snr_db: float) -> tuple[SweepRow, dict]:
             per_trial_mse[trial, i] = e1 + e2
             per_trial_x2_hat[trial, i] = res.decoded.x2_hat
             per_trial_vd_err[trial, i] = abs(res.vd_hat - res.vd_true)
-            per_trial_csnr[trial, i] = res.csnr_est_db
     mean_mse = float(per_trial_mse.mean())
     row = SweepRow(
         param=float(snr_db),
@@ -360,7 +356,6 @@ def _sdr_point(cfg: ExperimentConfig, snr_db: float) -> tuple[SweepRow, dict]:
         "per_trial_mse": per_trial_mse,
         "per_trial_x2_hat": per_trial_x2_hat,
         "per_trial_vd_err": per_trial_vd_err,
-        "csnr_est_db": float(per_trial_csnr.mean()),
     }
     return row, detail
 
@@ -488,17 +483,6 @@ def run_cluster_demo(cfg: ExperimentConfig) -> list[SensorResult]:
     return _cluster_trial(cfg, plan, mapping, cfg.snr_db, 0)[1]
 
 
-def run_experiment(cfg: ExperimentConfig):
-    """Dispatch on the experiment kind."""
-    runner = {
-        ExperimentKind.MSE_VS_L: run_mse_vs_L,
-        ExperimentKind.SDR_VS_CSNR: run_sdr_vs_csnr,
-        ExperimentKind.ROUND_TRIP: run_roundtrip_suite,
-        ExperimentKind.CLUSTER_DEMO: run_cluster_demo,
-    }[cfg.kind]
-    return runner(cfg)
-
-
 # ---------------------------------------------------------------------------
 # output
 
@@ -538,18 +522,6 @@ def render_json(result: SweepResult) -> str:
 def emit_json(result: SweepResult, path: str | Path) -> None:
     """JSON equivalent of the CSV output (details excluded), overwrites."""
     Path(path).write_text(render_json(result), encoding="ascii")
-
-
-def parse_csv(text: str) -> list[SweepRow]:
-    """Read back what render_csv produced."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized CSV header")
-    rows = []
-    for ln in lines[1:]:
-        p, m, s, m1, m2, t = ln.split(",")
-        rows.append(SweepRow(float(p), float(m), float(s), float(m1), float(m2), int(t)))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +629,3 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         key, _, value = stripped.partition("=")
         values[key.strip()] = value.strip()
     return values
-
-
-def load_config_file(path: str | Path) -> ExperimentConfig:
-    """Parse a flat key=value file into a config; the file must set kind."""
-    return config_from_mapping(read_config_file(path))

@@ -26,8 +26,6 @@ __all__ = [
     "quantize_level",
     "encode",
     "decode",
-    "encode3",
-    "decode3",
 ]
 
 
@@ -142,29 +140,3 @@ def decode(cfg: MappingConfig, v) -> DecodedPair:
     if v.ndim == 0:
         return DecodedPair(float(x1_hat), float(x2_hat), int(k))
     return DecodedPair(x1_hat, x2_hat, k)
-
-
-def _check_nested(cfg_inner: MappingConfig, cfg_outer: MappingConfig) -> None:
-    if abs(cfg_outer.v1 - cfg_inner.d_max) > 1e-12 * max(1.0, cfg_inner.d_max):
-        raise ValueError(
-            "nested configs mismatch: outer per-level span "
-            f"{cfg_outer.v1} != inner amplitude limit {cfg_inner.d_max}"
-        )
-
-
-def encode3(cfg_inner: MappingConfig, cfg_outer: MappingConfig, x1, x2, x3):
-    """3:1 encode: the inner (x1, x2) voltage becomes the outer continuous axis.
-
-    Requires cfg_outer.v1 == cfg_inner.d_max so the inner output spans exactly
-    one outer level; x3 is quantized by the outer config.
-    """
-    _check_nested(cfg_inner, cfg_outer)
-    return encode(cfg_outer, encode(cfg_inner, x1, x2), x3)
-
-
-def decode3(cfg_inner: MappingConfig, cfg_outer: MappingConfig, v):
-    """Invert encode3: two modulus calculations, outer then inner."""
-    _check_nested(cfg_inner, cfg_outer)
-    outer = decode(cfg_outer, v)
-    inner = decode(cfg_inner, outer.x1_hat)
-    return inner.x1_hat, inner.x2_hat, outer.x2_hat

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import DecodedPair, MappingConfig, SourceSample, decode, encode
-from .metrics import estimate_csnr, spectral_floor
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
@@ -88,14 +87,13 @@ def assign_channels(num_sensors: int, fm: FmConfig, d_max: float, guard_hz: floa
 
 @dataclass(frozen=True)
 class SensorResult:
-    """Per-sensor receiver output and metrics inputs."""
+    """Per-sensor receiver output: true and detected voltage, peak frequency, decoded pair."""
 
     sensor_id: int
     vd_true: float
     vd_hat: float
     peak_hz: float
     decoded: DecodedPair
-    csnr_est_db: float
 
 
 def _validate_cluster(sensors, plan: FdmaPlan, channels) -> FmConfig:
@@ -174,10 +172,8 @@ def simulate_cluster(
     waveforms = build_capture(sensors, plan, channels, antennas=antennas, seed=seed)
     spectra = [magnitude_spectrum(rx, wf) for wf in waveforms]
     combined = spectra[0] if len(spectra) == 1 else diversity_combine(spectra)
-    floor = spectral_floor(combined)
 
     fs = sensors[0].fm.sample_rate
-    bin_width = fs / rx.fft_size
     results = []
     for i, s in enumerate(sensors):
         vd_true = encode(s.mapping, s.truth.x1, s.truth.x2)
@@ -190,7 +186,6 @@ def simulate_cluster(
                 vd_hat=vd_hat,
                 peak_hz=peak,
                 decoded=decode(s.mapping, vd_hat),
-                csnr_est_db=estimate_csnr(combined, round(peak / bin_width), floor),
             )
         )
     return results

@@ -30,7 +30,6 @@ __all__ = [
     "capture",
     "channel_noise",
     "tone_bins",
-    "fm_modulate",
     "noise_sigma",
     "magnitude_spectrum",
     "peak_from_spectrum",
@@ -178,7 +177,12 @@ def capture(
             raise ValueError(
                 f"tone at {freq} Hz is outside [0, Nyquist) for fs={fm.sample_rate} Hz"
             )
-        tone = amplitude * np.cos(2.0 * np.pi * freq / fm.sample_rate * n + phase)
+        # amplitude * cos(w*n + phase), built in one buffer: the same float
+        # operations without three record-sized temporaries per tone
+        tone = 2.0 * np.pi * freq / fm.sample_rate * n
+        tone += phase
+        np.cos(tone, out=tone)
+        tone *= amplitude
         if mix is None:
             mix = tone
         else:
@@ -221,11 +225,6 @@ def tone_bins(
     kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * np.where(on_bin, 1.0, d)))
     halves = kernel * np.exp(1j * (np.pi * (m - 1) / m * d + sign * phase))
     return 0.5 * amplitude * halves.sum(axis=0)
-
-
-def fm_modulate(fm: FmConfig, vd: float) -> Waveform:
-    """Noiseless cosine tone at scale*vd Hz with zero initial phase."""
-    return capture(fm, ChannelSpec(), [(fm.scale * vd, fm.amplitude, 0.0)], seed=0)[0]
 
 
 def magnitude_spectrum(rx: ReceiverConfig, wf: Waveform) -> np.ndarray:

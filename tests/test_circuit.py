@@ -1,4 +1,4 @@
-"""Circuit model tests: select logic, VCVS outputs, codec equivalence, power."""
+"""Circuit model tests: levels and VCVS outputs via circuit_encode, codec equivalence, power."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,17 +8,11 @@ from ajscc.circuit import (
     PROTOTYPE_BUDGET,
     CircuitConfig,
     ComponentBudget,
-    ContributionKind,
-    LevelSelect,
     circuit_encode,
-    comparator_selects,
     default_thresholds,
     equivalent_mapping,
     estimate_power,
-    level_contribution,
     prototype_config,
-    vcvs_complement,
-    vcvs_proportional,
 )
 from ajscc.mapping import Quantizer, encode
 
@@ -50,78 +44,98 @@ class TestConfig:
             CircuitConfig(v_r=-1.0)
 
 
+# prototype_config(): 11 levels, delta_h = 0.3, v_r = vt_max = 1, floor thresholds
+# at 0.3, 0.6, ..., 3.0.  vh = 0.0 lies inside level 0 (even), 0.35 inside
+# level 1 (odd), 0.65 inside level 2 (even).
+VH_LEVEL_0, VH_LEVEL_1, VH_LEVEL_2 = 0.0, 0.35, 0.65
+
+
+def _active_level(cfg, vh):
+    """The level the comparators select: the count of thresholds at or below vh."""
+    return sum(t <= vh for t in cfg.thresholds)
+
+
 class TestComparators:
     def test_bottom_of_range(self):
-        sel = comparator_selects(prototype_config(), 0.0)
-        assert sel[0] is LevelSelect.ON
-        assert all(s is LevelSelect.BELOW for s in sel[1:])
+        c = prototype_config()
+        # level 0 forwards the proportional VCVS and nothing sits below it
+        assert circuit_encode(c, 0.25, 0.0) == pytest.approx(0.25 * c.v_r)
 
     def test_hand_evaluated_floor_placement(self):
-        # floor(0.95 / 0.3) = 3
-        sel = comparator_selects(prototype_config(), 0.95)
-        assert sel.index(LevelSelect.ON) == 3
+        # floor(0.95 / 0.3) = 3, an odd level: 3 full levels plus the complement
+        c = prototype_config()
+        assert circuit_encode(c, 0.25, 0.95) == pytest.approx(3 * c.v_r + 0.75 * c.v_r)
 
     def test_top_of_range(self):
         c = prototype_config()
-        sel = comparator_selects(c, c.vh_max)
-        assert sel[-1] is LevelSelect.ON
-        assert all(s is LevelSelect.ABOVE for s in sel[:-1])
+        # the last level (10, even) is active on top of 10 full levels
+        assert circuit_encode(c, 0.25, c.vh_max) == pytest.approx(10 * c.v_r + 0.25 * c.v_r)
 
     def test_exactly_one_level_on(self):
         c = prototype_config()
         for vh in np.linspace(0, c.vh_max, 57):
-            sel = comparator_selects(c, vh)
-            assert sum(s is LevelSelect.ON for s in sel) == 1
+            active = _active_level(c, vh)
+            partial = 0.25 if active % 2 == 0 else 0.75
+            # full levels below the active one, one partial level, nothing above
+            assert circuit_encode(c, 0.25, vh) == pytest.approx((active + partial) * c.v_r)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            comparator_selects(prototype_config(), -0.1)
+            circuit_encode(prototype_config(), 0.0, -0.1)
         with pytest.raises(ValueError):
-            comparator_selects(prototype_config(), 3.1)
+            circuit_encode(prototype_config(), 0.0, 3.1)
 
 
 class TestVcvs:
+    """The VCVS outputs, read through circuit_encode on an even and an odd level."""
+
     def test_proportional_endpoints_and_midpoint(self):
         c = prototype_config()
-        assert vcvs_proportional(c, 0.0) == 0.0
-        assert vcvs_proportional(c, c.vt_max) == pytest.approx(c.v_r)
-        assert vcvs_proportional(c, c.vt_max / 2) == pytest.approx(c.v_r / 2)
+        assert circuit_encode(c, 0.0, VH_LEVEL_0) == 0.0
+        assert circuit_encode(c, c.vt_max, VH_LEVEL_0) == pytest.approx(c.v_r)
+        assert circuit_encode(c, c.vt_max / 2, VH_LEVEL_0) == pytest.approx(c.v_r / 2)
+        assert circuit_encode(c, c.vt_max / 2, VH_LEVEL_2) == pytest.approx(2.5 * c.v_r)
 
     def test_complement_endpoints(self):
         c = prototype_config()
-        assert vcvs_complement(c, 0.0) == pytest.approx(c.v_r)
-        assert vcvs_complement(c, c.vt_max) == 0.0
+        assert circuit_encode(c, 0.0, VH_LEVEL_1) - c.v_r == pytest.approx(c.v_r)
+        assert circuit_encode(c, c.vt_max, VH_LEVEL_1) - c.v_r == 0.0
 
     def test_complement_identity(self):
         c = prototype_config()
         for vt in np.linspace(0, c.vt_max, 41):
-            assert vcvs_proportional(c, vt) + vcvs_complement(c, vt) == pytest.approx(c.v_r)
+            proportional = circuit_encode(c, vt, VH_LEVEL_0)
+            complement = circuit_encode(c, vt, VH_LEVEL_1) - c.v_r
+            assert proportional + complement == pytest.approx(c.v_r)
 
     def test_nonideal_outputs_clamp(self):
+        # 1.5 * vt + 0.4 overshoots v_r at full scale; the mux input clamps it
         c = CircuitConfig(gain_error=0.5, offset_error=0.4)
-        assert vcvs_proportional(c, c.vt_max) == c.v_r
-        assert vcvs_complement(c, c.vt_max) == 0.0
+        assert circuit_encode(c, c.vt_max, VH_LEVEL_0) == c.v_r
+        assert circuit_encode(c, c.vt_max, VH_LEVEL_1) == c.v_r
+        c = CircuitConfig(gain_error=0.1, offset_error=0.05)
+        assert circuit_encode(c, 0.9 * c.vt_max, VH_LEVEL_0) == c.v_r
+        assert circuit_encode(c, 0.9 * c.vt_max, VH_LEVEL_1) == c.v_r
+        # a negative offset pulls the proportional output below 0 V at vt = 0
         c = CircuitConfig(offset_error=-0.2)
-        assert vcvs_proportional(c, 0.0) == 0.0
+        assert circuit_encode(c, 0.0, VH_LEVEL_0) == 0.0
+        assert circuit_encode(c, 0.1 * c.vt_max, VH_LEVEL_0) == 0.0
 
 
 class TestLevelContribution:
     def test_active_even_index_at_full_scale(self):
         c = prototype_config()
-        got = level_contribution(c, 0, c.vt_max, 0.0)
-        assert got.kind is ContributionKind.PARTIAL
-        assert got.voltage == pytest.approx(c.v_r)
+        assert circuit_encode(c, c.vt_max, VH_LEVEL_0) == pytest.approx(c.v_r)
 
     def test_active_odd_index_at_full_scale(self):
+        # level 0 adds v_r, the active level 1 adds its complement, 0 V
         c = prototype_config()
-        got = level_contribution(c, 1, c.vt_max, 0.35)
-        assert got.kind is ContributionKind.PARTIAL
-        assert got.voltage == pytest.approx(0.0)
+        assert circuit_encode(c, c.vt_max, VH_LEVEL_1) == pytest.approx(c.v_r)
 
     def test_levels_above_the_point_contribute_zero(self):
+        # levels 2..10 lie above vh = 0.35: the total stays v_r + (v_r - 0.4)
         c = prototype_config()
-        got = level_contribution(c, 7, 0.4, 0.35)
-        assert got == type(got)(ContributionKind.ZERO, 0.0)
+        assert circuit_encode(c, 0.4, VH_LEVEL_1) == pytest.approx(1.6 * c.v_r)
 
     def test_ordering_around_active_level(self):
         c = prototype_config()
@@ -129,17 +143,18 @@ class TestLevelContribution:
         for _ in range(50):
             vh = rng.uniform(0, c.vh_max)
             vt = rng.uniform(0, c.vt_max)
-            active = comparator_selects(c, vh).index(LevelSelect.ON)
-            kinds = [level_contribution(c, i, vt, vh).kind for i in range(c.num_levels)]
-            assert kinds[:active] == [ContributionKind.FULL] * active
-            assert kinds[active] is ContributionKind.PARTIAL
-            assert kinds[active + 1 :] == [ContributionKind.ZERO] * (
-                c.num_levels - active - 1
+            active = _active_level(c, vh)
+            partial = vt if active % 2 == 0 else c.vt_max - vt
+            assert circuit_encode(c, vt, vh) == pytest.approx(
+                active * c.v_r + partial * c.v_r / c.vt_max
             )
 
     def test_bad_level_index_rejected(self):
-        with pytest.raises(ValueError):
-            level_contribution(prototype_config(), 11, 0.0, 0.0)
+        # vh_max selects the last level; no vh selects a level past it
+        c = prototype_config()
+        assert circuit_encode(c, 0.0, c.vh_max) == pytest.approx((c.num_levels - 1) * c.v_r)
+        with pytest.raises(ValueError, match="vh out of range"):
+            circuit_encode(c, 0.0, np.nextafter(c.vh_max, np.inf))
 
 
 class TestCircuitEncode:
@@ -231,9 +246,13 @@ class TestCircuitEncodeArrays:
         # the per-level contributions summed in level order, the scalar circuit
         by_level = []
         for a, b in zip(vt, vh):
+            active = _active_level(cfg, b)
+            raw = (1 + cfg.gain_error) * (cfg.v_r / cfg.vt_max) * a + cfg.offset_error
+            on = raw if active % 2 == 0 else cfg.v_r - raw
+            on = min(max(on, 0.0), cfg.v_r)
             total = 0.0
             for i in range(cfg.num_levels):
-                total += level_contribution(cfg, i, a, b).voltage
+                total += cfg.v_r if i < active else on if i == active else 0.0
             by_level.append(total)
         assert np.array_equal(got, by_level)
         # broadcasting a column of vt against a row of vh is the outer loop

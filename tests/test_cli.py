@@ -196,6 +196,15 @@ class TestClusterCommand:
         for ln in lines:
             assert abs(ln["vd_hat"] - ln["vd_true"]) <= 6e-4
 
+    def test_line_keys_are_the_output_contract(self, capsys):
+        code, out, err = run_cli(capsys, "cluster", "--snr-db", "inf")
+        assert (code, err) == (0, "")
+        lines = [json.loads(ln) for ln in out.strip().splitlines()]
+        assert len(lines) == 3  # the cluster default
+        keys = ["sensor_id", "vd_true", "vd_hat", "peak_hz", "x1_hat", "x2_hat", "level_index"]
+        for ln in lines:
+            assert list(ln) == keys
+
 
 class TestSelftest:
     def test_passes_by_default(self, capsys):

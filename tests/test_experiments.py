@@ -19,12 +19,10 @@ from ajscc.experiments import (
     config_from_mapping,
     emit_csv,
     emit_json,
-    load_config_file,
-    parse_csv,
+    read_config_file,
     render_csv,
     render_json,
     run_cluster_demo,
-    run_experiment,
     run_mse_vs_L,
     run_roundtrip_suite,
     run_sdr_vs_csnr,
@@ -255,7 +253,7 @@ class TestSdrVsCsnr:
         detail = result.details[-20.0]
         assert detail["per_trial_mse"].shape == (3, 2)
         assert detail["per_trial_x2_hat"].shape == (3, 2)
-        assert np.isfinite(detail["csnr_est_db"])
+        assert sorted(detail) == ["per_trial_mse", "per_trial_vd_err", "per_trial_x2_hat"]
 
     def test_noiseless_point_is_quantization_limited(self):
         result = run_sdr_vs_csnr(self.CFG)
@@ -324,12 +322,6 @@ class TestRoundTripSuite:
         assert bad.worst > bad.bound
         assert not report.all_passed
 
-    def test_dispatcher_routes_by_kind(self):
-        report = run_experiment(
-            ExperimentConfig(kind=ExperimentKind.ROUND_TRIP, trials=10)
-        )
-        assert report.all_passed
-
 
 class TestClusterDemo:
     def test_noiseless_demo_recovers_sources(self):
@@ -354,7 +346,12 @@ class TestOutput:
         text = path.read_text()
         assert text.splitlines()[0] == CSV_HEADER
         assert len(text.splitlines()) == 1 + len(result.rows)
-        assert parse_csv(text) == result.rows
+        for line, row in zip(text.splitlines()[1:], result.rows):
+            fields = line.split(",")
+            assert [float(f) for f in fields[:5]] == [
+                row.param, row.mean_mse, row.mean_sdr_db, row.mse_x1, row.mse_x2
+            ]
+            assert int(fields[5]) == row.trials
 
     def test_csv_overwrites(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -371,10 +368,6 @@ class TestOutput:
         assert payload["kind"] == "mse-vs-l"
         assert len(payload["rows"]) == len(result.rows)
         assert payload["best_param"] == result.best_param
-
-    def test_parse_rejects_foreign_header(self):
-        with pytest.raises(ValueError):
-            parse_csv("a,b\n1,2\n")
 
 
 class TestConfigFile:
@@ -399,7 +392,7 @@ class TestConfigFile:
                 ]
             )
         )
-        cfg = load_config_file(path)
+        cfg = config_from_mapping(read_config_file(path))
         assert cfg.kind is ExperimentKind.MSE_VS_L
         assert cfg.trials == 9
         assert cfg.l_values == (5, 11, 21)
@@ -440,7 +433,7 @@ class TestConfigFile:
     def test_integer_lists_take_inclusive_ranges(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("kind=mse-vs-l\nl_values=10:20:5\n")
-        assert load_config_file(path).l_values == (10, 15, 20)
+        assert config_from_mapping(read_config_file(path)).l_values == (10, 15, 20)
         cfg = config_from_mapping({"kind": "mse-vs-l", "l_values": "5, 60:62 ,90:100:10,"})
         assert cfg.l_values == (5, 60, 61, 62, 90, 100)
         for bad in ("10:20:5:1", "10:20:0", "10.5"):
@@ -463,4 +456,4 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("kind=mse-vs-l\nnot a pair\n")
         with pytest.raises(ValueError, match="key=value"):
-            load_config_file(path)
+            config_from_mapping(read_config_file(path))

@@ -11,9 +11,7 @@ from ajscc.mapping import (
     MappingConfig,
     Quantizer,
     decode,
-    decode3,
     encode,
-    encode3,
     quantize_level,
 )
 
@@ -178,45 +176,6 @@ class TestRoundTrip:
         bound2 = c.delta if quantizer is Quantizer.FLOOR else c.delta / 2
         assert np.max(np.abs(dec.x1_hat - x1)) <= 1e-12
         assert np.max(np.abs(dec.x2_hat - x2)) <= bound2
-
-
-class TestThreeSources:
-    def nested(self, quantizer=Quantizer.FLOOR):
-        inner = cfg(5, 5, 1.0, quantizer)
-        outer = MappingConfig(20.0, 4, 1.0, quantizer)  # outer v1 == inner d_max
-        return inner, outer
-
-    def test_zero_third_source_reduces_to_pair_encode(self):
-        inner, outer = self.nested()
-        assert encode3(inner, outer, 0.3, 0.26, 0.0) == pytest.approx(
-            encode(inner, 0.3, 0.26), abs=1e-12
-        )
-
-    def test_origin(self):
-        inner, outer = self.nested()
-        assert encode3(inner, outer, 0.0, 0.0, 0.0) == 0.0
-
-    def test_mismatched_configs_rejected(self):
-        inner = cfg(5, 5, 1.0)
-        bad_outer = MappingConfig(21.0, 4, 1.0)
-        with pytest.raises(ValueError):
-            encode3(inner, bad_outer, 0.1, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            decode3(inner, bad_outer, 1.0)
-
-    def test_random_triples_roundtrip(self):
-        inner, outer = self.nested()
-        rng = np.random.default_rng(5)
-        for _ in range(8000):
-            x1 = rng.uniform(0, inner.v1)
-            x2 = rng.uniform(0, inner.v2)
-            x3 = rng.uniform(0, outer.v2)
-            v = encode3(inner, outer, x1, x2, x3)
-            assert 0.0 <= v <= outer.d_max
-            h1, h2, h3 = decode3(inner, outer, v)
-            assert abs(h1 - x1) <= 1e-10
-            assert abs(h2 - x2) <= inner.delta
-            assert abs(h3 - x3) <= outer.delta
 
 
 # ---------------------------------------------------------------------------

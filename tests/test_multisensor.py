@@ -13,8 +13,13 @@ from ajscc.multisensor import (
     diversity_combine,
     simulate_cluster,
 )
-from ajscc.metrics import estimate_csnr
-from ajscc.signal_chain import ChannelSpec, FmConfig, ReceiverConfig, magnitude_spectrum
+from ajscc.signal_chain import (
+    ChannelSpec,
+    FmConfig,
+    ReceiverConfig,
+    magnitude_spectrum,
+    peak_from_spectrum,
+)
 
 FM = FmConfig()
 RX = ReceiverConfig()
@@ -117,15 +122,16 @@ class TestSimulateCluster:
         assert abs(res.vd_hat - res.vd_true) <= 0.5 / FM.scale + 1e-9
         assert abs(res.decoded.x1_hat - 0.21) <= 0.5 / FM.scale + 1e-9
 
-    def test_csnr_is_per_sensor_estimate_of_combined_spectrum(self):
+    def test_peak_is_band_argmax_of_combined_spectrum(self):
         sensors = make_sensors([(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)])
         plan = assign_channels(3, FM, 5.0)
         chans = [ChannelSpec(snr_db=-20.0) for _ in range(3)]
         results = simulate_cluster(sensors, plan, chans, RX, antennas=2, seed=4)
         waveforms = build_capture(sensors, plan, chans, antennas=2, seed=4)
         combined = diversity_combine([magnitude_spectrum(RX, wf) for wf in waveforms])
-        for res in results:
-            assert res.csnr_est_db == estimate_csnr(combined, round(res.peak_hz))
+        for i, res in enumerate(results):
+            band = plan.band(i)
+            assert res.peak_hz == peak_from_spectrum(combined, FM.sample_rate, RX.fft_size, band)
 
     def test_three_sensors_noiseless_match_solo_runs(self):
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]

@@ -14,7 +14,6 @@ from ajscc.signal_chain import (
     capture,
     channel_noise,
     detect_peak,
-    fm_modulate,
     freq_to_voltage,
     magnitude_spectrum,
     noise_sigma,
@@ -28,34 +27,39 @@ RX = ReceiverConfig()
 NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 
+def fm_tone(fm, vd):
+    """The noiseless FM waveform of voltage vd: one zero-phase tone at scale*vd Hz."""
+    return capture(fm, ChannelSpec(), [(fm.scale * vd, fm.amplitude, 0.0)], 0)[0]
+
+
 class TestFmModulate:
     def test_record_geometry(self):
-        wf = fm_modulate(FM, 2.5)
+        wf = fm_tone(FM, 2.5)
         assert len(wf) == 65536
         assert wf.sample_rate == 65536.0
 
     def test_mid_range_tone_frequency(self):
-        assert detect_peak(RX, fm_modulate(FM, 2.5)) == 2500.0
+        assert detect_peak(RX, fm_tone(FM, 2.5)) == 2500.0
 
     def test_zero_voltage_is_dc(self):
-        wf = fm_modulate(FM, 0.0)
+        wf = fm_tone(FM, 0.0)
         assert np.allclose(wf.samples, 1.0)
         assert detect_peak(RX, wf) == 0.0
 
     def test_top_of_range(self):
-        assert detect_peak(RX, fm_modulate(FM, 5.0)) == 5000.0
+        assert detect_peak(RX, fm_tone(FM, 5.0)) == 5000.0
 
     def test_amplitude_scaling(self):
         fm = FmConfig(amplitude=0.25)
-        assert np.max(np.abs(fm_modulate(fm, 1.0).samples)) <= 0.25 + 1e-12
+        assert np.max(np.abs(fm_tone(fm, 1.0).samples)) <= 0.25 + 1e-12
 
     def test_nyquist_violation_rejected(self):
         with pytest.raises(ValueError):
-            fm_modulate(FM, 33.0)
+            fm_tone(FM, 33.0)
 
     def test_negative_voltage_rejected(self):
         with pytest.raises(ValueError):
-            fm_modulate(FM, -0.1)
+            fm_tone(FM, -0.1)
 
     def test_fractional_record_rejected(self):
         with pytest.raises(ValueError):
@@ -213,7 +217,7 @@ class TestChannel:
 
     def test_gain_scales_signal(self):
         (wf,) = capture(FM, NO_NOISE, [(2500.0, 0.5, 0.0)], seed=0)
-        assert np.allclose(wf.samples, 0.5 * fm_modulate(FM, 2.5).samples)
+        assert np.allclose(wf.samples, 0.5 * fm_tone(FM, 2.5).samples)
         half = ChannelSpec(gain=0.5)
         assert transmit_receive(FM, half, RX, 2.5) == 2.5
 
@@ -247,7 +251,7 @@ class TestChannel:
 
 class TestPeakDetection:
     def test_off_bin_tone_snaps_to_nearest_bin(self):
-        assert detect_peak(RX, fm_modulate(FM, 2.5004)) == 2500.0
+        assert detect_peak(RX, fm_tone(FM, 2.5004)) == 2500.0
 
     def test_all_zero_waveform_flagged(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -271,7 +275,7 @@ class TestPeakDetection:
             peak_from_spectrum(spectrum, 200.0, 200, band=(60.0, 50.0))
 
     def test_tone_peak_dominates_every_other_bin(self):
-        spectrum = magnitude_spectrum(RX, fm_modulate(FM, 2.3456))
+        spectrum = magnitude_spectrum(RX, fm_tone(FM, 2.3456))
         top = np.argsort(spectrum)[-2:]
         assert spectrum[top[1]] > spectrum[top[0]]
         assert abs(top[1] * 1.0 - 2345.6) <= 0.5
