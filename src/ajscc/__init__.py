@@ -31,7 +31,6 @@ from .signal_chain import (
     ChannelSpec,
     FmConfig,
     ReceiverConfig,
-    Waveform,
     capture,
     detect_peak,
     freq_to_voltage,

@@ -59,6 +59,7 @@ __all__ = [
     "emit_csv",
     "emit_json",
     "CONFIG_KEYS",
+    "KIND_KEYS",
     "config_from_mapping",
     "read_config_file",
 ]
@@ -80,16 +81,27 @@ class ExperimentKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Source distribution in normalized [0, 1] coordinates."""
+    """Source distribution in normalized [0, 1] coordinates.
+
+    A fixed source is the point (x1, x2), a coordinate not given being 0.5; a
+    uniform source takes no coordinates.
+    """
 
     kind: str = "uniform"  # "uniform" | "fixed"
-    x1: float = 0.5
-    x2: float = 0.5
+    x1: float | None = None
+    x2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "fixed"):
+        if self.kind == "uniform":
+            if self.x1 is not None or self.x2 is not None:
+                raise ValueError("a uniform source takes no x1/x2 coordinates")
+            return
+        if self.kind != "fixed":
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.kind == "fixed" and not (0 <= self.x1 <= 1 and 0 <= self.x2 <= 1):
+        for name in ("x1", "x2"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, 0.5)
+        if not (0 <= self.x1 <= 1 and 0 <= self.x2 <= 1):
             raise ValueError("fixed source point must lie in [0, 1]^2")
 
     def draw(self, rng: np.random.Generator) -> tuple[float, float]:
@@ -243,7 +255,7 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
         rng = _trial_rng(cfg.master_seed, trial)
         u1, u2 = cfg.source.draw(rng)
         channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
-        noise_spectrum = np.fft.rfft(channel_noise(fm, channel, channel.rng_seed)[: rx.fft_size])
+        noise_spectrum = np.fft.rfft(channel_noise(fm, channel)[: rx.fft_size])
         noise_max = float(np.max(np.abs(noise_spectrum)))
         row = []
         for mapping in mappings:
@@ -308,17 +320,12 @@ def _cluster_trial(
     draws = [cfg.source.draw(rng) for _ in range(cfg.sensor_count)]
     capture_seed = int(rng.integers(0, 2**62))
     sensors = [
-        SensorNode(
-            id=i,
-            mapping=mapping,
-            fm=cfg.fm,
-            truth=SourceSample(u1 * mapping.v1, u2 * mapping.v2),
-        )
+        SensorNode(id=i, mapping=mapping, truth=SourceSample(u1 * mapping.v1, u2 * mapping.v2))
         for i, (u1, u2) in enumerate(draws)
     ]
-    channels = [ChannelSpec(snr_db=snr_db, rng_seed=0) for _ in draws]
+    channel = ChannelSpec(snr_db=snr_db, rng_seed=capture_seed)
     results = simulate_cluster(
-        sensors, plan, channels, cfg.receiver, antennas=cfg.antennas, seed=capture_seed
+        sensors, plan, cfg.fm, channel, cfg.receiver, antennas=cfg.antennas
     )
     return draws, results
 
@@ -550,8 +557,11 @@ def _parse_list(text: str, typ: type) -> tuple:
 
 def _value_parser(typ) -> Callable[[str], object]:
     """The one string parser for a config field of type ``typ``."""
+    args = typing.get_args(typ)
+    if type(None) in args:  # an optional field parses as its other type
+        return _value_parser(next(a for a in args if a is not type(None)))
     if typing.get_origin(typ) is tuple:
-        return partial(_parse_list, typ=typing.get_args(typ)[0])
+        return partial(_parse_list, typ=args[0])
     if isinstance(typ, enum.EnumMeta) or typ in (int, float, str):
         return typ
     raise TypeError(f"no config parser for field type {typ!r}")
@@ -575,6 +585,24 @@ def _config_keys() -> dict[str, tuple[str, str | None, Callable[[str], object]]]
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 CONFIG_KEYS = _config_keys()
 
+# the keys each kind's runner never reads
+_IGNORED_KEYS = {
+    ExperimentKind.MSE_VS_L: {
+        "num_levels", "snr_values", "sensor_count", "antennas", "guard_hz", "gain_error",
+        "offset_error",
+    },
+    ExperimentKind.SDR_VS_CSNR: {"l_values", "snr_db", "gain_error", "offset_error"},
+    ExperimentKind.ROUND_TRIP: {
+        "source_kind", "source_x1", "source_x2", "l_values", "snr_values", "snr_db",
+        "sensor_count", "antennas", "guard_hz", "workers",
+    },
+    ExperimentKind.CLUSTER_DEMO: {
+        "trials", "l_values", "snr_values", "workers", "gain_error", "offset_error",
+    },
+}
+# the config keys each experiment kind honours
+KIND_KEYS = {kind: frozenset(CONFIG_KEYS) - ignored for kind, ignored in _IGNORED_KEYS.items()}
+
 
 def config_from_mapping(
     values: dict[str, str], kind: ExperimentKind | None = None
@@ -582,7 +610,8 @@ def config_from_mapping(
     """Build an ExperimentConfig from flat string key/value pairs (keys: ``CONFIG_KEYS``).
 
     With ``kind`` given the mapping may omit its ``kind`` key but not contradict
-    it.  ``source_x1``/``source_x2`` imply ``source_kind=fixed``; an explicit
+    it.  A key the kind does not honour (``KIND_KEYS``) is rejected.
+    ``source_x1``/``source_x2`` imply ``source_kind=fixed``; an explicit
     uniform source with either coordinate is rejected.
     """
     values = dict(values)
@@ -612,6 +641,9 @@ def config_from_mapping(
             kwargs[name] = value
         else:
             nested.setdefault(name, {})[sub] = value
+    ignored = sorted(set(values) - KIND_KEYS[kwargs["kind"]])
+    if ignored:
+        raise ValueError(f"config kind {kwargs['kind'].value!r} ignores key(s) {ignored}")
     for name, sub_values in nested.items():
         kwargs[name] = _FIELD_TYPES[name](**sub_values)
     return ExperimentConfig(**kwargs)

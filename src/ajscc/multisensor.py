@@ -1,10 +1,12 @@
 """FDMA multiplexing of several sensors to one cluster-head receiver.
 
-Each sensor's encoded voltage becomes a tone inside its own disjoint
-frequency band; the cluster head captures the superposition on one or more
-antennas, optionally combines the antenna spectra noncoherently, and runs a
-band-restricted peak search per sensor.  Band disjointness makes noiseless
-recovery bit-identical to running each sensor alone.
+Each sensor's encoded voltage becomes its single-sensor tone (``chain_tone``)
+shifted into its own disjoint frequency band.  The cluster head captures the
+superposition over one shared channel on one or more antennas, seeded by the
+channel's rng_seed like the single-sensor chain, optionally combines the
+antenna spectra noncoherently, and runs a band-restricted peak search per
+sensor.  Band disjointness makes noiseless recovery bit-identical to running
+each sensor alone.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from .signal_chain import (
     ChannelSpec,
     FmConfig,
     ReceiverConfig,
-    Waveform,
     capture,
+    chain_tone,
     magnitude_spectrum,
     peak_from_spectrum,
 )
@@ -28,7 +30,6 @@ __all__ = [
     "FdmaPlan",
     "SensorResult",
     "assign_channels",
-    "build_capture",
     "diversity_combine",
     "simulate_cluster",
 ]
@@ -36,11 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SensorNode:
-    """One transmitter: codec config, modulator config, and its true sources."""
+    """One transmitter: codec config and its true sources."""
 
     id: int
     mapping: MappingConfig
-    fm: FmConfig
     truth: SourceSample
 
 
@@ -96,25 +96,15 @@ class SensorResult:
     decoded: DecodedPair
 
 
-def _validate_cluster(sensors, plan: FdmaPlan, channels) -> FmConfig:
+def _validate_cluster(sensors, plan: FdmaPlan, fm: FmConfig) -> None:
     if not sensors:
         raise ValueError("need at least one sensor")
     if len({s.id for s in sensors}) != len(sensors):
         raise ValueError("sensor ids must be unique")
-    if len(plan.offsets) != len(sensors) or len(channels) != len(sensors):
-        raise ValueError("plan, channels and sensors must have matching lengths")
-    fm = sensors[0].fm
-    for s in sensors:
-        if s.fm.sample_rate != fm.sample_rate or s.fm.num_samples != fm.num_samples:
-            raise ValueError("all sensors must share sample rate and record length")
-    if len({ch.snr_db for ch in channels}) > 1:
-        raise ValueError("cluster capture needs a single common snr_db")
-    if any(ch.rng_seed != 0 for ch in channels):
-        raise ValueError(
-            "cluster capture is seeded by its seed argument; channel rng_seed must be 0"
-        )
+    if len(plan.offsets) != len(sensors):
+        raise ValueError("plan and sensors must have matching lengths")
     for i, s in enumerate(sensors):
-        width = s.fm.scale * s.mapping.d_max
+        width = fm.scale * s.mapping.d_max
         if width > plan.band_width_hz + 1e-9:
             raise ValueError(
                 f"sensor {s.id} occupies {width} Hz, wider than its "
@@ -125,29 +115,6 @@ def _validate_cluster(sensors, plan: FdmaPlan, channels) -> FmConfig:
             raise ValueError(
                 f"sensor {s.id} band tops out at {top} Hz, beyond Nyquist"
             )
-    return fm
-
-
-def build_capture(
-    sensors: list[SensorNode],
-    plan: FdmaPlan,
-    channels: list[ChannelSpec],
-    antennas: int = 1,
-    seed: int = 0,
-) -> tuple[Waveform, ...]:
-    """Superpose all sensors' offset tones; one waveform per antenna, each with its own noise.
-
-    The noise is seeded by ``seed`` alone, so every channel's rng_seed must be 0.
-    """
-    fm = _validate_cluster(sensors, plan, channels)
-    # fixed summation order (by sensor id) keeps results invariant under
-    # permutation of the sensor list
-    tones = []
-    for idx in sorted(range(len(sensors)), key=lambda i: sensors[i].id):
-        s, ch = sensors[idx], channels[idx]
-        vd = encode(s.mapping, s.truth.x1, s.truth.x2)
-        tones.append((plan.offsets[idx] + s.fm.scale * vd, ch.gain * s.fm.amplitude, ch.phase))
-    return capture(fm, channels[0], tones, seed, antennas)
 
 
 def diversity_combine(spectra: list[np.ndarray]) -> np.ndarray:
@@ -163,22 +130,30 @@ def diversity_combine(spectra: list[np.ndarray]) -> np.ndarray:
 def simulate_cluster(
     sensors: list[SensorNode],
     plan: FdmaPlan,
-    channels: list[ChannelSpec],
+    fm: FmConfig,
+    ch: ChannelSpec,
     rx: ReceiverConfig,
     antennas: int = 1,
-    seed: int = 0,
 ) -> list[SensorResult]:
-    """Capture all sensors jointly and decode each from its own band."""
-    waveforms = build_capture(sensors, plan, channels, antennas=antennas, seed=seed)
-    spectra = [magnitude_spectrum(rx, wf) for wf in waveforms]
+    """Capture all sensors jointly over channel ch and decode each from its own band.
+
+    Sensor i's tone is chain_tone(fm, ch, vd) moved up by plan.offsets[i].
+    The tones are summed by sensor id, so the results do not depend on the
+    order of the sensor list.
+    """
+    _validate_cluster(sensors, plan, fm)
+    vds = [encode(s.mapping, s.truth.x1, s.truth.x2) for s in sensors]
+    tones = []
+    for i in sorted(range(len(sensors)), key=lambda i: sensors[i].id):
+        freq, amplitude, phase = chain_tone(fm, ch, vds[i])
+        tones.append((plan.offsets[i] + freq, amplitude, phase))
+    spectra = [magnitude_spectrum(rx, y) for y in capture(fm, ch, tones, antennas)]
     combined = spectra[0] if len(spectra) == 1 else diversity_combine(spectra)
 
-    fs = sensors[0].fm.sample_rate
     results = []
-    for i, s in enumerate(sensors):
-        vd_true = encode(s.mapping, s.truth.x1, s.truth.x2)
-        peak = peak_from_spectrum(combined, fs, rx.fft_size, band=plan.band(i))
-        vd_hat = (peak - plan.offsets[i]) / s.fm.scale
+    for i, (s, vd_true) in enumerate(zip(sensors, vds)):
+        peak = peak_from_spectrum(combined, fm.sample_rate, rx.fft_size, band=plan.band(i))
+        vd_hat = (peak - plan.offsets[i]) / fm.scale
         results.append(
             SensorResult(
                 sensor_id=s.id,

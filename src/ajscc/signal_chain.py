@@ -9,11 +9,12 @@ voltage error is half a bin over the scale factor (5e-4 V) away from DC and
 Nyquist; within a bin or two of either edge the tone's image leaks into the
 peak and the error reaches ~0.6 bins, under the one-bin bound.
 
-``capture`` is the one received-signal model: a sum of tones plus seeded
-noise per antenna (``channel_noise``).  A single sensor is a one-tone capture;
-the FDMA cluster in ``multisensor`` passes one tone per sensor.  ``tone_bins``
-is the closed-form FFT of one capture tone, so a spectrum can be formed as
-tone bins plus the FFT of the noise.
+``capture`` is the one received-signal model: a sum of tones plus noise per
+antenna (``channel_noise``), seeded by ``ChannelSpec.rng_seed``, returned as
+one float array per antenna.  A single sensor is a one-tone capture; the
+FDMA cluster in ``multisensor`` passes one tone per sensor over the same
+channel.  ``tone_bins`` is the closed-form FFT of one capture tone, so a
+spectrum can be formed as tone bins plus the FFT of the noise.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "FmConfig",
-    "Waveform",
     "ChannelSpec",
     "ReceiverConfig",
     "capture",
@@ -61,38 +61,6 @@ class FmConfig:
     @property
     def num_samples(self) -> int:
         return round(self.record_seconds * self.sample_rate)
-
-
-@dataclass(eq=False)
-class Waveform:
-    """A uniformly sampled real baseband signal.
-
-    Samples given here are checked to be finite.  ``capture`` checks its tone
-    and noise parameters instead and builds its waveforms without the scan.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.size == 0:
-            raise ValueError("waveform must be non-empty")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("waveform samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-def _built_waveform(samples: np.ndarray, sample_rate: float) -> Waveform:
-    """A Waveform of samples finite by construction, skipping the per-sample scan."""
-    wf = object.__new__(Waveform)
-    wf.samples = samples
-    wf.sample_rate = sample_rate
-    return wf
 
 
 @dataclass(frozen=True)
@@ -134,16 +102,16 @@ def noise_sigma(ch: ChannelSpec) -> float:
     return math.sqrt(1.0 * 10.0 ** (-ch.snr_db / 10.0))
 
 
-def channel_noise(fm: FmConfig, ch: ChannelSpec, seed: int, antenna: int = 0) -> np.ndarray:
+def channel_noise(fm: FmConfig, ch: ChannelSpec, antenna: int = 0) -> np.ndarray:
     """AWGN samples of one antenna: normal(0, noise_sigma(ch)) per sample.
 
-    Drawn from SeedSequence([seed, antenna]); for antenna 0 that is the
-    default_rng(seed) stream.  All zeros when the channel is noiseless.
+    Drawn from SeedSequence([ch.rng_seed, antenna]); for antenna 0 that is the
+    default_rng(ch.rng_seed) stream.  All zeros when the channel is noiseless.
     """
     sigma = noise_sigma(ch)
     if sigma == 0.0:
         return np.zeros(fm.num_samples)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, antenna]))
+    rng = np.random.default_rng(np.random.SeedSequence([ch.rng_seed, antenna]))
     return rng.normal(0.0, sigma, fm.num_samples)
 
 
@@ -151,16 +119,16 @@ def capture(
     fm: FmConfig,
     ch: ChannelSpec,
     tones: list[tuple[float, float, float]],
-    seed: int,
     antennas: int = 1,
-) -> tuple[Waveform, ...]:
-    """Received waveform per antenna: a sum of tones plus independent AWGN.
+) -> tuple[np.ndarray, ...]:
+    """Received samples per antenna: a sum of tones plus independent AWGN.
 
     Each tone is (freq Hz, amplitude, phase), synthesized as
     amplitude * cos(2*pi*freq/fs*n + phase) and summed in the given order.
-    Antenna a adds channel_noise(fm, ch, seed, a).  Only ch.snr_db is read:
-    callers fold gain and phase into the tones.  Amplitudes and phases must be
-    finite, and so must the sum of |amplitude|, which bounds the tone sum.
+    Antenna a adds channel_noise(fm, ch, a).  Only ch.snr_db and ch.rng_seed
+    are read: callers fold gain and phase into the tones (``chain_tone``).
+    Amplitudes and phases must be finite, and so must the sum of |amplitude|,
+    which bounds the tone sum.
     """
     if antennas < 1:
         raise ValueError("antennas must be >= 1")
@@ -187,15 +155,9 @@ def capture(
             mix = tone
         else:
             mix += tone
-    sigma = noise_sigma(ch)
-    waveforms = []
-    for a in range(antennas):
-        if sigma > 0.0:
-            y = mix + channel_noise(fm, ch, seed, a)
-        else:
-            y = mix if a == 0 else mix.copy()
-        waveforms.append(_built_waveform(y, fm.sample_rate))
-    return tuple(waveforms)
+    if noise_sigma(ch) == 0.0:
+        return tuple(mix if a == 0 else mix.copy() for a in range(antennas))
+    return tuple(mix + channel_noise(fm, ch, a) for a in range(antennas))
 
 
 def tone_bins(
@@ -227,13 +189,13 @@ def tone_bins(
     return 0.5 * amplitude * halves.sum(axis=0)
 
 
-def magnitude_spectrum(rx: ReceiverConfig, wf: Waveform) -> np.ndarray:
+def magnitude_spectrum(rx: ReceiverConfig, samples: np.ndarray) -> np.ndarray:
     """FFT magnitude over the first fft_size samples, bins 0..sample_rate/2."""
-    if len(wf) < rx.fft_size:
+    if len(samples) < rx.fft_size:
         raise ValueError(
-            f"waveform has {len(wf)} samples, receiver needs {rx.fft_size}"
+            f"record has {len(samples)} samples, receiver needs {rx.fft_size}"
         )
-    return np.abs(np.fft.rfft(wf.samples[: rx.fft_size]))
+    return np.abs(np.fft.rfft(np.asarray(samples, dtype=float)[: rx.fft_size]))
 
 
 def peak_from_spectrum(
@@ -242,9 +204,11 @@ def peak_from_spectrum(
     fft_size: int,
     band: tuple[float, float] | None = None,
 ) -> float:
-    """Frequency of the strongest bin, optionally restricted to a band in Hz."""
-    if not np.any(spectrum > 0):
-        raise ValueError("degenerate all-zero spectrum: no signal to detect")
+    """Frequency of the strongest bin, optionally restricted to a band in Hz.
+
+    A NaN or infinite bin in the searched range is rejected: np.argmax returns
+    the first NaN, or else the first inf, so checking the argmax bin suffices.
+    """
     bin_width = sample_rate / fft_size
     lo, hi = 0, spectrum.size - 1
     if band is not None:
@@ -256,12 +220,18 @@ def peak_from_spectrum(
         if lo > hi:
             raise ValueError(f"band {band} contains no FFT bins")
     k = lo + int(np.argmax(spectrum[lo : hi + 1]))
+    if not math.isfinite(spectrum[k]):
+        raise ValueError("spectrum is not finite: the samples hold NaN or inf")
+    if not np.any(spectrum > 0):
+        raise ValueError("degenerate all-zero spectrum: no signal to detect")
     return k * bin_width
 
 
-def detect_peak(rx: ReceiverConfig, wf: Waveform, band: tuple[float, float] | None = None) -> float:
-    """Peak frequency of the waveform in Hz."""
-    return peak_from_spectrum(magnitude_spectrum(rx, wf), wf.sample_rate, rx.fft_size, band)
+def detect_peak(
+    fm: FmConfig, rx: ReceiverConfig, samples: np.ndarray, band: tuple[float, float] | None = None
+) -> float:
+    """Peak frequency of the sampled record in Hz."""
+    return peak_from_spectrum(magnitude_spectrum(rx, samples), fm.sample_rate, rx.fft_size, band)
 
 
 def freq_to_voltage(fm: FmConfig, freq: float) -> float:
@@ -276,5 +246,5 @@ def chain_tone(fm: FmConfig, ch: ChannelSpec, vd: float) -> tuple[float, float, 
 
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, rx: ReceiverConfig, vd: float) -> float:
     """Full chain: one-tone capture seeded by ch.rng_seed, peak detection, back to voltage."""
-    (wf,) = capture(fm, ch, [chain_tone(fm, ch, vd)], ch.rng_seed)
-    return freq_to_voltage(fm, detect_peak(rx, wf))
+    (samples,) = capture(fm, ch, [chain_tone(fm, ch, vd)])
+    return freq_to_voltage(fm, detect_peak(fm, rx, samples))

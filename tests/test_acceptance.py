@@ -205,29 +205,27 @@ def test_criterion_6_fdma_independence():
     mapping = MappingConfig(5.0, 11, 1.0)
     truths = [(0.23, 0.41), (0.71, 0.08), (0.47, 0.86)]
     sensors = [
-        SensorNode(i, mapping, FM, SourceSample(u1 * mapping.v1, u2 * mapping.v2))
+        SensorNode(i, mapping, SourceSample(u1 * mapping.v1, u2 * mapping.v2))
         for i, (u1, u2) in enumerate(truths)
     ]
     plan = assign_channels(3, FM, 5.0)
 
     # no noise: decoded values must match solo runs exactly
-    joint = simulate_cluster(sensors, plan, [NO_NOISE] * 3, RX)
+    joint = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
     exact = True
     for i, sensor in enumerate(sensors):
-        (solo,) = simulate_cluster([sensor], _solo_plan(plan, i), [NO_NOISE], RX)
+        (solo,) = simulate_cluster([sensor], _solo_plan(plan, i), FM, NO_NOISE, RX)
         exact = exact and joint[i].peak_hz == solo.peak_hz and joint[i].decoded == solo.decoded
 
     # matched noise: per-sensor median SDR within 1 dB of solo
     trials = 220
-    snr = ChannelSpec(snr_db=-20.0)
     mse_joint = np.zeros((trials, 3))
     mse_solo = np.zeros((trials, 3))
     for t in range(trials):
-        res_joint = simulate_cluster(sensors, plan, [snr] * 3, RX, seed=t)
+        ch = ChannelSpec(snr_db=-20.0, rng_seed=t)
+        res_joint = simulate_cluster(sensors, plan, FM, ch, RX)
         for i, sensor in enumerate(sensors):
-            (res_solo,) = simulate_cluster(
-                [sensor], _solo_plan(plan, i), [snr], RX, seed=t
-            )
+            (res_solo,) = simulate_cluster([sensor], _solo_plan(plan, i), FM, ch, RX)
             for res, store in ((res_joint[i], mse_joint), (res_solo, mse_solo)):
                 u1, u2 = truths[i]
                 store[t, i] = ((res.decoded.x1_hat / mapping.v1 - u1) ** 2
@@ -267,8 +265,8 @@ def test_criterion_7a_median_sdr_monotone(sdr_sweep_fixed_truth):
 
     # the high-SNR plateau is the quantization-limited ceiling of a noiseless run
     mapping = MappingConfig(5.0, 11, 1.0)
-    sensor = SensorNode(0, mapping, FM, SourceSample(0.37 * mapping.v1, 0.53))
-    (res,) = simulate_cluster([sensor], assign_channels(1, FM, 5.0), [NO_NOISE], RX)
+    sensor = SensorNode(0, mapping, SourceSample(0.37 * mapping.v1, 0.53))
+    (res,) = simulate_cluster([sensor], assign_channels(1, FM, 5.0), FM, NO_NOISE, RX)
     ceiling_mse = (res.decoded.x1_hat / mapping.v1 - 0.37) ** 2 + (
         res.decoded.x2_hat - 0.53
     ) ** 2
@@ -312,16 +310,14 @@ def test_criterion_7b_discrete_sdr_steps():
 
 def test_criterion_7c_diversity_never_hurts():
     mapping = MappingConfig(5.0, 11, 1.0)
-    sensor = SensorNode(0, mapping, FM, SourceSample(0.37 * mapping.v1, 0.53))
+    sensor = SensorNode(0, mapping, SourceSample(0.37 * mapping.v1, 0.53))
     plan = assign_channels(1, FM, 5.0)
-    snr = ChannelSpec(snr_db=-30.0)
     trials = 500
     errs = {1: np.zeros(trials), 2: np.zeros(trials)}
     for antennas in (1, 2):
         for t in range(trials):
-            (res,) = simulate_cluster(
-                [sensor], plan, [snr], RX, antennas=antennas, seed=t
-            )
+            ch = ChannelSpec(snr_db=-30.0, rng_seed=t)
+            (res,) = simulate_cluster([sensor], plan, FM, ch, RX, antennas=antennas)
             errs[antennas][t] = abs(res.vd_hat - res.vd_true)
     med1, med2 = np.median(errs[1]), np.median(errs[2])
     miss1 = float(np.mean(errs[1] > 1e-3))

@@ -1,11 +1,19 @@
 """CLI tests: subcommand outputs, exit codes, error reporting."""
+import argparse
 import json
 
 import pytest
 
 from ajscc import cli
 from ajscc.cli import main
-from ajscc.experiments import ExperimentKind, SourceSpec, SweepResult, SweepRow
+from ajscc.experiments import (
+    CONFIG_KEYS,
+    KIND_KEYS,
+    ExperimentKind,
+    SourceSpec,
+    SweepResult,
+    SweepRow,
+)
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +177,28 @@ class TestConfigContract:
         run_cli(capsys, "sweep-l", "--config", str(cfg_path))
         run_cli(capsys, "sweep-l", "--l-grid", "10:20:5")
         assert runs[0].l_values == runs[1].l_values == (10, 15, 20)
+
+    def test_key_the_kind_ignores_rejected(self, capsys, runs, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("trials=2\nsensor_count=3\n")
+        code, out, err = run_cli(capsys, "sweep-l", "--config", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert "sensor_count" in json.loads(err.strip())["error"]
+        assert runs == []
+
+    def test_every_flag_sets_a_key_its_kind_honours(self):
+        subparsers = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        kinds = {
+            "sweep-l": ExperimentKind.MSE_VS_L,
+            "sdr-sweep": ExperimentKind.SDR_VS_CSNR,
+            "cluster": ExperimentKind.CLUSTER_DEMO,
+            "selftest": ExperimentKind.ROUND_TRIP,
+        }
+        for command, kind in kinds.items():
+            keys = {a.dest for a in subparsers.choices[command]._actions} & set(CONFIG_KEYS)
+            assert keys and keys <= KIND_KEYS[kind], command
 
     def test_cluster_keeps_its_defaults(self, capsys, runs):
         code, _, _ = run_cli(capsys, "cluster")

@@ -11,6 +11,7 @@ from ajscc.circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from ajscc.experiments import (
     CONFIG_KEYS,
     CSV_HEADER,
+    KIND_KEYS,
     CheckResult,
     ExperimentConfig,
     ExperimentKind,
@@ -60,6 +61,15 @@ class TestConfigValidation:
             SourceSpec(kind="gaussian")
         with pytest.raises(ValueError):
             SourceSpec(kind="fixed", x1=1.5)
+
+    def test_uniform_source_takes_no_coordinates(self):
+        for coords in ({"x1": 0.3}, {"x2": 0.3}, {"x1": 0.5, "x2": 0.5}):
+            with pytest.raises(ValueError, match="uniform"):
+                SourceSpec("uniform", **coords)
+        assert SourceSpec() == SourceSpec("uniform", None, None)
+        # a fixed source fills a coordinate it is not given with 0.5
+        assert (SourceSpec("fixed", x1=0.25).x1, SourceSpec("fixed", x1=0.25).x2) == (0.25, 0.5)
+        assert SourceSpec("fixed").draw(np.random.default_rng(0)) == (0.5, 0.5)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -417,6 +427,23 @@ class TestConfigFile:
             config_from_mapping({"kind": "mse-vs-l", "bogus": "1"})
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"kind": "mse-vs-l", "output_format": "json"})
+
+    def test_keys_a_kind_ignores_rejected(self):
+        # one parsable value per key that some kind ignores
+        values = {
+            "num_levels": "11", "snr_values": "-20", "sensor_count": "2", "antennas": "2",
+            "guard_hz": "500", "gain_error": "0.1", "offset_error": "0.1", "l_values": "5",
+            "snr_db": "-10", "source_kind": "fixed", "source_x1": "0.2", "source_x2": "0.2",
+            "workers": "2", "trials": "3",
+        }
+        for kind, honoured in KIND_KEYS.items():
+            ignored = sorted(set(CONFIG_KEYS) - honoured)
+            assert ignored, kind
+            for key in ignored:
+                with pytest.raises(ValueError, match=f"ignores key.*{key}"):
+                    config_from_mapping({key: values[key]}, kind)
+            for key in sorted(honoured & set(values)):
+                config_from_mapping({key: values[key]}, kind)
 
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError):

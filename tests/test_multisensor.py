@@ -1,15 +1,17 @@
 """FDMA cluster tests: band plans, joint capture, solo equivalence, diversity."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ajscc.mapping import MappingConfig, SourceSample
+from ajscc.mapping import MappingConfig, SourceSample, encode
 from ajscc.multisensor import (
     FdmaPlan,
     SensorNode,
     assign_channels,
-    build_capture,
     diversity_combine,
     simulate_cluster,
 )
@@ -17,6 +19,7 @@ from ajscc.signal_chain import (
     ChannelSpec,
     FmConfig,
     ReceiverConfig,
+    capture,
     magnitude_spectrum,
     peak_from_spectrum,
 )
@@ -24,14 +27,26 @@ from ajscc.signal_chain import (
 FM = FmConfig()
 RX = ReceiverConfig()
 CODEC = MappingConfig(5.0, 11, 1.0)
+NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 
 def make_sensors(truths):
-    return [SensorNode(i, CODEC, FM, SourceSample(*t)) for i, t in enumerate(truths)]
+    return [SensorNode(i, CODEC, SourceSample(*t)) for i, t in enumerate(truths)]
 
 
-def no_noise(n):
-    return [ChannelSpec(snr_db=math.inf) for _ in range(n)]
+def oracle_peaks(sensors, plan, ch, antennas):
+    """Band argmaxes of the combined spectra of a capture of tones built here, in id order."""
+    order = sorted(range(len(sensors)), key=lambda i: sensors[i].id)
+    tones = []
+    for i in order:
+        vd = encode(sensors[i].mapping, sensors[i].truth.x1, sensors[i].truth.x2)
+        tones.append((plan.offsets[i] + FM.scale * vd, ch.gain * FM.amplitude, ch.phase))
+    spectra = [magnitude_spectrum(RX, y) for y in capture(FM, ch, tones, antennas)]
+    combined = spectra[0] if antennas == 1 else diversity_combine(spectra)
+    return [
+        peak_from_spectrum(combined, FM.sample_rate, RX.fft_size, plan.band(i))
+        for i in range(len(sensors))
+    ]
 
 
 class TestAssignChannels:
@@ -72,79 +87,87 @@ class TestFdmaPlan:
 
 
 class TestCapture:
-    def test_antenna_waveforms_share_geometry(self):
+    def test_noiseless_antennas_match_one_antenna(self):
         sensors = make_sensors([(0.2, 0.3), (0.1, 0.8)])
         plan = assign_channels(2, FM, 5.0)
-        waveforms = build_capture(sensors, plan, no_noise(2), antennas=3, seed=5)
-        assert len(waveforms) == 3
-        assert len({len(w) for w in waveforms}) == 1
+        one = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
+        assert simulate_cluster(sensors, plan, FM, NO_NOISE, RX, antennas=3) == one
 
     def test_noiseless_capture_is_tone_sum(self):
+        # a sensor at the origin is a unit cosine at its band offset
         sensors = make_sensors([(0.0, 0.0)])
         plan = assign_channels(1, FM, 5.0)
-        waveforms = build_capture(sensors, plan, no_noise(1))
+        (res,) = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
         n = np.arange(FM.num_samples)
-        expected = np.cos(2 * np.pi * 1000.0 / 65536.0 * n)
-        assert np.allclose(waveforms[0].samples, expected, atol=1e-12)
-
-    def test_mixed_snr_rejected(self):
-        sensors = make_sensors([(0.2, 0.3), (0.1, 0.8)])
-        plan = assign_channels(2, FM, 5.0)
-        chans = [ChannelSpec(snr_db=-10.0), ChannelSpec(snr_db=-20.0)]
-        with pytest.raises(ValueError):
-            build_capture(sensors, plan, chans)
+        spectrum = magnitude_spectrum(RX, np.cos(2 * np.pi * 1000.0 / 65536.0 * n))
+        assert res.peak_hz == peak_from_spectrum(spectrum, FM.sample_rate, RX.fft_size) == 1000.0
+        assert res.vd_hat == res.vd_true == 0.0
 
     def test_duplicate_ids_rejected(self):
         sensors = [
-            SensorNode(1, CODEC, FM, SourceSample(0.1, 0.1)),
-            SensorNode(1, CODEC, FM, SourceSample(0.2, 0.2)),
+            SensorNode(1, CODEC, SourceSample(0.1, 0.1)),
+            SensorNode(1, CODEC, SourceSample(0.2, 0.2)),
         ]
         plan = assign_channels(2, FM, 5.0)
         with pytest.raises(ValueError):
-            build_capture(sensors, plan, no_noise(2))
+            simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
 
-    def test_channel_rng_seed_rejected(self):
-        # the capture is seeded by its seed argument; a channel seed would be ignored
-        sensors = make_sensors([(0.2, 0.4)])
-        plan = assign_channels(1, FM, 5.0)
-        chans = [ChannelSpec(snr_db=-20.0, rng_seed=1)]
-        with pytest.raises(ValueError, match="rng_seed"):
-            build_capture(sensors, plan, chans, seed=5)
-        with pytest.raises(ValueError, match="rng_seed"):
-            simulate_cluster(sensors, plan, chans, RX, seed=5)
+    def test_channel_gain_phase_and_seed_reach_capture(self):
+        # at -35 dB the band argmaxes move with every channel field, so a
+        # field the cluster dropped would break the match with the oracle
+        sensors = make_sensors([(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)])
+        plan = assign_channels(3, FM, 5.0)
+        base = ChannelSpec(snr_db=-35.0, rng_seed=3)
+        variants = [
+            dataclasses.replace(base, rng_seed=4),
+            dataclasses.replace(base, gain=3.0),
+            dataclasses.replace(base, phase=1.0),
+        ]
+        peaks = {}
+        for ch in [base, *variants]:
+            peaks[ch] = [r.peak_hz for r in simulate_cluster(sensors, plan, FM, ch, RX)]
+            assert peaks[ch] == oracle_peaks(sensors, plan, ch, 1)
+        for ch in variants:
+            assert peaks[ch] != peaks[base]
 
 
 class TestSimulateCluster:
     def test_single_sensor_roundtrip(self):
         sensors = make_sensors([(0.21, 0.58)])
         plan = assign_channels(1, FM, 5.0)
-        (res,) = simulate_cluster(sensors, plan, no_noise(1), RX)
+        (res,) = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
         assert abs(res.vd_hat - res.vd_true) <= 0.5 / FM.scale + 1e-9
         assert abs(res.decoded.x1_hat - 0.21) <= 0.5 / FM.scale + 1e-9
 
-    def test_peak_is_band_argmax_of_combined_spectrum(self):
-        sensors = make_sensors([(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)])
-        plan = assign_channels(3, FM, 5.0)
-        chans = [ChannelSpec(snr_db=-20.0) for _ in range(3)]
-        results = simulate_cluster(sensors, plan, chans, RX, antennas=2, seed=4)
-        waveforms = build_capture(sensors, plan, chans, antennas=2, seed=4)
-        combined = diversity_combine([magnitude_spectrum(RX, wf) for wf in waveforms])
-        for i, res in enumerate(results):
-            band = plan.band(i)
-            assert res.peak_hz == peak_from_spectrum(combined, FM.sample_rate, RX.fft_size, band)
+    @given(
+        truths=st.lists(
+            st.tuples(st.floats(0.0, CODEC.v1), st.floats(0.0, CODEC.v2)), min_size=1, max_size=5
+        ),
+        antennas=st.integers(1, 3),
+        snr_db=st.sampled_from([math.inf, -20.0, -30.0]),
+        rng_seed=st.integers(0, 2**62),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_peak_is_band_argmax_of_combined_spectrum(self, truths, antennas, snr_db, rng_seed):
+        sensors = make_sensors(truths)
+        plan = assign_channels(len(sensors), FM, 5.0)
+        ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
+        results = simulate_cluster(sensors, plan, FM, ch, RX, antennas=antennas)
+        assert [r.peak_hz for r in results] == oracle_peaks(sensors, plan, ch, antennas)
+        assert [r.sensor_id for r in results] == [s.id for s in sensors]
 
     def test_three_sensors_noiseless_match_solo_runs(self):
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
         sensors = make_sensors(truths)
         plan = assign_channels(3, FM, 5.0)
-        joint = simulate_cluster(sensors, plan, no_noise(3), RX)
+        joint = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
         for i, sensor in enumerate(sensors):
             solo_plan = FdmaPlan(
                 offsets=(plan.offsets[i],),
                 guard_hz=plan.guard_hz,
                 band_width_hz=plan.band_width_hz,
             )
-            (solo,) = simulate_cluster([sensor], solo_plan, no_noise(1), RX)
+            (solo,) = simulate_cluster([sensor], solo_plan, FM, NO_NOISE, RX)
             assert joint[i].peak_hz == solo.peak_hz
             assert joint[i].vd_hat == solo.vd_hat
             assert joint[i].decoded == solo.decoded
@@ -153,21 +176,15 @@ class TestSimulateCluster:
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
         sensors = make_sensors(truths)
         plan = assign_channels(3, FM, 5.0)
-        chans = [ChannelSpec(snr_db=-20.0) for _ in range(3)]
-        direct = simulate_cluster(sensors, plan, chans, RX, seed=9)
+        ch = ChannelSpec(snr_db=-20.0, rng_seed=9)
+        direct = simulate_cluster(sensors, plan, FM, ch, RX)
         order = [2, 0, 1]
         permuted_plan = FdmaPlan(
             offsets=tuple(plan.offsets[i] for i in order),
             guard_hz=plan.guard_hz,
             band_width_hz=plan.band_width_hz,
         )
-        permuted = simulate_cluster(
-            [sensors[i] for i in order],
-            permuted_plan,
-            [chans[i] for i in order],
-            RX,
-            seed=9,
-        )
+        permuted = simulate_cluster([sensors[i] for i in order], permuted_plan, FM, ch, RX)
         by_id_direct = {r.sensor_id: r for r in direct}
         for res in permuted:
             ref = by_id_direct[res.sensor_id]
@@ -179,14 +196,14 @@ class TestSimulateCluster:
         sensors = make_sensors([(0.1, 0.1), (0.2, 0.2)])
         plan = assign_channels(3, FM, 5.0)
         with pytest.raises(ValueError):
-            simulate_cluster(sensors, plan, no_noise(2), RX)
+            simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
 
     def test_sensor_wider_than_its_band_rejected(self):
         wide = MappingConfig(8.0, 11, 1.0)  # 8 kHz of tones in a 5 kHz band
-        sensors = [SensorNode(0, wide, FM, SourceSample(0.1, 0.1))]
+        sensors = [SensorNode(0, wide, SourceSample(0.1, 0.1))]
         plan = assign_channels(1, FM, 5.0)
         with pytest.raises(ValueError, match="wider"):
-            simulate_cluster(sensors, plan, no_noise(1), RX)
+            simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
 
 
 class TestDiversity:
@@ -212,13 +229,11 @@ class TestDiversity:
         # at -30 dB single captures miss the tone peak noticeably more often
         sensors = make_sensors([(0.37, 0.53)])
         plan = assign_channels(1, FM, 5.0)
-        chans = [ChannelSpec(snr_db=-30.0)]
         misses = {1: 0, 2: 0}
         for antennas in (1, 2):
             for trial in range(100):
-                (res,) = simulate_cluster(
-                    sensors, plan, chans, RX, antennas=antennas, seed=trial
-                )
+                ch = ChannelSpec(snr_db=-30.0, rng_seed=trial)
+                (res,) = simulate_cluster(sensors, plan, FM, ch, RX, antennas=antennas)
                 if abs(res.vd_hat - res.vd_true) > 1e-3:
                     misses[antennas] += 1
         assert misses[2] <= misses[1]

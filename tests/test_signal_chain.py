@@ -1,4 +1,5 @@
 """Transmission chain tests: tone-sum capture, channel statistics, peak detection."""
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from ajscc.signal_chain import (
     ChannelSpec,
     FmConfig,
     ReceiverConfig,
-    Waveform,
     capture,
     channel_noise,
     detect_peak,
@@ -28,30 +28,30 @@ NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 
 def fm_tone(fm, vd):
-    """The noiseless FM waveform of voltage vd: one zero-phase tone at scale*vd Hz."""
-    return capture(fm, ChannelSpec(), [(fm.scale * vd, fm.amplitude, 0.0)], 0)[0]
+    """The noiseless FM samples of voltage vd: one zero-phase tone at scale*vd Hz."""
+    return capture(fm, ChannelSpec(), [(fm.scale * vd, fm.amplitude, 0.0)])[0]
 
 
 class TestFmModulate:
     def test_record_geometry(self):
         wf = fm_tone(FM, 2.5)
-        assert len(wf) == 65536
-        assert wf.sample_rate == 65536.0
+        assert wf.shape == (65536,)
+        assert wf.dtype == np.float64
 
     def test_mid_range_tone_frequency(self):
-        assert detect_peak(RX, fm_tone(FM, 2.5)) == 2500.0
+        assert detect_peak(FM, RX, fm_tone(FM, 2.5)) == 2500.0
 
     def test_zero_voltage_is_dc(self):
         wf = fm_tone(FM, 0.0)
-        assert np.allclose(wf.samples, 1.0)
-        assert detect_peak(RX, wf) == 0.0
+        assert np.allclose(wf, 1.0)
+        assert detect_peak(FM, RX, wf) == 0.0
 
     def test_top_of_range(self):
-        assert detect_peak(RX, fm_tone(FM, 5.0)) == 5000.0
+        assert detect_peak(FM, RX, fm_tone(FM, 5.0)) == 5000.0
 
     def test_amplitude_scaling(self):
         fm = FmConfig(amplitude=0.25)
-        assert np.max(np.abs(fm_tone(fm, 1.0).samples)) <= 0.25 + 1e-12
+        assert np.max(np.abs(fm_tone(fm, 1.0))) <= 0.25 + 1e-12
 
     def test_nyquist_violation_rejected(self):
         with pytest.raises(ValueError):
@@ -86,37 +86,37 @@ class TestCapture:
 
     def test_noiseless_is_explicit_tone_sum(self):
         tones = [(1234.0, 0.5, 0.3), (5678.9, 1.5, -1.1), (20000.25, 0.75, 2.0)]
-        (wf,) = capture(FM, NO_NOISE, tones, seed=3)
+        (wf,) = capture(FM, NO_NOISE, tones)
         expected = tones[0][1] * tone(tones[0][0], tones[0][2])
         for freq, amplitude, phase in tones[1:]:
             expected += amplitude * tone(freq, phase)
-        assert np.array_equal(wf.samples, expected)
+        assert np.array_equal(wf, expected)
 
     def test_noise_is_sigma_times_seeded_normal(self):
         tones = [(1500.0, 1.0, 0.0), (9000.5, 0.5, 0.4)]
-        ch = ChannelSpec(snr_db=-7.0)
+        ch = ChannelSpec(snr_db=-7.0, rng_seed=99)
         sigma = noise_sigma(ch)
-        (clean,) = capture(FM, NO_NOISE, tones, seed=99)
-        noisy = capture(FM, ch, tones, seed=99, antennas=3)
+        (clean,) = capture(FM, NO_NOISE, tones)
+        noisy = capture(FM, ch, tones, antennas=3)
         for a, wf in enumerate(noisy):
             rng = np.random.default_rng(np.random.SeedSequence([99, a]))
             z = rng.standard_normal(FM.num_samples)
-            assert np.array_equal(wf.samples, clean.samples + sigma * z)
+            assert np.array_equal(wf, clean + sigma * z)
 
     def test_noiseless_antennas_are_equal_copies(self):
-        caps = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.0)], seed=0, antennas=2)
-        assert np.array_equal(caps[0].samples, caps[1].samples)
-        assert caps[0].samples is not caps[1].samples
+        caps = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.0)], antennas=2)
+        assert np.array_equal(caps[0], caps[1])
+        assert caps[0] is not caps[1]
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            capture(FM, NO_NOISE, [(2500.0, 1.0, 0.0)], seed=0, antennas=0)
+            capture(FM, NO_NOISE, [(2500.0, 1.0, 0.0)], antennas=0)
         with pytest.raises(ValueError):
-            capture(FM, NO_NOISE, [], seed=0)
+            capture(FM, NO_NOISE, [])
         with pytest.raises(ValueError):
-            capture(FM, NO_NOISE, [(FM.sample_rate / 2, 1.0, 0.0)], seed=0)
+            capture(FM, NO_NOISE, [(FM.sample_rate / 2, 1.0, 0.0)])
         with pytest.raises(ValueError):
-            capture(FM, NO_NOISE, [(math.nan, 1.0, 0.0)], seed=0)
+            capture(FM, NO_NOISE, [(math.nan, 1.0, 0.0)])
 
     def test_non_finite_tone_parameters_rejected(self):
         # capture builds its samples without scanning them, so every tone
@@ -129,24 +129,16 @@ class TestCapture:
             [(2500.0, 1e308, 0.0), (3500.0, -1e308, 0.0)],
         ]:
             with pytest.raises(ValueError):
-                capture(FM, NO_NOISE, bad, seed=0)
-
-    def test_direct_waveform_samples_must_be_finite(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                Waveform(np.array([0.0, bad, 1.0]), FM.sample_rate)
-        with pytest.raises(ValueError):
-            Waveform(np.array([]), FM.sample_rate)
-        assert len(Waveform([0.0, 1.0], FM.sample_rate)) == 2
+                capture(FM, NO_NOISE, bad)
 
     def test_channel_noise_is_the_capture_noise(self):
-        ch = ChannelSpec(snr_db=-13.0)
+        ch = ChannelSpec(snr_db=-13.0, rng_seed=21)
         tones = [(700.0, 1.0, 0.0)]
-        (clean,) = capture(FM, NO_NOISE, tones, seed=21)
-        noisy = capture(FM, ch, tones, seed=21, antennas=2)
+        (clean,) = capture(FM, NO_NOISE, tones)
+        noisy = capture(FM, ch, tones, antennas=2)
         for a, wf in enumerate(noisy):
-            assert np.array_equal(wf.samples, clean.samples + channel_noise(FM, ch, 21, a))
-        assert not np.any(channel_noise(FM, NO_NOISE, 21))
+            assert np.array_equal(wf, clean + channel_noise(FM, ch, a))
+        assert not np.any(channel_noise(FM, ChannelSpec(rng_seed=21)))
 
 
 # closed-form bins agree with np.fft.rfft of the synthesized tone to this
@@ -173,8 +165,8 @@ class TestToneBins:
         fm = FmConfig(sample_rate=float(sample_rate), record_seconds=num_samples / sample_rate)
         rx = ReceiverConfig(fft_size=fft_size)
         tone = (freq_frac * fm.sample_rate / 2, amplitude, phase)
-        (wf,) = capture(fm, NO_NOISE, [tone], seed=0)
-        expected = np.fft.rfft(wf.samples[:fft_size])
+        (wf,) = capture(fm, NO_NOISE, [tone])
+        expected = np.fft.rfft(wf[:fft_size])
         got = tone_bins(fm, rx, tone, np.arange(fft_size // 2 + 1))
         assert np.max(np.abs(got - expected)) <= TONE_BINS_TOL * amplitude * fft_size
 
@@ -193,8 +185,8 @@ class TestToneBins:
 
 class TestChannel:
     def test_no_noise_unity_gain_is_identity(self):
-        (wf,) = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.0)], seed=0)
-        assert np.array_equal(wf.samples, tone(2500.0))
+        (wf,) = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.0)])
+        assert np.array_equal(wf, tone(2500.0))
 
     def test_snr_sets_noise_variance(self):
         assert noise_sigma(ChannelSpec(snr_db=-20.0)) == pytest.approx(10.0)
@@ -202,30 +194,30 @@ class TestChannel:
     def test_noise_variance_matches_convention(self):
         # 2% tolerance on the measured variance over 2^20 samples
         fm = FmConfig(record_seconds=16.0)
-        ch = ChannelSpec(snr_db=-20.0)
-        (wf,) = capture(fm, ch, [(2500.0, 0.0, 0.0)], seed=42)
-        assert np.var(wf.samples) == pytest.approx(100.0, rel=0.02)
+        ch = ChannelSpec(snr_db=-20.0, rng_seed=42)
+        (wf,) = capture(fm, ch, [(2500.0, 0.0, 0.0)])
+        assert np.var(wf) == pytest.approx(100.0, rel=0.02)
 
     def test_deterministic_per_seed(self):
-        ch = ChannelSpec(snr_db=-20.0)
+        ch = ChannelSpec(snr_db=-20.0, rng_seed=123)
         tones = [(1700.0, 1.0, 0.0)]
-        (a,) = capture(FM, ch, tones, seed=123)
-        (b,) = capture(FM, ch, tones, seed=123)
-        assert np.array_equal(a.samples, b.samples)
-        (c,) = capture(FM, ch, tones, seed=124)
-        assert not np.array_equal(a.samples, c.samples)
+        (a,) = capture(FM, ch, tones)
+        (b,) = capture(FM, ch, tones)
+        assert np.array_equal(a, b)
+        (c,) = capture(FM, dataclasses.replace(ch, rng_seed=124), tones)
+        assert not np.array_equal(a, c)
 
     def test_gain_scales_signal(self):
-        (wf,) = capture(FM, NO_NOISE, [(2500.0, 0.5, 0.0)], seed=0)
-        assert np.allclose(wf.samples, 0.5 * fm_tone(FM, 2.5).samples)
+        (wf,) = capture(FM, NO_NOISE, [(2500.0, 0.5, 0.0)])
+        assert np.allclose(wf, 0.5 * fm_tone(FM, 2.5))
         half = ChannelSpec(gain=0.5)
         assert transmit_receive(FM, half, RX, 2.5) == 2.5
 
     def test_phase_shift_on_tone(self):
-        (wf,) = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.7)], seed=0)
+        (wf,) = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.7)])
         n = np.arange(len(wf))
         expected = np.cos(2 * np.pi * 2500.0 / 65536.0 * n + 0.7)
-        assert np.allclose(wf.samples, expected, atol=1e-9)
+        assert np.allclose(wf, expected, atol=1e-9)
 
     def test_phase_shift_preserves_peak(self):
         assert transmit_receive(FM, ChannelSpec(phase=1.2), RX, 2.5) == 2.5
@@ -233,11 +225,11 @@ class TestChannel:
     def test_phase_is_synthesis_phase_off_bin(self):
         # phase enters the cosine argument, cos(wn + phase), for any tone
         # frequency; an off-bin tone is not phase-shifted in the FFT domain
-        (wf,) = capture(FM, NO_NOISE, [(2345.6, 1.0, 0.9)], seed=0)
+        (wf,) = capture(FM, NO_NOISE, [(2345.6, 1.0, 0.9)])
         n = np.arange(len(wf))
         expected = np.cos(2 * np.pi * 2345.6 / 65536.0 * n + 0.9)
-        assert np.allclose(wf.samples, expected, atol=1e-12)
-        assert wf.samples[0] == pytest.approx(math.cos(0.9), abs=1e-15)
+        assert np.allclose(wf, expected, atol=1e-12)
+        assert wf[0] == pytest.approx(math.cos(0.9), abs=1e-15)
         assert transmit_receive(FM, ChannelSpec(phase=0.9), RX, 2.3456) == 2.346
 
     def test_bad_specs_rejected(self):
@@ -251,15 +243,24 @@ class TestChannel:
 
 class TestPeakDetection:
     def test_off_bin_tone_snaps_to_nearest_bin(self):
-        assert detect_peak(RX, fm_tone(FM, 2.5004)) == 2500.0
+        assert detect_peak(FM, RX, fm_tone(FM, 2.5004)) == 2500.0
 
     def test_all_zero_waveform_flagged(self):
         with pytest.raises(ValueError, match="degenerate"):
-            detect_peak(RX, Waveform(np.zeros(65536), 65536.0))
+            detect_peak(FM, RX, np.zeros(65536))
 
     def test_short_waveform_rejected(self):
         with pytest.raises(ValueError):
-            detect_peak(RX, Waveform(np.ones(1024), 65536.0))
+            detect_peak(FM, RX, np.ones(1024))
+
+    def test_non_finite_samples_rejected(self):
+        # samples from outside capture are not scanned; a NaN or inf makes
+        # the spectrum non-finite, which the peak search rejects
+        for bad in (math.nan, math.inf, -math.inf):
+            samples = fm_tone(FM, 2.5)
+            samples[1234] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                detect_peak(FM, RX, samples)
 
     def test_band_restriction(self):
         spectrum = np.zeros(101)
@@ -328,8 +329,7 @@ class TestEndToEnd:
         sigma = noise_sigma(ChannelSpec(snr_db=-35.0))
         for seed in range(5):
             noise = np.random.default_rng(seed).normal(0.0, sigma, FM.num_samples)
-            rx = Waveform(tone(3210.0) + noise, FM.sample_rate)
-            expected = freq_to_voltage(FM, detect_peak(RX, rx))
+            expected = freq_to_voltage(FM, detect_peak(FM, RX, tone(3210.0) + noise))
             got = transmit_receive(FM, ChannelSpec(snr_db=-35.0, rng_seed=seed), RX, 3.21)
             assert got == expected
 
