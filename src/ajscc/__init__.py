@@ -13,7 +13,6 @@ from .mapping import (
     DecodedPair,
     MappingConfig,
     Quantizer,
-    SourceSample,
     decode,
     encode,
     quantize_level,
@@ -25,7 +24,6 @@ from .circuit import (
     circuit_encode,
     equivalent_mapping,
     estimate_power,
-    prototype_config,
 )
 from .signal_chain import (
     ChannelSpec,
@@ -38,7 +36,6 @@ from .signal_chain import (
 )
 from .multisensor import (
     FdmaPlan,
-    SensorNode,
     SensorResult,
     assign_channels,
     diversity_combine,

@@ -22,7 +22,6 @@ __all__ = [
     "CircuitConfig",
     "ComponentBudget",
     "PROTOTYPE_BUDGET",
-    "prototype_config",
     "default_thresholds",
     "circuit_encode",
     "equivalent_mapping",
@@ -45,6 +44,7 @@ def default_thresholds(num_levels: int, delta_h: float, quantizer: Quantizer) ->
 class CircuitConfig:
     """Behavioral parameters of the level-summing encoder.
 
+    The defaults are the 11-level, 0.3 V spacing prototype board, and
     thresholds defaults to the placement implied by the quantizer mode; pass an
     explicit tuple to model comparator offset errors.  gain_error and
     offset_error perturb the VCVS outputs (affine, clamped at the mux inputs).
@@ -137,11 +137,6 @@ def equivalent_mapping(cfg: CircuitConfig) -> MappingConfig:
         v2=cfg.vh_max,
         quantizer=cfg.quantizer,
     )
-
-
-def prototype_config(quantizer: Quantizer = Quantizer.FLOOR) -> CircuitConfig:
-    """The 11-level, 0.3 V spacing board configuration."""
-    return CircuitConfig(num_levels=11, delta_h=0.3, quantizer=quantizer)
 
 
 @dataclass(frozen=True)

@@ -193,11 +193,12 @@ def _run(args: argparse.Namespace) -> int:
     elif args.command == "sdr-sweep":
         _emit_result(run_sdr_vs_csnr(_config(args, ExperimentKind.SDR_VS_CSNR)), args)
     elif args.command == "cluster":
-        for res in run_cluster_demo(_config(args, ExperimentKind.CLUSTER_DEMO)):
+        results = run_cluster_demo(_config(args, ExperimentKind.CLUSTER_DEMO))
+        for sensor_id, res in enumerate(results):
             print(
                 json.dumps(
                     {
-                        "sensor_id": res.sensor_id,
+                        "sensor_id": sensor_id,
                         "vd_true": res.vd_true,
                         "vd_hat": res.vd_hat,
                         "peak_hz": res.peak_hz,

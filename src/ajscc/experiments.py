@@ -8,8 +8,11 @@ Reproducibility: every trial draws from a generator seeded by
 SeedSequence([master_seed, trial]) (and [..., antenna] for capture noise),
 so results depend only on the configuration and never on scheduling or the
 worker count.  Trial streams are common to all sweep points (common random
-numbers), which stabilizes the location of the sweep minimum.  The level
-sweep also shares the work: a trial's noise is drawn and transformed once,
+numbers), which stabilizes the location of the sweep minimum.  Both sweeps
+hand workers contiguous chunks of trials (``_map_trials``); each worker runs
+every sweep point of its trials, and the parent reduces in trial order, so
+the output bytes do not depend on the worker count.  The level sweep also
+shares the work: a trial's noise is drawn and transformed once,
 and every level count adds its tone's spectrum to it in closed form (see
 ``_window_peak``), falling back to the full chain where that cannot prove
 the chain's peak.
@@ -29,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import CircuitConfig, circuit_encode, equivalent_mapping
-from .mapping import MappingConfig, Quantizer, SourceSample, decode, encode
+from .mapping import MappingConfig, Quantizer, decode, encode
 from .metrics import sdr
-from .multisensor import FdmaPlan, SensorNode, SensorResult, assign_channels, simulate_cluster
+from .multisensor import FdmaPlan, SensorResult, assign_channels, simulate_cluster
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
@@ -184,14 +187,21 @@ def _finish(kind: ExperimentKind, rows: list[SweepRow], details: dict) -> SweepR
     )
 
 
-def _map_points(cfg: ExperimentConfig, params, point_fn):
-    if cfg.workers == 1:
-        return [point_fn(cfg, p) for p in params]
+def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
+    """trial_fn(cfg, trials) over contiguous chunks of the trials, one chunk per worker.
+
+    trial_fn returns one result per trial of its range; the results come back
+    in trial order, whatever the worker count.
+    """
+    step = -(-cfg.trials // cfg.workers)
+    chunks = [range(a, min(a + step, cfg.trials)) for a in range(0, cfg.trials, step)]
+    if len(chunks) == 1:
+        return trial_fn(cfg, chunks[0])
     # imported here: serial runs never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(partial(point_fn, cfg), params))
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [result for chunk in pool.map(partial(trial_fn, cfg), chunks) for result in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +288,17 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
 def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
     """Sweep the level count: uniform sources, the full chain's peak decisions, normalized mean MSE.
 
-    Workers take contiguous chunks of trials; the per-L sums run in trial
-    order, so the rows do not depend on the worker count.
+    The per-L sums run in trial order, so the rows do not depend on the
+    worker count.
     """
     if cfg.kind is not ExperimentKind.MSE_VS_L:
         raise ValueError(f"config kind is {cfg.kind}, expected MSE_VS_L")
-    step = -(-cfg.trials // cfg.workers)
-    chunks = [range(a, min(a + step, cfg.trials)) for a in range(0, cfg.trials, step)]
     sum1 = [0.0] * len(cfg.l_values)
     sum2 = [0.0] * len(cfg.l_values)
-    for chunk in _map_points(cfg, chunks, _level_errors):
-        for row in chunk:
-            for j, (e1, e2) in enumerate(row):
-                sum1[j] += e1
-                sum2[j] += e2
+    for row in _map_trials(cfg, _level_errors):
+        for j, (e1, e2) in enumerate(row):
+            sum1[j] += e1
+            sum2[j] += e2
     rows = []
     for num_levels, s1, s2 in zip(cfg.l_values, sum1, sum2):
         m1, m2 = s1 / cfg.trials, s2 / cfg.trials
@@ -319,61 +326,71 @@ def _cluster_trial(
     rng = _trial_rng(cfg.master_seed, trial)
     draws = [cfg.source.draw(rng) for _ in range(cfg.sensor_count)]
     capture_seed = int(rng.integers(0, 2**62))
-    sensors = [
-        SensorNode(id=i, mapping=mapping, truth=SourceSample(u1 * mapping.v1, u2 * mapping.v2))
-        for i, (u1, u2) in enumerate(draws)
-    ]
+    truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
     channel = ChannelSpec(snr_db=snr_db, rng_seed=capture_seed)
     results = simulate_cluster(
-        sensors, plan, cfg.fm, channel, cfg.receiver, antennas=cfg.antennas
+        mapping, truths, plan, cfg.fm, channel, cfg.receiver, antennas=cfg.antennas
     )
     return draws, results
 
 
-def _sdr_point(cfg: ExperimentConfig, snr_db: float) -> tuple[SweepRow, dict]:
+def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
+    """Per trial, an (SNR point, sensor, quantity) array of x1 error, x2 error, x2_hat, |vd error|.
+
+    The errors are squared and normalized to the codec ranges.
+    """
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
-    n = cfg.sensor_count
-    per_trial_mse = np.zeros((cfg.trials, n))
-    per_trial_mse_x1 = np.zeros((cfg.trials, n))
-    per_trial_mse_x2 = np.zeros((cfg.trials, n))
-    per_trial_x2_hat = np.zeros((cfg.trials, n))
-    per_trial_vd_err = np.zeros((cfg.trials, n))
-    for trial in range(cfg.trials):
-        draws, results = _cluster_trial(cfg, plan, mapping, snr_db, trial)
-        for i, res in enumerate(results):
-            u1, u2 = draws[i]
-            e1 = (res.decoded.x1_hat / mapping.v1 - u1) ** 2
-            e2 = (res.decoded.x2_hat / mapping.v2 - u2) ** 2
-            per_trial_mse_x1[trial, i] = e1
-            per_trial_mse_x2[trial, i] = e2
-            per_trial_mse[trial, i] = e1 + e2
-            per_trial_x2_hat[trial, i] = res.decoded.x2_hat
-            per_trial_vd_err[trial, i] = abs(res.vd_hat - res.vd_true)
-    mean_mse = float(per_trial_mse.mean())
-    row = SweepRow(
-        param=float(snr_db),
-        mean_mse=mean_mse,
-        mean_sdr_db=sdr(mean_mse),
-        mse_x1=float(per_trial_mse_x1.mean()),
-        mse_x2=float(per_trial_mse_x2.mean()),
-        trials=cfg.trials,
-    )
-    detail = {
-        "per_trial_mse": per_trial_mse,
-        "per_trial_x2_hat": per_trial_x2_hat,
-        "per_trial_vd_err": per_trial_vd_err,
-    }
-    return row, detail
+    per_trial = []
+    for trial in trials:
+        points = []
+        for snr_db in cfg.snr_values:
+            draws, results = _cluster_trial(cfg, plan, mapping, snr_db, trial)
+            points.append(
+                [
+                    (
+                        (res.decoded.x1_hat / mapping.v1 - u1) ** 2,
+                        (res.decoded.x2_hat / mapping.v2 - u2) ** 2,
+                        res.decoded.x2_hat,
+                        abs(res.vd_hat - res.vd_true),
+                    )
+                    for (u1, u2), res in zip(draws, results)
+                ]
+            )
+        per_trial.append(np.array(points))
+    return per_trial
 
 
 def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:
-    """Sweep channel SNR for sensor_count FDMA sensors; details hold per-trial data."""
+    """Sweep channel SNR for sensor_count FDMA sensors; details hold per-trial data.
+
+    details maps each SNR to (trials, sensors) arrays ``per_trial_mse``,
+    ``per_trial_x2_hat`` and ``per_trial_vd_err``.
+    """
     if cfg.kind is not ExperimentKind.SDR_VS_CSNR:
         raise ValueError(f"config kind is {cfg.kind}, expected SDR_VS_CSNR")
-    pairs = _map_points(cfg, cfg.snr_values, _sdr_point)
-    rows = [row for row, _ in pairs]
-    details = {row.param: det for row, det in pairs}
+    # (SNR point, quantity, trial, sensor): every mean below runs over a
+    # contiguous (trials, sensors) array, which fixes its summation order
+    per_point = np.array(_map_trials(cfg, _sdr_trials)).transpose(1, 3, 0, 2).copy()
+    rows = []
+    details = {}
+    for snr_db, (mse_x1, mse_x2, x2_hat, vd_err) in zip(cfg.snr_values, per_point):
+        per_trial_mse = mse_x1 + mse_x2
+        mean_mse = float(per_trial_mse.mean())
+        row = SweepRow(
+            param=float(snr_db),
+            mean_mse=mean_mse,
+            mean_sdr_db=sdr(mean_mse),
+            mse_x1=float(mse_x1.mean()),
+            mse_x2=float(mse_x2.mean()),
+            trials=cfg.trials,
+        )
+        rows.append(row)
+        details[row.param] = {
+            "per_trial_mse": per_trial_mse,
+            "per_trial_x2_hat": x2_hat,
+            "per_trial_vd_err": vd_err,
+        }
     return _finish(cfg.kind, rows, details)
 
 

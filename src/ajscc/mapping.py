@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "Quantizer",
     "MappingConfig",
-    "SourceSample",
     "DecodedPair",
     "quantize_level",
     "encode",
@@ -68,14 +67,6 @@ class MappingConfig:
             )
         object.__setattr__(self, "v1", self.d_max / self.num_levels)
         object.__setattr__(self, "delta", self.v2 / (self.num_levels - 1))
-
-
-@dataclass(frozen=True)
-class SourceSample:
-    """A pair of sensed voltages: x1 in [0, v1], x2 in [0, v2]."""
-
-    x1: float
-    x2: float
 
 
 @dataclass(frozen=True)

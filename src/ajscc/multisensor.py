@@ -1,12 +1,14 @@
 """FDMA multiplexing of several sensors to one cluster-head receiver.
 
-Each sensor's encoded voltage becomes its single-sensor tone (``chain_tone``)
-shifted into its own disjoint frequency band.  The cluster head captures the
-superposition over one shared channel on one or more antennas, seeded by the
-channel's rng_seed like the single-sensor chain, optionally combines the
-antenna spectra noncoherently, and runs a band-restricted peak search per
-sensor.  Band disjointness makes noiseless recovery bit-identical to running
-each sensor alone.
+A sensor carries no identity of its own: the cluster head tells sensors apart
+only by their FDMA band, so sensor i is the one in band i of the plan.  Each
+sensor's encoded voltage becomes its single-sensor tone (``chain_tone``)
+shifted into its band.  The cluster head captures the superposition over one
+shared channel on one or more antennas, seeded by the channel's rng_seed like
+the single-sensor chain, optionally combines the antenna spectra
+noncoherently, and runs a band-restricted peak search per band.  Band
+disjointness makes noiseless recovery bit-identical to running each sensor
+alone.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import DecodedPair, MappingConfig, SourceSample, decode, encode
+from .mapping import DecodedPair, MappingConfig, decode, encode
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
@@ -26,7 +28,6 @@ from .signal_chain import (
 )
 
 __all__ = [
-    "SensorNode",
     "FdmaPlan",
     "SensorResult",
     "assign_channels",
@@ -36,17 +37,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SensorNode:
-    """One transmitter: codec config and its true sources."""
-
-    id: int
-    mapping: MappingConfig
-    truth: SourceSample
-
-
-@dataclass(frozen=True)
 class FdmaPlan:
-    """Per-sensor carrier offsets with a common band width and guard spacing."""
+    """Carrier offsets, one band per sensor, with a common band width and guard spacing."""
 
     offsets: tuple[float, ...]
     guard_hz: float
@@ -76,7 +68,8 @@ def assign_channels(num_sensors: int, fm: FmConfig, d_max: float, guard_hz: floa
     if num_sensors < 1:
         raise ValueError("num_sensors must be >= 1")
     width = fm.scale * d_max
-    if num_sensors * (width + guard_hz) > fm.sample_rate / 2:
+    # the top band must end below Nyquist, where simulate_cluster can search it
+    if num_sensors * (width + guard_hz) >= fm.sample_rate / 2:
         raise ValueError(
             f"{num_sensors} bands of {width} Hz with {guard_hz} Hz guards exceed "
             f"the {fm.sample_rate / 2} Hz Nyquist capacity"
@@ -87,34 +80,26 @@ def assign_channels(num_sensors: int, fm: FmConfig, d_max: float, guard_hz: floa
 
 @dataclass(frozen=True)
 class SensorResult:
-    """Per-sensor receiver output: true and detected voltage, peak frequency, decoded pair."""
+    """One band's receiver output: true and detected voltage, peak frequency, decoded pair."""
 
-    sensor_id: int
     vd_true: float
     vd_hat: float
     peak_hz: float
     decoded: DecodedPair
 
 
-def _validate_cluster(sensors, plan: FdmaPlan, fm: FmConfig) -> None:
-    if not sensors:
-        raise ValueError("need at least one sensor")
-    if len({s.id for s in sensors}) != len(sensors):
-        raise ValueError("sensor ids must be unique")
-    if len(plan.offsets) != len(sensors):
-        raise ValueError("plan and sensors must have matching lengths")
-    for i, s in enumerate(sensors):
-        width = fm.scale * s.mapping.d_max
-        if width > plan.band_width_hz + 1e-9:
-            raise ValueError(
-                f"sensor {s.id} occupies {width} Hz, wider than its "
-                f"{plan.band_width_hz} Hz band"
-            )
-        top = plan.offsets[i] + width
-        if top >= fm.sample_rate / 2:
-            raise ValueError(
-                f"sensor {s.id} band tops out at {top} Hz, beyond Nyquist"
-            )
+def _validate_cluster(mapping: MappingConfig, truths, plan: FdmaPlan, fm: FmConfig) -> None:
+    # a plan has at least one band, so this also rejects an empty truths list
+    if len(plan.offsets) != len(truths):
+        raise ValueError("plan and truths must have matching lengths")
+    width = fm.scale * mapping.d_max
+    if width > plan.band_width_hz + 1e-9:
+        raise ValueError(
+            f"a sensor occupies {width} Hz, wider than its {plan.band_width_hz} Hz band"
+        )
+    top = max(plan.offsets) + width
+    if top >= fm.sample_rate / 2:
+        raise ValueError(f"band tops out at {top} Hz, beyond Nyquist")
 
 
 def diversity_combine(spectra: list[np.ndarray]) -> np.ndarray:
@@ -128,7 +113,8 @@ def diversity_combine(spectra: list[np.ndarray]) -> np.ndarray:
 
 
 def simulate_cluster(
-    sensors: list[SensorNode],
+    mapping: MappingConfig,
+    truths: list[tuple[float, float]],
     plan: FdmaPlan,
     fm: FmConfig,
     ch: ChannelSpec,
@@ -137,30 +123,30 @@ def simulate_cluster(
 ) -> list[SensorResult]:
     """Capture all sensors jointly over channel ch and decode each from its own band.
 
-    Sensor i's tone is chain_tone(fm, ch, vd) moved up by plan.offsets[i].
-    The tones are summed by sensor id, so the results do not depend on the
-    order of the sensor list.
+    truths holds one (x1, x2) pair per band of the plan, in band order, and
+    the results come back in that order.  Sensor i's tone is
+    chain_tone(fm, ch, vd) moved up by plan.offsets[i]; the tones are summed
+    in band order.
     """
-    _validate_cluster(sensors, plan, fm)
-    vds = [encode(s.mapping, s.truth.x1, s.truth.x2) for s in sensors]
+    _validate_cluster(mapping, truths, plan, fm)
+    vds = [encode(mapping, x1, x2) for x1, x2 in truths]
     tones = []
-    for i in sorted(range(len(sensors)), key=lambda i: sensors[i].id):
-        freq, amplitude, phase = chain_tone(fm, ch, vds[i])
-        tones.append((plan.offsets[i] + freq, amplitude, phase))
+    for offset, vd in zip(plan.offsets, vds):
+        freq, amplitude, phase = chain_tone(fm, ch, vd)
+        tones.append((offset + freq, amplitude, phase))
     spectra = [magnitude_spectrum(rx, y) for y in capture(fm, ch, tones, antennas)]
     combined = spectra[0] if len(spectra) == 1 else diversity_combine(spectra)
 
     results = []
-    for i, (s, vd_true) in enumerate(zip(sensors, vds)):
+    for i, vd_true in enumerate(vds):
         peak = peak_from_spectrum(combined, fm.sample_rate, rx.fft_size, band=plan.band(i))
         vd_hat = (peak - plan.offsets[i]) / fm.scale
         results.append(
             SensorResult(
-                sensor_id=s.id,
                 vd_true=vd_true,
                 vd_hat=vd_hat,
                 peak_hz=peak,
-                decoded=decode(s.mapping, vd_hat),
+                decoded=decode(mapping, vd_hat),
             )
         )
     return results

@@ -1,7 +1,7 @@
 """Baseband transmission chain: FM tone, static AWGN channel, FFT peak receiver.
 
 The encoded voltage maps linearly to a tone frequency (default 1000 Hz per
-volt), the channel applies a constant gain and phase plus white Gaussian
+volt), the channel applies a constant phase plus white Gaussian
 noise at a configured SNR, and the receiver locates the strongest FFT bin
 and maps it back to a voltage.  With the default 65536 Hz sampling and
 65536-point FFT the bin width is exactly 1 Hz, so the noiseless end-to-end
@@ -52,6 +52,8 @@ class FmConfig:
     def __post_init__(self) -> None:
         if self.scale <= 0 or self.sample_rate <= 0 or self.record_seconds <= 0:
             raise ValueError("scale, sample_rate and record_seconds must be positive")
+        if not self.amplitude > 0:
+            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         n = self.record_seconds * self.sample_rate
         if abs(n - round(n)) > 1e-6 or round(n) < 1:
             raise ValueError(
@@ -65,21 +67,19 @@ class FmConfig:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Static channel: constant gain and phase, AWGN set by SNR.
+    """Static channel: constant phase, AWGN set by SNR.
 
     snr_db = math.inf disables noise.  Transmitted power is taken as 1
     regardless of the waveform, so a -20 dB channel has noise variance 100.
     The phase is the synthesis phase of the received tone, cos(wn + phase).
+    The received amplitude is the modulator's (``FmConfig.amplitude``).
     """
 
     snr_db: float = math.inf
-    gain: float = 1.0
     phase: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.gain > 0:
-            raise ValueError(f"gain must be positive, got {self.gain}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must not be NaN or -inf, got {self.snr_db}")
 
@@ -126,7 +126,7 @@ def capture(
     Each tone is (freq Hz, amplitude, phase), synthesized as
     amplitude * cos(2*pi*freq/fs*n + phase) and summed in the given order.
     Antenna a adds channel_noise(fm, ch, a).  Only ch.snr_db and ch.rng_seed
-    are read: callers fold gain and phase into the tones (``chain_tone``).
+    are read: callers fold amplitude and phase into the tones (``chain_tone``).
     Amplitudes and phases must be finite, and so must the sum of |amplitude|,
     which bounds the tone sum.
     """
@@ -241,7 +241,7 @@ def freq_to_voltage(fm: FmConfig, freq: float) -> float:
 
 def chain_tone(fm: FmConfig, ch: ChannelSpec, vd: float) -> tuple[float, float, float]:
     """The received (freq, amplitude, phase) tone of voltage vd on a single-sensor link."""
-    return (fm.scale * vd, ch.gain * fm.amplitude, ch.phase)
+    return (fm.scale * vd, fm.amplitude, ch.phase)
 
 
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, rx: ReceiverConfig, vd: float) -> float:

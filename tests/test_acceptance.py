@@ -14,10 +14,10 @@ import pytest
 
 from ajscc.circuit import (
     PROTOTYPE_BUDGET,
+    CircuitConfig,
     circuit_encode,
     equivalent_mapping,
     estimate_power,
-    prototype_config,
 )
 from ajscc.experiments import (
     ExperimentConfig,
@@ -27,8 +27,8 @@ from ajscc.experiments import (
     run_mse_vs_L,
     run_sdr_vs_csnr,
 )
-from ajscc.mapping import MappingConfig, Quantizer, SourceSample, decode, encode
-from ajscc.multisensor import FdmaPlan, SensorNode, assign_channels, simulate_cluster
+from ajscc.mapping import MappingConfig, Quantizer, decode, encode
+from ajscc.multisensor import FdmaPlan, assign_channels, simulate_cluster
 from ajscc.signal_chain import (
     ChannelSpec,
     FmConfig,
@@ -113,14 +113,14 @@ def test_criterion_2_optimum_stable_across_snr(sweep_minus20, sweep_minus10, swe
 def test_criterion_3_circuit_matches_codec():
     worst = 0.0
     for quantizer in Quantizer:
-        cfg = prototype_config(quantizer)
+        cfg = CircuitConfig(quantizer=quantizer)
         mapping = equivalent_mapping(cfg)
         for vt in np.linspace(0.0, cfg.vt_max, 100):
             x1 = vt * cfg.v_r / cfg.vt_max
             for vh in np.linspace(0.0, cfg.vh_max, 100):
                 diff = abs(circuit_encode(cfg, vt, vh) - encode(mapping, x1, vh))
                 worst = max(worst, diff)
-    bound = 1e-9 * equivalent_mapping(prototype_config()).d_max
+    bound = 1e-9 * equivalent_mapping(CircuitConfig()).d_max
     report(
         "criterion-3 circuit-codec-equivalence",
         worst <= bound,
@@ -204,17 +204,14 @@ def _solo_plan(plan: FdmaPlan, index: int) -> FdmaPlan:
 def test_criterion_6_fdma_independence():
     mapping = MappingConfig(5.0, 11, 1.0)
     truths = [(0.23, 0.41), (0.71, 0.08), (0.47, 0.86)]
-    sensors = [
-        SensorNode(i, mapping, SourceSample(u1 * mapping.v1, u2 * mapping.v2))
-        for i, (u1, u2) in enumerate(truths)
-    ]
+    sensors = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in truths]
     plan = assign_channels(3, FM, 5.0)
 
     # no noise: decoded values must match solo runs exactly
-    joint = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
+    joint = simulate_cluster(mapping, sensors, plan, FM, NO_NOISE, RX)
     exact = True
     for i, sensor in enumerate(sensors):
-        (solo,) = simulate_cluster([sensor], _solo_plan(plan, i), FM, NO_NOISE, RX)
+        (solo,) = simulate_cluster(mapping, [sensor], _solo_plan(plan, i), FM, NO_NOISE, RX)
         exact = exact and joint[i].peak_hz == solo.peak_hz and joint[i].decoded == solo.decoded
 
     # matched noise: per-sensor median SDR within 1 dB of solo
@@ -223,9 +220,9 @@ def test_criterion_6_fdma_independence():
     mse_solo = np.zeros((trials, 3))
     for t in range(trials):
         ch = ChannelSpec(snr_db=-20.0, rng_seed=t)
-        res_joint = simulate_cluster(sensors, plan, FM, ch, RX)
+        res_joint = simulate_cluster(mapping, sensors, plan, FM, ch, RX)
         for i, sensor in enumerate(sensors):
-            (res_solo,) = simulate_cluster([sensor], _solo_plan(plan, i), FM, ch, RX)
+            (res_solo,) = simulate_cluster(mapping, [sensor], _solo_plan(plan, i), FM, ch, RX)
             for res, store in ((res_joint[i], mse_joint), (res_solo, mse_solo)):
                 u1, u2 = truths[i]
                 store[t, i] = ((res.decoded.x1_hat / mapping.v1 - u1) ** 2
@@ -265,8 +262,8 @@ def test_criterion_7a_median_sdr_monotone(sdr_sweep_fixed_truth):
 
     # the high-SNR plateau is the quantization-limited ceiling of a noiseless run
     mapping = MappingConfig(5.0, 11, 1.0)
-    sensor = SensorNode(0, mapping, SourceSample(0.37 * mapping.v1, 0.53))
-    (res,) = simulate_cluster([sensor], assign_channels(1, FM, 5.0), FM, NO_NOISE, RX)
+    sensor = (0.37 * mapping.v1, 0.53)
+    (res,) = simulate_cluster(mapping, [sensor], assign_channels(1, FM, 5.0), FM, NO_NOISE, RX)
     ceiling_mse = (res.decoded.x1_hat / mapping.v1 - 0.37) ** 2 + (
         res.decoded.x2_hat - 0.53
     ) ** 2
@@ -310,14 +307,14 @@ def test_criterion_7b_discrete_sdr_steps():
 
 def test_criterion_7c_diversity_never_hurts():
     mapping = MappingConfig(5.0, 11, 1.0)
-    sensor = SensorNode(0, mapping, SourceSample(0.37 * mapping.v1, 0.53))
+    sensor = (0.37 * mapping.v1, 0.53)
     plan = assign_channels(1, FM, 5.0)
     trials = 500
     errs = {1: np.zeros(trials), 2: np.zeros(trials)}
     for antennas in (1, 2):
         for t in range(trials):
             ch = ChannelSpec(snr_db=-30.0, rng_seed=t)
-            (res,) = simulate_cluster([sensor], plan, FM, ch, RX, antennas=antennas)
+            (res,) = simulate_cluster(mapping, [sensor], plan, FM, ch, RX, antennas=antennas)
             errs[antennas][t] = abs(res.vd_hat - res.vd_true)
     med1, med2 = np.median(errs[1]), np.median(errs[2])
     miss1 = float(np.mean(errs[1] > 1e-3))

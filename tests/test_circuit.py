@@ -12,14 +12,13 @@ from ajscc.circuit import (
     default_thresholds,
     equivalent_mapping,
     estimate_power,
-    prototype_config,
 )
 from ajscc.mapping import Quantizer, encode
 
 
 class TestConfig:
     def test_default_floor_thresholds(self):
-        c = prototype_config()
+        c = CircuitConfig()
         assert len(c.thresholds) == 10
         assert c.thresholds[0] == pytest.approx(0.3)
         assert c.thresholds[-1] == pytest.approx(3.0)
@@ -44,7 +43,7 @@ class TestConfig:
             CircuitConfig(v_r=-1.0)
 
 
-# prototype_config(): 11 levels, delta_h = 0.3, v_r = vt_max = 1, floor thresholds
+# CircuitConfig(): 11 levels, delta_h = 0.3, v_r = vt_max = 1, floor thresholds
 # at 0.3, 0.6, ..., 3.0.  vh = 0.0 lies inside level 0 (even), 0.35 inside
 # level 1 (odd), 0.65 inside level 2 (even).
 VH_LEVEL_0, VH_LEVEL_1, VH_LEVEL_2 = 0.0, 0.35, 0.65
@@ -57,22 +56,22 @@ def _active_level(cfg, vh):
 
 class TestComparators:
     def test_bottom_of_range(self):
-        c = prototype_config()
+        c = CircuitConfig()
         # level 0 forwards the proportional VCVS and nothing sits below it
         assert circuit_encode(c, 0.25, 0.0) == pytest.approx(0.25 * c.v_r)
 
     def test_hand_evaluated_floor_placement(self):
         # floor(0.95 / 0.3) = 3, an odd level: 3 full levels plus the complement
-        c = prototype_config()
+        c = CircuitConfig()
         assert circuit_encode(c, 0.25, 0.95) == pytest.approx(3 * c.v_r + 0.75 * c.v_r)
 
     def test_top_of_range(self):
-        c = prototype_config()
+        c = CircuitConfig()
         # the last level (10, even) is active on top of 10 full levels
         assert circuit_encode(c, 0.25, c.vh_max) == pytest.approx(10 * c.v_r + 0.25 * c.v_r)
 
     def test_exactly_one_level_on(self):
-        c = prototype_config()
+        c = CircuitConfig()
         for vh in np.linspace(0, c.vh_max, 57):
             active = _active_level(c, vh)
             partial = 0.25 if active % 2 == 0 else 0.75
@@ -81,28 +80,28 @@ class TestComparators:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            circuit_encode(prototype_config(), 0.0, -0.1)
+            circuit_encode(CircuitConfig(), 0.0, -0.1)
         with pytest.raises(ValueError):
-            circuit_encode(prototype_config(), 0.0, 3.1)
+            circuit_encode(CircuitConfig(), 0.0, 3.1)
 
 
 class TestVcvs:
     """The VCVS outputs, read through circuit_encode on an even and an odd level."""
 
     def test_proportional_endpoints_and_midpoint(self):
-        c = prototype_config()
+        c = CircuitConfig()
         assert circuit_encode(c, 0.0, VH_LEVEL_0) == 0.0
         assert circuit_encode(c, c.vt_max, VH_LEVEL_0) == pytest.approx(c.v_r)
         assert circuit_encode(c, c.vt_max / 2, VH_LEVEL_0) == pytest.approx(c.v_r / 2)
         assert circuit_encode(c, c.vt_max / 2, VH_LEVEL_2) == pytest.approx(2.5 * c.v_r)
 
     def test_complement_endpoints(self):
-        c = prototype_config()
+        c = CircuitConfig()
         assert circuit_encode(c, 0.0, VH_LEVEL_1) - c.v_r == pytest.approx(c.v_r)
         assert circuit_encode(c, c.vt_max, VH_LEVEL_1) - c.v_r == 0.0
 
     def test_complement_identity(self):
-        c = prototype_config()
+        c = CircuitConfig()
         for vt in np.linspace(0, c.vt_max, 41):
             proportional = circuit_encode(c, vt, VH_LEVEL_0)
             complement = circuit_encode(c, vt, VH_LEVEL_1) - c.v_r
@@ -124,21 +123,21 @@ class TestVcvs:
 
 class TestLevelContribution:
     def test_active_even_index_at_full_scale(self):
-        c = prototype_config()
+        c = CircuitConfig()
         assert circuit_encode(c, c.vt_max, VH_LEVEL_0) == pytest.approx(c.v_r)
 
     def test_active_odd_index_at_full_scale(self):
         # level 0 adds v_r, the active level 1 adds its complement, 0 V
-        c = prototype_config()
+        c = CircuitConfig()
         assert circuit_encode(c, c.vt_max, VH_LEVEL_1) == pytest.approx(c.v_r)
 
     def test_levels_above_the_point_contribute_zero(self):
         # levels 2..10 lie above vh = 0.35: the total stays v_r + (v_r - 0.4)
-        c = prototype_config()
+        c = CircuitConfig()
         assert circuit_encode(c, 0.4, VH_LEVEL_1) == pytest.approx(1.6 * c.v_r)
 
     def test_ordering_around_active_level(self):
-        c = prototype_config()
+        c = CircuitConfig()
         rng = np.random.default_rng(9)
         for _ in range(50):
             vh = rng.uniform(0, c.vh_max)
@@ -151,7 +150,7 @@ class TestLevelContribution:
 
     def test_bad_level_index_rejected(self):
         # vh_max selects the last level; no vh selects a level past it
-        c = prototype_config()
+        c = CircuitConfig()
         assert circuit_encode(c, 0.0, c.vh_max) == pytest.approx((c.num_levels - 1) * c.v_r)
         with pytest.raises(ValueError, match="vh out of range"):
             circuit_encode(c, 0.0, np.nextafter(c.vh_max, np.inf))
@@ -159,17 +158,17 @@ class TestLevelContribution:
 
 class TestCircuitEncode:
     def test_origin(self):
-        assert circuit_encode(prototype_config(), 0.0, 0.0) == 0.0
+        assert circuit_encode(CircuitConfig(), 0.0, 0.0) == 0.0
 
     def test_top_corner_is_full_curve_length(self):
-        c = prototype_config()
+        c = CircuitConfig()
         assert circuit_encode(c, c.vt_max, c.vh_max) == pytest.approx(
             c.num_levels * c.v_r
         )
 
     @pytest.mark.parametrize("quantizer", list(Quantizer))
     def test_matches_codec_on_grid(self, quantizer):
-        c = prototype_config(quantizer)
+        c = CircuitConfig(quantizer=quantizer)
         m = equivalent_mapping(c)
         tol = 1e-9 * m.d_max
         for vt in np.linspace(0, c.vt_max, 60):
@@ -187,12 +186,12 @@ class TestCircuitEncode:
         assert worst > 1e-3
 
     def test_monotone_in_vh_at_zero_vt(self):
-        c = prototype_config()
+        c = CircuitConfig()
         values = [circuit_encode(c, 0.0, vh) for vh in np.linspace(0, c.vh_max, 101)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_range_violations_rejected(self):
-        c = prototype_config()
+        c = CircuitConfig()
         with pytest.raises(ValueError):
             circuit_encode(c, -0.1, 0.0)
         with pytest.raises(ValueError):
@@ -261,7 +260,7 @@ class TestCircuitEncodeArrays:
         assert np.array_equal(outer, [[circuit_encode(cfg, a, b) for b in vh] for a in vt])
 
     def test_scalar_input_returns_float(self):
-        c = prototype_config()
+        c = CircuitConfig()
         scalars = [(0.3, 0.7), (np.float64(0.3), np.float64(0.7)), (np.array(0.3), np.array(0.7))]
         for vt, vh in scalars:
             assert type(circuit_encode(c, vt, vh)) is float
@@ -270,13 +269,13 @@ class TestCircuitEncodeArrays:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.1])
     def test_one_bad_vt_element_rejected(self, bad):
-        c = prototype_config()
+        c = CircuitConfig()
         with pytest.raises(ValueError, match="vt out of range"):
             circuit_encode(c, np.array([0.0, 0.5, bad]), np.array([0.0, 1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, -0.1, 3.1])
     def test_one_bad_vh_element_rejected(self, bad):
-        c = prototype_config()
+        c = CircuitConfig()
         with pytest.raises(ValueError, match="vh out of range"):
             circuit_encode(c, np.array([0.0, 0.5, 1.0]), np.array([0.0, bad, 2.0]))
 

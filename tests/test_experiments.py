@@ -121,6 +121,26 @@ class TestMseVsL:
         for workers in (2, 3):
             assert render_csv(run_mse_vs_L(dataclasses.replace(cfg, workers=workers))) == serial
 
+        # the SDR sweep splits the same way
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.SDR_VS_CSNR,
+            trials=7,
+            snr_values=(math.inf, -30.0),
+            num_levels=11,
+            sensor_count=2,
+            antennas=2,
+            master_seed=7,
+        )
+        serial = run_sdr_vs_csnr(cfg)
+        for workers in (2, 3):
+            result = run_sdr_vs_csnr(dataclasses.replace(cfg, workers=workers))
+            assert render_csv(result) == render_csv(serial)
+            assert result.details.keys() == serial.details.keys()
+            for snr_db, detail in serial.details.items():
+                assert result.details[snr_db].keys() == detail.keys()
+                for key, values in detail.items():
+                    assert np.array_equal(result.details[snr_db][key], values), (snr_db, key)
+
 
 def scalar_rows(cfg):
     """The level sweep as one full transmit_receive chain per (L, trial): the oracle."""

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajscc.mapping import MappingConfig, SourceSample, encode
+from ajscc.mapping import MappingConfig, encode
 from ajscc.multisensor import (
     FdmaPlan,
-    SensorNode,
     assign_channels,
     diversity_combine,
     simulate_cluster,
@@ -30,22 +29,17 @@ CODEC = MappingConfig(5.0, 11, 1.0)
 NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 
-def make_sensors(truths):
-    return [SensorNode(i, CODEC, SourceSample(*t)) for i, t in enumerate(truths)]
-
-
-def oracle_peaks(sensors, plan, ch, antennas):
-    """Band argmaxes of the combined spectra of a capture of tones built here, in id order."""
-    order = sorted(range(len(sensors)), key=lambda i: sensors[i].id)
-    tones = []
-    for i in order:
-        vd = encode(sensors[i].mapping, sensors[i].truth.x1, sensors[i].truth.x2)
-        tones.append((plan.offsets[i] + FM.scale * vd, ch.gain * FM.amplitude, ch.phase))
-    spectra = [magnitude_spectrum(RX, y) for y in capture(FM, ch, tones, antennas)]
+def oracle_peaks(truths, plan, fm, ch, antennas):
+    """Band argmaxes of the combined spectra of a capture of tones built here, in band order."""
+    tones = [
+        (offset + fm.scale * encode(CODEC, x1, x2), fm.amplitude, ch.phase)
+        for offset, (x1, x2) in zip(plan.offsets, truths)
+    ]
+    spectra = [magnitude_spectrum(RX, y) for y in capture(fm, ch, tones, antennas)]
     combined = spectra[0] if antennas == 1 else diversity_combine(spectra)
     return [
-        peak_from_spectrum(combined, FM.sample_rate, RX.fft_size, plan.band(i))
-        for i in range(len(sensors))
+        peak_from_spectrum(combined, fm.sample_rate, RX.fft_size, plan.band(i))
+        for i in range(len(truths))
     ]
 
 
@@ -66,6 +60,11 @@ class TestAssignChannels:
             assign_channels(6, FM, 5.0)
         with pytest.raises(ValueError):
             assign_channels(11, FM, 5.0)
+        # 4 x (5000 + 3192) Hz = 32768 Hz: the top band would end exactly at
+        # Nyquist, where the cluster cannot search it
+        with pytest.raises(ValueError, match="Nyquist"):
+            assign_channels(4, FM, 5.0, guard_hz=3192.0)
+        assert assign_channels(4, FM, 5.0, guard_hz=3191.0).band(3)[1] < FM.sample_rate / 2
 
     def test_rejects_zero_sensors(self):
         with pytest.raises(ValueError):
@@ -88,54 +87,44 @@ class TestFdmaPlan:
 
 class TestCapture:
     def test_noiseless_antennas_match_one_antenna(self):
-        sensors = make_sensors([(0.2, 0.3), (0.1, 0.8)])
+        truths = [(0.2, 0.3), (0.1, 0.8)]
         plan = assign_channels(2, FM, 5.0)
-        one = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
-        assert simulate_cluster(sensors, plan, FM, NO_NOISE, RX, antennas=3) == one
+        one = simulate_cluster(CODEC, truths, plan, FM, NO_NOISE, RX)
+        assert simulate_cluster(CODEC, truths, plan, FM, NO_NOISE, RX, antennas=3) == one
 
     def test_noiseless_capture_is_tone_sum(self):
         # a sensor at the origin is a unit cosine at its band offset
-        sensors = make_sensors([(0.0, 0.0)])
         plan = assign_channels(1, FM, 5.0)
-        (res,) = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
+        (res,) = simulate_cluster(CODEC, [(0.0, 0.0)], plan, FM, NO_NOISE, RX)
         n = np.arange(FM.num_samples)
         spectrum = magnitude_spectrum(RX, np.cos(2 * np.pi * 1000.0 / 65536.0 * n))
         assert res.peak_hz == peak_from_spectrum(spectrum, FM.sample_rate, RX.fft_size) == 1000.0
         assert res.vd_hat == res.vd_true == 0.0
 
-    def test_duplicate_ids_rejected(self):
-        sensors = [
-            SensorNode(1, CODEC, SourceSample(0.1, 0.1)),
-            SensorNode(1, CODEC, SourceSample(0.2, 0.2)),
-        ]
-        plan = assign_channels(2, FM, 5.0)
-        with pytest.raises(ValueError):
-            simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
-
     def test_channel_gain_phase_and_seed_reach_capture(self):
-        # at -35 dB the band argmaxes move with every channel field, so a
-        # field the cluster dropped would break the match with the oracle
-        sensors = make_sensors([(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)])
+        # at -35 dB the band argmaxes move with the amplitude and every
+        # channel field, so a field the cluster dropped would break the match
+        # with the oracle
+        truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
         plan = assign_channels(3, FM, 5.0)
         base = ChannelSpec(snr_db=-35.0, rng_seed=3)
         variants = [
-            dataclasses.replace(base, rng_seed=4),
-            dataclasses.replace(base, gain=3.0),
-            dataclasses.replace(base, phase=1.0),
+            (FM, dataclasses.replace(base, rng_seed=4)),
+            (FmConfig(amplitude=3.0), base),
+            (FM, dataclasses.replace(base, phase=1.0)),
         ]
         peaks = {}
-        for ch in [base, *variants]:
-            peaks[ch] = [r.peak_hz for r in simulate_cluster(sensors, plan, FM, ch, RX)]
-            assert peaks[ch] == oracle_peaks(sensors, plan, ch, 1)
-        for ch in variants:
-            assert peaks[ch] != peaks[base]
+        for fm, ch in [(FM, base), *variants]:
+            peaks[fm, ch] = [r.peak_hz for r in simulate_cluster(CODEC, truths, plan, fm, ch, RX)]
+            assert peaks[fm, ch] == oracle_peaks(truths, plan, fm, ch, 1)
+        for key in variants:
+            assert peaks[key] != peaks[FM, base]
 
 
 class TestSimulateCluster:
     def test_single_sensor_roundtrip(self):
-        sensors = make_sensors([(0.21, 0.58)])
         plan = assign_channels(1, FM, 5.0)
-        (res,) = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
+        (res,) = simulate_cluster(CODEC, [(0.21, 0.58)], plan, FM, NO_NOISE, RX)
         assert abs(res.vd_hat - res.vd_true) <= 0.5 / FM.scale + 1e-9
         assert abs(res.decoded.x1_hat - 0.21) <= 0.5 / FM.scale + 1e-9
 
@@ -149,61 +138,36 @@ class TestSimulateCluster:
     )
     @settings(max_examples=50, deadline=None)
     def test_peak_is_band_argmax_of_combined_spectrum(self, truths, antennas, snr_db, rng_seed):
-        sensors = make_sensors(truths)
-        plan = assign_channels(len(sensors), FM, 5.0)
+        plan = assign_channels(len(truths), FM, 5.0)
         ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
-        results = simulate_cluster(sensors, plan, FM, ch, RX, antennas=antennas)
-        assert [r.peak_hz for r in results] == oracle_peaks(sensors, plan, ch, antennas)
-        assert [r.sensor_id for r in results] == [s.id for s in sensors]
+        results = simulate_cluster(CODEC, truths, plan, FM, ch, RX, antennas=antennas)
+        assert [r.peak_hz for r in results] == oracle_peaks(truths, plan, FM, ch, antennas)
 
     def test_three_sensors_noiseless_match_solo_runs(self):
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
-        sensors = make_sensors(truths)
         plan = assign_channels(3, FM, 5.0)
-        joint = simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
-        for i, sensor in enumerate(sensors):
+        joint = simulate_cluster(CODEC, truths, plan, FM, NO_NOISE, RX)
+        for i, truth in enumerate(truths):
             solo_plan = FdmaPlan(
                 offsets=(plan.offsets[i],),
                 guard_hz=plan.guard_hz,
                 band_width_hz=plan.band_width_hz,
             )
-            (solo,) = simulate_cluster([sensor], solo_plan, FM, NO_NOISE, RX)
+            (solo,) = simulate_cluster(CODEC, [truth], solo_plan, FM, NO_NOISE, RX)
             assert joint[i].peak_hz == solo.peak_hz
             assert joint[i].vd_hat == solo.vd_hat
             assert joint[i].decoded == solo.decoded
 
-    def test_results_invariant_under_sensor_permutation(self):
-        truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
-        sensors = make_sensors(truths)
-        plan = assign_channels(3, FM, 5.0)
-        ch = ChannelSpec(snr_db=-20.0, rng_seed=9)
-        direct = simulate_cluster(sensors, plan, FM, ch, RX)
-        order = [2, 0, 1]
-        permuted_plan = FdmaPlan(
-            offsets=tuple(plan.offsets[i] for i in order),
-            guard_hz=plan.guard_hz,
-            band_width_hz=plan.band_width_hz,
-        )
-        permuted = simulate_cluster([sensors[i] for i in order], permuted_plan, FM, ch, RX)
-        by_id_direct = {r.sensor_id: r for r in direct}
-        for res in permuted:
-            ref = by_id_direct[res.sensor_id]
-            assert res.peak_hz == ref.peak_hz
-            assert res.vd_hat == ref.vd_hat
-            assert res.decoded == ref.decoded
-
     def test_mismatched_plan_length_rejected(self):
-        sensors = make_sensors([(0.1, 0.1), (0.2, 0.2)])
         plan = assign_channels(3, FM, 5.0)
         with pytest.raises(ValueError):
-            simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
+            simulate_cluster(CODEC, [(0.1, 0.1), (0.2, 0.2)], plan, FM, NO_NOISE, RX)
 
     def test_sensor_wider_than_its_band_rejected(self):
         wide = MappingConfig(8.0, 11, 1.0)  # 8 kHz of tones in a 5 kHz band
-        sensors = [SensorNode(0, wide, SourceSample(0.1, 0.1))]
         plan = assign_channels(1, FM, 5.0)
         with pytest.raises(ValueError, match="wider"):
-            simulate_cluster(sensors, plan, FM, NO_NOISE, RX)
+            simulate_cluster(wide, [(0.1, 0.1)], plan, FM, NO_NOISE, RX)
 
 
 class TestDiversity:
@@ -227,13 +191,12 @@ class TestDiversity:
 
     def test_two_capture_combining_reduces_miss_rate(self):
         # at -30 dB single captures miss the tone peak noticeably more often
-        sensors = make_sensors([(0.37, 0.53)])
         plan = assign_channels(1, FM, 5.0)
         misses = {1: 0, 2: 0}
         for antennas in (1, 2):
             for trial in range(100):
                 ch = ChannelSpec(snr_db=-30.0, rng_seed=trial)
-                (res,) = simulate_cluster(sensors, plan, FM, ch, RX, antennas=antennas)
+                (res,) = simulate_cluster(CODEC, [(0.37, 0.53)], plan, FM, ch, RX, antennas=antennas)
                 if abs(res.vd_hat - res.vd_true) > 1e-3:
                     misses[antennas] += 1
         assert misses[2] <= misses[1]

@@ -210,8 +210,7 @@ class TestChannel:
     def test_gain_scales_signal(self):
         (wf,) = capture(FM, NO_NOISE, [(2500.0, 0.5, 0.0)])
         assert np.allclose(wf, 0.5 * fm_tone(FM, 2.5))
-        half = ChannelSpec(gain=0.5)
-        assert transmit_receive(FM, half, RX, 2.5) == 2.5
+        assert transmit_receive(FmConfig(amplitude=0.5), NO_NOISE, RX, 2.5) == 2.5
 
     def test_phase_shift_on_tone(self):
         (wf,) = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.7)])
@@ -233,8 +232,9 @@ class TestChannel:
         assert transmit_receive(FM, ChannelSpec(phase=0.9), RX, 2.3456) == 2.346
 
     def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(gain=0.0)
+        for amplitude in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="amplitude"):
+                FmConfig(amplitude=amplitude)
         with pytest.raises(ValueError):
             ChannelSpec(snr_db=math.nan)
         with pytest.raises(ValueError):
