@@ -31,7 +31,6 @@ from .signal_chain import (
     ReceiverConfig,
     capture,
     detect_peak,
-    freq_to_voltage,
     transmit_receive,
 )
 from .multisensor import (
@@ -49,8 +48,8 @@ from .experiments import (
     SourceSpec,
     SweepResult,
     SweepRow,
-    emit_csv,
-    emit_json,
+    render_csv,
+    render_json,
     run_cluster_demo,
     run_mse_vs_L,
     run_roundtrip_suite,

@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .experiments import (
     CONFIG_KEYS,
     ExperimentConfig,
     ExperimentKind,
     config_from_mapping,
-    emit_csv,
-    emit_json,
     read_config_file,
     render_csv,
     render_json,
@@ -153,12 +152,12 @@ def _config(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
 
 
 def _emit_result(result, args: argparse.Namespace) -> None:
-    as_csv = args.format == "csv"
+    text = (render_csv if args.format == "csv" else render_json)(result)
     if args.out:
-        (emit_csv if as_csv else emit_json)(result, args.out)
+        Path(args.out).write_text(text, encoding="ascii")
         print(f"wrote {args.out} best_param={result.best_param!r} best_mse={result.best_mse!r}")
     else:
-        sys.stdout.write((render_csv if as_csv else render_json)(result))
+        sys.stdout.write(text)
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -2,7 +2,7 @@
 
 Reproduces the level-count optimization (mean MSE vs number of lines at a
 fixed channel SNR), runs SDR-vs-SNR sweeps for one or more FDMA sensors,
-executes the round-trip self-check suite, and writes CSV or JSON results.
+executes the round-trip self-check suite, and renders results as CSV or JSON.
 
 Reproducibility: every trial draws from a generator seeded by
 SeedSequence([master_seed, trial]) (and [..., antenna] for capture noise),
@@ -39,9 +39,7 @@ from .signal_chain import (
     ChannelSpec,
     FmConfig,
     ReceiverConfig,
-    chain_tone,
     channel_noise,
-    freq_to_voltage,
     tone_bins,
     transmit_receive,
 )
@@ -59,8 +57,8 @@ __all__ = [
     "run_sdr_vs_csnr",
     "run_roundtrip_suite",
     "run_cluster_demo",
-    "emit_csv",
-    "emit_json",
+    "render_csv",
+    "render_json",
     "CONFIG_KEYS",
     "KIND_KEYS",
     "config_from_mapping",
@@ -211,7 +209,7 @@ def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
 # half-width in bins of the window around the tone that is evaluated in
 # closed form, and the relative margin by which the window's peak must beat
 # its runner-up and the bound on every bin outside the window.  The margin
-# keeps any accepted peak about 1e-9 * |amplitude| * fft_size above its
+# keeps any accepted peak about 1e-9 * amplitude * fft_size above its
 # rivals; the closed form and np.fft.rfft of the synthesized tone agree to
 # ~1e-11 of that scale, so rounding cannot change an accepted decision
 PEAK_WINDOW = 32
@@ -221,29 +219,28 @@ PEAK_MARGIN = 1e-7
 def _window_peak(
     fm: FmConfig,
     rx: ReceiverConfig,
-    tone: tuple[float, float, float],
+    freq: float,
     noise_spectrum: np.ndarray,
     noise_max: float,
 ) -> int | None:
-    """FFT argmax bin of tone plus noise, or None when the window cannot prove it.
+    """FFT argmax bin of the tone at freq Hz plus noise, or None when the window cannot prove it.
 
     The tone's spectrum is evaluated in closed form within PEAK_WINDOW bins
     of its nearest bin c0 and added to the noise spectrum there.  Outside the
     window each Dirichlet kernel is at least PEAK_WINDOW + 1/2 bins (mod M)
     from every rfft bin as long as the window stays clear of Nyquist, so no
-    bin there exceeds |amplitude| / sin(pi*(PEAK_WINDOW + 1/2)/M) + max|noise|.
+    bin there exceeds fm.amplitude / sin(pi*(PEAK_WINDOW + 1/2)/M) + max|noise|.
     """
-    freq, amplitude, _ = tone
     m = rx.fft_size
     c0 = round(freq * m / fm.sample_rate)
     if c0 + PEAK_WINDOW + 1 > m // 2:
         return None
     lo = max(c0 - PEAK_WINDOW, 0)
     hi = c0 + PEAK_WINDOW + 1
-    mags = np.abs(tone_bins(fm, rx, tone, np.arange(lo, hi)) + noise_spectrum[lo:hi])
+    mags = np.abs(tone_bins(fm, rx, freq, np.arange(lo, hi)) + noise_spectrum[lo:hi])
     j = int(np.argmax(mags))
     runner_up = float(np.partition(mags, -2)[-2])
-    outside = abs(amplitude) / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m) + noise_max
+    outside = fm.amplitude / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m) + noise_max
     if mags[j] > (1.0 + PEAK_MARGIN) * max(runner_up, outside):
         return lo + j
     return None
@@ -272,11 +269,11 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
             x1 = u1 * mapping.v1
             x2 = u2 * mapping.v2
             vd = encode(mapping, x1, x2)
-            k = _window_peak(fm, rx, chain_tone(fm, channel, vd), noise_spectrum, noise_max)
+            k = _window_peak(fm, rx, fm.scale * vd, noise_spectrum, noise_max)
             if k is None:
                 vd_hat = transmit_receive(fm, channel, rx, vd)
             else:
-                vd_hat = freq_to_voltage(fm, k * (fm.sample_rate / rx.fft_size))
+                vd_hat = k * (fm.sample_rate / rx.fft_size) / fm.scale
             dec = decode(mapping, vd_hat)
             e1 = ((dec.x1_hat - x1) / mapping.v1) ** 2
             e2 = ((dec.x2_hat - x2) / mapping.v2) ** 2
@@ -525,15 +522,12 @@ def _format_row(row: SweepRow) -> str:
 
 
 def render_csv(result: SweepResult) -> str:
+    """The sweep as CSV: fixed column order, repr-exact floats."""
     return "\n".join([CSV_HEADER] + [_format_row(r) for r in result.rows]) + "\n"
 
 
-def emit_csv(result: SweepResult, path: str | Path) -> None:
-    """Write the sweep as CSV (fixed column order, repr-exact floats, overwrites)."""
-    Path(path).write_text(render_csv(result), encoding="ascii")
-
-
 def render_json(result: SweepResult) -> str:
+    """JSON equivalent of the CSV output (details excluded)."""
     payload = {
         "kind": result.kind.value,
         "rows": [dataclasses.asdict(r) for r in result.rows],
@@ -541,11 +535,6 @@ def render_json(result: SweepResult) -> str:
         "best_mse": result.best_mse,
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def emit_json(result: SweepResult, path: str | Path) -> None:
-    """JSON equivalent of the CSV output (details excluded), overwrites."""
-    Path(path).write_text(render_json(result), encoding="ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +656,12 @@ def config_from_mapping(
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value pairs of a config file (blank lines and # comments ignored)."""
+    """Flat key=value pairs of a config file (blank lines and # comments ignored).
+
+    A key given on two lines is rejected, naming both line numbers.
+    """
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -676,5 +669,11 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: key {key!r} repeats the one on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values

@@ -2,16 +2,18 @@
 
 A sensor carries no identity of its own: the cluster head tells sensors apart
 only by their FDMA band, so sensor i is the one in band i of the plan.  Each
-sensor's encoded voltage becomes its single-sensor tone (``chain_tone``)
-shifted into its band.  The cluster head captures the superposition over one
-shared channel on one or more antennas, seeded by the channel's rng_seed like
-the single-sensor chain, optionally combines the antenna spectra
-noncoherently, and runs a band-restricted peak search per band.  Band
+sensor's encoded voltage vd becomes a tone at offset + fm.scale * vd Hz, its
+single-sensor frequency shifted into its band.  The cluster head captures the
+superposition over one shared channel on one or more antennas, seeded by the
+channel's rng_seed like the single-sensor chain, optionally combines the
+antenna spectra noncoherently, and runs a band-restricted peak search per
+band.  Voltage is read back as (peak - offset) / fm.scale.  Band
 disjointness makes noiseless recovery bit-identical to running each sensor
 alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,6 @@ from .signal_chain import (
     FmConfig,
     ReceiverConfig,
     capture,
-    chain_tone,
     magnitude_spectrum,
     peak_from_spectrum,
 )
@@ -47,6 +48,8 @@ class FdmaPlan:
     def __post_init__(self) -> None:
         if not self.offsets:
             raise ValueError("plan needs at least one band")
+        if not all(map(math.isfinite, (*self.offsets, self.guard_hz, self.band_width_hz))):
+            raise ValueError("offsets, guard_hz and band_width_hz must be finite")
         if self.band_width_hz <= 0 or self.guard_hz < 0:
             raise ValueError("band_width_hz must be positive and guard_hz non-negative")
         ordered = sorted(self.offsets)
@@ -124,17 +127,13 @@ def simulate_cluster(
     """Capture all sensors jointly over channel ch and decode each from its own band.
 
     truths holds one (x1, x2) pair per band of the plan, in band order, and
-    the results come back in that order.  Sensor i's tone is
-    chain_tone(fm, ch, vd) moved up by plan.offsets[i]; the tones are summed
-    in band order.
+    the results come back in that order.  Sensor i's tone is at
+    plan.offsets[i] + fm.scale * vd Hz; the tones are summed in band order.
     """
     _validate_cluster(mapping, truths, plan, fm)
     vds = [encode(mapping, x1, x2) for x1, x2 in truths]
-    tones = []
-    for offset, vd in zip(plan.offsets, vds):
-        freq, amplitude, phase = chain_tone(fm, ch, vd)
-        tones.append((offset + freq, amplitude, phase))
-    spectra = [magnitude_spectrum(rx, y) for y in capture(fm, ch, tones, antennas)]
+    freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
+    spectra = [magnitude_spectrum(rx, y) for y in capture(fm, ch, freqs, antennas)]
     combined = spectra[0] if len(spectra) == 1 else diversity_combine(spectra)
 
     results = []

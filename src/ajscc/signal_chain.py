@@ -1,20 +1,23 @@
 """Baseband transmission chain: FM tone, static AWGN channel, FFT peak receiver.
 
 The encoded voltage maps linearly to a tone frequency (default 1000 Hz per
-volt), the channel applies a constant phase plus white Gaussian
-noise at a configured SNR, and the receiver locates the strongest FFT bin
-and maps it back to a voltage.  With the default 65536 Hz sampling and
-65536-point FFT the bin width is exactly 1 Hz, so the noiseless end-to-end
-voltage error is half a bin over the scale factor (5e-4 V) away from DC and
-Nyquist; within a bin or two of either edge the tone's image leaks into the
-peak and the error reaches ~0.6 bins, under the one-bin bound.
+volt), the channel adds white Gaussian noise at a configured SNR, and the
+receiver locates the strongest FFT bin and maps it back to a voltage.  The
+receiver reads only a magnitude spectrum, so a tone is its frequency: the
+carrier phase is a nuisance it discards, and every tone is synthesized at
+zero phase with the modulator's amplitude.  With the default 65536 Hz
+sampling and 65536-point FFT the bin width is exactly 1 Hz, so the noiseless
+end-to-end voltage error is half a bin over the scale factor (5e-4 V) away
+from DC and Nyquist; within a bin or two of either edge the tone's image
+leaks into the peak and the error reaches ~0.6 bins, under the one-bin bound.
 
-``capture`` is the one received-signal model: a sum of tones plus noise per
-antenna (``channel_noise``), seeded by ``ChannelSpec.rng_seed``, returned as
-one float array per antenna.  A single sensor is a one-tone capture; the
-FDMA cluster in ``multisensor`` passes one tone per sensor over the same
-channel.  ``tone_bins`` is the closed-form FFT of one capture tone, so a
-spectrum can be formed as tone bins plus the FFT of the noise.
+``capture`` is the one received-signal model: a sum of tones at the given
+frequencies plus noise per antenna (``channel_noise``), seeded by
+``ChannelSpec.rng_seed``, returned as one float array per antenna.  A single
+sensor is a one-tone capture; the FDMA cluster in ``multisensor`` passes one
+frequency per sensor over the same channel.  ``tone_bins`` is the
+closed-form FFT of one capture tone, so a spectrum can be formed as tone
+bins plus the FFT of the noise.
 """
 from __future__ import annotations
 
@@ -34,8 +37,6 @@ __all__ = [
     "magnitude_spectrum",
     "peak_from_spectrum",
     "detect_peak",
-    "freq_to_voltage",
-    "chain_tone",
     "transmit_receive",
 ]
 
@@ -50,10 +51,10 @@ class FmConfig:
     record_seconds: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.scale <= 0 or self.sample_rate <= 0 or self.record_seconds <= 0:
-            raise ValueError("scale, sample_rate and record_seconds must be positive")
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        for name in ("scale", "amplitude", "sample_rate", "record_seconds"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         n = self.record_seconds * self.sample_rate
         if abs(n - round(n)) > 1e-6 or round(n) < 1:
             raise ValueError(
@@ -67,16 +68,14 @@ class FmConfig:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Static channel: constant phase, AWGN set by SNR.
+    """Static AWGN channel set by SNR, seeded by rng_seed.
 
     snr_db = math.inf disables noise.  Transmitted power is taken as 1
     regardless of the waveform, so a -20 dB channel has noise variance 100.
-    The phase is the synthesis phase of the received tone, cos(wn + phase).
     The received amplitude is the modulator's (``FmConfig.amplitude``).
     """
 
     snr_db: float = math.inf
-    phase: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -116,41 +115,32 @@ def channel_noise(fm: FmConfig, ch: ChannelSpec, antenna: int = 0) -> np.ndarray
 
 
 def capture(
-    fm: FmConfig,
-    ch: ChannelSpec,
-    tones: list[tuple[float, float, float]],
-    antennas: int = 1,
+    fm: FmConfig, ch: ChannelSpec, freqs: list[float], antennas: int = 1
 ) -> tuple[np.ndarray, ...]:
     """Received samples per antenna: a sum of tones plus independent AWGN.
 
-    Each tone is (freq Hz, amplitude, phase), synthesized as
-    amplitude * cos(2*pi*freq/fs*n + phase) and summed in the given order.
-    Antenna a adds channel_noise(fm, ch, a).  Only ch.snr_db and ch.rng_seed
-    are read: callers fold amplitude and phase into the tones (``chain_tone``).
-    Amplitudes and phases must be finite, and so must the sum of |amplitude|,
-    which bounds the tone sum.
+    Each frequency f (Hz) is synthesized as fm.amplitude * cos(2*pi*f/fs*n),
+    and the tones are summed in the given order.  Antenna a adds
+    channel_noise(fm, ch, a).
     """
     if antennas < 1:
         raise ValueError("antennas must be >= 1")
-    if not tones:
+    if not freqs:
         raise ValueError("capture needs at least one tone")
-    if not all(math.isfinite(a) and math.isfinite(p) for _, a, p in tones):
-        raise ValueError("tone amplitudes and phases must be finite")
-    if not math.isfinite(sum(abs(a) for _, a, _ in tones)):
-        raise ValueError("the sum of |amplitude| over the tones overflows")
+    # len(freqs) * amplitude bounds the tone sum, so finite samples need no scan
+    if not math.isfinite(len(freqs) * fm.amplitude):
+        raise ValueError("the sum of the tone amplitudes overflows")
     n = np.arange(fm.num_samples)
     mix = None
-    for freq, amplitude, phase in tones:
+    for freq in freqs:
         if not 0.0 <= freq < fm.sample_rate / 2:
             raise ValueError(
                 f"tone at {freq} Hz is outside [0, Nyquist) for fs={fm.sample_rate} Hz"
             )
-        # amplitude * cos(w*n + phase), built in one buffer: the same float
-        # operations without three record-sized temporaries per tone
+        # amplitude * cos(w*n), built in one buffer to spare record-sized temporaries
         tone = 2.0 * np.pi * freq / fm.sample_rate * n
-        tone += phase
         np.cos(tone, out=tone)
-        tone *= amplitude
+        tone *= fm.amplitude
         if mix is None:
             mix = tone
         else:
@@ -160,33 +150,27 @@ def capture(
     return tuple(mix + channel_noise(fm, ch, a) for a in range(antennas))
 
 
-def tone_bins(
-    fm: FmConfig,
-    rx: ReceiverConfig,
-    tone: tuple[float, float, float],
-    bins: np.ndarray,
-) -> np.ndarray:
+def tone_bins(fm: FmConfig, rx: ReceiverConfig, freq: float, bins: np.ndarray) -> np.ndarray:
     """rfft of one capture tone over the receiver's fft_size samples, in closed form, at 1-D bins.
 
-    The tone (freq, amplitude, phase) is amplitude*cos(w*n + phase) as
-    ``capture`` synthesizes it, w = 2*pi*freq/fs.  Each of its two complex
-    exponentials sums over n < M = fft_size to a Dirichlet kernel: at offset
-    d = +-freq*M/fs - k bins from bin k, exp(i*pi*d*(M-1)/M) * sin(pi*d) /
-    sin(pi*d/M).  Within 1e-9 bins of d = 0 the ratio is taken as its limit
-    M, which it equals to double precision (and tiny offsets would lose it to
-    underflow).  For 0 <= freq < fs/2 and bins in [0, M/2] the result equals
-    np.fft.rfft of the synthesized samples up to rounding.
+    The tone at freq Hz is fm.amplitude*cos(w*n) as ``capture`` synthesizes
+    it, w = 2*pi*freq/fs.  Each of its two complex exponentials sums over
+    n < M = fft_size to a Dirichlet kernel: at offset d = +-freq*M/fs - k
+    bins from bin k, exp(i*pi*d*(M-1)/M) * sin(pi*d) / sin(pi*d/M).  Within
+    1e-9 bins of d = 0 the ratio is taken as its limit M, which it equals to
+    double precision (and tiny offsets would lose it to underflow).  For
+    0 <= freq < fs/2 and bins in [0, M/2] the result equals np.fft.rfft of
+    the synthesized samples up to rounding.
     """
     m = rx.fft_size
     if fm.num_samples < m:
         raise ValueError(f"record has {fm.num_samples} samples, receiver needs {m}")
-    freq, amplitude, phase = tone
     sign = np.array([[1.0], [-1.0]])  # rows: the exp(+iwn) and exp(-iwn) halves
     d = sign * (freq * m / fm.sample_rate) - np.asarray(bins, dtype=float)
     on_bin = np.abs(d) < 1e-9
     kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * np.where(on_bin, 1.0, d)))
-    halves = kernel * np.exp(1j * (np.pi * (m - 1) / m * d + sign * phase))
-    return 0.5 * amplitude * halves.sum(axis=0)
+    halves = kernel * np.exp(1j * (np.pi * (m - 1) / m * d))
+    return 0.5 * fm.amplitude * halves.sum(axis=0)
 
 
 def magnitude_spectrum(rx: ReceiverConfig, samples: np.ndarray) -> np.ndarray:
@@ -227,24 +211,12 @@ def peak_from_spectrum(
     return k * bin_width
 
 
-def detect_peak(
-    fm: FmConfig, rx: ReceiverConfig, samples: np.ndarray, band: tuple[float, float] | None = None
-) -> float:
+def detect_peak(fm: FmConfig, rx: ReceiverConfig, samples: np.ndarray) -> float:
     """Peak frequency of the sampled record in Hz."""
-    return peak_from_spectrum(magnitude_spectrum(rx, samples), fm.sample_rate, rx.fft_size, band)
-
-
-def freq_to_voltage(fm: FmConfig, freq: float) -> float:
-    """Inverse of the modulator frequency map."""
-    return freq / fm.scale
-
-
-def chain_tone(fm: FmConfig, ch: ChannelSpec, vd: float) -> tuple[float, float, float]:
-    """The received (freq, amplitude, phase) tone of voltage vd on a single-sensor link."""
-    return (fm.scale * vd, fm.amplitude, ch.phase)
+    return peak_from_spectrum(magnitude_spectrum(rx, samples), fm.sample_rate, rx.fft_size)
 
 
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, rx: ReceiverConfig, vd: float) -> float:
     """Full chain: one-tone capture seeded by ch.rng_seed, peak detection, back to voltage."""
-    (samples,) = capture(fm, ch, [chain_tone(fm, ch, vd)])
-    return freq_to_voltage(fm, detect_peak(fm, rx, samples))
+    (samples,) = capture(fm, ch, [fm.scale * vd])
+    return detect_peak(fm, rx, samples) / fm.scale

@@ -1,4 +1,4 @@
-"""Public-name tests: every ``__all__`` entry exists and the package root re-exports only them.
+"""Public-name tests: every ``__all__`` entry exists, and modules import only listed names.
 
 Tools that walk a module's ``__all__`` (the benchmark tracer wraps each listed
 function) fail on a stale entry, so a removed name must leave ``__all__`` too.
@@ -22,19 +22,26 @@ def test_every_all_entry_resolves(short):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-def _root_imports() -> dict[str, list[str]]:
-    """Names the package root imports, by the module they come from."""
-    tree = ast.parse(Path(ajscc.__file__).read_text())
+def _relative_imports(path: Path) -> dict[str, list[str]]:
+    """Names a package file imports from its siblings, by the module they come from."""
     imports: dict[str, list[str]] = {}
-    for node in tree.body:
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             imports.setdefault(node.module, []).extend(a.name for a in node.names)
     return imports
 
 
 def test_root_imports_only_listed_names():
-    imports = _root_imports()
-    assert sorted(imports) == sorted(MODULES)
-    for short, names in imports.items():
-        listed = importlib.import_module(f"ajscc.{short}").__all__
-        assert [name for name in names if name not in listed] == [], short
+    # the listed names themselves are checked by the sibling test below
+    assert sorted(_relative_imports(Path(ajscc.__file__))) == sorted(MODULES)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(ajscc.__file__).parent.glob("*.py")), ids=lambda p: p.stem
+)
+def test_sibling_imports_only_listed_names(path):
+    # a module may lean only on what a library module lists as public
+    for short, names in _relative_imports(path).items():
+        if short in MODULES:
+            listed = importlib.import_module(f"ajscc.{short}").__all__
+            assert [name for name in names if name not in listed] == [], short

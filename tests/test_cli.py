@@ -1,6 +1,7 @@
 """CLI tests: subcommand outputs, exit codes, error reporting."""
 import argparse
 import json
+import math
 
 import pytest
 
@@ -9,10 +10,14 @@ from ajscc.cli import main
 from ajscc.experiments import (
     CONFIG_KEYS,
     KIND_KEYS,
+    ExperimentConfig,
     ExperimentKind,
     SourceSpec,
     SweepResult,
     SweepRow,
+    render_csv,
+    render_json,
+    run_mse_vs_L,
 )
 
 
@@ -132,6 +137,21 @@ class TestSweepCommands:
         rows = [ln for ln in out.splitlines()[1:] if ln]
         assert len(rows) == 2  # flag overrides the file's single-point grid
 
+    def test_out_overwrites_a_stale_file(self, capsys, tmp_path):
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.MSE_VS_L, trials=2, snr_db=math.inf, l_values=(5, 11), master_seed=1
+        )
+        result = run_mse_vs_L(cfg)
+        for fmt, render in (("csv", render_csv), ("json", render_json)):
+            out_path = tmp_path / f"sweep.{fmt}"
+            out_path.write_text("stale line\n" * 100)
+            code, _, _ = run_cli(
+                capsys, "sweep-l", "--trials", "2", "--snr-db", "inf", "--l-grid", "5,11",
+                "--seed", "1", "--format", fmt, "--out", str(out_path),
+            )
+            assert code == 0
+            assert out_path.read_bytes() == render(result).encode("ascii")
+
     def test_rejects_bad_format(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep-l", "--format", "xml"])
@@ -177,6 +197,16 @@ class TestConfigContract:
         run_cli(capsys, "sweep-l", "--config", str(cfg_path))
         run_cli(capsys, "sweep-l", "--l-grid", "10:20:5")
         assert runs[0].l_values == runs[1].l_values == (10, 15, 20)
+
+    def test_non_finite_fm_field_rejected(self, capsys, runs, tmp_path):
+        # bad FM fields give one JSON error line, never a traceback
+        for field, value in (("sample_rate", "inf"), ("record_seconds", "1e400"), ("scale", "nan")):
+            cfg_path = tmp_path / "run.cfg"
+            cfg_path.write_text(f"trials=2\nfm_{field}={value}\n")
+            code, out, err = run_cli(capsys, "sweep-l", "--config", str(cfg_path))
+            assert (code, out) == (1, "")
+            assert field in json.loads(err.strip())["error"]
+        assert runs == []
 
     def test_key_the_kind_ignores_rejected(self, capsys, runs, tmp_path):
         cfg_path = tmp_path / "run.cfg"

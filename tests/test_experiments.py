@@ -18,8 +18,6 @@ from ajscc.experiments import (
     SourceSpec,
     SweepRow,
     config_from_mapping,
-    emit_csv,
-    emit_json,
     read_config_file,
     render_csv,
     render_json,
@@ -243,28 +241,26 @@ class TestWindowPeak:
     QUIET = np.zeros(RX.fft_size // 2 + 1, dtype=complex)
 
     def test_clean_tone_is_accepted(self):
-        tone = (2500.0, 1.0, 0.0)
-        assert experiments._window_peak(self.FM, self.RX, tone, self.QUIET, 0.0) == 2500
+        assert experiments._window_peak(self.FM, self.RX, 2500.0, self.QUIET, 0.0) == 2500
 
     def test_noise_bound_above_peak_falls_back(self):
-        tone = (2500.0, 1.0, 0.0)
-        assert experiments._window_peak(self.FM, self.RX, tone, self.QUIET, 40000.0) is None
+        assert experiments._window_peak(self.FM, self.RX, 2500.0, self.QUIET, 40000.0) is None
 
     def test_near_tie_in_window_falls_back(self):
         # a half-bin tone plus a small noise value that lifts bin 2501 to
         # within 1e-12 of bin 2500; the image term alone separates them by ~2e-4
-        tone = (2500.5, 1.0, 0.0)
-        t = tone_bins(self.FM, self.RX, tone, np.array([2500, 2501]))
+        freq = 2500.5
+        t = tone_bins(self.FM, self.RX, freq, np.array([2500, 2501]))
         noise = self.QUIET.copy()
         noise[2501] = t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0)
         noise_max = abs(noise[2501])
         assert noise_max < 10.0
-        assert experiments._window_peak(self.FM, self.RX, tone, self.QUIET, 0.0) is not None
-        assert experiments._window_peak(self.FM, self.RX, tone, noise, noise_max) is None
+        assert experiments._window_peak(self.FM, self.RX, freq, self.QUIET, 0.0) is not None
+        assert experiments._window_peak(self.FM, self.RX, freq, noise, noise_max) is None
 
     def test_window_near_nyquist_falls_back(self):
-        tone = (self.FM.sample_rate / 2 - 10.0, 1.0, 0.0)
-        assert experiments._window_peak(self.FM, self.RX, tone, self.QUIET, 0.0) is None
+        freq = self.FM.sample_rate / 2 - 10.0
+        assert experiments._window_peak(self.FM, self.RX, freq, self.QUIET, 0.0) is None
 
 
 class TestSdrVsCsnr:
@@ -369,11 +365,9 @@ class TestClusterDemo:
 
 
 class TestOutput:
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         result = run_mse_vs_L(TINY_SWEEP)
-        path = tmp_path / "sweep.csv"
-        emit_csv(result, path)
-        text = path.read_text()
+        text = render_csv(result)
         assert text.splitlines()[0] == CSV_HEADER
         assert len(text.splitlines()) == 1 + len(result.rows)
         for line, row in zip(text.splitlines()[1:], result.rows):
@@ -383,18 +377,9 @@ class TestOutput:
             ]
             assert int(fields[5]) == row.trials
 
-    def test_csv_overwrites(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("stale")
+    def test_json_structure(self):
         result = run_mse_vs_L(TINY_SWEEP)
-        emit_csv(result, path)
-        assert path.read_text() == render_csv(result)
-
-    def test_json_structure(self, tmp_path):
-        result = run_mse_vs_L(TINY_SWEEP)
-        path = tmp_path / "sweep.json"
-        emit_json(result, path)
-        payload = json.loads(path.read_text())
+        payload = json.loads(render_json(result))
         assert payload["kind"] == "mse-vs-l"
         assert len(payload["rows"]) == len(result.rows)
         assert payload["best_param"] == result.best_param
@@ -498,6 +483,13 @@ class TestConfigFile:
             config_from_mapping(
                 {"kind": "sdr-vs-csnr", "source_kind": "uniform", "source_x2": "0.75"}
             )
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # a later line must not silently override an earlier one
+        path = tmp_path / "run.cfg"
+        path.write_text("kind=mse-vs-l\ntrials=400\n# fewer\n trials = 4\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:4: key 'trials' repeats .* line 2"):
+            read_config_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -14,7 +14,6 @@ from ajscc.signal_chain import (
     capture,
     channel_noise,
     detect_peak,
-    freq_to_voltage,
     magnitude_spectrum,
     noise_sigma,
     peak_from_spectrum,
@@ -28,8 +27,8 @@ NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 
 def fm_tone(fm, vd):
-    """The noiseless FM samples of voltage vd: one zero-phase tone at scale*vd Hz."""
-    return capture(fm, ChannelSpec(), [(fm.scale * vd, fm.amplitude, 0.0)])[0]
+    """The noiseless FM samples of voltage vd: one tone at scale*vd Hz."""
+    return capture(fm, ChannelSpec(), [fm.scale * vd])[0]
 
 
 class TestFmModulate:
@@ -68,10 +67,10 @@ class TestFmModulate:
             FmConfig(sample_rate=1e-7, record_seconds=1.0)
 
 
-def tone(freq, phase=0.0, fm=FM):
-    """The explicit cos(wn + phase) expression a capture must reproduce."""
+def tone(freq, fm=FM):
+    """The explicit unit cos(wn) expression a capture must reproduce."""
     n = np.arange(fm.num_samples)
-    return np.cos(2.0 * np.pi * freq / fm.sample_rate * n + phase)
+    return np.cos(2.0 * np.pi * freq / fm.sample_rate * n)
 
 
 class TestCapture:
@@ -85,15 +84,16 @@ class TestCapture:
             assert np.array_equal(a, b), s
 
     def test_noiseless_is_explicit_tone_sum(self):
-        tones = [(1234.0, 0.5, 0.3), (5678.9, 1.5, -1.1), (20000.25, 0.75, 2.0)]
-        (wf,) = capture(FM, NO_NOISE, tones)
-        expected = tones[0][1] * tone(tones[0][0], tones[0][2])
-        for freq, amplitude, phase in tones[1:]:
-            expected += amplitude * tone(freq, phase)
+        fm = FmConfig(amplitude=0.75)
+        freqs = [1234.0, 5678.9, 20000.25]
+        (wf,) = capture(fm, NO_NOISE, freqs)
+        expected = 0.75 * tone(freqs[0])
+        for freq in freqs[1:]:
+            expected += 0.75 * tone(freq)
         assert np.array_equal(wf, expected)
 
     def test_noise_is_sigma_times_seeded_normal(self):
-        tones = [(1500.0, 1.0, 0.0), (9000.5, 0.5, 0.4)]
+        tones = [1500.0, 9000.5]
         ch = ChannelSpec(snr_db=-7.0, rng_seed=99)
         sigma = noise_sigma(ch)
         (clean,) = capture(FM, NO_NOISE, tones)
@@ -104,36 +104,32 @@ class TestCapture:
             assert np.array_equal(wf, clean + sigma * z)
 
     def test_noiseless_antennas_are_equal_copies(self):
-        caps = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.0)], antennas=2)
+        caps = capture(FM, NO_NOISE, [2500.0], antennas=2)
         assert np.array_equal(caps[0], caps[1])
         assert caps[0] is not caps[1]
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            capture(FM, NO_NOISE, [(2500.0, 1.0, 0.0)], antennas=0)
+            capture(FM, NO_NOISE, [2500.0], antennas=0)
         with pytest.raises(ValueError):
             capture(FM, NO_NOISE, [])
         with pytest.raises(ValueError):
-            capture(FM, NO_NOISE, [(FM.sample_rate / 2, 1.0, 0.0)])
+            capture(FM, NO_NOISE, [FM.sample_rate / 2])
         with pytest.raises(ValueError):
-            capture(FM, NO_NOISE, [(math.nan, 1.0, 0.0)])
+            capture(FM, NO_NOISE, [math.nan])
 
     def test_non_finite_tone_parameters_rejected(self):
-        # capture builds its samples without scanning them, so every tone
-        # parameter that could make a sample non-finite is checked up front
-        for bad in [
-            [(2500.0, math.nan, 0.0)],
-            [(2500.0, math.inf, 0.0)],
-            [(2500.0, 1.0, math.nan)],
-            [(2500.0, 1.0, -math.inf)],
-            [(2500.0, 1e308, 0.0), (3500.0, -1e308, 0.0)],
-        ]:
-            with pytest.raises(ValueError):
-                capture(FM, NO_NOISE, bad)
+        # capture builds its samples without scanning them: a non-finite
+        # frequency or a tone sum that could overflow is rejected up front
+        for freq in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="outside"):
+                capture(FM, NO_NOISE, [freq])
+        with pytest.raises(ValueError, match="overflows"):
+            capture(FmConfig(amplitude=1e308), NO_NOISE, [2500.0, 3500.0])
 
     def test_channel_noise_is_the_capture_noise(self):
         ch = ChannelSpec(snr_db=-13.0, rng_seed=21)
-        tones = [(700.0, 1.0, 0.0)]
+        tones = [700.0]
         (clean,) = capture(FM, NO_NOISE, tones)
         noisy = capture(FM, ch, tones, antennas=2)
         for a, wf in enumerate(noisy):
@@ -153,39 +149,40 @@ class TestToneBins:
         fft_exp=st.integers(1, 16),
         freq_frac=st.floats(0.0, 1.0, exclude_max=True),
         amplitude=st.floats(1e-3, 10.0),
-        phase=st.floats(-2 * math.pi, 2 * math.pi),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_rfft_of_capture(
-        self, sample_rate, num_samples, fft_exp, freq_frac, amplitude, phase
-    ):
+    def test_matches_rfft_of_capture(self, sample_rate, num_samples, fft_exp, freq_frac, amplitude):
         fft_size = 2 ** fft_exp
         if fft_size > num_samples:
             fft_size = 2 ** (num_samples.bit_length() - 1)
-        fm = FmConfig(sample_rate=float(sample_rate), record_seconds=num_samples / sample_rate)
+        fm = FmConfig(
+            amplitude=amplitude,
+            sample_rate=float(sample_rate),
+            record_seconds=num_samples / sample_rate,
+        )
         rx = ReceiverConfig(fft_size=fft_size)
-        tone = (freq_frac * fm.sample_rate / 2, amplitude, phase)
-        (wf,) = capture(fm, NO_NOISE, [tone])
+        freq = freq_frac * fm.sample_rate / 2
+        (wf,) = capture(fm, NO_NOISE, [freq])
         expected = np.fft.rfft(wf[:fft_size])
-        got = tone_bins(fm, rx, tone, np.arange(fft_size // 2 + 1))
+        got = tone_bins(fm, rx, freq, np.arange(fft_size // 2 + 1))
         assert np.max(np.abs(got - expected)) <= TONE_BINS_TOL * amplitude * fft_size
 
     def test_on_bin_and_dc_values(self):
-        got = tone_bins(FM, RX, (2500.0, 2.0, 0.0), np.array([2499, 2500, 2501]))
+        got = tone_bins(FmConfig(amplitude=2.0), RX, 2500.0, np.array([2499, 2500, 2501]))
         assert got[1] == pytest.approx(RX.fft_size)
         assert np.all(np.abs(got[[0, 2]]) < 1e-6)
-        dc = tone_bins(FM, RX, (0.0, 1.5, 0.3), np.array([0]))
-        assert dc[0] == pytest.approx(1.5 * RX.fft_size * math.cos(0.3))
+        dc = tone_bins(FmConfig(amplitude=1.5), RX, 0.0, np.array([0]))
+        assert dc[0] == pytest.approx(1.5 * RX.fft_size)
 
     def test_record_shorter_than_fft_rejected(self):
         rx = ReceiverConfig(fft_size=2 * FM.num_samples)
         with pytest.raises(ValueError):
-            tone_bins(FM, rx, (100.0, 1.0, 0.0), np.arange(4))
+            tone_bins(FM, rx, 100.0, np.arange(4))
 
 
 class TestChannel:
     def test_no_noise_unity_gain_is_identity(self):
-        (wf,) = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.0)])
+        (wf,) = capture(FM, NO_NOISE, [2500.0])
         assert np.array_equal(wf, tone(2500.0))
 
     def test_snr_sets_noise_variance(self):
@@ -195,12 +192,13 @@ class TestChannel:
         # 2% tolerance on the measured variance over 2^20 samples
         fm = FmConfig(record_seconds=16.0)
         ch = ChannelSpec(snr_db=-20.0, rng_seed=42)
-        (wf,) = capture(fm, ch, [(2500.0, 0.0, 0.0)])
-        assert np.var(wf) == pytest.approx(100.0, rel=0.02)
+        (clean,) = capture(fm, NO_NOISE, [2500.0])
+        (wf,) = capture(fm, ch, [2500.0])
+        assert np.var(wf - clean) == pytest.approx(100.0, rel=0.02)
 
     def test_deterministic_per_seed(self):
         ch = ChannelSpec(snr_db=-20.0, rng_seed=123)
-        tones = [(1700.0, 1.0, 0.0)]
+        tones = [1700.0]
         (a,) = capture(FM, ch, tones)
         (b,) = capture(FM, ch, tones)
         assert np.array_equal(a, b)
@@ -208,33 +206,17 @@ class TestChannel:
         assert not np.array_equal(a, c)
 
     def test_gain_scales_signal(self):
-        (wf,) = capture(FM, NO_NOISE, [(2500.0, 0.5, 0.0)])
+        (wf,) = capture(FmConfig(amplitude=0.5), NO_NOISE, [2500.0])
         assert np.allclose(wf, 0.5 * fm_tone(FM, 2.5))
         assert transmit_receive(FmConfig(amplitude=0.5), NO_NOISE, RX, 2.5) == 2.5
 
-    def test_phase_shift_on_tone(self):
-        (wf,) = capture(FM, NO_NOISE, [(2500.0, 1.0, 0.7)])
-        n = np.arange(len(wf))
-        expected = np.cos(2 * np.pi * 2500.0 / 65536.0 * n + 0.7)
-        assert np.allclose(wf, expected, atol=1e-9)
-
-    def test_phase_shift_preserves_peak(self):
-        assert transmit_receive(FM, ChannelSpec(phase=1.2), RX, 2.5) == 2.5
-
-    def test_phase_is_synthesis_phase_off_bin(self):
-        # phase enters the cosine argument, cos(wn + phase), for any tone
-        # frequency; an off-bin tone is not phase-shifted in the FFT domain
-        (wf,) = capture(FM, NO_NOISE, [(2345.6, 1.0, 0.9)])
-        n = np.arange(len(wf))
-        expected = np.cos(2 * np.pi * 2345.6 / 65536.0 * n + 0.9)
-        assert np.allclose(wf, expected, atol=1e-12)
-        assert wf[0] == pytest.approx(math.cos(0.9), abs=1e-15)
-        assert transmit_receive(FM, ChannelSpec(phase=0.9), RX, 2.3456) == 2.346
-
     def test_bad_specs_rejected(self):
-        for amplitude in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="amplitude"):
-                FmConfig(amplitude=amplitude)
+        # every field must lie in (0, inf): a NaN or an infinity would
+        # otherwise fail later, in num_samples or deep in a sweep
+        for name in ("scale", "amplitude", "sample_rate", "record_seconds"):
+            for bad in (0.0, -1.0, math.nan, math.inf, 1e400):
+                with pytest.raises(ValueError, match=name):
+                    FmConfig(**{name: bad})
         with pytest.raises(ValueError):
             ChannelSpec(snr_db=math.nan)
         with pytest.raises(ValueError):
@@ -288,9 +270,9 @@ class TestPeakDetection:
 
 class TestEndToEnd:
     def test_voltage_map_inverse(self):
-        assert freq_to_voltage(FM, 2500.0) == 2.5
-        assert freq_to_voltage(FM, 0.0) == 0.0
-        assert freq_to_voltage(FM, 5000.0) == 5.0
+        # on-bin voltages come back exactly: peak frequency over the scale
+        for vd in (2.5, 0.0, 5.0):
+            assert transmit_receive(FM, NO_NOISE, RX, vd) == vd
 
     def test_noiseless_half_bin_error_bound(self):
         rng = np.random.default_rng(21)
@@ -329,7 +311,7 @@ class TestEndToEnd:
         sigma = noise_sigma(ChannelSpec(snr_db=-35.0))
         for seed in range(5):
             noise = np.random.default_rng(seed).normal(0.0, sigma, FM.num_samples)
-            expected = freq_to_voltage(FM, detect_peak(FM, RX, tone(3210.0) + noise))
+            expected = detect_peak(FM, RX, tone(3210.0) + noise) / FM.scale
             got = transmit_receive(FM, ChannelSpec(snr_db=-35.0, rng_seed=seed), RX, 3.21)
             assert got == expected
 
