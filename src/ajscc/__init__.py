@@ -28,7 +28,6 @@ from .circuit import (
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
-    ReceiverConfig,
     capture,
     detect_peak,
     transmit_receive,

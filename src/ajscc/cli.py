@@ -29,7 +29,7 @@ from .experiments import (
     run_sdr_vs_csnr,
 )
 from .mapping import MappingConfig, Quantizer, decode, encode
-from .signal_chain import ChannelSpec, FmConfig, ReceiverConfig, transmit_receive
+from .signal_chain import ChannelSpec, FmConfig, transmit_receive
 
 # the config key each experiment flag sets, and its help text
 _CONFIG_FLAGS = {
@@ -174,7 +174,7 @@ def _run(args: argparse.Namespace) -> int:
         codec = _codec(args)
         vd = encode(codec, args.x1, args.x2)
         channel = ChannelSpec(snr_db=args.snr_db, rng_seed=args.seed)
-        vd_hat = transmit_receive(FmConfig(), channel, ReceiverConfig(), vd)
+        vd_hat = transmit_receive(FmConfig(), channel, vd)
         dec = decode(codec, vd_hat)
         print(
             json.dumps(

@@ -38,7 +38,6 @@ from .multisensor import FdmaPlan, SensorResult, assign_channels, simulate_clust
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
-    ReceiverConfig,
     channel_noise,
     tone_bins,
     transmit_receive,
@@ -134,7 +133,6 @@ class ExperimentConfig:
     master_seed: int = 0
     workers: int = 1
     fm: FmConfig = FmConfig()
-    receiver: ReceiverConfig = ReceiverConfig()
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -151,6 +149,12 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         # construction validates the codec parameters
         MappingConfig(self.d_max, self.num_levels, self.v2, self.quantizer)
+        top = self.fm.scale * self.d_max
+        if top >= self.fm.sample_rate / 2:
+            raise ValueError(
+                f"the codec range reaches {top} Hz (fm.scale * d_max), at or above the "
+                f"{self.fm.sample_rate / 2} Hz Nyquist frequency"
+            )
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,7 @@ def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
 # half-width in bins of the window around the tone that is evaluated in
 # closed form, and the relative margin by which the window's peak must beat
 # its runner-up and the bound on every bin outside the window.  The margin
-# keeps any accepted peak about 1e-9 * amplitude * fft_size above its
+# keeps any accepted peak about 1e-9 * amplitude * fm.num_samples above its
 # rivals; the closed form and np.fft.rfft of the synthesized tone agree to
 # ~1e-11 of that scale, so rounding cannot change an accepted decision
 PEAK_WINDOW = 32
@@ -217,27 +221,24 @@ PEAK_MARGIN = 1e-7
 
 
 def _window_peak(
-    fm: FmConfig,
-    rx: ReceiverConfig,
-    freq: float,
-    noise_spectrum: np.ndarray,
-    noise_max: float,
+    fm: FmConfig, freq: float, noise_spectrum: np.ndarray, noise_max: float
 ) -> int | None:
     """FFT argmax bin of the tone at freq Hz plus noise, or None when the window cannot prove it.
 
     The tone's spectrum is evaluated in closed form within PEAK_WINDOW bins
-    of its nearest bin c0 and added to the noise spectrum there.  Outside the
-    window each Dirichlet kernel is at least PEAK_WINDOW + 1/2 bins (mod M)
-    from every rfft bin as long as the window stays clear of Nyquist, so no
-    bin there exceeds fm.amplitude / sin(pi*(PEAK_WINDOW + 1/2)/M) + max|noise|.
+    of its nearest bin c0 and added to the noise spectrum there.  With M =
+    fm.num_samples, the record's FFT length, each Dirichlet kernel outside
+    the window is at least PEAK_WINDOW + 1/2 bins (mod M) from every rfft
+    bin as long as the window stays clear of Nyquist, so no bin there
+    exceeds fm.amplitude / sin(pi*(PEAK_WINDOW + 1/2)/M) + max|noise|.
     """
-    m = rx.fft_size
+    m = fm.num_samples
     c0 = round(freq * m / fm.sample_rate)
     if c0 + PEAK_WINDOW + 1 > m // 2:
         return None
     lo = max(c0 - PEAK_WINDOW, 0)
     hi = c0 + PEAK_WINDOW + 1
-    mags = np.abs(tone_bins(fm, rx, freq, np.arange(lo, hi)) + noise_spectrum[lo:hi])
+    mags = np.abs(tone_bins(fm, freq, np.arange(lo, hi)) + noise_spectrum[lo:hi])
     j = int(np.argmax(mags))
     runner_up = float(np.partition(mags, -2)[-2])
     outside = fm.amplitude / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m) + noise_max
@@ -253,7 +254,7 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
     the tone's plus one rfft of that noise.  A (trial, L) chain whose peak
     the window cannot prove runs the full transmit_receive chain instead.
     """
-    fm, rx = cfg.fm, cfg.receiver
+    fm = cfg.fm
     mappings = [
         MappingConfig(cfg.d_max, num_levels, cfg.v2, cfg.quantizer) for num_levels in cfg.l_values
     ]
@@ -262,18 +263,18 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
         rng = _trial_rng(cfg.master_seed, trial)
         u1, u2 = cfg.source.draw(rng)
         channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
-        noise_spectrum = np.fft.rfft(channel_noise(fm, channel)[: rx.fft_size])
+        noise_spectrum = np.fft.rfft(channel_noise(fm, channel))
         noise_max = float(np.max(np.abs(noise_spectrum)))
         row = []
         for mapping in mappings:
             x1 = u1 * mapping.v1
             x2 = u2 * mapping.v2
             vd = encode(mapping, x1, x2)
-            k = _window_peak(fm, rx, fm.scale * vd, noise_spectrum, noise_max)
+            k = _window_peak(fm, fm.scale * vd, noise_spectrum, noise_max)
             if k is None:
-                vd_hat = transmit_receive(fm, channel, rx, vd)
+                vd_hat = transmit_receive(fm, channel, vd)
             else:
-                vd_hat = k * (fm.sample_rate / rx.fft_size) / fm.scale
+                vd_hat = k * (fm.sample_rate / fm.num_samples) / fm.scale
             dec = decode(mapping, vd_hat)
             e1 = ((dec.x1_hat - x1) / mapping.v1) ** 2
             e2 = ((dec.x2_hat - x2) / mapping.v2) ** 2
@@ -325,9 +326,7 @@ def _cluster_trial(
     capture_seed = int(rng.integers(0, 2**62))
     truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
     channel = ChannelSpec(snr_db=snr_db, rng_seed=capture_seed)
-    results = simulate_cluster(
-        mapping, truths, plan, cfg.fm, channel, cfg.receiver, antennas=cfg.antennas
-    )
+    results = simulate_cluster(mapping, truths, plan, cfg.fm, channel, antennas=cfg.antennas)
     return draws, results
 
 
@@ -455,7 +454,7 @@ def _check_chain_roundtrip(cfg: ExperimentConfig) -> list[CheckResult]:
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 202]))
     channel = ChannelSpec(snr_db=math.inf)
-    bin_width = cfg.fm.sample_rate / cfg.receiver.fft_size
+    bin_width = cfg.fm.sample_rate / cfg.fm.num_samples
     # one full bin: covers image-leakage tie breaks and the near-DC corner,
     # which push the usual half-bin error up to ~0.63 bins
     bound1 = bin_width / cfg.fm.scale + 1e-9
@@ -465,7 +464,7 @@ def _check_chain_roundtrip(cfg: ExperimentConfig) -> list[CheckResult]:
     for _ in range(cfg.trials):
         x1 = rng.uniform(0.0, mapping.v1)
         x2 = rng.uniform(0.0, mapping.v2)
-        vd_hat = transmit_receive(cfg.fm, channel, cfg.receiver, encode(mapping, x1, x2))
+        vd_hat = transmit_receive(cfg.fm, channel, encode(mapping, x1, x2))
         dec = decode(mapping, vd_hat)
         worst1 = max(worst1, abs(dec.x1_hat - x1))
         worst2 = max(worst2, abs(dec.x2_hat - x2))
@@ -541,7 +540,7 @@ def render_json(result: SweepResult) -> str:
 # flat key=value config files
 
 # key prefix of each nested dataclass field of ExperimentConfig
-_NESTED_PREFIX = {"source": "source_", "fm": "fm_", "receiver": ""}
+_NESTED_PREFIX = {"source": "source_", "fm": "fm_"}
 
 
 def _parse_list(text: str, typ: type) -> tuple:

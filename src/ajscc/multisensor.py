@@ -22,7 +22,6 @@ from .mapping import DecodedPair, MappingConfig, decode, encode
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
-    ReceiverConfig,
     capture,
     magnitude_spectrum,
     peak_from_spectrum,
@@ -52,6 +51,8 @@ class FdmaPlan:
             raise ValueError("offsets, guard_hz and band_width_hz must be finite")
         if self.band_width_hz <= 0 or self.guard_hz < 0:
             raise ValueError("band_width_hz must be positive and guard_hz non-negative")
+        if min(self.offsets) < 0:
+            raise ValueError(f"a band starts below DC, at {min(self.offsets)} Hz")
         ordered = sorted(self.offsets)
         for a, b in zip(ordered, ordered[1:]):
             if b - (a + self.band_width_hz) < self.guard_hz - 1e-9:
@@ -121,7 +122,6 @@ def simulate_cluster(
     plan: FdmaPlan,
     fm: FmConfig,
     ch: ChannelSpec,
-    rx: ReceiverConfig,
     antennas: int = 1,
 ) -> list[SensorResult]:
     """Capture all sensors jointly over channel ch and decode each from its own band.
@@ -133,12 +133,12 @@ def simulate_cluster(
     _validate_cluster(mapping, truths, plan, fm)
     vds = [encode(mapping, x1, x2) for x1, x2 in truths]
     freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
-    spectra = [magnitude_spectrum(rx, y) for y in capture(fm, ch, freqs, antennas)]
+    spectra = [magnitude_spectrum(fm, y) for y in capture(fm, ch, freqs, antennas)]
     combined = spectra[0] if len(spectra) == 1 else diversity_combine(spectra)
 
     results = []
     for i, vd_true in enumerate(vds):
-        peak = peak_from_spectrum(combined, fm.sample_rate, rx.fft_size, band=plan.band(i))
+        peak = peak_from_spectrum(combined, fm.sample_rate, fm.num_samples, band=plan.band(i))
         vd_hat = (peak - plan.offsets[i]) / fm.scale
         results.append(
             SensorResult(

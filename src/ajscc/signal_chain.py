@@ -5,11 +5,13 @@ volt), the channel adds white Gaussian noise at a configured SNR, and the
 receiver locates the strongest FFT bin and maps it back to a voltage.  The
 receiver reads only a magnitude spectrum, so a tone is its frequency: the
 carrier phase is a nuisance it discards, and every tone is synthesized at
-zero phase with the modulator's amplitude.  With the default 65536 Hz
-sampling and 65536-point FFT the bin width is exactly 1 Hz, so the noiseless
-end-to-end voltage error is half a bin over the scale factor (5e-4 V) away
-from DC and Nyquist; within a bin or two of either edge the tone's image
-leaks into the peak and the error reaches ~0.6 bins, under the one-bin bound.
+zero phase with the modulator's amplitude.  The FFT spans the whole record,
+whose length ``FmConfig`` holds to a power of two, so the bin width is
+fm.sample_rate / fm.num_samples.  With the default 65536 Hz sampling over
+one second that is exactly 1 Hz, so the noiseless end-to-end voltage error
+is half a bin over the scale factor (5e-4 V) away from DC and Nyquist;
+within a bin or two of either edge the tone's image leaks into the peak and
+the error reaches ~0.6 bins, under the one-bin bound.
 
 ``capture`` is the one received-signal model: a sum of tones at the given
 frequencies plus noise per antenna (``channel_noise``), seeded by
@@ -29,7 +31,6 @@ import numpy as np
 __all__ = [
     "FmConfig",
     "ChannelSpec",
-    "ReceiverConfig",
     "capture",
     "channel_noise",
     "tone_bins",
@@ -43,7 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FmConfig:
-    """Voltage-to-frequency modulator parameters and record geometry."""
+    """Voltage-to-frequency modulator parameters and record geometry.
+
+    The record is also the receiver's FFT, so it must hold a power-of-two
+    number of samples, at least 2.
+    """
 
     scale: float = 1000.0  # Hz per volt
     amplitude: float = 1.0
@@ -56,10 +61,9 @@ class FmConfig:
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         n = self.record_seconds * self.sample_rate
-        if abs(n - round(n)) > 1e-6 or round(n) < 1:
-            raise ValueError(
-                f"record must hold a whole, positive number of samples, got {n}"
-            )
+        m = round(n)
+        if abs(n - m) > 1e-6 or m < 2 or m & (m - 1):
+            raise ValueError(f"record must hold a power-of-two number (>= 2) of samples, got {n}")
 
     @property
     def num_samples(self) -> int:
@@ -81,17 +85,6 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must not be NaN or -inf, got {self.snr_db}")
-
-
-@dataclass(frozen=True)
-class ReceiverConfig:
-    """FFT peak detector parameters (rectangular window)."""
-
-    fft_size: int = 65536
-
-    def __post_init__(self) -> None:
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
-            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
 
 
 def noise_sigma(ch: ChannelSpec) -> float:
@@ -150,21 +143,19 @@ def capture(
     return tuple(mix + channel_noise(fm, ch, a) for a in range(antennas))
 
 
-def tone_bins(fm: FmConfig, rx: ReceiverConfig, freq: float, bins: np.ndarray) -> np.ndarray:
-    """rfft of one capture tone over the receiver's fft_size samples, in closed form, at 1-D bins.
+def tone_bins(fm: FmConfig, freq: float, bins: np.ndarray) -> np.ndarray:
+    """rfft of one capture tone over the whole record, in closed form, at 1-D bins.
 
     The tone at freq Hz is fm.amplitude*cos(w*n) as ``capture`` synthesizes
     it, w = 2*pi*freq/fs.  Each of its two complex exponentials sums over
-    n < M = fft_size to a Dirichlet kernel: at offset d = +-freq*M/fs - k
+    n < M = fm.num_samples to a Dirichlet kernel: at offset d = +-freq*M/fs - k
     bins from bin k, exp(i*pi*d*(M-1)/M) * sin(pi*d) / sin(pi*d/M).  Within
     1e-9 bins of d = 0 the ratio is taken as its limit M, which it equals to
     double precision (and tiny offsets would lose it to underflow).  For
     0 <= freq < fs/2 and bins in [0, M/2] the result equals np.fft.rfft of
     the synthesized samples up to rounding.
     """
-    m = rx.fft_size
-    if fm.num_samples < m:
-        raise ValueError(f"record has {fm.num_samples} samples, receiver needs {m}")
+    m = fm.num_samples
     sign = np.array([[1.0], [-1.0]])  # rows: the exp(+iwn) and exp(-iwn) halves
     d = sign * (freq * m / fm.sample_rate) - np.asarray(bins, dtype=float)
     on_bin = np.abs(d) < 1e-9
@@ -173,13 +164,11 @@ def tone_bins(fm: FmConfig, rx: ReceiverConfig, freq: float, bins: np.ndarray) -
     return 0.5 * fm.amplitude * halves.sum(axis=0)
 
 
-def magnitude_spectrum(rx: ReceiverConfig, samples: np.ndarray) -> np.ndarray:
-    """FFT magnitude over the first fft_size samples, bins 0..sample_rate/2."""
-    if len(samples) < rx.fft_size:
-        raise ValueError(
-            f"record has {len(samples)} samples, receiver needs {rx.fft_size}"
-        )
-    return np.abs(np.fft.rfft(np.asarray(samples, dtype=float)[: rx.fft_size]))
+def magnitude_spectrum(fm: FmConfig, samples: np.ndarray) -> np.ndarray:
+    """FFT magnitude of one whole record, bins 0..sample_rate/2."""
+    if len(samples) != fm.num_samples:
+        raise ValueError(f"got {len(samples)} samples, the record holds {fm.num_samples}")
+    return np.abs(np.fft.rfft(np.asarray(samples, dtype=float)))
 
 
 def peak_from_spectrum(
@@ -192,6 +181,7 @@ def peak_from_spectrum(
 
     A NaN or infinite bin in the searched range is rejected: np.argmax returns
     the first NaN, or else the first inf, so checking the argmax bin suffices.
+    Magnitudes are non-negative, so a zero argmax bin means an all-zero band.
     """
     bin_width = sample_rate / fft_size
     lo, hi = 0, spectrum.size - 1
@@ -206,17 +196,17 @@ def peak_from_spectrum(
     k = lo + int(np.argmax(spectrum[lo : hi + 1]))
     if not math.isfinite(spectrum[k]):
         raise ValueError("spectrum is not finite: the samples hold NaN or inf")
-    if not np.any(spectrum > 0):
+    if not spectrum[k] > 0:
         raise ValueError("degenerate all-zero spectrum: no signal to detect")
     return k * bin_width
 
 
-def detect_peak(fm: FmConfig, rx: ReceiverConfig, samples: np.ndarray) -> float:
+def detect_peak(fm: FmConfig, samples: np.ndarray) -> float:
     """Peak frequency of the sampled record in Hz."""
-    return peak_from_spectrum(magnitude_spectrum(rx, samples), fm.sample_rate, rx.fft_size)
+    return peak_from_spectrum(magnitude_spectrum(fm, samples), fm.sample_rate, fm.num_samples)
 
 
-def transmit_receive(fm: FmConfig, ch: ChannelSpec, rx: ReceiverConfig, vd: float) -> float:
+def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd: float) -> float:
     """Full chain: one-tone capture seeded by ch.rng_seed, peak detection, back to voltage."""
     (samples,) = capture(fm, ch, [fm.scale * vd])
-    return detect_peak(fm, rx, samples) / fm.scale
+    return detect_peak(fm, samples) / fm.scale

@@ -32,14 +32,12 @@ from ajscc.multisensor import FdmaPlan, assign_channels, simulate_cluster
 from ajscc.signal_chain import (
     ChannelSpec,
     FmConfig,
-    ReceiverConfig,
     transmit_receive,
 )
 
 FM = FmConfig()
-RX = ReceiverConfig()
 NO_NOISE = ChannelSpec(snr_db=math.inf)
-HALF_BIN_VOLTS = 0.5 * (FM.sample_rate / RX.fft_size) / FM.scale  # 5e-4 V
+HALF_BIN_VOLTS = 0.5 * (FM.sample_rate / FM.num_samples) / FM.scale  # 5e-4 V
 EPS = 1e-9
 
 SWEEP_SEED = 20260809
@@ -160,7 +158,7 @@ def test_criterion_5_noiseless_roundtrip(quantizer):
         x1 = float(rng.uniform(0.0, mapping.v1))
         x2 = float(rng.uniform(0.0, mapping.v2))
         vd = encode(mapping, x1, x2)
-        vd_hat = transmit_receive(FM, NO_NOISE, RX, vd)
+        vd_hat = transmit_receive(FM, NO_NOISE, vd)
         dec = decode(mapping, vd_hat)
         e1, e2 = abs(dec.x1_hat - x1), abs(dec.x2_hat - x2)
         if vd < DC_EDGE_VOLTS:
@@ -208,10 +206,10 @@ def test_criterion_6_fdma_independence():
     plan = assign_channels(3, FM, 5.0)
 
     # no noise: decoded values must match solo runs exactly
-    joint = simulate_cluster(mapping, sensors, plan, FM, NO_NOISE, RX)
+    joint = simulate_cluster(mapping, sensors, plan, FM, NO_NOISE)
     exact = True
     for i, sensor in enumerate(sensors):
-        (solo,) = simulate_cluster(mapping, [sensor], _solo_plan(plan, i), FM, NO_NOISE, RX)
+        (solo,) = simulate_cluster(mapping, [sensor], _solo_plan(plan, i), FM, NO_NOISE)
         exact = exact and joint[i].peak_hz == solo.peak_hz and joint[i].decoded == solo.decoded
 
     # matched noise: per-sensor median SDR within 1 dB of solo
@@ -220,9 +218,9 @@ def test_criterion_6_fdma_independence():
     mse_solo = np.zeros((trials, 3))
     for t in range(trials):
         ch = ChannelSpec(snr_db=-20.0, rng_seed=t)
-        res_joint = simulate_cluster(mapping, sensors, plan, FM, ch, RX)
+        res_joint = simulate_cluster(mapping, sensors, plan, FM, ch)
         for i, sensor in enumerate(sensors):
-            (res_solo,) = simulate_cluster(mapping, [sensor], _solo_plan(plan, i), FM, ch, RX)
+            (res_solo,) = simulate_cluster(mapping, [sensor], _solo_plan(plan, i), FM, ch)
             for res, store in ((res_joint[i], mse_joint), (res_solo, mse_solo)):
                 u1, u2 = truths[i]
                 store[t, i] = ((res.decoded.x1_hat / mapping.v1 - u1) ** 2
@@ -263,7 +261,7 @@ def test_criterion_7a_median_sdr_monotone(sdr_sweep_fixed_truth):
     # the high-SNR plateau is the quantization-limited ceiling of a noiseless run
     mapping = MappingConfig(5.0, 11, 1.0)
     sensor = (0.37 * mapping.v1, 0.53)
-    (res,) = simulate_cluster(mapping, [sensor], assign_channels(1, FM, 5.0), FM, NO_NOISE, RX)
+    (res,) = simulate_cluster(mapping, [sensor], assign_channels(1, FM, 5.0), FM, NO_NOISE)
     ceiling_mse = (res.decoded.x1_hat / mapping.v1 - 0.37) ** 2 + (
         res.decoded.x2_hat - 0.53
     ) ** 2
@@ -314,7 +312,7 @@ def test_criterion_7c_diversity_never_hurts():
     for antennas in (1, 2):
         for t in range(trials):
             ch = ChannelSpec(snr_db=-30.0, rng_seed=t)
-            (res,) = simulate_cluster(mapping, [sensor], plan, FM, ch, RX, antennas=antennas)
+            (res,) = simulate_cluster(mapping, [sensor], plan, FM, ch, antennas=antennas)
             errs[antennas][t] = abs(res.vd_hat - res.vd_true)
     med1, med2 = np.median(errs[1]), np.median(errs[2])
     miss1 = float(np.mean(errs[1] > 1e-3))

@@ -2,6 +2,8 @@
 import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +210,18 @@ class TestConfigContract:
             assert field in json.loads(err.strip())["error"]
         assert runs == []
 
+    def test_codec_range_past_nyquist_rejected(self, capsys, runs):
+        # 33 V at 1000 Hz/V is 33000 Hz, past the 32768 Hz Nyquist frequency:
+        # rejected up front, not only when some seed draws a tone that high
+        code, out, err = run_cli(
+            capsys, "sweep-l", "--dmax", "33", "--quantizer", "nearest", "--trials", "200",
+            "--l-grid", "71", "--snr-db", "0", "--seed", "3",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert "Nyquist" in json.loads(err)["error"]
+        assert runs == []
+
     def test_key_the_kind_ignores_rejected(self, capsys, runs, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("trials=2\nsensor_count=3\n")
@@ -229,6 +243,24 @@ class TestConfigContract:
         for command, kind in kinds.items():
             keys = {a.dest for a in subparsers.choices[command]._actions} & set(CONFIG_KEYS)
             assert keys and keys <= KIND_KEYS[kind], command
+
+    def test_readme_config_table_matches_the_code(self):
+        # the README's | key | flag | value | table lists every config key once,
+        # with the flag that sets it
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| key | flag | value |") + 2
+        readme_keys, readme_flags = [], {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            key_cell, flag_cell, _ = line.strip("|").split("|")
+            keys = re.findall(r"`([^`]+)`", key_cell)
+            flags = re.findall(r"`(--[^`]+)`", flag_cell)
+            assert not flags or len(flags) == len(keys), line
+            readme_keys += keys
+            readme_flags.update(zip(keys, flags))
+        assert sorted(readme_keys) == sorted(CONFIG_KEYS)
+        assert readme_flags == {key: flag for flag, (key, _) in cli._CONFIG_FLAGS.items()}
 
     def test_cluster_keeps_its_defaults(self, capsys, runs):
         code, _, _ = run_cli(capsys, "cluster")

@@ -28,7 +28,7 @@ from ajscc.experiments import (
 )
 from ajscc.mapping import MappingConfig, Quantizer, decode, encode
 from ajscc.metrics import sdr
-from ajscc.signal_chain import ChannelSpec, FmConfig, ReceiverConfig, tone_bins, transmit_receive
+from ajscc.signal_chain import ChannelSpec, FmConfig, tone_bins, transmit_receive
 
 TINY_SWEEP = ExperimentConfig(
     kind=ExperimentKind.MSE_VS_L,
@@ -68,6 +68,18 @@ class TestConfigValidation:
         # a fixed source fills a coordinate it is not given with 0.5
         assert (SourceSpec("fixed", x1=0.25).x1, SourceSpec("fixed", x1=0.25).x2) == (0.25, 0.5)
         assert SourceSpec("fixed").draw(np.random.default_rng(0)) == (0.5, 0.5)
+
+    def test_codec_range_past_nyquist_rejected(self):
+        # every encoded voltage up to d_max must map to a tone below Nyquist
+        with pytest.raises(ValueError, match=r"33000\.0 Hz.*32768\.0 Hz Nyquist"):
+            ExperimentConfig(kind=ExperimentKind.MSE_VS_L, d_max=33.0)
+        with pytest.raises(ValueError, match="Nyquist"):
+            ExperimentConfig(kind=ExperimentKind.ROUND_TRIP, d_max=32.0, fm=FmConfig(scale=1024.0))
+        ExperimentConfig(kind=ExperimentKind.ROUND_TRIP, d_max=31.9, fm=FmConfig(scale=1024.0))
+        small = FmConfig(sample_rate=8192.0)
+        with pytest.raises(ValueError, match="Nyquist"):
+            ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, fm=small)
+        ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, d_max=4.0, fm=small)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -154,7 +166,7 @@ def scalar_rows(cfg):
             x2 = u2 * mapping.v2
             vd = encode(mapping, x1, x2)
             channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=noise_seed)
-            dec = decode(mapping, transmit_receive(cfg.fm, channel, cfg.receiver, vd))
+            dec = decode(mapping, transmit_receive(cfg.fm, channel, vd))
             sum1 += ((dec.x1_hat - x1) / mapping.v1) ** 2
             sum2 += ((dec.x2_hat - x2) / mapping.v2) ** 2
         m1, m2 = sum1 / cfg.trials, sum2 / cfg.trials
@@ -211,8 +223,7 @@ class TestSharedNoiseEngine:
         cfg = dataclasses.replace(
             ENGINE_SWEEP,
             snr_db=-20.0,
-            fm=FmConfig(sample_rate=48000.0),
-            receiver=ReceiverConfig(fft_size=16384),
+            fm=FmConfig(sample_rate=48000.0, record_seconds=16384 / 48000),
         )
         self.assert_matches_oracle(cfg)
 
@@ -227,40 +238,34 @@ class TestSharedNoiseEngine:
         run_mse_vs_L(dataclasses.replace(ENGINE_SWEEP, snr_db=-35.0))
         assert len(calls) > 0
 
-    def test_record_shorter_than_fft_rejected(self):
-        cfg = dataclasses.replace(ENGINE_SWEEP, receiver=ReceiverConfig(fft_size=131072))
-        with pytest.raises(ValueError):
-            run_mse_vs_L(cfg)
-
 
 class TestWindowPeak:
     """The three accept conditions of the windowed peak search."""
 
     FM = FmConfig()
-    RX = ReceiverConfig()
-    QUIET = np.zeros(RX.fft_size // 2 + 1, dtype=complex)
+    QUIET = np.zeros(FM.num_samples // 2 + 1, dtype=complex)
 
     def test_clean_tone_is_accepted(self):
-        assert experiments._window_peak(self.FM, self.RX, 2500.0, self.QUIET, 0.0) == 2500
+        assert experiments._window_peak(self.FM, 2500.0, self.QUIET, 0.0) == 2500
 
     def test_noise_bound_above_peak_falls_back(self):
-        assert experiments._window_peak(self.FM, self.RX, 2500.0, self.QUIET, 40000.0) is None
+        assert experiments._window_peak(self.FM, 2500.0, self.QUIET, 40000.0) is None
 
     def test_near_tie_in_window_falls_back(self):
         # a half-bin tone plus a small noise value that lifts bin 2501 to
         # within 1e-12 of bin 2500; the image term alone separates them by ~2e-4
         freq = 2500.5
-        t = tone_bins(self.FM, self.RX, freq, np.array([2500, 2501]))
+        t = tone_bins(self.FM, freq, np.array([2500, 2501]))
         noise = self.QUIET.copy()
         noise[2501] = t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0)
         noise_max = abs(noise[2501])
         assert noise_max < 10.0
-        assert experiments._window_peak(self.FM, self.RX, freq, self.QUIET, 0.0) is not None
-        assert experiments._window_peak(self.FM, self.RX, freq, noise, noise_max) is None
+        assert experiments._window_peak(self.FM, freq, self.QUIET, 0.0) is not None
+        assert experiments._window_peak(self.FM, freq, noise, noise_max) is None
 
     def test_window_near_nyquist_falls_back(self):
         freq = self.FM.sample_rate / 2 - 10.0
-        assert experiments._window_peak(self.FM, self.RX, freq, self.QUIET, 0.0) is None
+        assert experiments._window_peak(self.FM, freq, self.QUIET, 0.0) is None
 
 
 class TestSdrVsCsnr:
@@ -402,7 +407,6 @@ class TestConfigFile:
                     "source_x1=0.25",
                     "source_x2=0.75",
                     "fm_scale=1000",
-                    "fft_size=65536",
                     "",
                 ]
             )
@@ -423,7 +427,6 @@ class TestConfigFile:
                 "gain_error", "offset_error", "master_seed", "workers",
                 "source_kind", "source_x1", "source_x2",
                 "fm_scale", "fm_amplitude", "fm_sample_rate", "fm_record_seconds",
-                "fft_size",
             ]
         )
 
@@ -432,6 +435,9 @@ class TestConfigFile:
             config_from_mapping({"kind": "mse-vs-l", "bogus": "1"})
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"kind": "mse-vs-l", "output_format": "json"})
+        # the FFT spans the whole record; there is no separate FFT length
+        with pytest.raises(ValueError, match="unknown config key 'fft_size'"):
+            config_from_mapping({"kind": "mse-vs-l", "fft_size": "65536"})
 
     def test_keys_a_kind_ignores_rejected(self):
         # one parsable value per key that some kind ignores

@@ -17,14 +17,12 @@ from ajscc.multisensor import (
 from ajscc.signal_chain import (
     ChannelSpec,
     FmConfig,
-    ReceiverConfig,
     capture,
     magnitude_spectrum,
     peak_from_spectrum,
 )
 
 FM = FmConfig()
-RX = ReceiverConfig()
 CODEC = MappingConfig(5.0, 11, 1.0)
 NO_NOISE = ChannelSpec(snr_db=math.inf)
 
@@ -34,10 +32,10 @@ def oracle_peaks(truths, plan, fm, ch, antennas):
     freqs = [
         offset + fm.scale * encode(CODEC, x1, x2) for offset, (x1, x2) in zip(plan.offsets, truths)
     ]
-    spectra = [magnitude_spectrum(RX, y) for y in capture(fm, ch, freqs, antennas)]
+    spectra = [magnitude_spectrum(fm, y) for y in capture(fm, ch, freqs, antennas)]
     combined = spectra[0] if antennas == 1 else diversity_combine(spectra)
     return [
-        peak_from_spectrum(combined, fm.sample_rate, RX.fft_size, plan.band(i))
+        peak_from_spectrum(combined, fm.sample_rate, fm.num_samples, plan.band(i))
         for i in range(len(truths))
     ]
 
@@ -79,6 +77,13 @@ class TestFdmaPlan:
         with pytest.raises(ValueError):
             FdmaPlan(offsets=(1000.0, 6500.0), guard_hz=1000.0, band_width_hz=5000.0)
 
+    def test_negative_offset_rejected(self):
+        # a band below DC would fail in capture or be searched clipped at bin 0
+        with pytest.raises(ValueError, match="below DC"):
+            FdmaPlan(offsets=(-3000.0,), guard_hz=0.0, band_width_hz=5000.0)
+        with pytest.raises(ValueError, match="below DC"):
+            FdmaPlan(offsets=(6000.0, -1e-9), guard_hz=0.0, band_width_hz=5000.0)
+
     def test_touching_bands_with_zero_guard_allowed(self):
         plan = FdmaPlan(offsets=(0.0, 5000.0), guard_hz=0.0, band_width_hz=5000.0)
         assert plan.band(1) == (5000.0, 10000.0)
@@ -101,16 +106,16 @@ class TestCapture:
     def test_noiseless_antennas_match_one_antenna(self):
         truths = [(0.2, 0.3), (0.1, 0.8)]
         plan = assign_channels(2, FM, 5.0)
-        one = simulate_cluster(CODEC, truths, plan, FM, NO_NOISE, RX)
-        assert simulate_cluster(CODEC, truths, plan, FM, NO_NOISE, RX, antennas=3) == one
+        one = simulate_cluster(CODEC, truths, plan, FM, NO_NOISE)
+        assert simulate_cluster(CODEC, truths, plan, FM, NO_NOISE, antennas=3) == one
 
     def test_noiseless_capture_is_tone_sum(self):
         # a sensor at the origin is a unit cosine at its band offset
         plan = assign_channels(1, FM, 5.0)
-        (res,) = simulate_cluster(CODEC, [(0.0, 0.0)], plan, FM, NO_NOISE, RX)
+        (res,) = simulate_cluster(CODEC, [(0.0, 0.0)], plan, FM, NO_NOISE)
         n = np.arange(FM.num_samples)
-        spectrum = magnitude_spectrum(RX, np.cos(2 * np.pi * 1000.0 / 65536.0 * n))
-        assert res.peak_hz == peak_from_spectrum(spectrum, FM.sample_rate, RX.fft_size) == 1000.0
+        spectrum = magnitude_spectrum(FM, np.cos(2 * np.pi * 1000.0 / 65536.0 * n))
+        assert res.peak_hz == peak_from_spectrum(spectrum, FM.sample_rate, FM.num_samples) == 1000.0
         assert res.vd_hat == res.vd_true == 0.0
 
     def test_channel_gain_and_seed_reach_capture(self):
@@ -126,7 +131,7 @@ class TestCapture:
         ]
         peaks = {}
         for fm, ch in [(FM, base), *variants]:
-            peaks[fm, ch] = [r.peak_hz for r in simulate_cluster(CODEC, truths, plan, fm, ch, RX)]
+            peaks[fm, ch] = [r.peak_hz for r in simulate_cluster(CODEC, truths, plan, fm, ch)]
             assert peaks[fm, ch] == oracle_peaks(truths, plan, fm, ch, 1)
         for key in variants:
             assert peaks[key] != peaks[FM, base]
@@ -135,7 +140,7 @@ class TestCapture:
 class TestSimulateCluster:
     def test_single_sensor_roundtrip(self):
         plan = assign_channels(1, FM, 5.0)
-        (res,) = simulate_cluster(CODEC, [(0.21, 0.58)], plan, FM, NO_NOISE, RX)
+        (res,) = simulate_cluster(CODEC, [(0.21, 0.58)], plan, FM, NO_NOISE)
         assert abs(res.vd_hat - res.vd_true) <= 0.5 / FM.scale + 1e-9
         assert abs(res.decoded.x1_hat - 0.21) <= 0.5 / FM.scale + 1e-9
 
@@ -151,20 +156,20 @@ class TestSimulateCluster:
     def test_peak_is_band_argmax_of_combined_spectrum(self, truths, antennas, snr_db, rng_seed):
         plan = assign_channels(len(truths), FM, 5.0)
         ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
-        results = simulate_cluster(CODEC, truths, plan, FM, ch, RX, antennas=antennas)
+        results = simulate_cluster(CODEC, truths, plan, FM, ch, antennas=antennas)
         assert [r.peak_hz for r in results] == oracle_peaks(truths, plan, FM, ch, antennas)
 
     def test_three_sensors_noiseless_match_solo_runs(self):
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
         plan = assign_channels(3, FM, 5.0)
-        joint = simulate_cluster(CODEC, truths, plan, FM, NO_NOISE, RX)
+        joint = simulate_cluster(CODEC, truths, plan, FM, NO_NOISE)
         for i, truth in enumerate(truths):
             solo_plan = FdmaPlan(
                 offsets=(plan.offsets[i],),
                 guard_hz=plan.guard_hz,
                 band_width_hz=plan.band_width_hz,
             )
-            (solo,) = simulate_cluster(CODEC, [truth], solo_plan, FM, NO_NOISE, RX)
+            (solo,) = simulate_cluster(CODEC, [truth], solo_plan, FM, NO_NOISE)
             assert joint[i].peak_hz == solo.peak_hz
             assert joint[i].vd_hat == solo.vd_hat
             assert joint[i].decoded == solo.decoded
@@ -172,13 +177,13 @@ class TestSimulateCluster:
     def test_mismatched_plan_length_rejected(self):
         plan = assign_channels(3, FM, 5.0)
         with pytest.raises(ValueError):
-            simulate_cluster(CODEC, [(0.1, 0.1), (0.2, 0.2)], plan, FM, NO_NOISE, RX)
+            simulate_cluster(CODEC, [(0.1, 0.1), (0.2, 0.2)], plan, FM, NO_NOISE)
 
     def test_sensor_wider_than_its_band_rejected(self):
         wide = MappingConfig(8.0, 11, 1.0)  # 8 kHz of tones in a 5 kHz band
         plan = assign_channels(1, FM, 5.0)
         with pytest.raises(ValueError, match="wider"):
-            simulate_cluster(wide, [(0.1, 0.1)], plan, FM, NO_NOISE, RX)
+            simulate_cluster(wide, [(0.1, 0.1)], plan, FM, NO_NOISE)
 
 
 class TestDiversity:
@@ -207,7 +212,7 @@ class TestDiversity:
         for antennas in (1, 2):
             for trial in range(100):
                 ch = ChannelSpec(snr_db=-30.0, rng_seed=trial)
-                (res,) = simulate_cluster(CODEC, [(0.37, 0.53)], plan, FM, ch, RX, antennas=antennas)
+                (res,) = simulate_cluster(CODEC, [(0.37, 0.53)], plan, FM, ch, antennas=antennas)
                 if abs(res.vd_hat - res.vd_true) > 1e-3:
                     misses[antennas] += 1
         assert misses[2] <= misses[1]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ajscc.signal_chain import (
     ChannelSpec,
     FmConfig,
-    ReceiverConfig,
     capture,
     channel_noise,
     detect_peak,
@@ -22,7 +21,6 @@ from ajscc.signal_chain import (
 )
 
 FM = FmConfig()
-RX = ReceiverConfig()
 NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 
@@ -38,15 +36,15 @@ class TestFmModulate:
         assert wf.dtype == np.float64
 
     def test_mid_range_tone_frequency(self):
-        assert detect_peak(FM, RX, fm_tone(FM, 2.5)) == 2500.0
+        assert detect_peak(FM, fm_tone(FM, 2.5)) == 2500.0
 
     def test_zero_voltage_is_dc(self):
         wf = fm_tone(FM, 0.0)
         assert np.allclose(wf, 1.0)
-        assert detect_peak(FM, RX, wf) == 0.0
+        assert detect_peak(FM, wf) == 0.0
 
     def test_top_of_range(self):
-        assert detect_peak(FM, RX, fm_tone(FM, 5.0)) == 5000.0
+        assert detect_peak(FM, fm_tone(FM, 5.0)) == 5000.0
 
     def test_amplitude_scaling(self):
         fm = FmConfig(amplitude=0.25)
@@ -65,6 +63,14 @@ class TestFmModulate:
             FmConfig(sample_rate=65536.0, record_seconds=1 / 3)
         with pytest.raises(ValueError):
             FmConfig(sample_rate=1e-7, record_seconds=1.0)
+
+    def test_record_not_power_of_two_rejected(self):
+        # the record is the receiver's FFT, so its length is a power of two >= 2
+        for sample_rate, record_seconds in ((48000.0, 1.0), (1.0, 1.0), (65536.0, 1000 / 65536)):
+            with pytest.raises(ValueError, match="power-of-two"):
+                FmConfig(sample_rate=sample_rate, record_seconds=record_seconds)
+        assert FmConfig(sample_rate=48000.0, record_seconds=16384 / 48000).num_samples == 16384
+        assert FmConfig(sample_rate=2.0).num_samples == 2
 
 
 def tone(freq, fm=FM):
@@ -138,46 +144,35 @@ class TestCapture:
 
 
 # closed-form bins agree with np.fft.rfft of the synthesized tone to this
-# fraction of amplitude * fft_size (measured worst ~5e-12)
+# fraction of amplitude * record length (measured worst ~5e-12)
 TONE_BINS_TOL = 1e-10
 
 
 class TestToneBins:
     @given(
         sample_rate=st.integers(8, 200_000),
-        num_samples=st.integers(2, 70_000),
-        fft_exp=st.integers(1, 16),
+        record_exp=st.integers(1, 16),
         freq_frac=st.floats(0.0, 1.0, exclude_max=True),
         amplitude=st.floats(1e-3, 10.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_rfft_of_capture(self, sample_rate, num_samples, fft_exp, freq_frac, amplitude):
-        fft_size = 2 ** fft_exp
-        if fft_size > num_samples:
-            fft_size = 2 ** (num_samples.bit_length() - 1)
+    def test_matches_rfft_of_capture(self, sample_rate, record_exp, freq_frac, amplitude):
+        m = 2**record_exp
         fm = FmConfig(
-            amplitude=amplitude,
-            sample_rate=float(sample_rate),
-            record_seconds=num_samples / sample_rate,
+            amplitude=amplitude, sample_rate=float(sample_rate), record_seconds=m / sample_rate
         )
-        rx = ReceiverConfig(fft_size=fft_size)
         freq = freq_frac * fm.sample_rate / 2
         (wf,) = capture(fm, NO_NOISE, [freq])
-        expected = np.fft.rfft(wf[:fft_size])
-        got = tone_bins(fm, rx, freq, np.arange(fft_size // 2 + 1))
-        assert np.max(np.abs(got - expected)) <= TONE_BINS_TOL * amplitude * fft_size
+        expected = np.fft.rfft(wf)
+        got = tone_bins(fm, freq, np.arange(m // 2 + 1))
+        assert np.max(np.abs(got - expected)) <= TONE_BINS_TOL * amplitude * m
 
     def test_on_bin_and_dc_values(self):
-        got = tone_bins(FmConfig(amplitude=2.0), RX, 2500.0, np.array([2499, 2500, 2501]))
-        assert got[1] == pytest.approx(RX.fft_size)
+        got = tone_bins(FmConfig(amplitude=2.0), 2500.0, np.array([2499, 2500, 2501]))
+        assert got[1] == pytest.approx(FM.num_samples)
         assert np.all(np.abs(got[[0, 2]]) < 1e-6)
-        dc = tone_bins(FmConfig(amplitude=1.5), RX, 0.0, np.array([0]))
-        assert dc[0] == pytest.approx(1.5 * RX.fft_size)
-
-    def test_record_shorter_than_fft_rejected(self):
-        rx = ReceiverConfig(fft_size=2 * FM.num_samples)
-        with pytest.raises(ValueError):
-            tone_bins(FM, rx, 100.0, np.arange(4))
+        dc = tone_bins(FmConfig(amplitude=1.5), 0.0, np.array([0]))
+        assert dc[0] == pytest.approx(1.5 * FM.num_samples)
 
 
 class TestChannel:
@@ -208,7 +203,7 @@ class TestChannel:
     def test_gain_scales_signal(self):
         (wf,) = capture(FmConfig(amplitude=0.5), NO_NOISE, [2500.0])
         assert np.allclose(wf, 0.5 * fm_tone(FM, 2.5))
-        assert transmit_receive(FmConfig(amplitude=0.5), NO_NOISE, RX, 2.5) == 2.5
+        assert transmit_receive(FmConfig(amplitude=0.5), NO_NOISE, 2.5) == 2.5
 
     def test_bad_specs_rejected(self):
         # every field must lie in (0, inf): a NaN or an infinity would
@@ -225,15 +220,17 @@ class TestChannel:
 
 class TestPeakDetection:
     def test_off_bin_tone_snaps_to_nearest_bin(self):
-        assert detect_peak(FM, RX, fm_tone(FM, 2.5004)) == 2500.0
+        assert detect_peak(FM, fm_tone(FM, 2.5004)) == 2500.0
 
     def test_all_zero_waveform_flagged(self):
         with pytest.raises(ValueError, match="degenerate"):
-            detect_peak(FM, RX, np.zeros(65536))
+            detect_peak(FM, np.zeros(65536))
 
     def test_short_waveform_rejected(self):
-        with pytest.raises(ValueError):
-            detect_peak(FM, RX, np.ones(1024))
+        # the FFT spans exactly one record: a shorter or longer array is rejected
+        for size in (1024, FM.num_samples + 1):
+            with pytest.raises(ValueError, match="record holds"):
+                detect_peak(FM, np.ones(size))
 
     def test_non_finite_samples_rejected(self):
         # samples from outside capture are not scanned; a NaN or inf makes
@@ -242,7 +239,7 @@ class TestPeakDetection:
             samples = fm_tone(FM, 2.5)
             samples[1234] = bad
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-                detect_peak(FM, RX, samples)
+                detect_peak(FM, samples)
 
     def test_band_restriction(self):
         spectrum = np.zeros(101)
@@ -252,57 +249,57 @@ class TestPeakDetection:
         assert peak_from_spectrum(spectrum, fs, nfft) == 30.0
         assert peak_from_spectrum(spectrum, fs, nfft, band=(50.0, 100.0)) == 70.0
 
+    def test_all_zero_band_rejected(self):
+        # the signal lies outside the searched band, which holds only zeros
+        spectrum = np.r_[np.zeros(51), np.ones(50)]
+        with pytest.raises(ValueError, match="degenerate"):
+            peak_from_spectrum(spectrum, 200.0, 200, band=(0.0, 40.0))
+        assert peak_from_spectrum(spectrum, 200.0, 200, band=(0.0, 60.0)) == 51.0
+
     def test_empty_band_rejected(self):
         spectrum = np.ones(101)
         with pytest.raises(ValueError):
             peak_from_spectrum(spectrum, 200.0, 200, band=(60.0, 50.0))
 
     def test_tone_peak_dominates_every_other_bin(self):
-        spectrum = magnitude_spectrum(RX, fm_tone(FM, 2.3456))
+        spectrum = magnitude_spectrum(FM, fm_tone(FM, 2.3456))
         top = np.argsort(spectrum)[-2:]
         assert spectrum[top[1]] > spectrum[top[0]]
         assert abs(top[1] * 1.0 - 2345.6) <= 0.5
-
-    def test_receiver_config_validation(self):
-        with pytest.raises(ValueError):
-            ReceiverConfig(fft_size=1000)
 
 
 class TestEndToEnd:
     def test_voltage_map_inverse(self):
         # on-bin voltages come back exactly: peak frequency over the scale
         for vd in (2.5, 0.0, 5.0):
-            assert transmit_receive(FM, NO_NOISE, RX, vd) == vd
+            assert transmit_receive(FM, NO_NOISE, vd) == vd
 
     def test_noiseless_half_bin_error_bound(self):
         rng = np.random.default_rng(21)
         for vd in rng.uniform(0.0, 5.0, 60):
-            got = transmit_receive(FM, NO_NOISE, RX, float(vd))
+            got = transmit_receive(FM, NO_NOISE, float(vd))
             assert abs(got - vd) <= 0.5 / FM.scale + 1e-9
 
     @given(
         sample_rate=st.floats(8.0, 200_000.0),
-        num_samples=st.integers(2, 8192),
-        fft_exp=st.integers(1, 12),
+        record_exp=st.integers(1, 13),
         scale=st.floats(0.1, 10_000.0),
         freq_frac=st.floats(0.0, 0.99),
     )
     @settings(max_examples=200, deadline=None)
     def test_noiseless_one_bin_bound_over_geometries(
-        self, sample_rate, num_samples, fft_exp, scale, freq_frac
+        self, sample_rate, record_exp, scale, freq_frac
     ):
         # the bound _check_chain_roundtrip states: one bin over the scale
-        fft_size = min(2**fft_exp, 2 ** (num_samples.bit_length() - 1))
         fm = FmConfig(
-            scale=scale, sample_rate=sample_rate, record_seconds=num_samples / sample_rate
+            scale=scale, sample_rate=sample_rate, record_seconds=2**record_exp / sample_rate
         )
-        rx = ReceiverConfig(fft_size=fft_size)
         vd = freq_frac * fm.sample_rate / 2 / scale
-        got = transmit_receive(fm, NO_NOISE, rx, vd)
-        assert abs(got - vd) <= fm.sample_rate / fft_size / scale + 1e-9
+        got = transmit_receive(fm, NO_NOISE, vd)
+        assert abs(got - vd) <= fm.sample_rate / fm.num_samples / scale + 1e-9
 
     def test_zero_voltage_roundtrip(self):
-        assert transmit_receive(FM, NO_NOISE, RX, 0.0) == 0.0
+        assert transmit_receive(FM, NO_NOISE, 0.0) == 0.0
 
     def test_chain_noise_is_default_rng_stream_of_rng_seed(self):
         # the one-tone capture draws the noise default_rng(rng_seed) gives;
@@ -311,14 +308,14 @@ class TestEndToEnd:
         sigma = noise_sigma(ChannelSpec(snr_db=-35.0))
         for seed in range(5):
             noise = np.random.default_rng(seed).normal(0.0, sigma, FM.num_samples)
-            expected = detect_peak(FM, RX, tone(3210.0) + noise) / FM.scale
-            got = transmit_receive(FM, ChannelSpec(snr_db=-35.0, rng_seed=seed), RX, 3.21)
+            expected = detect_peak(FM, tone(3210.0) + noise) / FM.scale
+            got = transmit_receive(FM, ChannelSpec(snr_db=-35.0, rng_seed=seed), 3.21)
             assert got == expected
 
     def test_full_chain_deterministic(self):
         ch = ChannelSpec(snr_db=-20.0, rng_seed=77)
-        a = transmit_receive(FM, ch, RX, 3.21)
-        b = transmit_receive(FM, ch, RX, 3.21)
+        a = transmit_receive(FM, ch, 3.21)
+        b = transmit_receive(FM, ch, 3.21)
         assert a == b
 
     def test_peak_error_rate_at_minus_20_db(self):
@@ -327,7 +324,7 @@ class TestEndToEnd:
         vd = 3.21
         misses = 0
         for seed in range(300):
-            got = transmit_receive(FM, ChannelSpec(snr_db=-20.0, rng_seed=seed), RX, vd)
+            got = transmit_receive(FM, ChannelSpec(snr_db=-20.0, rng_seed=seed), vd)
             if abs(got - vd) > 1.0 / FM.scale:
                 misses += 1
         assert misses == 0
