@@ -12,10 +12,12 @@ numbers), which stabilizes the location of the sweep minimum.  Both sweeps
 hand workers contiguous chunks of trials (``_map_trials``); each worker runs
 every sweep point of its trials, and the parent reduces in trial order, so
 the output bytes do not depend on the worker count.  The level sweep also
-shares the work: a trial's noise is drawn and transformed once,
-and every level count adds its tone's spectrum to it in closed form (see
-``_window_peak``), falling back to the full chain where that cannot prove
-the chain's peak.
+shares the work: a trial's noise is drawn and transformed once (not at all
+when noiseless), and every level count's peak is proved from its tone's
+closed-form spectrum plus that transform by ``signal_chain.proved_peak``.
+A (trial, level count) whose peak the proof leaves open runs the full
+``transmit_receive`` chain; only near-ties and tones within 32 bins of
+Nyquist do.
 """
 from __future__ import annotations
 
@@ -38,8 +40,9 @@ from .multisensor import FdmaPlan, SensorResult, assign_channels, simulate_clust
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
+    NoiseSpectrum,
     channel_noise,
-    tone_bins,
+    proved_peak,
     transmit_receive,
 )
 
@@ -210,51 +213,15 @@ def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
 # mean MSE vs number of levels
 
 
-# half-width in bins of the window around the tone that is evaluated in
-# closed form, and the relative margin by which the window's peak must beat
-# its runner-up and the bound on every bin outside the window.  The margin
-# keeps any accepted peak about 1e-9 * amplitude * fm.num_samples above its
-# rivals; the closed form and np.fft.rfft of the synthesized tone agree to
-# ~1e-11 of that scale, so rounding cannot change an accepted decision
-PEAK_WINDOW = 32
-PEAK_MARGIN = 1e-7
-
-
-def _window_peak(
-    fm: FmConfig, freq: float, noise_spectrum: np.ndarray, noise_max: float
-) -> int | None:
-    """FFT argmax bin of the tone at freq Hz plus noise, or None when the window cannot prove it.
-
-    The tone's spectrum is evaluated in closed form within PEAK_WINDOW bins
-    of its nearest bin c0 and added to the noise spectrum there.  With M =
-    fm.num_samples, the record's FFT length, each Dirichlet kernel outside
-    the window is at least PEAK_WINDOW + 1/2 bins (mod M) from every rfft
-    bin as long as the window stays clear of Nyquist, so no bin there
-    exceeds fm.amplitude / sin(pi*(PEAK_WINDOW + 1/2)/M) + max|noise|.
-    """
-    m = fm.num_samples
-    c0 = round(freq * m / fm.sample_rate)
-    if c0 + PEAK_WINDOW + 1 > m // 2:
-        return None
-    lo = max(c0 - PEAK_WINDOW, 0)
-    hi = c0 + PEAK_WINDOW + 1
-    mags = np.abs(tone_bins(fm, freq, np.arange(lo, hi)) + noise_spectrum[lo:hi])
-    j = int(np.argmax(mags))
-    runner_up = float(np.partition(mags, -2)[-2])
-    outside = fm.amplitude / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m) + noise_max
-    if mags[j] > (1.0 + PEAK_MARGIN) * max(runner_up, outside):
-        return lo + j
-    return None
-
-
 def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float, float]]]:
     """Normalized squared errors (x1, x2) per trial and per swept level count.
 
     Every level count of a trial sees the trial's noise, so its spectrum is
     the tone's plus one rfft of that noise.  A (trial, L) chain whose peak
-    the window cannot prove runs the full transmit_receive chain instead.
+    ``proved_peak`` cannot prove runs the full transmit_receive chain instead.
     """
     fm = cfg.fm
+    bin_width = fm.sample_rate / fm.num_samples
     mappings = [
         MappingConfig(cfg.d_max, num_levels, cfg.v2, cfg.quantizer) for num_levels in cfg.l_values
     ]
@@ -263,18 +230,20 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
         rng = _trial_rng(cfg.master_seed, trial)
         u1, u2 = cfg.source.draw(rng)
         channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
-        noise_spectrum = np.fft.rfft(channel_noise(fm, channel))
-        noise_max = float(np.max(np.abs(noise_spectrum)))
+        noise = (
+            None if math.isinf(cfg.snr_db)
+            else NoiseSpectrum(np.fft.rfft(channel_noise(fm, channel)))
+        )
         row = []
         for mapping in mappings:
             x1 = u1 * mapping.v1
             x2 = u2 * mapping.v2
             vd = encode(mapping, x1, x2)
-            k = _window_peak(fm, fm.scale * vd, noise_spectrum, noise_max)
+            k = proved_peak(fm, fm.scale * vd, noise)
             if k is None:
                 vd_hat = transmit_receive(fm, channel, vd)
             else:
-                vd_hat = k * (fm.sample_rate / fm.num_samples) / fm.scale
+                vd_hat = k * bin_width / fm.scale
             dec = decode(mapping, vd_hat)
             e1 = ((dec.x1_hat - x1) / mapping.v1) ** 2
             e2 = ((dec.x2_hat - x2) / mapping.v2) ** 2

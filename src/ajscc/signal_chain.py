@@ -20,11 +20,19 @@ sensor is a one-tone capture; the FDMA cluster in ``multisensor`` passes one
 frequency per sensor over the same channel.  ``tone_bins`` is the
 closed-form FFT of one capture tone, so a spectrum can be formed as tone
 bins plus the FFT of the noise.
+
+``proved_peak`` is the one proof of a receiver decision without the tone's
+FFT: it returns the rfft argmax bin of one tone, plus a ``NoiseSpectrum``
+when given, or None when its bounds cannot separate that bin from every
+rival.  A noiseless ``transmit_receive`` uses it and synthesizes no record;
+where it returns None, or the channel is noisy, the chain runs ``capture``
+and ``detect_peak``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +42,8 @@ __all__ = [
     "capture",
     "channel_noise",
     "tone_bins",
+    "NoiseSpectrum",
+    "proved_peak",
     "noise_sigma",
     "magnitude_spectrum",
     "peak_from_spectrum",
@@ -206,7 +216,110 @@ def detect_peak(fm: FmConfig, samples: np.ndarray) -> float:
     return peak_from_spectrum(magnitude_spectrum(fm, samples), fm.sample_rate, fm.num_samples)
 
 
+# half-width in bins of the window around a tone that proved_peak evaluates
+# in closed form, and the relative margin by which its peak must beat the
+# runner-up and the bound on every other bin.  The closed-form tone plus the
+# noise's rfft and np.fft.rfft of the synthesized record agree to ~1e-11 of
+# the peak, so rounding cannot change a decision accepted with this margin
+PEAK_WINDOW = 32
+PEAK_MARGIN = 1e-7
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseSpectrum:
+    """rfft bins of one noise record and their largest magnitude.
+
+    ``proved_peak`` adds a tone's closed-form bins to ``bins`` and bounds the
+    bins it does not evaluate by ``peak``, or by ``magnitude`` when that
+    bound is too loose.  Non-finite bins are rejected.
+    """
+
+    bins: np.ndarray
+    peak: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        peak = float(np.max(np.abs(self.bins)))
+        if not math.isfinite(peak):
+            raise ValueError("noise spectrum is not finite")
+        object.__setattr__(self, "peak", peak)
+
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        """|bins|, computed the first time a bound needs it (high-SNR proofs never do)."""
+        return np.abs(self.bins)
+
+
+def _margin_winner(mags: np.ndarray, bins: np.ndarray, outside: float) -> int | None:
+    """bins[argmax] when it beats the runner-up and the bound ``outside`` by PEAK_MARGIN."""
+    j = int(np.argmax(mags))
+    runner_up = float(np.partition(mags, -2)[-2])
+    if mags[j] > (1.0 + PEAK_MARGIN) * max(runner_up, outside):
+        return int(bins[j])
+    return None
+
+
+def proved_peak(fm: FmConfig, freq: float, noise: NoiseSpectrum | None = None) -> int | None:
+    """rfft argmax bin of the capture tone at freq Hz plus noise, or None when unproved.
+
+    With M = fm.num_samples, the tone's bins within PEAK_WINDOW of its nearest
+    bin c0 are evaluated in closed form (``tone_bins``) and added to the
+    noise's.  Each Dirichlet kernel of the tone is at least PEAK_WINDOW + 1/2
+    bins (mod M) from every rfft bin outside that window as long as the window
+    stays clear of Nyquist, so no tone bin there exceeds the leak bound
+    fm.amplitude / sin(pi*(PEAK_WINDOW + 1/2)/M).  Two stages prove the peak:
+
+    - every bin outside the window is bounded by the leak plus the noise
+      spectrum's peak;
+    - when that fails, the outside bins whose noise magnitude plus the leak
+      reaches the window's best over (1 + PEAK_MARGIN) are evaluated in
+      closed form, and every other bin is bounded by the leak plus the largest
+      noise magnitude among them.
+
+    The best evaluated bin is returned when it beats the runner-up and the
+    bound by PEAK_MARGIN.  A frequency outside [0, Nyquist), a window that
+    reaches Nyquist, or a record whose tone sum could overflow gives None, so
+    a caller's fallback to ``capture`` keeps its validation.
+    """
+    m = fm.num_samples
+    if noise is not None and noise.bins.shape != (m // 2 + 1,):
+        raise ValueError(
+            f"noise spectrum has shape {noise.bins.shape}; the record's rfft has {m // 2 + 1} bins"
+        )
+    if not 0.0 <= freq < fm.sample_rate / 2 or not math.isfinite(2.0 * fm.amplitude * m):
+        return None
+    c0 = round(freq * m / fm.sample_rate)
+    if c0 + PEAK_WINDOW + 1 > m // 2:
+        return None
+    lo, hi = max(c0 - PEAK_WINDOW, 0), c0 + PEAK_WINDOW + 1
+    bins = np.arange(lo, hi)
+    window = tone_bins(fm, freq, bins)
+    leak = fm.amplitude / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+    if noise is None:
+        return _margin_winner(np.abs(window), bins, leak)
+    mags = np.abs(window + noise.bins[lo:hi])
+    k = _margin_winner(mags, bins, leak + noise.peak)
+    if k is not None:
+        return k
+    rival = noise.magnitude >= float(np.max(mags)) / (1.0 + PEAK_MARGIN) - leak
+    rest = float(np.max(noise.magnitude, where=~rival, initial=0.0))
+    rival[lo:hi] = False
+    candidates = np.flatnonzero(rival)
+    cand_mags = np.abs(tone_bins(fm, freq, candidates) + noise.bins[candidates])
+    return _margin_winner(
+        np.concatenate([mags, cand_mags]), np.concatenate([bins, candidates]), leak + rest
+    )
+
+
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd: float) -> float:
-    """Full chain: one-tone capture seeded by ch.rng_seed, peak detection, back to voltage."""
-    (samples,) = capture(fm, ch, [fm.scale * vd])
-    return detect_peak(fm, samples) / fm.scale
+    """Full chain: one-tone capture seeded by ch.rng_seed, peak detection, back to voltage.
+
+    On a noiseless channel the peak is ``proved_peak``'s bin when it proves
+    one, which is the FFT's argmax without synthesizing the record; otherwise
+    the chain runs ``capture`` and ``detect_peak``, with their validation.
+    """
+    freq = fm.scale * vd
+    k = proved_peak(fm, freq) if noise_sigma(ch) == 0.0 else None
+    if k is None:
+        (samples,) = capture(fm, ch, [freq])
+        return detect_peak(fm, samples) / fm.scale
+    return k * (fm.sample_rate / fm.num_samples) / fm.scale

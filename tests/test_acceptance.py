@@ -3,10 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The level sweeps use the
 closest-line quantizer, the variant whose optimum lands in the documented
 [60, 90] region (the floor rule pushes the optimum above 90; see README).
-The full module takes about a minute and a half, most of it the noiseless
-round trip of criterion 5 (2 x 10^4 chains through 65536-point FFTs).
+The full module takes about half a minute on 2 cores, most of it the three
+level-sweep fixtures.  Criterion 5's noiseless round trip (2 x 10^4 chains)
+takes about a second per quantizer: a noiseless ``transmit_receive`` proves
+its FFT peak in closed form and synthesizes no 65536-sample record.
 """
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -74,6 +77,22 @@ def sweep_minus10():
 @pytest.fixture(scope="module")
 def sweep_zero():
     return run_mse_vs_L(sweep_config(0.0))
+
+
+# sha256 of render_csv at -20, -10 and 0 dB, concatenated: every byte of the
+# acceptance sweeps, which a change to the chain, the proof or the reduction
+# order must leave as it is
+ACCEPTANCE_CSV_SHA256 = "b8492ebdfaad2919170056015f6a8f235232c30e117cc492fde8d44db85ee852"
+
+
+def test_acceptance_csv_bytes(sweep_minus20, sweep_minus10, sweep_zero):
+    text = render_csv(sweep_minus20) + render_csv(sweep_minus10) + render_csv(sweep_zero)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    report(
+        "acceptance-csv-bytes",
+        digest == ACCEPTANCE_CSV_SHA256,
+        f"sha256 {digest} (recorded {ACCEPTANCE_CSV_SHA256})",
+    )
 
 
 def test_criterion_1_level_sweep_optimum(sweep_minus20):

@@ -28,7 +28,8 @@ from ajscc.experiments import (
 )
 from ajscc.mapping import MappingConfig, Quantizer, decode, encode
 from ajscc.metrics import sdr
-from ajscc.signal_chain import ChannelSpec, FmConfig, tone_bins, transmit_receive
+from ajscc.signal_chain import ChannelSpec, FmConfig
+from oracle import chain_voltage, tie_frequency
 
 TINY_SWEEP = ExperimentConfig(
     kind=ExperimentKind.MSE_VS_L,
@@ -153,7 +154,7 @@ class TestMseVsL:
 
 
 def scalar_rows(cfg):
-    """The level sweep as one full transmit_receive chain per (L, trial): the oracle."""
+    """The level sweep as one explicit capture -> FFT -> peak chain per (L, trial): the oracle."""
     rows = []
     for num_levels in cfg.l_values:
         mapping = MappingConfig(cfg.d_max, num_levels, cfg.v2, cfg.quantizer)
@@ -166,7 +167,7 @@ def scalar_rows(cfg):
             x2 = u2 * mapping.v2
             vd = encode(mapping, x1, x2)
             channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=noise_seed)
-            dec = decode(mapping, transmit_receive(cfg.fm, channel, vd))
+            dec = decode(mapping, chain_voltage(cfg.fm, channel, vd))
             sum1 += ((dec.x1_hat - x1) / mapping.v1) ** 2
             sum2 += ((dec.x2_hat - x2) / mapping.v2) ** 2
         m1, m2 = sum1 / cfg.trials, sum2 / cfg.trials
@@ -232,40 +233,31 @@ class TestSharedNoiseEngine:
         run_mse_vs_L(ENGINE_SWEEP)
         assert calls == []
 
-    def test_fallback_at_minus_35_db(self, monkeypatch):
-        # the noise spectrum's maximum beats the tone, so no window proves its peak
+    def test_no_fallback_at_minus_35_db(self, monkeypatch):
+        # the noise spectrum's maximum beats the tone, so the leak-plus-peak
+        # bound fails; the few noise bins that can rival the tone are
+        # evaluated exactly instead, and every peak is proved
+        cfg = dataclasses.replace(ENGINE_SWEEP, snr_db=-35.0)
         calls = counting_fallbacks(monkeypatch)
-        run_mse_vs_L(dataclasses.replace(ENGINE_SWEEP, snr_db=-35.0))
-        assert len(calls) > 0
+        self.assert_matches_oracle(cfg)
+        assert calls == []
 
-
-class TestWindowPeak:
-    """The three accept conditions of the windowed peak search."""
-
-    FM = FmConfig()
-    QUIET = np.zeros(FM.num_samples // 2 + 1, dtype=complex)
-
-    def test_clean_tone_is_accepted(self):
-        assert experiments._window_peak(self.FM, 2500.0, self.QUIET, 0.0) == 2500
-
-    def test_noise_bound_above_peak_falls_back(self):
-        assert experiments._window_peak(self.FM, 2500.0, self.QUIET, 40000.0) is None
-
-    def test_near_tie_in_window_falls_back(self):
-        # a half-bin tone plus a small noise value that lifts bin 2501 to
-        # within 1e-12 of bin 2500; the image term alone separates them by ~2e-4
-        freq = 2500.5
-        t = tone_bins(self.FM, freq, np.array([2500, 2501]))
-        noise = self.QUIET.copy()
-        noise[2501] = t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0)
-        noise_max = abs(noise[2501])
-        assert noise_max < 10.0
-        assert experiments._window_peak(self.FM, freq, self.QUIET, 0.0) is not None
-        assert experiments._window_peak(self.FM, freq, noise, noise_max) is None
-
-    def test_window_near_nyquist_falls_back(self):
-        freq = self.FM.sample_rate / 2 - 10.0
-        assert experiments._window_peak(self.FM, freq, self.QUIET, 0.0) is None
+    def test_near_tie_falls_back(self, monkeypatch):
+        # fm.scale puts the one noiseless tone where bins 2500 and 2501 tie,
+        # which no margin can separate: every trial runs the full chain
+        cfg = dataclasses.replace(
+            ENGINE_SWEEP,
+            snr_db=math.inf,
+            trials=3,
+            l_values=(11,),
+            source=SourceSpec("fixed", x1=0.3, x2=0.6),
+        )
+        mapping = MappingConfig(cfg.d_max, 11, cfg.v2, cfg.quantizer)
+        vd = encode(mapping, 0.3 * mapping.v1, 0.6 * mapping.v2)
+        cfg = dataclasses.replace(cfg, fm=FmConfig(scale=tie_frequency(FmConfig(), 2500) / vd))
+        calls = counting_fallbacks(monkeypatch)
+        self.assert_matches_oracle(cfg)
+        assert len(calls) == cfg.trials
 
 
 class TestSdrVsCsnr:

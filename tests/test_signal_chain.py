@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ajscc import signal_chain
 from ajscc.signal_chain import (
+    PEAK_WINDOW,
     ChannelSpec,
     FmConfig,
+    NoiseSpectrum,
     capture,
     channel_noise,
     detect_peak,
     magnitude_spectrum,
     noise_sigma,
     peak_from_spectrum,
+    proved_peak,
     tone_bins,
     transmit_receive,
 )
+from oracle import chain_voltage, tie_frequency
 
 FM = FmConfig()
 NO_NOISE = ChannelSpec(snr_db=math.inf)
@@ -173,6 +178,155 @@ class TestToneBins:
         assert np.all(np.abs(got[[0, 2]]) < 1e-6)
         dc = tone_bins(FmConfig(amplitude=1.5), 0.0, np.array([0]))
         assert dc[0] == pytest.approx(1.5 * FM.num_samples)
+
+
+class TestLeakBound:
+    @given(
+        sample_rate=st.floats(1.0, 1e6),
+        record_exp=st.integers(7, 16),
+        freq_frac=st.floats(0.0, 1.0, exclude_max=True),
+        amplitude=st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_tone_bin_outside_the_window_exceeds_the_leak(
+        self, sample_rate, record_exp, freq_frac, amplitude
+    ):
+        # the one analytic assumption of proved_peak: with the window clear
+        # of Nyquist, every rfft bin outside it is at most the leak bound
+        m = 2**record_exp
+        fm = FmConfig(amplitude=amplitude, sample_rate=sample_rate, record_seconds=m / sample_rate)
+        # nearest bin c0 = round(f * M / fs) <= M/2 - PEAK_WINDOW - 1
+        freq = freq_frac * (m // 2 - PEAK_WINDOW - 1) * sample_rate / m
+        c0 = round(freq * m / sample_rate)
+        assert c0 + PEAK_WINDOW + 1 <= m // 2
+        k = np.arange(m // 2 + 1)
+        outside = k[np.abs(k - c0) > PEAK_WINDOW]
+        leak = amplitude / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+        assert np.max(np.abs(tone_bins(fm, freq, outside))) <= leak
+
+
+def zero_noise(fm=FM):
+    return NoiseSpectrum(np.zeros(fm.num_samples // 2 + 1, dtype=complex))
+
+
+def pinned_noise(bin_index, value):
+    """A noise spectrum of FM's record that is zero except for one bin."""
+    bins = np.zeros(FM.num_samples // 2 + 1, dtype=complex)
+    bins[bin_index] = value
+    return NoiseSpectrum(bins)
+
+
+class TestProvedPeak:
+    """proved_peak accepts a bin only when its bounds separate it from every rival."""
+
+    def test_clean_tone_is_accepted(self):
+        assert proved_peak(FM, 2500.0) == 2500
+        assert proved_peak(FM, 2500.0, zero_noise()) == 2500
+
+    def test_out_of_window_noise_winner_is_proved(self):
+        # a real noise record whose bin 10000 beats the tone's peak: the
+        # leak-plus-peak bound fails, and the exact candidate wins
+        noise = 1.25 * capture(FM, NO_NOISE, [10000.0])[0]
+        spectrum = NoiseSpectrum(np.fft.rfft(noise))
+        assert spectrum.peak + 1.0 / math.sin(math.pi * (PEAK_WINDOW + 0.5) / FM.num_samples) > (
+            FM.num_samples / 2
+        )
+        assert proved_peak(FM, 2500.0, spectrum) == 10000
+        assert detect_peak(FM, tone(2500.0) + noise) == 10000.0
+
+    def test_out_of_window_near_tie_falls_back(self):
+        # bin 10000 lifted to within 1e-12 of the tone's peak cannot be told
+        # apart; 1% above it is proved the winner, 1% below it the loser
+        peak = abs(tone_bins(FM, 2500.0, np.array([2500]))[0])
+        leak = tone_bins(FM, 2500.0, np.array([10000]))[0]
+        for ratio, expected in ((1.0 + 1e-12, None), (1.01, 10000), (0.99, 2500)):
+            noise = pinned_noise(10000, leak * (peak * ratio / abs(leak) - 1.0))
+            assert proved_peak(FM, 2500.0, noise) == expected, ratio
+
+    def test_tone_leak_decides_an_out_of_window_winner(self):
+        # a noise bin below the tone's peak that the tone's own leakage
+        # (|t| ~ 1.4 at bin 10000) lifts above it: a bound of noise alone
+        # would prove the window's bin
+        freq = 2500.5
+        peak = float(np.max(np.abs(tone_bins(FM, freq, np.array([2500, 2501])))))
+        leak = tone_bins(FM, freq, np.array([10000]))[0]
+        noise = pinned_noise(10000, leak / abs(leak) * (peak - abs(leak) / 2))
+        assert noise.peak < peak
+        assert abs(leak + noise.bins[10000]) > peak * (1.0 + 1e-5)
+        assert proved_peak(FM, freq, noise) == 10000
+
+    def test_near_tie_in_window_falls_back(self):
+        # a half-bin tone plus a small noise value that lifts bin 2501 to
+        # within 1e-12 of bin 2500; the image term alone separates them by ~2e-4
+        freq = 2500.5
+        t = tone_bins(FM, freq, np.array([2500, 2501]))
+        noise = pinned_noise(2501, t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0))
+        assert noise.peak < 10.0
+        assert proved_peak(FM, freq, zero_noise()) is not None
+        assert proved_peak(FM, freq, noise) is None
+
+    def test_window_near_nyquist_falls_back(self):
+        assert proved_peak(FM, FM.sample_rate / 2 - 10.0) is None
+        assert proved_peak(FM, FM.sample_rate / 2 - 10.0, zero_noise()) is None
+        # 64 samples: every window reaches Nyquist
+        short = FmConfig(sample_rate=64.0)
+        assert [proved_peak(short, f) for f in np.arange(0.0, 32.0, 0.5)] == [None] * 64
+
+    def test_invalid_inputs(self):
+        for freq in (-1.0, math.nan, FM.sample_rate / 2, math.inf):
+            assert proved_peak(FM, freq) is None
+        with pytest.raises(ValueError, match="shape"):
+            proved_peak(FM, 2500.0, zero_noise(FmConfig(sample_rate=1024.0)))
+        with pytest.raises(ValueError, match="not finite"):
+            pinned_noise(5, math.nan)
+
+
+class TestNoiselessFastPath:
+    """A noiseless transmit_receive must equal the explicit chain bit for bit."""
+
+    def assert_equal_chains(self, fm, freqs):
+        for freq in freqs:
+            vd = freq / fm.scale
+            assert transmit_receive(fm, NO_NOISE, vd) == chain_voltage(fm, NO_NOISE, vd), freq
+
+    def test_half_bin_tones(self):
+        self.assert_equal_chains(FM, [c + 0.5 for c in range(0, 32768, 1111)])
+        # the tone's image moves the exact tie off the half bin
+        self.assert_equal_chains(FM, [tie_frequency(FM, c) for c in (3, 40, 2500, 20000)])
+
+    def test_tones_near_dc_and_nyquist(self):
+        edge = np.arange(0.0, PEAK_WINDOW + 1.0, 0.375)
+        self.assert_equal_chains(FM, edge)
+        self.assert_equal_chains(FM, FM.sample_rate / 2 - 0.125 - edge)
+
+    def test_other_geometries(self):
+        fm = FmConfig(sample_rate=48000.0, record_seconds=16384 / 48000)
+        bin_width = fm.sample_rate / fm.num_samples
+        rng = np.random.default_rng(4)
+        self.assert_equal_chains(fm, rng.uniform(0.0, fm.sample_rate / 2, 40))
+        self.assert_equal_chains(fm, [(c + 0.5) * bin_width for c in range(0, 8192, 800)])
+        short = FmConfig(sample_rate=64.0)
+        self.assert_equal_chains(short, np.arange(0.0, 32.0, 0.25))
+
+    def test_extreme_amplitudes(self):
+        rng = np.random.default_rng(5)
+        freqs = list(rng.uniform(0.0, FM.sample_rate / 2, 10)) + [0.0, 2500.5, 32760.0]
+        for amplitude in (1e-300, 1e300):
+            self.assert_equal_chains(FmConfig(amplitude=amplitude), freqs)
+
+    def test_proved_tone_skips_the_capture(self, monkeypatch):
+        def no_capture(*args):
+            raise AssertionError("capture called")
+
+        monkeypatch.setattr(signal_chain, "capture", no_capture)
+        assert transmit_receive(FM, NO_NOISE, 2.5004) == 2.5
+        with pytest.raises(AssertionError, match="capture called"):
+            transmit_receive(FM, NO_NOISE, 32.76)
+
+    def test_invalid_voltages_raise_the_capture_error(self):
+        for vd in (-0.1, -1e-300, math.nan, 32.768, 40.0, math.inf):
+            with pytest.raises(ValueError, match=r"is outside \[0, Nyquist\) for fs="):
+                transmit_receive(FM, NO_NOISE, vd)
 
 
 class TestChannel:
