@@ -4,8 +4,9 @@ Library layout:
 
 - ``mapping``: the ideal 2:1 codec
 - ``circuit``: behavioral model of the analog encoder and its power budget
-- ``signal_chain``: tone-sum capture with seeded AWGN, FFT peak receiver
-- ``multisensor``: FDMA band planning, joint capture, diversity combining
+- ``signal_chain``: tone-sum capture with seeded AWGN, the explicit FFT
+  receiver (per-band peaks of the diversity-combined spectrum), peak proofs
+- ``multisensor``: FDMA band planning and the cluster encode/receive/decode
 - ``metrics``: SDR
 - ``experiments``: seeded Monte-Carlo sweeps, self checks, CSV/JSON output
 """
@@ -29,14 +30,13 @@ from .signal_chain import (
     ChannelSpec,
     FmConfig,
     capture,
-    detect_peak,
+    receive,
     transmit_receive,
 )
 from .multisensor import (
     FdmaPlan,
     SensorResult,
     assign_channels,
-    diversity_combine,
     simulate_cluster,
 )
 from .metrics import SDR_CAP_DB, sdr

@@ -42,6 +42,7 @@ from .signal_chain import (
     FmConfig,
     NoiseSpectrum,
     channel_noise,
+    noise_sigma,
     proved_peak,
     transmit_receive,
 )
@@ -231,7 +232,7 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
         u1, u2 = cfg.source.draw(rng)
         channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
         noise = (
-            None if math.isinf(cfg.snr_db)
+            None if noise_sigma(channel) == 0.0
             else NoiseSpectrum(np.fft.rfft(channel_noise(fm, channel)))
         )
         row = []

@@ -3,35 +3,26 @@
 A sensor carries no identity of its own: the cluster head tells sensors apart
 only by their FDMA band, so sensor i is the one in band i of the plan.  Each
 sensor's encoded voltage vd becomes a tone at offset + fm.scale * vd Hz, its
-single-sensor frequency shifted into its band.  The cluster head captures the
-superposition over one shared channel on one or more antennas, seeded by the
-channel's rng_seed like the single-sensor chain, optionally combines the
-antenna spectra noncoherently, and runs a band-restricted peak search per
-band.  Voltage is read back as (peak - offset) / fm.scale.  Band
-disjointness makes noiseless recovery bit-identical to running each sensor
-alone.
+single-sensor frequency shifted into its band.  The cluster head is
+``signal_chain.receive``: it captures the superposition over one shared
+channel on one or more antennas, seeded by the channel's rng_seed like the
+single-sensor chain, and returns the strongest bin of each sensor's band in
+the antennas' noncoherently combined spectrum.  Voltage is read back as
+(peak - offset) / fm.scale.  Band disjointness makes noiseless recovery
+bit-identical to running each sensor alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .mapping import DecodedPair, MappingConfig, decode, encode
-from .signal_chain import (
-    ChannelSpec,
-    FmConfig,
-    capture,
-    magnitude_spectrum,
-    peak_from_spectrum,
-)
+from .signal_chain import ChannelSpec, FmConfig, receive
 
 __all__ = [
     "FdmaPlan",
     "SensorResult",
     "assign_channels",
-    "diversity_combine",
     "simulate_cluster",
 ]
 
@@ -106,16 +97,6 @@ def _validate_cluster(mapping: MappingConfig, truths, plan: FdmaPlan, fm: FmConf
         raise ValueError(f"band tops out at {top} Hz, beyond Nyquist")
 
 
-def diversity_combine(spectra: list[np.ndarray]) -> np.ndarray:
-    """Noncoherent combining: root of the element-wise mean of squared magnitudes."""
-    if not spectra:
-        raise ValueError("need at least one spectrum")
-    arrays = [np.asarray(s, dtype=float) for s in spectra]
-    if len({a.size for a in arrays}) > 1:
-        raise ValueError("spectra must have equal lengths")
-    return np.sqrt(np.mean(np.square(arrays), axis=0))
-
-
 def simulate_cluster(
     mapping: MappingConfig,
     truths: list[tuple[float, float]],
@@ -133,19 +114,9 @@ def simulate_cluster(
     _validate_cluster(mapping, truths, plan, fm)
     vds = [encode(mapping, x1, x2) for x1, x2 in truths]
     freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
-    spectra = [magnitude_spectrum(fm, y) for y in capture(fm, ch, freqs, antennas)]
-    combined = spectra[0] if len(spectra) == 1 else diversity_combine(spectra)
-
+    peaks = receive(fm, ch, freqs, [plan.band(i) for i in range(len(vds))], antennas)
     results = []
-    for i, vd_true in enumerate(vds):
-        peak = peak_from_spectrum(combined, fm.sample_rate, fm.num_samples, band=plan.band(i))
-        vd_hat = (peak - plan.offsets[i]) / fm.scale
-        results.append(
-            SensorResult(
-                vd_true=vd_true,
-                vd_hat=vd_hat,
-                peak_hz=peak,
-                decoded=decode(mapping, vd_hat),
-            )
-        )
+    for offset, vd_true, peak in zip(plan.offsets, vds, peaks):
+        vd_hat = (peak - offset) / fm.scale
+        results.append(SensorResult(vd_true, vd_hat, peak, decode(mapping, vd_hat)))
     return results

@@ -4,9 +4,9 @@ The encoded voltage maps linearly to a tone frequency (default 1000 Hz per
 volt), the channel adds white Gaussian noise at a configured SNR, and the
 receiver locates the strongest FFT bin and maps it back to a voltage.  The
 receiver reads only a magnitude spectrum, so a tone is its frequency: the
-carrier phase is a nuisance it discards, and every tone is synthesized at
-zero phase with the modulator's amplitude.  The FFT spans the whole record,
-whose length ``FmConfig`` holds to a power of two, so the bin width is
+carrier phase is a nuisance it discards, and every tone is a unit cosine
+synthesized at zero phase.  The FFT spans the whole record, whose length
+``FmConfig`` holds to a power of two, so the bin width is
 fm.sample_rate / fm.num_samples.  With the default 65536 Hz sampling over
 one second that is exactly 1 Hz, so the noiseless end-to-end voltage error
 is half a bin over the scale factor (5e-4 V) away from DC and Nyquist;
@@ -15,18 +15,20 @@ the error reaches ~0.6 bins, under the one-bin bound.
 
 ``capture`` is the one received-signal model: a sum of tones at the given
 frequencies plus noise per antenna (``channel_noise``), seeded by
-``ChannelSpec.rng_seed``, returned as one float array per antenna.  A single
-sensor is a one-tone capture; the FDMA cluster in ``multisensor`` passes one
-frequency per sensor over the same channel.  ``tone_bins`` is the
-closed-form FFT of one capture tone, so a spectrum can be formed as tone
-bins plus the FFT of the noise.
+``ChannelSpec.rng_seed``, returned as one float array per antenna.
+``receive`` is the one explicit receiver: it captures, takes one rfft per
+antenna, combines the antennas' magnitudes noncoherently and returns the
+strongest bin of each band.  A single sensor is a one-tone capture searched
+over the whole spectrum; the FDMA cluster in ``multisensor`` passes one
+frequency and one band per sensor.  ``tone_bins`` is the closed-form FFT of
+one capture tone, so a spectrum can be formed as tone bins plus the FFT of
+the noise.
 
 ``proved_peak`` is the one proof of a receiver decision without the tone's
 FFT: it returns the rfft argmax bin of one tone, plus a ``NoiseSpectrum``
 when given, or None when its bounds cannot separate that bin from every
 rival.  A noiseless ``transmit_receive`` uses it and synthesizes no record;
-where it returns None, or the channel is noisy, the chain runs ``capture``
-and ``detect_peak``.
+where it returns None, or the channel is noisy, the chain runs ``receive``.
 """
 from __future__ import annotations
 
@@ -45,9 +47,7 @@ __all__ = [
     "NoiseSpectrum",
     "proved_peak",
     "noise_sigma",
-    "magnitude_spectrum",
-    "peak_from_spectrum",
-    "detect_peak",
+    "receive",
     "transmit_receive",
 ]
 
@@ -61,16 +61,17 @@ class FmConfig:
     """
 
     scale: float = 1000.0  # Hz per volt
-    amplitude: float = 1.0
     sample_rate: float = 65536.0
     record_seconds: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("scale", "amplitude", "sample_rate", "record_seconds"):
+        for name in ("scale", "sample_rate", "record_seconds"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         n = self.record_seconds * self.sample_rate
+        if not math.isfinite(n):
+            raise ValueError(f"record of {n} samples overflows")
         m = round(n)
         if abs(n - m) > 1e-6 or m < 2 or m & (m - 1):
             raise ValueError(f"record must hold a power-of-two number (>= 2) of samples, got {n}")
@@ -85,8 +86,9 @@ class ChannelSpec:
     """Static AWGN channel set by SNR, seeded by rng_seed.
 
     snr_db = math.inf disables noise.  Transmitted power is taken as 1
-    regardless of the waveform, so a -20 dB channel has noise variance 100.
-    The received amplitude is the modulator's (``FmConfig.amplitude``).
+    regardless of the waveform, so a -20 dB channel has noise variance 100
+    and a unit tone is received as sent.  An snr_db whose noise variance
+    overflows a float (below about -3082.5 dB) is rejected.
     """
 
     snr_db: float = math.inf
@@ -95,6 +97,10 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must not be NaN or -inf, got {self.snr_db}")
+        try:
+            noise_sigma(self)
+        except OverflowError:
+            raise ValueError(f"snr_db {self.snr_db} dB gives a noise variance that overflows") from None
 
 
 def noise_sigma(ch: ChannelSpec) -> float:
@@ -122,17 +128,13 @@ def capture(
 ) -> tuple[np.ndarray, ...]:
     """Received samples per antenna: a sum of tones plus independent AWGN.
 
-    Each frequency f (Hz) is synthesized as fm.amplitude * cos(2*pi*f/fs*n),
-    and the tones are summed in the given order.  Antenna a adds
-    channel_noise(fm, ch, a).
+    Each frequency f (Hz) is synthesized as cos(2*pi*f/fs*n), and the tones
+    are summed in the given order.  Antenna a adds channel_noise(fm, ch, a).
     """
     if antennas < 1:
         raise ValueError("antennas must be >= 1")
     if not freqs:
         raise ValueError("capture needs at least one tone")
-    # len(freqs) * amplitude bounds the tone sum, so finite samples need no scan
-    if not math.isfinite(len(freqs) * fm.amplitude):
-        raise ValueError("the sum of the tone amplitudes overflows")
     n = np.arange(fm.num_samples)
     mix = None
     for freq in freqs:
@@ -140,10 +142,9 @@ def capture(
             raise ValueError(
                 f"tone at {freq} Hz is outside [0, Nyquist) for fs={fm.sample_rate} Hz"
             )
-        # amplitude * cos(w*n), built in one buffer to spare record-sized temporaries
+        # cos(w*n), built in one buffer to spare record-sized temporaries
         tone = 2.0 * np.pi * freq / fm.sample_rate * n
         np.cos(tone, out=tone)
-        tone *= fm.amplitude
         if mix is None:
             mix = tone
         else:
@@ -156,7 +157,7 @@ def capture(
 def tone_bins(fm: FmConfig, freq: float, bins: np.ndarray) -> np.ndarray:
     """rfft of one capture tone over the whole record, in closed form, at 1-D bins.
 
-    The tone at freq Hz is fm.amplitude*cos(w*n) as ``capture`` synthesizes
+    The tone at freq Hz is cos(w*n) as ``capture`` synthesizes
     it, w = 2*pi*freq/fs.  Each of its two complex exponentials sums over
     n < M = fm.num_samples to a Dirichlet kernel: at offset d = +-freq*M/fs - k
     bins from bin k, exp(i*pi*d*(M-1)/M) * sin(pi*d) / sin(pi*d/M).  Within
@@ -171,49 +172,7 @@ def tone_bins(fm: FmConfig, freq: float, bins: np.ndarray) -> np.ndarray:
     on_bin = np.abs(d) < 1e-9
     kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * np.where(on_bin, 1.0, d)))
     halves = kernel * np.exp(1j * (np.pi * (m - 1) / m * d))
-    return 0.5 * fm.amplitude * halves.sum(axis=0)
-
-
-def magnitude_spectrum(fm: FmConfig, samples: np.ndarray) -> np.ndarray:
-    """FFT magnitude of one whole record, bins 0..sample_rate/2."""
-    if len(samples) != fm.num_samples:
-        raise ValueError(f"got {len(samples)} samples, the record holds {fm.num_samples}")
-    return np.abs(np.fft.rfft(np.asarray(samples, dtype=float)))
-
-
-def peak_from_spectrum(
-    spectrum: np.ndarray,
-    sample_rate: float,
-    fft_size: int,
-    band: tuple[float, float] | None = None,
-) -> float:
-    """Frequency of the strongest bin, optionally restricted to a band in Hz.
-
-    A NaN or infinite bin in the searched range is rejected: np.argmax returns
-    the first NaN, or else the first inf, so checking the argmax bin suffices.
-    Magnitudes are non-negative, so a zero argmax bin means an all-zero band.
-    """
-    bin_width = sample_rate / fft_size
-    lo, hi = 0, spectrum.size - 1
-    if band is not None:
-        f_lo, f_hi = band
-        if f_lo > f_hi:
-            raise ValueError(f"empty band {band}")
-        lo = max(lo, math.ceil(f_lo / bin_width - 1e-9))
-        hi = min(hi, math.floor(f_hi / bin_width + 1e-9))
-        if lo > hi:
-            raise ValueError(f"band {band} contains no FFT bins")
-    k = lo + int(np.argmax(spectrum[lo : hi + 1]))
-    if not math.isfinite(spectrum[k]):
-        raise ValueError("spectrum is not finite: the samples hold NaN or inf")
-    if not spectrum[k] > 0:
-        raise ValueError("degenerate all-zero spectrum: no signal to detect")
-    return k * bin_width
-
-
-def detect_peak(fm: FmConfig, samples: np.ndarray) -> float:
-    """Peak frequency of the sampled record in Hz."""
-    return peak_from_spectrum(magnitude_spectrum(fm, samples), fm.sample_rate, fm.num_samples)
+    return 0.5 * halves.sum(axis=0)
 
 
 # half-width in bins of the window around a tone that proved_peak evaluates
@@ -266,7 +225,7 @@ def proved_peak(fm: FmConfig, freq: float, noise: NoiseSpectrum | None = None) -
     noise's.  Each Dirichlet kernel of the tone is at least PEAK_WINDOW + 1/2
     bins (mod M) from every rfft bin outside that window as long as the window
     stays clear of Nyquist, so no tone bin there exceeds the leak bound
-    fm.amplitude / sin(pi*(PEAK_WINDOW + 1/2)/M).  Two stages prove the peak:
+    1 / sin(pi*(PEAK_WINDOW + 1/2)/M).  Two stages prove the peak:
 
     - every bin outside the window is bounded by the leak plus the noise
       spectrum's peak;
@@ -276,16 +235,16 @@ def proved_peak(fm: FmConfig, freq: float, noise: NoiseSpectrum | None = None) -
       noise magnitude among them.
 
     The best evaluated bin is returned when it beats the runner-up and the
-    bound by PEAK_MARGIN.  A frequency outside [0, Nyquist), a window that
-    reaches Nyquist, or a record whose tone sum could overflow gives None, so
-    a caller's fallback to ``capture`` keeps its validation.
+    bound by PEAK_MARGIN.  A frequency outside [0, Nyquist) or a window that
+    reaches Nyquist gives None, so a caller's fallback to ``capture`` keeps
+    its validation.
     """
     m = fm.num_samples
     if noise is not None and noise.bins.shape != (m // 2 + 1,):
         raise ValueError(
             f"noise spectrum has shape {noise.bins.shape}; the record's rfft has {m // 2 + 1} bins"
         )
-    if not 0.0 <= freq < fm.sample_rate / 2 or not math.isfinite(2.0 * fm.amplitude * m):
+    if not 0.0 <= freq < fm.sample_rate / 2:
         return None
     c0 = round(freq * m / fm.sample_rate)
     if c0 + PEAK_WINDOW + 1 > m // 2:
@@ -293,7 +252,7 @@ def proved_peak(fm: FmConfig, freq: float, noise: NoiseSpectrum | None = None) -
     lo, hi = max(c0 - PEAK_WINDOW, 0), c0 + PEAK_WINDOW + 1
     bins = np.arange(lo, hi)
     window = tone_bins(fm, freq, bins)
-    leak = fm.amplitude / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+    leak = 1.0 / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
     if noise is None:
         return _margin_winner(np.abs(window), bins, leak)
     mags = np.abs(window + noise.bins[lo:hi])
@@ -310,16 +269,52 @@ def proved_peak(fm: FmConfig, freq: float, noise: NoiseSpectrum | None = None) -
     )
 
 
+def receive(
+    fm: FmConfig,
+    ch: ChannelSpec,
+    freqs: list[float],
+    bands: list[tuple[float, float]],
+    antennas: int = 1,
+) -> list[float]:
+    """The explicit receiver: the strongest bin of each band of a capture of freqs, in Hz.
+
+    Each antenna's record from ``capture`` is transformed by one rfft; with
+    several antennas the magnitudes are combined noncoherently, as the root
+    of their mean square per bin.  For each band (lo_hz, hi_hz) the result
+    is k * fs / M for the strongest bin k in 0..M/2 with
+    lo_hz <= k * fs / M <= hi_hz (to 1e-9 bins); of equal bins the lowest
+    wins.  A band that holds no such bin is rejected, and so is one whose
+    bins are all zero (a noiseless DC tone leaves every other bin exactly 0)
+    or whose peak is not finite (the mean square overflows when the noise is
+    within ~10*log10(M) dB of ChannelSpec's variance limit).
+    """
+    spectra = [np.abs(np.fft.rfft(y)) for y in capture(fm, ch, freqs, antennas)]
+    combined = spectra[0] if antennas == 1 else np.sqrt(np.mean(np.square(spectra), axis=0))
+    bin_width = fm.sample_rate / fm.num_samples
+    peaks = []
+    for band in bands:
+        lo = max(0, math.ceil(band[0] / bin_width - 1e-9))
+        hi = min(combined.size - 1, math.floor(band[1] / bin_width + 1e-9))
+        if lo > hi:
+            raise ValueError(f"band {band} contains no FFT bins")
+        k = lo + int(np.argmax(combined[lo : hi + 1]))
+        if not math.isfinite(combined[k]):
+            raise ValueError("the combined spectrum overflows: the noise power is too large")
+        if not combined[k] > 0:
+            raise ValueError(f"degenerate all-zero band {band}: no signal to detect")
+        peaks.append(k * bin_width)
+    return peaks
+
+
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd: float) -> float:
     """Full chain: one-tone capture seeded by ch.rng_seed, peak detection, back to voltage.
 
     On a noiseless channel the peak is ``proved_peak``'s bin when it proves
     one, which is the FFT's argmax without synthesizing the record; otherwise
-    the chain runs ``capture`` and ``detect_peak``, with their validation.
+    the chain runs ``receive`` over the whole spectrum, with its validation.
     """
     freq = fm.scale * vd
     k = proved_peak(fm, freq) if noise_sigma(ch) == 0.0 else None
     if k is None:
-        (samples,) = capture(fm, ch, [freq])
-        return detect_peak(fm, samples) / fm.scale
+        return receive(fm, ch, [freq], [(0.0, fm.sample_rate / 2)])[0] / fm.scale
     return k * (fm.sample_rate / fm.num_samples) / fm.scale

@@ -1,20 +1,39 @@
-"""The explicit receiver chain that fast paths are checked against, and inputs that stress them.
+"""The explicit receiver chain that the library is checked against, and inputs that stress it.
 
-``chain_voltage`` writes the single-sensor chain out step by step (capture,
-magnitude spectrum, strongest bin) with no proof or shortcut, so a test that
-compares ``transmit_receive`` or a sweep with it does not compare a fast path
-with itself.
+The receiver is written out here step by step from ``capture`` and numpy
+alone (one rfft per antenna, magnitudes, root-mean-square combine, argmax per
+band), with no proof, shortcut or call into ``signal_chain.receive``, so a
+test that compares ``receive``, ``transmit_receive``, ``simulate_cluster`` or
+a sweep with it does not compare the library with itself.
 """
 import numpy as np
 
-from ajscc.signal_chain import capture, magnitude_spectrum, peak_from_spectrum, tone_bins
+from ajscc.signal_chain import capture, tone_bins
+
+
+def band_peaks(fm, ch, freqs, bands, antennas=1):
+    """Strongest bin of each (lo_hz, hi_hz) band of the combined capture spectrum, in Hz.
+
+    None stands for a band whose bins are all zero, which has no strongest bin.
+    """
+    records = capture(fm, ch, freqs, antennas)
+    power = sum(np.abs(np.fft.rfft(y)) ** 2 for y in records) / antennas
+    combined = np.sqrt(power)
+    bin_width = fm.sample_rate / fm.num_samples
+    bin_hz = np.arange(combined.size) * bin_width
+    tol = 1e-9 * bin_width
+    peaks = []
+    for lo_hz, hi_hz in bands:
+        inside = np.flatnonzero((bin_hz >= lo_hz - tol) & (bin_hz <= hi_hz + tol))
+        best = int(inside[np.argmax(combined[inside])])
+        peaks.append(best * bin_width if combined[best] > 0 else None)
+    return peaks
 
 
 def chain_voltage(fm, ch, vd):
-    """capture -> magnitude_spectrum -> peak_from_spectrum, back to volts."""
-    (samples,) = capture(fm, ch, [fm.scale * vd])
-    spectrum = magnitude_spectrum(fm, samples)
-    return peak_from_spectrum(spectrum, fm.sample_rate, fm.num_samples) / fm.scale
+    """One tone at fm.scale * vd Hz, the strongest bin of the whole spectrum, back to volts."""
+    (peak,) = band_peaks(fm, ch, [fm.scale * vd], [(0.0, fm.sample_rate / 2)])
+    return peak / fm.scale
 
 
 def tie_frequency(fm, c):

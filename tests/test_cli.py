@@ -63,6 +63,22 @@ class TestCodecCommands:
         payload = json.loads(err.strip())
         assert "num_levels" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chain", "--snr-db=-4000", "0.01", "0.1"),
+            ("sweep-l", "--snr-db=-4000", "--trials", "1"),
+            ("sdr-sweep", "--snrs=-4000", "--trials", "1"),
+            ("cluster", "--snr-db=-4000"),
+        ],
+    )
+    def test_snr_whose_noise_variance_overflows_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert "overflows" in json.loads(line)["error"]
+
 
 @pytest.fixture
 def runs(monkeypatch):

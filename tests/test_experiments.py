@@ -242,6 +242,18 @@ class TestSharedNoiseEngine:
         self.assert_matches_oracle(cfg)
         assert calls == []
 
+    def test_snr_past_underflow_is_noiseless(self, monkeypatch):
+        # above ~3236 dB the noise sigma underflows to 0: the sweep must take
+        # the noiseless path, with no noise record and no FFT
+        rffts = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: rffts.append(1) or rfft(*a, **k))
+        cfg = dataclasses.replace(ENGINE_SWEEP, snr_db=4000.0)
+        assert run_mse_vs_L(cfg).rows == run_mse_vs_L(
+            dataclasses.replace(cfg, snr_db=math.inf)
+        ).rows
+        assert rffts == []
+
     def test_near_tie_falls_back(self, monkeypatch):
         # fm.scale puts the one noiseless tone where bins 2500 and 2501 tie,
         # which no margin can separate: every trial runs the full chain
@@ -418,7 +430,7 @@ class TestConfigFile:
                 "num_levels", "quantizer", "sensor_count", "antennas", "guard_hz",
                 "gain_error", "offset_error", "master_seed", "workers",
                 "source_kind", "source_x1", "source_x2",
-                "fm_scale", "fm_amplitude", "fm_sample_rate", "fm_record_seconds",
+                "fm_scale", "fm_sample_rate", "fm_record_seconds",
             ]
         )
 

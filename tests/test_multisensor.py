@@ -8,36 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajscc.mapping import MappingConfig, encode
-from ajscc.multisensor import (
-    FdmaPlan,
-    assign_channels,
-    diversity_combine,
-    simulate_cluster,
-)
-from ajscc.signal_chain import (
-    ChannelSpec,
-    FmConfig,
-    capture,
-    magnitude_spectrum,
-    peak_from_spectrum,
-)
+from ajscc.multisensor import FdmaPlan, assign_channels, simulate_cluster
+from ajscc.signal_chain import ChannelSpec, FmConfig, capture, receive
+from oracle import band_peaks
 
 FM = FmConfig()
 CODEC = MappingConfig(5.0, 11, 1.0)
 NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 
-def oracle_peaks(truths, plan, fm, ch, antennas):
-    """Band argmaxes of the combined spectra of a capture of tones built here, in band order."""
+def oracle_cluster_peaks(truths, plan, fm, ch, antennas):
+    """The explicit chain's peak per band for the cluster's tones, in band order."""
     freqs = [
         offset + fm.scale * encode(CODEC, x1, x2) for offset, (x1, x2) in zip(plan.offsets, truths)
     ]
-    spectra = [magnitude_spectrum(fm, y) for y in capture(fm, ch, freqs, antennas)]
-    combined = spectra[0] if antennas == 1 else diversity_combine(spectra)
-    return [
-        peak_from_spectrum(combined, fm.sample_rate, fm.num_samples, plan.band(i))
-        for i in range(len(truths))
-    ]
+    bands = [plan.band(i) for i in range(len(truths))]
+    return band_peaks(fm, ch, freqs, bands, antennas)
 
 
 class TestAssignChannels:
@@ -114,27 +100,28 @@ class TestCapture:
         plan = assign_channels(1, FM, 5.0)
         (res,) = simulate_cluster(CODEC, [(0.0, 0.0)], plan, FM, NO_NOISE)
         n = np.arange(FM.num_samples)
-        spectrum = magnitude_spectrum(FM, np.cos(2 * np.pi * 1000.0 / 65536.0 * n))
-        assert res.peak_hz == peak_from_spectrum(spectrum, FM.sample_rate, FM.num_samples) == 1000.0
+        spectrum = np.abs(np.fft.rfft(np.cos(2 * np.pi * 1000.0 / 65536.0 * n)))
+        assert res.peak_hz == np.argmax(spectrum) == 1000.0
         assert res.vd_hat == res.vd_true == 0.0
 
     def test_channel_gain_and_seed_reach_capture(self):
-        # at -35 dB the band argmaxes move with the amplitude and the
-        # channel seed, so a field the cluster dropped would break the match
-        # with the oracle
+        # at -35 dB the band argmaxes move with the received level (the SNR:
+        # a tone gain g is the SNR raised by 20*log10(g) dB) and the channel
+        # seed, so a field the cluster dropped would break the match with
+        # the oracle
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
         plan = assign_channels(3, FM, 5.0)
         base = ChannelSpec(snr_db=-35.0, rng_seed=3)
         variants = [
-            (FM, dataclasses.replace(base, rng_seed=4)),
-            (FmConfig(amplitude=3.0), base),
+            dataclasses.replace(base, rng_seed=4),
+            dataclasses.replace(base, snr_db=-35.0 + 20.0 * math.log10(3.0)),
         ]
         peaks = {}
-        for fm, ch in [(FM, base), *variants]:
-            peaks[fm, ch] = [r.peak_hz for r in simulate_cluster(CODEC, truths, plan, fm, ch)]
-            assert peaks[fm, ch] == oracle_peaks(truths, plan, fm, ch, 1)
-        for key in variants:
-            assert peaks[key] != peaks[FM, base]
+        for ch in [base, *variants]:
+            peaks[ch] = [r.peak_hz for r in simulate_cluster(CODEC, truths, plan, FM, ch)]
+            assert peaks[ch] == oracle_cluster_peaks(truths, plan, FM, ch, 1)
+        for ch in variants:
+            assert peaks[ch] != peaks[base]
 
 
 class TestSimulateCluster:
@@ -148,16 +135,29 @@ class TestSimulateCluster:
         truths=st.lists(
             st.tuples(st.floats(0.0, CODEC.v1), st.floats(0.0, CODEC.v2)), min_size=1, max_size=5
         ),
+        geometry=st.one_of(
+            st.just((16, 65536.0)), st.tuples(st.integers(8, 16), st.floats(1000.0, 200_000.0))
+        ),
         antennas=st.integers(1, 3),
         snr_db=st.sampled_from([math.inf, -20.0, -30.0]),
         rng_seed=st.integers(0, 2**62),
     )
     @settings(max_examples=50, deadline=None)
-    def test_peak_is_band_argmax_of_combined_spectrum(self, truths, antennas, snr_db, rng_seed):
-        plan = assign_channels(len(truths), FM, 5.0)
+    def test_peak_is_band_argmax_of_combined_spectrum(
+        self, truths, geometry, antennas, snr_db, rng_seed
+    ):
+        # records of 2^8..2^16 samples at any rate; the scale keeps the
+        # default geometry's 1000 Hz per volt and fits five bands below Nyquist
+        record_exp, sample_rate = geometry
+        fm = FmConfig(
+            scale=1000.0 * sample_rate / 65536.0,
+            sample_rate=sample_rate,
+            record_seconds=2**record_exp / sample_rate,
+        )
+        plan = assign_channels(len(truths), fm, CODEC.d_max, guard_hz=fm.scale)
         ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
-        results = simulate_cluster(CODEC, truths, plan, FM, ch, antennas=antennas)
-        assert [r.peak_hz for r in results] == oracle_peaks(truths, plan, FM, ch, antennas)
+        results = simulate_cluster(CODEC, truths, plan, fm, ch, antennas=antennas)
+        assert [r.peak_hz for r in results] == oracle_cluster_peaks(truths, plan, fm, ch, antennas)
 
     def test_three_sensors_noiseless_match_solo_runs(self):
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
@@ -187,23 +187,31 @@ class TestSimulateCluster:
 
 
 class TestDiversity:
+    """The noncoherent antenna combine inside signal_chain.receive."""
+
+    BANDS = [(1000.0, 6000.0), (7000.0, 12000.0)]
+    FREQS = [3456.7, 9876.5]
+
     def test_single_spectrum_identity(self):
-        spec = np.abs(np.random.default_rng(0).normal(size=64))
-        assert np.allclose(diversity_combine([spec]), spec)
+        # one antenna: the combine is that antenna's own magnitude spectrum
+        ch = ChannelSpec(snr_db=-30.0, rng_seed=11)
+        (samples,) = capture(FM, ch, self.FREQS)
+        own = np.abs(np.fft.rfft(samples))
+        expected = [float(lo + np.argmax(own[int(lo) : int(hi) + 1])) for lo, hi in self.BANDS]
+        assert receive(FM, ch, self.FREQS, self.BANDS) == expected
 
     def test_identical_spectra_keep_argmax(self):
-        spec = np.abs(np.random.default_rng(1).normal(size=64))
-        combined = diversity_combine([spec, spec])
-        assert np.argmax(combined) == np.argmax(spec)
-        assert np.allclose(combined, spec)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            diversity_combine([np.ones(8), np.ones(9)])
+        # noiseless antennas see identical spectra, whose combine is the
+        # spectrum itself: the peaks equal the one-antenna peaks
+        one = receive(FM, NO_NOISE, self.FREQS, self.BANDS)
+        assert receive(FM, NO_NOISE, self.FREQS, self.BANDS, antennas=3) == one == [3457.0, 9877.0]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            diversity_combine([])
+        # no antenna means no spectrum to combine
+        with pytest.raises(ValueError, match="antennas"):
+            receive(FM, NO_NOISE, self.FREQS, self.BANDS, antennas=0)
+        with pytest.raises(ValueError, match="antennas"):
+            simulate_cluster(CODEC, [(0.1, 0.1)], assign_channels(1, FM, 5.0), FM, NO_NOISE, 0)
 
     def test_two_capture_combining_reduces_miss_rate(self):
         # at -30 dB single captures miss the tone peak noticeably more often

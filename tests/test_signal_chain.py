@@ -1,4 +1,4 @@
-"""Transmission chain tests: tone-sum capture, channel statistics, peak detection."""
+"""Transmission chain tests: tone-sum capture, channel statistics, the receiver and its proofs."""
 import dataclasses
 import math
 
@@ -15,15 +15,13 @@ from ajscc.signal_chain import (
     NoiseSpectrum,
     capture,
     channel_noise,
-    detect_peak,
-    magnitude_spectrum,
     noise_sigma,
-    peak_from_spectrum,
     proved_peak,
+    receive,
     tone_bins,
     transmit_receive,
 )
-from oracle import chain_voltage, tie_frequency
+from oracle import band_peaks, chain_voltage, tie_frequency
 
 FM = FmConfig()
 NO_NOISE = ChannelSpec(snr_db=math.inf)
@@ -34,6 +32,12 @@ def fm_tone(fm, vd):
     return capture(fm, ChannelSpec(), [fm.scale * vd])[0]
 
 
+def full_band_peak(fm, ch, freq):
+    """receive's peak (Hz) of one tone searched over the whole spectrum."""
+    (peak,) = receive(fm, ch, [freq], [(0.0, fm.sample_rate / 2)])
+    return peak
+
+
 class TestFmModulate:
     def test_record_geometry(self):
         wf = fm_tone(FM, 2.5)
@@ -41,19 +45,20 @@ class TestFmModulate:
         assert wf.dtype == np.float64
 
     def test_mid_range_tone_frequency(self):
-        assert detect_peak(FM, fm_tone(FM, 2.5)) == 2500.0
+        assert full_band_peak(FM, NO_NOISE, 2500.0) == 2500.0
 
     def test_zero_voltage_is_dc(self):
         wf = fm_tone(FM, 0.0)
         assert np.allclose(wf, 1.0)
-        assert detect_peak(FM, wf) == 0.0
+        assert full_band_peak(FM, NO_NOISE, 0.0) == 0.0
 
     def test_top_of_range(self):
-        assert detect_peak(FM, fm_tone(FM, 5.0)) == 5000.0
+        assert full_band_peak(FM, NO_NOISE, 5000.0) == 5000.0
 
     def test_amplitude_scaling(self):
-        fm = FmConfig(amplitude=0.25)
-        assert np.max(np.abs(fm_tone(fm, 1.0))) <= 0.25 + 1e-12
+        # every tone is a unit cosine: the SNR alone sets the received level
+        wf = fm_tone(FM, 1.0)
+        assert np.max(np.abs(wf)) == 1.0
 
     def test_nyquist_violation_rejected(self):
         with pytest.raises(ValueError):
@@ -95,12 +100,11 @@ class TestCapture:
             assert np.array_equal(a, b), s
 
     def test_noiseless_is_explicit_tone_sum(self):
-        fm = FmConfig(amplitude=0.75)
         freqs = [1234.0, 5678.9, 20000.25]
-        (wf,) = capture(fm, NO_NOISE, freqs)
-        expected = 0.75 * tone(freqs[0])
+        (wf,) = capture(FM, NO_NOISE, freqs)
+        expected = tone(freqs[0])
         for freq in freqs[1:]:
-            expected += 0.75 * tone(freq)
+            expected += tone(freq)
         assert np.array_equal(wf, expected)
 
     def test_noise_is_sigma_times_seeded_normal(self):
@@ -131,12 +135,10 @@ class TestCapture:
 
     def test_non_finite_tone_parameters_rejected(self):
         # capture builds its samples without scanning them: a non-finite
-        # frequency or a tone sum that could overflow is rejected up front
+        # frequency is rejected up front
         for freq in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="outside"):
                 capture(FM, NO_NOISE, [freq])
-        with pytest.raises(ValueError, match="overflows"):
-            capture(FmConfig(amplitude=1e308), NO_NOISE, [2500.0, 3500.0])
 
     def test_channel_noise_is_the_capture_noise(self):
         ch = ChannelSpec(snr_db=-13.0, rng_seed=21)
@@ -149,7 +151,7 @@ class TestCapture:
 
 
 # closed-form bins agree with np.fft.rfft of the synthesized tone to this
-# fraction of amplitude * record length (measured worst ~5e-12)
+# fraction of the record length (measured worst ~5e-12)
 TONE_BINS_TOL = 1e-10
 
 
@@ -158,26 +160,23 @@ class TestToneBins:
         sample_rate=st.integers(8, 200_000),
         record_exp=st.integers(1, 16),
         freq_frac=st.floats(0.0, 1.0, exclude_max=True),
-        amplitude=st.floats(1e-3, 10.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_rfft_of_capture(self, sample_rate, record_exp, freq_frac, amplitude):
+    def test_matches_rfft_of_capture(self, sample_rate, record_exp, freq_frac):
         m = 2**record_exp
-        fm = FmConfig(
-            amplitude=amplitude, sample_rate=float(sample_rate), record_seconds=m / sample_rate
-        )
+        fm = FmConfig(sample_rate=float(sample_rate), record_seconds=m / sample_rate)
         freq = freq_frac * fm.sample_rate / 2
         (wf,) = capture(fm, NO_NOISE, [freq])
         expected = np.fft.rfft(wf)
         got = tone_bins(fm, freq, np.arange(m // 2 + 1))
-        assert np.max(np.abs(got - expected)) <= TONE_BINS_TOL * amplitude * m
+        assert np.max(np.abs(got - expected)) <= TONE_BINS_TOL * m
 
     def test_on_bin_and_dc_values(self):
-        got = tone_bins(FmConfig(amplitude=2.0), 2500.0, np.array([2499, 2500, 2501]))
-        assert got[1] == pytest.approx(FM.num_samples)
+        got = tone_bins(FM, 2500.0, np.array([2499, 2500, 2501]))
+        assert got[1] == pytest.approx(FM.num_samples / 2)
         assert np.all(np.abs(got[[0, 2]]) < 1e-6)
-        dc = tone_bins(FmConfig(amplitude=1.5), 0.0, np.array([0]))
-        assert dc[0] == pytest.approx(1.5 * FM.num_samples)
+        dc = tone_bins(FM, 0.0, np.array([0]))
+        assert dc[0] == pytest.approx(FM.num_samples)
 
 
 class TestLeakBound:
@@ -185,23 +184,20 @@ class TestLeakBound:
         sample_rate=st.floats(1.0, 1e6),
         record_exp=st.integers(7, 16),
         freq_frac=st.floats(0.0, 1.0, exclude_max=True),
-        amplitude=st.floats(1e-3, 10.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_no_tone_bin_outside_the_window_exceeds_the_leak(
-        self, sample_rate, record_exp, freq_frac, amplitude
-    ):
+    def test_no_tone_bin_outside_the_window_exceeds_the_leak(self, sample_rate, record_exp, freq_frac):
         # the one analytic assumption of proved_peak: with the window clear
         # of Nyquist, every rfft bin outside it is at most the leak bound
         m = 2**record_exp
-        fm = FmConfig(amplitude=amplitude, sample_rate=sample_rate, record_seconds=m / sample_rate)
+        fm = FmConfig(sample_rate=sample_rate, record_seconds=m / sample_rate)
         # nearest bin c0 = round(f * M / fs) <= M/2 - PEAK_WINDOW - 1
         freq = freq_frac * (m // 2 - PEAK_WINDOW - 1) * sample_rate / m
         c0 = round(freq * m / sample_rate)
         assert c0 + PEAK_WINDOW + 1 <= m // 2
         k = np.arange(m // 2 + 1)
         outside = k[np.abs(k - c0) > PEAK_WINDOW]
-        leak = amplitude / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+        leak = 1.0 / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
         assert np.max(np.abs(tone_bins(fm, freq, outside))) <= leak
 
 
@@ -232,7 +228,7 @@ class TestProvedPeak:
             FM.num_samples / 2
         )
         assert proved_peak(FM, 2500.0, spectrum) == 10000
-        assert detect_peak(FM, tone(2500.0) + noise) == 10000.0
+        assert np.argmax(np.abs(np.fft.rfft(tone(2500.0) + noise))) == 10000
 
     def test_out_of_window_near_tie_falls_back(self):
         # bin 10000 lifted to within 1e-12 of the tone's peak cannot be told
@@ -308,12 +304,6 @@ class TestNoiselessFastPath:
         short = FmConfig(sample_rate=64.0)
         self.assert_equal_chains(short, np.arange(0.0, 32.0, 0.25))
 
-    def test_extreme_amplitudes(self):
-        rng = np.random.default_rng(5)
-        freqs = list(rng.uniform(0.0, FM.sample_rate / 2, 10)) + [0.0, 2500.5, 32760.0]
-        for amplitude in (1e-300, 1e300):
-            self.assert_equal_chains(FmConfig(amplitude=amplitude), freqs)
-
     def test_proved_tone_skips_the_capture(self, monkeypatch):
         def no_capture(*args):
             raise AssertionError("capture called")
@@ -354,72 +344,103 @@ class TestChannel:
         (c,) = capture(FM, dataclasses.replace(ch, rng_seed=124), tones)
         assert not np.array_equal(a, c)
 
-    def test_gain_scales_signal(self):
-        (wf,) = capture(FmConfig(amplitude=0.5), NO_NOISE, [2500.0])
-        assert np.allclose(wf, 0.5 * fm_tone(FM, 2.5))
-        assert transmit_receive(FmConfig(amplitude=0.5), NO_NOISE, 2.5) == 2.5
-
     def test_bad_specs_rejected(self):
         # every field must lie in (0, inf): a NaN or an infinity would
         # otherwise fail later, in num_samples or deep in a sweep
-        for name in ("scale", "amplitude", "sample_rate", "record_seconds"):
+        for name in ("scale", "sample_rate", "record_seconds"):
             for bad in (0.0, -1.0, math.nan, math.inf, 1e400):
                 with pytest.raises(ValueError, match=name):
                     FmConfig(**{name: bad})
+        # each field finite, their product not: round() would raise OverflowError
+        with pytest.raises(ValueError, match="overflows"):
+            FmConfig(sample_rate=1e200, record_seconds=1e200)
         with pytest.raises(ValueError):
             ChannelSpec(snr_db=math.nan)
         with pytest.raises(ValueError):
             ChannelSpec(snr_db=-math.inf)
 
+    def test_snr_whose_noise_variance_overflows_rejected(self):
+        # 10**(3083/10) overflows a float; noise_sigma would raise OverflowError
+        with pytest.raises(ValueError, match="overflows"):
+            ChannelSpec(snr_db=-3083.0)
+        assert math.isfinite(noise_sigma(ChannelSpec(snr_db=-3082.0)))
+        # far above, the variance underflows to 0: the channel is noiseless
+        assert noise_sigma(ChannelSpec(snr_db=4000.0)) == 0.0
+
 
 class TestPeakDetection:
+    """receive: the strongest bin of each band of the combined capture spectrum."""
+
     def test_off_bin_tone_snaps_to_nearest_bin(self):
-        assert detect_peak(FM, fm_tone(FM, 2.5004)) == 2500.0
-
-    def test_all_zero_waveform_flagged(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            detect_peak(FM, np.zeros(65536))
-
-    def test_short_waveform_rejected(self):
-        # the FFT spans exactly one record: a shorter or longer array is rejected
-        for size in (1024, FM.num_samples + 1):
-            with pytest.raises(ValueError, match="record holds"):
-                detect_peak(FM, np.ones(size))
+        assert full_band_peak(FM, NO_NOISE, 2500.4) == 2500.0
 
     def test_non_finite_samples_rejected(self):
-        # samples from outside capture are not scanned; a NaN or inf makes
-        # the spectrum non-finite, which the peak search rejects
-        for bad in (math.nan, math.inf, -math.inf):
-            samples = fm_tone(FM, 2.5)
-            samples[1234] = bad
-            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-                detect_peak(FM, samples)
+        # the noise samples stay finite down to ChannelSpec's limit, but
+        # their squared magnitudes (~M * sigma^2) overflow the two-antenna
+        # combine below about -3034 dB; one antenna needs no square
+        ch = ChannelSpec(snr_db=-3050.0, rng_seed=1)
+        bands = [(0.0, FM.sample_rate / 2)]
+        assert math.isfinite(receive(FM, ch, [2500.0], bands)[0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            receive(FM, ch, [2500.0], bands, antennas=2)
 
     def test_band_restriction(self):
-        spectrum = np.zeros(101)
-        spectrum[30] = 5.0
-        spectrum[70] = 3.0
-        fs, nfft = 200.0, 200
-        assert peak_from_spectrum(spectrum, fs, nfft) == 30.0
-        assert peak_from_spectrum(spectrum, fs, nfft, band=(50.0, 100.0)) == 70.0
+        # an on-bin tone at 30 Hz outshines an off-bin one at 70.3 Hz
+        fm = FmConfig(sample_rate=256.0)
+        freqs = [30.0, 70.3]
+        assert receive(fm, NO_NOISE, freqs, [(0.0, 128.0), (50.0, 100.0)]) == [30.0, 70.0]
+        # a band edge within 1e-9 bins past a bin still includes that bin
+        edges = [(71.0 + 1e-12, 90.0), (0.0, 29.0 - 1e-12)]
+        assert receive(fm, NO_NOISE, freqs, edges) == [71.0, 29.0]
+        assert receive(fm, NO_NOISE, freqs, [(71.0 + 1e-6, 90.0)]) == [72.0]
 
     def test_all_zero_band_rejected(self):
-        # the signal lies outside the searched band, which holds only zeros
-        spectrum = np.r_[np.zeros(51), np.ones(50)]
+        # a noiseless DC tone leaves every other bin exactly zero
         with pytest.raises(ValueError, match="degenerate"):
-            peak_from_spectrum(spectrum, 200.0, 200, band=(0.0, 40.0))
-        assert peak_from_spectrum(spectrum, 200.0, 200, band=(0.0, 60.0)) == 51.0
+            receive(FM, NO_NOISE, [0.0], [(1000.0, 2000.0)])
+        assert receive(FM, NO_NOISE, [0.0], [(0.0, 2000.0)]) == [0.0]
 
     def test_empty_band_rejected(self):
-        spectrum = np.ones(101)
-        with pytest.raises(ValueError):
-            peak_from_spectrum(spectrum, 200.0, 200, band=(60.0, 50.0))
+        # a band narrower than a bin can hold none; the cluster CLI reaches
+        # it with --dmax 0.0004
+        with pytest.raises(ValueError, match="contains no FFT bins"):
+            receive(FM, NO_NOISE, [2000.5], [(2000.4, 2000.8)])
+        with pytest.raises(ValueError, match="contains no FFT bins"):
+            receive(FM, NO_NOISE, [2000.5], [(60.0, 50.0)])
+        # bins exist only from DC to Nyquist
+        for band in ((-20.0, -10.0), (40000.0, 50000.0)):
+            with pytest.raises(ValueError, match="contains no FFT bins"):
+                receive(FM, NO_NOISE, [2000.5], [band])
+        assert receive(FM, NO_NOISE, [2000.0], [(-10.0, 1e6)]) == [2000.0]
 
     def test_tone_peak_dominates_every_other_bin(self):
-        spectrum = magnitude_spectrum(FM, fm_tone(FM, 2.3456))
-        top = np.argsort(spectrum)[-2:]
-        assert spectrum[top[1]] > spectrum[top[0]]
-        assert abs(top[1] * 1.0 - 2345.6) <= 0.5
+        for freq, peak in ((2345.6, 2346.0), (2345.4, 2345.0), (17.25, 17.0)):
+            assert full_band_peak(FM, NO_NOISE, freq) == peak
+
+    @given(
+        sample_rate=st.floats(8.0, 200_000.0),
+        record_exp=st.integers(1, 16),
+        freq_fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
+        antennas=st.integers(1, 3),
+        snr_db=st.sampled_from([math.inf, 0.0, -20.0, -35.0]),
+        rng_seed=st.integers(0, 2**62),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_explicit_chain(
+        self, sample_rate, record_exp, freq_fracs, antennas, snr_db, rng_seed
+    ):
+        # any geometry, one to four tones; bands split the spectrum in two
+        m = 2**record_exp
+        fm = FmConfig(sample_rate=sample_rate, record_seconds=m / sample_rate)
+        freqs = [f * sample_rate / 2 for f in freq_fracs]
+        bands = [(0.0, sample_rate / 4), (sample_rate / 4, sample_rate / 2)]
+        ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
+        expected = band_peaks(fm, ch, freqs, bands, antennas)
+        if None in expected:  # noiseless DC tones leave the upper band all zero
+            with pytest.raises(ValueError, match="degenerate"):
+                receive(fm, ch, freqs, bands, antennas)
+        else:
+            assert receive(fm, ch, freqs, bands, antennas) == expected
 
 
 class TestEndToEnd:
@@ -462,7 +483,7 @@ class TestEndToEnd:
         sigma = noise_sigma(ChannelSpec(snr_db=-35.0))
         for seed in range(5):
             noise = np.random.default_rng(seed).normal(0.0, sigma, FM.num_samples)
-            expected = detect_peak(FM, tone(3210.0) + noise) / FM.scale
+            expected = int(np.argmax(np.abs(np.fft.rfft(tone(3210.0) + noise)))) / FM.scale
             got = transmit_receive(FM, ChannelSpec(snr_db=-35.0, rng_seed=seed), 3.21)
             assert got == expected
 
