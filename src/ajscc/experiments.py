@@ -18,6 +18,17 @@ closed-form spectrum plus that transform by ``signal_chain.proved_peak``.
 A (trial, level count) whose peak the proof leaves open runs the full
 ``transmit_receive`` chain; only near-ties and tones within 32 bins of
 Nyquist do.
+
+The SDR sweep runs trial-major.  Within a trial the sources, the tones and
+the capture seed do not depend on the SNR, and every SNR's noise is sigma
+times the same unit-variance draw, so a trial encodes its sensors once,
+draws and transforms its unit noise once per antenna
+(``signal_chain.NoiseSpectrum.draw``), and at each SNR point proves every
+band's peak of the antennas' combined spectrum with ``proved_peak`` at that
+point's sigma.  A (trial, SNR) point with a band the proof leaves open (a
+near-tie, a non-finite combine) runs ``simulate_cluster``, the explicit
+receiver, for its capture instead; ``details[snr]["fallbacks"]`` counts
+those points.
 """
 from __future__ import annotations
 
@@ -36,12 +47,11 @@ import numpy as np
 from .circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from .mapping import MappingConfig, Quantizer, decode, encode
 from .metrics import sdr
-from .multisensor import FdmaPlan, SensorResult, assign_channels, simulate_cluster
+from .multisensor import SensorResult, assign_channels, simulate_cluster
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
     NoiseSpectrum,
-    channel_noise,
     noise_sigma,
     proved_peak,
     transmit_receive,
@@ -223,6 +233,8 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
     """
     fm = cfg.fm
     bin_width = fm.sample_rate / fm.num_samples
+    band = (0.0, fm.sample_rate / 2)
+    sigma = noise_sigma(ChannelSpec(cfg.snr_db))
     mappings = [
         MappingConfig(cfg.d_max, num_levels, cfg.v2, cfg.quantizer) for num_levels in cfg.l_values
     ]
@@ -231,16 +243,13 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
         rng = _trial_rng(cfg.master_seed, trial)
         u1, u2 = cfg.source.draw(rng)
         channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
-        noise = (
-            None if noise_sigma(channel) == 0.0
-            else NoiseSpectrum(np.fft.rfft(channel_noise(fm, channel)))
-        )
+        noise = None if sigma == 0.0 else NoiseSpectrum.draw(fm, channel.rng_seed)
         row = []
         for mapping in mappings:
             x1 = u1 * mapping.v1
             x2 = u2 * mapping.v2
             vd = encode(mapping, x1, x2)
-            k = proved_peak(fm, fm.scale * vd, noise)
+            k = proved_peak(fm, [fm.scale * vd], band, noise, sigma)
             if k is None:
                 vd_hat = transmit_receive(fm, channel, vd)
             else:
@@ -287,31 +296,58 @@ def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
 # SDR vs channel SNR for one or more FDMA sensors
 
 
-def _cluster_trial(
-    cfg: ExperimentConfig, plan: FdmaPlan, mapping: MappingConfig, snr_db: float, trial: int
-) -> tuple[list[tuple[float, float]], list[SensorResult]]:
-    """One joint capture: the trial's stream draws every source, then the capture seed."""
+def _cluster_draws(
+    cfg: ExperimentConfig, trial: int
+) -> tuple[list[tuple[float, float]], int]:
+    """A trial's normalized sources, one per sensor, then its capture seed, in stream order."""
     rng = _trial_rng(cfg.master_seed, trial)
     draws = [cfg.source.draw(rng) for _ in range(cfg.sensor_count)]
-    capture_seed = int(rng.integers(0, 2**62))
-    truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
-    channel = ChannelSpec(snr_db=snr_db, rng_seed=capture_seed)
-    results = simulate_cluster(mapping, truths, plan, cfg.fm, channel, antennas=cfg.antennas)
-    return draws, results
+    return draws, int(rng.integers(0, 2**62))
 
 
-def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
-    """Per trial, an (SNR point, sensor, quantity) array of x1 error, x2 error, x2_hat, |vd error|.
+def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per trial, an (SNR point, sensor, quantity) array and the SNR points that fell back.
 
-    The errors are squared and normalized to the codec ranges.
+    The quantities are the x1 error, the x2 error, x2_hat and |vd error|,
+    the errors squared and normalized to the codec ranges.  A trial encodes
+    its sensors once and draws and transforms its unit-variance noise once
+    per antenna; each SNR point scales that noise by its sigma and proves
+    every band's peak with ``proved_peak``.  A point with any band left
+    unproved runs ``simulate_cluster`` on the trial's capture instead, so
+    its values and its errors are the explicit receiver's.
     """
+    fm = cfg.fm
+    bin_width = fm.sample_rate / fm.num_samples
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
-    plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
+    plan = assign_channels(cfg.sensor_count, fm, cfg.d_max, cfg.guard_hz)
+    bands = [plan.band(i) for i in range(cfg.sensor_count)]
+    sigmas = [noise_sigma(ChannelSpec(snr_db)) for snr_db in cfg.snr_values]
     per_trial = []
     for trial in trials:
+        draws, capture_seed = _cluster_draws(cfg, trial)
+        truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
+        # simulate_cluster's tones, in band order
+        vds = [encode(mapping, x1, x2) for x1, x2 in truths]
+        freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
+        noise = NoiseSpectrum.draw(fm, capture_seed, cfg.antennas) if any(sigmas) else None
         points = []
-        for snr_db in cfg.snr_values:
-            draws, results = _cluster_trial(cfg, plan, mapping, snr_db, trial)
+        fell_back = []
+        for snr_db, sigma in zip(cfg.snr_values, sigmas):
+            peaks = []
+            for band in bands:
+                k = proved_peak(fm, freqs, band, noise, sigma)
+                if k is None:
+                    break
+                peaks.append(k * bin_width)
+            fell_back.append(len(peaks) < len(bands))
+            if fell_back[-1]:
+                channel = ChannelSpec(snr_db=snr_db, rng_seed=capture_seed)
+                results = simulate_cluster(mapping, truths, plan, fm, channel, cfg.antennas)
+            else:
+                results = []
+                for offset, vd, peak in zip(plan.offsets, vds, peaks):
+                    vd_hat = (peak - offset) / fm.scale
+                    results.append(SensorResult(vd, vd_hat, peak, decode(mapping, vd_hat)))
             points.append(
                 [
                     (
@@ -323,7 +359,9 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
                     for (u1, u2), res in zip(draws, results)
                 ]
             )
-        per_trial.append(np.array(points))
+        per_trial.append((np.array(points), np.array(fell_back)))
+        # freed before the next trial draws: two trials' spectra never coexist
+        del noise
     return per_trial
 
 
@@ -331,16 +369,22 @@ def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:
     """Sweep channel SNR for sensor_count FDMA sensors; details hold per-trial data.
 
     details maps each SNR to (trials, sensors) arrays ``per_trial_mse``,
-    ``per_trial_x2_hat`` and ``per_trial_vd_err``.
+    ``per_trial_x2_hat`` and ``per_trial_vd_err``, and to ``fallbacks``, the
+    number of trials whose point ran ``simulate_cluster`` because the proof
+    left a band open.
     """
     if cfg.kind is not ExperimentKind.SDR_VS_CSNR:
         raise ValueError(f"config kind is {cfg.kind}, expected SDR_VS_CSNR")
+    trials = _map_trials(cfg, _sdr_trials)
     # (SNR point, quantity, trial, sensor): every mean below runs over a
     # contiguous (trials, sensors) array, which fixes its summation order
-    per_point = np.array(_map_trials(cfg, _sdr_trials)).transpose(1, 3, 0, 2).copy()
+    per_point = np.array([values for values, _ in trials]).transpose(1, 3, 0, 2).copy()
+    fallbacks = np.sum([fell_back for _, fell_back in trials], axis=0)
     rows = []
     details = {}
-    for snr_db, (mse_x1, mse_x2, x2_hat, vd_err) in zip(cfg.snr_values, per_point):
+    for snr_db, (mse_x1, mse_x2, x2_hat, vd_err), point_fallbacks in zip(
+        cfg.snr_values, per_point, fallbacks
+    ):
         per_trial_mse = mse_x1 + mse_x2
         mean_mse = float(per_trial_mse.mean())
         row = SweepRow(
@@ -356,6 +400,7 @@ def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:
             "per_trial_mse": per_trial_mse,
             "per_trial_x2_hat": x2_hat,
             "per_trial_vd_err": vd_err,
+            "fallbacks": int(point_fallbacks),
         }
     return _finish(cfg.kind, rows, details)
 
@@ -470,7 +515,10 @@ def run_cluster_demo(cfg: ExperimentConfig) -> list[SensorResult]:
         raise ValueError(f"config kind is {cfg.kind}, expected CLUSTER_DEMO")
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
-    return _cluster_trial(cfg, plan, mapping, cfg.snr_db, 0)[1]
+    draws, capture_seed = _cluster_draws(cfg, 0)
+    truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
+    channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=capture_seed)
+    return simulate_cluster(mapping, truths, plan, cfg.fm, channel, antennas=cfg.antennas)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,13 @@ single-sensor chain, and returns the strongest bin of each sensor's band in
 the antennas' noncoherently combined spectrum.  Voltage is read back as
 (peak - offset) / fm.scale.  Band disjointness makes noiseless recovery
 bit-identical to running each sensor alone.
+
+``simulate_cluster`` is the reference for one capture.  The SDR sweep in
+``experiments`` reads the same peaks without a capture per SNR point: per
+trial it transforms unit-variance noise once per antenna and proves each
+band's peak at every SNR from the tones' closed-form bins
+(``signal_chain.proved_peak``), and it calls ``simulate_cluster`` only for
+a (trial, SNR) point whose proof is left open.
 """
 from __future__ import annotations
 

@@ -24,11 +24,16 @@ frequency and one band per sensor.  ``tone_bins`` is the closed-form FFT of
 one capture tone, so a spectrum can be formed as tone bins plus the FFT of
 the noise.
 
-``proved_peak`` is the one proof of a receiver decision without the tone's
-FFT: it returns the rfft argmax bin of one tone, plus a ``NoiseSpectrum``
-when given, or None when its bounds cannot separate that bin from every
-rival.  A noiseless ``transmit_receive`` uses it and synthesizes no record;
-where it returns None, or the channel is noisy, the chain runs ``receive``.
+``proved_peak`` is the one proof of a receiver decision without the tones'
+FFT: it returns the argmax bin of one band of ``receive``'s combined
+spectrum of several tones, plus sigma times a ``NoiseSpectrum`` of
+unit-variance bins on one or more antennas when given, or None when its
+bounds cannot separate that bin from every rival.  Since
+``rng.normal(0, sigma)`` is exactly sigma times a standard normal draw, one
+``NoiseSpectrum.draw`` serves every SNR of a seed.  A noiseless
+``transmit_receive`` uses it (one tone, the whole spectrum) and synthesizes
+no record; where it returns None, or the channel is noisy, the chain runs
+``receive``.
 """
 from __future__ import annotations
 
@@ -166,12 +171,22 @@ def tone_bins(fm: FmConfig, freq: float, bins: np.ndarray) -> np.ndarray:
     0 <= freq < fs/2 and bins in [0, M/2] the result equals np.fft.rfft of
     the synthesized samples up to rounding.
     """
+    return _tones_bins(fm, [freq], bins)
+
+
+def _tones_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
+    """``tone_bins`` of the sum of the capture tones at freqs, in one pass over all tones."""
     m = fm.num_samples
-    sign = np.array([[1.0], [-1.0]])  # rows: the exp(+iwn) and exp(-iwn) halves
-    d = sign * (freq * m / fm.sample_rate) - np.asarray(bins, dtype=float)
+    offsets = [freq * m / fm.sample_rate for freq in freqs]
+    # rows: the exp(+iwn) halves of the tones, then their exp(-iwn) halves
+    d = np.array(offsets + [-x for x in offsets])[:, np.newaxis] - np.asarray(bins, dtype=float)
     on_bin = np.abs(d) < 1e-9
-    kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * np.where(on_bin, 1.0, d)))
-    halves = kernel * np.exp(1j * (np.pi * (m - 1) / m * d))
+    if on_bin.any():
+        safe = np.where(on_bin, 1.0, d)
+        kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * safe))
+    else:
+        kernel = np.sin(np.pi * d) / np.sin(np.pi / m * d)
+    halves = kernel * np.exp((1j * np.pi * (m - 1) / m) * d)
     return 0.5 * halves.sum(axis=0)
 
 
@@ -186,86 +201,165 @@ PEAK_MARGIN = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpectrum:
-    """rfft bins of one noise record and their largest magnitude.
+    """rfft bins of unit-variance noise records, one row per antenna, and their combined magnitude.
 
-    ``proved_peak`` adds a tone's closed-form bins to ``bins`` and bounds the
-    bins it does not evaluate by ``peak``, or by ``magnitude`` when that
-    bound is too loose.  Non-finite bins are rejected.
+    ``proved_peak`` scales the bins by the caller's noise sigma, adds the
+    tones' closed-form bins and combines the antennas as ``receive`` does.
+    ``magnitude`` is the root-mean-square of |bins| over the antennas (|bins|
+    for one antenna) and ``peak`` its maximum; they bound the bins the proof
+    does not evaluate.  One-dimensional bins are one antenna.  Non-finite
+    bins are rejected.
     """
 
     bins: np.ndarray
     peak: float = field(init=False)
 
     def __post_init__(self) -> None:
-        peak = float(np.max(np.abs(self.bins)))
+        bins = np.atleast_2d(self.bins)
+        peak = float(np.max(_combined(np.abs(bins))))
         if not math.isfinite(peak):
             raise ValueError("noise spectrum is not finite")
+        object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "peak", peak)
 
     @cached_property
     def magnitude(self) -> np.ndarray:
-        """|bins|, computed the first time a bound needs it (high-SNR proofs never do)."""
-        return np.abs(self.bins)
+        """The combined |bins|, computed again the first time a bound needs it.
+
+        High-SNR proofs never need it, and a record-sized array kept by every
+        trial's spectrum makes the next trial fault its arrays in afresh.
+        """
+        return _combined(np.abs(self.bins))
+
+    @classmethod
+    def draw(cls, fm: FmConfig, rng_seed: int, antennas: int = 1) -> NoiseSpectrum:
+        """The unit-variance noise of a channel seeded by rng_seed, one rfft per antenna.
+
+        Antenna a is channel_noise(fm, ChannelSpec(0.0, rng_seed), a), so
+        noise_sigma(ch) times it is channel_noise(fm, ch, a) for any channel
+        ch with that seed.
+        """
+        unit = ChannelSpec(0.0, rng_seed)
+        if antennas == 1:  # the transform itself, not a copy of it
+            return cls(np.fft.rfft(channel_noise(fm, unit)))
+        bins = np.empty((antennas, fm.num_samples // 2 + 1), dtype=complex)
+        for a in range(antennas):
+            bins[a] = np.fft.rfft(channel_noise(fm, unit, a))
+        return cls(bins)
+
+
+def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
+    """First and last rfft bin k with lo_hz <= k * fs / M <= hi_hz, to 1e-9 bins.
+
+    The range is clipped to bins 0..M/2; lo > hi when the band holds no bin.
+    """
+    bin_width = fm.sample_rate / fm.num_samples
+    lo = max(0, math.ceil(band[0] / bin_width - 1e-9))
+    hi = min(fm.num_samples // 2, math.floor(band[1] / bin_width + 1e-9))
+    return lo, hi
+
+
+def _combined(magnitudes) -> np.ndarray:
+    """The noncoherent combine of per-antenna magnitude spectra: their root mean square.
+
+    One antenna's spectrum is its own combine.
+    """
+    if len(magnitudes) == 1:
+        return magnitudes[0]
+    return np.sqrt(np.mean(np.square(magnitudes), axis=0))
 
 
 def _margin_winner(mags: np.ndarray, bins: np.ndarray, outside: float) -> int | None:
-    """bins[argmax] when it beats the runner-up and the bound ``outside`` by PEAK_MARGIN."""
-    j = int(np.argmax(mags))
-    runner_up = float(np.partition(mags, -2)[-2])
-    if mags[j] > (1.0 + PEAK_MARGIN) * max(runner_up, outside):
+    """bins[argmax] when finite and above the runner-up and the bound ``outside`` by PEAK_MARGIN."""
+    j = int(mags.argmax())
+    best = float(mags[j])
+    mags[j] = -math.inf  # the runner-up is the maximum of the others
+    runner_up = float(mags.max())
+    mags[j] = best
+    if math.isfinite(best) and best > (1.0 + PEAK_MARGIN) * max(outside, runner_up):
         return int(bins[j])
     return None
 
 
-def proved_peak(fm: FmConfig, freq: float, noise: NoiseSpectrum | None = None) -> int | None:
-    """rfft argmax bin of the capture tone at freq Hz plus noise, or None when unproved.
+def proved_peak(
+    fm: FmConfig,
+    freqs: list[float],
+    band: tuple[float, float],
+    noise: NoiseSpectrum | None = None,
+    sigma: float = 1.0,
+) -> int | None:
+    """rfft argmax bin of one band of a capture of freqs, or None when unproved.
 
-    With M = fm.num_samples, the tone's bins within PEAK_WINDOW of its nearest
-    bin c0 are evaluated in closed form (``tone_bins``) and added to the
-    noise's.  Each Dirichlet kernel of the tone is at least PEAK_WINDOW + 1/2
-    bins (mod M) from every rfft bin outside that window as long as the window
-    stays clear of Nyquist, so no tone bin there exceeds the leak bound
-    1 / sin(pi*(PEAK_WINDOW + 1/2)/M).  Two stages prove the peak:
+    The capture is the sum of the tones at freqs (Hz) plus, when given,
+    sigma times the noise spectrum's bins on each antenna, combined over the
+    antennas as ``receive`` combines them; the band (lo_hz, hi_hz) is
+    searched over ``receive``'s bin range.  With M = fm.num_samples, every
+    tone's bins within PEAK_WINDOW of its nearest bin c0, clipped to the
+    band, are evaluated in closed form (``tone_bins``, summed over the tones)
+    and added to the scaled noise bins.  Each Dirichlet kernel of a tone is
+    at least PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin outside its
+    window as long as the window stays clear of Nyquist, so no tone bin there
+    exceeds the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the tones
+    together at most len(freqs) times it; by Minkowski's inequality a bin's
+    combined magnitude is at most that plus sigma times the noise magnitude.
+    Two stages prove the peak:
 
-    - every bin outside the window is bounded by the leak plus the noise
-      spectrum's peak;
-    - when that fails, the outside bins whose noise magnitude plus the leak
-      reaches the window's best over (1 + PEAK_MARGIN) are evaluated in
-      closed form, and every other bin is bounded by the leak plus the largest
-      noise magnitude among them.
+    - every band bin outside the windows is bounded by the tones' leak plus
+      sigma times the noise spectrum's peak;
+    - when that fails, the band bins whose bound reaches the windows' best
+      over (1 + PEAK_MARGIN) are evaluated in closed form, and every other
+      bin is bounded by the leak plus sigma times the largest noise
+      magnitude among them.
 
-    The best evaluated bin is returned when it beats the runner-up and the
-    bound by PEAK_MARGIN.  A frequency outside [0, Nyquist) or a window that
-    reaches Nyquist gives None, so a caller's fallback to ``capture`` keeps
-    its validation.
+    The best evaluated bin is returned when it is finite and beats the
+    runner-up and the bound by PEAK_MARGIN.  A frequency outside
+    [0, Nyquist), a window that reaches Nyquist, a band that meets no window
+    or a non-finite quantity gives None, so a caller's fallback to
+    ``receive`` keeps its validation and its errors.
     """
     m = fm.num_samples
-    if noise is not None and noise.bins.shape != (m // 2 + 1,):
+    if noise is not None and noise.bins.shape[-1] != m // 2 + 1:
         raise ValueError(
             f"noise spectrum has shape {noise.bins.shape}; the record's rfft has {m // 2 + 1} bins"
         )
-    if not 0.0 <= freq < fm.sample_rate / 2:
+    lo, hi = _band_bins(fm, band)
+    spans = []  # each tone's window clipped to the band, as (first, last) bin
+    for freq in freqs:
+        if not 0.0 <= freq < fm.sample_rate / 2:
+            return None
+        c0 = round(freq * m / fm.sample_rate)
+        if c0 + PEAK_WINDOW + 1 > m // 2:
+            return None
+        first, last = max(c0 - PEAK_WINDOW, lo), min(c0 + PEAK_WINDOW, hi)
+        if first <= last:
+            spans.append((first, last))
+    if not spans:
         return None
-    c0 = round(freq * m / fm.sample_rate)
-    if c0 + PEAK_WINDOW + 1 > m // 2:
-        return None
-    lo, hi = max(c0 - PEAK_WINDOW, 0), c0 + PEAK_WINDOW + 1
-    bins = np.arange(lo, hi)
-    window = tone_bins(fm, freq, bins)
-    leak = 1.0 / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
-    if noise is None:
-        return _margin_winner(np.abs(window), bins, leak)
-    mags = np.abs(window + noise.bins[lo:hi])
-    k = _margin_winner(mags, bins, leak + noise.peak)
+    if len(spans) == 1:
+        bins = np.arange(spans[0][0], spans[0][1] + 1)
+        at = slice(spans[0][0], spans[0][1] + 1)
+    else:
+        bins = at = np.unique(np.concatenate([np.arange(a, b + 1) for a, b in spans]))
+    tones = _tones_bins(fm, freqs, bins)
+    leak = len(freqs) / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+    if noise is None or sigma == 0.0:
+        return _margin_winner(np.abs(tones), bins, leak)
+    mags = _combined(np.abs(tones + sigma * noise.bins[:, at]))
+    k = _margin_winner(mags, bins, leak + sigma * noise.peak)
     if k is not None:
         return k
-    rival = noise.magnitude >= float(np.max(mags)) / (1.0 + PEAK_MARGIN) - leak
-    rest = float(np.max(noise.magnitude, where=~rival, initial=0.0))
-    rival[lo:hi] = False
-    candidates = np.flatnonzero(rival)
-    cand_mags = np.abs(tone_bins(fm, freq, candidates) + noise.bins[candidates])
+    best = float(np.max(mags))
+    if not math.isfinite(best):
+        return None
+    magnitude = noise.magnitude[lo : hi + 1]
+    rival = magnitude >= (best / (1.0 + PEAK_MARGIN) - leak) / sigma
+    rest = float(np.max(magnitude, where=~rival, initial=0.0))
+    rival[bins - lo] = False
+    candidates = lo + np.flatnonzero(rival)
+    cand_bins = _tones_bins(fm, freqs, candidates) + sigma * noise.bins[:, candidates]
+    cand_mags = _combined(np.abs(cand_bins))
     return _margin_winner(
-        np.concatenate([mags, cand_mags]), np.concatenate([bins, candidates]), leak + rest
+        np.concatenate([mags, cand_mags]), np.concatenate([bins, candidates]), leak + sigma * rest
     )
 
 
@@ -288,13 +382,11 @@ def receive(
     or whose peak is not finite (the mean square overflows when the noise is
     within ~10*log10(M) dB of ChannelSpec's variance limit).
     """
-    spectra = [np.abs(np.fft.rfft(y)) for y in capture(fm, ch, freqs, antennas)]
-    combined = spectra[0] if antennas == 1 else np.sqrt(np.mean(np.square(spectra), axis=0))
+    combined = _combined([np.abs(np.fft.rfft(y)) for y in capture(fm, ch, freqs, antennas)])
     bin_width = fm.sample_rate / fm.num_samples
     peaks = []
     for band in bands:
-        lo = max(0, math.ceil(band[0] / bin_width - 1e-9))
-        hi = min(combined.size - 1, math.floor(band[1] / bin_width + 1e-9))
+        lo, hi = _band_bins(fm, band)
         if lo > hi:
             raise ValueError(f"band {band} contains no FFT bins")
         k = lo + int(np.argmax(combined[lo : hi + 1]))
@@ -314,7 +406,8 @@ def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd: float) -> float:
     the chain runs ``receive`` over the whole spectrum, with its validation.
     """
     freq = fm.scale * vd
-    k = proved_peak(fm, freq) if noise_sigma(ch) == 0.0 else None
+    band = (0.0, fm.sample_rate / 2)
+    k = proved_peak(fm, [freq], band) if noise_sigma(ch) == 0.0 else None
     if k is None:
-        return receive(fm, ch, [freq], [(0.0, fm.sample_rate / 2)])[0] / fm.scale
+        return receive(fm, ch, [freq], [band])[0] / fm.scale
     return k * (fm.sample_rate / fm.num_samples) / fm.scale

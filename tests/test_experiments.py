@@ -28,8 +28,9 @@ from ajscc.experiments import (
 )
 from ajscc.mapping import MappingConfig, Quantizer, decode, encode
 from ajscc.metrics import sdr
+from ajscc.multisensor import assign_channels, simulate_cluster
 from ajscc.signal_chain import ChannelSpec, FmConfig
-from oracle import chain_voltage, tie_frequency
+from oracle import band_peaks, chain_voltage, tie_frequency
 
 TINY_SWEEP = ExperimentConfig(
     kind=ExperimentKind.MSE_VS_L,
@@ -288,12 +289,178 @@ class TestSdrVsCsnr:
         detail = result.details[-20.0]
         assert detail["per_trial_mse"].shape == (3, 2)
         assert detail["per_trial_x2_hat"].shape == (3, 2)
-        assert sorted(detail) == ["per_trial_mse", "per_trial_vd_err", "per_trial_x2_hat"]
+        assert sorted(detail) == [
+            "fallbacks", "per_trial_mse", "per_trial_vd_err", "per_trial_x2_hat"
+        ]
 
     def test_noiseless_point_is_quantization_limited(self):
         result = run_sdr_vs_csnr(self.CFG)
         noiseless = result.details[math.inf]["per_trial_vd_err"]
         assert noiseless.max() <= 0.5 / 1000.0 + 1e-9
+
+
+def explicit_sdr_trials(decisions):
+    """A ``_sdr_trials`` that runs one capture per (trial, SNR) point through ``decisions``.
+
+    decisions(mapping, truths, plan, fm, ch, antennas) returns one
+    (vd_true, vd_hat, decoded pair) per band.  The trial's stream draws every
+    source, then the capture seed, as the sweep documents.
+    """
+
+    def trials_fn(cfg, trials):
+        mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
+        plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
+        per_trial = []
+        for trial in trials:
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial]))
+            draws = [cfg.source.draw(rng) for _ in range(cfg.sensor_count)]
+            seed = int(rng.integers(0, 2**62))
+            truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
+            points = []
+            for snr_db in cfg.snr_values:
+                ch = ChannelSpec(snr_db=snr_db, rng_seed=seed)
+                points.append(
+                    [
+                        (
+                            (dec.x1_hat / mapping.v1 - u1) ** 2,
+                            (dec.x2_hat / mapping.v2 - u2) ** 2,
+                            dec.x2_hat,
+                            abs(vd_hat - vd_true),
+                        )
+                        for (u1, u2), (vd_true, vd_hat, dec) in zip(
+                            draws, decisions(mapping, truths, plan, cfg.fm, ch, cfg.antennas)
+                        )
+                    ]
+                )
+            per_trial.append((np.array(points), np.ones(len(cfg.snr_values), dtype=bool)))
+        return per_trial
+
+    return trials_fn
+
+
+def cluster_decisions(mapping, truths, plan, fm, ch, antennas):
+    results = simulate_cluster(mapping, truths, plan, fm, ch, antennas)
+    return [(res.vd_true, res.vd_hat, res.decoded) for res in results]
+
+
+def oracle_decisions(mapping, truths, plan, fm, ch, antennas):
+    vds = [encode(mapping, x1, x2) for x1, x2 in truths]
+    freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
+    bands = [plan.band(i) for i in range(len(vds))]
+    decisions = []
+    for offset, vd, peak in zip(plan.offsets, vds, band_peaks(fm, ch, freqs, bands, antennas)):
+        vd_hat = (peak - offset) / fm.scale
+        decisions.append((vd, vd_hat, decode(mapping, vd_hat)))
+    return decisions
+
+
+def sdr_bytes(result):
+    """The sweep's CSV and every per-trial detail array, as bytes."""
+    return render_csv(result).encode() + b"".join(
+        detail[key].tobytes()
+        for detail in result.details.values()
+        for key in ("per_trial_mse", "per_trial_x2_hat", "per_trial_vd_err")
+    )
+
+
+ENGINE_SNRS = (math.inf, 0.0, -20.0, -35.0, -45.0)
+
+
+class TestTrialMajorSdrEngine:
+    """The trial-major SDR sweep must reproduce one explicit capture per (trial, SNR) point."""
+
+    def assert_matches_explicit_chains(self, cfg, monkeypatch):
+        result = run_sdr_vs_csnr(cfg)
+        for decisions in (cluster_decisions, oracle_decisions):
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "_sdr_trials", explicit_sdr_trials(decisions))
+                assert sdr_bytes(run_sdr_vs_csnr(cfg)) == sdr_bytes(result), decisions
+        return result
+
+    @pytest.mark.parametrize(
+        "antennas, sensors, guard_hz",
+        [(1, 1, 1000.0), (2, 3, 1000.0), (3, 4, 1000.0), (1, 4, 0.0), (3, 2, 0.0), (2, 1, 0.0)],
+    )
+    def test_rows_equal_explicit_chains(self, antennas, sensors, guard_hz, monkeypatch):
+        # guard_hz=0 puts neighbouring tones inside each other's windows and
+        # the lowest band at DC
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.SDR_VS_CSNR,
+            trials=3,
+            snr_values=ENGINE_SNRS,
+            num_levels=11,
+            quantizer=Quantizer.NEAREST,
+            sensor_count=sensors,
+            antennas=antennas,
+            guard_hz=guard_hz,
+            master_seed=antennas * 10 + sensors,
+        )
+        self.assert_matches_explicit_chains(cfg, monkeypatch)
+
+    def test_tied_tone_falls_back(self, monkeypatch):
+        # fm.scale puts the one sensor's noiseless tone where bins 2500 and
+        # 2501 tie (a second tone's leak would break the tie): no margin
+        # separates them, so every noiseless point runs simulate_cluster
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.SDR_VS_CSNR,
+            trials=3,
+            snr_values=(math.inf, -20.0),
+            num_levels=11,
+            sensor_count=1,
+            antennas=2,
+            source=SourceSpec("fixed", x1=0.3, x2=0.6),
+        )
+        mapping = MappingConfig(cfg.d_max, 11, cfg.v2, cfg.quantizer)
+        vd = encode(mapping, 0.3 * mapping.v1, 0.6 * mapping.v2)
+        scale = (tie_frequency(FmConfig(), 2500) - cfg.guard_hz) / vd
+        cfg = dataclasses.replace(cfg, fm=FmConfig(scale=scale))
+        result = self.assert_matches_explicit_chains(cfg, monkeypatch)
+        assert result.details[math.inf]["fallbacks"] == cfg.trials
+
+    def test_benchmark_shaped_sweep_never_falls_back(self, monkeypatch):
+        # 3 sensors, 2 antennas, -35..0 dB: every band peak is proved, so
+        # neither simulate_cluster nor a per-point rfft runs
+        def no_cluster(*args, **kwargs):
+            raise AssertionError("simulate_cluster called")
+
+        rffts = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(experiments, "simulate_cluster", no_cluster)
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: rffts.append(1) or rfft(*a, **k))
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.SDR_VS_CSNR,
+            trials=50,
+            snr_values=(-35.0, -30.0, -25.0, -20.0, -10.0, 0.0),
+            num_levels=11,
+            quantizer=Quantizer.NEAREST,
+            sensor_count=3,
+            antennas=2,
+        )
+        result = run_sdr_vs_csnr(cfg)
+        assert [detail["fallbacks"] for detail in result.details.values()] == [0] * 6
+        assert len(rffts) == cfg.trials * cfg.antennas
+
+    def test_overflowing_combine_raises_the_receiver_error(self, monkeypatch):
+        # at -3050 dB the 2-antenna mean square overflows: the point falls
+        # back to simulate_cluster, whose receiver rejects it
+        calls = []
+        original = experiments.simulate_cluster
+        monkeypatch.setattr(
+            experiments, "simulate_cluster", lambda *a, **k: calls.append(a) or original(*a, **k)
+        )
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.SDR_VS_CSNR,
+            trials=1,
+            snr_values=(-3050.0,),
+            num_levels=11,
+            sensor_count=2,
+            antennas=2,
+        )
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="the combined spectrum overflows"
+        ):
+            run_sdr_vs_csnr(cfg)
+        assert len(calls) == 1
 
 
 def scalar_circuit_check(cfg):

@@ -149,6 +149,15 @@ class TestCapture:
             assert np.array_equal(wf, clean + channel_noise(FM, ch, a))
         assert not np.any(channel_noise(FM, ChannelSpec(rng_seed=21)))
 
+    @pytest.mark.parametrize("snr_db", [0.0, -7.0, -20.0, -35.0, -45.0, 13.25, -3050.0])
+    def test_noise_is_sigma_times_unit_noise(self, snr_db):
+        # the identity the trial-major SDR sweep rests on: one unit-variance
+        # draw per antenna, scaled by sigma, is every SNR's noise bit for bit
+        for a in range(3):
+            ch = ChannelSpec(snr_db=snr_db, rng_seed=77 + a)
+            unit = channel_noise(FM, ChannelSpec(0.0, ch.rng_seed), a)
+            assert channel_noise(FM, ch, a).tobytes() == (noise_sigma(ch) * unit).tobytes()
+
 
 # closed-form bins agree with np.fft.rfft of the synthesized tone to this
 # fraction of the record length (measured worst ~5e-12)
@@ -201,6 +210,9 @@ class TestLeakBound:
         assert np.max(np.abs(tone_bins(fm, freq, outside))) <= leak
 
 
+FULL = (0.0, FM.sample_rate / 2)
+
+
 def zero_noise(fm=FM):
     return NoiseSpectrum(np.zeros(fm.num_samples // 2 + 1, dtype=complex))
 
@@ -216,8 +228,8 @@ class TestProvedPeak:
     """proved_peak accepts a bin only when its bounds separate it from every rival."""
 
     def test_clean_tone_is_accepted(self):
-        assert proved_peak(FM, 2500.0) == 2500
-        assert proved_peak(FM, 2500.0, zero_noise()) == 2500
+        assert proved_peak(FM, [2500.0], FULL) == 2500
+        assert proved_peak(FM, [2500.0], FULL, zero_noise()) == 2500
 
     def test_out_of_window_noise_winner_is_proved(self):
         # a real noise record whose bin 10000 beats the tone's peak: the
@@ -227,7 +239,7 @@ class TestProvedPeak:
         assert spectrum.peak + 1.0 / math.sin(math.pi * (PEAK_WINDOW + 0.5) / FM.num_samples) > (
             FM.num_samples / 2
         )
-        assert proved_peak(FM, 2500.0, spectrum) == 10000
+        assert proved_peak(FM, [2500.0], FULL, spectrum) == 10000
         assert np.argmax(np.abs(np.fft.rfft(tone(2500.0) + noise))) == 10000
 
     def test_out_of_window_near_tie_falls_back(self):
@@ -237,7 +249,7 @@ class TestProvedPeak:
         leak = tone_bins(FM, 2500.0, np.array([10000]))[0]
         for ratio, expected in ((1.0 + 1e-12, None), (1.01, 10000), (0.99, 2500)):
             noise = pinned_noise(10000, leak * (peak * ratio / abs(leak) - 1.0))
-            assert proved_peak(FM, 2500.0, noise) == expected, ratio
+            assert proved_peak(FM, [2500.0], FULL, noise) == expected, ratio
 
     def test_tone_leak_decides_an_out_of_window_winner(self):
         # a noise bin below the tone's peak that the tone's own leakage
@@ -248,8 +260,8 @@ class TestProvedPeak:
         leak = tone_bins(FM, freq, np.array([10000]))[0]
         noise = pinned_noise(10000, leak / abs(leak) * (peak - abs(leak) / 2))
         assert noise.peak < peak
-        assert abs(leak + noise.bins[10000]) > peak * (1.0 + 1e-5)
-        assert proved_peak(FM, freq, noise) == 10000
+        assert abs(leak + noise.bins[0, 10000]) > peak * (1.0 + 1e-5)
+        assert proved_peak(FM, [freq], FULL, noise) == 10000
 
     def test_near_tie_in_window_falls_back(self):
         # a half-bin tone plus a small noise value that lifts bin 2501 to
@@ -258,23 +270,110 @@ class TestProvedPeak:
         t = tone_bins(FM, freq, np.array([2500, 2501]))
         noise = pinned_noise(2501, t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0))
         assert noise.peak < 10.0
-        assert proved_peak(FM, freq, zero_noise()) is not None
-        assert proved_peak(FM, freq, noise) is None
+        assert proved_peak(FM, [freq], FULL, zero_noise()) is not None
+        assert proved_peak(FM, [freq], FULL, noise) is None
 
     def test_window_near_nyquist_falls_back(self):
-        assert proved_peak(FM, FM.sample_rate / 2 - 10.0) is None
-        assert proved_peak(FM, FM.sample_rate / 2 - 10.0, zero_noise()) is None
+        assert proved_peak(FM, [FM.sample_rate / 2 - 10.0], FULL) is None
+        assert proved_peak(FM, [FM.sample_rate / 2 - 10.0], FULL, zero_noise()) is None
+        # one tone near Nyquist spoils the leak bound of every band
+        assert proved_peak(FM, [2500.0, FM.sample_rate / 2 - 10.0], (0.0, 5000.0)) is None
         # 64 samples: every window reaches Nyquist
         short = FmConfig(sample_rate=64.0)
-        assert [proved_peak(short, f) for f in np.arange(0.0, 32.0, 0.5)] == [None] * 64
+        assert [proved_peak(short, [f], (0.0, 32.0)) for f in np.arange(0.0, 32.0, 0.5)] == [
+            None
+        ] * 64
 
     def test_invalid_inputs(self):
         for freq in (-1.0, math.nan, FM.sample_rate / 2, math.inf):
-            assert proved_peak(FM, freq) is None
+            assert proved_peak(FM, [freq], FULL) is None
+            assert proved_peak(FM, [2500.0, freq], (0.0, 5000.0)) is None
         with pytest.raises(ValueError, match="shape"):
-            proved_peak(FM, 2500.0, zero_noise(FmConfig(sample_rate=1024.0)))
+            proved_peak(FM, [2500.0], FULL, zero_noise(FmConfig(sample_rate=1024.0)))
         with pytest.raises(ValueError, match="not finite"):
             pinned_noise(5, math.nan)
+
+
+    def test_tones_and_band(self):
+        # each band's argmax over two tones, their windows overlapping
+        tones = [2500.0, 2540.25]
+        assert proved_peak(FM, tones, (0.0, 2520.0)) == 2500
+        assert proved_peak(FM, tones, (2520.0, 5000.0)) == 2540
+        # a band edge inside a tone's window: the edge bin is the argmax,
+        # proved against one tone's leak (~642) but not against two tones'
+        assert proved_peak(FM, tones[1:], (2505.0, 2530.0)) == 2530
+        assert proved_peak(FM, tones, (2505.0, 2530.0)) is None
+        # a band that meets no window, or holds no bin, is left to receive
+        assert proved_peak(FM, tones, (6000.0, 7000.0)) is None
+        assert proved_peak(FM, tones, (2500.2, 2500.8)) is None
+
+    def test_sigma_scales_the_unit_noise(self):
+        # sigma times a unit spectrum proves what the scaled spectrum proves
+        noise = NoiseSpectrum.draw(FM, 5, antennas=2)
+        scaled = NoiseSpectrum(40.0 * noise.bins)
+        for band in ((0.0, 4000.0), (4000.0, 9000.0)):
+            k = proved_peak(FM, [2500.0, 7000.5], band, noise, 40.0)
+            assert k is not None
+            assert k == proved_peak(FM, [2500.0, 7000.5], band, scaled)
+
+    def test_combine_overflow_is_unproved(self):
+        # at -3050 dB the 2-antenna mean square overflows, so the proof
+        # leaves the band to receive and its "overflows" error
+        ch = ChannelSpec(snr_db=-3050.0, rng_seed=3)
+        noise = NoiseSpectrum.draw(FM, ch.rng_seed, antennas=2)
+        with np.errstate(over="ignore"):
+            assert proved_peak(FM, [2500.0], FULL, noise, noise_sigma(ch)) is None
+            with pytest.raises(ValueError, match="overflows"):
+                receive(FM, ch, [2500.0], [FULL], antennas=2)
+        # one antenna needs no square: both prove the same finite peak
+        one = NoiseSpectrum(noise.bins[0])
+        k = proved_peak(FM, [2500.0], FULL, one, noise_sigma(ch))
+        assert k is not None and [float(k)] == receive(FM, ch, [2500.0], [FULL])
+
+    @given(
+        sample_rate=st.floats(8.0, 200_000.0),
+        record_exp=st.integers(7, 12),
+        freq_fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
+        half_bin=st.booleans(),
+        band_fracs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        antennas=st.integers(1, 3),
+        snr_db=st.sampled_from([math.inf, 0.0, -20.0, -35.0, -45.0]),
+        rng_seed=st.integers(0, 2**62),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_proved_bin_is_the_explicit_chain_peak(
+        self, sample_rate, record_exp, freq_fracs, half_bin, band_fracs, antennas, snr_db, rng_seed
+    ):
+        m = 2**record_exp
+        fm = FmConfig(sample_rate=sample_rate, record_seconds=m / sample_rate)
+        bin_width = sample_rate / m
+        freqs = [f * sample_rate / 2 for f in freq_fracs]
+        if half_bin:  # exact half-bin offsets, the closest calls
+            freqs = [(math.floor(f / bin_width) + 0.5) * bin_width for f in freqs]
+            freqs = [f for f in freqs if f < sample_rate / 2] or [0.5 * bin_width]
+        band = (min(band_fracs) * sample_rate / 2, max(band_fracs) * sample_rate / 2)
+        ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
+        noise = NoiseSpectrum.draw(fm, rng_seed, antennas)
+        k = proved_peak(fm, freqs, band, noise, noise_sigma(ch))
+        if k is not None:
+            assert [k * bin_width] == band_peaks(fm, ch, freqs, [band], antennas)
+
+
+class TestNoiseSpectrumDraw:
+    def test_bins_are_the_rfft_of_unit_channel_noise(self):
+        noise = NoiseSpectrum.draw(FM, 12, antennas=3)
+        assert noise.bins.shape == (3, FM.num_samples // 2 + 1)
+        for a in range(3):
+            unit = channel_noise(FM, ChannelSpec(0.0, 12), a)
+            assert np.array_equal(noise.bins[a], np.fft.rfft(unit))
+        rms = np.sqrt(np.mean(np.abs(noise.bins) ** 2, axis=0))
+        assert np.allclose(noise.magnitude, rms, rtol=1e-14)
+        assert noise.peak == np.max(noise.magnitude)
+
+    def test_one_antenna_is_its_own_magnitude(self):
+        noise = NoiseSpectrum.draw(FM, 12)
+        assert noise.bins.shape == (1, FM.num_samples // 2 + 1)
+        assert np.array_equal(noise.magnitude, np.abs(noise.bins[0]))
 
 
 class TestNoiselessFastPath:
