@@ -47,7 +47,13 @@ import numpy as np
 from .circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from .mapping import MappingConfig, Quantizer, decode, encode
 from .metrics import sdr
-from .multisensor import SensorResult, assign_channels, simulate_cluster
+from .multisensor import (
+    SensorResult,
+    assign_channels,
+    cluster_results,
+    cluster_tones,
+    simulate_cluster,
+)
 from .signal_chain import (
     ChannelSpec,
     FmConfig,
@@ -320,15 +326,12 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[tuple[np.ndarray, 
     bin_width = fm.sample_rate / fm.num_samples
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     plan = assign_channels(cfg.sensor_count, fm, cfg.d_max, cfg.guard_hz)
-    bands = [plan.band(i) for i in range(cfg.sensor_count)]
     sigmas = [noise_sigma(ChannelSpec(snr_db)) for snr_db in cfg.snr_values]
     per_trial = []
     for trial in trials:
         draws, capture_seed = _cluster_draws(cfg, trial)
         truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
-        # simulate_cluster's tones, in band order
-        vds = [encode(mapping, x1, x2) for x1, x2 in truths]
-        freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
+        vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
         noise = NoiseSpectrum.draw(fm, capture_seed, cfg.antennas) if any(sigmas) else None
         points = []
         fell_back = []
@@ -344,10 +347,7 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[tuple[np.ndarray, 
                 channel = ChannelSpec(snr_db=snr_db, rng_seed=capture_seed)
                 results = simulate_cluster(mapping, truths, plan, fm, channel, cfg.antennas)
             else:
-                results = []
-                for offset, vd, peak in zip(plan.offsets, vds, peaks):
-                    vd_hat = (peak - offset) / fm.scale
-                    results.append(SensorResult(vd, vd_hat, peak, decode(mapping, vd_hat)))
+                results = cluster_results(mapping, plan, fm, vds, peaks)
             points.append(
                 [
                     (

@@ -3,20 +3,23 @@
 A sensor carries no identity of its own: the cluster head tells sensors apart
 only by their FDMA band, so sensor i is the one in band i of the plan.  Each
 sensor's encoded voltage vd becomes a tone at offset + fm.scale * vd Hz, its
-single-sensor frequency shifted into its band.  The cluster head is
-``signal_chain.receive``: it captures the superposition over one shared
-channel on one or more antennas, seeded by the channel's rng_seed like the
-single-sensor chain, and returns the strongest bin of each sensor's band in
-the antennas' noncoherently combined spectrum.  Voltage is read back as
-(peak - offset) / fm.scale.  Band disjointness makes noiseless recovery
-bit-identical to running each sensor alone.
+single-sensor frequency shifted into its band (``cluster_tones``).  The
+cluster head is ``signal_chain.receive``: it captures the superposition
+over one shared channel on one or more antennas, seeded by the channel's
+rng_seed like the single-sensor chain, and returns the strongest bin of each
+sensor's band in the antennas' noncoherently combined spectrum.  Voltage is
+read back as (peak - offset) / fm.scale (``cluster_results``).  Band
+disjointness makes noiseless recovery bit-identical to running each sensor
+alone.
 
 ``simulate_cluster`` is the reference for one capture.  The SDR sweep in
 ``experiments`` reads the same peaks without a capture per SNR point: per
 trial it transforms unit-variance noise once per antenna and proves each
 band's peak at every SNR from the tones' closed-form bins
 (``signal_chain.proved_peak``), and it calls ``simulate_cluster`` only for
-a (trial, SNR) point whose proof is left open.
+a (trial, SNR) point whose proof is left open.  Both paths lay out the tones
+with ``cluster_tones`` and read the peaks back with ``cluster_results``, so
+the tone format is written once.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ __all__ = [
     "FdmaPlan",
     "SensorResult",
     "assign_channels",
+    "cluster_tones",
+    "cluster_results",
     "simulate_cluster",
 ]
 
@@ -104,6 +109,31 @@ def _validate_cluster(mapping: MappingConfig, truths, plan: FdmaPlan, fm: FmConf
         raise ValueError(f"band tops out at {top} Hz, beyond Nyquist")
 
 
+def cluster_tones(
+    mapping: MappingConfig, truths: list[tuple[float, float]], plan: FdmaPlan, fm: FmConfig
+) -> tuple[list[float], list[float], list[tuple[float, float]]]:
+    """Each sensor's encoded voltage, tone frequency (Hz) and band, in band order.
+
+    truths holds one (x1, x2) pair per band of the plan.  Sensor i's tone is
+    at plan.offsets[i] + fm.scale * vd Hz.
+    """
+    _validate_cluster(mapping, truths, plan, fm)
+    vds = [encode(mapping, x1, x2) for x1, x2 in truths]
+    freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
+    return vds, freqs, [plan.band(i) for i in range(len(vds))]
+
+
+def cluster_results(
+    mapping: MappingConfig, plan: FdmaPlan, fm: FmConfig, vds: list[float], peaks: list[float]
+) -> list[SensorResult]:
+    """Each band's peak (Hz) read back as (peak - offset) / fm.scale volts and decoded."""
+    results = []
+    for offset, vd_true, peak in zip(plan.offsets, vds, peaks):
+        vd_hat = (peak - offset) / fm.scale
+        results.append(SensorResult(vd_true, vd_hat, peak, decode(mapping, vd_hat)))
+    return results
+
+
 def simulate_cluster(
     mapping: MappingConfig,
     truths: list[tuple[float, float]],
@@ -115,15 +145,9 @@ def simulate_cluster(
     """Capture all sensors jointly over channel ch and decode each from its own band.
 
     truths holds one (x1, x2) pair per band of the plan, in band order, and
-    the results come back in that order.  Sensor i's tone is at
-    plan.offsets[i] + fm.scale * vd Hz; the tones are summed in band order.
+    the results come back in that order; the tones are ``cluster_tones``,
+    summed in band order, and each band's peak is read back by
+    ``cluster_results``.
     """
-    _validate_cluster(mapping, truths, plan, fm)
-    vds = [encode(mapping, x1, x2) for x1, x2 in truths]
-    freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
-    peaks = receive(fm, ch, freqs, [plan.band(i) for i in range(len(vds))], antennas)
-    results = []
-    for offset, vd_true, peak in zip(plan.offsets, vds, peaks):
-        vd_hat = (peak - offset) / fm.scale
-        results.append(SensorResult(vd_true, vd_hat, peak, decode(mapping, vd_hat)))
-    return results
+    vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
+    return cluster_results(mapping, plan, fm, vds, receive(fm, ch, freqs, bands, antennas))

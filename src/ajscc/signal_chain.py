@@ -26,11 +26,11 @@ the noise.
 
 ``proved_peak`` is the one proof of a receiver decision without the tones'
 FFT: it returns the argmax bin of one band of ``receive``'s combined
-spectrum of several tones, plus sigma times a ``NoiseSpectrum`` of
-unit-variance bins on one or more antennas when given, or None when its
-bounds cannot separate that bin from every rival.  Since
-``rng.normal(0, sigma)`` is exactly sigma times a standard normal draw, one
-``NoiseSpectrum.draw`` serves every SNR of a seed.  A noiseless
+spectrum of several tones plus sigma times a ``NoiseSpectrum`` of
+unit-variance bins on one or more antennas (noise None or sigma 0 is a
+noiseless capture), or None when its bounds cannot separate that bin from
+every rival.  Since ``rng.normal(0, sigma)`` is exactly sigma times a
+standard normal draw, one ``NoiseSpectrum.draw`` serves every SNR of a seed.  A noiseless
 ``transmit_receive`` uses it (one tone, the whole spectrum) and synthesizes
 no record; where it returns None, or the channel is noisy, the chain runs
 ``receive``.
@@ -181,11 +181,8 @@ def _tones_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarra
     # rows: the exp(+iwn) halves of the tones, then their exp(-iwn) halves
     d = np.array(offsets + [-x for x in offsets])[:, np.newaxis] - np.asarray(bins, dtype=float)
     on_bin = np.abs(d) < 1e-9
-    if on_bin.any():
-        safe = np.where(on_bin, 1.0, d)
-        kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * safe))
-    else:
-        kernel = np.sin(np.pi * d) / np.sin(np.pi / m * d)
+    safe = np.where(on_bin, 1.0, d)
+    kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * safe))
     halves = kernel * np.exp((1j * np.pi * (m - 1) / m) * d)
     return 0.5 * halves.sum(axis=0)
 
@@ -201,22 +198,25 @@ PEAK_MARGIN = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class NoiseSpectrum:
-    """rfft bins of unit-variance noise records, one row per antenna, and their combined magnitude.
+    """rfft bins of unit-variance noise records, one array per antenna, and their combined RMS.
 
-    ``proved_peak`` scales the bins by the caller's noise sigma, adds the
-    tones' closed-form bins and combines the antennas as ``receive`` does.
-    ``magnitude`` is the root-mean-square of |bins| over the antennas (|bins|
-    for one antenna) and ``peak`` its maximum; they bound the bins the proof
-    does not evaluate.  One-dimensional bins are one antenna.  Non-finite
-    bins are rejected.
+    ``proved_peak`` scales each antenna's bins by the caller's noise sigma,
+    adds the tones' closed-form bins and combines the antennas as
+    ``receive`` combines its per-antenna spectra.  ``magnitude`` is the
+    root-mean-square of |bins| over the antennas (|bins| for one antenna)
+    and ``peak`` its maximum; they bound the bins the proof does not
+    evaluate.  bins is a sequence of equal-length 1-D arrays (the rows of a
+    2-D array will do); anything else, or a non-finite bin, is rejected.
     """
 
-    bins: np.ndarray
+    bins: tuple[np.ndarray, ...]
     peak: float = field(init=False)
 
     def __post_init__(self) -> None:
-        bins = np.atleast_2d(self.bins)
-        peak = float(np.max(_combined(np.abs(bins))))
+        bins = tuple(np.asarray(b) for b in self.bins)
+        if not bins or bins[0].ndim != 1 or any(b.shape != bins[0].shape for b in bins):
+            raise ValueError("noise spectrum needs one 1-D array of bins per antenna, one length")
+        peak = float(np.max(_combined([np.abs(b) for b in bins])))
         if not math.isfinite(peak):
             raise ValueError("noise spectrum is not finite")
         object.__setattr__(self, "bins", bins)
@@ -229,7 +229,7 @@ class NoiseSpectrum:
         High-SNR proofs never need it, and a record-sized array kept by every
         trial's spectrum makes the next trial fault its arrays in afresh.
         """
-        return _combined(np.abs(self.bins))
+        return _combined([np.abs(b) for b in self.bins])
 
     @classmethod
     def draw(cls, fm: FmConfig, rng_seed: int, antennas: int = 1) -> NoiseSpectrum:
@@ -240,12 +240,7 @@ class NoiseSpectrum:
         ch with that seed.
         """
         unit = ChannelSpec(0.0, rng_seed)
-        if antennas == 1:  # the transform itself, not a copy of it
-            return cls(np.fft.rfft(channel_noise(fm, unit)))
-        bins = np.empty((antennas, fm.num_samples // 2 + 1), dtype=complex)
-        for a in range(antennas):
-            bins[a] = np.fft.rfft(channel_noise(fm, unit, a))
-        return cls(bins)
+        return cls(tuple(np.fft.rfft(channel_noise(fm, unit, a)) for a in range(antennas)))
 
 
 def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
@@ -285,28 +280,29 @@ def proved_peak(
     fm: FmConfig,
     freqs: list[float],
     band: tuple[float, float],
-    noise: NoiseSpectrum | None = None,
-    sigma: float = 1.0,
+    noise: NoiseSpectrum | None,
+    sigma: float,
 ) -> int | None:
     """rfft argmax bin of one band of a capture of freqs, or None when unproved.
 
-    The capture is the sum of the tones at freqs (Hz) plus, when given,
-    sigma times the noise spectrum's bins on each antenna, combined over the
-    antennas as ``receive`` combines them; the band (lo_hz, hi_hz) is
-    searched over ``receive``'s bin range.  With M = fm.num_samples, every
-    tone's bins within PEAK_WINDOW of its nearest bin c0, clipped to the
-    band, are evaluated in closed form (``tone_bins``, summed over the tones)
-    and added to the scaled noise bins.  Each Dirichlet kernel of a tone is
-    at least PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin outside its
-    window as long as the window stays clear of Nyquist, so no tone bin there
-    exceeds the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the tones
-    together at most len(freqs) times it; by Minkowski's inequality a bin's
-    combined magnitude is at most that plus sigma times the noise magnitude.
-    Two stages prove the peak:
+    The capture is the sum of the tones at freqs (Hz) plus sigma times the
+    noise spectrum's bins on each antenna (noiseless when noise is None or
+    sigma is 0), combined over the antennas as ``receive`` combines them;
+    the band (lo_hz, hi_hz) is searched over ``receive``'s bin range.  With
+    M = fm.num_samples, a tone's window is the bins within PEAK_WINDOW of its
+    nearest bin c0; the band bins from the lowest to the highest window that
+    meets the band are evaluated in closed form (``tone_bins``, summed over
+    the tones) and added to the scaled noise bins.  Each Dirichlet kernel of
+    a tone is at least PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin
+    outside its window as long as the window stays clear of Nyquist, so no
+    tone bin there exceeds the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M),
+    and the tones together at most len(freqs) times it; by Minkowski's
+    inequality a bin's combined magnitude is at most that plus sigma times
+    the noise magnitude.  Two stages prove the peak:
 
-    - every band bin outside the windows is bounded by the tones' leak plus
-      sigma times the noise spectrum's peak;
-    - when that fails, the band bins whose bound reaches the windows' best
+    - every band bin outside the evaluated range is bounded by the tones'
+      leak plus sigma times the noise spectrum's peak;
+    - when that fails, the band bins whose bound reaches the range's best
       over (1 + PEAK_MARGIN) are evaluated in closed form, and every other
       bin is bounded by the leak plus sigma times the largest noise
       magnitude among them.
@@ -318,33 +314,30 @@ def proved_peak(
     ``receive`` keeps its validation and its errors.
     """
     m = fm.num_samples
-    if noise is not None and noise.bins.shape[-1] != m // 2 + 1:
+    if noise is not None and noise.bins[0].shape != (m // 2 + 1,):
         raise ValueError(
-            f"noise spectrum has shape {noise.bins.shape}; the record's rfft has {m // 2 + 1} bins"
+            f"noise spectrum has shape {noise.bins[0].shape} per antenna; "
+            f"the record's rfft has {m // 2 + 1} bins"
         )
     lo, hi = _band_bins(fm, band)
-    spans = []  # each tone's window clipped to the band, as (first, last) bin
+    first, last = hi + 1, lo - 1  # the evaluated range: the windows that meet the band
     for freq in freqs:
         if not 0.0 <= freq < fm.sample_rate / 2:
             return None
         c0 = round(freq * m / fm.sample_rate)
         if c0 + PEAK_WINDOW + 1 > m // 2:
             return None
-        first, last = max(c0 - PEAK_WINDOW, lo), min(c0 + PEAK_WINDOW, hi)
-        if first <= last:
-            spans.append((first, last))
-    if not spans:
+        a, b = max(c0 - PEAK_WINDOW, lo), min(c0 + PEAK_WINDOW, hi)
+        if a <= b:
+            first, last = min(first, a), max(last, b)
+    if first > last:
         return None
-    if len(spans) == 1:
-        bins = np.arange(spans[0][0], spans[0][1] + 1)
-        at = slice(spans[0][0], spans[0][1] + 1)
-    else:
-        bins = at = np.unique(np.concatenate([np.arange(a, b + 1) for a, b in spans]))
+    bins = np.arange(first, last + 1)
     tones = _tones_bins(fm, freqs, bins)
     leak = len(freqs) / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
     if noise is None or sigma == 0.0:
         return _margin_winner(np.abs(tones), bins, leak)
-    mags = _combined(np.abs(tones + sigma * noise.bins[:, at]))
+    mags = _combined([np.abs(tones + sigma * b[first : last + 1]) for b in noise.bins])
     k = _margin_winner(mags, bins, leak + sigma * noise.peak)
     if k is not None:
         return k
@@ -354,10 +347,10 @@ def proved_peak(
     magnitude = noise.magnitude[lo : hi + 1]
     rival = magnitude >= (best / (1.0 + PEAK_MARGIN) - leak) / sigma
     rest = float(np.max(magnitude, where=~rival, initial=0.0))
-    rival[bins - lo] = False
+    rival[first - lo : last - lo + 1] = False
     candidates = lo + np.flatnonzero(rival)
-    cand_bins = _tones_bins(fm, freqs, candidates) + sigma * noise.bins[:, candidates]
-    cand_mags = _combined(np.abs(cand_bins))
+    cand_tones = _tones_bins(fm, freqs, candidates)
+    cand_mags = _combined([np.abs(cand_tones + sigma * b[candidates]) for b in noise.bins])
     return _margin_winner(
         np.concatenate([mags, cand_mags]), np.concatenate([bins, candidates]), leak + sigma * rest
     )
@@ -407,7 +400,7 @@ def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd: float) -> float:
     """
     freq = fm.scale * vd
     band = (0.0, fm.sample_rate / 2)
-    k = proved_peak(fm, [freq], band) if noise_sigma(ch) == 0.0 else None
+    k = proved_peak(fm, [freq], band, None, 0.0) if noise_sigma(ch) == 0.0 else None
     if k is None:
         return receive(fm, ch, [freq], [band])[0] / fm.scale
     return k * (fm.sample_rate / fm.num_samples) / fm.scale

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajscc.mapping import MappingConfig, encode
-from ajscc.multisensor import FdmaPlan, assign_channels, simulate_cluster
+from ajscc.mapping import MappingConfig, decode, encode
+from ajscc.multisensor import (
+    FdmaPlan,
+    assign_channels,
+    cluster_results,
+    cluster_tones,
+    simulate_cluster,
+)
 from ajscc.signal_chain import ChannelSpec, FmConfig, capture, receive
 from oracle import band_peaks
 
@@ -184,6 +190,28 @@ class TestSimulateCluster:
         plan = assign_channels(1, FM, 5.0)
         with pytest.raises(ValueError, match="wider"):
             simulate_cluster(wide, [(0.1, 0.1)], plan, FM, NO_NOISE)
+
+
+class TestClusterLayout:
+    """The tone layout and the read-back that simulate_cluster and the SDR sweep share."""
+
+    def test_tone_is_offset_plus_scaled_voltage(self):
+        truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
+        plan = assign_channels(3, FM, 5.0)
+        vds, freqs, bands = cluster_tones(CODEC, truths, plan, FM)
+        assert vds == [encode(CODEC, x1, x2) for x1, x2 in truths]
+        assert freqs == [6000.0 * i + 1000.0 + 1000.0 * vd for i, vd in enumerate(vds)]
+        assert bands == [(1000.0, 6000.0), (7000.0, 12000.0), (13000.0, 18000.0)]
+        with pytest.raises(ValueError):
+            cluster_tones(CODEC, truths[:2], plan, FM)
+
+    def test_peak_is_read_back_relative_to_its_band(self):
+        plan = assign_channels(2, FM, 5.0)
+        vds = [1.25, 3.5]
+        (low, high) = cluster_results(CODEC, plan, FM, vds, [2250.0, 10500.0])
+        assert (low.vd_true, low.vd_hat, low.peak_hz) == (1.25, 1.25, 2250.0)
+        assert (high.vd_true, high.vd_hat, high.peak_hz) == (3.5, 3.5, 10500.0)
+        assert high.decoded == decode(CODEC, 3.5)
 
 
 class TestDiversity:

@@ -214,32 +214,32 @@ FULL = (0.0, FM.sample_rate / 2)
 
 
 def zero_noise(fm=FM):
-    return NoiseSpectrum(np.zeros(fm.num_samples // 2 + 1, dtype=complex))
+    return NoiseSpectrum([np.zeros(fm.num_samples // 2 + 1, dtype=complex)])
 
 
 def pinned_noise(bin_index, value):
     """A noise spectrum of FM's record that is zero except for one bin."""
     bins = np.zeros(FM.num_samples // 2 + 1, dtype=complex)
     bins[bin_index] = value
-    return NoiseSpectrum(bins)
+    return NoiseSpectrum([bins])
 
 
 class TestProvedPeak:
     """proved_peak accepts a bin only when its bounds separate it from every rival."""
 
     def test_clean_tone_is_accepted(self):
-        assert proved_peak(FM, [2500.0], FULL) == 2500
-        assert proved_peak(FM, [2500.0], FULL, zero_noise()) == 2500
+        assert proved_peak(FM, [2500.0], FULL, None, 0.0) == 2500
+        assert proved_peak(FM, [2500.0], FULL, zero_noise(), 1.0) == 2500
 
     def test_out_of_window_noise_winner_is_proved(self):
         # a real noise record whose bin 10000 beats the tone's peak: the
         # leak-plus-peak bound fails, and the exact candidate wins
         noise = 1.25 * capture(FM, NO_NOISE, [10000.0])[0]
-        spectrum = NoiseSpectrum(np.fft.rfft(noise))
+        spectrum = NoiseSpectrum([np.fft.rfft(noise)])
         assert spectrum.peak + 1.0 / math.sin(math.pi * (PEAK_WINDOW + 0.5) / FM.num_samples) > (
             FM.num_samples / 2
         )
-        assert proved_peak(FM, [2500.0], FULL, spectrum) == 10000
+        assert proved_peak(FM, [2500.0], FULL, spectrum, 1.0) == 10000
         assert np.argmax(np.abs(np.fft.rfft(tone(2500.0) + noise))) == 10000
 
     def test_out_of_window_near_tie_falls_back(self):
@@ -249,7 +249,7 @@ class TestProvedPeak:
         leak = tone_bins(FM, 2500.0, np.array([10000]))[0]
         for ratio, expected in ((1.0 + 1e-12, None), (1.01, 10000), (0.99, 2500)):
             noise = pinned_noise(10000, leak * (peak * ratio / abs(leak) - 1.0))
-            assert proved_peak(FM, [2500.0], FULL, noise) == expected, ratio
+            assert proved_peak(FM, [2500.0], FULL, noise, 1.0) == expected, ratio
 
     def test_tone_leak_decides_an_out_of_window_winner(self):
         # a noise bin below the tone's peak that the tone's own leakage
@@ -260,8 +260,8 @@ class TestProvedPeak:
         leak = tone_bins(FM, freq, np.array([10000]))[0]
         noise = pinned_noise(10000, leak / abs(leak) * (peak - abs(leak) / 2))
         assert noise.peak < peak
-        assert abs(leak + noise.bins[0, 10000]) > peak * (1.0 + 1e-5)
-        assert proved_peak(FM, [freq], FULL, noise) == 10000
+        assert abs(leak + noise.bins[0][10000]) > peak * (1.0 + 1e-5)
+        assert proved_peak(FM, [freq], FULL, noise, 1.0) == 10000
 
     def test_near_tie_in_window_falls_back(self):
         # a half-bin tone plus a small noise value that lifts bin 2501 to
@@ -270,51 +270,55 @@ class TestProvedPeak:
         t = tone_bins(FM, freq, np.array([2500, 2501]))
         noise = pinned_noise(2501, t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0))
         assert noise.peak < 10.0
-        assert proved_peak(FM, [freq], FULL, zero_noise()) is not None
-        assert proved_peak(FM, [freq], FULL, noise) is None
+        assert proved_peak(FM, [freq], FULL, zero_noise(), 1.0) is not None
+        assert proved_peak(FM, [freq], FULL, noise, 1.0) is None
 
     def test_window_near_nyquist_falls_back(self):
-        assert proved_peak(FM, [FM.sample_rate / 2 - 10.0], FULL) is None
-        assert proved_peak(FM, [FM.sample_rate / 2 - 10.0], FULL, zero_noise()) is None
+        assert proved_peak(FM, [FM.sample_rate / 2 - 10.0], FULL, None, 0.0) is None
+        assert proved_peak(FM, [FM.sample_rate / 2 - 10.0], FULL, zero_noise(), 1.0) is None
         # one tone near Nyquist spoils the leak bound of every band
-        assert proved_peak(FM, [2500.0, FM.sample_rate / 2 - 10.0], (0.0, 5000.0)) is None
+        near_nyquist = [2500.0, FM.sample_rate / 2 - 10.0]
+        assert proved_peak(FM, near_nyquist, (0.0, 5000.0), None, 0.0) is None
         # 64 samples: every window reaches Nyquist
         short = FmConfig(sample_rate=64.0)
-        assert [proved_peak(short, [f], (0.0, 32.0)) for f in np.arange(0.0, 32.0, 0.5)] == [
-            None
-        ] * 64
+        peaks = [proved_peak(short, [f], (0.0, 32.0), None, 0.0) for f in np.arange(0.0, 32.0, 0.5)]
+        assert peaks == [None] * 64
 
     def test_invalid_inputs(self):
         for freq in (-1.0, math.nan, FM.sample_rate / 2, math.inf):
-            assert proved_peak(FM, [freq], FULL) is None
-            assert proved_peak(FM, [2500.0, freq], (0.0, 5000.0)) is None
+            assert proved_peak(FM, [freq], FULL, None, 0.0) is None
+            assert proved_peak(FM, [2500.0, freq], (0.0, 5000.0), None, 0.0) is None
         with pytest.raises(ValueError, match="shape"):
-            proved_peak(FM, [2500.0], FULL, zero_noise(FmConfig(sample_rate=1024.0)))
+            proved_peak(FM, [2500.0], FULL, zero_noise(FmConfig(sample_rate=1024.0)), 1.0)
         with pytest.raises(ValueError, match="not finite"):
             pinned_noise(5, math.nan)
+        # one array of bins per antenna: a bare 1-D array or ragged antennas are rejected
+        for bins in (np.zeros(8), [np.zeros(8), np.zeros(4)], []):
+            with pytest.raises(ValueError, match="per antenna"):
+                NoiseSpectrum(bins)
 
 
     def test_tones_and_band(self):
         # each band's argmax over two tones, their windows overlapping
         tones = [2500.0, 2540.25]
-        assert proved_peak(FM, tones, (0.0, 2520.0)) == 2500
-        assert proved_peak(FM, tones, (2520.0, 5000.0)) == 2540
+        assert proved_peak(FM, tones, (0.0, 2520.0), None, 0.0) == 2500
+        assert proved_peak(FM, tones, (2520.0, 5000.0), None, 0.0) == 2540
         # a band edge inside a tone's window: the edge bin is the argmax,
         # proved against one tone's leak (~642) but not against two tones'
-        assert proved_peak(FM, tones[1:], (2505.0, 2530.0)) == 2530
-        assert proved_peak(FM, tones, (2505.0, 2530.0)) is None
+        assert proved_peak(FM, tones[1:], (2505.0, 2530.0), None, 0.0) == 2530
+        assert proved_peak(FM, tones, (2505.0, 2530.0), None, 0.0) is None
         # a band that meets no window, or holds no bin, is left to receive
-        assert proved_peak(FM, tones, (6000.0, 7000.0)) is None
-        assert proved_peak(FM, tones, (2500.2, 2500.8)) is None
+        assert proved_peak(FM, tones, (6000.0, 7000.0), None, 0.0) is None
+        assert proved_peak(FM, tones, (2500.2, 2500.8), None, 0.0) is None
 
     def test_sigma_scales_the_unit_noise(self):
         # sigma times a unit spectrum proves what the scaled spectrum proves
         noise = NoiseSpectrum.draw(FM, 5, antennas=2)
-        scaled = NoiseSpectrum(40.0 * noise.bins)
+        scaled = NoiseSpectrum([40.0 * b for b in noise.bins])
         for band in ((0.0, 4000.0), (4000.0, 9000.0)):
             k = proved_peak(FM, [2500.0, 7000.5], band, noise, 40.0)
             assert k is not None
-            assert k == proved_peak(FM, [2500.0, 7000.5], band, scaled)
+            assert k == proved_peak(FM, [2500.0, 7000.5], band, scaled, 1.0)
 
     def test_combine_overflow_is_unproved(self):
         # at -3050 dB the 2-antenna mean square overflows, so the proof
@@ -326,7 +330,7 @@ class TestProvedPeak:
             with pytest.raises(ValueError, match="overflows"):
                 receive(FM, ch, [2500.0], [FULL], antennas=2)
         # one antenna needs no square: both prove the same finite peak
-        one = NoiseSpectrum(noise.bins[0])
+        one = NoiseSpectrum(noise.bins[:1])
         k = proved_peak(FM, [2500.0], FULL, one, noise_sigma(ch))
         assert k is not None and [float(k)] == receive(FM, ch, [2500.0], [FULL])
 
@@ -362,7 +366,7 @@ class TestProvedPeak:
 class TestNoiseSpectrumDraw:
     def test_bins_are_the_rfft_of_unit_channel_noise(self):
         noise = NoiseSpectrum.draw(FM, 12, antennas=3)
-        assert noise.bins.shape == (3, FM.num_samples // 2 + 1)
+        assert [b.shape for b in noise.bins] == [(FM.num_samples // 2 + 1,)] * 3
         for a in range(3):
             unit = channel_noise(FM, ChannelSpec(0.0, 12), a)
             assert np.array_equal(noise.bins[a], np.fft.rfft(unit))
@@ -372,7 +376,7 @@ class TestNoiseSpectrumDraw:
 
     def test_one_antenna_is_its_own_magnitude(self):
         noise = NoiseSpectrum.draw(FM, 12)
-        assert noise.bins.shape == (1, FM.num_samples // 2 + 1)
+        assert [b.shape for b in noise.bins] == [(FM.num_samples // 2 + 1,)]
         assert np.array_equal(noise.magnitude, np.abs(noise.bins[0]))
 
 
