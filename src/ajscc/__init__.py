@@ -4,8 +4,9 @@ Library layout:
 
 - ``mapping``: the ideal 2:1 codec
 - ``circuit``: behavioral model of the analog encoder and its power budget
-- ``signal_chain``: tone-sum capture with seeded AWGN, the explicit FFT
-  receiver (per-band peaks of the diversity-combined spectrum), peak proofs
+- ``signal_chain``: tone-sum capture with seeded AWGN and the FFT receiver
+  (per-band peaks of the diversity-combined spectrum, proved in closed form
+  or read from the capture)
 - ``multisensor``: FDMA band planning and the cluster encode/receive/decode
 - ``metrics``: SDR
 - ``experiments``: seeded Monte-Carlo sweeps, self checks, CSV/JSON output

@@ -11,24 +11,17 @@ worker count.  Trial streams are common to all sweep points (common random
 numbers), which stabilizes the location of the sweep minimum.  Both sweeps
 hand workers contiguous chunks of trials (``_map_trials``); each worker runs
 every sweep point of its trials, and the parent reduces in trial order, so
-the output bytes do not depend on the worker count.  The level sweep also
-shares the work: a trial's noise is drawn and transformed once (not at all
-when noiseless), and every level count's peak is proved from its tone's
-closed-form spectrum plus that transform by ``signal_chain.proved_peak``.
-A (trial, level count) whose peak the proof leaves open runs the full
-``transmit_receive`` chain; only near-ties and tones within 32 bins of
-Nyquist do.
-
-The SDR sweep runs trial-major.  Within a trial the sources, the tones and
-the capture seed do not depend on the SNR, and every SNR's noise is sigma
-times the same unit-variance draw, so a trial encodes its sensors once,
-draws and transforms its unit noise once per antenna
-(``signal_chain.NoiseSpectrum.draw``), and at each SNR point proves every
-band's peak of the antennas' combined spectrum with ``proved_peak`` at that
-point's sigma.  A (trial, SNR) point with a band the proof leaves open (a
-near-tie, a non-finite combine) runs ``simulate_cluster``, the explicit
-receiver, for its capture instead; ``details[snr]["fallbacks"]`` counts
-those points.
+the output bytes do not depend on the worker count.  Both sweeps read their
+peaks from ``signal_chain.receive``, which proves each band's peak from the
+tones' closed-form spectrum and captures only when the proof leaves a band
+open; a sweep draws and transforms a trial's unit-variance noise once
+(``signal_chain.NoiseSpectrum.draw``, not at all when every point is
+noiseless) and passes it to every ``receive`` call of the trial.  Since
+``rng.normal(0, sigma)`` is exactly sigma times a standard normal draw, that
+one draw is the noise of every level count and of every SNR point.  The SDR
+sweep runs trial-major: within a trial the sources, the tones and the
+capture seed do not depend on the SNR, so a trial encodes its sensors once
+and calls ``receive`` once per SNR point.
 """
 from __future__ import annotations
 
@@ -59,7 +52,7 @@ from .signal_chain import (
     FmConfig,
     NoiseSpectrum,
     noise_sigma,
-    proved_peak,
+    receive,
     transmit_receive,
 )
 
@@ -233,34 +226,28 @@ def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
 def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float, float]]]:
     """Normalized squared errors (x1, x2) per trial and per swept level count.
 
-    Every level count of a trial sees the trial's noise, so its spectrum is
-    the tone's plus one rfft of that noise.  A (trial, L) chain whose peak
-    ``proved_peak`` cannot prove runs the full transmit_receive chain instead.
+    Every level count of a trial sees the trial's noise, drawn and
+    transformed once and passed to each level count's ``receive`` call.
     """
     fm = cfg.fm
-    bin_width = fm.sample_rate / fm.num_samples
     band = (0.0, fm.sample_rate / 2)
-    sigma = noise_sigma(ChannelSpec(cfg.snr_db))
     mappings = [
         MappingConfig(cfg.d_max, num_levels, cfg.v2, cfg.quantizer) for num_levels in cfg.l_values
     ]
+    noisy = noise_sigma(ChannelSpec(cfg.snr_db)) != 0.0
     errors = []
     for trial in trials:
         rng = _trial_rng(cfg.master_seed, trial)
         u1, u2 = cfg.source.draw(rng)
         channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
-        noise = None if sigma == 0.0 else NoiseSpectrum.draw(fm, channel.rng_seed)
+        noise = NoiseSpectrum.draw(fm, channel.rng_seed) if noisy else None
         row = []
         for mapping in mappings:
             x1 = u1 * mapping.v1
             x2 = u2 * mapping.v2
             vd = encode(mapping, x1, x2)
-            k = proved_peak(fm, [fm.scale * vd], band, noise, sigma)
-            if k is None:
-                vd_hat = transmit_receive(fm, channel, vd)
-            else:
-                vd_hat = k * bin_width / fm.scale
-            dec = decode(mapping, vd_hat)
+            (peak,) = receive(fm, channel, [fm.scale * vd], [band], noise=noise)
+            dec = decode(mapping, peak / fm.scale)
             e1 = ((dec.x1_hat - x1) / mapping.v1) ** 2
             e2 = ((dec.x2_hat - x2) / mapping.v2) ** 2
             row.append((e1, e2))
@@ -311,43 +298,29 @@ def _cluster_draws(
     return draws, int(rng.integers(0, 2**62))
 
 
-def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per trial, an (SNR point, sensor, quantity) array and the SNR points that fell back.
+def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
+    """Per trial, an (SNR point, sensor, quantity) array.
 
     The quantities are the x1 error, the x2 error, x2_hat and |vd error|,
     the errors squared and normalized to the codec ranges.  A trial encodes
-    its sensors once and draws and transforms its unit-variance noise once
-    per antenna; each SNR point scales that noise by its sigma and proves
-    every band's peak with ``proved_peak``.  A point with any band left
-    unproved runs ``simulate_cluster`` on the trial's capture instead, so
-    its values and its errors are the explicit receiver's.
+    its sensors once, draws and transforms its unit-variance noise once per
+    antenna, and reads every SNR point's band peaks from one ``receive``
+    call given that noise.
     """
     fm = cfg.fm
-    bin_width = fm.sample_rate / fm.num_samples
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     plan = assign_channels(cfg.sensor_count, fm, cfg.d_max, cfg.guard_hz)
-    sigmas = [noise_sigma(ChannelSpec(snr_db)) for snr_db in cfg.snr_values]
+    noisy = any(noise_sigma(ChannelSpec(snr_db)) for snr_db in cfg.snr_values)
     per_trial = []
     for trial in trials:
         draws, capture_seed = _cluster_draws(cfg, trial)
         truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
         vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
-        noise = NoiseSpectrum.draw(fm, capture_seed, cfg.antennas) if any(sigmas) else None
+        noise = NoiseSpectrum.draw(fm, capture_seed, cfg.antennas) if noisy else None
         points = []
-        fell_back = []
-        for snr_db, sigma in zip(cfg.snr_values, sigmas):
-            peaks = []
-            for band in bands:
-                k = proved_peak(fm, freqs, band, noise, sigma)
-                if k is None:
-                    break
-                peaks.append(k * bin_width)
-            fell_back.append(len(peaks) < len(bands))
-            if fell_back[-1]:
-                channel = ChannelSpec(snr_db=snr_db, rng_seed=capture_seed)
-                results = simulate_cluster(mapping, truths, plan, fm, channel, cfg.antennas)
-            else:
-                results = cluster_results(mapping, plan, fm, vds, peaks)
+        for snr_db in cfg.snr_values:
+            channel = ChannelSpec(snr_db=snr_db, rng_seed=capture_seed)
+            peaks = receive(fm, channel, freqs, bands, cfg.antennas, noise)
             points.append(
                 [
                     (
@@ -356,10 +329,10 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[tuple[np.ndarray, 
                         res.decoded.x2_hat,
                         abs(res.vd_hat - res.vd_true),
                     )
-                    for (u1, u2), res in zip(draws, results)
+                    for (u1, u2), res in zip(draws, cluster_results(mapping, plan, fm, vds, peaks))
                 ]
             )
-        per_trial.append((np.array(points), np.array(fell_back)))
+        per_trial.append(np.array(points))
         # freed before the next trial draws: two trials' spectra never coexist
         del noise
     return per_trial
@@ -369,22 +342,16 @@ def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:
     """Sweep channel SNR for sensor_count FDMA sensors; details hold per-trial data.
 
     details maps each SNR to (trials, sensors) arrays ``per_trial_mse``,
-    ``per_trial_x2_hat`` and ``per_trial_vd_err``, and to ``fallbacks``, the
-    number of trials whose point ran ``simulate_cluster`` because the proof
-    left a band open.
+    ``per_trial_x2_hat`` and ``per_trial_vd_err``.
     """
     if cfg.kind is not ExperimentKind.SDR_VS_CSNR:
         raise ValueError(f"config kind is {cfg.kind}, expected SDR_VS_CSNR")
-    trials = _map_trials(cfg, _sdr_trials)
     # (SNR point, quantity, trial, sensor): every mean below runs over a
     # contiguous (trials, sensors) array, which fixes its summation order
-    per_point = np.array([values for values, _ in trials]).transpose(1, 3, 0, 2).copy()
-    fallbacks = np.sum([fell_back for _, fell_back in trials], axis=0)
+    per_point = np.array(_map_trials(cfg, _sdr_trials)).transpose(1, 3, 0, 2).copy()
     rows = []
     details = {}
-    for snr_db, (mse_x1, mse_x2, x2_hat, vd_err), point_fallbacks in zip(
-        cfg.snr_values, per_point, fallbacks
-    ):
+    for snr_db, (mse_x1, mse_x2, x2_hat, vd_err) in zip(cfg.snr_values, per_point):
         per_trial_mse = mse_x1 + mse_x2
         mean_mse = float(per_trial_mse.mean())
         row = SweepRow(
@@ -400,7 +367,6 @@ def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:
             "per_trial_mse": per_trial_mse,
             "per_trial_x2_hat": x2_hat,
             "per_trial_vd_err": vd_err,
-            "fallbacks": int(point_fallbacks),
         }
     return _finish(cfg.kind, rows, details)
 

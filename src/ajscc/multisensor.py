@@ -12,14 +12,13 @@ read back as (peak - offset) / fm.scale (``cluster_results``).  Band
 disjointness makes noiseless recovery bit-identical to running each sensor
 alone.
 
-``simulate_cluster`` is the reference for one capture.  The SDR sweep in
-``experiments`` reads the same peaks without a capture per SNR point: per
-trial it transforms unit-variance noise once per antenna and proves each
-band's peak at every SNR from the tones' closed-form bins
-(``signal_chain.proved_peak``), and it calls ``simulate_cluster`` only for
-a (trial, SNR) point whose proof is left open.  Both paths lay out the tones
-with ``cluster_tones`` and read the peaks back with ``cluster_results``, so
-the tone format is written once.
+``simulate_cluster`` runs one cluster head for one channel: ``cluster_tones``,
+one ``receive`` call, ``cluster_results``.  ``receive`` proves each band's
+peak from the tones' closed-form bins and captures only when a band is left
+open, so the cluster needs no fast path of its own.  The SDR sweep in
+``experiments`` uses the same two helpers around one ``receive`` call per
+SNR point, passing its trial's noise spectrum, so the tone format is written
+once.
 """
 from __future__ import annotations
 

@@ -16,24 +16,23 @@ the error reaches ~0.6 bins, under the one-bin bound.
 ``capture`` is the one received-signal model: a sum of tones at the given
 frequencies plus noise per antenna (``channel_noise``), seeded by
 ``ChannelSpec.rng_seed``, returned as one float array per antenna.
-``receive`` is the one explicit receiver: it captures, takes one rfft per
-antenna, combines the antennas' magnitudes noncoherently and returns the
-strongest bin of each band.  A single sensor is a one-tone capture searched
-over the whole spectrum; the FDMA cluster in ``multisensor`` passes one
+``receive`` is the one receiver: the strongest bin of each band of the
+antennas' noncoherently combined rfft spectra of a capture.  A single sensor
+is a one-tone capture searched over the whole spectrum
+(``transmit_receive``); the FDMA cluster in ``multisensor`` passes one
 frequency and one band per sensor.  ``tone_bins`` is the closed-form FFT of
 one capture tone, so a spectrum can be formed as tone bins plus the FFT of
 the noise.
 
-``proved_peak`` is the one proof of a receiver decision without the tones'
-FFT: it returns the argmax bin of one band of ``receive``'s combined
-spectrum of several tones plus sigma times a ``NoiseSpectrum`` of
-unit-variance bins on one or more antennas (noise None or sigma 0 is a
-noiseless capture), or None when its bounds cannot separate that bin from
-every rival.  Since ``rng.normal(0, sigma)`` is exactly sigma times a
-standard normal draw, one ``NoiseSpectrum.draw`` serves every SNR of a seed.  A noiseless
-``transmit_receive`` uses it (one tone, the whole spectrum) and synthesizes
-no record; where it returns None, or the channel is noisy, the chain runs
-``receive``.
+``proved_peak`` proves one band's strongest bin from the tones' closed-form
+bins plus sigma times a ``NoiseSpectrum`` of unit-variance bins on one or
+more antennas (noise None or sigma 0 is a noiseless capture), or returns
+None when its bounds cannot separate that bin from every rival.  ``receive``
+alone chooses between the proof and the capture: it proves every band, and
+synthesizes, transforms and searches the capture only when some band is
+left open.  Since ``rng.normal(0, sigma)`` is exactly sigma times a standard
+normal draw, one ``NoiseSpectrum.draw`` serves every SNR of a seed; a sweep
+passes its trial's draw to ``receive``, which otherwise draws it itself.
 """
 from __future__ import annotations
 
@@ -128,6 +127,19 @@ def channel_noise(fm: FmConfig, ch: ChannelSpec, antenna: int = 0) -> np.ndarray
     return rng.normal(0.0, sigma, fm.num_samples)
 
 
+def _check_tones(fm: FmConfig, freqs: list[float], antennas: int) -> None:
+    """Reject what no capture can hold: no antenna, no tone, a tone outside [0, Nyquist)."""
+    if antennas < 1:
+        raise ValueError("antennas must be >= 1")
+    if not freqs:
+        raise ValueError("capture needs at least one tone")
+    for freq in freqs:
+        if not 0.0 <= freq < fm.sample_rate / 2:
+            raise ValueError(
+                f"tone at {freq} Hz is outside [0, Nyquist) for fs={fm.sample_rate} Hz"
+            )
+
+
 def capture(
     fm: FmConfig, ch: ChannelSpec, freqs: list[float], antennas: int = 1
 ) -> tuple[np.ndarray, ...]:
@@ -136,17 +148,10 @@ def capture(
     Each frequency f (Hz) is synthesized as cos(2*pi*f/fs*n), and the tones
     are summed in the given order.  Antenna a adds channel_noise(fm, ch, a).
     """
-    if antennas < 1:
-        raise ValueError("antennas must be >= 1")
-    if not freqs:
-        raise ValueError("capture needs at least one tone")
+    _check_tones(fm, freqs, antennas)
     n = np.arange(fm.num_samples)
     mix = None
     for freq in freqs:
-        if not 0.0 <= freq < fm.sample_rate / 2:
-            raise ValueError(
-                f"tone at {freq} Hz is outside [0, Nyquist) for fs={fm.sample_rate} Hz"
-            )
         # cos(w*n), built in one buffer to spare record-sized temporaries
         tone = 2.0 * np.pi * freq / fm.sample_rate * n
         np.cos(tone, out=tone)
@@ -243,6 +248,15 @@ class NoiseSpectrum:
         return cls(tuple(np.fft.rfft(channel_noise(fm, unit, a)) for a in range(antennas)))
 
 
+def _check_noise(fm: FmConfig, noise: NoiseSpectrum) -> None:
+    """Reject a noise spectrum whose bins are not an rfft of fm's record."""
+    if noise.bins[0].shape != (fm.num_samples // 2 + 1,):
+        raise ValueError(
+            f"noise spectrum has shape {noise.bins[0].shape} per antenna; "
+            f"the record's rfft has {fm.num_samples // 2 + 1} bins"
+        )
+
+
 def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
     """First and last rfft bin k with lo_hz <= k * fs / M <= hi_hz, to 1e-9 bins.
 
@@ -310,15 +324,12 @@ def proved_peak(
     The best evaluated bin is returned when it is finite and beats the
     runner-up and the bound by PEAK_MARGIN.  A frequency outside
     [0, Nyquist), a window that reaches Nyquist, a band that meets no window
-    or a non-finite quantity gives None, so a caller's fallback to
-    ``receive`` keeps its validation and its errors.
+    or a non-finite quantity gives None, so ``receive``'s capture decides,
+    with its errors.
     """
     m = fm.num_samples
-    if noise is not None and noise.bins[0].shape != (m // 2 + 1,):
-        raise ValueError(
-            f"noise spectrum has shape {noise.bins[0].shape} per antenna; "
-            f"the record's rfft has {m // 2 + 1} bins"
-        )
+    if noise is not None:
+        _check_noise(fm, noise)
     lo, hi = _band_bins(fm, band)
     first, last = hi + 1, lo - 1  # the evaluated range: the windows that meet the band
     for freq in freqs:
@@ -362,26 +373,50 @@ def receive(
     freqs: list[float],
     bands: list[tuple[float, float]],
     antennas: int = 1,
+    noise: NoiseSpectrum | None = None,
 ) -> list[float]:
-    """The explicit receiver: the strongest bin of each band of a capture of freqs, in Hz.
+    """The receiver: the strongest bin of each band of a capture of freqs, in Hz.
 
     Each antenna's record from ``capture`` is transformed by one rfft; with
     several antennas the magnitudes are combined noncoherently, as the root
     of their mean square per bin.  For each band (lo_hz, hi_hz) the result
     is k * fs / M for the strongest bin k in 0..M/2 with
     lo_hz <= k * fs / M <= hi_hz (to 1e-9 bins); of equal bins the lowest
-    wins.  A band that holds no such bin is rejected, and so is one whose
-    bins are all zero (a noiseless DC tone leaves every other bin exactly 0)
-    or whose peak is not finite (the mean square overflows when the noise is
-    within ~10*log10(M) dB of ChannelSpec's variance limit).
+    wins.  Every band is first proved by ``proved_peak`` from the tones'
+    closed-form bins and the channel's unit-variance noise spectrum, which is
+    ``noise`` when given (it must be NoiseSpectrum.draw(fm, ch.rng_seed,
+    antennas), so a sweep draws it once for all its SNRs) and is drawn here
+    otherwise; only when some band is left open is the capture synthesized,
+    transformed and searched.  Rejected whatever the proof finds: no antenna,
+    no tone, a tone outside [0, Nyquist), a noise spectrum of another
+    geometry or antenna count, and a band that holds no bin.  The capture
+    rejects a band whose bins are all zero (a noiseless DC tone leaves every
+    other bin exactly 0) or whose peak is not finite (the mean square
+    overflows when the noise is within ~10*log10(M) dB of ChannelSpec's
+    variance limit).  The proof accepts neither: its peak must beat a
+    positive leak bound, and a bin whose mean square overflows outranks every
+    finite evaluated bin, so the proof either evaluates it, and finds it not
+    finite, or cannot bound it.
     """
-    combined = _combined([np.abs(np.fft.rfft(y)) for y in capture(fm, ch, freqs, antennas)])
-    bin_width = fm.sample_rate / fm.num_samples
-    peaks = []
-    for band in bands:
-        lo, hi = _band_bins(fm, band)
+    _check_tones(fm, freqs, antennas)
+    spans = [_band_bins(fm, band) for band in bands]
+    for band, (lo, hi) in zip(bands, spans):
         if lo > hi:
             raise ValueError(f"band {band} contains no FFT bins")
+    sigma = noise_sigma(ch)
+    if noise is not None:
+        _check_noise(fm, noise)
+        if len(noise.bins) != antennas:
+            raise ValueError(f"noise spectrum has {len(noise.bins)} antennas, not {antennas}")
+    elif sigma != 0.0:
+        noise = NoiseSpectrum.draw(fm, ch.rng_seed, antennas)
+    bin_width = fm.sample_rate / fm.num_samples
+    proved = [proved_peak(fm, freqs, band, noise, sigma) for band in bands]
+    if None not in proved:
+        return [k * bin_width for k in proved]
+    combined = _combined([np.abs(np.fft.rfft(y)) for y in capture(fm, ch, freqs, antennas)])
+    peaks = []
+    for band, (lo, hi) in zip(bands, spans):
         k = lo + int(np.argmax(combined[lo : hi + 1]))
         if not math.isfinite(combined[k]):
             raise ValueError("the combined spectrum overflows: the noise power is too large")
@@ -392,15 +427,6 @@ def receive(
 
 
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd: float) -> float:
-    """Full chain: one-tone capture seeded by ch.rng_seed, peak detection, back to voltage.
-
-    On a noiseless channel the peak is ``proved_peak``'s bin when it proves
-    one, which is the FFT's argmax without synthesizing the record; otherwise
-    the chain runs ``receive`` over the whole spectrum, with its validation.
-    """
-    freq = fm.scale * vd
-    band = (0.0, fm.sample_rate / 2)
-    k = proved_peak(fm, [freq], band, None, 0.0) if noise_sigma(ch) == 0.0 else None
-    if k is None:
-        return receive(fm, ch, [freq], [band])[0] / fm.scale
-    return k * (fm.sample_rate / fm.num_samples) / fm.scale
+    """Full chain: one tone at fm.scale * vd Hz, ``receive`` over the whole spectrum, back to volts."""
+    (peak,) = receive(fm, ch, [fm.scale * vd], [(0.0, fm.sample_rate / 2)])
+    return peak / fm.scale

@@ -8,7 +8,7 @@ a sweep with it does not compare the library with itself.
 """
 import numpy as np
 
-from ajscc.signal_chain import capture, tone_bins
+from ajscc.signal_chain import PEAK_WINDOW, ChannelSpec, capture, tone_bins
 
 
 def band_peaks(fm, ch, freqs, bands, antennas=1):
@@ -16,8 +16,12 @@ def band_peaks(fm, ch, freqs, bands, antennas=1):
 
     None stands for a band whose bins are all zero, which has no strongest bin.
     """
-    records = capture(fm, ch, freqs, antennas)
-    power = sum(np.abs(np.fft.rfft(y)) ** 2 for y in records) / antennas
+    return record_peaks(fm, capture(fm, ch, freqs, antennas), bands)
+
+
+def record_peaks(fm, records, bands):
+    """``band_peaks`` of given records, one per antenna."""
+    power = sum(np.abs(np.fft.rfft(y)) ** 2 for y in records) / len(records)
     combined = np.sqrt(power)
     bin_width = fm.sample_rate / fm.num_samples
     bin_hz = np.arange(combined.size) * bin_width
@@ -53,3 +57,31 @@ def tie_frequency(fm, c):
             lo = mid
         else:
             hi = mid
+
+
+def leak_pinned_noise(fm, freqs, unit, sigma, pin):
+    """Unit-variance noise records with one bin pinned where only the tones' leak decides.
+
+    unit holds one noise record per antenna.  Bin j is the first past the
+    +-PEAK_WINDOW window of the highest tone.  On every antenna its noise is
+    set in phase with the tones' own bin j, t_j, so that the capture
+    tones + sigma * record has bin j of magnitude R + pin * |t_j|, where R is
+    the strongest combined bin of the unpinned capture from the lowest
+    tone's window to the highest one's.  For 0 < pin < 1 bin j beats every
+    bin of those windows although its noise alone stays below R.  None when
+    bin j is not below Nyquist.
+    """
+    m = fm.num_samples
+    centres = [round(f * m / fm.sample_rate) for f in freqs]
+    j = max(centres) + PEAK_WINDOW + 1
+    if j >= m // 2:
+        return None
+    (clean,) = capture(fm, ChannelSpec(), freqs)
+    power = sum(np.abs(np.fft.rfft(clean + sigma * u)) ** 2 for u in unit) / len(unit)
+    r = np.sqrt(power[max(min(centres) - PEAK_WINDOW, 0) : j]).max()
+    t = np.fft.rfft(clean)[j]
+    phase = t / abs(t) if abs(t) > 0 else 1.0
+    value = phase * (r + (pin - 1.0) * abs(t)) / sigma
+    # (2/M) Re(c exp(2 pi i j n / M)) adds exactly c to rfft bin j, 0 < j < M/2
+    wave = np.exp(2j * np.pi * j / m * np.arange(m))
+    return [u + 2.0 / m * np.real((value - np.fft.rfft(u)[j]) * wave) for u in unit]

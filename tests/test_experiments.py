@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ajscc import experiments
+from ajscc import experiments, signal_chain
 from ajscc.circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from ajscc.experiments import (
     CONFIG_KEYS,
@@ -28,7 +28,7 @@ from ajscc.experiments import (
 )
 from ajscc.mapping import MappingConfig, Quantizer, decode, encode
 from ajscc.metrics import sdr
-from ajscc.multisensor import assign_channels, simulate_cluster
+from ajscc.multisensor import assign_channels
 from ajscc.signal_chain import ChannelSpec, FmConfig
 from oracle import band_peaks, chain_voltage, tie_frequency
 
@@ -177,15 +177,18 @@ def scalar_rows(cfg):
 
 
 def counting_fallbacks(monkeypatch):
-    """Count the (trial, L) chains the sweep hands to the scalar chain."""
+    """Count the library's captures: one per receive call whose proof leaves a band open.
+
+    The oracle holds its own reference to ``capture``, so its chains are not counted.
+    """
     calls = []
-    original = experiments.transmit_receive
+    original = signal_chain.capture
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(experiments, "transmit_receive", counted)
+    monkeypatch.setattr(signal_chain, "capture", counted)
     return calls
 
 
@@ -289,9 +292,7 @@ class TestSdrVsCsnr:
         detail = result.details[-20.0]
         assert detail["per_trial_mse"].shape == (3, 2)
         assert detail["per_trial_x2_hat"].shape == (3, 2)
-        assert sorted(detail) == [
-            "fallbacks", "per_trial_mse", "per_trial_vd_err", "per_trial_x2_hat"
-        ]
+        assert sorted(detail) == ["per_trial_mse", "per_trial_vd_err", "per_trial_x2_hat"]
 
     def test_noiseless_point_is_quantization_limited(self):
         result = run_sdr_vs_csnr(self.CFG)
@@ -332,15 +333,10 @@ def explicit_sdr_trials(decisions):
                         )
                     ]
                 )
-            per_trial.append((np.array(points), np.ones(len(cfg.snr_values), dtype=bool)))
+            per_trial.append(np.array(points))
         return per_trial
 
     return trials_fn
-
-
-def cluster_decisions(mapping, truths, plan, fm, ch, antennas):
-    results = simulate_cluster(mapping, truths, plan, fm, ch, antennas)
-    return [(res.vd_true, res.vd_hat, res.decoded) for res in results]
 
 
 def oracle_decisions(mapping, truths, plan, fm, ch, antennas):
@@ -367,14 +363,13 @@ ENGINE_SNRS = (math.inf, 0.0, -20.0, -35.0, -45.0)
 
 
 class TestTrialMajorSdrEngine:
-    """The trial-major SDR sweep must reproduce one explicit capture per (trial, SNR) point."""
+    """The trial-major SDR sweep must reproduce one explicit oracle capture per (trial, SNR) point."""
 
-    def assert_matches_explicit_chains(self, cfg, monkeypatch):
+    def assert_matches_oracle(self, cfg, monkeypatch):
         result = run_sdr_vs_csnr(cfg)
-        for decisions in (cluster_decisions, oracle_decisions):
-            with monkeypatch.context() as patch:
-                patch.setattr(experiments, "_sdr_trials", explicit_sdr_trials(decisions))
-                assert sdr_bytes(run_sdr_vs_csnr(cfg)) == sdr_bytes(result), decisions
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_sdr_trials", explicit_sdr_trials(oracle_decisions))
+            assert sdr_bytes(run_sdr_vs_csnr(cfg)) == sdr_bytes(result)
         return result
 
     @pytest.mark.parametrize(
@@ -395,12 +390,12 @@ class TestTrialMajorSdrEngine:
             guard_hz=guard_hz,
             master_seed=antennas * 10 + sensors,
         )
-        self.assert_matches_explicit_chains(cfg, monkeypatch)
+        self.assert_matches_oracle(cfg, monkeypatch)
 
     def test_tied_tone_falls_back(self, monkeypatch):
         # fm.scale puts the one sensor's noiseless tone where bins 2500 and
         # 2501 tie (a second tone's leak would break the tie): no margin
-        # separates them, so every noiseless point runs simulate_cluster
+        # separates them, so every noiseless point captures
         cfg = ExperimentConfig(
             kind=ExperimentKind.SDR_VS_CSNR,
             trials=3,
@@ -414,18 +409,19 @@ class TestTrialMajorSdrEngine:
         vd = encode(mapping, 0.3 * mapping.v1, 0.6 * mapping.v2)
         scale = (tie_frequency(FmConfig(), 2500) - cfg.guard_hz) / vd
         cfg = dataclasses.replace(cfg, fm=FmConfig(scale=scale))
-        result = self.assert_matches_explicit_chains(cfg, monkeypatch)
-        assert result.details[math.inf]["fallbacks"] == cfg.trials
+        calls = counting_fallbacks(monkeypatch)
+        self.assert_matches_oracle(cfg, monkeypatch)
+        assert [ch.snr_db for _, ch, _, _ in calls] == [math.inf] * cfg.trials
 
     def test_benchmark_shaped_sweep_never_falls_back(self, monkeypatch):
         # 3 sensors, 2 antennas, -35..0 dB: every band peak is proved, so
-        # neither simulate_cluster nor a per-point rfft runs
-        def no_cluster(*args, **kwargs):
-            raise AssertionError("simulate_cluster called")
+        # neither a capture nor a per-point rfft runs
+        def no_capture(*args):
+            raise AssertionError("capture called")
 
         rffts = []
         rfft = np.fft.rfft
-        monkeypatch.setattr(experiments, "simulate_cluster", no_cluster)
+        monkeypatch.setattr(signal_chain, "capture", no_capture)
         monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: rffts.append(1) or rfft(*a, **k))
         cfg = ExperimentConfig(
             kind=ExperimentKind.SDR_VS_CSNR,
@@ -436,18 +432,13 @@ class TestTrialMajorSdrEngine:
             sensor_count=3,
             antennas=2,
         )
-        result = run_sdr_vs_csnr(cfg)
-        assert [detail["fallbacks"] for detail in result.details.values()] == [0] * 6
+        run_sdr_vs_csnr(cfg)
         assert len(rffts) == cfg.trials * cfg.antennas
 
     def test_overflowing_combine_raises_the_receiver_error(self, monkeypatch):
-        # at -3050 dB the 2-antenna mean square overflows: the point falls
-        # back to simulate_cluster, whose receiver rejects it
-        calls = []
-        original = experiments.simulate_cluster
-        monkeypatch.setattr(
-            experiments, "simulate_cluster", lambda *a, **k: calls.append(a) or original(*a, **k)
-        )
+        # at -3050 dB the 2-antenna mean square overflows: the proof leaves
+        # the point to the capture, whose receiver rejects it
+        calls = counting_fallbacks(monkeypatch)
         cfg = ExperimentConfig(
             kind=ExperimentKind.SDR_VS_CSNR,
             trials=1,

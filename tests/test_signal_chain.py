@@ -21,7 +21,7 @@ from ajscc.signal_chain import (
     tone_bins,
     transmit_receive,
 )
-from oracle import band_peaks, chain_voltage, tie_frequency
+from oracle import band_peaks, chain_voltage, leak_pinned_noise, record_peaks, tie_frequency
 
 FM = FmConfig()
 NO_NOISE = ChannelSpec(snr_db=math.inf)
@@ -343,11 +343,16 @@ class TestProvedPeak:
         antennas=st.integers(1, 3),
         snr_db=st.sampled_from([math.inf, 0.0, -20.0, -35.0, -45.0]),
         rng_seed=st.integers(0, 2**62),
+        pin=st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 1.0)),
     )
     @settings(max_examples=150, deadline=None)
     def test_proved_bin_is_the_explicit_chain_peak(
-        self, sample_rate, record_exp, freq_fracs, half_bin, band_fracs, antennas, snr_db, rng_seed
+        self, sample_rate, record_exp, freq_fracs, half_bin, band_fracs, antennas, snr_db,
+        rng_seed, pin,
     ):
+        # the proof, and receive with and without the trial's noise, against
+        # the oracle; pin adds a noise bin next to the top tone's window that
+        # only the leak bound tells from the window's peak (pin 0: a tie)
         m = 2**record_exp
         fm = FmConfig(sample_rate=sample_rate, record_seconds=m / sample_rate)
         bin_width = sample_rate / m
@@ -355,12 +360,99 @@ class TestProvedPeak:
         if half_bin:  # exact half-bin offsets, the closest calls
             freqs = [(math.floor(f / bin_width) + 0.5) * bin_width for f in freqs]
             freqs = [f for f in freqs if f < sample_rate / 2] or [0.5 * bin_width]
-        band = (min(band_fracs) * sample_rate / 2, max(band_fracs) * sample_rate / 2)
+        lo = min(band_fracs) * sample_rate / 2
+        band = (lo, max(max(band_fracs) * sample_rate / 2, lo + bin_width))  # holds a bin
         ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
+        sigma = noise_sigma(ch)
         noise = NoiseSpectrum.draw(fm, rng_seed, antennas)
-        k = proved_peak(fm, freqs, band, noise, noise_sigma(ch))
+        expected = band_peaks(fm, ch, freqs, [band], antennas)
+        k = proved_peak(fm, freqs, band, noise, sigma)
         if k is not None:
-            assert [k * bin_width] == band_peaks(fm, ch, freqs, [band], antennas)
+            assert [k * bin_width] == expected
+        for given_noise in (noise, None):
+            if expected == [None]:  # noiseless DC tones leave the band all zero
+                with pytest.raises(ValueError, match="degenerate"):
+                    receive(fm, ch, freqs, [band], antennas, given_noise)
+            else:
+                assert receive(fm, ch, freqs, [band], antennas, given_noise) == expected
+        if pin is None or sigma == 0.0:
+            return
+        unit = [channel_noise(fm, ChannelSpec(0.0, rng_seed), a) for a in range(antennas)]
+        pinned = leak_pinned_noise(fm, freqs, unit, sigma, pin)
+        if pinned is None:
+            return
+        (clean,) = capture(fm, NO_NOISE, freqs)
+        full = (0.0, sample_rate / 2)
+        k = proved_peak(fm, freqs, full, NoiseSpectrum([np.fft.rfft(u) for u in pinned]), sigma)
+        if k is not None:
+            assert [k * bin_width] == record_peaks(fm, [clean + sigma * u for u in pinned], [full])
+
+
+@pytest.fixture
+def no_capture(monkeypatch):
+    """Make any capture fail the test: the call must be settled before, or by, the proof."""
+
+    def fail(*args):
+        raise AssertionError("capture called")
+
+    monkeypatch.setattr(signal_chain, "capture", fail)
+
+
+class TestReceiveRejects:
+    """receive rejects what it rejected before the proof moved inside it, whatever the proof finds."""
+
+    def test_no_antenna(self, no_capture):
+        assert proved_peak(FM, [2500.0], FULL, None, 0.0) == 2500
+        with pytest.raises(ValueError, match="antennas must be >= 1"):
+            receive(FM, NO_NOISE, [2500.0], [FULL], antennas=0)
+
+    def test_no_tone(self, no_capture):
+        for bands in ([FULL], []):
+            with pytest.raises(ValueError, match="at least one tone"):
+                receive(FM, NO_NOISE, [], bands)
+
+    def test_tone_outside_nyquist_without_a_band(self, no_capture):
+        for freq in (-1.0, FM.sample_rate / 2, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"outside \[0, Nyquist\)"):
+                receive(FM, NO_NOISE, [2500.0, freq], [])
+
+    def test_band_without_bins(self, no_capture):
+        ch = ChannelSpec(snr_db=-20.0, rng_seed=4)
+        noise = NoiseSpectrum.draw(FM, 4)
+        assert receive(FM, ch, [2500.0], [FULL], noise=noise) == [2500.0]
+        with pytest.raises(ValueError, match="contains no FFT bins"):
+            receive(FM, ch, [2500.0], [FULL, (2000.4, 2000.8)], noise=noise)
+
+    def test_all_zero_band_beside_a_proved_band(self):
+        # the proof accepts no all-zero band: its peak must beat a positive leak
+        assert proved_peak(FM, [0.0], (0.0, 2000.0), None, 0.0) == 0
+        with pytest.raises(ValueError, match="degenerate"):
+            receive(FM, NO_NOISE, [0.0], [(0.0, 2000.0), (1000.0, 2000.0)])
+
+    def test_overflowing_combine_with_the_trial_noise(self, monkeypatch):
+        # the proof leaves it open, so exactly one capture runs and rejects it
+        ch = ChannelSpec(snr_db=-3050.0, rng_seed=3)
+        noise = NoiseSpectrum.draw(FM, ch.rng_seed, antennas=2)
+        captures = []
+        original = signal_chain.capture
+        monkeypatch.setattr(signal_chain, "capture", lambda *a: captures.append(a) or original(*a))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            receive(FM, ch, [2500.0, 9000.0], [(0.0, 5000.0), FULL], 2, noise)
+        assert len(captures) == 1
+
+    def test_noise_of_another_antenna_count(self, no_capture):
+        ch = ChannelSpec(snr_db=-20.0, rng_seed=4)
+        one, two = NoiseSpectrum.draw(FM, 4), NoiseSpectrum.draw(FM, 4, antennas=2)
+        for antennas, noise in ((2, one), (1, two)):
+            for channel in (ch, NO_NOISE):
+                with pytest.raises(ValueError, match="antennas, not"):
+                    receive(FM, channel, [2500.0], [FULL], antennas, noise)
+
+    def test_noise_of_another_record(self, no_capture):
+        noise = zero_noise(FmConfig(sample_rate=1024.0))
+        for bands in ([FULL], []):
+            with pytest.raises(ValueError, match="shape"):
+                receive(FM, ChannelSpec(snr_db=-20.0), [2500.0], bands, noise=noise)
 
 
 class TestNoiseSpectrumDraw:
@@ -407,11 +499,7 @@ class TestNoiselessFastPath:
         short = FmConfig(sample_rate=64.0)
         self.assert_equal_chains(short, np.arange(0.0, 32.0, 0.25))
 
-    def test_proved_tone_skips_the_capture(self, monkeypatch):
-        def no_capture(*args):
-            raise AssertionError("capture called")
-
-        monkeypatch.setattr(signal_chain, "capture", no_capture)
+    def test_proved_tone_skips_the_capture(self, no_capture):
         assert transmit_receive(FM, NO_NOISE, 2.5004) == 2.5
         with pytest.raises(AssertionError, match="capture called"):
             transmit_receive(FM, NO_NOISE, 32.76)
