@@ -11,17 +11,18 @@ worker count.  Trial streams are common to all sweep points (common random
 numbers), which stabilizes the location of the sweep minimum.  Both sweeps
 hand workers contiguous chunks of trials (``_map_trials``); each worker runs
 every sweep point of its trials, and the parent reduces in trial order, so
-the output bytes do not depend on the worker count.  Both sweeps read their
-peaks from ``signal_chain.receive``, which proves each band's peak from the
-tones' closed-form spectrum and captures only when the proof leaves a band
-open; a sweep draws and transforms a trial's unit-variance noise once
-(``signal_chain.NoiseSpectrum.draw``, not at all when every point is
-noiseless) and passes it to every ``receive`` call of the trial.  Since
-``rng.normal(0, sigma)`` is exactly sigma times a standard normal draw, that
-one draw is the noise of every level count and of every SNR point.  The SDR
-sweep runs trial-major: within a trial the sources, the tones and the
-capture seed do not depend on the SNR, so a trial encodes its sensors once
-and calls ``receive`` once per SNR point.
+the output bytes do not depend on the worker count.  Each trial reads all
+its sweep points' peaks from one ``signal_chain.receive_points`` call, one
+point per level count or per SNR, all on the trial's channel seed: the call
+draws and transforms that seed's unit-variance noise once (not at all when
+every point is noiseless), shares it across the points, proves each band's
+peak from the tones' closed-form spectrum and captures only when the proof
+leaves a band open.  Since ``rng.normal(0, sigma)`` is exactly sigma times a
+standard normal draw, that one draw is the noise of every level count and of
+every SNR point.  Both sweeps run trial-major: within a trial the sources,
+the tones and the capture seed do not depend on the sweep point, so a trial
+draws them once, encodes what its points transmit before the call and
+decodes every point after it.
 """
 from __future__ import annotations
 
@@ -47,14 +48,7 @@ from .multisensor import (
     cluster_tones,
     simulate_cluster,
 )
-from .signal_chain import (
-    ChannelSpec,
-    FmConfig,
-    NoiseSpectrum,
-    noise_sigma,
-    receive,
-    transmit_receive,
-)
+from .signal_chain import ChannelSpec, FmConfig, receive_points, transmit_receive
 
 __all__ = [
     "DEFAULT_L_GRID",
@@ -226,27 +220,27 @@ def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
 def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float, float]]]:
     """Normalized squared errors (x1, x2) per trial and per swept level count.
 
-    Every level count of a trial sees the trial's noise, drawn and
-    transformed once and passed to each level count's ``receive`` call.
+    A trial encodes every level count, reads their peaks from one
+    ``receive_points`` call of one point per level count, so all of them see
+    the trial's one noise draw, and decodes every level count.
     """
     fm = cfg.fm
     band = (0.0, fm.sample_rate / 2)
     mappings = [
         MappingConfig(cfg.d_max, num_levels, cfg.v2, cfg.quantizer) for num_levels in cfg.l_values
     ]
-    noisy = noise_sigma(ChannelSpec(cfg.snr_db)) != 0.0
     errors = []
     for trial in trials:
         rng = _trial_rng(cfg.master_seed, trial)
         u1, u2 = cfg.source.draw(rng)
         channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
-        noise = NoiseSpectrum.draw(fm, channel.rng_seed) if noisy else None
+        truths = [(u1 * mapping.v1, u2 * mapping.v2) for mapping in mappings]
+        points = [
+            (channel, [fm.scale * encode(mapping, x1, x2)], [band])
+            for mapping, (x1, x2) in zip(mappings, truths)
+        ]
         row = []
-        for mapping in mappings:
-            x1 = u1 * mapping.v1
-            x2 = u2 * mapping.v2
-            vd = encode(mapping, x1, x2)
-            (peak,) = receive(fm, channel, [fm.scale * vd], [band], noise=noise)
+        for mapping, (x1, x2), (peak,) in zip(mappings, truths, receive_points(fm, points)):
             dec = decode(mapping, peak / fm.scale)
             e1 = ((dec.x1_hat - x1) / mapping.v1) ** 2
             e2 = ((dec.x2_hat - x2) / mapping.v2) ** 2
@@ -303,25 +297,22 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
 
     The quantities are the x1 error, the x2 error, x2_hat and |vd error|,
     the errors squared and normalized to the codec ranges.  A trial encodes
-    its sensors once, draws and transforms its unit-variance noise once per
-    antenna, and reads every SNR point's band peaks from one ``receive``
-    call given that noise.
+    its sensors once and reads every SNR point's band peaks from one
+    ``receive_points`` call of one point per SNR, all on the trial's capture
+    seed, so every SNR sees the trial's one noise draw.
     """
     fm = cfg.fm
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     plan = assign_channels(cfg.sensor_count, fm, cfg.d_max, cfg.guard_hz)
-    noisy = any(noise_sigma(ChannelSpec(snr_db)) for snr_db in cfg.snr_values)
     per_trial = []
     for trial in trials:
         draws, capture_seed = _cluster_draws(cfg, trial)
         truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
         vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
-        noise = NoiseSpectrum.draw(fm, capture_seed, cfg.antennas) if noisy else None
-        points = []
-        for snr_db in cfg.snr_values:
-            channel = ChannelSpec(snr_db=snr_db, rng_seed=capture_seed)
-            peaks = receive(fm, channel, freqs, bands, cfg.antennas, noise)
-            points.append(
+        points = [(ChannelSpec(snr_db, capture_seed), freqs, bands) for snr_db in cfg.snr_values]
+        rows = []
+        for peaks in receive_points(fm, points, cfg.antennas):
+            rows.append(
                 [
                     (
                         (res.decoded.x1_hat / mapping.v1 - u1) ** 2,
@@ -332,9 +323,7 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
                     for (u1, u2), res in zip(draws, cluster_results(mapping, plan, fm, vds, peaks))
                 ]
             )
-        per_trial.append(np.array(points))
-        # freed before the next trial draws: two trials' spectra never coexist
-        del noise
+        per_trial.append(np.array(rows))
     return per_trial
 
 

@@ -16,23 +16,26 @@ the error reaches ~0.6 bins, under the one-bin bound.
 ``capture`` is the one received-signal model: a sum of tones at the given
 frequencies plus noise per antenna (``channel_noise``), seeded by
 ``ChannelSpec.rng_seed``, returned as one float array per antenna.
-``receive`` is the one receiver: the strongest bin of each band of the
-antennas' noncoherently combined rfft spectra of a capture.  A single sensor
-is a one-tone capture searched over the whole spectrum
+``receive_points`` is the one receiver: at each point of a sweep, the
+strongest bin of each band of the antennas' noncoherently combined rfft
+spectra of a capture, and ``receive`` is its one-point call.  A single
+sensor is a one-tone capture searched over the whole spectrum
 (``transmit_receive``); the FDMA cluster in ``multisensor`` passes one
 frequency and one band per sensor.  ``tone_bins`` is the closed-form FFT of
-one capture tone, so a spectrum can be formed as tone bins plus the FFT of
-the noise.
+a sum of capture tones, so a spectrum can be formed as tone bins plus the
+FFT of the noise.
 
 ``proved_peak`` proves one band's strongest bin from the tones' closed-form
 bins plus sigma times a ``NoiseSpectrum`` of unit-variance bins on one or
 more antennas (noise None or sigma 0 is a noiseless capture), or returns
-None when its bounds cannot separate that bin from every rival.  ``receive``
-alone chooses between the proof and the capture: it proves every band, and
-synthesizes, transforms and searches the capture only when some band is
-left open.  Since ``rng.normal(0, sigma)`` is exactly sigma times a standard
-normal draw, one ``NoiseSpectrum.draw`` serves every SNR of a seed; a sweep
-passes its trial's draw to ``receive``, which otherwise draws it itself.
+None when its bounds cannot separate that bin from every rival.
+``receive_points`` alone chooses between the proof and the capture: it
+proves every band of a point, and synthesizes, transforms and searches the
+point's capture only when some band is left open.  Since
+``rng.normal(0, sigma)`` is exactly sigma times a standard normal draw, one
+``NoiseSpectrum.draw`` serves every SNR of a seed: the points of one
+``receive_points`` call share one seed and its one draw (common random
+numbers), which the call makes and frees itself.
 """
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ __all__ = [
     "proved_peak",
     "noise_sigma",
     "receive",
+    "receive_points",
     "transmit_receive",
 ]
 
@@ -80,8 +84,9 @@ class FmConfig:
         if abs(n - m) > 1e-6 or m < 2 or m & (m - 1):
             raise ValueError(f"record must hold a power-of-two number (>= 2) of samples, got {n}")
 
-    @property
+    @cached_property
     def num_samples(self) -> int:
+        # not a field: every FmConfig field is an fm_* config key
         return round(self.record_seconds * self.sample_rate)
 
 
@@ -164,23 +169,19 @@ def capture(
     return tuple(mix + channel_noise(fm, ch, a) for a in range(antennas))
 
 
-def tone_bins(fm: FmConfig, freq: float, bins: np.ndarray) -> np.ndarray:
-    """rfft of one capture tone over the whole record, in closed form, at 1-D bins.
+def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
+    """rfft of the sum of the capture tones at freqs over the whole record, in closed form.
 
     The tone at freq Hz is cos(w*n) as ``capture`` synthesizes
     it, w = 2*pi*freq/fs.  Each of its two complex exponentials sums over
     n < M = fm.num_samples to a Dirichlet kernel: at offset d = +-freq*M/fs - k
     bins from bin k, exp(i*pi*d*(M-1)/M) * sin(pi*d) / sin(pi*d/M).  Within
     1e-9 bins of d = 0 the ratio is taken as its limit M, which it equals to
-    double precision (and tiny offsets would lose it to underflow).  For
+    double precision (and tiny offsets would lose it to underflow).  All the
+    tones' kernels are evaluated in one pass and summed.  For
     0 <= freq < fs/2 and bins in [0, M/2] the result equals np.fft.rfft of
     the synthesized samples up to rounding.
     """
-    return _tones_bins(fm, [freq], bins)
-
-
-def _tones_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
-    """``tone_bins`` of the sum of the capture tones at freqs, in one pass over all tones."""
     m = fm.num_samples
     offsets = [freq * m / fm.sample_rate for freq in freqs]
     # rows: the exp(+iwn) halves of the tones, then their exp(-iwn) halves
@@ -248,15 +249,6 @@ class NoiseSpectrum:
         return cls(tuple(np.fft.rfft(channel_noise(fm, unit, a)) for a in range(antennas)))
 
 
-def _check_noise(fm: FmConfig, noise: NoiseSpectrum) -> None:
-    """Reject a noise spectrum whose bins are not an rfft of fm's record."""
-    if noise.bins[0].shape != (fm.num_samples // 2 + 1,):
-        raise ValueError(
-            f"noise spectrum has shape {noise.bins[0].shape} per antenna; "
-            f"the record's rfft has {fm.num_samples // 2 + 1} bins"
-        )
-
-
 def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
     """First and last rfft bin k with lo_hz <= k * fs / M <= hi_hz, to 1e-9 bins.
 
@@ -305,12 +297,11 @@ def proved_peak(
     the band (lo_hz, hi_hz) is searched over ``receive``'s bin range.  With
     M = fm.num_samples, a tone's window is the bins within PEAK_WINDOW of its
     nearest bin c0; the band bins from the lowest to the highest window that
-    meets the band are evaluated in closed form (``tone_bins``, summed over
-    the tones) and added to the scaled noise bins.  Each Dirichlet kernel of
-    a tone is at least PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin
-    outside its window as long as the window stays clear of Nyquist, so no
-    tone bin there exceeds the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M),
-    and the tones together at most len(freqs) times it; by Minkowski's
+    meets the band are evaluated in closed form (``tone_bins``) and added to
+    the scaled noise bins.  Each Dirichlet kernel of a tone is at least
+    PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin outside its window as
+    long as the window stays clear of Nyquist, so no tone bin there exceeds
+    the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the tones together at most len(freqs) times it; by Minkowski's
     inequality a bin's combined magnitude is at most that plus sigma times
     the noise magnitude.  Two stages prove the peak:
 
@@ -328,8 +319,11 @@ def proved_peak(
     with its errors.
     """
     m = fm.num_samples
-    if noise is not None:
-        _check_noise(fm, noise)
+    if noise is not None and noise.bins[0].shape != (m // 2 + 1,):
+        raise ValueError(
+            f"noise spectrum has shape {noise.bins[0].shape} per antenna; "
+            f"the record's rfft has {m // 2 + 1} bins"
+        )
     lo, hi = _band_bins(fm, band)
     first, last = hi + 1, lo - 1  # the evaluated range: the windows that meet the band
     for freq in freqs:
@@ -344,7 +338,7 @@ def proved_peak(
     if first > last:
         return None
     bins = np.arange(first, last + 1)
-    tones = _tones_bins(fm, freqs, bins)
+    tones = tone_bins(fm, freqs, bins)
     leak = len(freqs) / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
     if noise is None or sigma == 0.0:
         return _margin_winner(np.abs(tones), bins, leak)
@@ -360,11 +354,69 @@ def proved_peak(
     rest = float(np.max(magnitude, where=~rival, initial=0.0))
     rival[first - lo : last - lo + 1] = False
     candidates = lo + np.flatnonzero(rival)
-    cand_tones = _tones_bins(fm, freqs, candidates)
+    cand_tones = tone_bins(fm, freqs, candidates)
     cand_mags = _combined([np.abs(cand_tones + sigma * b[candidates]) for b in noise.bins])
     return _margin_winner(
         np.concatenate([mags, cand_mags]), np.concatenate([bins, candidates]), leak + sigma * rest
     )
+
+
+def receive_points(
+    fm: FmConfig,
+    points: list[tuple[ChannelSpec, list[float], list[tuple[float, float]]]],
+    antennas: int = 1,
+) -> list[list[float]]:
+    """The receiver at each (ch, freqs, bands) point: per point, each band's strongest bin in Hz.
+
+    Each antenna's record from ``capture`` is transformed by one rfft; with
+    several antennas the magnitudes are combined noncoherently, as the root
+    of their mean square per bin.  For each band (lo_hz, hi_hz) the result
+    is k * fs / M for the strongest bin k in 0..M/2 with
+    lo_hz <= k * fs / M <= hi_hz (to 1e-9 bins); of equal bins the lowest
+    wins.  Every point's channel must have the same rng_seed, so the points
+    re-observe one noise realization at their own SNRs (common random
+    numbers); points of several seeds are rejected before anything is drawn
+    or captured.  That seed's unit-variance ``NoiseSpectrum`` is drawn once,
+    for the first noisy point, and freed on return.  Point by point, in
+    order: every band is first proved by ``proved_peak`` from the tones'
+    closed-form bins and that noise, and only when some band is left open is
+    the point's capture synthesized, transformed and searched.  Rejected
+    whatever the proof finds: no antenna, no tone, a tone outside
+    [0, Nyquist), and a band that holds no bin.  The capture rejects a band
+    whose bins are all zero (a noiseless DC tone leaves every other bin
+    exactly 0) or whose peak is not finite (the mean square overflows when
+    the noise is within ~10*log10(M) dB of ChannelSpec's variance limit).
+    The proof accepts neither: its peak must beat a positive leak bound, and
+    a bin whose mean square overflows outranks every finite evaluated bin,
+    so the proof either evaluates it, and finds it not finite, or cannot
+    bound it.
+    """
+    seeds = {ch.rng_seed for ch, _, _ in points}
+    if len(seeds) > 1:
+        raise ValueError(f"points share one noise draw, so one rng_seed, got seeds {sorted(seeds)}")
+    bin_width = fm.sample_rate / fm.num_samples
+    noise = None
+    results = []
+    for ch, freqs, bands in points:
+        _check_tones(fm, freqs, antennas)
+        spans = [_band_bins(fm, band) for band in bands]
+        for band, (lo, hi) in zip(bands, spans):
+            if lo > hi:
+                raise ValueError(f"band {band} contains no FFT bins")
+        sigma = noise_sigma(ch)
+        if noise is None and sigma != 0.0:
+            noise = NoiseSpectrum.draw(fm, ch.rng_seed, antennas)
+        peaks = [proved_peak(fm, freqs, band, noise, sigma) for band in bands]
+        if None in peaks:
+            combined = _combined([np.abs(np.fft.rfft(y)) for y in capture(fm, ch, freqs, antennas)])
+            peaks = [lo + int(np.argmax(combined[lo : hi + 1])) for lo, hi in spans]
+            for band, k in zip(bands, peaks):
+                if not math.isfinite(combined[k]):
+                    raise ValueError("the combined spectrum overflows: the noise power is too large")
+                if not combined[k] > 0:
+                    raise ValueError(f"degenerate all-zero band {band}: no signal to detect")
+        results.append([k * bin_width for k in peaks])
+    return results
 
 
 def receive(
@@ -373,56 +425,9 @@ def receive(
     freqs: list[float],
     bands: list[tuple[float, float]],
     antennas: int = 1,
-    noise: NoiseSpectrum | None = None,
 ) -> list[float]:
-    """The receiver: the strongest bin of each band of a capture of freqs, in Hz.
-
-    Each antenna's record from ``capture`` is transformed by one rfft; with
-    several antennas the magnitudes are combined noncoherently, as the root
-    of their mean square per bin.  For each band (lo_hz, hi_hz) the result
-    is k * fs / M for the strongest bin k in 0..M/2 with
-    lo_hz <= k * fs / M <= hi_hz (to 1e-9 bins); of equal bins the lowest
-    wins.  Every band is first proved by ``proved_peak`` from the tones'
-    closed-form bins and the channel's unit-variance noise spectrum, which is
-    ``noise`` when given (it must be NoiseSpectrum.draw(fm, ch.rng_seed,
-    antennas), so a sweep draws it once for all its SNRs) and is drawn here
-    otherwise; only when some band is left open is the capture synthesized,
-    transformed and searched.  Rejected whatever the proof finds: no antenna,
-    no tone, a tone outside [0, Nyquist), a noise spectrum of another
-    geometry or antenna count, and a band that holds no bin.  The capture
-    rejects a band whose bins are all zero (a noiseless DC tone leaves every
-    other bin exactly 0) or whose peak is not finite (the mean square
-    overflows when the noise is within ~10*log10(M) dB of ChannelSpec's
-    variance limit).  The proof accepts neither: its peak must beat a
-    positive leak bound, and a bin whose mean square overflows outranks every
-    finite evaluated bin, so the proof either evaluates it, and finds it not
-    finite, or cannot bound it.
-    """
-    _check_tones(fm, freqs, antennas)
-    spans = [_band_bins(fm, band) for band in bands]
-    for band, (lo, hi) in zip(bands, spans):
-        if lo > hi:
-            raise ValueError(f"band {band} contains no FFT bins")
-    sigma = noise_sigma(ch)
-    if noise is not None:
-        _check_noise(fm, noise)
-        if len(noise.bins) != antennas:
-            raise ValueError(f"noise spectrum has {len(noise.bins)} antennas, not {antennas}")
-    elif sigma != 0.0:
-        noise = NoiseSpectrum.draw(fm, ch.rng_seed, antennas)
-    bin_width = fm.sample_rate / fm.num_samples
-    proved = [proved_peak(fm, freqs, band, noise, sigma) for band in bands]
-    if None not in proved:
-        return [k * bin_width for k in proved]
-    combined = _combined([np.abs(np.fft.rfft(y)) for y in capture(fm, ch, freqs, antennas)])
-    peaks = []
-    for band, (lo, hi) in zip(bands, spans):
-        k = lo + int(np.argmax(combined[lo : hi + 1]))
-        if not math.isfinite(combined[k]):
-            raise ValueError("the combined spectrum overflows: the noise power is too large")
-        if not combined[k] > 0:
-            raise ValueError(f"degenerate all-zero band {band}: no signal to detect")
-        peaks.append(k * bin_width)
+    """The receiver at one point: ``receive_points`` of the single point (ch, freqs, bands)."""
+    (peaks,) = receive_points(fm, [(ch, freqs, bands)], antennas)
     return peaks
 
 

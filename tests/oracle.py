@@ -52,7 +52,7 @@ def tie_frequency(fm, c):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return mid
-        a, b = np.abs(tone_bins(fm, mid, np.array([c, c + 1])))
+        a, b = np.abs(tone_bins(fm, [mid], np.array([c, c + 1])))
         if a > b:
             lo = mid
         else:

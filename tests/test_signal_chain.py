@@ -18,6 +18,7 @@ from ajscc.signal_chain import (
     noise_sigma,
     proved_peak,
     receive,
+    receive_points,
     tone_bins,
     transmit_receive,
 )
@@ -168,23 +169,23 @@ class TestToneBins:
     @given(
         sample_rate=st.integers(8, 200_000),
         record_exp=st.integers(1, 16),
-        freq_frac=st.floats(0.0, 1.0, exclude_max=True),
+        freq_fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_rfft_of_capture(self, sample_rate, record_exp, freq_frac):
+    def test_matches_rfft_of_capture(self, sample_rate, record_exp, freq_fracs):
         m = 2**record_exp
         fm = FmConfig(sample_rate=float(sample_rate), record_seconds=m / sample_rate)
-        freq = freq_frac * fm.sample_rate / 2
-        (wf,) = capture(fm, NO_NOISE, [freq])
+        freqs = [f * fm.sample_rate / 2 for f in freq_fracs]
+        (wf,) = capture(fm, NO_NOISE, freqs)
         expected = np.fft.rfft(wf)
-        got = tone_bins(fm, freq, np.arange(m // 2 + 1))
-        assert np.max(np.abs(got - expected)) <= TONE_BINS_TOL * m
+        got = tone_bins(fm, freqs, np.arange(m // 2 + 1))
+        assert np.max(np.abs(got - expected)) <= TONE_BINS_TOL * m * len(freqs)
 
     def test_on_bin_and_dc_values(self):
-        got = tone_bins(FM, 2500.0, np.array([2499, 2500, 2501]))
+        got = tone_bins(FM, [2500.0], np.array([2499, 2500, 2501]))
         assert got[1] == pytest.approx(FM.num_samples / 2)
         assert np.all(np.abs(got[[0, 2]]) < 1e-6)
-        dc = tone_bins(FM, 0.0, np.array([0]))
+        dc = tone_bins(FM, [0.0], np.array([0]))
         assert dc[0] == pytest.approx(FM.num_samples)
 
 
@@ -207,7 +208,7 @@ class TestLeakBound:
         k = np.arange(m // 2 + 1)
         outside = k[np.abs(k - c0) > PEAK_WINDOW]
         leak = 1.0 / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
-        assert np.max(np.abs(tone_bins(fm, freq, outside))) <= leak
+        assert np.max(np.abs(tone_bins(fm, [freq], outside))) <= leak
 
 
 FULL = (0.0, FM.sample_rate / 2)
@@ -245,8 +246,8 @@ class TestProvedPeak:
     def test_out_of_window_near_tie_falls_back(self):
         # bin 10000 lifted to within 1e-12 of the tone's peak cannot be told
         # apart; 1% above it is proved the winner, 1% below it the loser
-        peak = abs(tone_bins(FM, 2500.0, np.array([2500]))[0])
-        leak = tone_bins(FM, 2500.0, np.array([10000]))[0]
+        peak = abs(tone_bins(FM, [2500.0], np.array([2500]))[0])
+        leak = tone_bins(FM, [2500.0], np.array([10000]))[0]
         for ratio, expected in ((1.0 + 1e-12, None), (1.01, 10000), (0.99, 2500)):
             noise = pinned_noise(10000, leak * (peak * ratio / abs(leak) - 1.0))
             assert proved_peak(FM, [2500.0], FULL, noise, 1.0) == expected, ratio
@@ -256,8 +257,8 @@ class TestProvedPeak:
         # (|t| ~ 1.4 at bin 10000) lifts above it: a bound of noise alone
         # would prove the window's bin
         freq = 2500.5
-        peak = float(np.max(np.abs(tone_bins(FM, freq, np.array([2500, 2501])))))
-        leak = tone_bins(FM, freq, np.array([10000]))[0]
+        peak = float(np.max(np.abs(tone_bins(FM, [freq], np.array([2500, 2501])))))
+        leak = tone_bins(FM, [freq], np.array([10000]))[0]
         noise = pinned_noise(10000, leak / abs(leak) * (peak - abs(leak) / 2))
         assert noise.peak < peak
         assert abs(leak + noise.bins[0][10000]) > peak * (1.0 + 1e-5)
@@ -267,7 +268,7 @@ class TestProvedPeak:
         # a half-bin tone plus a small noise value that lifts bin 2501 to
         # within 1e-12 of bin 2500; the image term alone separates them by ~2e-4
         freq = 2500.5
-        t = tone_bins(FM, freq, np.array([2500, 2501]))
+        t = tone_bins(FM, [freq], np.array([2500, 2501]))
         noise = pinned_noise(2501, t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0))
         assert noise.peak < 10.0
         assert proved_peak(FM, [freq], FULL, zero_noise(), 1.0) is not None
@@ -336,23 +337,28 @@ class TestProvedPeak:
 
     @given(
         sample_rate=st.floats(8.0, 200_000.0),
-        record_exp=st.integers(7, 12),
+        record_exp=st.integers(7, 16),
         freq_fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
         half_bin=st.booleans(),
-        band_fracs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        band_fracs=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=3
+        ),
         antennas=st.integers(1, 3),
-        snr_db=st.sampled_from([math.inf, 0.0, -20.0, -35.0, -45.0]),
+        snrs=st.lists(
+            st.sampled_from([math.inf, 0.0, -20.0, -35.0, -45.0]), min_size=1, max_size=4
+        ),
         rng_seed=st.integers(0, 2**62),
         pin=st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 1.0)),
     )
     @settings(max_examples=150, deadline=None)
     def test_proved_bin_is_the_explicit_chain_peak(
-        self, sample_rate, record_exp, freq_fracs, half_bin, band_fracs, antennas, snr_db,
+        self, sample_rate, record_exp, freq_fracs, half_bin, band_fracs, antennas, snrs,
         rng_seed, pin,
     ):
-        # the proof, and receive with and without the trial's noise, against
-        # the oracle; pin adds a noise bin next to the top tone's window that
-        # only the leak bound tells from the window's peak (pin 0: a tie)
+        # the proof, and receive_points over SNR points of one seed, against
+        # the oracle at each point's channel; pin adds a noise bin next to the
+        # top tone's window that only the leak bound tells from the window's
+        # peak (pin 0: a tie)
         m = 2**record_exp
         fm = FmConfig(sample_rate=sample_rate, record_seconds=m / sample_rate)
         bin_width = sample_rate / m
@@ -360,21 +366,27 @@ class TestProvedPeak:
         if half_bin:  # exact half-bin offsets, the closest calls
             freqs = [(math.floor(f / bin_width) + 0.5) * bin_width for f in freqs]
             freqs = [f for f in freqs if f < sample_rate / 2] or [0.5 * bin_width]
-        lo = min(band_fracs) * sample_rate / 2
-        band = (lo, max(max(band_fracs) * sample_rate / 2, lo + bin_width))  # holds a bin
-        ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
-        sigma = noise_sigma(ch)
+        bands = []
+        for fracs in band_fracs:
+            lo = min(fracs) * sample_rate / 2
+            bands.append((lo, max(max(fracs) * sample_rate / 2, lo + bin_width)))  # holds a bin
+        channels = [ChannelSpec(snr_db=snr_db, rng_seed=rng_seed) for snr_db in snrs]
         noise = NoiseSpectrum.draw(fm, rng_seed, antennas)
-        expected = band_peaks(fm, ch, freqs, [band], antennas)
-        k = proved_peak(fm, freqs, band, noise, sigma)
-        if k is not None:
-            assert [k * bin_width] == expected
-        for given_noise in (noise, None):
-            if expected == [None]:  # noiseless DC tones leave the band all zero
-                with pytest.raises(ValueError, match="degenerate"):
-                    receive(fm, ch, freqs, [band], antennas, given_noise)
-            else:
-                assert receive(fm, ch, freqs, [band], antennas, given_noise) == expected
+        expected = [band_peaks(fm, ch, freqs, bands, antennas) for ch in channels]
+        for ch, peaks in zip(channels, expected):
+            for band, peak in zip(bands, peaks):
+                k = proved_peak(fm, freqs, band, noise, noise_sigma(ch))
+                if k is not None:
+                    assert k * bin_width == peak
+        points = [(ch, freqs, bands) for ch in channels]
+        # noiseless DC tones leave a band all zero: the first such point raises
+        degenerate = [None in peaks for peaks in expected]
+        if any(degenerate):
+            with pytest.raises(ValueError, match="degenerate"):
+                receive_points(fm, points, antennas)
+            points, expected = points[: degenerate.index(True)], expected[: degenerate.index(True)]
+        assert receive_points(fm, points, antennas) == expected
+        sigma = noise_sigma(channels[0])
         if pin is None or sigma == 0.0:
             return
         unit = [channel_noise(fm, ChannelSpec(0.0, rng_seed), a) for a in range(antennas)]
@@ -418,10 +430,13 @@ class TestReceiveRejects:
 
     def test_band_without_bins(self, no_capture):
         ch = ChannelSpec(snr_db=-20.0, rng_seed=4)
-        noise = NoiseSpectrum.draw(FM, 4)
-        assert receive(FM, ch, [2500.0], [FULL], noise=noise) == [2500.0]
+        assert receive(FM, ch, [2500.0], [FULL]) == [2500.0]
         with pytest.raises(ValueError, match="contains no FFT bins"):
-            receive(FM, ch, [2500.0], [FULL, (2000.4, 2000.8)], noise=noise)
+            receive(FM, ch, [2500.0], [FULL, (2000.4, 2000.8)])
+        # every point is checked, not only the first
+        points = [(ch, [2500.0], [FULL]), (ch, [2500.0], [(2000.4, 2000.8)])]
+        with pytest.raises(ValueError, match="contains no FFT bins"):
+            receive_points(FM, points)
 
     def test_all_zero_band_beside_a_proved_band(self):
         # the proof accepts no all-zero band: its peak must beat a positive leak
@@ -430,29 +445,30 @@ class TestReceiveRejects:
             receive(FM, NO_NOISE, [0.0], [(0.0, 2000.0), (1000.0, 2000.0)])
 
     def test_overflowing_combine_with_the_trial_noise(self, monkeypatch):
-        # the proof leaves it open, so exactly one capture runs and rejects it
-        ch = ChannelSpec(snr_db=-3050.0, rng_seed=3)
-        noise = NoiseSpectrum.draw(FM, ch.rng_seed, antennas=2)
+        # a -20 dB point proves its bands from the trial's noise; the -3050 dB
+        # point of the same seed is left open, so exactly one capture runs
+        # and rejects it
+        points = [
+            (ChannelSpec(snr_db=snr_db, rng_seed=3), [2500.0, 9000.0], [(0.0, 5000.0), FULL])
+            for snr_db in (-20.0, -3050.0)
+        ]
         captures = []
         original = signal_chain.capture
         monkeypatch.setattr(signal_chain, "capture", lambda *a: captures.append(a) or original(*a))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-            receive(FM, ch, [2500.0, 9000.0], [(0.0, 5000.0), FULL], 2, noise)
+            receive_points(FM, points, 2)
         assert len(captures) == 1
+        assert captures[0][1].snr_db == -3050.0
 
-    def test_noise_of_another_antenna_count(self, no_capture):
-        ch = ChannelSpec(snr_db=-20.0, rng_seed=4)
-        one, two = NoiseSpectrum.draw(FM, 4), NoiseSpectrum.draw(FM, 4, antennas=2)
-        for antennas, noise in ((2, one), (1, two)):
-            for channel in (ch, NO_NOISE):
-                with pytest.raises(ValueError, match="antennas, not"):
-                    receive(FM, channel, [2500.0], [FULL], antennas, noise)
-
-    def test_noise_of_another_record(self, no_capture):
-        noise = zero_noise(FmConfig(sample_rate=1024.0))
-        for bands in ([FULL], []):
-            with pytest.raises(ValueError, match="shape"):
-                receive(FM, ChannelSpec(snr_db=-20.0), [2500.0], bands, noise=noise)
+    def test_points_of_two_seeds(self, no_capture):
+        # the points share one noise draw, so one seed; a noiseless point too
+        noisy = ChannelSpec(snr_db=-20.0, rng_seed=4)
+        for channels in ((noisy, ChannelSpec(snr_db=-20.0, rng_seed=5)), (NO_NOISE, noisy)):
+            with pytest.raises(ValueError, match="one rng_seed"):
+                receive_points(FM, [(ch, [2500.0], [FULL]) for ch in channels])
+        # one seed: the noiseless and the noisy point are both proved
+        points = [(ChannelSpec(rng_seed=4), [2500.0], [FULL]), (noisy, [2500.0], [FULL])]
+        assert receive_points(FM, points) == [[2500.0], [2500.0]]
 
 
 class TestNoiseSpectrumDraw:
