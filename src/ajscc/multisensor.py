@@ -16,9 +16,10 @@ alone.
 one ``receive`` call, ``cluster_results``.  ``receive`` proves each band's
 peak from the tones' closed-form bins and captures only when a band is left
 open, so the cluster needs no fast path of its own.  The SDR sweep in
-``experiments`` uses the same two helpers around one ``receive`` call per
-SNR point, passing its trial's noise spectrum, so the tone format is written
-once.
+``experiments`` uses the same two helpers around one
+``signal_chain.receive_points`` call per trial, with one point per SNR and
+no noise passed (the call draws the trial's noise itself), so the tone
+format is written once.
 """
 from __future__ import annotations
 

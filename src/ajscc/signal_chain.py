@@ -30,12 +30,19 @@ bins plus sigma times a ``NoiseSpectrum`` of unit-variance bins on one or
 more antennas (noise None or sigma 0 is a noiseless capture), or returns
 None when its bounds cannot separate that bin from every rival.
 ``receive_points`` alone chooses between the proof and the capture: it
-proves every band of a point, and synthesizes, transforms and searches the
-point's capture only when some band is left open.  Since
-``rng.normal(0, sigma)`` is exactly sigma times a standard normal draw, one
-``NoiseSpectrum.draw`` serves every SNR of a seed: the points of one
-``receive_points`` call share one seed and its one draw (common random
-numbers), which the call makes and frees itself.
+finds each band's bins once, proves every band of every point in one call
+of the proof's block, of which ``proved_peak`` is the one-band call, and
+synthesizes, transforms and searches a point's capture only when some band
+of it is left open.  The block's first stage is one array pass over all
+(point, band) rows: the closed-form tone bins, the scaled noise gathered by
+index, the antenna combine and a row-wise argmax, runner-up and margin
+test, with rows of fewer tones padded by zero-weight tones and rows of
+narrower ranges by masked bins; only the rows it leaves open take the
+exact candidate stage, one by one.  Since ``rng.normal(0, sigma)`` is
+exactly sigma times a standard normal draw, one ``NoiseSpectrum.draw``
+serves every SNR of a seed: the points of one ``receive_points`` call share
+one seed and its one draw (common random numbers), which the call makes and
+frees itself.
 """
 from __future__ import annotations
 
@@ -169,6 +176,34 @@ def capture(
     return tuple(mix + channel_noise(fm, ch, a) for a in range(antennas))
 
 
+def _tone_sum(m: int, offsets: np.ndarray, bins: np.ndarray, weight=None) -> np.ndarray:
+    """Per row, the closed-form rfft at bins (rows, n) of complex exponentials at offsets.
+
+    offsets (rows, slots) are in bins, +freq * M / fs for a tone's exp(+iwn)
+    half and -freq * M / fs for its exp(-iwn) half; a slot of weight 0, when
+    weight (rows, slots) is given, adds exact zeros, so rows of fewer tones
+    can be padded into one block.  See ``tone_bins`` for the kernel.
+    """
+    d = offsets[:, :, np.newaxis] - bins[:, np.newaxis, :]
+    on_bin = np.abs(d) < 1e-9
+    safe = np.where(on_bin, 1.0, d)
+    kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * safe))
+    if weight is not None:
+        kernel *= weight[:, :, np.newaxis]
+    halves = kernel * np.exp((1j * np.pi * (m - 1) / m) * d)
+    return 0.5 * halves.sum(axis=1)
+
+
+def _halves(fm: FmConfig, freqs: list[float], slots: int = 0) -> list[float]:
+    """The offsets (bins) of the tones' exp(+iwn) halves, then their exp(-iwn) halves.
+
+    Each half is padded with zeros to ``slots`` tones.
+    """
+    offsets = [freq * fm.num_samples / fm.sample_rate for freq in freqs]
+    pad = [0.0] * (slots - len(freqs))
+    return offsets + pad + [-x for x in offsets] + pad
+
+
 def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
     """rfft of the sum of the capture tones at freqs over the whole record, in closed form.
 
@@ -182,15 +217,8 @@ def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
     0 <= freq < fs/2 and bins in [0, M/2] the result equals np.fft.rfft of
     the synthesized samples up to rounding.
     """
-    m = fm.num_samples
-    offsets = [freq * m / fm.sample_rate for freq in freqs]
-    # rows: the exp(+iwn) halves of the tones, then their exp(-iwn) halves
-    d = np.array(offsets + [-x for x in offsets])[:, np.newaxis] - np.asarray(bins, dtype=float)
-    on_bin = np.abs(d) < 1e-9
-    safe = np.where(on_bin, 1.0, d)
-    kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * safe))
-    halves = kernel * np.exp((1j * np.pi * (m - 1) / m) * d)
-    return 0.5 * halves.sum(axis=0)
+    offsets = np.array([_halves(fm, freqs)], dtype=float)
+    return _tone_sum(fm.num_samples, offsets, np.asarray(bins, dtype=float)[np.newaxis])[0]
 
 
 # half-width in bins of the window around a tone that proved_peak evaluates
@@ -270,16 +298,104 @@ def _combined(magnitudes) -> np.ndarray:
     return np.sqrt(np.mean(np.square(magnitudes), axis=0))
 
 
-def _margin_winner(mags: np.ndarray, bins: np.ndarray, outside: float) -> int | None:
-    """bins[argmax] when finite and above the runner-up and the bound ``outside`` by PEAK_MARGIN."""
-    j = int(mags.argmax())
-    best = float(mags[j])
-    mags[j] = -math.inf  # the runner-up is the maximum of the others
-    runner_up = float(mags.max())
-    mags[j] = best
-    if math.isfinite(best) and best > (1.0 + PEAK_MARGIN) * max(outside, runner_up):
-        return int(bins[j])
+def _best_two(mags: np.ndarray) -> tuple[list[int], list[float], list[float]]:
+    """Per row of mags: the argmax column, the maximum, and the runner-up (-inf for one column)."""
+    top = np.sort(mags, axis=1)
+    runner_up = top[:, -2].tolist() if mags.shape[1] > 1 else [-math.inf] * len(mags)
+    return mags.argmax(axis=1).tolist(), top[:, -1].tolist(), runner_up
+
+
+def _wins(best: float, runner_up: float, outside: float) -> bool:
+    """Whether a finite best bin beats the runner-up and the bound ``outside`` by PEAK_MARGIN."""
+    return math.isfinite(best) and best > (1.0 + PEAK_MARGIN) * max(outside, runner_up)
+
+
+def _candidate_stage(fm, freqs, lo, hi, window, mags, noise, sigma, leak, best) -> int | None:
+    """The exact second stage of ``proved_peak`` for a band the first stage left open.
+
+    window holds the evaluated bins, first to last, mags their combined
+    magnitudes and best the largest of those.
+    """
+    magnitude = noise.magnitude[lo : hi + 1]
+    rival = magnitude >= (best / (1.0 + PEAK_MARGIN) - leak) / sigma
+    rest = float(np.max(magnitude, where=~rival, initial=0.0))
+    rival[window[0] - lo : window[-1] - lo + 1] = False
+    candidates = lo + np.flatnonzero(rival)
+    cand_tones = tone_bins(fm, freqs, candidates)
+    cand_mags = _combined([np.abs(cand_tones + sigma * b[candidates]) for b in noise.bins])
+    ((j,), (best,), (runner_up,)) = _best_two(np.concatenate([mags, cand_mags])[np.newaxis])
+    if _wins(best, runner_up, leak + sigma * rest):
+        return int(np.concatenate([window, candidates])[j])
     return None
+
+
+def _proved_bins(
+    fm: FmConfig, rows: list[tuple[list[float], int, int, float]], noise: NoiseSpectrum | None
+) -> list[int | None]:
+    """``proved_peak`` of every (freqs, lo, hi, sigma) row, the band being its bins lo..hi.
+
+    The first stage runs on every row in one array block.  Rows of fewer
+    tones are padded with tones of weight 0, which add exact zeros, and
+    rows of narrower evaluated ranges with bins masked to -inf, so each
+    row's tones, noise and decision are its own.  A row the block leaves
+    open, with a finite best bin and noise in its bound, goes on to the
+    exact candidate stage alone.
+    """
+    m = fm.num_samples
+    peaks: list[int | None] = [None] * len(rows)
+    live = []  # (row, first, last) of the rows with an evaluated range
+    for i, (freqs, lo, hi, _) in enumerate(rows):
+        first, last = hi + 1, lo - 1  # the evaluated range: the windows that meet the band
+        for freq in freqs:
+            if not 0.0 <= freq < fm.sample_rate / 2:
+                break
+            c0 = round(freq * m / fm.sample_rate)
+            if c0 + PEAK_WINDOW + 1 > m // 2:
+                break
+            a, b = max(c0 - PEAK_WINDOW, lo), min(c0 + PEAK_WINDOW, hi)
+            if a <= b:
+                first, last = min(first, a), max(last, b)
+        else:
+            if first <= last:
+                live.append((i, first, last))
+    if not live:
+        return peaks
+    index, first, last = zip(*live)
+    tone_sets = [rows[i][0] for i in index]
+    counts = [len(freqs) for freqs in tone_sets]
+    most = max(counts)
+    offsets = np.array([_halves(fm, freqs, most) for freqs in tone_sets])
+    weight = None
+    if min(counts) < most:
+        weight = np.array([([1.0] * count + [0.0] * (most - count)) * 2 for count in counts])
+    widths = [b - a + 1 for a, b in zip(first, last)]
+    bins = np.array(first)[:, np.newaxis] + np.arange(max(widths))
+    tones = _tone_sum(m, offsets, bins, weight)
+    mags = np.abs(tones)
+    sigmas = [rows[i][3] if noise is not None else 0.0 for i in index]
+    noisy = [r for r, sigma in enumerate(sigmas) if sigma != 0.0]
+    if noisy:
+        # a masked bin past M/2 reads bin M/2
+        at, scale = bins[noisy], np.array(sigmas)[noisy, np.newaxis]
+        mags[noisy] = _combined(
+            [np.abs(tones[noisy] + scale * b.take(at, mode="clip")) for b in noise.bins]
+        )
+    if min(widths) < max(widths):
+        mags[bins > np.array(last)[:, np.newaxis]] = -math.inf
+    noise_peak = noise.peak if noise is not None else 0.0
+    leak_sine = math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+    for r, (j, best, runner_up) in enumerate(zip(*_best_two(mags))):
+        i, sigma = index[r], sigmas[r]
+        leak = counts[r] / leak_sine
+        if _wins(best, runner_up, leak + sigma * noise_peak):
+            peaks[i] = first[r] + j
+        elif sigma != 0.0 and math.isfinite(best):
+            freqs, lo, hi, _ = rows[i]
+            window = slice(0, widths[r])
+            peaks[i] = _candidate_stage(
+                fm, freqs, lo, hi, bins[r, window], mags[r, window], noise, sigma, leak, best
+            )
+    return peaks
 
 
 def proved_peak(
@@ -301,9 +417,10 @@ def proved_peak(
     the scaled noise bins.  Each Dirichlet kernel of a tone is at least
     PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin outside its window as
     long as the window stays clear of Nyquist, so no tone bin there exceeds
-    the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the tones together at most len(freqs) times it; by Minkowski's
-    inequality a bin's combined magnitude is at most that plus sigma times
-    the noise magnitude.  Two stages prove the peak:
+    the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the tones together
+    at most len(freqs) times it; by Minkowski's inequality a bin's combined
+    magnitude is at most that plus sigma times the noise magnitude.  Two
+    stages prove the peak:
 
     - every band bin outside the evaluated range is bounded by the tones'
       leak plus sigma times the noise spectrum's peak;
@@ -316,7 +433,8 @@ def proved_peak(
     runner-up and the bound by PEAK_MARGIN.  A frequency outside
     [0, Nyquist), a window that reaches Nyquist, a band that meets no window
     or a non-finite quantity gives None, so ``receive``'s capture decides,
-    with its errors.
+    with its errors.  This is the one-band call of the block that
+    ``receive_points`` runs over every band of every point.
     """
     m = fm.num_samples
     if noise is not None and noise.bins[0].shape != (m // 2 + 1,):
@@ -324,41 +442,8 @@ def proved_peak(
             f"noise spectrum has shape {noise.bins[0].shape} per antenna; "
             f"the record's rfft has {m // 2 + 1} bins"
         )
-    lo, hi = _band_bins(fm, band)
-    first, last = hi + 1, lo - 1  # the evaluated range: the windows that meet the band
-    for freq in freqs:
-        if not 0.0 <= freq < fm.sample_rate / 2:
-            return None
-        c0 = round(freq * m / fm.sample_rate)
-        if c0 + PEAK_WINDOW + 1 > m // 2:
-            return None
-        a, b = max(c0 - PEAK_WINDOW, lo), min(c0 + PEAK_WINDOW, hi)
-        if a <= b:
-            first, last = min(first, a), max(last, b)
-    if first > last:
-        return None
-    bins = np.arange(first, last + 1)
-    tones = tone_bins(fm, freqs, bins)
-    leak = len(freqs) / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
-    if noise is None or sigma == 0.0:
-        return _margin_winner(np.abs(tones), bins, leak)
-    mags = _combined([np.abs(tones + sigma * b[first : last + 1]) for b in noise.bins])
-    k = _margin_winner(mags, bins, leak + sigma * noise.peak)
-    if k is not None:
-        return k
-    best = float(np.max(mags))
-    if not math.isfinite(best):
-        return None
-    magnitude = noise.magnitude[lo : hi + 1]
-    rival = magnitude >= (best / (1.0 + PEAK_MARGIN) - leak) / sigma
-    rest = float(np.max(magnitude, where=~rival, initial=0.0))
-    rival[first - lo : last - lo + 1] = False
-    candidates = lo + np.flatnonzero(rival)
-    cand_tones = tone_bins(fm, freqs, candidates)
-    cand_mags = _combined([np.abs(cand_tones + sigma * b[candidates]) for b in noise.bins])
-    return _margin_winner(
-        np.concatenate([mags, cand_mags]), np.concatenate([bins, candidates]), leak + sigma * rest
-    )
+    (peak,) = _proved_bins(fm, [(freqs, *_band_bins(fm, band), sigma)], noise)
+    return peak
 
 
 def receive_points(
@@ -375,47 +460,55 @@ def receive_points(
     lo_hz <= k * fs / M <= hi_hz (to 1e-9 bins); of equal bins the lowest
     wins.  Every point's channel must have the same rng_seed, so the points
     re-observe one noise realization at their own SNRs (common random
-    numbers); points of several seeds are rejected before anything is drawn
-    or captured.  That seed's unit-variance ``NoiseSpectrum`` is drawn once,
-    for the first noisy point, and freed on return.  Point by point, in
-    order: every band is first proved by ``proved_peak`` from the tones'
-    closed-form bins and that noise, and only when some band is left open is
-    the point's capture synthesized, transformed and searched.  Rejected
-    whatever the proof finds: no antenna, no tone, a tone outside
-    [0, Nyquist), and a band that holds no bin.  The capture rejects a band
-    whose bins are all zero (a noiseless DC tone leaves every other bin
-    exactly 0) or whose peak is not finite (the mean square overflows when
-    the noise is within ~10*log10(M) dB of ChannelSpec's variance limit).
-    The proof accepts neither: its peak must beat a positive leak bound, and
-    a bin whose mean square overflows outranks every finite evaluated bin,
-    so the proof either evaluates it, and finds it not finite, or cannot
-    bound it.
+    numbers).  Every point is validated before anything is drawn, proved or
+    captured: points of several seeds, no antenna, no tone, a tone outside
+    [0, Nyquist), and a band that holds no bin are rejected whatever the
+    proof would find.  The seed's unit-variance ``NoiseSpectrum`` is then
+    drawn once when some band of a noisy point needs it, and freed on
+    return.  Each band's bins are found once, and every band of every point
+    is proved in one block of the proof (``proved_peak`` is its one-band
+    call); then, point by point in order, a point with a band left open has
+    its capture synthesized, transformed and searched.  The capture rejects a band whose bins are all zero (a
+    noiseless DC tone leaves every other bin exactly 0) or whose peak is
+    not finite (the mean square overflows when the noise is within
+    ~10*log10(M) dB of ChannelSpec's variance limit).  The proof accepts
+    neither: its peak must beat a positive leak bound, and a bin whose mean
+    square overflows outranks every finite evaluated bin, so the proof
+    either evaluates it, and finds it not finite, or cannot bound it.
     """
     seeds = {ch.rng_seed for ch, _, _ in points}
     if len(seeds) > 1:
         raise ValueError(f"points share one noise draw, so one rng_seed, got seeds {sorted(seeds)}")
-    bin_width = fm.sample_rate / fm.num_samples
-    noise = None
-    results = []
+    spans = []
+    rows = []
     for ch, freqs, bands in points:
         _check_tones(fm, freqs, antennas)
-        spans = [_band_bins(fm, band) for band in bands]
-        for band, (lo, hi) in zip(bands, spans):
+        point_spans = [_band_bins(fm, band) for band in bands]
+        for band, (lo, hi) in zip(bands, point_spans):
             if lo > hi:
                 raise ValueError(f"band {band} contains no FFT bins")
+        spans.append(point_spans)
         sigma = noise_sigma(ch)
-        if noise is None and sigma != 0.0:
-            noise = NoiseSpectrum.draw(fm, ch.rng_seed, antennas)
-        peaks = [proved_peak(fm, freqs, band, noise, sigma) for band in bands]
-        if None in peaks:
+        rows.extend((freqs, lo, hi, sigma) for lo, hi in point_spans)
+    noise = None
+    if any(sigma != 0.0 for _, _, _, sigma in rows):
+        noise = NoiseSpectrum.draw(fm, seeds.pop(), antennas)
+    peaks = _proved_bins(fm, rows, noise)
+    bin_width = fm.sample_rate / fm.num_samples
+    results = []
+    end = 0
+    for (ch, freqs, bands), point_spans in zip(points, spans):
+        start, end = end, end + len(bands)
+        point = peaks[start:end]
+        if None in point:
             combined = _combined([np.abs(np.fft.rfft(y)) for y in capture(fm, ch, freqs, antennas)])
-            peaks = [lo + int(np.argmax(combined[lo : hi + 1])) for lo, hi in spans]
-            for band, k in zip(bands, peaks):
+            point = [lo + int(np.argmax(combined[lo : hi + 1])) for lo, hi in point_spans]
+            for band, k in zip(bands, point):
                 if not math.isfinite(combined[k]):
                     raise ValueError("the combined spectrum overflows: the noise power is too large")
                 if not combined[k] > 0:
                     raise ValueError(f"degenerate all-zero band {band}: no signal to detect")
-        results.append([k * bin_width for k in peaks])
+        results.append([k * bin_width for k in point])
     return results
 
 

@@ -10,6 +10,7 @@ from ajscc import experiments, signal_chain
 from ajscc.circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from ajscc.experiments import (
     CONFIG_KEYS,
+    DEFAULT_L_GRID,
     CSV_HEADER,
     KIND_KEYS,
     CheckResult,
@@ -152,6 +153,55 @@ class TestMseVsL:
                 assert result.details[snr_db].keys() == detail.keys()
                 for key, values in detail.items():
                     assert np.array_equal(result.details[snr_db][key], values), (snr_db, key)
+
+
+class TestLevelCodec:
+    """The level sweep's array codec is scalar encode/decode at each L, bit for bit."""
+
+    LEVELS = np.array(DEFAULT_L_GRID)
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("quantizer", list(Quantizer))
+    def test_equals_the_scalar_codec(self, quantizer):
+        cfg = dataclasses.replace(TINY_SWEEP, quantizer=quantizer, l_values=DEFAULT_L_GRID)
+        mappings = [MappingConfig(cfg.d_max, int(n), cfg.v2, quantizer) for n in self.LEVELS]
+        v1 = cfg.d_max / self.LEVELS
+        rng = np.random.default_rng(3)
+        # the corners of the source square, then uniform draws
+        units = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        units += [tuple(u) for u in rng.uniform(size=(20, 2)).tolist()]
+        for u1, u2 in units:
+            vds = experiments._encode_levels(cfg, self.LEVELS, u1 * v1, u2 * cfg.v2)
+            want = [encode(c, u1 * c.v1, u2 * c.v2) for c in mappings]
+            assert self.bits(vds) == self.bits(want), (u1, u2)
+            # received voltages on the curve, off it, and outside [0, d_max]
+            for shift in (0.0, 3e-4, -0.37, 6.0, -1.0):
+                x1_hat, x2_hat = experiments._decode_levels(cfg, self.LEVELS, vds + shift)
+                pairs = [decode(c, vd + shift) for c, vd in zip(mappings, vds.tolist())]
+                assert self.bits(x1_hat) == self.bits([p.x1_hat for p in pairs]), (u1, u2, shift)
+                assert self.bits(x2_hat) == self.bits([p.x2_hat for p in pairs]), (u1, u2, shift)
+
+    def test_top_corner_clip(self):
+        # at the top corner k*v1 + v1 overshoots d_max by an ulp for some L;
+        # encode clips it to d_max, and so does the array pass
+        v1 = TINY_SWEEP.d_max / self.LEVELS
+        overshoot = (self.LEVELS - 1) * v1 + v1 > TINY_SWEEP.d_max
+        assert overshoot.any()
+        for quantizer in Quantizer:
+            cfg = dataclasses.replace(TINY_SWEEP, quantizer=quantizer)
+            for u1 in (0.0, 1.0):
+                vds = experiments._encode_levels(cfg, self.LEVELS, u1 * v1, cfg.v2)
+                # an even top line ends at x1 = v1, an odd one at x1 = 0
+                top = (self.LEVELS - 1) % 2 == (0 if u1 else 1)
+                assert np.all(vds[top & overshoot] == cfg.d_max)
+                want = [
+                    encode(MappingConfig(cfg.d_max, int(n), cfg.v2, quantizer), u1 * v, cfg.v2)
+                    for n, v in zip(self.LEVELS, v1)
+                ]
+                assert self.bits(vds) == self.bits(want)
 
 
 def scalar_rows(cfg):
@@ -472,7 +522,40 @@ def scalar_circuit_check(cfg):
     return CheckResult("circuit-codec-equivalence", worst <= bound, worst, bound)
 
 
+def scalar_chain_check(cfg):
+    """The chain round-trip check as one scalar draw pair and one explicit chain per trial."""
+    mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 202]))
+    worst1 = worst2 = 0.0
+    for _ in range(cfg.trials):
+        x1 = rng.uniform(0.0, mapping.v1)
+        x2 = rng.uniform(0.0, mapping.v2)
+        vd_hat = chain_voltage(cfg.fm, ChannelSpec(snr_db=math.inf), encode(mapping, x1, x2))
+        dec = decode(mapping, vd_hat)
+        worst1 = max(worst1, abs(dec.x1_hat - x1))
+        worst2 = max(worst2, abs(dec.x2_hat - x2))
+    return worst1, worst2
+
+
 class TestRoundTripSuite:
+    @pytest.mark.parametrize(
+        "quantizer, num_levels, master_seed",
+        [(Quantizer.FLOOR, 73, 0), (Quantizer.NEAREST, 11, 5), (Quantizer.NEAREST, 150, 9)],
+    )
+    def test_chain_check_equals_scalar_loop(self, quantizer, num_levels, master_seed):
+        # one vector draw, one encode, one receive_points call and one decode
+        # give the worst errors of a per-trial loop through the explicit chain
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.ROUND_TRIP,
+            trials=25,
+            num_levels=num_levels,
+            quantizer=quantizer,
+            master_seed=master_seed,
+        )
+        got = experiments._check_chain_roundtrip(cfg)
+        assert [c.worst for c in got] == list(scalar_chain_check(cfg))
+        assert all(type(c.worst) is float and type(c.passed) is bool for c in got)
+
     @pytest.mark.parametrize(
         "quantizer, errors",
         [

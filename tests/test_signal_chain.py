@@ -225,6 +225,44 @@ def pinned_noise(bin_index, value):
     return NoiseSpectrum([bins])
 
 
+def tone_frequency(fm, place):
+    """A tone (Hz) from a TONE_PLACES draw: a fraction of Nyquist, or a bin offset from an edge."""
+    if isinstance(place, float):
+        return place * fm.sample_rate / 2
+    edge, bins = place
+    bin_width = fm.sample_rate / fm.num_samples
+    return bins * bin_width if edge == "dc" else fm.sample_rate / 2 - bins * bin_width
+
+
+def band_edges(fm, place, freq):
+    """A band (lo_hz, hi_hz) holding a bin from a BAND_PLACES draw, near freq for a tone place."""
+    nyquist = fm.sample_rate / 2
+    bin_width = fm.sample_rate / fm.num_samples
+    if place[0] == "tone":
+        edges = [min(max(freq + x * bin_width, 0.0), nyquist) for x in place[1:]]
+    else:
+        edges = [x * nyquist for x in place]
+    lo = min(edges)
+    return lo, max(max(edges), lo + bin_width)
+
+
+# fractions of Nyquist, or edges within 40 bins of the point's first tone,
+# which cut its window
+BAND_PLACES = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.tuples(st.just("tone"), st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+)
+
+
+# anywhere below Nyquist, or within PEAK_WINDOW bins of DC or of Nyquist,
+# where the windows are clipped or reach Nyquist and the capture decides
+TONE_PLACES = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.tuples(st.just("dc"), st.floats(0.0, PEAK_WINDOW)),
+    st.tuples(st.just("nyquist"), st.floats(1e-6, PEAK_WINDOW)),
+)
+
+
 class TestProvedPeak:
     """proved_peak accepts a bin only when its bounds separate it from every rival."""
 
@@ -338,47 +376,47 @@ class TestProvedPeak:
     @given(
         sample_rate=st.floats(8.0, 200_000.0),
         record_exp=st.integers(7, 16),
-        freq_fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
+        point_draws=st.lists(
+            st.tuples(
+                st.lists(TONE_PLACES, min_size=1, max_size=4),
+                st.lists(BAND_PLACES, min_size=1, max_size=3),
+                st.sampled_from([math.inf, 0.0, -20.0, -35.0, -45.0]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
         half_bin=st.booleans(),
-        band_fracs=st.lists(
-            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=3
-        ),
         antennas=st.integers(1, 3),
-        snrs=st.lists(
-            st.sampled_from([math.inf, 0.0, -20.0, -35.0, -45.0]), min_size=1, max_size=4
-        ),
         rng_seed=st.integers(0, 2**62),
         pin=st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 1.0)),
     )
     @settings(max_examples=150, deadline=None)
     def test_proved_bin_is_the_explicit_chain_peak(
-        self, sample_rate, record_exp, freq_fracs, half_bin, band_fracs, antennas, snrs,
-        rng_seed, pin,
+        self, sample_rate, record_exp, point_draws, half_bin, antennas, rng_seed, pin
     ):
-        # the proof, and receive_points over SNR points of one seed, against
-        # the oracle at each point's channel; pin adds a noise bin next to the
-        # top tone's window that only the leak bound tells from the window's
-        # peak (pin 0: a tie)
+        # the proof, and one receive_points call over points of one seed, each
+        # with its own tones, bands and SNR, against the oracle at each point;
+        # the call proves rows of different tone counts and widths in one
+        # block.  pin adds a noise bin next to the first point's top window
+        # that only the leak bound tells from the window's peak (pin 0: a tie)
         m = 2**record_exp
         fm = FmConfig(sample_rate=sample_rate, record_seconds=m / sample_rate)
         bin_width = sample_rate / m
-        freqs = [f * sample_rate / 2 for f in freq_fracs]
-        if half_bin:  # exact half-bin offsets, the closest calls
-            freqs = [(math.floor(f / bin_width) + 0.5) * bin_width for f in freqs]
-            freqs = [f for f in freqs if f < sample_rate / 2] or [0.5 * bin_width]
-        bands = []
-        for fracs in band_fracs:
-            lo = min(fracs) * sample_rate / 2
-            bands.append((lo, max(max(fracs) * sample_rate / 2, lo + bin_width)))  # holds a bin
-        channels = [ChannelSpec(snr_db=snr_db, rng_seed=rng_seed) for snr_db in snrs]
+        points = []
+        for places, band_places, snr_db in point_draws:
+            freqs = [tone_frequency(fm, place) for place in places]
+            if half_bin:  # exact half-bin offsets, the closest calls
+                freqs = [(math.floor(f / bin_width) + 0.5) * bin_width for f in freqs]
+                freqs = [f for f in freqs if f < sample_rate / 2] or [0.5 * bin_width]
+            bands = [band_edges(fm, place, freqs[0]) for place in band_places]
+            points.append((ChannelSpec(snr_db=snr_db, rng_seed=rng_seed), freqs, bands))
         noise = NoiseSpectrum.draw(fm, rng_seed, antennas)
-        expected = [band_peaks(fm, ch, freqs, bands, antennas) for ch in channels]
-        for ch, peaks in zip(channels, expected):
+        expected = [band_peaks(fm, ch, freqs, bands, antennas) for ch, freqs, bands in points]
+        for (ch, freqs, bands), peaks in zip(points, expected):
             for band, peak in zip(bands, peaks):
                 k = proved_peak(fm, freqs, band, noise, noise_sigma(ch))
                 if k is not None:
                     assert k * bin_width == peak
-        points = [(ch, freqs, bands) for ch in channels]
         # noiseless DC tones leave a band all zero: the first such point raises
         degenerate = [None in peaks for peaks in expected]
         if any(degenerate):
@@ -386,7 +424,10 @@ class TestProvedPeak:
                 receive_points(fm, points, antennas)
             points, expected = points[: degenerate.index(True)], expected[: degenerate.index(True)]
         assert receive_points(fm, points, antennas) == expected
-        sigma = noise_sigma(channels[0])
+        if not points:
+            return
+        ch, freqs, _ = points[0]
+        sigma = noise_sigma(ch)
         if pin is None or sigma == 0.0:
             return
         unit = [channel_noise(fm, ChannelSpec(0.0, rng_seed), a) for a in range(antennas)]
@@ -398,6 +439,24 @@ class TestProvedPeak:
         k = proved_peak(fm, freqs, full, NoiseSpectrum([np.fft.rfft(u) for u in pinned]), sigma)
         if k is not None:
             assert [k * bin_width] == record_peaks(fm, [clean + sigma * u for u in pinned], [full])
+
+    def test_block_rows_are_their_own_one_row_calls(self):
+        # rows of 1-4 tones and of different bands, widths and SNRs share one
+        # block; each row's decision is that of the row proved alone
+        noise = NoiseSpectrum.draw(FM, 9, antennas=2)
+        tone_sets = [[2499.6], [2500.4, 2510.0, 9000.5], [7000.0, 30.0], [5.0, 31e3, 40.0, 12e3]]
+        # (2490, 2499): the band ends one bin below the first tone's peak
+        bands = [FULL, (2490.0, 2505.0), (2490.0, 2499.0), (0.0, 100.0), (11990.0, 12010.0)]
+        rows = []
+        for freqs in tone_sets:
+            for band in bands:
+                for snr_db in (math.inf, 0.0, -35.0):
+                    sigma = noise_sigma(ChannelSpec(snr_db=snr_db))
+                    rows.append((freqs, *signal_chain._band_bins(FM, band), sigma))
+        alone = [signal_chain._proved_bins(FM, [row], noise)[0] for row in rows]
+        assert signal_chain._proved_bins(FM, rows, noise) == alone
+        # proved rows of every tone count, and of ranges 10, 16 and 65 bins wide
+        assert {len(row[0]) for row, k in zip(rows, alone) if k is not None} == {1, 2, 3, 4}
 
 
 @pytest.fixture
