@@ -23,11 +23,11 @@ every SNR point.  Both sweeps run trial-major: within a trial the sources,
 the tones and the capture seed do not depend on the sweep point, so a trial
 draws them once, encodes what its points transmit before the call and
 decodes every point after it.  The call proves the first stage of all its
-points' bands in one array block.  The level sweep encodes and decodes all
-its level counts in one array pass each (``_encode_levels``,
-``_decode_levels``, the scalar codec's steps per element), and the chain
-self check round-trips all its trials through one ``encode``, one
-``receive_points`` call and one ``decode``.
+points' bands in one array block.  The level sweep and the chain self check
+run the one public chain, ``decode(m, transmit_receive(fm, ch, encode(m,
+x1, x2)))``, on arrays: a level-sweep trial on a ``MappingConfig`` of every
+swept level count, the self check on all its trials' sources at once; each
+``transmit_receive`` of an array is one ``receive_points`` call.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ from .multisensor import (
     cluster_tones,
     simulate_cluster,
 )
-from .signal_chain import ChannelSpec, FmConfig, receive_points
+from .signal_chain import ChannelSpec, FmConfig, receive_points, transmit_receive
 
 __all__ = [
     "DEFAULT_L_GRID",
@@ -155,6 +155,9 @@ class ExperimentConfig:
             raise ValueError("every swept level count must be >= 2")
         if not self.snr_values:
             raise ValueError("snr_values must be non-empty")
+        # a channel of each SNR rejects what no sweep could run, before any worker starts
+        for snr_db in (self.snr_db, *self.snr_values):
+            ChannelSpec(snr_db)
         if self.sensor_count < 1 or self.antennas < 1:
             raise ValueError("sensor_count and antennas must be >= 1")
         if self.workers < 1:
@@ -222,64 +225,25 @@ def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
 # mean MSE vs number of levels
 
 
-def _chain_voltages(fm: FmConfig, ch: ChannelSpec, vds: np.ndarray) -> np.ndarray:
-    """``transmit_receive`` of every voltage of vds over channel ch, in one ``receive_points`` call."""
-    band = (0.0, fm.sample_rate / 2)
-    points = [(ch, [freq], [band]) for freq in (fm.scale * vds).tolist()]
-    return np.array([peak for (peak,) in receive_points(fm, points)]) / fm.scale
-
-
-def _encode_levels(cfg: ExperimentConfig, levels: np.ndarray, x1: np.ndarray, x2: float):
-    """``mapping.encode`` at every level count of ``levels`` in one array pass.
-
-    x1 holds each level count's x1, within its [0, d_max / L].  Each step and
-    its rounding is encode's, per element, so the voltages equal scalar
-    encode's bit for bit; the sweep built its inputs, so none is validated.
-    This array codec stays private to the sweep: a module leans only on what
-    its siblings list in ``__all__``, and ``mapping`` gains no public name.
-    """
-    v1 = cfg.d_max / levels
-    delta = cfg.v2 / (levels - 1)
-    if cfg.quantizer is Quantizer.FLOOR:
-        k = np.floor(x2 / delta)
-    else:
-        k = np.floor(x2 / delta + 0.5)
-    k = np.clip(k, 0, levels - 1).astype(int)
-    along = np.where(k % 2 == 0, x1, v1 - x1)
-    return np.clip(k * v1 + along, 0.0, cfg.d_max)
-
-
-def _decode_levels(cfg: ExperimentConfig, levels: np.ndarray, v: np.ndarray):
-    """``mapping.decode`` of v[j] at level count levels[j], in one array pass: (x1_hat, x2_hat)."""
-    v1 = cfg.d_max / levels
-    v = np.clip(v, 0.0, cfg.d_max)
-    k = np.minimum(np.floor(v / v1), levels - 1).astype(int)
-    r = np.clip(v - k * v1, 0.0, v1)
-    return np.where(k % 2 == 0, r, v1 - r), k * (cfg.v2 / (levels - 1))
-
-
 def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float, float]]]:
     """Normalized squared errors (x1, x2) per trial and per swept level count.
 
-    A trial encodes every level count in one array pass, reads their peaks
-    from one ``receive_points`` call of one point per level count, so all of
-    them see the trial's one noise draw, and decodes every level count in
-    one array pass.  Each error is squared as a Python float: ``**`` on a
-    float is libm ``pow``, which can differ in the last bit from the
-    ``x*x`` of a numpy square.
+    A trial runs one chain over a codec of every swept level count: one
+    array ``encode``, one ``transmit_receive`` of all the voltages, so all of
+    them see the trial's one noise draw, and one array ``decode``.  Each
+    error is squared as a Python float: ``**`` on a float is libm ``pow``,
+    which can differ in the last bit from the ``x*x`` of a numpy square.
     """
-    levels = np.array(cfg.l_values)
-    v1 = cfg.d_max / levels
+    mapping = MappingConfig(cfg.d_max, np.array(cfg.l_values), cfg.v2, cfg.quantizer)
     errors = []
     for trial in trials:
         rng = _trial_rng(cfg.master_seed, trial)
         u1, u2 = cfg.source.draw(rng)
         channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
-        x1, x2 = u1 * v1, u2 * cfg.v2
-        vd_hats = _chain_voltages(cfg.fm, channel, _encode_levels(cfg, levels, x1, x2))
-        x1_hat, x2_hat = _decode_levels(cfg, levels, vd_hats)
-        errors1 = ((x1_hat - x1) / v1).tolist()
-        errors2 = ((x2_hat - x2) / cfg.v2).tolist()
+        x1, x2 = u1 * mapping.v1, u2 * mapping.v2
+        dec = decode(mapping, transmit_receive(cfg.fm, channel, encode(mapping, x1, x2)))
+        errors1 = ((dec.x1_hat - x1) / mapping.v1).tolist()
+        errors2 = ((dec.x2_hat - x2) / mapping.v2).tolist()
         errors.append([(e1**2, e2**2) for e1, e2 in zip(errors1, errors2)])
     return errors
 
@@ -467,7 +431,7 @@ def _check_chain_roundtrip(cfg: ExperimentConfig) -> list[CheckResult]:
     bound2 = _x2_base_bound(mapping) + mapping.delta
     # row by row, the same stream as alternating scalar x1 and x2 draws
     x1, x2 = rng.uniform(0.0, [mapping.v1, mapping.v2], size=(cfg.trials, 2)).T
-    dec = decode(mapping, _chain_voltages(cfg.fm, channel, encode(mapping, x1, x2)))
+    dec = decode(mapping, transmit_receive(cfg.fm, channel, encode(mapping, x1, x2)))
     worst1 = float(np.max(np.abs(dec.x1_hat - x1)))
     worst2 = float(np.max(np.abs(dec.x2_hat - x2)))
     return [

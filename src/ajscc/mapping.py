@@ -9,7 +9,11 @@ levels (the curve folds back on itself).  Decoding is a modulus calculation
 on the received voltage.
 
 All operations are pure functions of immutable configs and accept scalars or
-numpy arrays.
+numpy arrays.  ``num_levels`` may itself be an integer array, one level count
+per element: ``v1`` and ``delta`` are then arrays, and ``quantize_level``,
+``encode`` and ``decode`` broadcast over the level counts, each element
+equal bit for bit to the scalar config at that count.  The level sweep
+encodes and decodes every swept count of a trial this way.
 """
 from __future__ import annotations
 
@@ -46,22 +50,24 @@ class MappingConfig:
     d_max is the amplitude constraint on the encoded voltage, num_levels the
     number of parallel lines, and v2 the full range of the quantized source.
     The per-level span v1 = d_max / num_levels and the line spacing
-    delta = v2 / (num_levels - 1) are derived at construction.
+    delta = v2 / (num_levels - 1) are derived at construction.  An integer
+    array num_levels makes v1 and delta arrays of its shape, and the codec
+    broadcasts the inputs against them; such a config is not hashable.
     """
 
     d_max: float
-    num_levels: int
+    num_levels: int | np.ndarray
     v2: float
     quantizer: Quantizer = Quantizer.FLOOR
-    v1: float = field(init=False)
-    delta: float = field(init=False)
+    v1: float | np.ndarray = field(init=False)
+    delta: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.d_max > 0 and np.isfinite(self.d_max)):
             raise ValueError(f"d_max must be positive, got {self.d_max}")
         if not (self.v2 > 0 and np.isfinite(self.v2)):
             raise ValueError(f"v2 must be positive, got {self.v2}")
-        if self.num_levels < 2:
+        if np.any(np.asarray(self.num_levels) < 2):
             raise ValueError(
                 f"num_levels must be >= 2 (line spacing undefined), got {self.num_levels}"
             )
@@ -120,7 +126,9 @@ def decode(cfg: MappingConfig, v) -> DecodedPair:
     """Invert the mapping for a received voltage.
 
     The input is clamped into [0, d_max] first (noise may push it outside the
-    legal range; clamping realizes decoding to the nearest curve point).
+    legal range; clamping realizes decoding to the nearest curve point).  The
+    result holds Python scalars when v and num_levels are both scalars, and
+    arrays of their broadcast shape otherwise.
     """
     v = _as_float(v, "v")
     v = np.clip(v, 0.0, cfg.d_max)
@@ -128,6 +136,6 @@ def decode(cfg: MappingConfig, v) -> DecodedPair:
     r = np.clip(v - k * cfg.v1, 0.0, cfg.v1)
     x1_hat = np.where(k % 2 == 0, r, cfg.v1 - r)
     x2_hat = k * cfg.delta
-    if v.ndim == 0:
+    if k.ndim == 0:
         return DecodedPair(float(x1_hat), float(x2_hat), int(k))
     return DecodedPair(x1_hat, x2_hat, k)

@@ -20,10 +20,11 @@ frequencies plus noise per antenna (``channel_noise``), seeded by
 strongest bin of each band of the antennas' noncoherently combined rfft
 spectra of a capture, and ``receive`` is its one-point call.  A single
 sensor is a one-tone capture searched over the whole spectrum
-(``transmit_receive``); the FDMA cluster in ``multisensor`` passes one
-frequency and one band per sensor.  ``tone_bins`` is the closed-form FFT of
-a sum of capture tones, so a spectrum can be formed as tone bins plus the
-FFT of the noise.
+(``transmit_receive``; an array of voltages is one ``receive_points`` call
+with one point per voltage, all on one channel); the FDMA cluster in
+``multisensor`` passes one frequency and one band per sensor.
+``tone_bins`` is the closed-form FFT of a sum of capture tones, so a
+spectrum can be formed as tone bins plus the FFT of the noise.
 
 ``proved_peak`` proves one band's strongest bin from the tones' closed-form
 bins plus sigma times a ``NoiseSpectrum`` of unit-variance bins on one or
@@ -524,7 +525,15 @@ def receive(
     return peaks
 
 
-def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd: float) -> float:
-    """Full chain: one tone at fm.scale * vd Hz, ``receive`` over the whole spectrum, back to volts."""
-    (peak,) = receive(fm, ch, [fm.scale * vd], [(0.0, fm.sample_rate / 2)])
-    return peak / fm.scale
+def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd):
+    """Full chain: one tone at fm.scale * vd Hz, received over the whole spectrum, back to volts.
+
+    vd may be an array: each element is one point of a single
+    ``receive_points`` call on ch, so every voltage re-observes the channel's
+    one noise draw.  A scalar gives a float, an array an array of its shape.
+    """
+    vd = np.asarray(vd, dtype=float)
+    band = (0.0, fm.sample_rate / 2)
+    points = [(ch, [freq], [band]) for freq in (fm.scale * vd).ravel().tolist()]
+    peaks = np.array([peak for (peak,) in receive_points(fm, points)]) / fm.scale
+    return float(peaks[0]) if vd.ndim == 0 else peaks.reshape(vd.shape)

@@ -10,7 +10,6 @@ from ajscc import experiments, signal_chain
 from ajscc.circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from ajscc.experiments import (
     CONFIG_KEYS,
-    DEFAULT_L_GRID,
     CSV_HEADER,
     KIND_KEYS,
     CheckResult,
@@ -71,6 +70,23 @@ class TestConfigValidation:
         # a fixed source fills a coordinate it is not given with 0.5
         assert (SourceSpec("fixed", x1=0.25).x1, SourceSpec("fixed", x1=0.25).x2) == (0.25, 0.5)
         assert SourceSpec("fixed").draw(np.random.default_rng(0)) == (0.5, 0.5)
+
+    def test_bad_snr_rejected_before_any_worker_starts(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        bad = [
+            (run_mse_vs_L, ExperimentKind.MSE_VS_L, dict(snr_db=math.nan), "NaN"),
+            (run_sdr_vs_csnr, ExperimentKind.SDR_VS_CSNR, dict(snr_values=(0.0, -4000.0)), "overflows"),
+        ]
+        for run, kind, fields, message in bad:
+            with pytest.raises(ValueError, match=message):
+                run(ExperimentConfig(kind=kind, trials=4, workers=2, **fields))
+        # the lowest SNR a channel can hold stays a valid sweep point
+        ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, snr_values=(-3050.0,), snr_db=-3050.0)
 
     def test_codec_range_past_nyquist_rejected(self):
         # every encoded voltage up to d_max must map to a tone below Nyquist
@@ -153,55 +169,6 @@ class TestMseVsL:
                 assert result.details[snr_db].keys() == detail.keys()
                 for key, values in detail.items():
                     assert np.array_equal(result.details[snr_db][key], values), (snr_db, key)
-
-
-class TestLevelCodec:
-    """The level sweep's array codec is scalar encode/decode at each L, bit for bit."""
-
-    LEVELS = np.array(DEFAULT_L_GRID)
-
-    @staticmethod
-    def bits(values):
-        return np.asarray(values, dtype=float).tobytes()
-
-    @pytest.mark.parametrize("quantizer", list(Quantizer))
-    def test_equals_the_scalar_codec(self, quantizer):
-        cfg = dataclasses.replace(TINY_SWEEP, quantizer=quantizer, l_values=DEFAULT_L_GRID)
-        mappings = [MappingConfig(cfg.d_max, int(n), cfg.v2, quantizer) for n in self.LEVELS]
-        v1 = cfg.d_max / self.LEVELS
-        rng = np.random.default_rng(3)
-        # the corners of the source square, then uniform draws
-        units = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-        units += [tuple(u) for u in rng.uniform(size=(20, 2)).tolist()]
-        for u1, u2 in units:
-            vds = experiments._encode_levels(cfg, self.LEVELS, u1 * v1, u2 * cfg.v2)
-            want = [encode(c, u1 * c.v1, u2 * c.v2) for c in mappings]
-            assert self.bits(vds) == self.bits(want), (u1, u2)
-            # received voltages on the curve, off it, and outside [0, d_max]
-            for shift in (0.0, 3e-4, -0.37, 6.0, -1.0):
-                x1_hat, x2_hat = experiments._decode_levels(cfg, self.LEVELS, vds + shift)
-                pairs = [decode(c, vd + shift) for c, vd in zip(mappings, vds.tolist())]
-                assert self.bits(x1_hat) == self.bits([p.x1_hat for p in pairs]), (u1, u2, shift)
-                assert self.bits(x2_hat) == self.bits([p.x2_hat for p in pairs]), (u1, u2, shift)
-
-    def test_top_corner_clip(self):
-        # at the top corner k*v1 + v1 overshoots d_max by an ulp for some L;
-        # encode clips it to d_max, and so does the array pass
-        v1 = TINY_SWEEP.d_max / self.LEVELS
-        overshoot = (self.LEVELS - 1) * v1 + v1 > TINY_SWEEP.d_max
-        assert overshoot.any()
-        for quantizer in Quantizer:
-            cfg = dataclasses.replace(TINY_SWEEP, quantizer=quantizer)
-            for u1 in (0.0, 1.0):
-                vds = experiments._encode_levels(cfg, self.LEVELS, u1 * v1, cfg.v2)
-                # an even top line ends at x1 = v1, an odd one at x1 = 0
-                top = (self.LEVELS - 1) % 2 == (0 if u1 else 1)
-                assert np.all(vds[top & overshoot] == cfg.d_max)
-                want = [
-                    encode(MappingConfig(cfg.d_max, int(n), cfg.v2, quantizer), u1 * v, cfg.v2)
-                    for n, v in zip(self.LEVELS, v1)
-                ]
-                assert self.bits(vds) == self.bits(want)
 
 
 def scalar_rows(cfg):
@@ -543,7 +510,7 @@ class TestRoundTripSuite:
         [(Quantizer.FLOOR, 73, 0), (Quantizer.NEAREST, 11, 5), (Quantizer.NEAREST, 150, 9)],
     )
     def test_chain_check_equals_scalar_loop(self, quantizer, num_levels, master_seed):
-        # one vector draw, one encode, one receive_points call and one decode
+        # one vector draw, one encode, one transmit_receive and one decode
         # give the worst errors of a per-trial loop through the explicit chain
         cfg = ExperimentConfig(
             kind=ExperimentKind.ROUND_TRIP,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ajscc.experiments import DEFAULT_L_GRID
 from ajscc.mapping import (
     DecodedPair,
     MappingConfig,
@@ -176,6 +177,73 @@ class TestRoundTrip:
         bound2 = c.delta if quantizer is Quantizer.FLOOR else c.delta / 2
         assert np.max(np.abs(dec.x1_hat - x1)) <= 1e-12
         assert np.max(np.abs(dec.x2_hat - x2)) <= bound2
+
+
+class TestLevelArray:
+    """A config of an array of level counts is, element by element, the scalar config at that count.
+
+    Every element must equal the scalar codec bit for bit: the level sweep
+    decodes all its level counts through one such config.
+    """
+
+    LEVELS = np.array(DEFAULT_L_GRID)
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("quantizer", list(Quantizer))
+    def test_equals_the_scalar_codec(self, quantizer):
+        levels = cfg(5.0, self.LEVELS, 1.0, quantizer)
+        scalars = [cfg(5.0, int(n), 1.0, quantizer) for n in self.LEVELS]
+        rng = np.random.default_rng(3)
+        # the corners of the source square, then uniform draws
+        units = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        units += [tuple(u) for u in rng.uniform(size=(20, 2)).tolist()]
+        for u1, u2 in units:
+            ks = quantize_level(levels, u2 * levels.v2)
+            assert ks.tolist() == [quantize_level(c, u2 * c.v2) for c in scalars], (u1, u2)
+            vds = encode(levels, u1 * levels.v1, u2 * levels.v2)
+            want = [encode(c, u1 * c.v1, u2 * c.v2) for c in scalars]
+            assert self.bits(vds) == self.bits(want), (u1, u2)
+            # received voltages on the curve, off it, and outside [0, d_max]
+            for shift in (0.0, 3e-4, -0.37, 6.0, -1.0):
+                dec = decode(levels, vds + shift)
+                pairs = [decode(c, vd + shift) for c, vd in zip(scalars, vds.tolist())]
+                assert self.bits(dec.x1_hat) == self.bits([p.x1_hat for p in pairs]), (u1, u2, shift)
+                assert self.bits(dec.x2_hat) == self.bits([p.x2_hat for p in pairs]), (u1, u2, shift)
+                assert dec.level_index.tolist() == [p.level_index for p in pairs]
+
+    def test_top_corner_clip(self):
+        # at the top corner k*v1 + v1 overshoots d_max by an ulp for some L;
+        # encode clips it to d_max at every level count of the array
+        v1 = cfg(5.0, self.LEVELS).v1
+        overshoot = (self.LEVELS - 1) * v1 + v1 > 5.0
+        assert overshoot.any()
+        for quantizer in Quantizer:
+            levels = cfg(5.0, self.LEVELS, 1.0, quantizer)
+            for u1 in (0.0, 1.0):
+                vds = encode(levels, u1 * levels.v1, 1.0)
+                # an even top line ends at x1 = v1, an odd one at x1 = 0
+                top = (self.LEVELS - 1) % 2 == (0 if u1 else 1)
+                assert np.all(vds[top & overshoot] == 5.0)
+                want = [
+                    encode(cfg(5.0, int(n), 1.0, quantizer), u1 * v, 1.0)
+                    for n, v in zip(self.LEVELS, v1)
+                ]
+                assert self.bits(vds) == self.bits(want)
+
+    def test_scalar_voltage_decodes_at_every_level_count(self):
+        levels = cfg(5.0, np.array([10, 20, 73]), 1.0, Quantizer.NEAREST)
+        dec = decode(levels, 2.5)
+        pairs = [decode(cfg(5.0, n, 1.0, Quantizer.NEAREST), 2.5) for n in (10, 20, 73)]
+        assert dec.level_index.tolist() == [p.level_index for p in pairs]
+        assert self.bits(dec.x1_hat) == self.bits([p.x1_hat for p in pairs])
+        assert self.bits(dec.x2_hat) == self.bits([p.x2_hat for p in pairs])
+
+    def test_rejects_a_level_count_below_two(self):
+        with pytest.raises(ValueError, match="num_levels must be >= 2"):
+            cfg(5.0, np.array([10, 1, 20]))
 
 
 # ---------------------------------------------------------------------------

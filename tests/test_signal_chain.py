@@ -769,3 +769,28 @@ class TestEndToEnd:
             if abs(got - vd) > 1.0 / FM.scale:
                 misses += 1
         assert misses == 0
+
+
+class TestArrayVoltages:
+    """transmit_receive of an array: one receive_points call, each element the explicit chain."""
+
+    # on-bin edges, half bins and off-bin values, and a tone within a
+    # window of Nyquist that the proof leaves to the capture
+    VOLTAGES = np.array([[0.0, 5.0, 2.5004, 0.0625], [3.21, 1.7, 0.3337, 32.76]])
+
+    @pytest.mark.parametrize("ch", [NO_NOISE, ChannelSpec(snr_db=-35.0, rng_seed=6)])
+    def test_equals_the_explicit_chain_elementwise(self, ch):
+        got = transmit_receive(FM, ch, self.VOLTAGES)
+        assert got.shape == self.VOLTAGES.shape
+        want = [[chain_voltage(FM, ch, vd) for vd in row] for row in self.VOLTAGES.tolist()]
+        assert got.tolist() == want
+
+    def test_zero_dimensional_input_gives_a_float(self):
+        for vd in (2.5, np.float64(2.5), np.array(2.5)):
+            got = transmit_receive(FM, NO_NOISE, vd)
+            assert type(got) is float and got == 2.5
+
+    def test_one_bad_voltage_raises_before_any_capture(self, no_capture):
+        # 32.76 V needs a capture; the bad voltage after it must be found first
+        with pytest.raises(ValueError, match=r"is outside \[0, Nyquist\) for fs="):
+            transmit_receive(FM, NO_NOISE, np.array([[32.76, 1.0], [40.0, 2.0]]))
