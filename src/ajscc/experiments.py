@@ -11,23 +11,26 @@ worker count.  Trial streams are common to all sweep points (common random
 numbers), which stabilizes the location of the sweep minimum.  Both sweeps
 hand workers contiguous chunks of trials (``_map_trials``); each worker runs
 every sweep point of its trials, and the parent reduces in trial order, so
-the output bytes do not depend on the worker count.  Each trial reads all
-its sweep points' peaks from one ``signal_chain.receive_points`` call, one
-point per level count or per SNR, all on the trial's channel seed: the call
-draws and transforms that seed's unit-variance noise once (not at all when
-every point is noiseless), shares it across the points, proves each band's
-peak from the tones' closed-form spectrum and captures only when the proof
-leaves a band open.  Since ``rng.normal(0, sigma)`` is exactly sigma times a
-standard normal draw, that one draw is the noise of every level count and of
-every SNR point.  Both sweeps run trial-major: within a trial the sources,
-the tones and the capture seed do not depend on the sweep point, so a trial
-draws them once, encodes what its points transmit before the call and
-decodes every point after it.  The call proves the first stage of all its
-points' bands in one array block.  The level sweep and the chain self check
-run the one public chain, ``decode(m, transmit_receive(fm, ch, encode(m,
-x1, x2)))``, on arrays: a level-sweep trial on a ``MappingConfig`` of every
-swept level count, the self check on all its trials' sources at once; each
-``transmit_receive`` of an array is one ``receive_points`` call.
+the output bytes do not depend on the worker count.  Each trial's sweep
+points, one per level count or per SNR, are all on the trial's channel
+seed, and ``signal_chain.receive_points`` draws and transforms a seed's
+unit-variance noise once (not at all when every point is noiseless),
+shares it across the seed's points, proves each band's peak from the
+tones' closed-form spectrum and captures only when the proof leaves a band
+open.  Since ``rng.normal(0, sigma)`` is exactly sigma times a standard
+normal draw, that one draw is the noise of every level count and of every
+SNR point.  Both sweeps run trial-major: within a trial the sources, the
+tones and the capture seed do not depend on the sweep point, so a trial
+draws them once and encodes what its points transmit before the receiver
+call.  The SDR sweep makes one ``receive_points`` call per worker chunk,
+over every (trial, SNR) point, which proves each trial's points in one
+array block and draws every trial's noise into the same buffers; the whole
+chunk's peaks are then read back and decoded in one array pass.  The level
+sweep and the chain self check run the one public chain,
+``decode(m, transmit_receive(fm, ch, encode(m, x1, x2)))``, on arrays: a
+level-sweep trial on a ``MappingConfig`` of every swept level count, the
+self check on all its trials' sources at once; each ``transmit_receive`` of
+an array is one ``receive_points`` call.
 """
 from __future__ import annotations
 
@@ -49,8 +52,8 @@ from .metrics import sdr
 from .multisensor import (
     SensorResult,
     assign_channels,
-    cluster_results,
     cluster_tones,
+    cluster_voltages,
     simulate_cluster,
 )
 from .signal_chain import ChannelSpec, FmConfig, receive_points, transmit_receive
@@ -295,35 +298,40 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
     """Per trial, an (SNR point, sensor, quantity) array.
 
     The quantities are the x1 error, the x2 error, x2_hat and |vd error|,
-    the errors squared and normalized to the codec ranges.  A trial encodes
-    its sensors once and reads every SNR point's band peaks from one
-    ``receive_points`` call of one point per SNR, all on the trial's capture
-    seed, so every SNR sees the trial's one noise draw.
+    the errors squared and normalized to the codec ranges.  Each trial
+    encodes its sensors once and contributes one point per SNR, all on its
+    capture seed, so every SNR sees the trial's one noise draw.  The points
+    of every trial go to one ``receive_points`` call, and the peaks of the
+    whole (trial, SNR point, sensor) array are read back and decoded in one
+    pass.  Each error is squared as a Python float, as ``_level_errors``
+    squares its errors.
     """
     fm = cfg.fm
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     plan = assign_channels(cfg.sensor_count, fm, cfg.d_max, cfg.guard_hz)
-    per_trial = []
+    sources = []
+    vds = []
+    points = []
     for trial in trials:
         draws, capture_seed = _cluster_draws(cfg, trial)
         truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
-        vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
-        points = [(ChannelSpec(snr_db, capture_seed), freqs, bands) for snr_db in cfg.snr_values]
-        rows = []
-        for peaks in receive_points(fm, points, cfg.antennas):
-            rows.append(
-                [
-                    (
-                        (res.decoded.x1_hat / mapping.v1 - u1) ** 2,
-                        (res.decoded.x2_hat / mapping.v2 - u2) ** 2,
-                        res.decoded.x2_hat,
-                        abs(res.vd_hat - res.vd_true),
-                    )
-                    for (u1, u2), res in zip(draws, cluster_results(mapping, plan, fm, vds, peaks))
-                ]
-            )
-        per_trial.append(np.array(rows))
-    return per_trial
+        trial_vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
+        points.extend((ChannelSpec(snr_db, capture_seed), freqs, bands) for snr_db in cfg.snr_values)
+        sources.append(draws)
+        vds.append(trial_vds)
+    shape = (len(trials), len(cfg.snr_values), cfg.sensor_count)
+    vd_hat = cluster_voltages(plan, fm, np.reshape(receive_points(fm, points, cfg.antennas), shape))
+    dec = decode(mapping, vd_hat)
+    u = np.array(sources)[:, np.newaxis]  # (trial, 1, sensor, coordinate)
+    errors1 = (dec.x1_hat / mapping.v1 - u[..., 0]).ravel().tolist()
+    errors2 = (dec.x2_hat / mapping.v2 - u[..., 1]).ravel().tolist()
+    quantities = [
+        np.reshape([e1**2 for e1 in errors1], shape),
+        np.reshape([e2**2 for e2 in errors2], shape),
+        dec.x2_hat,
+        np.abs(vd_hat - np.array(vds)[:, np.newaxis]),
+    ]
+    return list(np.stack(quantities, axis=-1))
 
 
 def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:

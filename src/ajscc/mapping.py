@@ -50,7 +50,8 @@ class MappingConfig:
     d_max is the amplitude constraint on the encoded voltage, num_levels the
     number of parallel lines, and v2 the full range of the quantized source.
     The per-level span v1 = d_max / num_levels and the line spacing
-    delta = v2 / (num_levels - 1) are derived at construction.  An integer
+    delta = v2 / (num_levels - 1) are derived at construction.  num_levels
+    must be whole: 11 and 11.0 are one config, 5.5 is rejected.  An integer
     array num_levels makes v1 and delta arrays of its shape, and the codec
     broadcasts the inputs against them; such a config is not hashable.
     """
@@ -67,7 +68,10 @@ class MappingConfig:
             raise ValueError(f"d_max must be positive, got {self.d_max}")
         if not (self.v2 > 0 and np.isfinite(self.v2)):
             raise ValueError(f"v2 must be positive, got {self.v2}")
-        if np.any(np.asarray(self.num_levels) < 2):
+        levels = np.asarray(self.num_levels)
+        if not np.all(np.isfinite(levels) & (levels == np.floor(levels))):
+            raise ValueError(f"num_levels must be a whole number of lines, got {self.num_levels}")
+        if np.any(levels < 2):
             raise ValueError(
                 f"num_levels must be >= 2 (line spacing undefined), got {self.num_levels}"
             )

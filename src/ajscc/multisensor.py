@@ -8,23 +8,25 @@ cluster head is ``signal_chain.receive``: it captures the superposition
 over one shared channel on one or more antennas, seeded by the channel's
 rng_seed like the single-sensor chain, and returns the strongest bin of each
 sensor's band in the antennas' noncoherently combined spectrum.  Voltage is
-read back as (peak - offset) / fm.scale (``cluster_results``).  Band
-disjointness makes noiseless recovery bit-identical to running each sensor
-alone.
+read back as (peak - offset) / fm.scale (``cluster_voltages``, over any
+leading axes of peaks).  Band disjointness makes noiseless recovery
+bit-identical to running each sensor alone.
 
 ``simulate_cluster`` runs one cluster head for one channel: ``cluster_tones``,
-one ``receive`` call, ``cluster_results``.  ``receive`` proves each band's
-peak from the tones' closed-form bins and captures only when a band is left
-open, so the cluster needs no fast path of its own.  The SDR sweep in
-``experiments`` uses the same two helpers around one
-``signal_chain.receive_points`` call per trial, with one point per SNR and
-no noise passed (the call draws the trial's noise itself), so the tone
-format is written once.
+one ``receive`` call, ``cluster_results`` (the read-back and a decode per
+band).  ``receive`` proves each band's peak from the tones' closed-form bins
+and captures only when a band is left open, so the cluster needs no fast
+path of its own.  The SDR sweep in ``experiments`` uses ``cluster_tones``
+and ``cluster_voltages`` around one ``signal_chain.receive_points`` call per
+worker chunk, with one point per (trial, SNR) and no noise passed (the call
+draws each trial's noise itself), so the tone format is written once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .mapping import DecodedPair, MappingConfig, decode, encode
 from .signal_chain import ChannelSpec, FmConfig, receive
@@ -34,6 +36,7 @@ __all__ = [
     "SensorResult",
     "assign_channels",
     "cluster_tones",
+    "cluster_voltages",
     "cluster_results",
     "simulate_cluster",
 ]
@@ -123,15 +126,25 @@ def cluster_tones(
     return vds, freqs, [plan.band(i) for i in range(len(vds))]
 
 
+def cluster_voltages(plan: FdmaPlan, fm: FmConfig, peaks) -> np.ndarray:
+    """Band peaks (Hz) read back as (peak - offset) / fm.scale volts.
+
+    peaks holds one peak per band of the plan on its last axis, in band
+    order, and may have any leading axes: the SDR sweep reads back every
+    (trial, SNR point) of a worker's chunk at once.
+    """
+    return (np.asarray(peaks, dtype=float) - np.array(plan.offsets)) / fm.scale
+
+
 def cluster_results(
     mapping: MappingConfig, plan: FdmaPlan, fm: FmConfig, vds: list[float], peaks: list[float]
 ) -> list[SensorResult]:
-    """Each band's peak (Hz) read back as (peak - offset) / fm.scale volts and decoded."""
-    results = []
-    for offset, vd_true, peak in zip(plan.offsets, vds, peaks):
-        vd_hat = (peak - offset) / fm.scale
-        results.append(SensorResult(vd_true, vd_hat, peak, decode(mapping, vd_hat)))
-    return results
+    """Each band's peak (Hz) read back by ``cluster_voltages`` and decoded."""
+    vd_hats = cluster_voltages(plan, fm, peaks).tolist()
+    return [
+        SensorResult(vd_true, vd_hat, peak, decode(mapping, vd_hat))
+        for vd_true, vd_hat, peak in zip(vds, vd_hats, peaks)
+    ]
 
 
 def simulate_cluster(

@@ -31,24 +31,25 @@ bins plus sigma times a ``NoiseSpectrum`` of unit-variance bins on one or
 more antennas (noise None or sigma 0 is a noiseless capture), or returns
 None when its bounds cannot separate that bin from every rival.
 ``receive_points`` alone chooses between the proof and the capture: it
-finds each band's bins once, proves every band of every point in one call
-of the proof's block, of which ``proved_peak`` is the one-band call, and
-synthesizes, transforms and searches a point's capture only when some band
-of it is left open.  The block's first stage is one array pass over all
-(point, band) rows: the closed-form tone bins, the scaled noise gathered by
+finds each band's bins once, proves every band of a seed's points in one
+call of the proof's block, of which ``proved_peak`` is the one-band call,
+and synthesizes, transforms and searches a point's capture only when some
+band of it is left open.  The block's first stage is one array pass over
+all its (point, band) rows: the closed-form tone bins, the scaled noise gathered by
 index, the antenna combine and a row-wise argmax, runner-up and margin
 test, with rows of fewer tones padded by zero-weight tones and rows of
 narrower ranges by masked bins; only the rows it leaves open take the
 exact candidate stage, one by one.  Since ``rng.normal(0, sigma)`` is
 exactly sigma times a standard normal draw, one ``NoiseSpectrum.draw``
-serves every SNR of a seed: the points of one ``receive_points`` call share
-one seed and its one draw (common random numbers), which the call makes and
-frees itself.
+serves every SNR of a seed (common random numbers).  A ``receive_points``
+call may hold the points of several seeds: it proves them seed by seed,
+one block per seed, and draws each seed's noise once into one set of
+buffers that it reuses for every seed and frees on return.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -136,8 +137,12 @@ def channel_noise(fm: FmConfig, ch: ChannelSpec, antenna: int = 0) -> np.ndarray
     sigma = noise_sigma(ch)
     if sigma == 0.0:
         return np.zeros(fm.num_samples)
-    rng = np.random.default_rng(np.random.SeedSequence([ch.rng_seed, antenna]))
-    return rng.normal(0.0, sigma, fm.num_samples)
+    return _noise_rng(ch.rng_seed, antenna).normal(0.0, sigma, fm.num_samples)
+
+
+def _noise_rng(rng_seed: int, antenna: int) -> np.random.Generator:
+    """The noise stream of one antenna of a channel seeded by rng_seed."""
+    return np.random.default_rng(np.random.SeedSequence([rng_seed, antenna]))
 
 
 def _check_tones(fm: FmConfig, freqs: list[float], antennas: int) -> None:
@@ -238,33 +243,33 @@ class NoiseSpectrum:
     ``proved_peak`` scales each antenna's bins by the caller's noise sigma,
     adds the tones' closed-form bins and combines the antennas as
     ``receive`` combines its per-antenna spectra.  ``magnitude`` is the
-    root-mean-square of |bins| over the antennas (|bins| for one antenna)
-    and ``peak`` its maximum; they bound the bins the proof does not
-    evaluate.  bins is a sequence of equal-length 1-D arrays (the rows of a
-    2-D array will do); anything else, or a non-finite bin, is rejected.
+    root-mean-square of |bins| over the antennas (|bins| for one antenna),
+    computed once at construction, and ``peak`` its maximum; they bound the
+    bins the proof does not evaluate.  bins is a sequence of equal-length
+    1-D arrays (the rows of a 2-D array will do); anything else, or a
+    non-finite bin, is rejected.  out and scratch, when given, are float
+    arrays of the bins' length that the combine is written to and works in
+    (see ``_combined``), so a buffered draw keeps its magnitude in its own
+    buffer.
     """
 
     bins: tuple[np.ndarray, ...]
+    out: InitVar[np.ndarray | None] = None
+    scratch: InitVar[np.ndarray | None] = None
+    magnitude: np.ndarray = field(init=False, repr=False)
     peak: float = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, out: np.ndarray | None, scratch: np.ndarray | None) -> None:
         bins = tuple(np.asarray(b) for b in self.bins)
         if not bins or bins[0].ndim != 1 or any(b.shape != bins[0].shape for b in bins):
             raise ValueError("noise spectrum needs one 1-D array of bins per antenna, one length")
-        peak = float(np.max(_combined([np.abs(b) for b in bins])))
+        magnitude = _combined(bins, out, scratch)
+        peak = float(np.max(magnitude))
         if not math.isfinite(peak):
             raise ValueError("noise spectrum is not finite")
         object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "magnitude", magnitude)
         object.__setattr__(self, "peak", peak)
-
-    @cached_property
-    def magnitude(self) -> np.ndarray:
-        """The combined |bins|, computed again the first time a bound needs it.
-
-        High-SNR proofs never need it, and a record-sized array kept by every
-        trial's spectrum makes the next trial fault its arrays in afresh.
-        """
-        return _combined([np.abs(b) for b in self.bins])
 
     @classmethod
     def draw(cls, fm: FmConfig, rng_seed: int, antennas: int = 1) -> NoiseSpectrum:
@@ -272,10 +277,37 @@ class NoiseSpectrum:
 
         Antenna a is channel_noise(fm, ChannelSpec(0.0, rng_seed), a), so
         noise_sigma(ch) times it is channel_noise(fm, ch, a) for any channel
-        ch with that seed.
+        ch with that seed.  This is the one-seed case of ``_unit_noise``,
+        with buffers of its own.
         """
-        unit = ChannelSpec(0.0, rng_seed)
-        return cls(tuple(np.fft.rfft(channel_noise(fm, unit, a)) for a in range(antennas)))
+        return next(_unit_noise(fm, [rng_seed], antennas))
+
+
+def _unit_noise(fm: FmConfig, seeds: list[int], antennas: int):
+    """Each seed's ``NoiseSpectrum.draw`` in turn, all drawn into one set of buffers.
+
+    The buffers are one noise record, one rfft per antenna and one combined
+    magnitude, allocated when the first spectrum is drawn: the record takes
+    each antenna's standard normal draw, which is the rng.normal(0, 1)
+    draw of ``channel_noise`` bit for bit, and then serves as the combine's
+    scratch.  Drawing the next seed overwrites the previous spectrum, so
+    each must be used up before the generator resumes.
+    """
+    m = fm.num_samples
+    n = m // 2 + 1
+    # one allocation for all of them.  Once a block this large (1.3 MB and up
+    # at 2^16 samples) has been freed, glibc serves and keeps allocations up
+    # to its size on the heap, so each rfft reuses its ~0.9 MB of work
+    # arrays; four smaller buffers left every rfft faulting them in afresh
+    # (~220 minor faults per rfft)
+    block = np.empty(m + n + 2 * n * antennas)
+    record, magnitude = block[:m], block[m : m + n]
+    bins = tuple(block[m + n :].reshape(antennas, 2 * n).view(complex))
+    for seed in seeds:
+        for a, spectrum in enumerate(bins):
+            _noise_rng(seed, a).standard_normal(out=record)
+            np.fft.rfft(record, out=spectrum)
+        yield NoiseSpectrum(bins, magnitude, record[:n])
 
 
 def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
@@ -289,14 +321,24 @@ def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
     return lo, hi
 
 
-def _combined(magnitudes) -> np.ndarray:
-    """The noncoherent combine of per-antenna magnitude spectra: their root mean square.
+def _combined(spectra, out=None, scratch=None) -> np.ndarray:
+    """The noncoherent combine of per-antenna spectra: the root mean square of their magnitudes.
 
-    One antenna's spectrum is its own combine.
+    One antenna's combine is its magnitude.  Otherwise it is
+    sqrt((|s0|^2 + |s1|^2 + ...) / antennas), summed in antenna order,
+    which is np.sqrt(np.mean(np.square(magnitudes), axis=0)) bit for bit.
+    The result is written to out when given, and scratch, when given, holds
+    each further antenna's squared magnitude in turn.
     """
-    if len(magnitudes) == 1:
-        return magnitudes[0]
-    return np.sqrt(np.mean(np.square(magnitudes), axis=0))
+    out = np.abs(spectra[0], out=out)
+    if len(spectra) == 1:
+        return out
+    np.square(out, out=out)
+    for spectrum in spectra[1:]:
+        square = np.abs(spectrum, out=scratch)
+        out += np.square(square, out=square)
+    out /= len(spectra)
+    return np.sqrt(out, out=out)
 
 
 def _best_two(mags: np.ndarray) -> tuple[list[int], list[float], list[float]]:
@@ -323,7 +365,7 @@ def _candidate_stage(fm, freqs, lo, hi, window, mags, noise, sigma, leak, best) 
     rival[window[0] - lo : window[-1] - lo + 1] = False
     candidates = lo + np.flatnonzero(rival)
     cand_tones = tone_bins(fm, freqs, candidates)
-    cand_mags = _combined([np.abs(cand_tones + sigma * b[candidates]) for b in noise.bins])
+    cand_mags = _combined([cand_tones + sigma * b[candidates] for b in noise.bins])
     ((j,), (best,), (runner_up,)) = _best_two(np.concatenate([mags, cand_mags])[np.newaxis])
     if _wins(best, runner_up, leak + sigma * rest):
         return int(np.concatenate([window, candidates])[j])
@@ -378,9 +420,7 @@ def _proved_bins(
     if noisy:
         # a masked bin past M/2 reads bin M/2
         at, scale = bins[noisy], np.array(sigmas)[noisy, np.newaxis]
-        mags[noisy] = _combined(
-            [np.abs(tones[noisy] + scale * b.take(at, mode="clip")) for b in noise.bins]
-        )
+        mags[noisy] = _combined([tones[noisy] + scale * b.take(at, mode="clip") for b in noise.bins])
     if min(widths) < max(widths):
         mags[bins > np.array(last)[:, np.newaxis]] = -math.inf
     noise_peak = noise.peak if noise is not None else 0.0
@@ -459,17 +499,19 @@ def receive_points(
     of their mean square per bin.  For each band (lo_hz, hi_hz) the result
     is k * fs / M for the strongest bin k in 0..M/2 with
     lo_hz <= k * fs / M <= hi_hz (to 1e-9 bins); of equal bins the lowest
-    wins.  Every point's channel must have the same rng_seed, so the points
-    re-observe one noise realization at their own SNRs (common random
-    numbers).  Every point is validated before anything is drawn, proved or
-    captured: points of several seeds, no antenna, no tone, a tone outside
-    [0, Nyquist), and a band that holds no bin are rejected whatever the
-    proof would find.  The seed's unit-variance ``NoiseSpectrum`` is then
-    drawn once when some band of a noisy point needs it, and freed on
-    return.  Each band's bins are found once, and every band of every point
-    is proved in one block of the proof (``proved_peak`` is its one-band
-    call); then, point by point in order, a point with a band left open has
-    its capture synthesized, transformed and searched.  The capture rejects a band whose bins are all zero (a
+    wins.  Points may come from channels of several seeds; the points of
+    one rng_seed re-observe one noise realization at their own SNRs (common
+    random numbers).  Every point is validated before anything is drawn,
+    proved or captured: no antenna, no tone, a tone outside [0, Nyquist),
+    and a band that holds no bin are rejected whatever the proof would
+    find.  Each band's bins are found once.  The points' bands are then
+    proved seed by seed, in order of each seed's first point: a seed with
+    a noisy point has its unit-variance ``NoiseSpectrum`` drawn once, into
+    buffers that every seed of the call reuses and that are freed on
+    return, and all its bands are proved in one block of the proof
+    (``proved_peak`` is its one-band call).  Last, point by point in order,
+    a point with a band left open has its capture synthesized, transformed
+    and searched.  The capture rejects a band whose bins are all zero (a
     noiseless DC tone leaves every other bin exactly 0) or whose peak is
     not finite (the mean square overflows when the noise is within
     ~10*log10(M) dB of ChannelSpec's variance limit).  The proof accepts
@@ -477,11 +519,9 @@ def receive_points(
     square overflows outranks every finite evaluated bin, so the proof
     either evaluates it, and finds it not finite, or cannot bound it.
     """
-    seeds = {ch.rng_seed for ch, _, _ in points}
-    if len(seeds) > 1:
-        raise ValueError(f"points share one noise draw, so one rng_seed, got seeds {sorted(seeds)}")
     spans = []
     rows = []
+    groups: dict[int, list[int]] = {}  # each seed's rows, seeds in order of first appearance
     for ch, freqs, bands in points:
         _check_tones(fm, freqs, antennas)
         point_spans = [_band_bins(fm, band) for band in bands]
@@ -490,11 +530,15 @@ def receive_points(
                 raise ValueError(f"band {band} contains no FFT bins")
         spans.append(point_spans)
         sigma = noise_sigma(ch)
+        groups.setdefault(ch.rng_seed, []).extend(range(len(rows), len(rows) + len(bands)))
         rows.extend((freqs, lo, hi, sigma) for lo, hi in point_spans)
-    noise = None
-    if any(sigma != 0.0 for _, _, _, sigma in rows):
-        noise = NoiseSpectrum.draw(fm, seeds.pop(), antennas)
-    peaks = _proved_bins(fm, rows, noise)
+    noisy = {seed: any(rows[i][3] != 0.0 for i in index) for seed, index in groups.items()}
+    spectra = _unit_noise(fm, [seed for seed in groups if noisy[seed]], antennas)
+    peaks: list[int | None] = [None] * len(rows)
+    for seed, index in groups.items():
+        noise = next(spectra) if noisy[seed] else None
+        for i, k in zip(index, _proved_bins(fm, [rows[i] for i in index], noise)):
+            peaks[i] = k
     bin_width = fm.sample_rate / fm.num_samples
     results = []
     end = 0
@@ -502,7 +546,7 @@ def receive_points(
         start, end = end, end + len(bands)
         point = peaks[start:end]
         if None in point:
-            combined = _combined([np.abs(np.fft.rfft(y)) for y in capture(fm, ch, freqs, antennas)])
+            combined = _combined([np.fft.rfft(y) for y in capture(fm, ch, freqs, antennas)])
             point = [lo + int(np.argmax(combined[lo : hi + 1])) for lo, hi in point_spans]
             for band, k in zip(bands, point):
                 if not math.isfinite(combined[k]):

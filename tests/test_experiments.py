@@ -432,14 +432,23 @@ class TestTrialMajorSdrEngine:
 
     def test_benchmark_shaped_sweep_never_falls_back(self, monkeypatch):
         # 3 sensors, 2 antennas, -35..0 dB: every band peak is proved, so
-        # neither a capture nor a per-point rfft runs
+        # neither a capture nor a per-point rfft runs.  A worker chunk makes
+        # one receive_points call of every (trial, SNR) point, and each
+        # trial's noise takes one rfft per antenna
         def no_capture(*args):
             raise AssertionError("capture called")
 
         rffts = []
+        calls = []
         rfft = np.fft.rfft
+        receive_points = experiments.receive_points
         monkeypatch.setattr(signal_chain, "capture", no_capture)
         monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: rffts.append(1) or rfft(*a, **k))
+        monkeypatch.setattr(
+            experiments,
+            "receive_points",
+            lambda fm, points, antennas: calls.append(len(points)) or receive_points(fm, points, antennas),
+        )
         cfg = ExperimentConfig(
             kind=ExperimentKind.SDR_VS_CSNR,
             trials=50,
@@ -450,7 +459,14 @@ class TestTrialMajorSdrEngine:
             antennas=2,
         )
         run_sdr_vs_csnr(cfg)
+        assert calls == [cfg.trials * len(cfg.snr_values)]
         assert len(rffts) == cfg.trials * cfg.antennas
+        # the second of two workers' chunks, run in this process
+        calls.clear()
+        rffts.clear()
+        experiments._sdr_trials(cfg, range(25, 50))
+        assert calls == [25 * len(cfg.snr_values)]
+        assert len(rffts) == 25 * cfg.antennas
 
     def test_overflowing_combine_raises_the_receiver_error(self, monkeypatch):
         # at -3050 dB the 2-antenna mean square overflows: the proof leaves

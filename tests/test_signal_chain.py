@@ -381,38 +381,42 @@ class TestProvedPeak:
                 st.lists(TONE_PLACES, min_size=1, max_size=4),
                 st.lists(BAND_PLACES, min_size=1, max_size=3),
                 st.sampled_from([math.inf, 0.0, -20.0, -35.0, -45.0]),
+                st.integers(0, 2),
             ),
             min_size=1,
             max_size=4,
         ),
         half_bin=st.booleans(),
         antennas=st.integers(1, 3),
-        rng_seed=st.integers(0, 2**62),
+        rng_seeds=st.lists(st.integers(0, 2**62), min_size=1, max_size=3),
         pin=st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 1.0)),
     )
     @settings(max_examples=150, deadline=None)
     def test_proved_bin_is_the_explicit_chain_peak(
-        self, sample_rate, record_exp, point_draws, half_bin, antennas, rng_seed, pin
+        self, sample_rate, record_exp, point_draws, half_bin, antennas, rng_seeds, pin
     ):
-        # the proof, and one receive_points call over points of one seed, each
-        # with its own tones, bands and SNR, against the oracle at each point;
-        # the call proves rows of different tone counts and widths in one
-        # block.  pin adds a noise bin next to the first point's top window
-        # that only the leak bound tells from the window's peak (pin 0: a tie)
+        # the proof, and one receive_points call over points of 1-3 seeds,
+        # interleaved, each with its own tones, bands and SNR, against the
+        # oracle at each point; the call proves rows of different tone counts
+        # and widths in one block per seed, each seed's noise drawn into the
+        # buffers of the one before.  pin adds a noise bin next to the first
+        # point's top window that only the leak bound tells from the window's
+        # peak (pin 0: a tie)
         m = 2**record_exp
         fm = FmConfig(sample_rate=sample_rate, record_seconds=m / sample_rate)
         bin_width = sample_rate / m
         points = []
-        for places, band_places, snr_db in point_draws:
+        for places, band_places, snr_db, seed_index in point_draws:
             freqs = [tone_frequency(fm, place) for place in places]
             if half_bin:  # exact half-bin offsets, the closest calls
                 freqs = [(math.floor(f / bin_width) + 0.5) * bin_width for f in freqs]
                 freqs = [f for f in freqs if f < sample_rate / 2] or [0.5 * bin_width]
             bands = [band_edges(fm, place, freqs[0]) for place in band_places]
+            rng_seed = rng_seeds[seed_index % len(rng_seeds)]
             points.append((ChannelSpec(snr_db=snr_db, rng_seed=rng_seed), freqs, bands))
-        noise = NoiseSpectrum.draw(fm, rng_seed, antennas)
         expected = [band_peaks(fm, ch, freqs, bands, antennas) for ch, freqs, bands in points]
         for (ch, freqs, bands), peaks in zip(points, expected):
+            noise = NoiseSpectrum.draw(fm, ch.rng_seed, antennas)
             for band, peak in zip(bands, peaks):
                 k = proved_peak(fm, freqs, band, noise, noise_sigma(ch))
                 if k is not None:
@@ -430,7 +434,7 @@ class TestProvedPeak:
         sigma = noise_sigma(ch)
         if pin is None or sigma == 0.0:
             return
-        unit = [channel_noise(fm, ChannelSpec(0.0, rng_seed), a) for a in range(antennas)]
+        unit = [channel_noise(fm, ChannelSpec(0.0, ch.rng_seed), a) for a in range(antennas)]
         pinned = leak_pinned_noise(fm, freqs, unit, sigma, pin)
         if pinned is None:
             return
@@ -520,14 +524,29 @@ class TestReceiveRejects:
         assert captures[0][1].snr_db == -3050.0
 
     def test_points_of_two_seeds(self, no_capture):
-        # the points share one noise draw, so one seed; a noiseless point too
-        noisy = ChannelSpec(snr_db=-20.0, rng_seed=4)
-        for channels in ((noisy, ChannelSpec(snr_db=-20.0, rng_seed=5)), (NO_NOISE, noisy)):
-            with pytest.raises(ValueError, match="one rng_seed"):
-                receive_points(FM, [(ch, [2500.0], [FULL]) for ch in channels])
-        # one seed: the noiseless and the noisy point are both proved
-        points = [(ChannelSpec(rng_seed=4), [2500.0], [FULL]), (noisy, [2500.0], [FULL])]
-        assert receive_points(FM, points) == [[2500.0], [2500.0]]
+        # points of several seeds, interleaved and with a noiseless point
+        # mixed in: each seed's points read what their own one-seed call reads
+        channels = [
+            ChannelSpec(snr_db=-30.0, rng_seed=4),
+            NO_NOISE,
+            ChannelSpec(snr_db=-30.0, rng_seed=5),
+            ChannelSpec(snr_db=-10.0, rng_seed=4),
+            ChannelSpec(snr_db=-35.0, rng_seed=5),
+        ]
+        points = [(ch, [2500.3, 9000.7], [(0.0, 5000.0), (5000.0, 12000.0)]) for ch in channels]
+        mixed = receive_points(FM, points, antennas=2)
+        for seed in (4, 5, NO_NOISE.rng_seed):
+            mine = [i for i, ch in enumerate(channels) if ch.rng_seed == seed]
+            alone = receive_points(FM, [points[i] for i in mine], antennas=2)
+            assert [mixed[i] for i in mine] == alone
+        assert mixed[1] == [2500.0, 9001.0]
+        # the two noisy seeds differ somewhere, so neither read the other's draw
+        assert mixed[0] != mixed[2] or mixed[3] != mixed[4]
+
+
+def explicit_combine(bins):
+    """The antennas' noncoherent combine written out: sqrt(mean(|bins|^2)) over a stacked array."""
+    return np.sqrt(np.mean(np.square(np.abs(np.array(bins))), axis=0))
 
 
 class TestNoiseSpectrumDraw:
@@ -545,6 +564,37 @@ class TestNoiseSpectrumDraw:
         noise = NoiseSpectrum.draw(FM, 12)
         assert [b.shape for b in noise.bins] == [(FM.num_samples // 2 + 1,)]
         assert np.array_equal(noise.magnitude, np.abs(noise.bins[0]))
+
+    @pytest.mark.parametrize("antennas", [1, 2, 3])
+    def test_buffered_draws_are_bit_exact(self, antennas):
+        # the seeds of one call drawn in turn into one set of buffers: each
+        # spectrum, while it is current, is the rfft of its own unit channel
+        # noise, with the explicit combine and its maximum, bit for bit
+        fm = FmConfig(sample_rate=4096.0)
+        seeds = [12, 3, 12, 40]
+        for seed, noise in zip(seeds, signal_chain._unit_noise(fm, seeds, antennas)):
+            unit = [np.fft.rfft(channel_noise(fm, ChannelSpec(0.0, seed), a)) for a in range(antennas)]
+            assert all(np.array_equal(b, u) for b, u in zip(noise.bins, unit, strict=True))
+            assert explicit_combine(unit).tobytes() == noise.magnitude.tobytes()
+            assert noise.peak == np.max(explicit_combine(unit))
+            # the one-seed draw is the same code on buffers of its own
+            alone = NoiseSpectrum.draw(fm, seed, antennas)
+            assert alone.magnitude.tobytes() == noise.magnitude.tobytes()
+
+    @pytest.mark.parametrize("antennas", [1, 2, 3])
+    def test_combine_into_buffers_is_the_explicit_combine(self, antennas):
+        # written to out and scratch, or to new arrays, over records and over
+        # the proof's (rows, bins) blocks
+        rng = np.random.default_rng(antennas)
+        for shape in ((257,), (5, 33)):
+            spectra = [
+                10.0 ** rng.uniform(-3, 3, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+                for _ in range(antennas)
+            ]
+            out, scratch = np.empty(shape), np.empty(shape)
+            assert signal_chain._combined(spectra, out, scratch) is out
+            assert out.tobytes() == explicit_combine(spectra).tobytes()
+            assert signal_chain._combined(spectra).tobytes() == out.tobytes()
 
 
 class TestNoiselessFastPath:
