@@ -116,7 +116,7 @@ def circuit_encode(cfg: CircuitConfig, vt, vh):
     active = _active_level(cfg, vh)
     raw = _vcvs_raw(cfg, vt)
     # the active level's mux forwards the proportional VCVS on even levels, the complement on odd
-    on = np.where(active % 2 == 0, np.clip(raw, 0.0, cfg.v_r), np.clip(cfg.v_r - raw, 0.0, cfg.v_r))
+    on = np.where((active & 1) == 0, np.clip(raw, 0.0, cfg.v_r), np.clip(cfg.v_r - raw, 0.0, cfg.v_r))
     level = np.arange(cfg.num_levels).reshape((-1,) + (1,) * on.ndim)
     contributions = np.where(level < active, cfg.v_r, np.where(level == active, on, 0.0))
     total = 0.0

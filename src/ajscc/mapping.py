@@ -120,7 +120,7 @@ def encode(cfg: MappingConfig, x1, x2):
     x1 = _as_float(x1, "x1")
     _check_range(x1, 0.0, cfg.v1, "x1")
     k = quantize_level(cfg, x2)
-    along = np.where(k % 2 == 0, x1, cfg.v1 - x1)
+    along = np.where((k & 1) == 0, x1, cfg.v1 - x1)
     # clip guards a 1-ulp overshoot of d_max at the top corner
     vd = np.clip(k * cfg.v1 + along, 0.0, cfg.d_max)
     return float(vd) if vd.ndim == 0 else vd
@@ -138,7 +138,7 @@ def decode(cfg: MappingConfig, v) -> DecodedPair:
     v = np.clip(v, 0.0, cfg.d_max)
     k = np.minimum(np.floor(v / cfg.v1), cfg.num_levels - 1).astype(int)
     r = np.clip(v - k * cfg.v1, 0.0, cfg.v1)
-    x1_hat = np.where(k % 2 == 0, r, cfg.v1 - r)
+    x1_hat = np.where((k & 1) == 0, r, cfg.v1 - r)
     x2_hat = k * cfg.delta
     if k.ndim == 0:
         return DecodedPair(float(x1_hat), float(x2_hat), int(k))

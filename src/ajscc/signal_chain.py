@@ -24,7 +24,11 @@ sensor is a one-tone capture searched over the whole spectrum
 with one point per voltage, all on one channel); the FDMA cluster in
 ``multisensor`` passes one frequency and one band per sensor.
 ``tone_bins`` is the closed-form FFT of a sum of capture tones, so a
-spectrum can be formed as tone bins plus the FFT of the noise.
+spectrum can be formed as tone bins plus the FFT of the noise.  Its
+Dirichlet kernel takes the ratio sin(pi*d)/sin(pi*d/M) from each offset d
+itself, with the on-bin limit M at d = 0 and the alias limit -M at d = +-M,
+and factors the phase into one complex exponential per tone half and one
+per bin instead of one per (half, bin) pair.
 
 ``proved_peak`` proves one band's strongest bin from the tones' closed-form
 bins plus sigma times a ``NoiseSpectrum`` of unit-variance bins on one or
@@ -34,23 +38,27 @@ None when its bounds cannot separate that bin from every rival.
 finds each band's bins once, proves every band of a seed's points in one
 call of the proof's block, of which ``proved_peak`` is the one-band call,
 and synthesizes, transforms and searches a point's capture only when some
-band of it is left open.  The block's first stage is one array pass over
-all its (point, band) rows: the closed-form tone bins, the scaled noise gathered by
+band of it is left open.  The block's first stage is array operations over
+all its (point, band) rows: the tones' validity, nearest bins and
+evaluated ranges, the closed-form tone bins, the scaled noise gathered by
 index, the antenna combine and a row-wise argmax, runner-up and margin
 test, with rows of fewer tones padded by zero-weight tones and rows of
-narrower ranges by masked bins; only the rows it leaves open take the
-exact candidate stage, one by one.  Since ``rng.normal(0, sigma)`` is
-exactly sigma times a standard normal draw, one ``NoiseSpectrum.draw``
-serves every SNR of a seed (common random numbers).  A ``receive_points``
-call may hold the points of several seeds: it proves them seed by seed,
-one block per seed, and draws each seed's noise once into one set of
-buffers that it reuses for every seed and frees on return.
+narrower ranges by masked bins.  Rows of the same tones and band, such as
+one point's bands at each SNR of a seed, share one evaluation of the tone
+bins and differ only in the sigma that scales their noise.  Only the rows
+the block leaves open take the exact candidate stage, one by one.  Since
+``rng.normal(0, sigma)`` is exactly sigma times a standard normal draw, one
+``NoiseSpectrum.draw`` serves every SNR of a seed (common random numbers).
+A ``receive_points`` call may hold the points of several seeds: it proves
+them seed by seed, one block per seed, and draws each seed's noise once
+into one set of buffers that it reuses for every seed and frees on return.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -182,49 +190,54 @@ def capture(
     return tuple(mix + channel_noise(fm, ch, a) for a in range(antennas))
 
 
-def _tone_sum(m: int, offsets: np.ndarray, bins: np.ndarray, weight=None) -> np.ndarray:
-    """Per row, the closed-form rfft at bins (rows, n) of complex exponentials at offsets.
+def _tone_sum(
+    m: int, offsets: np.ndarray, first: np.ndarray, columns: np.ndarray, weight=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row r, the closed-form rfft at bins first[r] + columns of exponentials at offsets.
 
     offsets (rows, slots) are in bins, +freq * M / fs for a tone's exp(+iwn)
-    half and -freq * M / fs for its exp(-iwn) half; a slot of weight 0, when
-    weight (rows, slots) is given, adds exact zeros, so rows of fewer tones
-    can be padded into one block.  See ``tone_bins`` for the kernel.
+    half and -freq * M / fs for its exp(-iwn) half; each slot is weighted by
+    weight (rows, slots) when it is given, and a slot of weight 0 adds exact
+    zeros, so rows of fewer tones can be padded into one block.  Returns
+    (sums, phase) with the bins equal to sums * phase: phase holds one unit
+    factor per column, so |sums| are the bins' magnitudes.  See
+    ``tone_bins`` for the kernel.
     """
-    d = offsets[:, :, np.newaxis] - bins[:, np.newaxis, :]
-    on_bin = np.abs(d) < 1e-9
-    safe = np.where(on_bin, 1.0, d)
-    kernel = np.where(on_bin, m, np.sin(np.pi * d) / np.sin(np.pi / m * safe))
-    if weight is not None:
-        kernel *= weight[:, :, np.newaxis]
-    halves = kernel * np.exp((1j * np.pi * (m - 1) / m) * d)
-    return 0.5 * halves.sum(axis=1)
-
-
-def _halves(fm: FmConfig, freqs: list[float], slots: int = 0) -> list[float]:
-    """The offsets (bins) of the tones' exp(+iwn) halves, then their exp(-iwn) halves.
-
-    Each half is padded with zeros to ``slots`` tones.
-    """
-    offsets = [freq * fm.num_samples / fm.sample_rate for freq in freqs]
-    pad = [0.0] * (slots - len(freqs))
-    return offsets + pad + [-x for x in offsets] + pad
+    rel = offsets - first[:, np.newaxis]
+    d = rel[:, :, np.newaxis] - columns  # (rows, slots, columns)
+    ratio = np.sin(np.pi * d)
+    sine = np.sin((np.pi / m) * d)
+    limit = np.abs(sine) < math.pi * 1e-9 / m  # d within ~1e-9 bins of 0 or of +-M
+    if limit.any():
+        sine[limit] = 1.0
+        ratio[limit] = np.where(np.abs(d[limit]) < m / 2, m, -m)
+    ratio /= sine
+    slot = np.exp((1j * np.pi * (m - 1) / m) * rel)
+    slot *= 0.5 if weight is None else 0.5 * weight
+    sums = (ratio * slot[:, :, np.newaxis]).sum(axis=1)
+    return sums, np.exp((-1j * np.pi * (m - 1) / m) * columns)
 
 
 def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
     """rfft of the sum of the capture tones at freqs over the whole record, in closed form.
 
-    The tone at freq Hz is cos(w*n) as ``capture`` synthesizes
-    it, w = 2*pi*freq/fs.  Each of its two complex exponentials sums over
-    n < M = fm.num_samples to a Dirichlet kernel: at offset d = +-freq*M/fs - k
-    bins from bin k, exp(i*pi*d*(M-1)/M) * sin(pi*d) / sin(pi*d/M).  Within
-    1e-9 bins of d = 0 the ratio is taken as its limit M, which it equals to
-    double precision (and tiny offsets would lose it to underflow).  All the
-    tones' kernels are evaluated in one pass and summed.  For
-    0 <= freq < fs/2 and bins in [0, M/2] the result equals np.fft.rfft of
-    the synthesized samples up to rounding.
+    The tone at freq Hz is cos(w*n) as ``capture`` synthesizes it,
+    w = 2*pi*freq/fs.  Each of its two complex exponentials sums over
+    n < M = fm.num_samples to a Dirichlet kernel: at offset d = o - k bins
+    from bin k, o = +-freq*M/fs, sin(pi*d)/sin(pi*d/M) * exp(i*pi*(M-1)/M * d).
+    The ratio of sines is evaluated from d itself, except within ~1e-9 bins
+    of d = 0 (mod M), where the rounded sines are 0/0 or a quotient of
+    rounding residues and the ratio is taken as its limit, which it equals
+    to double precision there: M at d = 0 (on bin), -M at d = +-M (the
+    image of a tone next to Nyquist on bin M/2).  The phase factors into
+    exp(i*pi*(M-1)/M * o), one per exponential, times exp(-i*pi*(M-1)/M * k),
+    one per bin.  The kernels of all the tones are evaluated in one pass and
+    summed.  For 0 <= freq < fs/2 and bins in [0, M/2] the result equals
+    np.fft.rfft of the synthesized samples up to rounding.
     """
-    offsets = np.array([_halves(fm, freqs)], dtype=float)
-    return _tone_sum(fm.num_samples, offsets, np.asarray(bins, dtype=float)[np.newaxis])[0]
+    halves = np.array([[*freqs, *(-freq for freq in freqs)]]) * fm.num_samples / fm.sample_rate
+    sums, phase = _tone_sum(fm.num_samples, halves, np.zeros(1), np.asarray(bins))
+    return sums[0] * phase
 
 
 # half-width in bins of the window around a tone that proved_peak evaluates
@@ -321,6 +334,18 @@ def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
     return lo, hi
 
 
+def _band_spans(fm: FmConfig, bands) -> dict[tuple[float, float], tuple[int, int]]:
+    """Each distinct band's bins (``_band_bins``), found once; a band holding no bin is rejected."""
+    spans = {}
+    for band in bands:
+        key = tuple(band)
+        if key not in spans:
+            spans[key] = lo, hi = _band_bins(fm, band)
+            if lo > hi:
+                raise ValueError(f"band {band} contains no FFT bins")
+    return spans
+
+
 def _combined(spectra, out=None, scratch=None) -> np.ndarray:
     """The noncoherent combine of per-antenna spectra: the root mean square of their magnitudes.
 
@@ -341,16 +366,20 @@ def _combined(spectra, out=None, scratch=None) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _best_two(mags: np.ndarray) -> tuple[list[int], list[float], list[float]]:
+def _best_two(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of mags: the argmax column, the maximum, and the runner-up (-inf for one column)."""
     top = np.sort(mags, axis=1)
-    runner_up = top[:, -2].tolist() if mags.shape[1] > 1 else [-math.inf] * len(mags)
-    return mags.argmax(axis=1).tolist(), top[:, -1].tolist(), runner_up
+    runner_up = top[:, -2] if mags.shape[1] > 1 else np.full(len(mags), -math.inf)
+    return mags.argmax(axis=1), top[:, -1], runner_up
 
 
-def _wins(best: float, runner_up: float, outside: float) -> bool:
-    """Whether a finite best bin beats the runner-up and the bound ``outside`` by PEAK_MARGIN."""
-    return math.isfinite(best) and best > (1.0 + PEAK_MARGIN) * max(outside, runner_up)
+def _wins(best, runner_up, outside):
+    """Whether a finite best bin beats the runner-up and the bound ``outside`` by PEAK_MARGIN.
+
+    Elementwise over arrays; a best bin that only equals the margin's bound
+    does not win.
+    """
+    return np.isfinite(best) & (best > (1.0 + PEAK_MARGIN) * np.maximum(outside, runner_up))
 
 
 def _candidate_stage(fm, freqs, lo, hi, window, mags, noise, sigma, leak, best) -> int | None:
@@ -377,66 +406,96 @@ def _proved_bins(
 ) -> list[int | None]:
     """``proved_peak`` of every (freqs, lo, hi, sigma) row, the band being its bins lo..hi.
 
-    The first stage runs on every row in one array block.  Rows of fewer
-    tones are padded with tones of weight 0, which add exact zeros, and
-    rows of narrower evaluated ranges with bins masked to -inf, so each
-    row's tones, noise and decision are its own.  A row the block leaves
-    open, with a finite best bin and noise in its bound, goes on to the
-    exact candidate stage alone.
+    The first stage runs on every row in one array block.  Rows of the same
+    tones and band share one evaluation of their tone bins and differ only
+    in the sigma that scales their noise.  The distinct (tones, band) rows
+    are padded with tones of weight 0, which add exact zeros, and rows of
+    narrower evaluated ranges with bins masked to -inf, so each row's tones,
+    noise and decision are its own.  A row the block leaves open, with a
+    finite best bin and noise in its bound, goes on to the exact candidate
+    stage alone.
     """
     m = fm.num_samples
-    peaks: list[int | None] = [None] * len(rows)
-    live = []  # (row, first, last) of the rows with an evaluated range
-    for i, (freqs, lo, hi, _) in enumerate(rows):
-        first, last = hi + 1, lo - 1  # the evaluated range: the windows that meet the band
-        for freq in freqs:
-            if not 0.0 <= freq < fm.sample_rate / 2:
-                break
-            c0 = round(freq * m / fm.sample_rate)
-            if c0 + PEAK_WINDOW + 1 > m // 2:
-                break
-            a, b = max(c0 - PEAK_WINDOW, lo), min(c0 + PEAK_WINDOW, hi)
-            if a <= b:
-                first, last = min(first, a), max(last, b)
-        else:
-            if first <= last:
-                live.append((i, first, last))
-    if not live:
-        return peaks
-    index, first, last = zip(*live)
-    tone_sets = [rows[i][0] for i in index]
-    counts = [len(freqs) for freqs in tone_sets]
-    most = max(counts)
-    offsets = np.array([_halves(fm, freqs, most) for freqs in tone_sets])
+    keys: dict[tuple, int] = {}  # each distinct (tones, lo, hi), in order of first appearance
+    u = [keys.setdefault((tuple(freqs), lo, hi), len(keys)) for freqs, lo, hi, _ in rows]
+    if not keys:
+        return []
+    tone_sets, lo, hi = zip(*keys)
+    counts = [len(tones) for tones in tone_sets]
+    slots = max(1, *counts)
+    padded = min(counts) < slots
+    if padded:  # each row's first tone (NaN when it has none) fills its slots and moves no window
+        tone_sets = [t + (t[:1] or (math.nan,)) * (slots - len(t)) for t in tone_sets]
+    freqs = np.array(tone_sets, dtype=float)
+    lo, hi, counts = np.array(lo)[:, np.newaxis], np.array(hi)[:, np.newaxis], np.array(counts)
+    offsets = freqs * m / fm.sample_rate  # in bins
+    nearest = np.rint(offsets)
+    # the evaluated range: from the lowest to the highest window (the bins
+    # within PEAK_WINDOW of a tone's nearest bin) that meets the band, within
+    # the band.  A tone outside [0, Nyquist), or whose window reaches
+    # Nyquist, voids the leak bound: its row's range is NaN, and the row open
+    meets = (nearest >= lo - PEAK_WINDOW) & (nearest <= hi + PEAK_WINDOW)
+    valid = (freqs >= 0.0) & (nearest <= m // 2 - PEAK_WINDOW - 1)
+    low = np.minimum.reduce(np.where(valid, np.where(meets, nearest, math.inf), math.nan), axis=1)
+    high = np.maximum.reduce(np.where(meets, nearest, -math.inf), axis=1)
+    first = np.maximum(low - PEAK_WINDOW, lo[:, 0])
+    span = np.minimum(high + PEAK_WINDOW, hi[:, 0]) - first  # the range's width less one
+    live = (span >= 0.0).nonzero()[0]
+    if not live.size:
+        return [None] * len(rows)
+    index = None  # the rows of live ranges, when not every row has one
+    if len(live) < len(keys):
+        rank = np.full(len(keys), -1)
+        rank[live] = np.arange(len(live))
+        rank = rank[u]
+        index = (rank >= 0).nonzero()[0]
+        u = rank[index]
+        counts, offsets, first, span = counts[live], offsets[live], first[live], span[live]
+    first = first.astype(int)
+    widths = span.tolist()
+    columns = np.arange(int(max(widths)) + 1)
     weight = None
-    if min(counts) < most:
-        weight = np.array([([1.0] * count + [0.0] * (most - count)) * 2 for count in counts])
-    widths = [b - a + 1 for a, b in zip(first, last)]
-    bins = np.array(first)[:, np.newaxis] + np.arange(max(widths))
-    tones = _tone_sum(m, offsets, bins, weight)
-    mags = np.abs(tones)
-    sigmas = [rows[i][3] if noise is not None else 0.0 for i in index]
-    noisy = [r for r, sigma in enumerate(sigmas) if sigma != 0.0]
-    if noisy:
-        # a masked bin past M/2 reads bin M/2
-        at, scale = bins[noisy], np.array(sigmas)[noisy, np.newaxis]
-        mags[noisy] = _combined([tones[noisy] + scale * b.take(at, mode="clip") for b in noise.bins])
+    if padded:
+        weight = np.arange(slots) < counts[:, np.newaxis]
+        weight = np.concatenate([weight, weight], axis=1)
+    halves = np.concatenate([offsets, -offsets], axis=1)  # every exp(+iwn), then every exp(-iwn)
+    tones, phase = _tone_sum(m, halves, first, columns, weight)
+    if len(u) > len(widths):  # some rows share a (tones, band): each reads its own copy
+        tones, first, span, counts = tones[u], first[u], span[u], counts[u]
+    leak = counts / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+    if noise is None:
+        mags = np.abs(tones)
+        outside = leak
+    else:
+        sigma = np.array([row[3] for row in rows])
+        if index is not None:
+            sigma = sigma[index]
+        # |tones * phase + noise| = |tones + noise / phase|; a masked bin
+        # past M/2 reads bin M/2
+        at = first[:, np.newaxis] + columns
+        scale = sigma[:, np.newaxis] * phase.conj()
+        mags = _combined([tones + scale * b.take(at, mode="clip") for b in noise.bins])
+        outside = leak + sigma * noise.peak
     if min(widths) < max(widths):
-        mags[bins > np.array(last)[:, np.newaxis]] = -math.inf
-    noise_peak = noise.peak if noise is not None else 0.0
-    leak_sine = math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
-    for r, (j, best, runner_up) in enumerate(zip(*_best_two(mags))):
-        i, sigma = index[r], sigmas[r]
-        leak = counts[r] / leak_sine
-        if _wins(best, runner_up, leak + sigma * noise_peak):
-            peaks[i] = first[r] + j
-        elif sigma != 0.0 and math.isfinite(best):
+        mags[columns > span[:, np.newaxis]] = -math.inf
+    j, best, runner_up = _best_two(mags)
+    won = _wins(best, runner_up, outside)
+    found = np.where(won, first + j, -1)
+    if index is not None:
+        every = np.full(len(rows), -1)
+        every[index] = found
+        found = every
+    if noise is not None:
+        for r in (~won & (sigma != 0.0) & np.isfinite(best)).nonzero()[0]:
+            i = r if index is None else index[r]
             freqs, lo, hi, _ = rows[i]
-            window = slice(0, widths[r])
-            peaks[i] = _candidate_stage(
-                fm, freqs, lo, hi, bins[r, window], mags[r, window], noise, sigma, leak, best
+            window = slice(0, int(span[r]) + 1)
+            k = _candidate_stage(
+                fm, freqs, lo, hi, at[r, window], mags[r, window], noise, sigma[r], leak[r], best[r]
             )
-    return peaks
+            if k is not None:
+                found[i] = k
+    return [None if k < 0 else k for k in found.tolist()]
 
 
 def proved_peak(
@@ -504,12 +563,13 @@ def receive_points(
     random numbers).  Every point is validated before anything is drawn,
     proved or captured: no antenna, no tone, a tone outside [0, Nyquist),
     and a band that holds no bin are rejected whatever the proof would
-    find.  Each band's bins are found once.  The points' bands are then
-    proved seed by seed, in order of each seed's first point: a seed with
-    a noisy point has its unit-variance ``NoiseSpectrum`` drawn once, into
-    buffers that every seed of the call reuses and that are freed on
-    return, and all its bands are proved in one block of the proof
-    (``proved_peak`` is its one-band call).  Last, point by point in order,
+    find.  Each distinct band's bins and each distinct SNR's noise sigma
+    are found once.  The points' bands are then proved seed by seed, in
+    order of each seed's first point: a seed with a noisy point has its
+    unit-variance ``NoiseSpectrum`` drawn once, into buffers that every
+    seed of the call reuses and that are freed on return, and all its
+    bands are proved in one block of the proof (``proved_peak`` is its
+    one-band call).  Last, point by point in order,
     a point with a band left open has its capture synthesized, transformed
     and searched.  The capture rejects a band whose bins are all zero (a
     noiseless DC tone leaves every other bin exactly 0) or whose peak is
@@ -519,42 +579,47 @@ def receive_points(
     square overflows outranks every finite evaluated bin, so the proof
     either evaluates it, and finds it not finite, or cannot bound it.
     """
-    spans = []
-    rows = []
+    nyquist = fm.sample_rate / 2
+    tones = [freq for _, freqs, _ in points for freq in freqs]
+    valid = all(freqs for _, freqs, _ in points) and all(0.0 <= f < nyquist for f in tones)
+    if antennas < 1 or not valid:
+        for _, freqs, bands in points:  # the first point rejected raises its error
+            _check_tones(fm, freqs, antennas)
+            _band_spans(fm, bands)
+    spans = _band_spans(fm, (band for _, _, bands in points for band in bands))
+    sigmas = {ch.snr_db: ch for ch, _, _ in points}  # each SNR's sigma, found once
+    sigmas = {snr_db: noise_sigma(ch) for snr_db, ch in sigmas.items()}
+    rows = [
+        (freqs, *spans[tuple(band)], sigmas[ch.snr_db]) for ch, freqs, bands in points for band in bands
+    ]
     groups: dict[int, list[int]] = {}  # each seed's rows, seeds in order of first appearance
-    for ch, freqs, bands in points:
-        _check_tones(fm, freqs, antennas)
-        point_spans = [_band_bins(fm, band) for band in bands]
-        for band, (lo, hi) in zip(bands, point_spans):
-            if lo > hi:
-                raise ValueError(f"band {band} contains no FFT bins")
-        spans.append(point_spans)
-        sigma = noise_sigma(ch)
-        groups.setdefault(ch.rng_seed, []).extend(range(len(rows), len(rows) + len(bands)))
-        rows.extend((freqs, lo, hi, sigma) for lo, hi in point_spans)
-    noisy = {seed: any(rows[i][3] != 0.0 for i in index) for seed, index in groups.items()}
-    spectra = _unit_noise(fm, [seed for seed in groups if noisy[seed]], antennas)
+    for i, seed in enumerate(ch.rng_seed for ch, _, bands in points for _ in bands):
+        groups.setdefault(seed, []).append(i)
+    noisy = [seed for seed, index in groups.items() if any(rows[i][3] != 0.0 for i in index)]
+    spectra = _unit_noise(fm, noisy, antennas)
     peaks: list[int | None] = [None] * len(rows)
     for seed, index in groups.items():
-        noise = next(spectra) if noisy[seed] else None
-        for i, k in zip(index, _proved_bins(fm, [rows[i] for i in index], noise)):
+        block = rows if len(index) == len(rows) else [rows[i] for i in index]
+        for i, k in zip(index, _proved_bins(fm, block, next(spectra) if seed in noisy else None)):
             peaks[i] = k
-    bin_width = fm.sample_rate / fm.num_samples
-    results = []
-    end = 0
-    for (ch, freqs, bands), point_spans in zip(points, spans):
-        start, end = end, end + len(bands)
-        point = peaks[start:end]
-        if None in point:
+    ends = list(accumulate(len(bands) for _, _, bands in points))
+    if None in peaks:
+        # in order, each point with a band left open: its capture decides all its bands
+        for (ch, freqs, bands), end in zip(points, ends):
+            start = end - len(bands)
+            if None not in peaks[start:end]:
+                continue
             combined = _combined([np.fft.rfft(y) for y in capture(fm, ch, freqs, antennas)])
-            point = [lo + int(np.argmax(combined[lo : hi + 1])) for lo, hi in point_spans]
-            for band, k in zip(bands, point):
+            for i, band in enumerate(bands, start):
+                lo, hi = rows[i][1:3]
+                peaks[i] = k = lo + int(np.argmax(combined[lo : hi + 1]))
                 if not math.isfinite(combined[k]):
                     raise ValueError("the combined spectrum overflows: the noise power is too large")
                 if not combined[k] > 0:
                     raise ValueError(f"degenerate all-zero band {band}: no signal to detect")
-        results.append([k * bin_width for k in point])
-    return results
+    bin_width = fm.sample_rate / fm.num_samples
+    values = [k * bin_width for k in peaks]
+    return [values[end - len(bands) : end] for (_, _, bands), end in zip(points, ends)]
 
 
 def receive(

@@ -11,6 +11,7 @@ from ajscc.circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from ajscc.experiments import (
     CONFIG_KEYS,
     CSV_HEADER,
+    DEFAULT_L_GRID,
     KIND_KEYS,
     CheckResult,
     ExperimentConfig,
@@ -261,6 +262,22 @@ class TestSharedNoiseEngine:
         cfg = dataclasses.replace(ENGINE_SWEEP, snr_db=-35.0)
         calls = counting_fallbacks(monkeypatch)
         self.assert_matches_oracle(cfg)
+        assert calls == []
+
+    def test_benchmark_shaped_sweep_never_falls_back(self, monkeypatch):
+        # the whole L grid at -20, -10 and 0 dB, 4 trials each: every peak is
+        # proved by the block, so no capture runs
+        calls = counting_fallbacks(monkeypatch)
+        for snr_db in (-20.0, -10.0, 0.0):
+            cfg = ExperimentConfig(
+                kind=ExperimentKind.MSE_VS_L,
+                source=SourceSpec("uniform"),
+                trials=4,
+                snr_db=snr_db,
+                quantizer=Quantizer.NEAREST,
+                master_seed=20260809,
+            )
+            assert len(run_mse_vs_L(cfg).rows) == len(DEFAULT_L_GRID)
         assert calls == []
 
     def test_snr_past_underflow_is_noiseless(self, monkeypatch):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ajscc import signal_chain
@@ -171,6 +171,9 @@ class TestToneBins:
         record_exp=st.integers(1, 16),
         freq_fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3),
     )
+    # at M = 2 the image of a tone next to Nyquist lies at d ~ -M from bin
+    # 1, where the ratio of sines takes its alias limit
+    @example(sample_rate=8, record_exp=1, freq_fracs=[0.9999999999999999])
     @settings(max_examples=200, deadline=None)
     def test_matches_rfft_of_capture(self, sample_rate, record_exp, freq_fracs):
         m = 2**record_exp
@@ -461,6 +464,55 @@ class TestProvedPeak:
         assert signal_chain._proved_bins(FM, rows, noise) == alone
         # proved rows of every tone count, and of ranges 10, 16 and 65 bins wide
         assert {len(row[0]) for row, k in zip(rows, alone) if k is not None} == {1, 2, 3, 4}
+        # one (tones, band) at five sigmas, repeated and interleaved with
+        # other rows, and on-bin tones, whose peak bins take the kernel's
+        # on-bin limit: the rows of one (tones, band) share one evaluation of
+        # its tone bins, and each still decides as it would alone
+        on_bin = [[2500.0], [2500.0, 9000.0, 31000.0]]
+        repeated = []
+        for snr_db in (math.inf, 10.0, -20.0, -35.0, -45.0):
+            sigma = noise_sigma(ChannelSpec(snr_db=snr_db))
+            for freqs in on_bin + tone_sets[:2]:
+                for band in bands[:2]:
+                    repeated.append((freqs, *signal_chain._band_bins(FM, band), sigma))
+        repeated += rows[::7] + repeated[::3]
+        alone = [signal_chain._proved_bins(FM, [row], noise)[0] for row in repeated]
+        assert signal_chain._proved_bins(FM, repeated, noise) == alone
+        # the on-bin tones are proved noiseless, and the sigmas of one
+        # (tones, band) reach different decisions
+        assert alone[:2] == [2500, 2500]
+        assert len({k for row, k in zip(repeated, alone) if row[:3] == repeated[0][:3]}) > 1
+
+    def test_rows_of_one_tones_and_band_share_one_evaluation(self, monkeypatch):
+        # a seed's points at six SNRs, each with the same three tones and
+        # bands, as the SDR sweep sends them: the block evaluates the tone
+        # bins of each (tones, band) once
+        evaluated = []
+        tone_sum = signal_chain._tone_sum
+
+        def counted(m, offsets, *args):
+            evaluated.append(len(offsets))
+            return tone_sum(m, offsets, *args)
+
+        monkeypatch.setattr(signal_chain, "_tone_sum", counted)
+        freqs = [3457.3, 9877.6, 16000.2]
+        bands = [(0.0, 6000.0), (6500.0, 13000.0), (13500.0, 20000.0)]
+        snrs = (math.inf, 20.0, 10.0, 0.0, -10.0, -20.0)
+        points = [(ChannelSpec(snr_db=snr_db, rng_seed=5), freqs, bands) for snr_db in snrs]
+        assert receive_points(FM, points, antennas=2) == [[3457.0, 9878.0, 16000.0]] * 6
+        assert evaluated == [3]
+
+    def test_a_best_bin_at_the_margin_bound_does_not_win(self):
+        # the decision is strict: a best bin equal to (1 + PEAK_MARGIN) times
+        # the larger of the runner-up and the bound outside is left open
+        bound = np.array([650.0, 1e3, 3.5])
+        at_margin = (1.0 + signal_chain.PEAK_MARGIN) * bound
+        above = np.nextafter(at_margin, math.inf)
+        assert not signal_chain._wins(at_margin, bound, 0.5 * bound).any()
+        assert not signal_chain._wins(at_margin, -math.inf, bound).any()
+        assert signal_chain._wins(above, bound, 0.5 * bound).all()
+        assert signal_chain._wins(above, -math.inf, bound).all()
+        assert not signal_chain._wins(np.array([math.inf, math.nan]), -math.inf, 1.0).any()
 
 
 @pytest.fixture
