@@ -38,12 +38,14 @@ None when its bounds cannot separate that bin from every rival.
 finds each band's bins once, proves every band of a seed's points in one
 call of the proof's block, of which ``proved_peak`` is the one-band call,
 and synthesizes, transforms and searches a point's capture only when some
-band of it is left open.  The block's first stage is array operations over
-all its (point, band) rows: the tones' validity, nearest bins and
-evaluated ranges, the closed-form tone bins, the scaled noise gathered by
-index, the antenna combine and a row-wise argmax, runner-up and margin
-test, with rows of fewer tones padded by zero-weight tones and rows of
-narrower ranges by masked bins.  Rows of the same tones and band, such as
+band of it is left open.  Each point's tones are checked as a capture
+checks them (``_check_tones``) before anything is proved, and the block's
+first stage is array operations over all its (point, band) rows: the
+tones' nearest bins, windows clear of Nyquist and evaluated ranges, the
+closed-form tone bins, the scaled noise gathered by index, the antenna
+combine and a row-wise argmax, runner-up and margin test, with rows of
+fewer tones padded by zero-weight tones and rows of narrower ranges by
+masked bins.  Rows of the same tones and band, such as
 one point's bands at each SNR of a seed, share one evaluation of the tone
 bins and differ only in the sigma that scales their noise.  Only the rows
 the block leaves open take the exact candidate stage, one by one.  Since
@@ -191,19 +193,19 @@ def capture(
 
 
 def _tone_sum(
-    m: int, offsets: np.ndarray, first: np.ndarray, columns: np.ndarray, weight=None
-) -> tuple[np.ndarray, np.ndarray]:
+    m: int, offsets: np.ndarray, first: np.ndarray, columns: np.ndarray, weight
+) -> np.ndarray:
     """Per row r, the closed-form rfft at bins first[r] + columns of exponentials at offsets.
 
     offsets (rows, slots) are in bins, +freq * M / fs for a tone's exp(+iwn)
-    half and -freq * M / fs for its exp(-iwn) half; each slot is weighted by
-    weight (rows, slots) when it is given, and a slot of weight 0 adds exact
-    zeros, so rows of fewer tones can be padded into one block.  Returns
-    (sums, phase) with the bins equal to sums * phase: phase holds one unit
-    factor per column, so |sums| are the bins' magnitudes.  See
-    ``tone_bins`` for the kernel.
+    half and -freq * M / fs for its exp(-iwn) half, and first is (rows, 1).
+    Each slot is scaled by weight (a scalar, or one factor per slot): a
+    tone's halves by 1/2, and a slot of weight 0 adds exact zeros, so rows
+    of fewer tones can be padded into one block.  The bins are the returned
+    sums times ``_bin_phase`` of their bins, one unit factor per column, so
+    |sums| are the bins' magnitudes.  See ``tone_bins`` for the kernel.
     """
-    rel = offsets - first[:, np.newaxis]
+    rel = offsets - first
     d = rel[:, :, np.newaxis] - columns  # (rows, slots, columns)
     ratio = np.sin(np.pi * d)
     sine = np.sin((np.pi / m) * d)
@@ -213,9 +215,13 @@ def _tone_sum(
         ratio[limit] = np.where(np.abs(d[limit]) < m / 2, m, -m)
     ratio /= sine
     slot = np.exp((1j * np.pi * (m - 1) / m) * rel)
-    slot *= 0.5 if weight is None else 0.5 * weight
-    sums = (ratio * slot[:, :, np.newaxis]).sum(axis=1)
-    return sums, np.exp((-1j * np.pi * (m - 1) / m) * columns)
+    slot *= weight
+    return (ratio * slot[:, :, np.newaxis]).sum(axis=1)
+
+
+def _bin_phase(m: int, bins: np.ndarray) -> np.ndarray:
+    """The unit phase exp(-i*pi*(M-1)/M * k) of each bin k of ``_tone_sum``'s sums."""
+    return np.exp((-1j * np.pi * (m - 1) / m) * bins)
 
 
 def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
@@ -235,9 +241,10 @@ def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
     summed.  For 0 <= freq < fs/2 and bins in [0, M/2] the result equals
     np.fft.rfft of the synthesized samples up to rounding.
     """
-    halves = np.array([[*freqs, *(-freq for freq in freqs)]]) * fm.num_samples / fm.sample_rate
-    sums, phase = _tone_sum(fm.num_samples, halves, np.zeros(1), np.asarray(bins))
-    return sums[0] * phase
+    m = fm.num_samples
+    halves = np.array([[*freqs, *(-freq for freq in freqs)]]) * m / fm.sample_rate
+    bins = np.asarray(bins)
+    return _tone_sum(m, halves, np.zeros((1, 1)), bins, 0.5)[0] * _bin_phase(m, bins)
 
 
 # half-width in bins of the window around a tone that proved_peak evaluates
@@ -334,18 +341,6 @@ def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
     return lo, hi
 
 
-def _band_spans(fm: FmConfig, bands) -> dict[tuple[float, float], tuple[int, int]]:
-    """Each distinct band's bins (``_band_bins``), found once; a band holding no bin is rejected."""
-    spans = {}
-    for band in bands:
-        key = tuple(band)
-        if key not in spans:
-            spans[key] = lo, hi = _band_bins(fm, band)
-            if lo > hi:
-                raise ValueError(f"band {band} contains no FFT bins")
-    return spans
-
-
 def _combined(spectra, out=None, scratch=None) -> np.ndarray:
     """The noncoherent combine of per-antenna spectra: the root mean square of their magnitudes.
 
@@ -406,14 +401,16 @@ def _proved_bins(
 ) -> list[int | None]:
     """``proved_peak`` of every (freqs, lo, hi, sigma) row, the band being its bins lo..hi.
 
-    The first stage runs on every row in one array block.  Rows of the same
-    tones and band share one evaluation of their tone bins and differ only
-    in the sigma that scales their noise.  The distinct (tones, band) rows
-    are padded with tones of weight 0, which add exact zeros, and rows of
-    narrower evaluated ranges with bins masked to -inf, so each row's tones,
-    noise and decision are its own.  A row the block leaves open, with a
-    finite best bin and noise in its bound, goes on to the exact candidate
-    stage alone.
+    Every row's tones are ones ``_check_tones`` accepts: at least one, each
+    in [0, Nyquist).  The first stage runs on every row in one array block.
+    Rows of the same tones and band (a key) share one evaluation of their
+    tone bins and differ only in the sigma that scales their noise.  The
+    keys are padded with tones of weight 0, which add exact zeros, and each
+    row's bins past its evaluated range are masked to -inf, so each row's
+    tones, noise and decision are its own; a row with no evaluated range
+    has every bin masked and is left open.  A row the block leaves open,
+    with a finite best bin and noise in its bound, goes on to the exact
+    candidate stage alone.
     """
     m = fm.num_samples
     keys: dict[tuple, int] = {}  # each distinct (tones, lo, hi), in order of first appearance
@@ -422,80 +419,64 @@ def _proved_bins(
         return []
     tone_sets, lo, hi = zip(*keys)
     counts = [len(tones) for tones in tone_sets]
-    slots = max(1, *counts)
-    padded = min(counts) < slots
-    if padded:  # each row's first tone (NaN when it has none) fills its slots and moves no window
-        tone_sets = [t + (t[:1] or (math.nan,)) * (slots - len(t)) for t in tone_sets]
-    freqs = np.array(tone_sets, dtype=float)
-    lo, hi, counts = np.array(lo)[:, np.newaxis], np.array(hi)[:, np.newaxis], np.array(counts)
+    slots = max(counts)
+    # each key's first tone fills its slots and moves no window
+    freqs = np.array([t + t[:1] * (slots - len(t)) for t in tone_sets], dtype=float)
+    lo, hi = np.array([lo, hi], dtype=float)[:, :, np.newaxis]
+    counts = np.array(counts)
     offsets = freqs * m / fm.sample_rate  # in bins
     nearest = np.rint(offsets)
-    # the evaluated range: from the lowest to the highest window (the bins
-    # within PEAK_WINDOW of a tone's nearest bin) that meets the band, within
-    # the band.  A tone outside [0, Nyquist), or whose window reaches
-    # Nyquist, voids the leak bound: its row's range is NaN, and the row open
-    meets = (nearest >= lo - PEAK_WINDOW) & (nearest <= hi + PEAK_WINDOW)
-    valid = (freqs >= 0.0) & (nearest <= m // 2 - PEAK_WINDOW - 1)
-    low = np.minimum.reduce(np.where(valid, np.where(meets, nearest, math.inf), math.nan), axis=1)
-    high = np.maximum.reduce(np.where(meets, nearest, -math.inf), axis=1)
-    first = np.maximum(low - PEAK_WINDOW, lo[:, 0])
-    span = np.minimum(high + PEAK_WINDOW, hi[:, 0]) - first  # the range's width less one
-    live = (span >= 0.0).nonzero()[0]
-    if not live.size:
+    # the evaluated range: the band bins from the lowest to the highest
+    # window (the bins within PEAK_WINDOW of a tone's nearest bin) that
+    # meets the band.  A window that reaches Nyquist voids its key's leak
+    # bound, and the range ends at NaN; a key whose windows all miss the
+    # band ends at -inf
+    start = np.maximum(nearest - PEAK_WINDOW, lo)
+    top = nearest + PEAK_WINDOW
+    stop = np.minimum(top, hi)
+    meets = start <= stop
+    first = np.minimum.reduce(np.where(meets, start, hi), axis=1)
+    stop = np.where(top < m // 2, np.where(meets, stop, -math.inf), math.nan)
+    last = np.maximum.reduce(stop, axis=1)
+    span = last - first  # the range's width less one
+    width = np.fmax.reduce(span)
+    if not width >= 0.0:
         return [None] * len(rows)
-    index = None  # the rows of live ranges, when not every row has one
-    if len(live) < len(keys):
-        rank = np.full(len(keys), -1)
-        rank[live] = np.arange(len(live))
-        rank = rank[u]
-        index = (rank >= 0).nonzero()[0]
-        u = rank[index]
-        counts, offsets, first, span = counts[live], offsets[live], first[live], span[live]
-    first = first.astype(int)
-    widths = span.tolist()
-    columns = np.arange(int(max(widths)) + 1)
-    weight = None
-    if padded:
-        weight = np.arange(slots) < counts[:, np.newaxis]
-        weight = np.concatenate([weight, weight], axis=1)
-    halves = np.concatenate([offsets, -offsets], axis=1)  # every exp(+iwn), then every exp(-iwn)
-    tones, phase = _tone_sum(m, halves, first, columns, weight)
-    if len(u) > len(widths):  # some rows share a (tones, band): each reads its own copy
-        tones, first, span, counts = tones[u], first[u], span[u], counts[u]
-    leak = counts / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+    columns = np.arange(int(width) + 1)
+    weight = 0.5 * (np.arange(slots) < counts[:, np.newaxis])
+    tones = _tone_sum(
+        m,
+        np.concatenate([offsets, -offsets], axis=1),  # every exp(+iwn), then every exp(-iwn)
+        first[:, np.newaxis],
+        columns,
+        np.concatenate([weight, weight], axis=1),
+    )
+    u = np.array(u)  # each row's key
+    tones, first, span = tones[u], first[u].astype(int), span[u]
+    leak = counts[u] / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
     if noise is None:
         mags = np.abs(tones)
         outside = leak
     else:
         sigma = np.array([row[3] for row in rows])
-        if index is not None:
-            sigma = sigma[index]
         # |tones * phase + noise| = |tones + noise / phase|; a masked bin
         # past M/2 reads bin M/2
         at = first[:, np.newaxis] + columns
-        scale = sigma[:, np.newaxis] * phase.conj()
+        scale = sigma[:, np.newaxis] * _bin_phase(m, columns).conj()
         mags = _combined([tones + scale * b.take(at, mode="clip") for b in noise.bins])
         outside = leak + sigma * noise.peak
-    if min(widths) < max(widths):
-        mags[columns > span[:, np.newaxis]] = -math.inf
+    mags = np.where(columns <= span[:, np.newaxis], mags, -math.inf)
     j, best, runner_up = _best_two(mags)
     won = _wins(best, runner_up, outside)
-    found = np.where(won, first + j, -1)
-    if index is not None:
-        every = np.full(len(rows), -1)
-        every[index] = found
-        found = every
+    found = [k if w else None for k, w in zip((first + j).tolist(), won.tolist())]
     if noise is not None:
         for r in (~won & (sigma != 0.0) & np.isfinite(best)).nonzero()[0]:
-            i = r if index is None else index[r]
-            freqs, lo, hi, _ = rows[i]
+            freqs, lo, hi, _ = rows[r]
             window = slice(0, int(span[r]) + 1)
-            k = _candidate_stage(
+            found[r] = _candidate_stage(
                 fm, freqs, lo, hi, at[r, window], mags[r, window], noise, sigma[r], leak[r], best[r]
             )
-            if k is not None:
-                found[i] = k
-    return [None if k < 0 else k for k in found.tolist()]
+    return found
 
 
 def proved_peak(
@@ -542,6 +523,10 @@ def proved_peak(
             f"noise spectrum has shape {noise.bins[0].shape} per antenna; "
             f"the record's rfft has {m // 2 + 1} bins"
         )
+    try:
+        _check_tones(fm, freqs, 1)
+    except ValueError:
+        return None
     (peak,) = _proved_bins(fm, [(freqs, *_band_bins(fm, band), sigma)], noise)
     return peak
 
@@ -560,10 +545,10 @@ def receive_points(
     lo_hz <= k * fs / M <= hi_hz (to 1e-9 bins); of equal bins the lowest
     wins.  Points may come from channels of several seeds; the points of
     one rng_seed re-observe one noise realization at their own SNRs (common
-    random numbers).  Every point is validated before anything is drawn,
-    proved or captured: no antenna, no tone, a tone outside [0, Nyquist),
-    and a band that holds no bin are rejected whatever the proof would
-    find.  Each distinct band's bins and each distinct SNR's noise sigma
+    random numbers).  Every point is validated, in order, before anything
+    is drawn, proved or captured: no antenna, no tone, a tone outside
+    [0, Nyquist), and a band that holds no bin are rejected whatever the
+    proof would find.  Each distinct band's bins and each distinct SNR's noise sigma
     are found once.  The points' bands are then proved seed by seed, in
     order of each seed's first point: a seed with a noisy point has its
     unit-variance ``NoiseSpectrum`` drawn once, into buffers that every
@@ -579,16 +564,18 @@ def receive_points(
     square overflows outranks every finite evaluated bin, so the proof
     either evaluates it, and finds it not finite, or cannot bound it.
     """
-    nyquist = fm.sample_rate / 2
-    tones = [freq for _, freqs, _ in points for freq in freqs]
-    valid = all(freqs for _, freqs, _ in points) and all(0.0 <= f < nyquist for f in tones)
-    if antennas < 1 or not valid:
-        for _, freqs, bands in points:  # the first point rejected raises its error
-            _check_tones(fm, freqs, antennas)
-            _band_spans(fm, bands)
-    spans = _band_spans(fm, (band for _, _, bands in points for band in bands))
-    sigmas = {ch.snr_db: ch for ch, _, _ in points}  # each SNR's sigma, found once
-    sigmas = {snr_db: noise_sigma(ch) for snr_db, ch in sigmas.items()}
+    spans: dict[tuple[float, float], tuple[int, int]] = {}  # each distinct band's bins
+    sigmas: dict[float, float] = {}  # each distinct SNR's noise sigma
+    for ch, freqs, bands in points:  # the first point rejected raises its error
+        _check_tones(fm, freqs, antennas)
+        for band in bands:
+            key = tuple(band)
+            if key not in spans:
+                spans[key] = lo, hi = _band_bins(fm, band)
+                if lo > hi:
+                    raise ValueError(f"band {band} contains no FFT bins")
+        if ch.snr_db not in sigmas:
+            sigmas[ch.snr_db] = noise_sigma(ch)
     rows = [
         (freqs, *spans[tuple(band)], sigmas[ch.snr_db]) for ch, freqs, bands in points for band in bands
     ]
@@ -599,7 +586,7 @@ def receive_points(
     spectra = _unit_noise(fm, noisy, antennas)
     peaks: list[int | None] = [None] * len(rows)
     for seed, index in groups.items():
-        block = rows if len(index) == len(rows) else [rows[i] for i in index]
+        block = [rows[i] for i in index]
         for i, k in zip(index, _proved_bins(fm, block, next(spectra) if seed in noisy else None)):
             peaks[i] = k
     ends = list(accumulate(len(bands) for _, _, bands in points))

@@ -553,6 +553,18 @@ class TestReceiveRejects:
         with pytest.raises(ValueError, match="contains no FFT bins"):
             receive_points(FM, points)
 
+    def test_the_first_rejected_point_raises(self, no_capture):
+        # points are checked in order, each one's tones before its bands, so
+        # the first point at fault raises its own error
+        empty_band = (ChannelSpec(), [2500.0], [FULL, (2000.4, 2000.8)])
+        bad_tone = (ChannelSpec(), [2500.0, -1.0], [FULL])
+        with pytest.raises(ValueError, match="contains no FFT bins"):
+            receive_points(FM, [empty_band, bad_tone])
+        with pytest.raises(ValueError, match=r"outside \[0, Nyquist\)"):
+            receive_points(FM, [bad_tone, empty_band])
+        with pytest.raises(ValueError, match=r"outside \[0, Nyquist\)"):
+            receive_points(FM, [(ChannelSpec(), [-1.0], [(2000.4, 2000.8)])])
+
     def test_all_zero_band_beside_a_proved_band(self):
         # the proof accepts no all-zero band: its peak must beat a positive leak
         assert proved_peak(FM, [0.0], (0.0, 2000.0), None, 0.0) == 0
