@@ -68,6 +68,8 @@ class CircuitConfig:
             raise ValueError(f"v_r must be positive, got {self.v_r}")
         if not self.vt_max > 0:
             raise ValueError(f"vt_max must be positive, got {self.vt_max}")
+        if not isinstance(self.quantizer, Quantizer):
+            raise ValueError(f"quantizer must be a Quantizer, got {self.quantizer!r}")
         if not self.thresholds:
             object.__setattr__(
                 self,

@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: encode, decode, chain, sweep-l, sdr-sweep, cluster, selftest.
-Each flag of sweep-l, sdr-sweep, cluster and selftest sets one config key and
+Each flag other than --config, --out and --format sets one config key and
 takes the same values as that key in a flat key=value --config file, which
 the sweep commands accept; explicit flags override file values.  Exit code 0
-on success; on bad input (ValueError, OSError) a single machine-readable JSON
-error line goes to stderr and the exit code is 1.  Any other error propagates
-with its traceback.
+on success; on bad input (ValueError, OSError), a bad flag value included, a
+single machine-readable JSON error line goes to stderr and the exit code is 1.
+Any other error propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentKind,
     config_from_mapping,
+    parse_config_values,
     read_config_file,
     render_csv,
     render_json,
@@ -28,63 +29,61 @@ from .experiments import (
     run_roundtrip_suite,
     run_sdr_vs_csnr,
 )
-from .mapping import MappingConfig, Quantizer, decode, encode
+from .mapping import MappingConfig, decode, encode
 from .signal_chain import ChannelSpec, FmConfig, transmit_receive
 
-# the config key each experiment flag sets, and its help text
+# the config key each flag sets, and its help text
 _CONFIG_FLAGS = {
     "--trials": ("trials", None),
-    "--snr-db": ("snr_db", None),
+    "--snr-db": ("snr_db", "channel SNR in dB (inf is noiseless)"),
     "--snrs": ("snr_values", "comma-separated SNR list in dB"),
-    "--seed": ("master_seed", None),
-    "--dmax": ("d_max", None),
-    "--v2": ("v2", None),
-    "--levels": ("num_levels", None),
-    "--quantizer": ("quantizer", None),
+    "--seed": ("master_seed", "master seed; chain seeds its channel noise with it"),
+    "--dmax": ("d_max", "encoded amplitude limit (V)"),
+    "--v2": ("v2", "range of the quantized source (V)"),
+    "--levels": ("num_levels", "number of parallel lines"),
+    "--quantizer": ("quantizer", "line assignment rule: floor or nearest"),
     "--l-grid": ("l_values", "e.g. 10:150:5 or 60,70,80"),
     "--sensors": ("sensor_count", None),
     "--antennas": ("antennas", None),
-    "--source": ("source_kind", None),
+    "--source": ("source_kind", "source distribution: uniform or fixed"),
     "--x1": ("source_x1", "fixed source x1 in [0,1]"),
     "--x2": ("source_x2", "fixed source x2 in [0,1]"),
     "--workers": ("workers", None),
     "--gain-error": ("gain_error", None),
     "--offset-error": ("offset_error", None),
 }
-_FLAG_CHOICES = {"--quantizer": [q.value for q in Quantizer], "--source": ["uniform", "fixed"]}
+_CODEC_FLAGS = ("--dmax", "--levels", "--v2", "--quantizer")
 
 
 def _add_config_flags(
     p: argparse.ArgumentParser, flags: tuple[str, ...], defaults: dict[str, str] | None = None
 ) -> None:
-    """Each flag stores its raw string under its config key; config_from_mapping parses it."""
+    """Each flag stores its raw string under its config key; parse_config_values parses it."""
     for flag in flags:
         key, help_text = _CONFIG_FLAGS[flag]
-        choices = _FLAG_CHOICES.get(flag)
         p.add_argument(
             flag,
             dest=key,
-            metavar=None if choices else flag[2:].upper().replace("-", "_"),
-            choices=choices,
+            metavar=flag[2:].upper().replace("-", "_"),
             default=(defaults or {}).get(flag),
             help=help_text,
         )
 
 
-def _add_codec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dmax", type=float, default=5.0, help="encoded amplitude limit (V)")
-    p.add_argument("--levels", type=int, default=73, help="number of parallel lines")
-    p.add_argument("--v2", type=float, default=1.0, help="range of the quantized source (V)")
-    p.add_argument(
-        "--quantizer",
-        choices=[q.value for q in Quantizer],
-        default=Quantizer.FLOOR.value,
-        help="line assignment rule",
-    )
+def _flag_values(args: argparse.Namespace) -> dict[str, str]:
+    """The raw string of each config flag that was set or has a command default, by key."""
+    return {key: raw for key, raw in vars(args).items() if key in CONFIG_KEYS and raw is not None}
 
 
-def _codec(args: argparse.Namespace) -> MappingConfig:
-    return MappingConfig(args.dmax, args.levels, args.v2, Quantizer(args.quantizer))
+def _codec(args: argparse.Namespace) -> tuple[MappingConfig, dict[str, object]]:
+    """The codec of encode, decode and chain, and the parsed value of each of their flags.
+
+    An unset flag takes ExperimentConfig's default for its key.
+    """
+    values = {key: getattr(ExperimentConfig, key) for key in vars(args) if key in CONFIG_KEYS}
+    values.update(parse_config_values(_flag_values(args)))
+    codec = MappingConfig(values["d_max"], values["num_levels"], values["v2"], values["quantizer"])
+    return codec, values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,18 +91,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="map (x1, x2) to the encoded voltage")
-    _add_codec_flags(p)
+    _add_config_flags(p, _CODEC_FLAGS)
     p.add_argument("x1", type=float)
     p.add_argument("x2", type=float)
 
     p = sub.add_parser("decode", help="invert an encoded voltage")
-    _add_codec_flags(p)
+    _add_config_flags(p, _CODEC_FLAGS)
     p.add_argument("voltage", type=float)
 
     p = sub.add_parser("chain", help="encode, transmit through FM/AWGN/FFT, decode")
-    _add_codec_flags(p)
-    p.add_argument("--snr-db", type=float, default=float("inf"))
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, _CODEC_FLAGS + ("--snr-db", "--seed"), defaults={"--snr-db": "inf"})
     p.add_argument("x1", type=float)
     p.add_argument("x2", type=float)
 
@@ -145,9 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
     """The --config file's values overlaid by the flags that were set, parsed once."""
     values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    values.update(
-        (key, raw) for key, raw in vars(args).items() if key in CONFIG_KEYS and raw is not None
-    )
+    values.update(_flag_values(args))
     return config_from_mapping(values, kind)
 
 
@@ -162,18 +157,20 @@ def _emit_result(result, args: argparse.Namespace) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "encode":
-        print(repr(encode(_codec(args), args.x1, args.x2)))
+        codec, _ = _codec(args)
+        print(repr(encode(codec, args.x1, args.x2)))
     elif args.command == "decode":
-        dec = decode(_codec(args), args.voltage)
+        codec, _ = _codec(args)
+        dec = decode(codec, args.voltage)
         print(
             json.dumps(
                 {"x1_hat": dec.x1_hat, "x2_hat": dec.x2_hat, "level_index": dec.level_index}
             )
         )
     elif args.command == "chain":
-        codec = _codec(args)
+        codec, values = _codec(args)
         vd = encode(codec, args.x1, args.x2)
-        channel = ChannelSpec(snr_db=args.snr_db, rng_seed=args.seed)
+        channel = ChannelSpec(snr_db=values["snr_db"], rng_seed=values["master_seed"])
         vd_hat = transmit_receive(FmConfig(), channel, vd)
         dec = decode(codec, vd_hat)
         print(

@@ -76,6 +76,7 @@ __all__ = [
     "CONFIG_KEYS",
     "KIND_KEYS",
     "config_from_mapping",
+    "parse_config_values",
     "read_config_file",
 ]
 
@@ -611,14 +612,8 @@ def config_from_mapping(
             )
     kwargs: dict = {}
     nested: dict[str, dict] = {}
-    for key, raw in values.items():
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        name, sub, parse = CONFIG_KEYS[key]
-        try:
-            value = parse(raw)
-        except ValueError as exc:
-            raise ValueError(f"config key {key}={raw!r}: {exc}") from exc
+    for key, value in parse_config_values(values).items():
+        name, sub, _ = CONFIG_KEYS[key]
         if sub is None:
             kwargs[name] = value
         else:
@@ -627,8 +622,30 @@ def config_from_mapping(
     if ignored:
         raise ValueError(f"config kind {kwargs['kind'].value!r} ignores key(s) {ignored}")
     for name, sub_values in nested.items():
-        kwargs[name] = _FIELD_TYPES[name](**sub_values)
+        try:
+            kwargs[name] = _FIELD_TYPES[name](**sub_values)
+        except ValueError as exc:  # name the keys that built the rejected field
+            keys = [_NESTED_PREFIX[name] + sub for sub in sub_values]
+            given = ", ".join(f"{key}={values[key]!r}" for key in keys)
+            raise ValueError(f"config key {given}: {exc}") from exc
     return ExperimentConfig(**kwargs)
+
+
+def parse_config_values(values: dict[str, str]) -> dict[str, object]:
+    """Each flat key's string value parsed by its ``CONFIG_KEYS`` parser.
+
+    An unknown key is rejected, and so is a value its parser rejects, naming
+    the key: ``config key num_levels='5.5': ...``.
+    """
+    parsed: dict[str, object] = {}
+    for key, raw in values.items():
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            parsed[key] = CONFIG_KEYS[key][2](raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}={raw!r}: {exc}") from exc
+    return parsed
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:

@@ -68,6 +68,8 @@ class MappingConfig:
             raise ValueError(f"d_max must be positive, got {self.d_max}")
         if not (self.v2 > 0 and np.isfinite(self.v2)):
             raise ValueError(f"v2 must be positive, got {self.v2}")
+        if not isinstance(self.quantizer, Quantizer):
+            raise ValueError(f"quantizer must be a Quantizer, got {self.quantizer!r}")
         levels = np.asarray(self.num_levels)
         if not np.all(np.isfinite(levels) & (levels == np.floor(levels))):
             raise ValueError(f"num_levels must be a whole number of lines, got {self.num_levels}")

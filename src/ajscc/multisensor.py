@@ -121,7 +121,8 @@ def cluster_tones(
     at plan.offsets[i] + fm.scale * vd Hz.
     """
     _validate_cluster(mapping, truths, plan, fm)
-    vds = [encode(mapping, x1, x2) for x1, x2 in truths]
+    x1, x2 = zip(*truths)
+    vds = encode(mapping, x1, x2).tolist()
     freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
     return vds, freqs, [plan.band(i) for i in range(len(vds))]
 

@@ -42,6 +42,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             CircuitConfig(v_r=-1.0)
 
+    def test_rejects_a_quantizer_that_is_not_a_quantizer(self):
+        # the name "floor" is not Quantizer.FLOOR; taken as given it placed NEAREST thresholds
+        with pytest.raises(ValueError, match="quantizer"):
+            CircuitConfig(quantizer="floor")
+
 
 # CircuitConfig(): 11 levels, delta_h = 0.3, v_r = vt_max = 1, floor thresholds
 # at 0.3, 0.6, ..., 3.0.  vh = 0.0 lies inside level 0 (even), 0.35 inside

@@ -29,6 +29,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subcommand_parsers():
+    """Each subcommand's argparse parser, by command name."""
+    subparsers = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return subparsers.choices
+
+
+# the positionals each command needs besides its flags
+POSITIONALS = {"encode": ("0.1", "0.1"), "decode": ("1",), "chain": ("0.1", "0.1")}
+# one unparsable value per flag
+BAD_VALUES = {"--levels": "5.5", "--quantizer": "bogus", "--source": "bogus", "--snr-db": "x"}
+
+
 class TestCodecCommands:
     def test_encode(self, capsys):
         code, out, err = run_cli(
@@ -55,6 +69,17 @@ class TestCodecCommands:
         payload = json.loads(out)
         assert payload["vd_hat"] == pytest.approx(payload["vd"], abs=6e-4)
         assert payload["x1_hat"] == pytest.approx(0.2, abs=6e-4)
+
+    @pytest.mark.parametrize("snr_db", ["inf", "-20"])
+    def test_chain_defaults_are_the_config_defaults(self, capsys, snr_db):
+        given = () if snr_db == "inf" else ("--snr-db", snr_db)
+        explicit = (
+            "--dmax", "5", "--levels", "73", "--v2", "1", "--quantizer", "floor",
+            "--snr-db", snr_db, "--seed", "0",
+        )
+        implicit_run = run_cli(capsys, "chain", *given, "0.02", "0.6")
+        assert implicit_run[0] == 0
+        assert run_cli(capsys, "chain", *explicit, "0.02", "0.6") == implicit_run
 
     def test_error_line_is_machine_readable(self, capsys):
         code, out, err = run_cli(capsys, "encode", "--levels", "1", "0.1", "0.1")
@@ -247,9 +272,7 @@ class TestConfigContract:
         assert runs == []
 
     def test_every_flag_sets_a_key_its_kind_honours(self):
-        subparsers = next(
-            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
+        parsers = subcommand_parsers()
         kinds = {
             "sweep-l": ExperimentKind.MSE_VS_L,
             "sdr-sweep": ExperimentKind.SDR_VS_CSNR,
@@ -257,8 +280,41 @@ class TestConfigContract:
             "selftest": ExperimentKind.ROUND_TRIP,
         }
         for command, kind in kinds.items():
-            keys = {a.dest for a in subparsers.choices[command]._actions} & set(CONFIG_KEYS)
+            keys = {a.dest for a in parsers[command]._actions} & set(CONFIG_KEYS)
             assert keys and keys <= KIND_KEYS[kind], command
+
+    def test_every_option_is_one_config_flag(self):
+        # one table declares every config flag; its parser is the key's, not argparse's
+        cli_only = {"-h", "--config", "--out", "--format"}
+        for command, parser in subcommand_parsers().items():
+            options = [a for a in parser._actions if not cli_only & set(a.option_strings)]
+            flags = [flag for a in options for flag in a.option_strings]
+            if command in ("encode", "decode", "chain"):
+                assert {"--dmax", "--levels", "--v2", "--quantizer"} <= set(flags), command
+            for action in options:
+                if not action.option_strings:  # a positional
+                    continue
+                (flag,) = action.option_strings
+                assert cli._CONFIG_FLAGS[flag][0] == action.dest, (command, flag)
+                assert (action.type, action.choices) == (None, None), (command, flag)
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            ((command, flag, bad, *POSITIONALS.get(command, ())), cli._CONFIG_FLAGS[flag][0])
+            for command, parser in subcommand_parsers().items()
+            for flag, bad in BAD_VALUES.items()
+            if flag in parser._option_string_actions
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_bad_flag_value_names_its_key(self, capsys, runs, argv, key):
+        # parsed like the key in a file: one JSON error line and exit 1, not a usage error
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"].startswith(f"config key {key}=")
+        assert runs == []
 
     def test_readme_config_table_matches_the_code(self):
         # the README's | key | flag | value | table lists every config key once,

@@ -69,6 +69,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             MappingConfig(**kwargs)
 
+    def test_rejects_a_quantizer_that_is_not_a_quantizer(self):
+        # the name "floor" is not Quantizer.FLOOR; taken as given it quantized as NEAREST
+        with pytest.raises(ValueError, match="quantizer"):
+            MappingConfig(5, 11, 1, quantizer="floor")
+
 
 class TestQuantize:
     def test_origin(self):
