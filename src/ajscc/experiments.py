@@ -641,8 +641,9 @@ def parse_config_values(values: dict[str, str]) -> dict[str, object]:
     for key, raw in values.items():
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        _, _, parse = CONFIG_KEYS[key]
         try:
-            parsed[key] = CONFIG_KEYS[key][2](raw)
+            parsed[key] = parse(raw)
         except ValueError as exc:
             raise ValueError(f"config key {key}={raw!r}: {exc}") from exc
     return parsed
