@@ -12,6 +12,7 @@ Also hosts the component power budget used for feasibility estimates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,8 @@ class CircuitConfig:
     The defaults are the 11-level, 0.3 V spacing prototype board, and
     thresholds defaults to the placement implied by the quantizer mode; pass an
     explicit tuple to model comparator offset errors.  gain_error and
-    offset_error perturb the VCVS outputs (affine, clamped at the mux inputs).
+    offset_error, which must be finite, perturb the VCVS outputs (affine,
+    clamped at the mux inputs).
     """
 
     num_levels: int = 11
@@ -70,6 +72,9 @@ class CircuitConfig:
             raise ValueError(f"vt_max must be positive, got {self.vt_max}")
         if not isinstance(self.quantizer, Quantizer):
             raise ValueError(f"quantizer must be a Quantizer, got {self.quantizer!r}")
+        for name in ("gain_error", "offset_error"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.thresholds:
             object.__setattr__(
                 self,

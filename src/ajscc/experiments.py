@@ -4,9 +4,10 @@ Reproduces the level-count optimization (mean MSE vs number of lines at a
 fixed channel SNR), runs SDR-vs-SNR sweeps for one or more FDMA sensors,
 executes the round-trip self-check suite, and renders results as CSV or JSON.
 
-Reproducibility: every trial draws from a generator seeded by
-SeedSequence([master_seed, trial]) (and [..., antenna] for capture noise),
-so results depend only on the configuration and never on scheduling or the
+Reproducibility: every trial draws its sources and then its capture seed
+from a generator seeded by SeedSequence([master_seed, trial])
+(``_trial_draws``), and the capture seed seeds the channel noise, so
+results depend only on the configuration and never on scheduling or the
 worker count.  Trial streams are common to all sweep points (common random
 numbers), which stabilizes the location of the sweep minimum.  Both sweeps
 hand workers contiguous chunks of trials (``_map_trials``); each worker runs
@@ -17,16 +18,17 @@ seed, and ``signal_chain.receive_points`` draws and transforms a seed's
 unit-variance noise once (not at all when every point is noiseless),
 shares it across the seed's points, proves each band's peak from the
 tones' closed-form spectrum and captures only when the proof leaves a band
-open.  Since ``rng.normal(0, sigma)`` is exactly sigma times a standard
-normal draw, that one draw is the noise of every level count and of every
-SNR point.  Both sweeps run trial-major: within a trial the sources, the
-tones and the capture seed do not depend on the sweep point, so a trial
-draws them once and encodes what its points transmit before the receiver
-call.  The SDR sweep makes one ``receive_points`` call per worker chunk,
-over every (trial, SNR) point, which proves each trial's points in one
-array block and draws every trial's noise into the same buffers; the whole
-chunk's peaks are then read back and decoded in one array pass.  The level
-sweep and the chain self check run the one public chain,
+open.  A channel's noise is sigma times its seed's unit draw
+(``signal_chain``), so that one draw is the noise of every level count and
+of every SNR point.  Both sweeps run trial-major: within a trial the
+sources, the tones and the capture seed do not depend on the sweep point,
+so a trial draws them once and encodes what its points transmit before
+the receiver call.  The SDR sweep makes one ``receive_points`` call per
+worker chunk, over every (trial, SNR) point, which proves each trial's
+points in one array block and draws every trial's noise into the same
+buffers; the whole chunk's peaks are then read back and decoded in one
+array pass.  The level sweep and the chain self check run the one public
+chain,
 ``decode(m, transmit_receive(fm, ch, encode(m, x1, x2)))``, on arrays: a
 level-sweep trial on a ``MappingConfig`` of every swept level count, the
 self check on all its trials' sources at once; each ``transmit_receive`` of
@@ -151,6 +153,8 @@ class ExperimentConfig:
     fm: FmConfig = FmConfig()
 
     def __post_init__(self) -> None:
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.l_values:
@@ -166,8 +170,9 @@ class ExperimentConfig:
             raise ValueError("sensor_count and antennas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # construction validates the codec parameters
+        # construction validates the codec parameters and the circuit's fault knobs
         MappingConfig(self.d_max, self.num_levels, self.v2, self.quantizer)
+        CircuitConfig(gain_error=self.gain_error, offset_error=self.offset_error)
         top = self.fm.scale * self.d_max
         if top >= self.fm.sample_rate / 2:
             raise ValueError(
@@ -199,6 +204,15 @@ class SweepResult:
 
 def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial]))
+
+
+def _trial_draws(
+    cfg: ExperimentConfig, trial: int, sources: int
+) -> tuple[list[tuple[float, float]], int]:
+    """A trial's normalized sources, then its capture seed, in stream order."""
+    rng = _trial_rng(cfg.master_seed, trial)
+    draws = [cfg.source.draw(rng) for _ in range(sources)]
+    return draws, int(rng.integers(0, 2**62))
 
 
 def _finish(kind: ExperimentKind, rows: list[SweepRow], details: dict) -> SweepResult:
@@ -241,9 +255,8 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
     mapping = MappingConfig(cfg.d_max, np.array(cfg.l_values), cfg.v2, cfg.quantizer)
     errors = []
     for trial in trials:
-        rng = _trial_rng(cfg.master_seed, trial)
-        u1, u2 = cfg.source.draw(rng)
-        channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=int(rng.integers(0, 2**62)))
+        ((u1, u2),), capture_seed = _trial_draws(cfg, trial, 1)
+        channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=capture_seed)
         x1, x2 = u1 * mapping.v1, u2 * mapping.v2
         dec = decode(mapping, transmit_receive(cfg.fm, channel, encode(mapping, x1, x2)))
         errors1 = ((dec.x1_hat - x1) / mapping.v1).tolist()
@@ -286,15 +299,6 @@ def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
 # SDR vs channel SNR for one or more FDMA sensors
 
 
-def _cluster_draws(
-    cfg: ExperimentConfig, trial: int
-) -> tuple[list[tuple[float, float]], int]:
-    """A trial's normalized sources, one per sensor, then its capture seed, in stream order."""
-    rng = _trial_rng(cfg.master_seed, trial)
-    draws = [cfg.source.draw(rng) for _ in range(cfg.sensor_count)]
-    return draws, int(rng.integers(0, 2**62))
-
-
 def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
     """Per trial, an (SNR point, sensor, quantity) array.
 
@@ -314,7 +318,7 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
     vds = []
     points = []
     for trial in trials:
-        draws, capture_seed = _cluster_draws(cfg, trial)
+        draws, capture_seed = _trial_draws(cfg, trial, cfg.sensor_count)
         truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
         trial_vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
         points.extend((ChannelSpec(snr_db, capture_seed), freqs, bands) for snr_db in cfg.snr_values)
@@ -395,7 +399,7 @@ def _x2_base_bound(mapping: MappingConfig) -> float:
 
 def _check_mapping_roundtrip(cfg: ExperimentConfig) -> list[CheckResult]:
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 101]))
+    rng = _trial_rng(cfg.master_seed, 101)
     n = 100_000
     x1 = rng.uniform(0.0, mapping.v1, n)
     x2 = rng.uniform(0.0, mapping.v2, n)
@@ -430,7 +434,7 @@ def _check_circuit_equivalence(cfg: ExperimentConfig) -> CheckResult:
 
 def _check_chain_roundtrip(cfg: ExperimentConfig) -> list[CheckResult]:
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 202]))
+    rng = _trial_rng(cfg.master_seed, 202)
     channel = ChannelSpec(snr_db=math.inf)
     bin_width = cfg.fm.sample_rate / cfg.fm.num_samples
     # one full bin: covers image-leakage tie breaks and the near-DC corner,
@@ -475,7 +479,7 @@ def run_cluster_demo(cfg: ExperimentConfig) -> list[SensorResult]:
         raise ValueError(f"config kind is {cfg.kind}, expected CLUSTER_DEMO")
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
-    draws, capture_seed = _cluster_draws(cfg, 0)
+    draws, capture_seed = _trial_draws(cfg, 0, cfg.sensor_count)
     truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
     channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=capture_seed)
     return simulate_cluster(mapping, truths, plan, cfg.fm, channel, antennas=cfg.antennas)

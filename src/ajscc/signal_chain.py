@@ -14,8 +14,14 @@ within a bin or two of either edge the tone's image leaks into the peak and
 the error reaches ~0.6 bins, under the one-bin bound.
 
 ``capture`` is the one received-signal model: a sum of tones at the given
-frequencies plus noise per antenna (``channel_noise``), seeded by
-``ChannelSpec.rng_seed``, returned as one float array per antenna.
+frequencies plus noise per antenna, returned as one float array per antenna.
+The noise has one convention: antenna a of a channel ch adds
+noise_sigma(ch) times its unit draw, the standard normal record of
+default_rng(SeedSequence([ch.rng_seed, a])) (for antenna 0, the
+default_rng(ch.rng_seed) stream).  ``capture`` adds it to the samples, and
+the proof adds sigma times the rfft of the same draw (``_unit_noise``) to
+the tones' closed-form bins, so one draw per (seed, antenna) is the noise
+of every SNR of a seed (common random numbers).
 ``receive_points`` is the one receiver: at each point of a sweep, the
 strongest bin of each band of the antennas' noncoherently combined rfft
 spectra of a capture, and ``receive`` is its one-point call.  A single
@@ -48,9 +54,7 @@ fewer tones padded by zero-weight tones and rows of narrower ranges by
 masked bins.  Rows of the same tones and band, such as
 one point's bands at each SNR of a seed, share one evaluation of the tone
 bins and differ only in the sigma that scales their noise.  Only the rows
-the block leaves open take the exact candidate stage, one by one.  Since
-``rng.normal(0, sigma)`` is exactly sigma times a standard normal draw, one
-``NoiseSpectrum.draw`` serves every SNR of a seed (common random numbers).
+the block leaves open take the exact candidate stage, one by one.
 A ``receive_points`` call may hold the points of several seeds: it proves
 them seed by seed, one block per seed, and draws each seed's noise once
 into one set of buffers that it reuses for every seed and frees on return.
@@ -68,7 +72,6 @@ __all__ = [
     "FmConfig",
     "ChannelSpec",
     "capture",
-    "channel_noise",
     "tone_bins",
     "NoiseSpectrum",
     "proved_peak",
@@ -111,7 +114,7 @@ class FmConfig:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Static AWGN channel set by SNR, seeded by rng_seed.
+    """Static AWGN channel set by SNR, seeded by a non-negative rng_seed.
 
     snr_db = math.inf disables noise.  Transmitted power is taken as 1
     regardless of the waveform, so a -20 dB channel has noise variance 100
@@ -129,6 +132,8 @@ class ChannelSpec:
             noise_sigma(self)
         except OverflowError:
             raise ValueError(f"snr_db {self.snr_db} dB gives a noise variance that overflows") from None
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def noise_sigma(ch: ChannelSpec) -> float:
@@ -138,20 +143,8 @@ def noise_sigma(ch: ChannelSpec) -> float:
     return math.sqrt(1.0 * 10.0 ** (-ch.snr_db / 10.0))
 
 
-def channel_noise(fm: FmConfig, ch: ChannelSpec, antenna: int = 0) -> np.ndarray:
-    """AWGN samples of one antenna: normal(0, noise_sigma(ch)) per sample.
-
-    Drawn from SeedSequence([ch.rng_seed, antenna]); for antenna 0 that is the
-    default_rng(ch.rng_seed) stream.  All zeros when the channel is noiseless.
-    """
-    sigma = noise_sigma(ch)
-    if sigma == 0.0:
-        return np.zeros(fm.num_samples)
-    return _noise_rng(ch.rng_seed, antenna).normal(0.0, sigma, fm.num_samples)
-
-
 def _noise_rng(rng_seed: int, antenna: int) -> np.random.Generator:
-    """The noise stream of one antenna of a channel seeded by rng_seed."""
+    """The stream of one antenna's unit draw on a channel seeded by rng_seed."""
     return np.random.default_rng(np.random.SeedSequence([rng_seed, antenna]))
 
 
@@ -174,7 +167,8 @@ def capture(
     """Received samples per antenna: a sum of tones plus independent AWGN.
 
     Each frequency f (Hz) is synthesized as cos(2*pi*f/fs*n), and the tones
-    are summed in the given order.  Antenna a adds channel_noise(fm, ch, a).
+    are summed in the given order.  Antenna a adds noise_sigma(ch) times
+    its unit draw.
     """
     _check_tones(fm, freqs, antennas)
     n = np.arange(fm.num_samples)
@@ -187,9 +181,13 @@ def capture(
             mix = tone
         else:
             mix += tone
-    if noise_sigma(ch) == 0.0:
+    sigma = noise_sigma(ch)
+    if sigma == 0.0:
         return tuple(mix if a == 0 else mix.copy() for a in range(antennas))
-    return tuple(mix + channel_noise(fm, ch, a) for a in range(antennas))
+    return tuple(
+        mix + sigma * _noise_rng(ch.rng_seed, a).standard_normal(fm.num_samples)
+        for a in range(antennas)
+    )
 
 
 def _tone_sum(
@@ -291,27 +289,16 @@ class NoiseSpectrum:
         object.__setattr__(self, "magnitude", magnitude)
         object.__setattr__(self, "peak", peak)
 
-    @classmethod
-    def draw(cls, fm: FmConfig, rng_seed: int, antennas: int = 1) -> NoiseSpectrum:
-        """The unit-variance noise of a channel seeded by rng_seed, one rfft per antenna.
-
-        Antenna a is channel_noise(fm, ChannelSpec(0.0, rng_seed), a), so
-        noise_sigma(ch) times it is channel_noise(fm, ch, a) for any channel
-        ch with that seed.  This is the one-seed case of ``_unit_noise``,
-        with buffers of its own.
-        """
-        return next(_unit_noise(fm, [rng_seed], antennas))
-
 
 def _unit_noise(fm: FmConfig, seeds: list[int], antennas: int):
-    """Each seed's ``NoiseSpectrum.draw`` in turn, all drawn into one set of buffers.
+    """Each seed's unit-variance ``NoiseSpectrum`` in turn, all drawn into one set of buffers.
 
-    The buffers are one noise record, one rfft per antenna and one combined
+    Antenna a's bins are the rfft of the seed's unit draw on antenna a.  The
+    buffers are one noise record, one rfft per antenna and one combined
     magnitude, allocated when the first spectrum is drawn: the record takes
-    each antenna's standard normal draw, which is the rng.normal(0, 1)
-    draw of ``channel_noise`` bit for bit, and then serves as the combine's
-    scratch.  Drawing the next seed overwrites the previous spectrum, so
-    each must be used up before the generator resumes.
+    each antenna's unit draw and then serves as the combine's scratch.
+    Drawing the next seed overwrites the previous spectrum, so each must be
+    used up before the generator resumes.
     """
     m = fm.num_samples
     n = m // 2 + 1

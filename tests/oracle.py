@@ -4,11 +4,23 @@ The receiver is written out here step by step from ``capture`` and numpy
 alone (one rfft per antenna, magnitudes, root-mean-square combine, argmax per
 band), with no proof, shortcut or call into ``signal_chain.receive``, so a
 test that compares ``receive``, ``transmit_receive``, ``simulate_cluster`` or
-a sweep with it does not compare the library with itself.
+a sweep with it does not compare the library with itself.  ``unit_noise`` is
+the channel's noise convention written out from numpy alone.
 """
 import numpy as np
 
 from ajscc.signal_chain import PEAK_WINDOW, ChannelSpec, capture, tone_bins
+
+
+def unit_noise(fm, rng_seed, antennas=1):
+    """Each antenna's unit draw: standard normal samples from SeedSequence([rng_seed, a]).
+
+    A channel ch of this seed adds noise_sigma(ch) times antenna a's draw.
+    """
+    return [
+        np.random.default_rng(np.random.SeedSequence([rng_seed, a])).standard_normal(fm.num_samples)
+        for a in range(antennas)
+    ]
 
 
 def band_peaks(fm, ch, freqs, bands, antennas=1):

@@ -1,4 +1,6 @@
 """Circuit model tests: levels and VCVS outputs via circuit_encode, codec equivalence, power."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,11 @@ class TestConfig:
             CircuitConfig(delta_h=0.0)
         with pytest.raises(ValueError):
             CircuitConfig(v_r=-1.0)
+        # a fault that is not finite is bad input, not a fault to measure
+        for name in ("gain_error", "offset_error"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=name):
+                    CircuitConfig(**{name: bad})
 
     def test_rejects_a_quantizer_that_is_not_a_quantizer(self):
         # the name "floor" is not Quantizer.FLOOR; taken as given it placed NEAREST thresholds

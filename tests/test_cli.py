@@ -312,6 +312,26 @@ class TestConfigContract:
         assert json.loads(line)["error"].startswith(f"config key {key}=")
         assert runs == []
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("sweep-l", "--seed", "-1", "--trials", "1", "--l-grid", "5"), "master_seed"),
+            (("cluster", "--seed", "-1", "--snr-db", "0"), "master_seed"),
+            (("chain", "--seed", "-1", "--snr-db", "0", "0.01", "0.1"), "rng_seed"),
+            (("selftest", "--gain-error", "nan"), "gain_error"),
+            (("selftest", "--offset-error", "inf"), "offset_error"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_bad_config_value_names_its_key(self, capsys, runs, argv, key):
+        # a negative seed or a non-finite fault knob is bad input, named by
+        # its field: no numpy seeding error and no FAIL line
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert key in json.loads(line)["error"]
+        assert runs == []
+
     def test_readme_config_table_matches_the_code(self):
         # the README's | key | flag | value | table lists every config key once,
         # with the flag that sets it

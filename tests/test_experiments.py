@@ -57,6 +57,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(kind=ExperimentKind.MSE_VS_L, l_values=(5, 1))
 
+    def test_rejects_negative_seed(self):
+        # numpy would reject it only when a trial seeds its generator, with
+        # an error that names no field
+        for kind in ExperimentKind:
+            with pytest.raises(ValueError, match="master_seed"):
+                ExperimentConfig(kind=kind, master_seed=-1)
+
+    def test_rejects_non_finite_fault_knobs(self):
+        for name in ("gain_error", "offset_error"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=name):
+                    ExperimentConfig(kind=ExperimentKind.ROUND_TRIP, **{name: bad})
+
     def test_rejects_bad_source(self):
         with pytest.raises(ValueError):
             SourceSpec(kind="gaussian")

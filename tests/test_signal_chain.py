@@ -14,7 +14,6 @@ from ajscc.signal_chain import (
     FmConfig,
     NoiseSpectrum,
     capture,
-    channel_noise,
     noise_sigma,
     proved_peak,
     receive,
@@ -22,7 +21,14 @@ from ajscc.signal_chain import (
     tone_bins,
     transmit_receive,
 )
-from oracle import band_peaks, chain_voltage, leak_pinned_noise, record_peaks, tie_frequency
+from oracle import (
+    band_peaks,
+    chain_voltage,
+    leak_pinned_noise,
+    record_peaks,
+    tie_frequency,
+    unit_noise,
+)
 
 FM = FmConfig()
 NO_NOISE = ChannelSpec(snr_db=math.inf)
@@ -108,17 +114,6 @@ class TestCapture:
             expected += tone(freq)
         assert np.array_equal(wf, expected)
 
-    def test_noise_is_sigma_times_seeded_normal(self):
-        tones = [1500.0, 9000.5]
-        ch = ChannelSpec(snr_db=-7.0, rng_seed=99)
-        sigma = noise_sigma(ch)
-        (clean,) = capture(FM, NO_NOISE, tones)
-        noisy = capture(FM, ch, tones, antennas=3)
-        for a, wf in enumerate(noisy):
-            rng = np.random.default_rng(np.random.SeedSequence([99, a]))
-            z = rng.standard_normal(FM.num_samples)
-            assert np.array_equal(wf, clean + sigma * z)
-
     def test_noiseless_antennas_are_equal_copies(self):
         caps = capture(FM, NO_NOISE, [2500.0], antennas=2)
         assert np.array_equal(caps[0], caps[1])
@@ -141,23 +136,17 @@ class TestCapture:
             with pytest.raises(ValueError, match="outside"):
                 capture(FM, NO_NOISE, [freq])
 
-    def test_channel_noise_is_the_capture_noise(self):
-        ch = ChannelSpec(snr_db=-13.0, rng_seed=21)
-        tones = [700.0]
-        (clean,) = capture(FM, NO_NOISE, tones)
-        noisy = capture(FM, ch, tones, antennas=2)
-        for a, wf in enumerate(noisy):
-            assert np.array_equal(wf, clean + channel_noise(FM, ch, a))
-        assert not np.any(channel_noise(FM, ChannelSpec(rng_seed=21)))
-
     @pytest.mark.parametrize("snr_db", [0.0, -7.0, -20.0, -35.0, -45.0, 13.25, -3050.0])
     def test_noise_is_sigma_times_unit_noise(self, snr_db):
-        # the identity the trial-major SDR sweep rests on: one unit-variance
-        # draw per antenna, scaled by sigma, is every SNR's noise bit for bit
-        for a in range(3):
-            ch = ChannelSpec(snr_db=snr_db, rng_seed=77 + a)
-            unit = channel_noise(FM, ChannelSpec(0.0, ch.rng_seed), a)
-            assert channel_noise(FM, ch, a).tobytes() == (noise_sigma(ch) * unit).tobytes()
+        # the one noise convention, which the sweeps' common random numbers
+        # rest on: each antenna adds sigma times its (seed, antenna) unit
+        # draw, bit for bit, at every SNR
+        tones = [1500.0, 9000.5]
+        ch = ChannelSpec(snr_db=snr_db, rng_seed=99)
+        (clean,) = capture(FM, NO_NOISE, tones)
+        noisy = capture(FM, ch, tones, antennas=3)
+        for wf, unit in zip(noisy, unit_noise(FM, ch.rng_seed, 3), strict=True):
+            assert wf.tobytes() == (clean + noise_sigma(ch) * unit).tobytes()
 
 
 # closed-form bins agree with np.fft.rfft of the synthesized tone to this
@@ -219,6 +208,11 @@ FULL = (0.0, FM.sample_rate / 2)
 
 def zero_noise(fm=FM):
     return NoiseSpectrum([np.zeros(fm.num_samples // 2 + 1, dtype=complex)])
+
+
+def unit_spectrum(fm, rng_seed, antennas=1):
+    """The unit-variance noise spectrum of a seed: the rfft of each antenna's unit draw."""
+    return NoiseSpectrum([np.fft.rfft(u) for u in unit_noise(fm, rng_seed, antennas)])
 
 
 def pinned_noise(bin_index, value):
@@ -355,7 +349,7 @@ class TestProvedPeak:
 
     def test_sigma_scales_the_unit_noise(self):
         # sigma times a unit spectrum proves what the scaled spectrum proves
-        noise = NoiseSpectrum.draw(FM, 5, antennas=2)
+        noise = unit_spectrum(FM, 5, antennas=2)
         scaled = NoiseSpectrum([40.0 * b for b in noise.bins])
         for band in ((0.0, 4000.0), (4000.0, 9000.0)):
             k = proved_peak(FM, [2500.0, 7000.5], band, noise, 40.0)
@@ -366,7 +360,7 @@ class TestProvedPeak:
         # at -3050 dB the 2-antenna mean square overflows, so the proof
         # leaves the band to receive and its "overflows" error
         ch = ChannelSpec(snr_db=-3050.0, rng_seed=3)
-        noise = NoiseSpectrum.draw(FM, ch.rng_seed, antennas=2)
+        noise = unit_spectrum(FM, ch.rng_seed, antennas=2)
         with np.errstate(over="ignore"):
             assert proved_peak(FM, [2500.0], FULL, noise, noise_sigma(ch)) is None
             with pytest.raises(ValueError, match="overflows"):
@@ -419,7 +413,7 @@ class TestProvedPeak:
             points.append((ChannelSpec(snr_db=snr_db, rng_seed=rng_seed), freqs, bands))
         expected = [band_peaks(fm, ch, freqs, bands, antennas) for ch, freqs, bands in points]
         for (ch, freqs, bands), peaks in zip(points, expected):
-            noise = NoiseSpectrum.draw(fm, ch.rng_seed, antennas)
+            noise = unit_spectrum(fm, ch.rng_seed, antennas)
             for band, peak in zip(bands, peaks):
                 k = proved_peak(fm, freqs, band, noise, noise_sigma(ch))
                 if k is not None:
@@ -437,7 +431,7 @@ class TestProvedPeak:
         sigma = noise_sigma(ch)
         if pin is None or sigma == 0.0:
             return
-        unit = [channel_noise(fm, ChannelSpec(0.0, ch.rng_seed), a) for a in range(antennas)]
+        unit = unit_noise(fm, ch.rng_seed, antennas)
         pinned = leak_pinned_noise(fm, freqs, unit, sigma, pin)
         if pinned is None:
             return
@@ -450,7 +444,7 @@ class TestProvedPeak:
     def test_block_rows_are_their_own_one_row_calls(self):
         # rows of 1-4 tones and of different bands, widths and SNRs share one
         # block; each row's decision is that of the row proved alone
-        noise = NoiseSpectrum.draw(FM, 9, antennas=2)
+        noise = unit_spectrum(FM, 9, antennas=2)
         tone_sets = [[2499.6], [2500.4, 2510.0, 9000.5], [7000.0, 30.0], [5.0, 31e3, 40.0, 12e3]]
         # (2490, 2499): the band ends one bin below the first tone's peak
         bands = [FULL, (2490.0, 2505.0), (2490.0, 2499.0), (0.0, 100.0), (11990.0, 12010.0)]
@@ -615,17 +609,16 @@ def explicit_combine(bins):
 
 class TestNoiseSpectrumDraw:
     def test_bins_are_the_rfft_of_unit_channel_noise(self):
-        noise = NoiseSpectrum.draw(FM, 12, antennas=3)
+        noise = next(signal_chain._unit_noise(FM, [12], antennas=3))
         assert [b.shape for b in noise.bins] == [(FM.num_samples // 2 + 1,)] * 3
-        for a in range(3):
-            unit = channel_noise(FM, ChannelSpec(0.0, 12), a)
-            assert np.array_equal(noise.bins[a], np.fft.rfft(unit))
+        for b, unit in zip(noise.bins, unit_noise(FM, 12, 3), strict=True):
+            assert b.tobytes() == np.fft.rfft(unit).tobytes()
         rms = np.sqrt(np.mean(np.abs(noise.bins) ** 2, axis=0))
         assert np.allclose(noise.magnitude, rms, rtol=1e-14)
         assert noise.peak == np.max(noise.magnitude)
 
     def test_one_antenna_is_its_own_magnitude(self):
-        noise = NoiseSpectrum.draw(FM, 12)
+        noise = next(signal_chain._unit_noise(FM, [12], antennas=1))
         assert [b.shape for b in noise.bins] == [(FM.num_samples // 2 + 1,)]
         assert np.array_equal(noise.magnitude, np.abs(noise.bins[0]))
 
@@ -637,13 +630,10 @@ class TestNoiseSpectrumDraw:
         fm = FmConfig(sample_rate=4096.0)
         seeds = [12, 3, 12, 40]
         for seed, noise in zip(seeds, signal_chain._unit_noise(fm, seeds, antennas)):
-            unit = [np.fft.rfft(channel_noise(fm, ChannelSpec(0.0, seed), a)) for a in range(antennas)]
+            unit = [np.fft.rfft(u) for u in unit_noise(fm, seed, antennas)]
             assert all(np.array_equal(b, u) for b, u in zip(noise.bins, unit, strict=True))
             assert explicit_combine(unit).tobytes() == noise.magnitude.tobytes()
             assert noise.peak == np.max(explicit_combine(unit))
-            # the one-seed draw is the same code on buffers of its own
-            alone = NoiseSpectrum.draw(fm, seed, antennas)
-            assert alone.magnitude.tobytes() == noise.magnitude.tobytes()
 
     @pytest.mark.parametrize("antennas", [1, 2, 3])
     def test_combine_into_buffers_is_the_explicit_combine(self, antennas):
@@ -738,6 +728,10 @@ class TestChannel:
             ChannelSpec(snr_db=math.nan)
         with pytest.raises(ValueError):
             ChannelSpec(snr_db=-math.inf)
+        # numpy would reject a negative seed only when the noise is drawn,
+        # with an error that names no field
+        with pytest.raises(ValueError, match="rng_seed"):
+            ChannelSpec(snr_db=0.0, rng_seed=-1)
 
     def test_snr_whose_noise_variance_overflows_rejected(self):
         # 10**(3083/10) overflows a float; noise_sigma would raise OverflowError
