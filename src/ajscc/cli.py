@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .experiments import (
@@ -161,29 +162,13 @@ def _run(args: argparse.Namespace) -> int:
         print(repr(encode(codec, args.x1, args.x2)))
     elif args.command == "decode":
         codec, _ = _codec(args)
-        dec = decode(codec, args.voltage)
-        print(
-            json.dumps(
-                {"x1_hat": dec.x1_hat, "x2_hat": dec.x2_hat, "level_index": dec.level_index}
-            )
-        )
+        print(json.dumps(asdict(decode(codec, args.voltage))))
     elif args.command == "chain":
         codec, values = _codec(args)
         vd = encode(codec, args.x1, args.x2)
         channel = ChannelSpec(snr_db=values["snr_db"], rng_seed=values["master_seed"])
         vd_hat = transmit_receive(FmConfig(), channel, vd)
-        dec = decode(codec, vd_hat)
-        print(
-            json.dumps(
-                {
-                    "vd": vd,
-                    "vd_hat": vd_hat,
-                    "x1_hat": dec.x1_hat,
-                    "x2_hat": dec.x2_hat,
-                    "level_index": dec.level_index,
-                }
-            )
-        )
+        print(json.dumps({"vd": vd, "vd_hat": vd_hat, **asdict(decode(codec, vd_hat))}))
     elif args.command == "sweep-l":
         _emit_result(run_mse_vs_L(_config(args, ExperimentKind.MSE_VS_L)), args)
     elif args.command == "sdr-sweep":
@@ -191,19 +176,9 @@ def _run(args: argparse.Namespace) -> int:
     elif args.command == "cluster":
         results = run_cluster_demo(_config(args, ExperimentKind.CLUSTER_DEMO))
         for sensor_id, res in enumerate(results):
-            print(
-                json.dumps(
-                    {
-                        "sensor_id": sensor_id,
-                        "vd_true": res.vd_true,
-                        "vd_hat": res.vd_hat,
-                        "peak_hz": res.peak_hz,
-                        "x1_hat": res.decoded.x1_hat,
-                        "x2_hat": res.decoded.x2_hat,
-                        "level_index": res.decoded.level_index,
-                    }
-                )
-            )
+            fields = asdict(res)
+            decoded = fields.pop("decoded")  # its fields follow the sensor's own
+            print(json.dumps({"sensor_id": sensor_id, **fields, **decoded}))
     elif args.command == "selftest":
         report = run_roundtrip_suite(_config(args, ExperimentKind.ROUND_TRIP))
         for check in report.checks:

@@ -41,30 +41,32 @@ bins plus sigma times a ``NoiseSpectrum`` of unit-variance bins on one or
 more antennas (noise None or sigma 0 is a noiseless capture), or returns
 None when its bounds cannot separate that bin from every rival.
 ``receive_points`` alone chooses between the proof and the capture: it
-finds each band's bins once, proves every band of a seed's points in one
-call of the proof's block, of which ``proved_peak`` is the one-band call,
-and synthesizes, transforms and searches a point's capture only when some
-band of it is left open.  Each point's tones are checked as a capture
-checks them (``_check_tones``) before anything is proved, and the block's
-first stage is array operations over all its (point, band) rows: the
-tones' nearest bins, windows clear of Nyquist and evaluated ranges, the
-closed-form tone bins, the scaled noise gathered by index, the antenna
-combine and a row-wise argmax, runner-up and margin test, with rows of
-fewer tones padded by zero-weight tones and rows of narrower ranges by
-masked bins.  Rows of the same tones and band, such as
-one point's bands at each SNR of a seed, share one evaluation of the tone
-bins and differ only in the sigma that scales their noise.  Only the rows
-the block leaves open take the exact candidate stage, one by one.
-A ``receive_points`` call may hold the points of several seeds: it proves
-them seed by seed, one block per seed, and draws each seed's noise once
-into one set of buffers that it reuses for every seed and frees on return.
+finds each band's bins once, proves the bands of each run of consecutive
+points of one seed and one tone count in blocks of at most BLOCK_ROWS
+(point, band) rows, of which ``proved_peak`` is the one-band call, and
+synthesizes, transforms and searches a point's capture only when some band
+of it is left open.  Each point's tones are checked as a capture checks
+them (``_check_tones``) before anything is proved, and the block's first
+stage is array operations over all its rows, which hold one number of
+tones: the tones' nearest bins, windows clear of Nyquist and evaluated
+ranges, the closed-form tone bins, the scaled noise gathered by index, the
+antenna combine and a row-wise argmax, runner-up and margin test, with
+rows of narrower ranges padded by masked bins.  Rows of the same tones and
+band, such as one point's bands at each SNR of a seed, share one
+evaluation of the tone bins and differ only in the sigma that scales their
+noise.  Only the rows the block leaves open take the exact candidate
+stage, one by one.  A ``receive_points`` call may hold the points of
+several seeds: it draws each run's noise once, into one set of buffers
+that it reuses for every run and frees on return, so a seed whose points
+are not consecutive has its noise drawn once per run.  The block cap
+bounds the proof's temporaries, whatever the number of points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -190,21 +192,18 @@ def capture(
     )
 
 
-def _tone_sum(
-    m: int, offsets: np.ndarray, first: np.ndarray, columns: np.ndarray, weight
-) -> np.ndarray:
-    """Per row r, the closed-form rfft at bins first[r] + columns of exponentials at offsets.
+def _tone_sum(m: int, offsets: np.ndarray, first: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Per row r, the closed-form rfft at bins first[r] + columns of the tone halves at offsets.
 
-    offsets (rows, slots) are in bins, +freq * M / fs for a tone's exp(+iwn)
-    half and -freq * M / fs for its exp(-iwn) half, and first is (rows, 1).
-    Each slot is scaled by weight (a scalar, or one factor per slot): a
-    tone's halves by 1/2, and a slot of weight 0 adds exact zeros, so rows
-    of fewer tones can be padded into one block.  The bins are the returned
-    sums times ``_bin_phase`` of their bins, one unit factor per column, so
-    |sums| are the bins' magnitudes.  See ``tone_bins`` for the kernel.
+    offsets (rows, halves) are in bins, +freq * M / fs for a tone's exp(+iwn)
+    half and -freq * M / fs for its exp(-iwn) half, each half of amplitude
+    1/2, and first is (rows, 1); every row holds the same number of halves.
+    The bins are the returned sums times ``_bin_phase`` of their bins, one
+    unit factor per column, so |sums| are the bins' magnitudes.  See
+    ``tone_bins`` for the kernel.
     """
     rel = offsets - first
-    d = rel[:, :, np.newaxis] - columns  # (rows, slots, columns)
+    d = rel[:, :, np.newaxis] - columns  # (rows, halves, columns)
     ratio = np.sin(np.pi * d)
     sine = np.sin((np.pi / m) * d)
     limit = np.abs(sine) < math.pi * 1e-9 / m  # d within ~1e-9 bins of 0 or of +-M
@@ -212,9 +211,9 @@ def _tone_sum(
         sine[limit] = 1.0
         ratio[limit] = np.where(np.abs(d[limit]) < m / 2, m, -m)
     ratio /= sine
-    slot = np.exp((1j * np.pi * (m - 1) / m) * rel)
-    slot *= weight
-    return (ratio * slot[:, :, np.newaxis]).sum(axis=1)
+    half = np.exp((1j * np.pi * (m - 1) / m) * rel)
+    half *= 0.5
+    return (ratio * half[:, :, np.newaxis]).sum(axis=1)
 
 
 def _bin_phase(m: int, bins: np.ndarray) -> np.ndarray:
@@ -242,7 +241,7 @@ def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
     m = fm.num_samples
     halves = np.array([[*freqs, *(-freq for freq in freqs)]]) * m / fm.sample_rate
     bins = np.asarray(bins)
-    return _tone_sum(m, halves, np.zeros((1, 1)), bins, 0.5)[0] * _bin_phase(m, bins)
+    return _tone_sum(m, halves, np.zeros((1, 1)), bins)[0] * _bin_phase(m, bins)
 
 
 # half-width in bins of the window around a tone that proved_peak evaluates
@@ -252,6 +251,9 @@ def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
 # the peak, so rounding cannot change a decision accepted with this margin
 PEAK_WINDOW = 32
 PEAK_MARGIN = 1e-7
+# the most (point, band) rows that one block of the proof holds, which
+# bounds its (rows, tone halves, bins) temporaries whatever the call's size
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +300,8 @@ def _unit_noise(fm: FmConfig, seeds: list[int], antennas: int):
     magnitude, allocated when the first spectrum is drawn: the record takes
     each antenna's unit draw and then serves as the combine's scratch.
     Drawing the next seed overwrites the previous spectrum, so each must be
-    used up before the generator resumes.
+    used up before the generator resumes; a seed that comes again is drawn
+    again.
     """
     m = fm.num_samples
     n = m // 2 + 1
@@ -388,16 +391,15 @@ def _proved_bins(
 ) -> list[int | None]:
     """``proved_peak`` of every (freqs, lo, hi, sigma) row, the band being its bins lo..hi.
 
-    Every row's tones are ones ``_check_tones`` accepts: at least one, each
-    in [0, Nyquist).  The first stage runs on every row in one array block.
-    Rows of the same tones and band (a key) share one evaluation of their
-    tone bins and differ only in the sigma that scales their noise.  The
-    keys are padded with tones of weight 0, which add exact zeros, and each
-    row's bins past its evaluated range are masked to -inf, so each row's
-    tones, noise and decision are its own; a row with no evaluated range
-    has every bin masked and is left open.  A row the block leaves open,
-    with a finite best bin and noise in its bound, goes on to the exact
-    candidate stage alone.
+    Every row holds the same number of tones, each one ``_check_tones``
+    accepts: at least one, each in [0, Nyquist).  The first stage runs on
+    every row in one array block.  Rows of the same tones and band (a key)
+    share one evaluation of their tone bins and differ only in the sigma
+    that scales their noise.  Each row's bins past its evaluated range are
+    masked to -inf, so each row's tones, noise and decision are its own; a
+    row with no evaluated range has every bin masked and is left open.  A
+    row the block leaves open, with a finite best bin and noise in its
+    bound, goes on to the exact candidate stage alone.
     """
     m = fm.num_samples
     keys: dict[tuple, int] = {}  # each distinct (tones, lo, hi), in order of first appearance
@@ -405,12 +407,8 @@ def _proved_bins(
     if not keys:
         return []
     tone_sets, lo, hi = zip(*keys)
-    counts = [len(tones) for tones in tone_sets]
-    slots = max(counts)
-    # each key's first tone fills its slots and moves no window
-    freqs = np.array([t + t[:1] * (slots - len(t)) for t in tone_sets], dtype=float)
+    freqs = np.array(tone_sets, dtype=float)
     lo, hi = np.array([lo, hi], dtype=float)[:, :, np.newaxis]
-    counts = np.array(counts)
     offsets = freqs * m / fm.sample_rate  # in bins
     nearest = np.rint(offsets)
     # the evaluated range: the band bins from the lowest to the highest
@@ -430,17 +428,11 @@ def _proved_bins(
     if not width >= 0.0:
         return [None] * len(rows)
     columns = np.arange(int(width) + 1)
-    weight = 0.5 * (np.arange(slots) < counts[:, np.newaxis])
-    tones = _tone_sum(
-        m,
-        np.concatenate([offsets, -offsets], axis=1),  # every exp(+iwn), then every exp(-iwn)
-        first[:, np.newaxis],
-        columns,
-        np.concatenate([weight, weight], axis=1),
-    )
+    halves = np.concatenate([offsets, -offsets], axis=1)  # every exp(+iwn), then every exp(-iwn)
+    tones = _tone_sum(m, halves, first[:, np.newaxis], columns)
     u = np.array(u)  # each row's key
     tones, first, span = tones[u], first[u].astype(int), span[u]
-    leak = counts[u] / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+    leak = freqs.shape[1] / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
     if noise is None:
         mags = np.abs(tones)
         outside = leak
@@ -461,7 +453,7 @@ def _proved_bins(
             freqs, lo, hi, _ = rows[r]
             window = slice(0, int(span[r]) + 1)
             found[r] = _candidate_stage(
-                fm, freqs, lo, hi, at[r, window], mags[r, window], noise, sigma[r], leak[r], best[r]
+                fm, freqs, lo, hi, at[r, window], mags[r, window], noise, sigma[r], leak, best[r]
             )
     return found
 
@@ -535,21 +527,24 @@ def receive_points(
     random numbers).  Every point is validated, in order, before anything
     is drawn, proved or captured: no antenna, no tone, a tone outside
     [0, Nyquist), and a band that holds no bin are rejected whatever the
-    proof would find.  Each distinct band's bins and each distinct SNR's noise sigma
-    are found once.  The points' bands are then proved seed by seed, in
-    order of each seed's first point: a seed with a noisy point has its
-    unit-variance ``NoiseSpectrum`` drawn once, into buffers that every
-    seed of the call reuses and that are freed on return, and all its
-    bands are proved in one block of the proof (``proved_peak`` is its
-    one-band call).  Last, point by point in order,
-    a point with a band left open has its capture synthesized, transformed
-    and searched.  The capture rejects a band whose bins are all zero (a
-    noiseless DC tone leaves every other bin exactly 0) or whose peak is
-    not finite (the mean square overflows when the noise is within
-    ~10*log10(M) dB of ChannelSpec's variance limit).  The proof accepts
-    neither: its peak must beat a positive leak bound, and a bin whose mean
-    square overflows outranks every finite evaluated bin, so the proof
-    either evaluates it, and finds it not finite, or cannot bound it.
+    proof would find.  Each distinct band's bins and each distinct SNR's
+    noise sigma are found once.  The points' bands are then proved run by
+    run, a run being consecutive points of one rng_seed and one number of
+    tones: a run with a noisy point has its unit-variance ``NoiseSpectrum``
+    drawn once, into buffers that every run of the call reuses and that are
+    freed on return, and its bands are proved in blocks of the proof of at
+    most BLOCK_ROWS (point, band) rows each (``proved_peak`` is the
+    one-band call).  A caller that sends each seed's points together, with
+    one number of tones, draws each seed's noise once.  Last, point by
+    point in order, a point with a band left open has its capture
+    synthesized, transformed and searched.  The capture rejects a band
+    whose bins are all zero (a noiseless DC tone leaves every other bin
+    exactly 0) or whose peak is not finite (the mean square overflows when
+    the noise is within ~10*log10(M) dB of ChannelSpec's variance limit).
+    The proof accepts neither: its peak must beat a positive leak bound,
+    and a bin whose mean square overflows outranks every finite evaluated
+    bin, so the proof either evaluates it, and finds it not finite, or
+    cannot bound it.
     """
     spans: dict[tuple[float, float], tuple[int, int]] = {}  # each distinct band's bins
     sigmas: dict[float, float] = {}  # each distinct SNR's noise sigma
@@ -566,16 +561,20 @@ def receive_points(
     rows = [
         (freqs, *spans[tuple(band)], sigmas[ch.snr_db]) for ch, freqs, bands in points for band in bands
     ]
-    groups: dict[int, list[int]] = {}  # each seed's rows, seeds in order of first appearance
-    for i, seed in enumerate(ch.rng_seed for ch, _, bands in points for _ in bands):
-        groups.setdefault(seed, []).append(i)
-    noisy = [seed for seed, index in groups.items() if any(rows[i][3] != 0.0 for i in index)]
-    spectra = _unit_noise(fm, noisy, antennas)
-    peaks: list[int | None] = [None] * len(rows)
-    for seed, index in groups.items():
-        block = [rows[i] for i in index]
-        for i, k in zip(index, _proved_bins(fm, block, next(spectra) if seed in noisy else None)):
-            peaks[i] = k
+    # each run of consecutive rows of one seed and one tone count: its noise
+    # is drawn once, and its rows are proved in blocks of at most BLOCK_ROWS
+    seeds = (ch.rng_seed for ch, _, bands in points for _ in bands)
+    runs = [
+        (seed, [row for _, row in run])
+        for (seed, _), run in groupby(zip(seeds, rows), key=lambda sr: (sr[0], len(sr[1][0])))
+    ]
+    noisy = [any(row[3] != 0.0 for row in run) for _, run in runs]
+    spectra = _unit_noise(fm, [seed for (seed, _), drawn in zip(runs, noisy) if drawn], antennas)
+    peaks: list[int | None] = []
+    for (_, run), drawn in zip(runs, noisy):
+        noise = next(spectra) if drawn else None
+        for start in range(0, len(run), BLOCK_ROWS):
+            peaks += _proved_bins(fm, run[start : start + BLOCK_ROWS], noise)
     ends = list(accumulate(len(bands) for _, _, bands in points))
     if None in peaks:
         # in order, each point with a band left open: its capture decides all its bands

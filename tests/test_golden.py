@@ -109,7 +109,7 @@ def test_selftest_report(command):
 
 
 # one array transmit_receive of 1000 voltages over the whole tone range
-# [0, Nyquist), noiseless and at -20 dB
+# [0, Nyquist), noiseless and at -20 dB: one run of several proof blocks
 ARRAYS = {
     float("inf"): "b67963ed9d5f44ec6235de1ef59b95892bb68882584eb8fdd68d280d9105182a",
     -20.0: "e95742751df3890d405e209387db36e11e045934962ba80fce6c57b821603036",

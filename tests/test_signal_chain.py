@@ -1,6 +1,7 @@
 """Transmission chain tests: tone-sum capture, channel statistics, the receiver and its proofs."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,8 +395,8 @@ class TestProvedPeak:
     ):
         # the proof, and one receive_points call over points of 1-3 seeds,
         # interleaved, each with its own tones, bands and SNR, against the
-        # oracle at each point; the call proves rows of different tone counts
-        # and widths in one block per seed, each seed's noise drawn into the
+        # oracle at each point; the call proves each run of one seed's points
+        # of one tone count in one block, each run's noise drawn into the
         # buffers of the one before.  pin adds a noise bin next to the first
         # point's top window that only the leak bound tells from the window's
         # peak (pin 0: a tie)
@@ -442,10 +443,19 @@ class TestProvedPeak:
             assert [k * bin_width] == record_peaks(fm, [clean + sigma * u for u in pinned], [full])
 
     def test_block_rows_are_their_own_one_row_calls(self):
-        # rows of 1-4 tones and of different bands, widths and SNRs share one
-        # block; each row's decision is that of the row proved alone
+        # each tone count's rows of different tones, bands, widths and SNRs
+        # share one block; each row's decision is that of the row proved alone
         noise = unit_spectrum(FM, 9, antennas=2)
-        tone_sets = [[2499.6], [2500.4, 2510.0, 9000.5], [7000.0, 30.0], [5.0, 31e3, 40.0, 12e3]]
+        tone_sets = [
+            [2499.6],
+            [12000.4],
+            [2500.4, 2510.0, 9000.5],
+            [9000.0, 2499.7, 12010.3],
+            [7000.0, 30.0],
+            [2490.2, 11999.6],
+            [5.0, 31e3, 40.0, 12e3],
+            [2500.0, 7000.3, 12005.0, 100.0],
+        ]
         # (2490, 2499): the band ends one bin below the first tone's peak
         bands = [FULL, (2490.0, 2505.0), (2490.0, 2499.0), (0.0, 100.0), (11990.0, 12010.0)]
         rows = []
@@ -454,8 +464,7 @@ class TestProvedPeak:
                 for snr_db in (math.inf, 0.0, -35.0):
                     sigma = noise_sigma(ChannelSpec(snr_db=snr_db))
                     rows.append((freqs, *signal_chain._band_bins(FM, band), sigma))
-        alone = [signal_chain._proved_bins(FM, [row], noise)[0] for row in rows]
-        assert signal_chain._proved_bins(FM, rows, noise) == alone
+        alone = blocks_of_each_tone_count(rows, noise)
         # proved rows of every tone count, and of ranges 10, 16 and 65 bins wide
         assert {len(row[0]) for row, k in zip(rows, alone) if k is not None} == {1, 2, 3, 4}
         # one (tones, band) at five sigmas, repeated and interleaved with
@@ -470,12 +479,42 @@ class TestProvedPeak:
                 for band in bands[:2]:
                     repeated.append((freqs, *signal_chain._band_bins(FM, band), sigma))
         repeated += rows[::7] + repeated[::3]
-        alone = [signal_chain._proved_bins(FM, [row], noise)[0] for row in repeated]
-        assert signal_chain._proved_bins(FM, repeated, noise) == alone
+        alone = blocks_of_each_tone_count(repeated, noise)
         # the on-bin tones are proved noiseless, and the sigmas of one
         # (tones, band) reach different decisions
         assert alone[:2] == [2500, 2500]
         assert len({k for row, k in zip(repeated, alone) if row[:3] == repeated[0][:3]}) > 1
+
+    def test_runs_of_one_seed_and_tone_count(self, monkeypatch):
+        # one seed's points of 1, 3 and 2 tones, interleaved, then a run of
+        # one tone count that is longer than BLOCK_ROWS: each run is proved
+        # in blocks of at most BLOCK_ROWS rows on its one noise draw, and
+        # each point reads what its one-point call reads
+        fm = FmConfig(sample_rate=8192.0, record_seconds=0.5)
+        blocks = []
+        proved_bins = signal_chain._proved_bins
+
+        def recorded(fm, rows, noise):
+            blocks.append((len(rows), noise))
+            return proved_bins(fm, rows, noise)
+
+        monkeypatch.setattr(signal_chain, "_proved_bins", recorded)
+        bands = [(0.0, 2000.0), (0.0, 4096.0)]
+        tone_sets = [[1500.3], [1500.7, 2500.2, 3300.0], [600.0, 1900.4]]
+        points = [
+            (ChannelSpec(snr_db=snr_db, rng_seed=6), freqs, bands)
+            for snr_db in (math.inf, 0.0, -10.0)
+            for freqs in tone_sets
+        ]
+        run = signal_chain.BLOCK_ROWS + 44
+        ch = ChannelSpec(snr_db=-5.0, rng_seed=6)
+        points += [(ch, [freq], bands) for freq in np.linspace(10.0, 1990.0, run // 2).tolist()]
+        mixed = receive_points(fm, points, antennas=2)
+        sizes = [n for n, _ in blocks]
+        assert sizes == [2] * 9 + [signal_chain.BLOCK_ROWS, 44]
+        assert [noise is None for _, noise in blocks[:9]] == [True] * 3 + [False] * 6
+        assert blocks[-1][1] is blocks[-2][1]
+        assert mixed == [receive(fm, *point, antennas=2) for point in points]
 
     def test_rows_of_one_tones_and_band_share_one_evaluation(self, monkeypatch):
         # a seed's points at six SNRs, each with the same three tones and
@@ -507,6 +546,16 @@ class TestProvedPeak:
         assert signal_chain._wins(above, bound, 0.5 * bound).all()
         assert signal_chain._wins(above, -math.inf, bound).all()
         assert not signal_chain._wins(np.array([math.inf, math.nan]), -math.inf, 1.0).any()
+
+
+def blocks_of_each_tone_count(rows, noise):
+    """Each row's one-row proof, checked against the block of each tone count's rows."""
+    alone = [signal_chain._proved_bins(FM, [row], noise)[0] for row in rows]
+    for count in {len(row[0]) for row in rows}:
+        index = [i for i, row in enumerate(rows) if len(row[0]) == count]
+        block = signal_chain._proved_bins(FM, [rows[i] for i in index], noise)
+        assert block == [alone[i] for i in index]
+    return alone
 
 
 @pytest.fixture
@@ -877,6 +926,27 @@ class TestEndToEnd:
             if abs(got - vd) > 1.0 / FM.scale:
                 misses += 1
         assert misses == 0
+
+
+class TestBoundedMemory:
+    """A receive_points call proves its rows in blocks of at most BLOCK_ROWS rows.
+
+    So the proof's temporaries do not grow with the number of points: the
+    traced peak of an array transmit_receive is the points' own lists and
+    one block's arrays (and, when noisy, one noise draw).
+    """
+
+    @pytest.mark.parametrize("size, snr_db, bound_mib", [(10_000, math.inf, 16), (2000, -20.0, 8)])
+    def test_traced_peak(self, size, snr_db, bound_mib):
+        vd = np.random.default_rng(5).uniform(0.0, 30.0, size)
+        ch = ChannelSpec(snr_db=snr_db, rng_seed=5)
+        tracemalloc.start()
+        try:
+            transmit_receive(FM, ch, vd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
 
 class TestArrayVoltages:
