@@ -536,6 +536,8 @@ def _parse_list(text: str, typ: type) -> tuple:
             parts = [int(p) for p in token.split(":")]
             if len(parts) not in (2, 3):
                 raise ValueError(f"range {token!r} is not a:b or a:b:s")
+            if parts[2:] and parts[2] < 1:
+                raise ValueError(f"range {token!r} needs a step s >= 1")
             values.extend(range(parts[0], parts[1] + 1, *parts[2:]))
         else:
             values.append(typ(token))
@@ -599,7 +601,7 @@ def config_from_mapping(
     With ``kind`` given the mapping may omit its ``kind`` key but not contradict
     it.  A key the kind does not honour (``KIND_KEYS``) is rejected.
     ``source_x1``/``source_x2`` imply ``source_kind=fixed``; an explicit
-    uniform source with either coordinate is rejected.
+    uniform source with either coordinate is rejected (by ``SourceSpec``).
     """
     values = dict(values)
     if kind is not None:
@@ -609,11 +611,7 @@ def config_from_mapping(
     elif "kind" not in values:
         raise ValueError("config must set kind")
     if "source_x1" in values or "source_x2" in values:
-        source_kind = values.setdefault("source_kind", "fixed")
-        if source_kind != "fixed":
-            raise ValueError(
-                f"source_x1/source_x2 set a fixed source point, but source_kind is {source_kind!r}"
-            )
+        values.setdefault("source_kind", "fixed")
     kwargs: dict = {}
     nested: dict[str, dict] = {}
     for key, value in parse_config_values(values).items():

@@ -36,37 +36,34 @@ itself, with the on-bin limit M at d = 0 and the alias limit -M at d = +-M,
 and factors the phase into one complex exponential per tone half and one
 per bin instead of one per (half, bin) pair.
 
-``proved_peak`` proves one band's strongest bin from the tones' closed-form
-bins plus sigma times a ``NoiseSpectrum`` of unit-variance bins on one or
-more antennas (noise None or sigma 0 is a noiseless capture), or returns
-None when its bounds cannot separate that bin from every rival.
-``receive_points`` alone chooses between the proof and the capture: it
-finds each band's bins once, proves the bands of each run of consecutive
-points of one seed and one tone count in blocks of at most BLOCK_ROWS
-(point, band) rows, of which ``proved_peak`` is the one-band call, and
-synthesizes, transforms and searches a point's capture only when some band
-of it is left open.  Each point's tones are checked as a capture checks
-them (``_check_tones``) before anything is proved, and the block's first
-stage is array operations over all its rows, which hold one number of
-tones: the tones' nearest bins, windows clear of Nyquist and evaluated
-ranges, the closed-form tone bins, the scaled noise gathered by index, the
-antenna combine and a row-wise argmax, runner-up and margin test, with
-rows of narrower ranges padded by masked bins.  Rows of the same tones and
-band, such as one point's bands at each SNR of a seed, share one
-evaluation of the tone bins and differ only in the sigma that scales their
-noise.  Only the rows the block leaves open take the exact candidate
-stage, one by one.  A ``receive_points`` call may hold the points of
-several seeds: it draws each run's noise once, into one set of buffers
-that it reuses for every run and frees on return, so a seed whose points
-are not consecutive has its noise drawn once per run.  The block cap
-bounds the proof's temporaries, whatever the number of points.
+``receive_points`` alone chooses between the proof and the capture.  It
+checks each point's tones as a capture checks them (``_check_tones``) and
+each band's bins before anything is proved, and turns every (point, band)
+into one row that carries its point's seed.  It proves the rows of each run
+of one seed and one tone count from the run's one noise draw
+(``_unit_noise``), in blocks of at most BLOCK_ROWS rows (``_proved_bins``,
+whose docstring holds the proof), and synthesizes, transforms and searches
+a point's capture only when some band of it is left open.  The block's
+first stage is array operations over all its rows: the tones' nearest
+bins, windows clear of Nyquist and evaluated ranges, the closed-form tone
+bins, the scaled noise gathered by index, the antenna combine and a
+row-wise argmax, runner-up and margin test, with rows of narrower ranges
+padded by masked bins.  Rows of the same tones and band, such as one
+point's bands at each SNR of a seed, share one evaluation of the tone bins
+and differ only in the sigma that scales their noise.  Only the rows the
+block leaves open take the exact candidate stage, one by one.  A call may
+hold the points of several seeds: it draws each run's noise once, into one
+set of buffers that it reuses for every run and frees on return, so a seed
+whose points are not consecutive has its noise drawn once per run.  The
+block cap bounds the proof's temporaries, whatever the number of points.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import groupby, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +72,6 @@ __all__ = [
     "ChannelSpec",
     "capture",
     "tone_bins",
-    "NoiseSpectrum",
-    "proved_peak",
     "noise_sigma",
     "receive",
     "receive_points",
@@ -244,7 +239,7 @@ def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
     return _tone_sum(m, halves, np.zeros((1, 1)), bins)[0] * _bin_phase(m, bins)
 
 
-# half-width in bins of the window around a tone that proved_peak evaluates
+# half-width in bins of the window around a tone that the proof evaluates
 # in closed form, and the relative margin by which its peak must beat the
 # runner-up and the bound on every other bin.  The closed-form tone plus the
 # noise's rfft and np.fft.rfft of the synthesized record agree to ~1e-11 of
@@ -256,44 +251,34 @@ PEAK_MARGIN = 1e-7
 BLOCK_ROWS = 256
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseSpectrum:
-    """rfft bins of unit-variance noise records, one array per antenna, and their combined RMS.
+class _Noise(NamedTuple):
+    """rfft bins of unit-variance noise, one array per antenna, their combine and its peak.
 
-    ``proved_peak`` scales each antenna's bins by the caller's noise sigma,
-    adds the tones' closed-form bins and combines the antennas as
-    ``receive`` combines its per-antenna spectra.  ``magnitude`` is the
-    root-mean-square of |bins| over the antennas (|bins| for one antenna),
-    computed once at construction, and ``peak`` its maximum; they bound the
-    bins the proof does not evaluate.  bins is a sequence of equal-length
-    1-D arrays (the rows of a 2-D array will do); anything else, or a
-    non-finite bin, is rejected.  out and scratch, when given, are float
-    arrays of the bins' length that the combine is written to and works in
-    (see ``_combined``), so a buffered draw keeps its magnitude in its own
-    buffer.
+    The proof scales each antenna's bins by a row's noise sigma, adds the
+    tones' closed-form bins and combines the antennas as ``receive``
+    combines its per-antenna spectra.  magnitude is the root-mean-square of
+    |bins| over the antennas (|bins| for one antenna) and peak its maximum;
+    they bound the bins the proof does not evaluate.
     """
 
     bins: tuple[np.ndarray, ...]
-    out: InitVar[np.ndarray | None] = None
-    scratch: InitVar[np.ndarray | None] = None
-    magnitude: np.ndarray = field(init=False, repr=False)
-    peak: float = field(init=False)
+    magnitude: np.ndarray
+    peak: float
 
-    def __post_init__(self, out: np.ndarray | None, scratch: np.ndarray | None) -> None:
-        bins = tuple(np.asarray(b) for b in self.bins)
-        if not bins or bins[0].ndim != 1 or any(b.shape != bins[0].shape for b in bins):
-            raise ValueError("noise spectrum needs one 1-D array of bins per antenna, one length")
-        magnitude = _combined(bins, out, scratch)
-        peak = float(np.max(magnitude))
-        if not math.isfinite(peak):
-            raise ValueError("noise spectrum is not finite")
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "magnitude", magnitude)
-        object.__setattr__(self, "peak", peak)
+
+def _noise(bins, out=None, scratch=None) -> _Noise:
+    """The ``_Noise`` of equal-length 1-D arrays of bins, one per antenna.
+
+    out and scratch, when given, are float arrays of the bins' length that
+    the combine is written to and works in (``_combined``), so a buffered
+    draw keeps its magnitude in its own buffer.
+    """
+    magnitude = _combined(bins, out, scratch)
+    return _Noise(tuple(bins), magnitude, float(np.max(magnitude)))
 
 
 def _unit_noise(fm: FmConfig, seeds: list[int], antennas: int):
-    """Each seed's unit-variance ``NoiseSpectrum`` in turn, all drawn into one set of buffers.
+    """Each seed's unit-variance ``_Noise`` in turn, all drawn into one set of buffers.
 
     Antenna a's bins are the rfft of the seed's unit draw on antenna a.  The
     buffers are one noise record, one rfft per antenna and one combined
@@ -317,7 +302,7 @@ def _unit_noise(fm: FmConfig, seeds: list[int], antennas: int):
         for a, spectrum in enumerate(bins):
             _noise_rng(seed, a).standard_normal(out=record)
             np.fft.rfft(record, out=spectrum)
-        yield NoiseSpectrum(bins, magnitude, record[:n])
+        yield _noise(bins, magnitude, record[:n])
 
 
 def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
@@ -368,7 +353,7 @@ def _wins(best, runner_up, outside):
 
 
 def _candidate_stage(fm, freqs, lo, hi, window, mags, noise, sigma, leak, best) -> int | None:
-    """The exact second stage of ``proved_peak`` for a band the first stage left open.
+    """The exact second stage of ``_proved_bins`` for a row the first stage left open.
 
     window holds the evaluated bins, first to last, mags their combined
     magnitudes and best the largest of those.
@@ -387,25 +372,51 @@ def _candidate_stage(fm, freqs, lo, hi, window, mags, noise, sigma, leak, best) 
 
 
 def _proved_bins(
-    fm: FmConfig, rows: list[tuple[list[float], int, int, float]], noise: NoiseSpectrum | None
+    fm: FmConfig, rows: list[tuple[list[float], int, int, float]], noise: _Noise | None
 ) -> list[int | None]:
-    """``proved_peak`` of every (freqs, lo, hi, sigma) row, the band being its bins lo..hi.
+    """The rfft argmax bin of each (freqs, lo, hi, sigma) row's band, or None when unproved.
 
-    Every row holds the same number of tones, each one ``_check_tones``
-    accepts: at least one, each in [0, Nyquist).  The first stage runs on
-    every row in one array block.  Rows of the same tones and band (a key)
-    share one evaluation of their tone bins and differ only in the sigma
-    that scales their noise.  Each row's bins past its evaluated range are
-    masked to -inf, so each row's tones, noise and decision are its own; a
-    row with no evaluated range has every bin masked and is left open.  A
-    row the block leaves open, with a finite best bin and noise in its
-    bound, goes on to the exact candidate stage alone.
+    A row's capture is the sum of the tones at freqs (Hz) plus sigma times
+    the noise's bins on each antenna (noiseless when noise is None or sigma
+    is 0), combined over the antennas as ``receive`` combines them; its band
+    is the bins lo..hi.  Every row holds the same number of tones, each one
+    ``_check_tones`` accepts: at least one, each in [0, Nyquist).
+
+    With M = fm.num_samples, a tone's window is the bins within PEAK_WINDOW
+    of its nearest bin c0; the band bins from the lowest to the highest
+    window that meets the band are evaluated in closed form (``tone_bins``)
+    and added to the scaled noise bins.  Each Dirichlet kernel of a tone is
+    at least PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin outside its
+    window as long as the window stays clear of Nyquist, so no tone bin
+    there exceeds the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the
+    tones together at most len(freqs) times it; by Minkowski's inequality a
+    bin's combined magnitude is at most that plus sigma times the noise
+    magnitude.  Two stages prove the peak:
+
+    - every band bin outside the evaluated range is bounded by the tones'
+      leak plus sigma times the noise's peak;
+    - when that fails, the band bins whose bound reaches the range's best
+      over (1 + PEAK_MARGIN) are evaluated in closed form, and every other
+      bin is bounded by the leak plus sigma times the largest noise
+      magnitude among them (``_candidate_stage``).
+
+    The best evaluated bin is returned when it is finite and beats the
+    runner-up and the bound by PEAK_MARGIN.  A window that reaches Nyquist,
+    a band that meets no window or a non-finite quantity gives None, so
+    ``receive_points``' capture decides, with its errors.
+
+    The first stage runs on every row in one array block.  Rows of the same
+    tones and band (a key) share one evaluation of their tone bins and
+    differ only in the sigma that scales their noise.  Each row's bins past
+    its evaluated range are masked to -inf, so each row's tones, noise and
+    decision are its own; a row with no evaluated range has every bin
+    masked and is left open.  A row the block leaves open, with a finite
+    best bin and noise in its bound, goes on to the exact candidate stage
+    alone.
     """
     m = fm.num_samples
     keys: dict[tuple, int] = {}  # each distinct (tones, lo, hi), in order of first appearance
     u = [keys.setdefault((tuple(freqs), lo, hi), len(keys)) for freqs, lo, hi, _ in rows]
-    if not keys:
-        return []
     tone_sets, lo, hi = zip(*keys)
     freqs = np.array(tone_sets, dtype=float)
     lo, hi = np.array([lo, hi], dtype=float)[:, :, np.newaxis]
@@ -458,58 +469,6 @@ def _proved_bins(
     return found
 
 
-def proved_peak(
-    fm: FmConfig,
-    freqs: list[float],
-    band: tuple[float, float],
-    noise: NoiseSpectrum | None,
-    sigma: float,
-) -> int | None:
-    """rfft argmax bin of one band of a capture of freqs, or None when unproved.
-
-    The capture is the sum of the tones at freqs (Hz) plus sigma times the
-    noise spectrum's bins on each antenna (noiseless when noise is None or
-    sigma is 0), combined over the antennas as ``receive`` combines them;
-    the band (lo_hz, hi_hz) is searched over ``receive``'s bin range.  With
-    M = fm.num_samples, a tone's window is the bins within PEAK_WINDOW of its
-    nearest bin c0; the band bins from the lowest to the highest window that
-    meets the band are evaluated in closed form (``tone_bins``) and added to
-    the scaled noise bins.  Each Dirichlet kernel of a tone is at least
-    PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin outside its window as
-    long as the window stays clear of Nyquist, so no tone bin there exceeds
-    the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the tones together
-    at most len(freqs) times it; by Minkowski's inequality a bin's combined
-    magnitude is at most that plus sigma times the noise magnitude.  Two
-    stages prove the peak:
-
-    - every band bin outside the evaluated range is bounded by the tones'
-      leak plus sigma times the noise spectrum's peak;
-    - when that fails, the band bins whose bound reaches the range's best
-      over (1 + PEAK_MARGIN) are evaluated in closed form, and every other
-      bin is bounded by the leak plus sigma times the largest noise
-      magnitude among them.
-
-    The best evaluated bin is returned when it is finite and beats the
-    runner-up and the bound by PEAK_MARGIN.  A frequency outside
-    [0, Nyquist), a window that reaches Nyquist, a band that meets no window
-    or a non-finite quantity gives None, so ``receive``'s capture decides,
-    with its errors.  This is the one-band call of the block that
-    ``receive_points`` runs over every band of every point.
-    """
-    m = fm.num_samples
-    if noise is not None and noise.bins[0].shape != (m // 2 + 1,):
-        raise ValueError(
-            f"noise spectrum has shape {noise.bins[0].shape} per antenna; "
-            f"the record's rfft has {m // 2 + 1} bins"
-        )
-    try:
-        _check_tones(fm, freqs, 1)
-    except ValueError:
-        return None
-    (peak,) = _proved_bins(fm, [(freqs, *_band_bins(fm, band), sigma)], noise)
-    return peak
-
-
 def receive_points(
     fm: FmConfig,
     points: list[tuple[ChannelSpec, list[float], list[tuple[float, float]]]],
@@ -527,15 +486,14 @@ def receive_points(
     random numbers).  Every point is validated, in order, before anything
     is drawn, proved or captured: no antenna, no tone, a tone outside
     [0, Nyquist), and a band that holds no bin are rejected whatever the
-    proof would find.  Each distinct band's bins and each distinct SNR's
-    noise sigma are found once.  The points' bands are then proved run by
-    run, a run being consecutive points of one rng_seed and one number of
-    tones: a run with a noisy point has its unit-variance ``NoiseSpectrum``
-    drawn once, into buffers that every run of the call reuses and that are
-    freed on return, and its bands are proved in blocks of the proof of at
-    most BLOCK_ROWS (point, band) rows each (``proved_peak`` is the
-    one-band call).  A caller that sends each seed's points together, with
-    one number of tones, draws each seed's noise once.  Last, point by
+    proof would find.  Each (point, band) becomes one row of the proof
+    that carries its point's seed.  The rows are then proved run by run, a
+    run being consecutive points of one rng_seed and one number of tones: a
+    run with a noisy point has its unit-variance noise drawn once, into
+    buffers that every run of the call reuses and that are freed on return,
+    and its rows are proved in blocks of at most BLOCK_ROWS rows each
+    (``_proved_bins``).  A caller that sends each seed's points together,
+    with one number of tones, draws each seed's noise once.  Last, point by
     point in order, a point with a band left open has its capture
     synthesized, transformed and searched.  The capture rejects a band
     whose bins are all zero (a noiseless DC tone leaves every other bin
@@ -546,27 +504,20 @@ def receive_points(
     bin, so the proof either evaluates it, and finds it not finite, or
     cannot bound it.
     """
-    spans: dict[tuple[float, float], tuple[int, int]] = {}  # each distinct band's bins
-    sigmas: dict[float, float] = {}  # each distinct SNR's noise sigma
+    rows = []  # per (point, band): the point's seed, then the proof's (freqs, lo, hi, sigma)
     for ch, freqs, bands in points:  # the first point rejected raises its error
         _check_tones(fm, freqs, antennas)
+        sigma = noise_sigma(ch)
         for band in bands:
-            key = tuple(band)
-            if key not in spans:
-                spans[key] = lo, hi = _band_bins(fm, band)
-                if lo > hi:
-                    raise ValueError(f"band {band} contains no FFT bins")
-        if ch.snr_db not in sigmas:
-            sigmas[ch.snr_db] = noise_sigma(ch)
-    rows = [
-        (freqs, *spans[tuple(band)], sigmas[ch.snr_db]) for ch, freqs, bands in points for band in bands
-    ]
+            lo, hi = _band_bins(fm, band)
+            if lo > hi:
+                raise ValueError(f"band {band} contains no FFT bins")
+            rows.append((ch.rng_seed, (freqs, lo, hi, sigma)))
     # each run of consecutive rows of one seed and one tone count: its noise
     # is drawn once, and its rows are proved in blocks of at most BLOCK_ROWS
-    seeds = (ch.rng_seed for ch, _, bands in points for _ in bands)
     runs = [
         (seed, [row for _, row in run])
-        for (seed, _), run in groupby(zip(seeds, rows), key=lambda sr: (sr[0], len(sr[1][0])))
+        for (seed, _), run in groupby(rows, key=lambda row: (row[0], len(row[1][0])))
     ]
     noisy = [any(row[3] != 0.0 for row in run) for _, run in runs]
     spectra = _unit_noise(fm, [seed for (seed, _), drawn in zip(runs, noisy) if drawn], antennas)
@@ -575,24 +526,24 @@ def receive_points(
         noise = next(spectra) if drawn else None
         for start in range(0, len(run), BLOCK_ROWS):
             peaks += _proved_bins(fm, run[start : start + BLOCK_ROWS], noise)
-    ends = list(accumulate(len(bands) for _, _, bands in points))
     if None in peaks:
         # in order, each point with a band left open: its capture decides all its bands
-        for (ch, freqs, bands), end in zip(points, ends):
-            start = end - len(bands)
-            if None not in peaks[start:end]:
-                continue
-            combined = _combined([np.fft.rfft(y) for y in capture(fm, ch, freqs, antennas)])
-            for i, band in enumerate(bands, start):
-                lo, hi = rows[i][1:3]
-                peaks[i] = k = lo + int(np.argmax(combined[lo : hi + 1]))
-                if not math.isfinite(combined[k]):
-                    raise ValueError("the combined spectrum overflows: the noise power is too large")
-                if not combined[k] > 0:
-                    raise ValueError(f"degenerate all-zero band {band}: no signal to detect")
+        start = 0
+        for ch, freqs, bands in points:
+            end = start + len(bands)
+            if None in peaks[start:end]:
+                combined = _combined([np.fft.rfft(y) for y in capture(fm, ch, freqs, antennas)])
+                for i, band in enumerate(bands, start):
+                    _, lo, hi, _ = rows[i][1]
+                    peaks[i] = k = lo + int(np.argmax(combined[lo : hi + 1]))
+                    if not math.isfinite(combined[k]):
+                        raise ValueError("the combined spectrum overflows: the noise power is too large")
+                    if not combined[k] > 0:
+                        raise ValueError(f"degenerate all-zero band {band}: no signal to detect")
+            start = end
     bin_width = fm.sample_rate / fm.num_samples
-    values = [k * bin_width for k in peaks]
-    return [values[end - len(bands) : end] for (_, _, bands), end in zip(points, ends)]
+    values = iter([k * bin_width for k in peaks])
+    return [list(islice(values, len(bands))) for _, _, bands in points]
 
 
 def receive(

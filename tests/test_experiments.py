@@ -648,6 +648,18 @@ class TestOutput:
         assert payload["best_param"] == result.best_param
 
 
+class RecordingConfig:
+    """An ExperimentConfig that records the name of every field read from it."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
 class TestConfigFile:
     def test_load_and_types(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -714,6 +726,23 @@ class TestConfigFile:
             for key in sorted(honoured & set(values)):
                 config_from_mapping({key: values[key]}, kind)
 
+    @pytest.mark.parametrize(
+        "kind, runner",
+        [
+            (ExperimentKind.MSE_VS_L, run_mse_vs_L),
+            (ExperimentKind.SDR_VS_CSNR, run_sdr_vs_csnr),
+            (ExperimentKind.ROUND_TRIP, run_roundtrip_suite),
+            (ExperimentKind.CLUSTER_DEMO, run_cluster_demo),
+        ],
+    )
+    def test_runners_read_exactly_the_keys_their_kind_honours(self, kind, runner):
+        # a field behind a key the kind honours that its runner never reads
+        # would be silently ignored, and a field it reads behind a key the
+        # kind rejects could not be set from a config file
+        cfg = RecordingConfig(ExperimentConfig(kind=kind, trials=2, l_values=(5, 11)))
+        runner(cfg)
+        assert cfg.read == {CONFIG_KEYS[key][0] for key in KIND_KEYS[kind]}
+
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError):
             config_from_mapping({"trials": "5"})
@@ -732,7 +761,7 @@ class TestConfigFile:
         assert config_from_mapping(read_config_file(path)).l_values == (10, 15, 20)
         cfg = config_from_mapping({"kind": "mse-vs-l", "l_values": "5, 60:62 ,90:100:10,"})
         assert cfg.l_values == (5, 60, 61, 62, 90, 100)
-        for bad in ("10:20:5:1", "10:20:0", "10.5"):
+        for bad in ("10:20:5:1", "10:20:0", "80:60:-10", "10.5"):
             with pytest.raises(ValueError, match="l_values"):
                 config_from_mapping({"kind": "mse-vs-l", "l_values": bad})
         snrs = config_from_mapping({"kind": "sdr-vs-csnr", "snr_values": "-30,inf"}).snr_values

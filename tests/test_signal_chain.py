@@ -13,10 +13,8 @@ from ajscc.signal_chain import (
     PEAK_WINDOW,
     ChannelSpec,
     FmConfig,
-    NoiseSpectrum,
     capture,
     noise_sigma,
-    proved_peak,
     receive,
     receive_points,
     tone_bins,
@@ -190,7 +188,7 @@ class TestLeakBound:
     )
     @settings(max_examples=200, deadline=None)
     def test_no_tone_bin_outside_the_window_exceeds_the_leak(self, sample_rate, record_exp, freq_frac):
-        # the one analytic assumption of proved_peak: with the window clear
+        # the one analytic assumption of the proof: with the window clear
         # of Nyquist, every rfft bin outside it is at most the leak bound
         m = 2**record_exp
         fm = FmConfig(sample_rate=sample_rate, record_seconds=m / sample_rate)
@@ -207,20 +205,26 @@ class TestLeakBound:
 FULL = (0.0, FM.sample_rate / 2)
 
 
+def proved_bin(fm, freqs, band, noise, sigma):
+    """The proof's bin of one band (lo_hz, hi_hz): ``_proved_bins`` of one row, or None."""
+    row = (freqs, *signal_chain._band_bins(fm, band), sigma)
+    return signal_chain._proved_bins(fm, [row], noise)[0]
+
+
 def zero_noise(fm=FM):
-    return NoiseSpectrum([np.zeros(fm.num_samples // 2 + 1, dtype=complex)])
+    return signal_chain._noise([np.zeros(fm.num_samples // 2 + 1, dtype=complex)])
 
 
 def unit_spectrum(fm, rng_seed, antennas=1):
-    """The unit-variance noise spectrum of a seed: the rfft of each antenna's unit draw."""
-    return NoiseSpectrum([np.fft.rfft(u) for u in unit_noise(fm, rng_seed, antennas)])
+    """The unit-variance noise of a seed: the rfft of each antenna's unit draw."""
+    return signal_chain._noise([np.fft.rfft(u) for u in unit_noise(fm, rng_seed, antennas)])
 
 
 def pinned_noise(bin_index, value):
     """A noise spectrum of FM's record that is zero except for one bin."""
     bins = np.zeros(FM.num_samples // 2 + 1, dtype=complex)
     bins[bin_index] = value
-    return NoiseSpectrum([bins])
+    return signal_chain._noise([bins])
 
 
 def tone_frequency(fm, place):
@@ -262,21 +266,21 @@ TONE_PLACES = st.one_of(
 
 
 class TestProvedPeak:
-    """proved_peak accepts a bin only when its bounds separate it from every rival."""
+    """The proof accepts a bin only when its bounds separate it from every rival."""
 
     def test_clean_tone_is_accepted(self):
-        assert proved_peak(FM, [2500.0], FULL, None, 0.0) == 2500
-        assert proved_peak(FM, [2500.0], FULL, zero_noise(), 1.0) == 2500
+        assert proved_bin(FM, [2500.0], FULL, None, 0.0) == 2500
+        assert proved_bin(FM, [2500.0], FULL, zero_noise(), 1.0) == 2500
 
     def test_out_of_window_noise_winner_is_proved(self):
         # a real noise record whose bin 10000 beats the tone's peak: the
         # leak-plus-peak bound fails, and the exact candidate wins
         noise = 1.25 * capture(FM, NO_NOISE, [10000.0])[0]
-        spectrum = NoiseSpectrum([np.fft.rfft(noise)])
+        spectrum = signal_chain._noise([np.fft.rfft(noise)])
         assert spectrum.peak + 1.0 / math.sin(math.pi * (PEAK_WINDOW + 0.5) / FM.num_samples) > (
             FM.num_samples / 2
         )
-        assert proved_peak(FM, [2500.0], FULL, spectrum, 1.0) == 10000
+        assert proved_bin(FM, [2500.0], FULL, spectrum, 1.0) == 10000
         assert np.argmax(np.abs(np.fft.rfft(tone(2500.0) + noise))) == 10000
 
     def test_out_of_window_near_tie_falls_back(self):
@@ -286,7 +290,7 @@ class TestProvedPeak:
         leak = tone_bins(FM, [2500.0], np.array([10000]))[0]
         for ratio, expected in ((1.0 + 1e-12, None), (1.01, 10000), (0.99, 2500)):
             noise = pinned_noise(10000, leak * (peak * ratio / abs(leak) - 1.0))
-            assert proved_peak(FM, [2500.0], FULL, noise, 1.0) == expected, ratio
+            assert proved_bin(FM, [2500.0], FULL, noise, 1.0) == expected, ratio
 
     def test_tone_leak_decides_an_out_of_window_winner(self):
         # a noise bin below the tone's peak that the tone's own leakage
@@ -298,7 +302,7 @@ class TestProvedPeak:
         noise = pinned_noise(10000, leak / abs(leak) * (peak - abs(leak) / 2))
         assert noise.peak < peak
         assert abs(leak + noise.bins[0][10000]) > peak * (1.0 + 1e-5)
-        assert proved_peak(FM, [freq], FULL, noise, 1.0) == 10000
+        assert proved_bin(FM, [freq], FULL, noise, 1.0) == 10000
 
     def test_near_tie_in_window_falls_back(self):
         # a half-bin tone plus a small noise value that lifts bin 2501 to
@@ -307,55 +311,41 @@ class TestProvedPeak:
         t = tone_bins(FM, [freq], np.array([2500, 2501]))
         noise = pinned_noise(2501, t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0))
         assert noise.peak < 10.0
-        assert proved_peak(FM, [freq], FULL, zero_noise(), 1.0) is not None
-        assert proved_peak(FM, [freq], FULL, noise, 1.0) is None
+        assert proved_bin(FM, [freq], FULL, zero_noise(), 1.0) is not None
+        assert proved_bin(FM, [freq], FULL, noise, 1.0) is None
 
     def test_window_near_nyquist_falls_back(self):
-        assert proved_peak(FM, [FM.sample_rate / 2 - 10.0], FULL, None, 0.0) is None
-        assert proved_peak(FM, [FM.sample_rate / 2 - 10.0], FULL, zero_noise(), 1.0) is None
+        assert proved_bin(FM, [FM.sample_rate / 2 - 10.0], FULL, None, 0.0) is None
+        assert proved_bin(FM, [FM.sample_rate / 2 - 10.0], FULL, zero_noise(), 1.0) is None
         # one tone near Nyquist spoils the leak bound of every band
         near_nyquist = [2500.0, FM.sample_rate / 2 - 10.0]
-        assert proved_peak(FM, near_nyquist, (0.0, 5000.0), None, 0.0) is None
+        assert proved_bin(FM, near_nyquist, (0.0, 5000.0), None, 0.0) is None
         # 64 samples: every window reaches Nyquist
         short = FmConfig(sample_rate=64.0)
-        peaks = [proved_peak(short, [f], (0.0, 32.0), None, 0.0) for f in np.arange(0.0, 32.0, 0.5)]
+        peaks = [proved_bin(short, [f], (0.0, 32.0), None, 0.0) for f in np.arange(0.0, 32.0, 0.5)]
         assert peaks == [None] * 64
-
-    def test_invalid_inputs(self):
-        for freq in (-1.0, math.nan, FM.sample_rate / 2, math.inf):
-            assert proved_peak(FM, [freq], FULL, None, 0.0) is None
-            assert proved_peak(FM, [2500.0, freq], (0.0, 5000.0), None, 0.0) is None
-        with pytest.raises(ValueError, match="shape"):
-            proved_peak(FM, [2500.0], FULL, zero_noise(FmConfig(sample_rate=1024.0)), 1.0)
-        with pytest.raises(ValueError, match="not finite"):
-            pinned_noise(5, math.nan)
-        # one array of bins per antenna: a bare 1-D array or ragged antennas are rejected
-        for bins in (np.zeros(8), [np.zeros(8), np.zeros(4)], []):
-            with pytest.raises(ValueError, match="per antenna"):
-                NoiseSpectrum(bins)
-
 
     def test_tones_and_band(self):
         # each band's argmax over two tones, their windows overlapping
         tones = [2500.0, 2540.25]
-        assert proved_peak(FM, tones, (0.0, 2520.0), None, 0.0) == 2500
-        assert proved_peak(FM, tones, (2520.0, 5000.0), None, 0.0) == 2540
+        assert proved_bin(FM, tones, (0.0, 2520.0), None, 0.0) == 2500
+        assert proved_bin(FM, tones, (2520.0, 5000.0), None, 0.0) == 2540
         # a band edge inside a tone's window: the edge bin is the argmax,
         # proved against one tone's leak (~642) but not against two tones'
-        assert proved_peak(FM, tones[1:], (2505.0, 2530.0), None, 0.0) == 2530
-        assert proved_peak(FM, tones, (2505.0, 2530.0), None, 0.0) is None
+        assert proved_bin(FM, tones[1:], (2505.0, 2530.0), None, 0.0) == 2530
+        assert proved_bin(FM, tones, (2505.0, 2530.0), None, 0.0) is None
         # a band that meets no window, or holds no bin, is left to receive
-        assert proved_peak(FM, tones, (6000.0, 7000.0), None, 0.0) is None
-        assert proved_peak(FM, tones, (2500.2, 2500.8), None, 0.0) is None
+        assert proved_bin(FM, tones, (6000.0, 7000.0), None, 0.0) is None
+        assert proved_bin(FM, tones, (2500.2, 2500.8), None, 0.0) is None
 
     def test_sigma_scales_the_unit_noise(self):
         # sigma times a unit spectrum proves what the scaled spectrum proves
         noise = unit_spectrum(FM, 5, antennas=2)
-        scaled = NoiseSpectrum([40.0 * b for b in noise.bins])
+        scaled = signal_chain._noise([40.0 * b for b in noise.bins])
         for band in ((0.0, 4000.0), (4000.0, 9000.0)):
-            k = proved_peak(FM, [2500.0, 7000.5], band, noise, 40.0)
+            k = proved_bin(FM, [2500.0, 7000.5], band, noise, 40.0)
             assert k is not None
-            assert k == proved_peak(FM, [2500.0, 7000.5], band, scaled, 1.0)
+            assert k == proved_bin(FM, [2500.0, 7000.5], band, scaled, 1.0)
 
     def test_combine_overflow_is_unproved(self):
         # at -3050 dB the 2-antenna mean square overflows, so the proof
@@ -363,12 +353,12 @@ class TestProvedPeak:
         ch = ChannelSpec(snr_db=-3050.0, rng_seed=3)
         noise = unit_spectrum(FM, ch.rng_seed, antennas=2)
         with np.errstate(over="ignore"):
-            assert proved_peak(FM, [2500.0], FULL, noise, noise_sigma(ch)) is None
+            assert proved_bin(FM, [2500.0], FULL, noise, noise_sigma(ch)) is None
             with pytest.raises(ValueError, match="overflows"):
                 receive(FM, ch, [2500.0], [FULL], antennas=2)
         # one antenna needs no square: both prove the same finite peak
-        one = NoiseSpectrum(noise.bins[:1])
-        k = proved_peak(FM, [2500.0], FULL, one, noise_sigma(ch))
+        one = signal_chain._noise(noise.bins[:1])
+        k = proved_bin(FM, [2500.0], FULL, one, noise_sigma(ch))
         assert k is not None and [float(k)] == receive(FM, ch, [2500.0], [FULL])
 
     @given(
@@ -416,7 +406,7 @@ class TestProvedPeak:
         for (ch, freqs, bands), peaks in zip(points, expected):
             noise = unit_spectrum(fm, ch.rng_seed, antennas)
             for band, peak in zip(bands, peaks):
-                k = proved_peak(fm, freqs, band, noise, noise_sigma(ch))
+                k = proved_bin(fm, freqs, band, noise, noise_sigma(ch))
                 if k is not None:
                     assert k * bin_width == peak
         # noiseless DC tones leave a band all zero: the first such point raises
@@ -438,7 +428,8 @@ class TestProvedPeak:
             return
         (clean,) = capture(fm, NO_NOISE, freqs)
         full = (0.0, sample_rate / 2)
-        k = proved_peak(fm, freqs, full, NoiseSpectrum([np.fft.rfft(u) for u in pinned]), sigma)
+        noise = signal_chain._noise([np.fft.rfft(u) for u in pinned])
+        k = proved_bin(fm, freqs, full, noise, sigma)
         if k is not None:
             assert [k * bin_width] == record_peaks(fm, [clean + sigma * u for u in pinned], [full])
 
@@ -572,7 +563,7 @@ class TestReceiveRejects:
     """receive rejects what it rejected before the proof moved inside it, whatever the proof finds."""
 
     def test_no_antenna(self, no_capture):
-        assert proved_peak(FM, [2500.0], FULL, None, 0.0) == 2500
+        assert proved_bin(FM, [2500.0], FULL, None, 0.0) == 2500
         with pytest.raises(ValueError, match="antennas must be >= 1"):
             receive(FM, NO_NOISE, [2500.0], [FULL], antennas=0)
 
@@ -610,7 +601,7 @@ class TestReceiveRejects:
 
     def test_all_zero_band_beside_a_proved_band(self):
         # the proof accepts no all-zero band: its peak must beat a positive leak
-        assert proved_peak(FM, [0.0], (0.0, 2000.0), None, 0.0) == 0
+        assert proved_bin(FM, [0.0], (0.0, 2000.0), None, 0.0) == 0
         with pytest.raises(ValueError, match="degenerate"):
             receive(FM, NO_NOISE, [0.0], [(0.0, 2000.0), (1000.0, 2000.0)])
 
