@@ -49,7 +49,7 @@ _CONFIG_FLAGS = {
     "--source": ("source_kind", "source distribution: uniform or fixed"),
     "--x1": ("source_x1", "fixed source x1 in [0,1]"),
     "--x2": ("source_x2", "fixed source x2 in [0,1]"),
-    "--workers": ("workers", None),
+    "--workers": ("workers", "processes that run trials: this one plus workers - 1 forked ones"),
     "--gain-error": ("gain_error", None),
     "--offset-error": ("offset_error", None),
 }

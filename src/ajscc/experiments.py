@@ -11,14 +11,15 @@ results depend only on the configuration and never on scheduling or the
 worker count.  Trial streams are common to all sweep points (common random
 numbers), which stabilizes the location of the sweep minimum.  Both sweeps
 hand workers contiguous chunks of trials (``_map_trials``); each worker runs
-every sweep point of its trials, and the parent reduces in trial order, so
-the output bytes do not depend on the worker count.  Each trial's sweep
-points, one per level count or per SNR, are all on the trial's channel
-seed, and ``signal_chain.receive_points`` draws and transforms a seed's
-unit-variance noise once (not at all when every point is noiseless),
-shares it across the seed's points, proves each band's peak from the
-tones' closed-form spectrum and captures only when the proof leaves a band
-open.  A channel's noise is sigma times its seed's unit draw
+every sweep point of its trials, and the caller reduces in trial order, so
+the output bytes do not depend on the worker count.  N workers are the
+calling process, which runs chunk 0, plus N - 1 forked processes.  Each
+trial's sweep points, one per level count or per SNR, are all on the
+trial's channel seed, and ``signal_chain.receive_points`` draws and
+transforms a seed's unit-variance noise once (not at all when every point
+is noiseless), shares it across the seed's points, proves each band's peak
+from the tones' closed-form spectrum and captures only when the proof
+leaves a band open.  A channel's noise is sigma times its seed's unit draw
 (``signal_chain``), so that one draw is the noise of every level count and
 of every SNR point.  Both sweeps run trial-major: within a trial the
 sources, the tones and the capture seed do not depend on the sweep point,
@@ -225,8 +226,12 @@ def _finish(kind: ExperimentKind, rows: list[SweepRow], details: dict) -> SweepR
 def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
     """trial_fn(cfg, trials) over contiguous chunks of the trials, one chunk per worker.
 
+    The calling process is a worker: it runs chunk 0 itself while a pool of
+    one forked process per further chunk runs the rest, so N workers are the
+    caller plus N - 1 forked processes.  A single chunk starts no pool.
     trial_fn returns one result per trial of its range; the results come back
-    in trial order, whatever the worker count.
+    in trial order, whatever the worker count.  An exception from any chunk
+    propagates once every forked process has finished.
     """
     step = -(-cfg.trials // cfg.workers)
     chunks = [range(a, min(a + step, cfg.trials)) for a in range(0, cfg.trials, step)]
@@ -235,8 +240,10 @@ def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
     # imported here: serial runs never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return [result for chunk in pool.map(partial(trial_fn, cfg), chunks) for result in chunk]
+    with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
+        forked = pool.map(partial(trial_fn, cfg), chunks[1:])
+        own = trial_fn(cfg, chunks[0])
+        return [result for chunk in (own, *forked) for result in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +533,12 @@ _NESTED_PREFIX = {"source": "source_", "fm": "fm_"}
 
 
 def _parse_list(text: str, typ: type) -> tuple:
-    """Comma-separated values; for integers an a:b or a:b:s token is an inclusive range."""
+    """Comma-separated values; for integers an a:b or a:b:s token is an inclusive range.
+
+    A range runs from a up to b in steps of s (default 1) and includes b only
+    when a step lands on it: ``10:20:100`` is ``(10,)``.  A range that yields
+    no value, such as ``80:60``, is rejected.
+    """
     values: list = []
     for token in text.split(","):
         token = token.strip()
@@ -538,7 +550,10 @@ def _parse_list(text: str, typ: type) -> tuple:
                 raise ValueError(f"range {token!r} is not a:b or a:b:s")
             if parts[2:] and parts[2] < 1:
                 raise ValueError(f"range {token!r} needs a step s >= 1")
-            values.extend(range(parts[0], parts[1] + 1, *parts[2:]))
+            span = range(parts[0], parts[1] + 1, *parts[2:])
+            if not span:
+                raise ValueError(f"range {token!r} is empty: a must not exceed b")
+            values.extend(span)
         else:
             values.append(typ(token))
     return tuple(values)

@@ -2,6 +2,9 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +43,32 @@ TINY_SWEEP = ExperimentConfig(
     snr_db=math.inf,
     master_seed=7,
 )
+
+
+def pid_trials(cfg, trials):
+    """Each trial with the pid and parent pid of the process that ran it.
+
+    Every chunk takes 0.2 s, so each forked worker is busy with its own
+    chunk while the other takes the next one.
+    """
+    time.sleep(0.2)
+    return [(trial, os.getpid(), os.getppid()) for trial in trials]
+
+
+def failing_trials(cfg, trials):
+    """Raise in the chunk that holds trial ``cfg.master_seed``."""
+    if cfg.master_seed in trials:
+        raise ValueError(f"trial {cfg.master_seed} failed")
+    return list(trials)
+
+
+def no_pool(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
 class TestConfigValidation:
@@ -86,12 +115,7 @@ class TestConfigValidation:
         assert SourceSpec("fixed").draw(np.random.default_rng(0)) == (0.5, 0.5)
 
     def test_bad_snr_rejected_before_any_worker_starts(self, monkeypatch):
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("process pool started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        no_pool(monkeypatch)
         bad = [
             (run_mse_vs_L, ExperimentKind.MSE_VS_L, dict(snr_db=math.nan), "NaN"),
             (run_sdr_vs_csnr, ExperimentKind.SDR_VS_CSNR, dict(snr_values=(0.0, -4000.0)), "overflows"),
@@ -121,6 +145,41 @@ class TestConfigValidation:
             run_mse_vs_L(
                 ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, trials=1)
             )
+
+
+class TestMapTrials:
+    CFG = ExperimentConfig(kind=ExperimentKind.MSE_VS_L, trials=7, workers=3)
+
+    def test_the_caller_runs_the_first_chunk(self):
+        # 7 trials on 3 workers: chunks 0-2, 3-5 and 6; the caller runs the
+        # first and two forked children of it run the others
+        results = experiments._map_trials(self.CFG, pid_trials)
+        assert [trial for trial, _, _ in results] == list(range(7))
+        caller = os.getpid()
+        assert {pid for _, pid, _ in results[:3]} == {caller}
+        (first,) = {pid for _, pid, _ in results[3:6]}
+        (second,) = {pid for _, pid, _ in results[6:]}
+        assert len({caller, first, second}) == 3
+        assert {parent for _, _, parent in results[3:]} == {caller}
+        assert multiprocessing.active_children() == []
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        no_pool(monkeypatch)
+        caller = os.getpid()
+        for cfg in (
+            dataclasses.replace(self.CFG, workers=1),
+            dataclasses.replace(self.CFG, trials=1),
+        ):
+            results = experiments._map_trials(cfg, pid_trials)
+            assert [trial for trial, _, _ in results] == list(range(cfg.trials))
+            assert {pid for _, pid, _ in results} == {caller}
+
+    @pytest.mark.parametrize("failing", [1, 6], ids=["caller", "forked"])
+    def test_a_chunk_error_propagates(self, failing):
+        cfg = dataclasses.replace(self.CFG, master_seed=failing)
+        with pytest.raises(ValueError, match=f"trial {failing} failed"):
+            experiments._map_trials(cfg, failing_trials)
+        assert multiprocessing.active_children() == []
 
 
 class TestMseVsL:
@@ -761,7 +820,9 @@ class TestConfigFile:
         assert config_from_mapping(read_config_file(path)).l_values == (10, 15, 20)
         cfg = config_from_mapping({"kind": "mse-vs-l", "l_values": "5, 60:62 ,90:100:10,"})
         assert cfg.l_values == (5, 60, 61, 62, 90, 100)
-        for bad in ("10:20:5:1", "10:20:0", "80:60:-10", "10.5"):
+        # a step that overshoots b keeps only a; a range with no value is an error
+        assert config_from_mapping({"kind": "mse-vs-l", "l_values": "10:20:100"}).l_values == (10,)
+        for bad in ("10:20:5:1", "10:20:0", "80:60:-10", "10.5", "5,80:60"):
             with pytest.raises(ValueError, match="l_values"):
                 config_from_mapping({"kind": "mse-vs-l", "l_values": bad})
         snrs = config_from_mapping({"kind": "sdr-vs-csnr", "snr_values": "-30,inf"}).snr_values
