@@ -9,16 +9,18 @@ there and runs
 
 over the tests in ``TESTS``.  A mutant is killed when pytest reports a failed
 test (exit status 1).  The unmutated copy runs first and must pass, so a
-broken tree cannot count as a kill.  The old text of every mutant, equivalent
-ones included, must occur exactly once in its file: a refactor that moves or
-duplicates it fails the script instead of silently skipping the mutant.
-Usage:
+broken tree cannot count as a kill.  Each run starts without hypothesis's
+example database, so no run replays an input that an earlier mutant's run
+found.  The old text of every mutant, equivalent ones included, must occur
+exactly once in its file: a refactor that moves or duplicates it fails the
+script instead of silently skipping the mutant.  Usage:
 
-    python scripts/mutants.py [NAME ...]
+    python scripts/mutants.py
 
-With no NAME every mutant runs.  The exit status is 0 when every mutant run
-is killed, and 1 when one survives, when an old text does not occur exactly
-once, or when pytest ends for another reason (a collection error, say).
+The exit status is 0 when every mutant is killed, and 1 when one survives,
+when an old text does not occur exactly once, or when pytest ends for another
+reason (a collection error, say); the unmutated run and a run that ends for
+another reason print the tail of pytest's output.
 """
 import os
 import shutil
@@ -116,8 +118,14 @@ def check_old_text(mutant: Mutant) -> str | None:
     return None
 
 
-def run_tests(tree: Path) -> int:
-    """The exit status of the test subset on the copy at tree."""
+def run_tests(tree: Path, show_output: bool = False) -> int:
+    """The exit status of the test subset on the copy at tree.
+
+    pytest's output is printed when show_output is set or when pytest ends
+    for another reason than passing or failing tests.
+    """
+    # every run starts from an empty example database
+    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
     # no bytecode cache: a mutant of the same size written within the same
     # second as the original would otherwise run from the original's .pyc
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -125,33 +133,29 @@ def run_tests(tree: Path) -> int:
         sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
         "--hypothesis-seed=0", *TESTS,
     ]
-    done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL)
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    if show_output or done.returncode not in (0, 1):
+        print("\n".join((done.stdout + done.stderr).splitlines()[-30:]), flush=True)
     return done.returncode
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant(s): {sorted(unknown)}", file=sys.stderr)
-        return 1
+def main() -> int:
     problems = [p for p in map(check_old_text, MUTANTS + EQUIVALENT) if p]
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 1
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         start = time.perf_counter()
-        status = run_tests(tree)
+        status = run_tests(tree, show_output=True)
         print(f"unmutated: exit {status} in {time.perf_counter() - start:.1f} s", flush=True)
         if status != 0:
             print("the unmutated tests must pass", file=sys.stderr)
             return 1
         failed = False
-        for mutant in chosen:
+        for mutant in MUTANTS:
             target = tree / mutant.path
             original = target.read_text()
             target.write_text(original.replace(mutant.old, mutant.new))
@@ -168,4 +172,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

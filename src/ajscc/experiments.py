@@ -41,6 +41,7 @@ import dataclasses
 import enum
 import json
 import math
+import traceback
 import typing
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -226,24 +227,66 @@ def _finish(kind: ExperimentKind, rows: list[SweepRow], details: dict) -> SweepR
 def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
     """trial_fn(cfg, trials) over contiguous chunks of the trials, one chunk per worker.
 
-    The calling process is a worker: it runs chunk 0 itself while a pool of
-    one forked process per further chunk runs the rest, so N workers are the
-    caller plus N - 1 forked processes.  A single chunk starts no pool.
+    The calling process is a worker: it forks one process per further chunk
+    (the ``fork`` start method, so a worker inherits its chunk and sends back
+    only its results, over a pipe) and runs chunk 0 itself while they work, so
+    N workers are the caller plus N - 1 forked processes.  A single chunk
+    forks none.  No pool: a pool's manager and feeder threads need the GIL
+    that the caller's own chunk holds, which starts the workers late.  Not
+    ``spawn``: a spawned worker starts a new interpreter and imports numpy
+    (~0.25 s on a 2-vCPU host), longer than a whole 50-trial two-antenna SDR
+    sweep takes; the library starts no thread that a fork could copy in a
+    locked state.
     trial_fn returns one result per trial of its range; the results come back
-    in trial order, whatever the worker count.  An exception from any chunk
-    propagates once every forked process has finished.
+    in trial order, whatever the worker count.  An exception raised by any
+    chunk propagates, with a forked one's traceback as its cause; every
+    forked process has ended (stopped, if still running) when the call
+    returns or raises.
     """
     step = -(-cfg.trials // cfg.workers)
     chunks = [range(a, min(a + step, cfg.trials)) for a in range(0, cfg.trials, step)]
     if len(chunks) == 1:
         return trial_fn(cfg, chunks[0])
     # imported here: serial runs never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
-    with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
-        forked = pool.map(partial(trial_fn, cfg), chunks[1:])
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for chunk in chunks[1:]:
+            receiver, sender = fork.Pipe(duplex=False)
+            process = fork.Process(target=_forked_chunk, args=(sender, trial_fn, cfg, chunk))
+            process.start()
+            sender.close()
+            workers.append((process, receiver))
         own = trial_fn(cfg, chunks[0])
+        forked = [_received(receiver) for _, receiver in workers]
         return [result for chunk in (own, *forked) for result in chunk]
+    finally:
+        # a worker whose results are in, or whose caller failed, has nothing left to do
+        for process, receiver in workers:
+            process.terminate()
+            process.join()
+            receiver.close()
+
+
+def _forked_chunk(sender, trial_fn, cfg: ExperimentConfig, trials: range) -> None:
+    """A forked worker: send (trial_fn(cfg, trials), None), or (its exception, traceback)."""
+    try:
+        sender.send((trial_fn(cfg, trials), None))
+    except Exception as exc:
+        sender.send((exc, traceback.format_exc()))
+
+
+def _received(receiver) -> list:
+    """A forked worker's results; its exception is raised here."""
+    try:
+        value, failure = receiver.recv()
+    except EOFError:
+        raise RuntimeError("a forked worker ended without sending its results") from None
+    if failure is not None:
+        raise value from RuntimeError(f"raised in a forked worker:\n{failure}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,7 @@ TINY_SWEEP = ExperimentConfig(
 
 
 def pid_trials(cfg, trials):
-    """Each trial with the pid and parent pid of the process that ran it.
-
-    Every chunk takes 0.2 s, so each forked worker is busy with its own
-    chunk while the other takes the next one.
-    """
-    time.sleep(0.2)
+    """Each trial with the pid and parent pid of the process that ran it."""
     return [(trial, os.getpid(), os.getppid()) for trial in trials]
 
 
@@ -62,13 +57,28 @@ def failing_trials(cfg, trials):
     return list(trials)
 
 
-def no_pool(monkeypatch):
-    import concurrent.futures
+def stalled_trials(cfg, trials):
+    """Trial 0's chunk fails at once; every other chunk sleeps for a minute."""
+    if 0 in trials:
+        raise ValueError("trial 0 failed")
+    time.sleep(60)
+    return list(trials)
+
+
+def dying_trials(cfg, trials):
+    """The chunk that holds trial 6 ends its process without a result."""
+    if 6 in trials:
+        os._exit(3)
+    return list(trials)
+
+
+def no_fork(monkeypatch):
+    """Make any attempt to fork a worker fail the test."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("process pool started")
+        raise AssertionError("worker process started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
 
 
 class TestConfigValidation:
@@ -115,7 +125,7 @@ class TestConfigValidation:
         assert SourceSpec("fixed").draw(np.random.default_rng(0)) == (0.5, 0.5)
 
     def test_bad_snr_rejected_before_any_worker_starts(self, monkeypatch):
-        no_pool(monkeypatch)
+        no_fork(monkeypatch)
         bad = [
             (run_mse_vs_L, ExperimentKind.MSE_VS_L, dict(snr_db=math.nan), "NaN"),
             (run_sdr_vs_csnr, ExperimentKind.SDR_VS_CSNR, dict(snr_values=(0.0, -4000.0)), "overflows"),
@@ -163,8 +173,8 @@ class TestMapTrials:
         assert {parent for _, _, parent in results[3:]} == {caller}
         assert multiprocessing.active_children() == []
 
-    def test_one_chunk_starts_no_pool(self, monkeypatch):
-        no_pool(monkeypatch)
+    def test_one_chunk_forks_nothing(self, monkeypatch):
+        no_fork(monkeypatch)
         caller = os.getpid()
         for cfg in (
             dataclasses.replace(self.CFG, workers=1),
@@ -177,8 +187,23 @@ class TestMapTrials:
     @pytest.mark.parametrize("failing", [1, 6], ids=["caller", "forked"])
     def test_a_chunk_error_propagates(self, failing):
         cfg = dataclasses.replace(self.CFG, master_seed=failing)
-        with pytest.raises(ValueError, match=f"trial {failing} failed"):
+        with pytest.raises(ValueError, match=f"trial {failing} failed") as raised:
             experiments._map_trials(cfg, failing_trials)
+        # a forked worker's exception carries its traceback as its cause
+        cause = raised.value.__cause__
+        assert (cause is not None and "failing_trials" in str(cause)) == (failing == 6)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_caller_stops_its_workers(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="trial 0 failed"):
+            experiments._map_trials(self.CFG, stalled_trials)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_an_error(self):
+        with pytest.raises(RuntimeError, match="without sending its results"):
+            experiments._map_trials(self.CFG, dying_trials)
         assert multiprocessing.active_children() == []
 
 
