@@ -74,6 +74,8 @@ SWEEPS = {
         "b174012402b0cec08946478478d11332d7abc66d322e75c847c5d7e275cb1820",
     "sweep-l --snr-db=-35 --trials 4 --l-grid 60:80 --workers 1":
         "8b89b5d40ec910d9784816dc5d6a4cc583382c5dbea578106f183bdbd667909a",
+    "sweep-l --snr-db=-35 --trials 5 --l-grid 60:80 --workers 1":
+        "293762e921171f5707d1d13e034f827357253ff95c3150eca07cc2189156dcbc",
 }
 RUNS = {
     "sdr-sweep": (ExperimentKind.SDR_VS_CSNR, run_sdr_vs_csnr),
