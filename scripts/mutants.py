@@ -93,6 +93,43 @@ MUTANTS = (
         "for chunk in (*forked, own)",
         "the caller runs chunk 0, whose trials come first",
     ),
+    Mutant(
+        "range-mask-off-by-one",
+        "src/ajscc/signal_chain.py",
+        "mags = np.where(columns <= span[:, np.newaxis], mags, -math.inf)",
+        "mags = np.where(columns < span[:, np.newaxis], mags, -math.inf)",
+        "a row's evaluated range includes its last bin, where its peak may lie",
+    ),
+    Mutant(
+        "dedup-on-tones-only",
+        "src/ajscc/signal_chain.py",
+        "keys.setdefault((tuple(freqs), lo, hi), len(keys))",
+        "keys.setdefault(next((k for k in keys if k[0] == tuple(freqs)), (tuple(freqs), lo, hi)),"
+        " len(keys))",
+        "rows of the same tones in different bands evaluate different ranges",
+    ),
+    Mutant(
+        "no-alias-limit",
+        "src/ajscc/signal_chain.py",
+        "ratio[limit] = np.where(np.abs(d[limit]) < m / 2, m, -m)",
+        "ratio[limit] = m",
+        "a tone's image on bin M/2 sums to -M, not M",
+    ),
+    Mutant(
+        "stale-magnitude",
+        "src/ajscc/signal_chain.py",
+        "yield _noise(bins, magnitude, record[:n])",
+        "yield (_noise(bins, magnitude, record[:n]) if seed == seeds[0]"
+        " else _Noise(tuple(bins), magnitude, float(np.max(magnitude))))",
+        "each seed's noise magnitude bounds that seed's bins, not the first seed's",
+    ),
+    Mutant(
+        "buffered-combine-undivided",
+        "src/ajscc/signal_chain.py",
+        "out /= len(spectra)",
+        "out /= len(spectra) if scratch is None else 1",
+        "the noise's combine is a mean over the antennas, as the capture's is",
+    ),
 )
 
 # mutants that change no result the tests can see, kept so that their old

@@ -316,10 +316,11 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
 
 
 def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
-    """Sweep the level count: uniform sources, the full chain's peak decisions, normalized mean MSE.
+    """Sweep the level count: the full chain's peak decisions, normalized mean MSE.
 
-    The per-L sums run in trial order, so the rows do not depend on the
-    worker count.
+    Each trial draws its source from ``cfg.source``: uniform by default, or
+    the one fixed point of ``source_kind=fixed``.  The per-L sums run in
+    trial order, so the rows do not depend on the worker count.
     """
     if cfg.kind is not ExperimentKind.MSE_VS_L:
         raise ValueError(f"config kind is {cfg.kind}, expected MSE_VS_L")
@@ -558,14 +559,22 @@ def render_csv(result: SweepResult) -> str:
 
 
 def render_json(result: SweepResult) -> str:
-    """JSON equivalent of the CSV output (details excluded)."""
+    """JSON equivalent of the CSV output (details excluded).
+
+    JSON has no number for a non-finite float, such as the noiseless SNR, so
+    one is written as the string the CSV has for it (``"inf"``).
+    """
+
+    def value(x):
+        return repr(float(x)) if isinstance(x, float) and not math.isfinite(x) else x
+
     payload = {
         "kind": result.kind.value,
-        "rows": [dataclasses.asdict(r) for r in result.rows],
-        "best_param": result.best_param,
-        "best_mse": result.best_mse,
+        "rows": [{k: value(v) for k, v in dataclasses.asdict(r).items()} for r in result.rows],
+        "best_param": value(result.best_param),
+        "best_mse": value(result.best_mse),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ leading axes of peaks).  Band disjointness makes noiseless recovery
 bit-identical to running each sensor alone.
 
 ``simulate_cluster`` runs one cluster head for one channel: ``cluster_tones``,
-one ``receive`` call, ``cluster_results`` (the read-back and a decode per
-band).  ``receive`` proves each band's peak from the tones' closed-form bins
+one ``receive`` call, then ``cluster_voltages`` and a decode per band.  ``receive`` proves each band's peak from the tones' closed-form bins
 and captures only when a band is left open, so the cluster needs no fast
 path of its own.  The SDR sweep in ``experiments`` uses ``cluster_tones``
 and ``cluster_voltages`` around one ``signal_chain.receive_points`` call per
@@ -37,7 +36,6 @@ __all__ = [
     "assign_channels",
     "cluster_tones",
     "cluster_voltages",
-    "cluster_results",
     "simulate_cluster",
 ]
 
@@ -137,17 +135,6 @@ def cluster_voltages(plan: FdmaPlan, fm: FmConfig, peaks) -> np.ndarray:
     return (np.asarray(peaks, dtype=float) - np.array(plan.offsets)) / fm.scale
 
 
-def cluster_results(
-    mapping: MappingConfig, plan: FdmaPlan, fm: FmConfig, vds: list[float], peaks: list[float]
-) -> list[SensorResult]:
-    """Each band's peak (Hz) read back by ``cluster_voltages`` and decoded."""
-    vd_hats = cluster_voltages(plan, fm, peaks).tolist()
-    return [
-        SensorResult(vd_true, vd_hat, peak, decode(mapping, vd_hat))
-        for vd_true, vd_hat, peak in zip(vds, vd_hats, peaks)
-    ]
-
-
 def simulate_cluster(
     mapping: MappingConfig,
     truths: list[tuple[float, float]],
@@ -161,7 +148,12 @@ def simulate_cluster(
     truths holds one (x1, x2) pair per band of the plan, in band order, and
     the results come back in that order; the tones are ``cluster_tones``,
     summed in band order, and each band's peak is read back by
-    ``cluster_results``.
+    ``cluster_voltages`` and decoded.
     """
     vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
-    return cluster_results(mapping, plan, fm, vds, receive(fm, ch, freqs, bands, antennas))
+    peaks = receive(fm, ch, freqs, bands, antennas)
+    vd_hats = cluster_voltages(plan, fm, peaks).tolist()
+    return [
+        SensorResult(vd_true, vd_hat, peak, decode(mapping, vd_hat))
+        for vd_true, vd_hat, peak in zip(vds, vd_hats, peaks)
+    ]

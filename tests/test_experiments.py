@@ -731,6 +731,25 @@ class TestOutput:
         assert len(payload["rows"]) == len(result.rows)
         assert payload["best_param"] == result.best_param
 
+    def test_json_has_no_non_finite_number(self):
+        # json.loads accepts Infinity by default, but it is not JSON: a
+        # noiseless SNR is written as the CSV's text for it
+        cfg = ExperimentConfig(
+            kind=ExperimentKind.SDR_VS_CSNR,
+            trials=2,
+            num_levels=11,
+            sensor_count=1,
+            snr_values=(math.inf, -10.0),
+        )
+        result = run_sdr_vs_csnr(cfg)
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(render_json(result), parse_constant=reject)
+        assert [row["param"] for row in payload["rows"]] == ["inf", -10.0]
+        assert payload["best_param"] == render_csv(result).splitlines()[1].split(",")[0] == "inf"
+
 
 class RecordingConfig:
     """An ExperimentConfig that records the name of every field read from it."""

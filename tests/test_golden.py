@@ -1,6 +1,8 @@
-"""Golden digests: the sha256 of every output the README and CI commands produce.
+"""Golden digests: the sha256 of the README's outputs and of sweeps at several worker counts.
 
-Each digest was recorded once, when its case was added.  A change that
+Each digest was recorded once, when its case was added.  A sweep runs at
+each of its worker counts against its one digest, so these cases are also
+the check that a sweep's bytes do not depend on the worker count.  A change that
 claims byte-identical outputs leaves every digest as it is; a change that
 means to change an output updates the digests it changes and says which
 and why.  The digests depend on numpy's random streams (default_rng and
@@ -59,23 +61,43 @@ def test_cli_output(capsys, command):
     assert sha256(f"{code}\n{capsys.readouterr().out}".encode()) == CLI_OUTPUTS[command]
 
 
-# CI's sweeps at one worker: the CSV, then each SNR's per_trial_* arrays
+# sweeps whose bytes must not depend on the worker count: the CSV, then each
+# SNR's per_trial_* arrays.  Each command runs at one worker and at every
+# further worker count in its tuple, against the one digest; the trials split
+# into contiguous chunks, the caller runs the first and forked processes the
+# others
 SWEEPS = {
+    # the README's SDR sweep
     "sdr-sweep --snrs=-30,-20,-10,0 --sensors 3 --levels 11 --workers 1":
-        "f3e95211570700694c64fd705a16c0ea766ba3c7034cdac47c0d4d4200e8191f",
+        ((2,), "f3e95211570700694c64fd705a16c0ea766ba3c7034cdac47c0d4d4200e8191f"),
+    # down to -35 dB the noise peaks rival the tones, so the proof's exact
+    # candidate stage settles bands of a combined spectrum
     "sdr-sweep --snrs=-35,-30,-20,0 --sensors 3 --levels 11 --antennas 2 --workers 1":
-        "f1119d5bb79b35fdf66692d54961d3d37d18a59ebf873c087a30c8cc5095c642",
+        ((2,), "f1119d5bb79b35fdf66692d54961d3d37d18a59ebf873c087a30c8cc5095c642"),
+    # each chunk is one receiver call over several trial seeds, in uneven
+    # chunks: 4 and 3 trials, then 3, 3 and 1
     "sdr-sweep --snrs=-35,-20,0 --sensors 3 --levels 11 --antennas 3 --trials 7 --workers 1":
-        "d7838c6dce3fd3e90e46d63daa3e13c4fc5a24fd50726014ab1ea37086ec033d",
+        ((2, 3), "d7838c6dce3fd3e90e46d63daa3e13c4fc5a24fd50726014ab1ea37086ec033d"),
+    # at -45..-35 dB the array first stage leaves most bands open for the
+    # candidate stage
     "sdr-sweep --snrs=-45,-40,-35 --sensors 3 --levels 11 --antennas 2 --trials 6 --workers 1":
-        "c521b96b960c88214026380b313998528971f5256baac884c0a1e37087828d41",
+        ((2,), "c521b96b960c88214026380b313998528971f5256baac884c0a1e37087828d41"),
+    # the top sensor's tone sits 8 bins below Nyquist, where no proof window
+    # fits, so every point falls back to its capture
     "sdr-sweep --snrs=-45,-40,-35 --sensors 3 --levels 11 --antennas 2 --trials 6 --dmax 9.92"
     " --source fixed --x1 1 --x2 1 --workers 1":
-        "b174012402b0cec08946478478d11332d7abc66d322e75c847c5d7e275cb1820",
+        ((2,), "b174012402b0cec08946478478d11332d7abc66d322e75c847c5d7e275cb1820"),
+    # at -35 dB the noise peak beats the tone
     "sweep-l --snr-db=-35 --trials 4 --l-grid 60:80 --workers 1":
-        "8b89b5d40ec910d9784816dc5d6a4cc583382c5dbea578106f183bdbd667909a",
+        ((2,), "8b89b5d40ec910d9784816dc5d6a4cc583382c5dbea578106f183bdbd667909a"),
+    # uneven chunks of 2, 2 and 1 trials
     "sweep-l --snr-db=-35 --trials 5 --l-grid 60:80 --workers 1":
-        "293762e921171f5707d1d13e034f827357253ff95c3150eca07cc2189156dcbc",
+        ((3,), "293762e921171f5707d1d13e034f827357253ff95c3150eca07cc2189156dcbc"),
+}
+SWEEP_CASES = {
+    command.replace("--workers 1", f"--workers {workers}"): digest
+    for command, (more, digest) in SWEEPS.items()
+    for workers in (1, *more)
 }
 RUNS = {
     "sdr-sweep": (ExperimentKind.SDR_VS_CSNR, run_sdr_vs_csnr),
@@ -83,7 +105,7 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", list(SWEEPS))
+@pytest.mark.parametrize("command", list(SWEEP_CASES))
 def test_sweep(command):
     kind, run = RUNS[command.split()[0]]
     result = run(parsed_config(command, kind))
@@ -92,7 +114,7 @@ def test_sweep(command):
         for key, array in sorted(arrays.items()):
             data.append(f"{snr_db!r} {key} {array.dtype} {array.shape}\n".encode())
             data.append(array.tobytes())
-    assert sha256(b"".join(data)) == SWEEPS[command]
+    assert sha256(b"".join(data)) == SWEEP_CASES[command]
 
 
 # both selftest reports, every float as hex

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajscc.mapping import MappingConfig, decode, encode
+from ajscc.mapping import MappingConfig, encode
 from ajscc.multisensor import (
     FdmaPlan,
     assign_channels,
-    cluster_results,
     cluster_tones,
+    cluster_voltages,
     simulate_cluster,
 )
 from ajscc.signal_chain import ChannelSpec, FmConfig, capture, receive
@@ -207,11 +207,10 @@ class TestClusterLayout:
 
     def test_peak_is_read_back_relative_to_its_band(self):
         plan = assign_channels(2, FM, 5.0)
-        vds = [1.25, 3.5]
-        (low, high) = cluster_results(CODEC, plan, FM, vds, [2250.0, 10500.0])
-        assert (low.vd_true, low.vd_hat, low.peak_hz) == (1.25, 1.25, 2250.0)
-        assert (high.vd_true, high.vd_hat, high.peak_hz) == (3.5, 3.5, 10500.0)
-        assert high.decoded == decode(CODEC, 3.5)
+        assert cluster_voltages(plan, FM, [2250.0, 10500.0]).tolist() == [1.25, 3.5]
+        # over leading axes, as the SDR sweep reads back a worker's chunk
+        peaks = [[[2250.0, 10500.0]], [[1000.0, 12000.0]]]
+        assert cluster_voltages(plan, FM, peaks).tolist() == [[[1.25, 3.5]], [[0.0, 5.0]]]
 
 
 class TestDiversity:
