@@ -13,9 +13,10 @@ leading axes of peaks).  Band disjointness makes noiseless recovery
 bit-identical to running each sensor alone.
 
 ``simulate_cluster`` runs one cluster head for one channel: ``cluster_tones``,
-one ``receive`` call, then ``cluster_voltages`` and a decode per band.  ``receive`` proves each band's peak from the tones' closed-form bins
-and captures only when a band is left open, so the cluster needs no fast
-path of its own.  The SDR sweep in ``experiments`` uses ``cluster_tones``
+one ``receive`` call, then ``cluster_voltages`` and a decode per band.
+``receive`` proves each band's peak from the tones' closed-form bins and
+captures only when a band is left open, so the cluster needs no fast path of
+its own.  The SDR sweep in ``experiments`` uses ``cluster_tones``
 and ``cluster_voltages`` around one ``signal_chain.receive_points`` call per
 worker chunk, with one point per (trial, SNR) and no noise passed (the call
 draws each trial's noise itself), so the tone format is written once.

@@ -2,10 +2,10 @@
 
 Each digest was recorded once, when its case was added.  A sweep runs at
 each of its worker counts against its one digest, so these cases are also
-the check that a sweep's bytes do not depend on the worker count.  A change that
-claims byte-identical outputs leaves every digest as it is; a change that
-means to change an output updates the digests it changes and says which
-and why.  The digests depend on numpy's random streams (default_rng and
+the check that a sweep's bytes do not depend on the worker count.  A change
+that claims byte-identical outputs leaves every digest as it is; a change
+that means to change an output updates the digests it changes and says
+which and why.  The digests depend on numpy's random streams (default_rng and
 standard_normal) and on its pocketfft rounding, as the acceptance CSV sha
 does.
 """
