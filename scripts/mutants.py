@@ -2,18 +2,20 @@
 
 A mutant names a file of the repository, the exact text to replace, the text
 put in its place and why the tests must notice.  For each mutant the script
-copies ``src/`` and ``tests/`` into a temporary directory, applies the mutant
-there and runs
+copies ``src/``, ``tests/`` and the README (whose tables the CLI tests
+check against the code) into a temporary directory of its own, applies the
+mutant there and runs
 
     python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0 TESTS...
 
-over the tests in ``TESTS``.  A mutant is killed when pytest reports a failed
-test (exit status 1).  The unmutated copy runs first and must pass, so a
-broken tree cannot count as a kill.  Each run starts without hypothesis's
-example database, so no run replays an input that an earlier mutant's run
-found.  The old text of every mutant, equivalent ones included, must occur
-exactly once in its file: a refactor that moves or duplicates it fails the
-script instead of silently skipping the mutant.  Usage:
+over the tests in ``TESTS``, ``JOBS`` mutants at a time.  A mutant is killed
+when pytest reports a failed test (exit status 1).  The unmutated copy runs
+first and must pass, so a broken tree cannot count as a kill.  Each run has
+a fresh copy without hypothesis's example database, so no run replays an
+input that another mutant's run found.  The old text of every mutant,
+equivalent ones included, must occur exactly once in its file: a refactor
+that moves or duplicates it fails the script instead of silently skipping
+the mutant.  Usage:
 
     python scripts/mutants.py
 
@@ -28,11 +30,24 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_signal_chain.py", "tests/test_experiments.py", "tests/test_multisensor.py")
+# mutants run this many at a time, each on its own copy of the tree
+JOBS = 2
+# the golden digests first: they kill most mutants within seconds, where a
+# failing hypothesis property of the signal chain shrinks for up to minutes
+TESTS = (
+    "tests/test_golden.py",
+    "tests/test_cli.py",
+    "tests/test_multisensor.py",
+    "tests/test_experiments.py",
+    "tests/test_signal_chain.py",
+    "tests/test_mapping.py",
+    "tests/test_circuit.py",
+)
 
 
 class Mutant(NamedTuple):
@@ -130,6 +145,78 @@ MUTANTS = (
         "out /= len(spectra) if scratch is None else 1",
         "the noise's combine is a mean over the antennas, as the capture's is",
     ),
+    Mutant(
+        "decode-parity-flipped",
+        "src/ajscc/mapping.py",
+        "x1_hat = np.where((k & 1) == 0, r, cfg.v1 - r)",
+        "x1_hat = np.where((k & 1) == 1, r, cfg.v1 - r)",
+        "decode walks even lines up and odd lines down, as encode does",
+    ),
+    Mutant(
+        "nearest-ties-down",
+        "src/ajscc/mapping.py",
+        "k = np.floor(x2 / cfg.delta + 0.5)",
+        "k = np.ceil(x2 / cfg.delta - 0.5)",
+        "the nearest quantizer takes the upper line of a tie",
+    ),
+    Mutant(
+        "decode-unclamped",
+        "src/ajscc/mapping.py",
+        "v = np.clip(v, 0.0, cfg.d_max)",
+        "v = v + 0.0",
+        "a voltage that noise pushes outside [0, d_max] decodes to the nearest curve end",
+    ),
+    Mutant(
+        "comparator-left-side",
+        "src/ajscc/circuit.py",
+        'side="right")',
+        'side="left")',
+        "a vh exactly on a threshold trips that threshold's comparator",
+    ),
+    Mutant(
+        "seed-before-sources",
+        "src/ajscc/experiments.py",
+        "    draws = [cfg.source.draw(rng) for _ in range(sources)]\n"
+        "    return draws, int(rng.integers(0, 2**62))",
+        "    seed = int(rng.integers(0, 2**62))\n"
+        "    return [cfg.source.draw(rng) for _ in range(sources)], seed",
+        "a trial draws its sources, then its capture seed, from its stream",
+    ),
+    Mutant(
+        "level-sums-reversed",
+        "src/ajscc/experiments.py",
+        "for row in _map_trials(cfg, _level_errors):",
+        "for row in reversed(_map_trials(cfg, _level_errors)):",
+        "the level sweep sums its trials in trial order, so its floats are reproducible",
+    ),
+    Mutant(
+        "offset-added",
+        "src/ajscc/multisensor.py",
+        "(np.asarray(peaks, dtype=float) - np.array(plan.offsets)) / fm.scale",
+        "(np.asarray(peaks, dtype=float) + np.array(plan.offsets)) / fm.scale",
+        "a band's peak reads back as its voltage once the band's offset is taken off",
+    ),
+    Mutant(
+        "range-end-excluded",
+        "src/ajscc/experiments.py",
+        "span = range(parts[0], parts[1] + 1, *parts[2:])",
+        "span = range(parts[0], parts[1], *parts[2:])",
+        "a:b:s includes b when a step lands on it",
+    ),
+    Mutant(
+        "json-infinity",
+        "src/ajscc/experiments.py",
+        "return repr(float(x)) if isinstance(x, float) and not math.isfinite(x) else x",
+        "return x",
+        "JSON has no number for the noiseless SNR: it is written as the CSV's text",
+    ),
+    Mutant(
+        "every-flag-on-every-experiment",
+        "src/ajscc/cli.py",
+        "_add_config_flags(p, KIND_KEYS[kind])",
+        "_add_config_flags(p, CONFIG_KEYS)",
+        "an experiment command has the flags of the keys its kind honours, and no other",
+    ),
 )
 
 # mutants that change no result the tests can see, kept so that their old
@@ -144,6 +231,14 @@ EQUIVALENT = (
         "quotient of the rounded sines is -M to ~4e-15 without the limit: the limit guards "
         "the flag, not the accuracy",
     ),
+    Mutant(
+        "json-allows-nan",
+        "src/ajscc/experiments.py",
+        "json.dumps(payload, indent=2, allow_nan=False)",
+        "json.dumps(payload, indent=2)",
+        "render_json writes every non-finite float as its text first, so allow_nan=False "
+        "has nothing left to reject: it guards a future field, not today's output",
+    ),
 )
 
 
@@ -155,17 +250,21 @@ def check_old_text(mutant: Mutant) -> str | None:
     return None
 
 
+def copy_tree(tree: Path) -> Path:
+    """tree, after copying into it the files the tests read."""
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "README.md", tree)
+    return tree
+
+
 def run_tests(tree: Path, show_output: bool = False) -> int:
     """The exit status of the test subset on the copy at tree.
 
     pytest's output is printed when show_output is set or when pytest ends
     for another reason than passing or failing tests.
     """
-    # every run starts from an empty example database
-    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
-    # no bytecode cache: a mutant of the same size written within the same
-    # second as the original would otherwise run from the original's .pyc
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     command = [
         sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
         "--hypothesis-seed=0", *TESTS,
@@ -176,35 +275,36 @@ def run_tests(tree: Path, show_output: bool = False) -> int:
     return done.returncode
 
 
+def run_mutant(mutant: Mutant) -> tuple[int, str]:
+    """The exit status of the tests on a fresh copy with the mutant applied, and its report line."""
+    with tempfile.TemporaryDirectory() as scratch:
+        target = copy_tree(Path(scratch)) / mutant.path
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        start = time.perf_counter()
+        status = run_tests(Path(scratch))
+    verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
+    return status, f"{mutant.name}: {verdict} in {time.perf_counter() - start:.1f} s ({mutant.why})"
+
+
 def main() -> int:
     problems = [p for p in map(check_old_text, MUTANTS + EQUIVALENT) if p]
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as scratch:
-        tree = Path(scratch)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         start = time.perf_counter()
-        status = run_tests(tree, show_output=True)
+        status = run_tests(copy_tree(Path(scratch)), show_output=True)
         print(f"unmutated: exit {status} in {time.perf_counter() - start:.1f} s", flush=True)
-        if status != 0:
-            print("the unmutated tests must pass", file=sys.stderr)
-            return 1
-        failed = False
-        for mutant in MUTANTS:
-            target = tree / mutant.path
-            original = target.read_text()
-            target.write_text(original.replace(mutant.old, mutant.new))
-            start = time.perf_counter()
-            status = run_tests(tree)
-            target.write_text(original)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
+    if status != 0:
+        print("the unmutated tests must pass", file=sys.stderr)
+        return 1
+    failed = False
+    with ThreadPoolExecutor(JOBS) as pool:
+        for status, line in pool.map(run_mutant, MUTANTS):
             failed |= status != 1
-            print(f"{mutant.name}: {verdict} in {time.perf_counter() - start:.1f} s"
-                  f" ({mutant.why})", flush=True)
-        for mutant in EQUIVALENT:
-            print(f"{mutant.name}: equivalent, not run ({mutant.why})")
+            print(line, flush=True)
+    for mutant in EQUIVALENT:
+        print(f"{mutant.name}: equivalent, not run ({mutant.why})")
     return 1 if failed else 0
 
 

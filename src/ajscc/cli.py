@@ -2,8 +2,11 @@
 
 Subcommands: encode, decode, chain, sweep-l, sdr-sweep, cluster, selftest.
 Each flag other than --config, --out and --format sets one config key and
-takes the same values as that key in a flat key=value --config file, which
-the sweep commands accept; explicit flags override file values.  Exit code 0
+takes the same values as that key in a flat key=value --config file.  Each
+experiment command (sweep-l, sdr-sweep, cluster, selftest) accepts --config
+and has the flag of every key its kind honours (experiments.KIND_KEYS);
+explicit flags override file values, which override the command's own
+defaults.  --out and --format are the two sweeps' only.  Exit code 0
 on success; on bad input (ValueError, OSError), a bad flag value included, a
 single machine-readable JSON error line goes to stderr and the exit code is 1.
 Any other error propagates with its traceback.
@@ -18,6 +21,7 @@ from pathlib import Path
 
 from .experiments import (
     CONFIG_KEYS,
+    KIND_KEYS,
     ExperimentConfig,
     ExperimentKind,
     config_from_mapping,
@@ -53,36 +57,42 @@ _CONFIG_FLAGS = {
     "--gain-error": ("gain_error", None),
     "--offset-error": ("offset_error", None),
 }
-_CODEC_FLAGS = ("--dmax", "--levels", "--v2", "--quantizer")
+_CODEC_KEYS = frozenset({"d_max", "num_levels", "v2", "quantizer"})
+# the experiment kind each experiment command runs, and its help text
+_EXPERIMENTS = {
+    "sweep-l": (ExperimentKind.MSE_VS_L, "mean MSE vs number of levels"),
+    "sdr-sweep": (ExperimentKind.SDR_VS_CSNR, "SDR vs channel SNR for FDMA sensors"),
+    "cluster": (ExperimentKind.CLUSTER_DEMO, "one joint capture of several sensors"),
+    "selftest": (ExperimentKind.ROUND_TRIP, "run the round-trip self-check suite"),
+}
+# a command's own raw value for a key, taken when neither a flag nor --config sets it
+_COMMAND_DEFAULTS = {
+    "chain": {"snr_db": "inf"},
+    "cluster": {"sensor_count": "3", "snr_db": "inf", "num_levels": "11"},
+}
 
 
-def _add_config_flags(
-    p: argparse.ArgumentParser, flags: tuple[str, ...], defaults: dict[str, str] | None = None
-) -> None:
-    """Each flag stores its raw string under its config key; parse_config_values parses it."""
-    for flag in flags:
-        key, help_text = _CONFIG_FLAGS[flag]
-        p.add_argument(
-            flag,
-            dest=key,
-            metavar=flag[2:].upper().replace("-", "_"),
-            default=(defaults or {}).get(flag),
-            help=help_text,
-        )
+def _add_config_flags(p: argparse.ArgumentParser, keys: frozenset[str]) -> None:
+    """A flag for each key of keys that has one; it stores its raw string under the key."""
+    for flag, (key, help_text) in _CONFIG_FLAGS.items():
+        if key in keys:
+            metavar = flag[2:].upper().replace("-", "_")
+            p.add_argument(flag, dest=key, metavar=metavar, help=help_text)
 
 
-def _flag_values(args: argparse.Namespace) -> dict[str, str]:
-    """The raw string of each config flag that was set or has a command default, by key."""
-    return {key: raw for key, raw in vars(args).items() if key in CONFIG_KEYS and raw is not None}
+def _raw_values(args: argparse.Namespace, file_values: dict[str, str]) -> dict[str, str]:
+    """The command's defaults, overlaid by file_values, then by the config flags that were set."""
+    flags = {key: raw for key, raw in vars(args).items() if key in CONFIG_KEYS and raw is not None}
+    return {**_COMMAND_DEFAULTS.get(args.command, {}), **file_values, **flags}
 
 
 def _codec(args: argparse.Namespace) -> tuple[MappingConfig, dict[str, object]]:
     """The codec of encode, decode and chain, and the parsed value of each of their flags.
 
-    An unset flag takes ExperimentConfig's default for its key.
+    An unset flag takes the command's default for its key, else ExperimentConfig's.
     """
     values = {key: getattr(ExperimentConfig, key) for key in vars(args) if key in CONFIG_KEYS}
-    values.update(parse_config_values(_flag_values(args)))
+    values.update(parse_config_values(_raw_values(args, {})))
     codec = MappingConfig(values["d_max"], values["num_levels"], values["v2"], values["quantizer"])
     return codec, values
 
@@ -92,59 +102,33 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="map (x1, x2) to the encoded voltage")
-    _add_config_flags(p, _CODEC_FLAGS)
+    _add_config_flags(p, _CODEC_KEYS)
     p.add_argument("x1", type=float)
     p.add_argument("x2", type=float)
 
     p = sub.add_parser("decode", help="invert an encoded voltage")
-    _add_config_flags(p, _CODEC_FLAGS)
+    _add_config_flags(p, _CODEC_KEYS)
     p.add_argument("voltage", type=float)
 
     p = sub.add_parser("chain", help="encode, transmit through FM/AWGN/FFT, decode")
-    _add_config_flags(p, _CODEC_FLAGS + ("--snr-db", "--seed"), defaults={"--snr-db": "inf"})
+    _add_config_flags(p, _CODEC_KEYS | {"snr_db", "master_seed"})
     p.add_argument("x1", type=float)
     p.add_argument("x2", type=float)
 
-    p = sub.add_parser("sweep-l", help="mean MSE vs number of levels")
-    p.add_argument("--config", help="flat key=value config file")
-    _add_config_flags(
-        p,
-        ("--trials", "--snr-db", "--seed", "--dmax", "--v2", "--quantizer", "--l-grid",
-         "--workers"),
-    )
-    p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p = sub.add_parser("sdr-sweep", help="SDR vs channel SNR for FDMA sensors")
-    p.add_argument("--config")
-    _add_config_flags(
-        p,
-        ("--trials", "--snrs", "--seed", "--dmax", "--v2", "--levels", "--quantizer", "--sensors",
-         "--antennas", "--source", "--x1", "--x2", "--workers"),
-    )
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p = sub.add_parser("cluster", help="one joint capture of several sensors")
-    _add_config_flags(
-        p,
-        ("--sensors", "--antennas", "--snr-db", "--seed", "--dmax", "--levels", "--quantizer"),
-        defaults={"--sensors": "3", "--snr-db": "inf", "--levels": "11"},
-    )
-
-    p = sub.add_parser("selftest", help="run the round-trip self-check suite")
-    _add_config_flags(
-        p, ("--levels", "--trials", "--quantizer", "--gain-error", "--offset-error", "--seed")
-    )
-
+    for command, (kind, help_text) in _EXPERIMENTS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="flat key=value config file")
+        _add_config_flags(p, KIND_KEYS[kind])
+        if command in ("sweep-l", "sdr-sweep"):
+            p.add_argument("--out", help="output path (stdout when omitted)")
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
 def _config(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
-    """The --config file's values overlaid by the flags that were set, parsed once."""
-    values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    values.update(_flag_values(args))
-    return config_from_mapping(values, kind)
+    """The command's defaults overlaid by the --config file's values, then by the flags set."""
+    file_values = read_config_file(args.config) if args.config else {}
+    return config_from_mapping(_raw_values(args, file_values), kind)
 
 
 def _emit_result(result, args: argparse.Namespace) -> None:
@@ -157,6 +141,8 @@ def _emit_result(result, args: argparse.Namespace) -> None:
 
 
 def _run(args: argparse.Namespace) -> int:
+    if args.command in _EXPERIMENTS:
+        cfg = _config(args, _EXPERIMENTS[args.command][0])
     if args.command == "encode":
         codec, _ = _codec(args)
         print(repr(encode(codec, args.x1, args.x2)))
@@ -170,17 +156,17 @@ def _run(args: argparse.Namespace) -> int:
         vd_hat = transmit_receive(FmConfig(), channel, vd)
         print(json.dumps({"vd": vd, "vd_hat": vd_hat, **asdict(decode(codec, vd_hat))}))
     elif args.command == "sweep-l":
-        _emit_result(run_mse_vs_L(_config(args, ExperimentKind.MSE_VS_L)), args)
+        _emit_result(run_mse_vs_L(cfg), args)
     elif args.command == "sdr-sweep":
-        _emit_result(run_sdr_vs_csnr(_config(args, ExperimentKind.SDR_VS_CSNR)), args)
+        _emit_result(run_sdr_vs_csnr(cfg), args)
     elif args.command == "cluster":
-        results = run_cluster_demo(_config(args, ExperimentKind.CLUSTER_DEMO))
+        results = run_cluster_demo(cfg)
         for sensor_id, res in enumerate(results):
             fields = asdict(res)
             decoded = fields.pop("decoded")  # its fields follow the sensor's own
             print(json.dumps({"sensor_id": sensor_id, **fields, **decoded}))
     elif args.command == "selftest":
-        report = run_roundtrip_suite(_config(args, ExperimentKind.ROUND_TRIP))
+        report = run_roundtrip_suite(cfg)
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{status} {check.name} worst={check.worst:.3e} bound={check.bound:.3e}")

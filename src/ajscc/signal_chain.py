@@ -475,6 +475,9 @@ def _proved_bins(
     return found
 
 
+# an overflowing mean square is reported by the capture's finiteness check,
+# not by numpy's warnings
+@np.errstate(over="ignore")
 def receive_points(
     fm: FmConfig,
     points: list[tuple[ChannelSpec, list[float], list[tuple[float, float]]]],

@@ -3,6 +3,7 @@ import argparse
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,13 @@ def subcommand_parsers():
 
 # the positionals each command needs besides its flags
 POSITIONALS = {"encode": ("0.1", "0.1"), "decode": ("1",), "chain": ("0.1", "0.1")}
+# the experiment kind each experiment command runs
+KINDS = {
+    "sweep-l": ExperimentKind.MSE_VS_L,
+    "sdr-sweep": ExperimentKind.SDR_VS_CSNR,
+    "cluster": ExperimentKind.CLUSTER_DEMO,
+    "selftest": ExperimentKind.ROUND_TRIP,
+}
 # one unparsable value per flag
 BAD_VALUES = {"--levels": "5.5", "--quantizer": "bogus", "--source": "bogus", "--snr-db": "x"}
 
@@ -101,6 +109,19 @@ class TestCodecCommands:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
+        (line,) = err.splitlines()
+        assert "overflows" in json.loads(line)["error"]
+
+    def test_overflowing_combine_gives_one_error_line(self, capsys):
+        # the mean square of two antennas' noise overflows: the finiteness
+        # check reports it, and numpy warns nothing, even as errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "sdr-sweep", "--snrs=-3050", "--antennas", "2", "--trials", "1",
+                "--sensors", "1", "--levels", "11",
+            )
+        assert (code, out) == (1, "")
         (line,) = err.splitlines()
         assert "overflows" in json.loads(line)["error"]
 
@@ -195,6 +216,20 @@ class TestSweepCommands:
             assert code == 0
             assert out_path.read_bytes() == render(result).encode("ascii")
 
+    def test_json_writes_a_noiseless_snr_as_text(self, capsys):
+        # JSON has no number for inf: the row's param is the CSV's text for it
+        code, out, _ = run_cli(
+            capsys, "sdr-sweep", "--snrs", "inf", "--trials", "1", "--sensors", "1",
+            "--format", "json",
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert [row["param"] for row in payload["rows"]] == ["inf"]
+
     def test_rejects_bad_format(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep-l", "--format", "xml"])
@@ -272,16 +307,53 @@ class TestConfigContract:
         assert runs == []
 
     def test_every_flag_sets_a_key_its_kind_honours(self):
+        # an experiment command takes --config and the flag of every key its
+        # kind honours, and no other config flag
         parsers = subcommand_parsers()
-        kinds = {
-            "sweep-l": ExperimentKind.MSE_VS_L,
-            "sdr-sweep": ExperimentKind.SDR_VS_CSNR,
-            "cluster": ExperimentKind.CLUSTER_DEMO,
-            "selftest": ExperimentKind.ROUND_TRIP,
+        for command, kind in KINDS.items():
+            options = parsers[command]._option_string_actions
+            flags = {flag for flag in options if flag in cli._CONFIG_FLAGS}
+            honoured = {f for f, (key, _) in cli._CONFIG_FLAGS.items() if key in KIND_KEYS[kind]}
+            assert flags == honoured, command
+            assert "--config" in options, command
+
+    def test_config_file_reaches_every_experiment_command(self, capsys, tmp_path):
+        # selftest reads --config like the sweeps: a file's gain_error fails the
+        # suite with the same bytes as the flag
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("gain_error=0.05\n")
+        by_flag = run_cli(capsys, "selftest", "--gain-error", "0.05")
+        assert by_flag[0] == 1
+        assert run_cli(capsys, "selftest", "--config", str(cfg_path)) == by_flag
+
+    def test_config_file_overrides_command_defaults(self, capsys, runs, tmp_path):
+        # cluster's own defaults give way to the file, and the file to a flag
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("sensor_count=2\nnum_levels=21\nv2=0.5\nsource_x1=0.25\n")
+        assert run_cli(capsys, "cluster", "--config", str(cfg_path))[0] == 0
+        assert run_cli(capsys, "cluster", "--config", str(cfg_path), "--sensors", "4")[0] == 0
+        assert [(c.sensor_count, c.num_levels, c.v2, c.snr_db) for c in runs] == [
+            (2, 21, 0.5, math.inf), (4, 21, 0.5, math.inf)
+        ]
+        assert runs[0].source == SourceSpec(kind="fixed", x1=0.25, x2=0.5)
+
+    def test_readme_kind_table_matches_the_code(self):
+        # the README's | command | kind | rejected keys | table lists each
+        # experiment command once, with the keys its kind does not honour
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| command | kind | rejected keys |") + 2
+        rows = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            command_cell, kind_cell, keys_cell = line.strip("|").split("|")
+            (command,) = re.findall(r"`([^`]+)`", command_cell)
+            (kind,) = re.findall(r"`([^`]+)`", kind_cell)
+            rows[command] = (kind, set(re.findall(r"`([^`]+)`", keys_cell)))
+        assert rows == {
+            command: (kind.value, set(CONFIG_KEYS) - KIND_KEYS[kind])
+            for command, kind in KINDS.items()
         }
-        for command, kind in kinds.items():
-            keys = {a.dest for a in parsers[command]._actions} & set(CONFIG_KEYS)
-            assert keys and keys <= KIND_KEYS[kind], command
 
     def test_every_option_is_one_config_flag(self):
         # one table declares every config flag; its parser is the key's, not argparse's
