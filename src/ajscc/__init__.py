@@ -7,7 +7,8 @@ Library layout:
 - ``signal_chain``: tone-sum capture with seeded AWGN and the FFT receiver
   (per-band peaks of the diversity-combined spectrum, proved in closed form
   or read from the capture)
-- ``multisensor``: FDMA band planning and the cluster encode/receive/decode
+- ``multisensor``: FDMA band planning and the one cluster link
+  (encode, receive, read back) at many points at once
 - ``metrics``: SDR
 - ``experiments``: seeded Monte-Carlo sweeps, self checks, CSV/JSON output
 """
@@ -31,13 +32,13 @@ from .signal_chain import (
     ChannelSpec,
     FmConfig,
     capture,
-    receive,
     transmit_receive,
 )
 from .multisensor import (
     FdmaPlan,
     SensorResult,
     assign_channels,
+    receive_clusters,
     simulate_cluster,
 )
 from .metrics import SDR_CAP_DB, sdr

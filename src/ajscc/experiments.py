@@ -15,25 +15,25 @@ every sweep point of its trials, and the caller reduces in trial order, so
 the output bytes do not depend on the worker count.  N workers are the
 calling process, which runs chunk 0, plus N - 1 forked processes.  Each
 trial's sweep points, one per level count or per SNR, are all on the
-trial's channel seed, and ``signal_chain.receive_points`` draws and
+trial's channel seed, and the receiver (``signal_chain``) draws and
 transforms a seed's unit-variance noise once (not at all when every point
 is noiseless), shares it across the seed's points, proves each band's peak
 from the tones' closed-form spectrum and captures only when the proof
 leaves a band open.  A channel's noise is sigma times its seed's unit draw
 (``signal_chain``), so that one draw is the noise of every level count and
 of every SNR point.  Both sweeps run trial-major: within a trial the
-sources, the tones and the capture seed do not depend on the sweep point,
-so a trial draws them once and encodes what its points transmit before
-the receiver call.  The SDR sweep makes one ``receive_points`` call per
-worker chunk, over every (trial, SNR) point, which proves each trial's
-points in one array block and draws every trial's noise into the same
-buffers; the whole chunk's peaks are then read back and decoded in one
-array pass.  The level sweep and the chain self check run the one public
-chain,
+sources and the capture seed do not depend on the sweep point, so a trial
+draws them once, and its points are encoded in one array call before the
+receiver call.  The SDR sweep makes one ``multisensor.receive_clusters``
+call per worker chunk, over every (trial, SNR) point, whose receiver
+proves each trial's points in one array block and draws every trial's
+noise into the same buffers; the whole chunk's read-backs are then decoded
+in one array pass.  The level sweep and the chain self check run the one
+public chain,
 ``decode(m, transmit_receive(fm, ch, encode(m, x1, x2)))``, on arrays: a
 level-sweep trial on a ``MappingConfig`` of every swept level count, the
 self check on all its trials' sources at once; each ``transmit_receive`` of
-an array is one ``receive_points`` call.
+an array is one receiver call.
 """
 from __future__ import annotations
 
@@ -53,14 +53,8 @@ import numpy as np
 from .circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from .mapping import MappingConfig, Quantizer, decode, encode
 from .metrics import sdr
-from .multisensor import (
-    SensorResult,
-    assign_channels,
-    cluster_tones,
-    cluster_voltages,
-    simulate_cluster,
-)
-from .signal_chain import ChannelSpec, FmConfig, receive_points, transmit_receive
+from .multisensor import SensorResult, assign_channels, receive_clusters, simulate_cluster
+from .signal_chain import ChannelSpec, FmConfig, transmit_receive
 
 __all__ = [
     "DEFAULT_L_GRID",
@@ -355,28 +349,26 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
 
     The quantities are the x1 error, the x2 error, x2_hat and |vd error|,
     the errors squared and normalized to the codec ranges.  Each trial
-    encodes its sensors once and contributes one point per SNR, all on its
-    capture seed, so every SNR sees the trial's one noise draw.  The points
-    of every trial go to one ``receive_points`` call, and the peaks of the
-    whole (trial, SNR point, sensor) array are read back and decoded in one
-    pass.  Each error is squared as a Python float, as ``_level_errors``
-    squares its errors.
+    draws its sensors' sources once and contributes one point per SNR, all
+    on its capture seed, so every SNR sees the trial's one noise draw.  The points
+    of every trial go to one ``receive_clusters`` call, and the read-backs
+    of the whole (trial, SNR point, sensor) array are decoded in one pass.
+    Each error is squared as a Python float, as ``_level_errors`` squares
+    its errors.
     """
-    fm = cfg.fm
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
-    plan = assign_channels(cfg.sensor_count, fm, cfg.d_max, cfg.guard_hz)
+    plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
     sources = []
-    vds = []
     points = []
     for trial in trials:
         draws, capture_seed = _trial_draws(cfg, trial, cfg.sensor_count)
         truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
-        trial_vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
-        points.extend((ChannelSpec(snr_db, capture_seed), freqs, bands) for snr_db in cfg.snr_values)
+        points.extend((ChannelSpec(snr_db, capture_seed), truths) for snr_db in cfg.snr_values)
         sources.append(draws)
-        vds.append(trial_vds)
     shape = (len(trials), len(cfg.snr_values), cfg.sensor_count)
-    vd_hat = cluster_voltages(plan, fm, np.reshape(receive_points(fm, points, cfg.antennas), shape))
+    vds, _, vd_hat = (
+        np.reshape(a, shape) for a in receive_clusters(mapping, plan, cfg.fm, points, cfg.antennas)
+    )
     dec = decode(mapping, vd_hat)
     u = np.array(sources)[:, np.newaxis]  # (trial, 1, sensor, coordinate)
     errors1 = (dec.x1_hat / mapping.v1 - u[..., 0]).ravel().tolist()
@@ -385,7 +377,7 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
         np.reshape([e1**2 for e1 in errors1], shape),
         np.reshape([e2**2 for e2 in errors2], shape),
         dec.x2_hat,
-        np.abs(vd_hat - np.array(vds)[:, np.newaxis]),
+        np.abs(vd_hat - vds),
     ]
     return list(np.stack(quantities, axis=-1))
 

@@ -3,23 +3,22 @@
 A sensor carries no identity of its own: the cluster head tells sensors apart
 only by their FDMA band, so sensor i is the one in band i of the plan.  Each
 sensor's encoded voltage vd becomes a tone at offset + fm.scale * vd Hz, its
-single-sensor frequency shifted into its band (``cluster_tones``).  The
-cluster head is ``signal_chain.receive``: it captures the superposition
-over one shared channel on one or more antennas, seeded by the channel's
-rng_seed like the single-sensor chain, and returns the strongest bin of each
-sensor's band in the antennas' noncoherently combined spectrum.  Voltage is
-read back as (peak - offset) / fm.scale (``cluster_voltages``, over any
-leading axes of peaks).  Band disjointness makes noiseless recovery
+single-sensor frequency shifted into its band.  ``receive_clusters`` is the
+one cluster link: at each (channel, truths) point it encodes every sensor,
+places the tones and makes one ``signal_chain.receive_points`` call, which
+captures each point's superposition over its channel on one or more
+antennas, seeded by the channel's rng_seed like the single-sensor chain,
+and returns the strongest bin of each sensor's band in the antennas'
+noncoherently combined spectrum.  Voltage is read back as
+(peak - offset) / fm.scale.  Band disjointness makes noiseless recovery
 bit-identical to running each sensor alone.
 
-``simulate_cluster`` runs one cluster head for one channel: ``cluster_tones``,
-one ``receive`` call, then ``cluster_voltages`` and a decode per band.
-``receive`` proves each band's peak from the tones' closed-form bins and
-captures only when a band is left open, so the cluster needs no fast path of
-its own.  The SDR sweep in ``experiments`` uses ``cluster_tones``
-and ``cluster_voltages`` around one ``signal_chain.receive_points`` call per
-worker chunk, with one point per (trial, SNR) and no noise passed (the call
-draws each trial's noise itself), so the tone format is written once.
+``simulate_cluster`` is ``receive_clusters`` at one point plus a decode per
+band.  ``receive_points`` proves each band's peak from the tones'
+closed-form bins and captures only when a band is left open, so the cluster
+needs no fast path of its own.  The SDR sweep in ``experiments`` passes one
+point per (trial, SNR) of a worker chunk to one ``receive_clusters`` call,
+with no noise passed (the call draws each trial's noise itself).
 """
 from __future__ import annotations
 
@@ -29,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import DecodedPair, MappingConfig, decode, encode
-from .signal_chain import ChannelSpec, FmConfig, receive
+from .signal_chain import ChannelSpec, FmConfig, receive_points
 
 __all__ = [
     "FdmaPlan",
     "SensorResult",
     "assign_channels",
-    "cluster_tones",
-    "cluster_voltages",
+    "receive_clusters",
     "simulate_cluster",
 ]
 
@@ -97,10 +95,23 @@ class SensorResult:
     decoded: DecodedPair
 
 
-def _validate_cluster(mapping: MappingConfig, truths, plan: FdmaPlan, fm: FmConfig) -> None:
-    # a plan has at least one band, so this also rejects an empty truths list
-    if len(plan.offsets) != len(truths):
-        raise ValueError("plan and truths must have matching lengths")
+def receive_clusters(
+    mapping: MappingConfig,
+    plan: FdmaPlan,
+    fm: FmConfig,
+    points: list[tuple[ChannelSpec, list[tuple[float, float]]]],
+    antennas: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cluster head at each (ch, truths) point: encoded voltages, band peaks and read-backs.
+
+    truths holds one (x1, x2) pair per band of the plan, in band order, all
+    encoded with one mapping.  Sensor i's tone is at
+    plan.offsets[i] + fm.scale * vd Hz, the tones are summed in band order,
+    and every point goes to one ``receive_points`` call with one band per
+    sensor.  Returns (vds, peaks, vd_hats), each a (points, bands) array:
+    the encoded voltages, each band's peak in Hz and its read-back
+    (peak - offset) / fm.scale volts.
+    """
     width = fm.scale * mapping.d_max
     if width > plan.band_width_hz + 1e-9:
         raise ValueError(
@@ -109,31 +120,17 @@ def _validate_cluster(mapping: MappingConfig, truths, plan: FdmaPlan, fm: FmConf
     top = max(plan.offsets) + width
     if top >= fm.sample_rate / 2:
         raise ValueError(f"band tops out at {top} Hz, beyond Nyquist")
-
-
-def cluster_tones(
-    mapping: MappingConfig, truths: list[tuple[float, float]], plan: FdmaPlan, fm: FmConfig
-) -> tuple[list[float], list[float], list[tuple[float, float]]]:
-    """Each sensor's encoded voltage, tone frequency (Hz) and band, in band order.
-
-    truths holds one (x1, x2) pair per band of the plan.  Sensor i's tone is
-    at plan.offsets[i] + fm.scale * vd Hz.
-    """
-    _validate_cluster(mapping, truths, plan, fm)
-    x1, x2 = zip(*truths)
-    vds = encode(mapping, x1, x2).tolist()
-    freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
-    return vds, freqs, [plan.band(i) for i in range(len(vds))]
-
-
-def cluster_voltages(plan: FdmaPlan, fm: FmConfig, peaks) -> np.ndarray:
-    """Band peaks (Hz) read back as (peak - offset) / fm.scale volts.
-
-    peaks holds one peak per band of the plan on its last axis, in band
-    order, and may have any leading axes: the SDR sweep reads back every
-    (trial, SNR point) of a worker's chunk at once.
-    """
-    return (np.asarray(peaks, dtype=float) - np.array(plan.offsets)) / fm.scale
+    # a plan has at least one band, so this also rejects an empty truths list
+    if any(len(truths) != len(plan.offsets) for _, truths in points):
+        raise ValueError("plan and truths must have matching lengths")
+    offsets = np.array(plan.offsets)
+    pairs = np.reshape([truths for _, truths in points], (len(points), len(offsets), 2))
+    vds = encode(mapping, pairs[..., 0], pairs[..., 1])
+    tones = offsets + fm.scale * vds
+    bands = [plan.band(i) for i in range(len(offsets))]
+    calls = [(ch, freqs, bands) for (ch, _), freqs in zip(points, tones.tolist())]
+    peaks = np.reshape(receive_points(fm, calls, antennas), vds.shape)
+    return vds, peaks, (peaks - offsets) / fm.scale
 
 
 def simulate_cluster(
@@ -146,15 +143,11 @@ def simulate_cluster(
 ) -> list[SensorResult]:
     """Capture all sensors jointly over channel ch and decode each from its own band.
 
-    truths holds one (x1, x2) pair per band of the plan, in band order, and
-    the results come back in that order; the tones are ``cluster_tones``,
-    summed in band order, and each band's peak is read back by
-    ``cluster_voltages`` and decoded.
+    ``receive_clusters`` at the one point (ch, truths), then a decode per
+    band; the results come back in band order.
     """
-    vds, freqs, bands = cluster_tones(mapping, truths, plan, fm)
-    peaks = receive(fm, ch, freqs, bands, antennas)
-    vd_hats = cluster_voltages(plan, fm, peaks).tolist()
+    (vds,), (peaks,), (vd_hats,) = receive_clusters(mapping, plan, fm, [(ch, truths)], antennas)
     return [
         SensorResult(vd_true, vd_hat, peak, decode(mapping, vd_hat))
-        for vd_true, vd_hat, peak in zip(vds, vd_hats, peaks)
+        for vd_true, vd_hat, peak in zip(vds.tolist(), vd_hats.tolist(), peaks.tolist())
     ]

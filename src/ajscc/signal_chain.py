@@ -24,11 +24,11 @@ the tones' closed-form bins, so one draw per (seed, antenna) is the noise
 of every SNR of a seed (common random numbers).
 ``receive_points`` is the one receiver: at each point of a sweep, the
 strongest bin of each band of the antennas' noncoherently combined rfft
-spectra of a capture, and ``receive`` is its one-point call.  A single
-sensor is a one-tone capture searched over the whole spectrum
-(``transmit_receive``; an array of voltages is one ``receive_points`` call
-with one point per voltage, all on one channel); the FDMA cluster in
-``multisensor`` passes one frequency and one band per sensor.
+spectra of a capture.  A single sensor is a one-tone capture searched over
+the whole spectrum (``transmit_receive``; an array of voltages is one
+``receive_points`` call with one point per voltage, all on one channel);
+the FDMA cluster (``multisensor.receive_clusters``) passes one frequency
+and one band per sensor.
 ``tone_bins`` is the closed-form FFT of a sum of capture tones, so a
 spectrum can be formed as tone bins plus the FFT of the noise.  Its
 Dirichlet kernel takes the ratio sin(pi*d)/sin(pi*d/M) from each offset d
@@ -73,7 +73,6 @@ __all__ = [
     "capture",
     "tone_bins",
     "noise_sigma",
-    "receive",
     "receive_points",
     "transmit_receive",
 ]
@@ -261,10 +260,10 @@ class _Noise(NamedTuple):
     """rfft bins of unit-variance noise, one array per antenna, their combine and its peak.
 
     The proof scales each antenna's bins by a row's noise sigma, adds the
-    tones' closed-form bins and combines the antennas as ``receive``
-    combines its per-antenna spectra.  magnitude is the root-mean-square of
-    |bins| over the antennas (|bins| for one antenna) and peak its maximum;
-    they bound the bins the proof does not evaluate.
+    tones' closed-form bins and combines the antennas as ``receive_points``
+    combines a capture's per-antenna spectra.  magnitude is the
+    root-mean-square of |bins| over the antennas (|bins| for one antenna)
+    and peak its maximum; they bound the bins the proof does not evaluate.
     """
 
     bins: tuple[np.ndarray, ...]
@@ -384,9 +383,9 @@ def _proved_bins(
 
     A row's capture is the sum of the tones at freqs (Hz) plus sigma times
     the noise's bins on each antenna (noiseless when noise is None or sigma
-    is 0), combined over the antennas as ``receive`` combines them; its band
-    is the bins lo..hi.  Every row holds the same number of tones, each one
-    ``_check_tones`` accepts: at least one, each in [0, Nyquist).
+    is 0), combined over the antennas as ``receive_points`` combines them;
+    its band is the bins lo..hi.  Every row holds the same number of tones,
+    each one ``_check_tones`` accepts: at least one, each in [0, Nyquist).
 
     With M = fm.num_samples, a tone's window is the bins within PEAK_WINDOW
     of its nearest bin c0; the band bins from the lowest to the highest
@@ -553,18 +552,6 @@ def receive_points(
     bin_width = fm.sample_rate / fm.num_samples
     values = iter([k * bin_width for k in peaks])
     return [list(islice(values, len(bands))) for _, _, bands in points]
-
-
-def receive(
-    fm: FmConfig,
-    ch: ChannelSpec,
-    freqs: list[float],
-    bands: list[tuple[float, float]],
-    antennas: int = 1,
-) -> list[float]:
-    """The receiver at one point: ``receive_points`` of the single point (ch, freqs, bands)."""
-    (peaks,) = receive_points(fm, [(ch, freqs, bands)], antennas)
-    return peaks
 
 
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd):

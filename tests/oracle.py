@@ -2,13 +2,17 @@
 
 The receiver is written out here step by step from ``capture`` and numpy
 alone (one rfft per antenna, magnitudes, root-mean-square combine, argmax per
-band), with no proof, shortcut or call into ``signal_chain.receive``, so a
-test that compares ``receive``, ``transmit_receive``, ``simulate_cluster`` or
-a sweep with it does not compare the library with itself.  ``unit_noise`` is
-the channel's noise convention written out from numpy alone.
+band), with no proof, shortcut or call into ``signal_chain.receive_points``,
+so a test that compares ``receive_points``, ``transmit_receive``,
+``receive_clusters``, ``simulate_cluster`` or a sweep with it does not
+compare the library with itself.  ``cluster_chain`` writes out the FDMA
+cluster's tone layout and read-back around it, one scalar ``encode`` per
+sensor.  ``unit_noise`` is the channel's noise convention written out from
+numpy alone.
 """
 import numpy as np
 
+from ajscc.mapping import encode
 from ajscc.signal_chain import PEAK_WINDOW, ChannelSpec, capture, tone_bins
 
 
@@ -44,6 +48,21 @@ def record_peaks(fm, records, bands):
         best = int(inside[np.argmax(combined[inside])])
         peaks.append(best * bin_width if combined[best] > 0 else None)
     return peaks
+
+
+def cluster_chain(mapping, truths, plan, fm, ch, antennas=1):
+    """Per band of the plan, in order: the encoded voltage, the band's peak (Hz) and its read-back.
+
+    Sensor i's tone is at plan.offsets[i] + fm.scale * vd Hz, and its peak
+    reads back as (peak - offset) / fm.scale volts.
+    """
+    vds = [encode(mapping, x1, x2) for x1, x2 in truths]
+    freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
+    bands = [plan.band(i) for i in range(len(vds))]
+    peaks = band_peaks(fm, ch, freqs, bands, antennas)
+    return [
+        (vd, peak, (peak - offset) / fm.scale) for offset, vd, peak in zip(plan.offsets, vds, peaks)
+    ]
 
 
 def chain_voltage(fm, ch, vd):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from ajscc import experiments, signal_chain
+from ajscc import experiments, multisensor, signal_chain
 from ajscc.circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from ajscc.experiments import (
     CONFIG_KEYS,
@@ -34,7 +34,7 @@ from ajscc.mapping import MappingConfig, Quantizer, decode, encode
 from ajscc.metrics import sdr
 from ajscc.multisensor import assign_channels
 from ajscc.signal_chain import ChannelSpec, FmConfig
-from oracle import band_peaks, chain_voltage, tie_frequency
+from oracle import chain_voltage, cluster_chain, tie_frequency
 
 TINY_SWEEP = ExperimentConfig(
     kind=ExperimentKind.MSE_VS_L,
@@ -235,38 +235,6 @@ class TestMseVsL:
         delta = 1.0 / 10.0
         assert row.mse_x2 == pytest.approx(delta**2 / 3.0, rel=0.25)
         assert row.mse_x1 < 1e-4
-
-    def test_deterministic_rerun(self):
-        a = render_csv(run_mse_vs_L(TINY_SWEEP))
-        b = render_csv(run_mse_vs_L(TINY_SWEEP))
-        assert a == b
-
-    def test_worker_count_does_not_change_bytes(self):
-        # 7 trials split into uneven contiguous chunks for 2 and 3 workers
-        cfg = dataclasses.replace(TINY_SWEEP, trials=7, snr_db=-20.0)
-        serial = render_csv(run_mse_vs_L(cfg))
-        for workers in (2, 3):
-            assert render_csv(run_mse_vs_L(dataclasses.replace(cfg, workers=workers))) == serial
-
-        # the SDR sweep splits the same way
-        cfg = ExperimentConfig(
-            kind=ExperimentKind.SDR_VS_CSNR,
-            trials=7,
-            snr_values=(math.inf, -30.0),
-            num_levels=11,
-            sensor_count=2,
-            antennas=2,
-            master_seed=7,
-        )
-        serial = run_sdr_vs_csnr(cfg)
-        for workers in (2, 3):
-            result = run_sdr_vs_csnr(dataclasses.replace(cfg, workers=workers))
-            assert render_csv(result) == render_csv(serial)
-            assert result.details.keys() == serial.details.keys()
-            for snr_db, detail in serial.details.items():
-                assert result.details[snr_db].keys() == detail.keys()
-                for key, values in detail.items():
-                    assert np.array_equal(result.details[snr_db][key], values), (snr_db, key)
 
 
 def scalar_rows(cfg):
@@ -471,14 +439,10 @@ def explicit_sdr_trials(decisions):
 
 
 def oracle_decisions(mapping, truths, plan, fm, ch, antennas):
-    vds = [encode(mapping, x1, x2) for x1, x2 in truths]
-    freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
-    bands = [plan.band(i) for i in range(len(vds))]
-    decisions = []
-    for offset, vd, peak in zip(plan.offsets, vds, band_peaks(fm, ch, freqs, bands, antennas)):
-        vd_hat = (peak - offset) / fm.scale
-        decisions.append((vd, vd_hat, decode(mapping, vd_hat)))
-    return decisions
+    return [
+        (vd, vd_hat, decode(mapping, vd_hat))
+        for vd, _, vd_hat in cluster_chain(mapping, truths, plan, fm, ch, antennas)
+    ]
 
 
 def sdr_bytes(result):
@@ -547,19 +511,19 @@ class TestTrialMajorSdrEngine:
     def test_benchmark_shaped_sweep_never_falls_back(self, monkeypatch):
         # 3 sensors, 2 antennas, -35..0 dB: every band peak is proved, so
         # neither a capture nor a per-point rfft runs.  A worker chunk makes
-        # one receive_points call of every (trial, SNR) point, and each
-        # trial's noise takes one rfft per antenna
+        # one receive_points call, through receive_clusters, of every
+        # (trial, SNR) point, and each trial's noise takes one rfft per antenna
         def no_capture(*args):
             raise AssertionError("capture called")
 
         rffts = []
         calls = []
         rfft = np.fft.rfft
-        receive_points = experiments.receive_points
+        receive_points = multisensor.receive_points
         monkeypatch.setattr(signal_chain, "capture", no_capture)
         monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: rffts.append(1) or rfft(*a, **k))
         monkeypatch.setattr(
-            experiments,
+            multisensor,
             "receive_points",
             lambda fm, points, antennas: calls.append(len(points)) or receive_points(fm, points, antennas),
         )

@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajscc.mapping import MappingConfig, encode
-from ajscc.multisensor import (
-    FdmaPlan,
-    assign_channels,
-    cluster_tones,
-    cluster_voltages,
-    simulate_cluster,
-)
-from ajscc.signal_chain import ChannelSpec, FmConfig, capture, receive
-from oracle import band_peaks
+from ajscc.mapping import MappingConfig
+from ajscc.multisensor import FdmaPlan, assign_channels, receive_clusters, simulate_cluster
+from ajscc.signal_chain import ChannelSpec, FmConfig, capture, receive_points
+from oracle import cluster_chain
 
 FM = FmConfig()
 CODEC = MappingConfig(5.0, 11, 1.0)
@@ -25,11 +19,7 @@ NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 def oracle_cluster_peaks(truths, plan, fm, ch, antennas):
     """The explicit chain's peak per band for the cluster's tones, in band order."""
-    freqs = [
-        offset + fm.scale * encode(CODEC, x1, x2) for offset, (x1, x2) in zip(plan.offsets, truths)
-    ]
-    bands = [plan.band(i) for i in range(len(truths))]
-    return band_peaks(fm, ch, freqs, bands, antennas)
+    return [peak for _, peak, _ in cluster_chain(CODEC, truths, plan, fm, ch, antennas)]
 
 
 class TestAssignChannels:
@@ -193,28 +183,45 @@ class TestSimulateCluster:
 
 
 class TestClusterLayout:
-    """The tone layout and the read-back that simulate_cluster and the SDR sweep share."""
+    """receive_clusters: the tone layout and read-back that simulate_cluster and the SDR sweep share."""
 
-    def test_tone_is_offset_plus_scaled_voltage(self):
-        truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
+    TRUTHS = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
+
+    def test_noiseless_read_back_is_the_explicit_chain(self):
         plan = assign_channels(3, FM, 5.0)
-        vds, freqs, bands = cluster_tones(CODEC, truths, plan, FM)
-        assert vds == [encode(CODEC, x1, x2) for x1, x2 in truths]
-        assert freqs == [6000.0 * i + 1000.0 + 1000.0 * vd for i, vd in enumerate(vds)]
-        assert bands == [(1000.0, 6000.0), (7000.0, 12000.0), (13000.0, 18000.0)]
-        with pytest.raises(ValueError):
-            cluster_tones(CODEC, truths[:2], plan, FM)
+        vds, peaks, vd_hats = receive_clusters(CODEC, plan, FM, [(NO_NOISE, self.TRUTHS)])
+        expected = cluster_chain(CODEC, self.TRUTHS, plan, FM, NO_NOISE)
+        assert list(zip(vds[0].tolist(), peaks[0].tolist(), vd_hats[0].tolist())) == expected
+        assert np.all(np.abs(vd_hats - vds) <= 0.5 / FM.scale)
 
     def test_peak_is_read_back_relative_to_its_band(self):
+        # vd = 1.25 and 3.5 V put both tones on a bin: 1000 + 1250 and 7000 + 3500 Hz
+        codec = MappingConfig(5.0, 5, 1.0)
         plan = assign_channels(2, FM, 5.0)
-        assert cluster_voltages(plan, FM, [2250.0, 10500.0]).tolist() == [1.25, 3.5]
-        # over leading axes, as the SDR sweep reads back a worker's chunk
-        peaks = [[[2250.0, 10500.0]], [[1000.0, 12000.0]]]
-        assert cluster_voltages(plan, FM, peaks).tolist() == [[[1.25, 3.5]], [[0.0, 5.0]]]
+        point = (NO_NOISE, [(0.75, 0.25), (0.5, 0.75)])
+        vds, peaks, vd_hats = receive_clusters(codec, plan, FM, [point])
+        assert peaks.tolist() == [[2250.0, 10500.0]]
+        assert vd_hats.tolist() == vds.tolist() == [[1.25, 3.5]]
+
+    def test_results_are_points_by_bands(self):
+        plan = assign_channels(3, FM, 5.0)
+        channels = [ChannelSpec(-20.0, 5), ChannelSpec(-35.0, 5), ChannelSpec(-35.0, 6), NO_NOISE]
+        points = [(ch, self.TRUTHS[i:] + self.TRUTHS[:i]) for i, ch in enumerate(channels)]
+        results = receive_clusters(CODEC, plan, FM, points, antennas=2)
+        assert [a.shape for a in results] == [(4, 3)] * 3
+        for i, (ch, truths) in enumerate(points):
+            got = list(zip(*(a[i].tolist() for a in results)))
+            assert got == cluster_chain(CODEC, truths, plan, FM, ch, antennas=2)
+
+    def test_truth_count_must_match_the_plan(self):
+        plan = assign_channels(3, FM, 5.0)
+        for truths in (self.TRUTHS[:2], self.TRUTHS * 2, []):
+            with pytest.raises(ValueError, match="matching lengths"):
+                receive_clusters(CODEC, plan, FM, [(NO_NOISE, self.TRUTHS), (NO_NOISE, truths)])
 
 
 class TestDiversity:
-    """The noncoherent antenna combine inside signal_chain.receive."""
+    """The noncoherent antenna combine inside signal_chain.receive_points."""
 
     BANDS = [(1000.0, 6000.0), (7000.0, 12000.0)]
     FREQS = [3456.7, 9876.5]
@@ -225,18 +232,19 @@ class TestDiversity:
         (samples,) = capture(FM, ch, self.FREQS)
         own = np.abs(np.fft.rfft(samples))
         expected = [float(lo + np.argmax(own[int(lo) : int(hi) + 1])) for lo, hi in self.BANDS]
-        assert receive(FM, ch, self.FREQS, self.BANDS) == expected
+        assert receive_points(FM, [(ch, self.FREQS, self.BANDS)]) == [expected]
 
     def test_identical_spectra_keep_argmax(self):
         # noiseless antennas see identical spectra, whose combine is the
         # spectrum itself: the peaks equal the one-antenna peaks
-        one = receive(FM, NO_NOISE, self.FREQS, self.BANDS)
-        assert receive(FM, NO_NOISE, self.FREQS, self.BANDS, antennas=3) == one == [3457.0, 9877.0]
+        point = (NO_NOISE, self.FREQS, self.BANDS)
+        one = receive_points(FM, [point])
+        assert receive_points(FM, [point], antennas=3) == one == [[3457.0, 9877.0]]
 
     def test_empty_rejected(self):
         # no antenna means no spectrum to combine
         with pytest.raises(ValueError, match="antennas"):
-            receive(FM, NO_NOISE, self.FREQS, self.BANDS, antennas=0)
+            receive_points(FM, [(NO_NOISE, self.FREQS, self.BANDS)], antennas=0)
         with pytest.raises(ValueError, match="antennas"):
             simulate_cluster(CODEC, [(0.1, 0.1)], assign_channels(1, FM, 5.0), FM, NO_NOISE, 0)
 

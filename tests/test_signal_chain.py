@@ -15,7 +15,6 @@ from ajscc.signal_chain import (
     FmConfig,
     capture,
     noise_sigma,
-    receive,
     receive_points,
     tone_bins,
     transmit_receive,
@@ -39,12 +38,14 @@ def fm_tone(fm, vd):
 
 
 def full_band_peak(fm, ch, freq):
-    """receive's peak (Hz) of one tone searched over the whole spectrum."""
-    (peak,) = receive(fm, ch, [freq], [(0.0, fm.sample_rate / 2)])
+    """The receiver's peak (Hz) of one tone searched over the whole spectrum."""
+    ((peak,),) = receive_points(fm, [(ch, [freq], [(0.0, fm.sample_rate / 2)])])
     return peak
 
 
-class TestFmModulate:
+class TestToneRecord:
+    """One noiseless capture tone per voltage: its record, its peak and the geometry FmConfig accepts."""
+
     def test_record_geometry(self):
         wf = fm_tone(FM, 2.5)
         assert wf.shape == (65536,)
@@ -334,7 +335,7 @@ class TestProvedPeak:
         # proved against one tone's leak (~642) but not against two tones'
         assert proved_bin(FM, tones[1:], (2505.0, 2530.0), None, 0.0) == 2530
         assert proved_bin(FM, tones, (2505.0, 2530.0), None, 0.0) is None
-        # a band that meets no window, or holds no bin, is left to receive
+        # a band that meets no window, or holds no bin, is left to receive_points
         assert proved_bin(FM, tones, (6000.0, 7000.0), None, 0.0) is None
         assert proved_bin(FM, tones, (2500.2, 2500.8), None, 0.0) is None
 
@@ -349,17 +350,17 @@ class TestProvedPeak:
 
     def test_combine_overflow_is_unproved(self):
         # at -3050 dB the 2-antenna mean square overflows, so the proof
-        # leaves the band to receive and its "overflows" error
+        # leaves the band to the capture and its "overflows" error
         ch = ChannelSpec(snr_db=-3050.0, rng_seed=3)
         noise = unit_spectrum(FM, ch.rng_seed, antennas=2)
         with np.errstate(over="ignore"):
             assert proved_bin(FM, [2500.0], FULL, noise, noise_sigma(ch)) is None
             with pytest.raises(ValueError, match="overflows"):
-                receive(FM, ch, [2500.0], [FULL], antennas=2)
+                receive_points(FM, [(ch, [2500.0], [FULL])], antennas=2)
         # one antenna needs no square: both prove the same finite peak
         one = signal_chain._noise(noise.bins[:1])
         k = proved_bin(FM, [2500.0], FULL, one, noise_sigma(ch))
-        assert k is not None and [float(k)] == receive(FM, ch, [2500.0], [FULL])
+        assert k is not None and [[float(k)]] == receive_points(FM, [(ch, [2500.0], [FULL])])
 
     @given(
         sample_rate=st.floats(8.0, 200_000.0),
@@ -505,7 +506,7 @@ class TestProvedPeak:
         assert sizes == [2] * 9 + [signal_chain.BLOCK_ROWS, 44]
         assert [noise is None for _, noise in blocks[:9]] == [True] * 3 + [False] * 6
         assert blocks[-1][1] is blocks[-2][1]
-        assert mixed == [receive(fm, *point, antennas=2) for point in points]
+        assert mixed == [receive_points(fm, [point], antennas=2)[0] for point in points]
 
     def test_rows_of_one_tones_and_band_share_one_evaluation(self, monkeypatch):
         # a seed's points at six SNRs, each with the same three tones and
@@ -560,28 +561,28 @@ def no_capture(monkeypatch):
 
 
 class TestReceiveRejects:
-    """receive rejects what it rejected before the proof moved inside it, whatever the proof finds."""
+    """receive_points rejects what it rejected before the proof moved inside it, whatever the proof finds."""
 
     def test_no_antenna(self, no_capture):
         assert proved_bin(FM, [2500.0], FULL, None, 0.0) == 2500
         with pytest.raises(ValueError, match="antennas must be >= 1"):
-            receive(FM, NO_NOISE, [2500.0], [FULL], antennas=0)
+            receive_points(FM, [(NO_NOISE, [2500.0], [FULL])], antennas=0)
 
     def test_no_tone(self, no_capture):
         for bands in ([FULL], []):
             with pytest.raises(ValueError, match="at least one tone"):
-                receive(FM, NO_NOISE, [], bands)
+                receive_points(FM, [(NO_NOISE, [], bands)])
 
     def test_tone_outside_nyquist_without_a_band(self, no_capture):
         for freq in (-1.0, FM.sample_rate / 2, math.nan, math.inf):
             with pytest.raises(ValueError, match=r"outside \[0, Nyquist\)"):
-                receive(FM, NO_NOISE, [2500.0, freq], [])
+                receive_points(FM, [(NO_NOISE, [2500.0, freq], [])])
 
     def test_band_without_bins(self, no_capture):
         ch = ChannelSpec(snr_db=-20.0, rng_seed=4)
-        assert receive(FM, ch, [2500.0], [FULL]) == [2500.0]
+        assert receive_points(FM, [(ch, [2500.0], [FULL])]) == [[2500.0]]
         with pytest.raises(ValueError, match="contains no FFT bins"):
-            receive(FM, ch, [2500.0], [FULL, (2000.4, 2000.8)])
+            receive_points(FM, [(ch, [2500.0], [FULL, (2000.4, 2000.8)])])
         # every point is checked, not only the first
         points = [(ch, [2500.0], [FULL]), (ch, [2500.0], [(2000.4, 2000.8)])]
         with pytest.raises(ValueError, match="contains no FFT bins"):
@@ -603,7 +604,7 @@ class TestReceiveRejects:
         # the proof accepts no all-zero band: its peak must beat a positive leak
         assert proved_bin(FM, [0.0], (0.0, 2000.0), None, 0.0) == 0
         with pytest.raises(ValueError, match="degenerate"):
-            receive(FM, NO_NOISE, [0.0], [(0.0, 2000.0), (1000.0, 2000.0)])
+            receive_points(FM, [(NO_NOISE, [0.0], [(0.0, 2000.0), (1000.0, 2000.0)])])
 
     def test_overflowing_combine_with_the_trial_noise(self, monkeypatch):
         # a -20 dB point proves its bands from the trial's noise; the -3050 dB
@@ -647,7 +648,9 @@ def explicit_combine(bins):
     return np.sqrt(np.mean(np.square(np.abs(np.array(bins))), axis=0))
 
 
-class TestNoiseSpectrumDraw:
+class TestUnitNoise:
+    """``_unit_noise`` and the noncoherent combine of its spectra."""
+
     def test_bins_are_the_rfft_of_unit_channel_noise(self):
         noise = next(signal_chain._unit_noise(FM, [12], antennas=3))
         assert [b.shape for b in noise.bins] == [(FM.num_samples // 2 + 1,)] * 3
@@ -783,7 +786,7 @@ class TestChannel:
 
 
 class TestPeakDetection:
-    """receive: the strongest bin of each band of the combined capture spectrum."""
+    """receive_points: the strongest bin of each band of the combined capture spectrum."""
 
     def test_off_bin_tone_snaps_to_nearest_bin(self):
         assert full_band_peak(FM, NO_NOISE, 2500.4) == 2500.0
@@ -794,38 +797,38 @@ class TestPeakDetection:
         # combine below about -3034 dB; one antenna needs no square
         ch = ChannelSpec(snr_db=-3050.0, rng_seed=1)
         bands = [(0.0, FM.sample_rate / 2)]
-        assert math.isfinite(receive(FM, ch, [2500.0], bands)[0])
+        assert math.isfinite(receive_points(FM, [(ch, [2500.0], bands)])[0][0])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-            receive(FM, ch, [2500.0], bands, antennas=2)
+            receive_points(FM, [(ch, [2500.0], bands)], antennas=2)
 
     def test_band_restriction(self):
         # an on-bin tone at 30 Hz outshines an off-bin one at 70.3 Hz
         fm = FmConfig(sample_rate=256.0)
         freqs = [30.0, 70.3]
-        assert receive(fm, NO_NOISE, freqs, [(0.0, 128.0), (50.0, 100.0)]) == [30.0, 70.0]
+        assert receive_points(fm, [(NO_NOISE, freqs, [(0.0, 128.0), (50.0, 100.0)])]) == [[30.0, 70.0]]
         # a band edge within 1e-9 bins past a bin still includes that bin
         edges = [(71.0 + 1e-12, 90.0), (0.0, 29.0 - 1e-12)]
-        assert receive(fm, NO_NOISE, freqs, edges) == [71.0, 29.0]
-        assert receive(fm, NO_NOISE, freqs, [(71.0 + 1e-6, 90.0)]) == [72.0]
+        assert receive_points(fm, [(NO_NOISE, freqs, edges)]) == [[71.0, 29.0]]
+        assert receive_points(fm, [(NO_NOISE, freqs, [(71.0 + 1e-6, 90.0)])]) == [[72.0]]
 
     def test_all_zero_band_rejected(self):
         # a noiseless DC tone leaves every other bin exactly zero
         with pytest.raises(ValueError, match="degenerate"):
-            receive(FM, NO_NOISE, [0.0], [(1000.0, 2000.0)])
-        assert receive(FM, NO_NOISE, [0.0], [(0.0, 2000.0)]) == [0.0]
+            receive_points(FM, [(NO_NOISE, [0.0], [(1000.0, 2000.0)])])
+        assert receive_points(FM, [(NO_NOISE, [0.0], [(0.0, 2000.0)])]) == [[0.0]]
 
     def test_empty_band_rejected(self):
         # a band narrower than a bin can hold none; the cluster CLI reaches
         # it with --dmax 0.0004
         with pytest.raises(ValueError, match="contains no FFT bins"):
-            receive(FM, NO_NOISE, [2000.5], [(2000.4, 2000.8)])
+            receive_points(FM, [(NO_NOISE, [2000.5], [(2000.4, 2000.8)])])
         with pytest.raises(ValueError, match="contains no FFT bins"):
-            receive(FM, NO_NOISE, [2000.5], [(60.0, 50.0)])
+            receive_points(FM, [(NO_NOISE, [2000.5], [(60.0, 50.0)])])
         # bins exist only from DC to Nyquist
         for band in ((-20.0, -10.0), (40000.0, 50000.0)):
             with pytest.raises(ValueError, match="contains no FFT bins"):
-                receive(FM, NO_NOISE, [2000.5], [band])
-        assert receive(FM, NO_NOISE, [2000.0], [(-10.0, 1e6)]) == [2000.0]
+                receive_points(FM, [(NO_NOISE, [2000.5], [band])])
+        assert receive_points(FM, [(NO_NOISE, [2000.0], [(-10.0, 1e6)])]) == [[2000.0]]
 
     def test_tone_peak_dominates_every_other_bin(self):
         for freq, peak in ((2345.6, 2346.0), (2345.4, 2345.0), (17.25, 17.0)):
@@ -852,9 +855,9 @@ class TestPeakDetection:
         expected = band_peaks(fm, ch, freqs, bands, antennas)
         if None in expected:  # noiseless DC tones leave the upper band all zero
             with pytest.raises(ValueError, match="degenerate"):
-                receive(fm, ch, freqs, bands, antennas)
+                receive_points(fm, [(ch, freqs, bands)], antennas)
         else:
-            assert receive(fm, ch, freqs, bands, antennas) == expected
+            assert receive_points(fm, [(ch, freqs, bands)], antennas) == [expected]
 
 
 class TestEndToEnd:
