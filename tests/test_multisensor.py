@@ -17,11 +17,6 @@ CODEC = MappingConfig(5.0, 11, 1.0)
 NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 
-def oracle_cluster_peaks(truths, plan, fm, ch, antennas):
-    """The explicit chain's peak per band for the cluster's tones, in band order."""
-    return [peak for _, peak, _ in cluster_chain(CODEC, truths, plan, fm, ch, antennas)]
-
-
 class TestAssignChannels:
     def test_single_band_starts_at_guard(self):
         plan = assign_channels(1, FM, 5.0)
@@ -115,7 +110,7 @@ class TestCapture:
         peaks = {}
         for ch in [base, *variants]:
             peaks[ch] = [r.peak_hz for r in simulate_cluster(CODEC, truths, plan, FM, ch)]
-            assert peaks[ch] == oracle_cluster_peaks(truths, plan, FM, ch, 1)
+            assert peaks[ch] == [peak for _, peak, _ in cluster_chain(CODEC, truths, plan, FM, ch)]
         for ch in variants:
             assert peaks[ch] != peaks[base]
 
@@ -153,7 +148,8 @@ class TestSimulateCluster:
         plan = assign_channels(len(truths), fm, CODEC.d_max, guard_hz=fm.scale)
         ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
         results = simulate_cluster(CODEC, truths, plan, fm, ch, antennas=antennas)
-        assert [r.peak_hz for r in results] == oracle_cluster_peaks(truths, plan, fm, ch, antennas)
+        expected = cluster_chain(CODEC, truths, plan, fm, ch, antennas)
+        assert [(r.vd_true, r.peak_hz, r.vd_hat) for r in results] == expected
 
     def test_three_sensors_noiseless_match_solo_runs(self):
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
