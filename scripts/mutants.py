@@ -39,9 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 JOBS = 2
 # the golden digests first: they kill most mutants within seconds, where a
 # failing hypothesis property of the signal chain shrinks for up to minutes.
-# test_mapping.py stays late: run second or third it kills nearest-ties-down
-# ~14 s sooner, but its ~5 s then precede every mutant the digests miss, and
-# the whole gate took 132-137 s against 109 s
+# Their NEAREST tie kills nearest-ties-down in ~3 s, so test_mapping.py,
+# whose ~5 s would precede every mutant the digests miss, stays late; the
+# whole gate of 25 mutants took 95-117 s on a 2-vCPU host
 TESTS = (
     "tests/test_golden.py",
     "tests/test_cli.py",
@@ -198,6 +198,27 @@ MUTANTS = (
         "return vds, peaks, (peaks - offsets) / fm.scale",
         "return vds, peaks, (peaks + offsets) / fm.scale",
         "a band's peak reads back as its voltage once the band's offset is taken off",
+    ),
+    Mutant(
+        "capacity-at-nyquist",
+        "src/ajscc/multisensor.py",
+        "if num_sensors * (width + guard_hz) >= fm.sample_rate / 2:",
+        "if num_sensors * (width + guard_hz) > fm.sample_rate / 2:",
+        "a top band that ends exactly at Nyquist cannot be searched, so the layout is rejected",
+    ),
+    Mutant(
+        "guard-unchecked",
+        "src/ajscc/multisensor.py",
+        "if not 0 <= guard_hz < math.inf:",
+        "if False:",
+        "a NaN guard passes the capacity check; the guard is rejected by name on its own",
+    ),
+    Mutant(
+        "layout-checked-after-fork",
+        "src/ajscc/experiments.py",
+        "    assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)\n",
+        "",
+        "the SDR sweep rejects a layout no trial could receive before any worker starts",
     ),
     Mutant(
         "range-end-excluded",

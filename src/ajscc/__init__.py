@@ -7,8 +7,9 @@ Library layout:
 - ``signal_chain``: tone-sum capture with seeded AWGN and the FFT receiver
   (per-band peaks of the diversity-combined spectrum, proved in closed form
   or read from the capture)
-- ``multisensor``: FDMA band planning and the one cluster link
-  (encode, receive, read back) at many points at once
+- ``multisensor``: the FDMA band layout, worked out from the sensor count,
+  the codec's range and the guard, and the one cluster link (encode,
+  receive, read back) at many points at once
 - ``metrics``: SDR
 - ``experiments``: seeded Monte-Carlo sweeps, self checks, CSV/JSON output
 """
@@ -35,7 +36,6 @@ from .signal_chain import (
     transmit_receive,
 )
 from .multisensor import (
-    FdmaPlan,
     SensorResult,
     assign_channels,
     receive_clusters,

@@ -357,7 +357,6 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
     its errors.
     """
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
-    plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
     sources = []
     points = []
     for trial in trials:
@@ -366,9 +365,8 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
         points.extend((ChannelSpec(snr_db, capture_seed), truths) for snr_db in cfg.snr_values)
         sources.append(draws)
     shape = (len(trials), len(cfg.snr_values), cfg.sensor_count)
-    vds, _, vd_hat = (
-        np.reshape(a, shape) for a in receive_clusters(mapping, plan, cfg.fm, points, cfg.antennas)
-    )
+    received = receive_clusters(mapping, cfg.fm, points, cfg.antennas, cfg.guard_hz)
+    vds, _, vd_hat = (np.reshape(a, shape) for a in received)
     dec = decode(mapping, vd_hat)
     u = np.array(sources)[:, np.newaxis]  # (trial, 1, sensor, coordinate)
     errors1 = (dec.x1_hat / mapping.v1 - u[..., 0]).ravel().tolist()
@@ -390,6 +388,8 @@ def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:
     """
     if cfg.kind is not ExperimentKind.SDR_VS_CSNR:
         raise ValueError(f"config kind is {cfg.kind}, expected SDR_VS_CSNR")
+    # a layout no trial could receive is rejected before any worker starts
+    assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
     # (SNR point, quantity, trial, sensor): every mean below runs over a
     # contiguous (trials, sensors) array, which fixes its summation order
     per_point = np.array(_map_trials(cfg, _sdr_trials)).transpose(1, 3, 0, 2).copy()
@@ -521,11 +521,10 @@ def run_cluster_demo(cfg: ExperimentConfig) -> list[SensorResult]:
     if cfg.kind is not ExperimentKind.CLUSTER_DEMO:
         raise ValueError(f"config kind is {cfg.kind}, expected CLUSTER_DEMO")
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
-    plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
     draws, capture_seed = _trial_draws(cfg, 0, cfg.sensor_count)
     truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
     channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=capture_seed)
-    return simulate_cluster(mapping, truths, plan, cfg.fm, channel, antennas=cfg.antennas)
+    return simulate_cluster(mapping, truths, cfg.fm, channel, cfg.antennas, cfg.guard_hz)
 
 
 # ---------------------------------------------------------------------------

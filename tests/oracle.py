@@ -5,10 +5,10 @@ alone (one rfft per antenna, magnitudes, root-mean-square combine, argmax per
 band), with no proof, shortcut or call into ``signal_chain.receive_points``,
 so a test that compares ``receive_points``, ``transmit_receive``,
 ``receive_clusters``, ``simulate_cluster`` or a sweep with it does not
-compare the library with itself.  ``cluster_chain`` writes out the FDMA
-cluster's tone layout and read-back around it, one scalar ``encode`` per
-sensor.  ``unit_noise`` is the channel's noise convention written out from
-numpy alone.
+compare the library with itself.  ``fdma_bands`` writes out the FDMA band
+layout with numpy alone, and ``cluster_chain`` the cluster's tone placement
+and read-back around it, one scalar ``encode`` per sensor.  ``unit_noise``
+is the channel's noise convention written out from numpy alone.
 """
 import numpy as np
 
@@ -50,19 +50,25 @@ def record_peaks(fm, records, bands):
     return peaks
 
 
-def cluster_chain(mapping, truths, plan, fm, ch, antennas=1):
-    """Per band of the plan, in order: the encoded voltage, the band's peak (Hz) and its read-back.
+def fdma_bands(count, fm, d_max, guard_hz):
+    """count (lo_hz, hi_hz) bands, each fm.scale * d_max Hz wide, guard_hz apart and above DC."""
+    width = fm.scale * d_max
+    offsets = guard_hz + np.arange(count) * (width + guard_hz)
+    return [(lo, lo + width) for lo in offsets.tolist()]
 
-    Sensor i's tone is at plan.offsets[i] + fm.scale * vd Hz, and its peak
-    reads back as (peak - offset) / fm.scale volts.
+
+def cluster_chain(mapping, truths, fm, ch, antennas=1, guard_hz=1000.0):
+    """Per sensor, in band order: the encoded voltage, its band's peak (Hz) and its read-back.
+
+    Sensor i has band i of ``fdma_bands`` for the mapping's d_max; its tone
+    is at offset_i + fm.scale * vd Hz, and its peak reads back as
+    (peak - offset_i) / fm.scale volts.
     """
+    bands = fdma_bands(len(truths), fm, mapping.d_max, guard_hz)
     vds = [encode(mapping, x1, x2) for x1, x2 in truths]
-    freqs = [offset + fm.scale * vd for offset, vd in zip(plan.offsets, vds)]
-    bands = [plan.band(i) for i in range(len(vds))]
+    freqs = [lo + fm.scale * vd for (lo, _), vd in zip(bands, vds)]
     peaks = band_peaks(fm, ch, freqs, bands, antennas)
-    return [
-        (vd, peak, (peak - offset) / fm.scale) for offset, vd, peak in zip(plan.offsets, vds, peaks)
-    ]
+    return [(vd, peak, (peak - lo) / fm.scale) for (lo, _), vd, peak in zip(bands, vds, peaks)]
 
 
 def chain_voltage(fm, ch, vd):

@@ -32,7 +32,7 @@ from ajscc.experiments import (
     run_sdr_vs_csnr,
 )
 from ajscc.mapping import MappingConfig, Quantizer, decode, encode
-from ajscc.multisensor import FdmaPlan, assign_channels, simulate_cluster
+from ajscc.multisensor import assign_channels, simulate_cluster
 from ajscc.signal_chain import (
     ChannelSpec,
     FmConfig,
@@ -203,25 +203,19 @@ def test_criterion_5_noiseless_roundtrip(quantizer):
     )
 
 
-def _solo_plan(plan: FdmaPlan, index: int) -> FdmaPlan:
-    return FdmaPlan(
-        offsets=(plan.offsets[index],),
-        guard_hz=plan.guard_hz,
-        band_width_hz=plan.band_width_hz,
-    )
-
-
 def test_criterion_6_fdma_independence():
     mapping = MappingConfig(5.0, 11, 1.0)
     truths = [(0.23, 0.41), (0.71, 0.08), (0.47, 0.86)]
     sensors = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in truths]
-    plan = assign_channels(3, FM, 5.0)
+    # sensor i alone is a one-sensor cluster whose guard is band i's offset:
+    # guard + 0 * (width + guard) puts it in exactly that band
+    solo_guards = [lo for lo, _ in assign_channels(3, FM, mapping.d_max, 1000.0)]
 
     # no noise: decoded values must match solo runs exactly
-    joint = simulate_cluster(mapping, sensors, plan, FM, NO_NOISE)
+    joint = simulate_cluster(mapping, sensors, FM, NO_NOISE)
     exact = True
     for i, sensor in enumerate(sensors):
-        (solo,) = simulate_cluster(mapping, [sensor], _solo_plan(plan, i), FM, NO_NOISE)
+        (solo,) = simulate_cluster(mapping, [sensor], FM, NO_NOISE, guard_hz=solo_guards[i])
         exact = exact and joint[i].peak_hz == solo.peak_hz and joint[i].decoded == solo.decoded
 
     # matched noise: per-sensor median SDR within 1 dB of solo
@@ -230,9 +224,9 @@ def test_criterion_6_fdma_independence():
     mse_solo = np.zeros((trials, 3))
     for t in range(trials):
         ch = ChannelSpec(snr_db=-20.0, rng_seed=t)
-        res_joint = simulate_cluster(mapping, sensors, plan, FM, ch)
+        res_joint = simulate_cluster(mapping, sensors, FM, ch)
         for i, sensor in enumerate(sensors):
-            (res_solo,) = simulate_cluster(mapping, [sensor], _solo_plan(plan, i), FM, ch)
+            (res_solo,) = simulate_cluster(mapping, [sensor], FM, ch, guard_hz=solo_guards[i])
             for res, store in ((res_joint[i], mse_joint), (res_solo, mse_solo)):
                 u1, u2 = truths[i]
                 store[t, i] = ((res.decoded.x1_hat / mapping.v1 - u1) ** 2
@@ -273,7 +267,7 @@ def test_criterion_7a_median_sdr_monotone(sdr_sweep_fixed_truth):
     # the high-SNR plateau is the quantization-limited ceiling of a noiseless run
     mapping = MappingConfig(5.0, 11, 1.0)
     sensor = (0.37 * mapping.v1, 0.53)
-    (res,) = simulate_cluster(mapping, [sensor], assign_channels(1, FM, 5.0), FM, NO_NOISE)
+    (res,) = simulate_cluster(mapping, [sensor], FM, NO_NOISE)
     ceiling_mse = (res.decoded.x1_hat / mapping.v1 - 0.37) ** 2 + (
         res.decoded.x2_hat - 0.53
     ) ** 2
@@ -318,13 +312,12 @@ def test_criterion_7b_discrete_sdr_steps():
 def test_criterion_7c_diversity_never_hurts():
     mapping = MappingConfig(5.0, 11, 1.0)
     sensor = (0.37 * mapping.v1, 0.53)
-    plan = assign_channels(1, FM, 5.0)
     trials = 500
     errs = {1: np.zeros(trials), 2: np.zeros(trials)}
     for antennas in (1, 2):
         for t in range(trials):
             ch = ChannelSpec(snr_db=-30.0, rng_seed=t)
-            (res,) = simulate_cluster(mapping, [sensor], plan, FM, ch, antennas=antennas)
+            (res,) = simulate_cluster(mapping, [sensor], FM, ch, antennas=antennas)
             errs[antennas][t] = abs(res.vd_hat - res.vd_true)
     med1, med2 = np.median(errs[1]), np.median(errs[2])
     miss1 = float(np.mean(errs[1] > 1e-3))

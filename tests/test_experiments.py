@@ -32,7 +32,6 @@ from ajscc.experiments import (
 )
 from ajscc.mapping import MappingConfig, Quantizer, decode, encode
 from ajscc.metrics import sdr
-from ajscc.multisensor import assign_channels
 from ajscc.signal_chain import ChannelSpec, FmConfig
 from oracle import chain_voltage, cluster_chain, tie_frequency
 
@@ -135,6 +134,19 @@ class TestConfigValidation:
                 run(ExperimentConfig(kind=kind, trials=4, workers=2, **fields))
         # the lowest SNR a channel can hold stays a valid sweep point
         ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, snr_values=(-3050.0,), snr_db=-3050.0)
+
+    def test_impossible_layout_rejected_before_any_worker_starts(self, monkeypatch):
+        # six 6 kHz bands exceed the 32768 Hz Nyquist capacity; a NaN guard
+        # would pass that check, so the guard is checked on its own
+        no_fork(monkeypatch)
+        for fields, message in [
+            (dict(sensor_count=6), "Nyquist capacity"),
+            (dict(guard_hz=math.nan), "guard_hz"),
+            (dict(guard_hz=-1.0), "guard_hz"),
+        ]:
+            cfg = ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, trials=4, workers=2, **fields)
+            with pytest.raises(ValueError, match=message):
+                run_sdr_vs_csnr(cfg)
 
     def test_codec_range_past_nyquist_rejected(self):
         # every encoded voltage up to d_max must map to a tone below Nyquist
@@ -402,14 +414,13 @@ class TestSdrVsCsnr:
 def explicit_sdr_trials(decisions):
     """A ``_sdr_trials`` that runs one capture per (trial, SNR) point through ``decisions``.
 
-    decisions(mapping, truths, plan, fm, ch, antennas) returns one
+    decisions(mapping, truths, fm, ch, antennas, guard_hz) returns one
     (vd_true, vd_hat, decoded pair) per band.  The trial's stream draws every
     source, then the capture seed, as the sweep documents.
     """
 
     def trials_fn(cfg, trials):
         mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
-        plan = assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
         per_trial = []
         for trial in trials:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial]))
@@ -419,6 +430,7 @@ def explicit_sdr_trials(decisions):
             points = []
             for snr_db in cfg.snr_values:
                 ch = ChannelSpec(snr_db=snr_db, rng_seed=seed)
+                decided = decisions(mapping, truths, cfg.fm, ch, cfg.antennas, cfg.guard_hz)
                 points.append(
                     [
                         (
@@ -427,9 +439,7 @@ def explicit_sdr_trials(decisions):
                             dec.x2_hat,
                             abs(vd_hat - vd_true),
                         )
-                        for (u1, u2), (vd_true, vd_hat, dec) in zip(
-                            draws, decisions(mapping, truths, plan, cfg.fm, ch, cfg.antennas)
-                        )
+                        for (u1, u2), (vd_true, vd_hat, dec) in zip(draws, decided)
                     ]
                 )
             per_trial.append(np.array(points))
@@ -438,10 +448,10 @@ def explicit_sdr_trials(decisions):
     return trials_fn
 
 
-def oracle_decisions(mapping, truths, plan, fm, ch, antennas):
+def oracle_decisions(mapping, truths, fm, ch, antennas, guard_hz):
     return [
         (vd, vd_hat, decode(mapping, vd_hat))
-        for vd, _, vd_hat in cluster_chain(mapping, truths, plan, fm, ch, antennas)
+        for vd, _, vd_hat in cluster_chain(mapping, truths, fm, ch, antennas, guard_hz)
     ]
 
 

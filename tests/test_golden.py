@@ -34,11 +34,15 @@ def parsed_config(command: str, kind: ExperimentKind):
     return cli._config(cli._build_parser().parse_args(command.split()), kind)
 
 
-# the README's commands, and a chain whose noise moves the peak: the exit
-# code, then every byte on stdout
+# the README's commands, a chain whose noise moves the peak and a NEAREST
+# tie: the exit code, then every byte on stdout
 CLI_OUTPUTS = {
     "encode --dmax 5 --levels 5 --v2 1 0.3 0.26":
         "a8e541b57a23907515e1ed4a0bf53892433225ffeaaf5a834530ac048140690e",
+    # x2 = 0.25 lies halfway between lines 0 and 1 (delta 0.5): the upper line
+    # wins, and the voltage is 3.033333333333333, not the lower line's 0.3
+    "encode --dmax 5 --levels 3 --v2 1 --quantizer nearest 0.3 0.25":
+        "a04108ef6cfc661f973830d6ba6d9f78567c9c3db654b0bb1bf757c27a4fc455",
     "decode --dmax 5 --levels 5 --v2 1 1.7":
         "dc0b25f901dcfeb907fad076e7548e2fdbad31ba483b016c5d889dd9c104cb5b",
     "chain --levels 73 --snr-db -20 --seed 7 0.02 0.6":

@@ -1,4 +1,4 @@
-"""FDMA cluster tests: band plans, joint capture, solo equivalence, diversity."""
+"""FDMA cluster tests: the band layout, joint capture, solo equivalence, diversity."""
 import dataclasses
 import math
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajscc.mapping import MappingConfig
-from ajscc.multisensor import FdmaPlan, assign_channels, receive_clusters, simulate_cluster
+from ajscc.multisensor import assign_channels, receive_clusters, simulate_cluster
 from ajscc.signal_chain import ChannelSpec, FmConfig, capture, receive_points
-from oracle import cluster_chain
+from oracle import cluster_chain, fdma_bands
 
 FM = FmConfig()
 CODEC = MappingConfig(5.0, 11, 1.0)
@@ -19,77 +19,56 @@ NO_NOISE = ChannelSpec(snr_db=math.inf)
 
 class TestAssignChannels:
     def test_single_band_starts_at_guard(self):
-        plan = assign_channels(1, FM, 5.0)
-        assert plan.offsets == (1000.0,)
-        assert plan.band(0) == (1000.0, 6000.0)
+        assert assign_channels(1, FM, 5.0, 1000.0) == [(1000.0, 6000.0)]
 
     def test_three_bands(self):
-        plan = assign_channels(3, FM, 5.0, guard_hz=1000.0)
-        assert plan.offsets == (1000.0, 7000.0, 13000.0)
+        bands = assign_channels(3, FM, 5.0, 1000.0)
+        assert bands == [(1000.0, 6000.0), (7000.0, 12000.0), (13000.0, 18000.0)]
 
     def test_capacity_limit(self):
         # 5 bands of 6 kHz fit under the 32768 Hz Nyquist edge; 6 do not
-        assert assign_channels(5, FM, 5.0).offsets[-1] == 25000.0
+        assert assign_channels(5, FM, 5.0, 1000.0)[-1] == (25000.0, 30000.0)
         with pytest.raises(ValueError):
-            assign_channels(6, FM, 5.0)
+            assign_channels(6, FM, 5.0, 1000.0)
         with pytest.raises(ValueError):
-            assign_channels(11, FM, 5.0)
+            assign_channels(11, FM, 5.0, 1000.0)
         # 4 x (5000 + 3192) Hz = 32768 Hz: the top band would end exactly at
         # Nyquist, where the cluster cannot search it
         with pytest.raises(ValueError, match="Nyquist"):
-            assign_channels(4, FM, 5.0, guard_hz=3192.0)
-        assert assign_channels(4, FM, 5.0, guard_hz=3191.0).band(3)[1] < FM.sample_rate / 2
+            assign_channels(4, FM, 5.0, 3192.0)
+        assert assign_channels(4, FM, 5.0, 3191.0)[3][1] < FM.sample_rate / 2
 
     def test_rejects_zero_sensors(self):
         with pytest.raises(ValueError):
-            assign_channels(0, FM, 5.0)
-
-
-class TestFdmaPlan:
-    def test_shared_band_rejected(self):
-        with pytest.raises(ValueError):
-            FdmaPlan(offsets=(1000.0, 1000.0), guard_hz=1000.0, band_width_hz=5000.0)
-
-    def test_guard_violation_rejected(self):
-        with pytest.raises(ValueError):
-            FdmaPlan(offsets=(1000.0, 6500.0), guard_hz=1000.0, band_width_hz=5000.0)
-
-    def test_negative_offset_rejected(self):
-        # a band below DC would fail in capture or be searched clipped at bin 0
-        with pytest.raises(ValueError, match="below DC"):
-            FdmaPlan(offsets=(-3000.0,), guard_hz=0.0, band_width_hz=5000.0)
-        with pytest.raises(ValueError, match="below DC"):
-            FdmaPlan(offsets=(6000.0, -1e-9), guard_hz=0.0, band_width_hz=5000.0)
+            assign_channels(0, FM, 5.0, 1000.0)
 
     def test_touching_bands_with_zero_guard_allowed(self):
-        plan = FdmaPlan(offsets=(0.0, 5000.0), guard_hz=0.0, band_width_hz=5000.0)
-        assert plan.band(1) == (5000.0, 10000.0)
+        assert assign_channels(2, FM, 5.0, 0.0) == [(0.0, 5000.0), (5000.0, 10000.0)]
 
-    def test_non_finite_fields_rejected(self):
-        # a NaN guard would pass every spacing check and only fail in capture
-        for offsets, guard, width in [
-            ((math.nan,), 0.0, 10.0),
-            ((0.0, math.inf), 0.0, 10.0),
-            ((0.0,), math.nan, 10.0),
-            ((0.0,), math.inf, 10.0),
-            ((0.0,), 0.0, math.inf),
-            ((0.0,), 0.0, math.nan),
-        ]:
-            with pytest.raises(ValueError, match="finite"):
-                FdmaPlan(offsets=offsets, guard_hz=guard, band_width_hz=width)
+    def test_guard_must_be_finite_and_non_negative(self):
+        # a NaN guard would pass the capacity check and only fail in capture
+        for guard_hz in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(ValueError, match="guard_hz"):
+                assign_channels(1, FM, 5.0, guard_hz)
+
+    def test_codec_range_must_be_positive(self):
+        # a band of no or negative width holds no tone, and a NaN one no bin
+        for d_max in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="d_max"):
+                assign_channels(1, FM, d_max, 1000.0)
+        with pytest.raises(ValueError, match="Nyquist"):
+            assign_channels(1, FM, math.inf, 1000.0)
 
 
 class TestCapture:
     def test_noiseless_antennas_match_one_antenna(self):
         truths = [(0.2, 0.3), (0.1, 0.8)]
-        plan = assign_channels(2, FM, 5.0)
-        one = simulate_cluster(CODEC, truths, plan, FM, NO_NOISE)
-        assert simulate_cluster(CODEC, truths, plan, FM, NO_NOISE, antennas=3) == one
+        one = simulate_cluster(CODEC, truths, FM, NO_NOISE)
+        assert simulate_cluster(CODEC, truths, FM, NO_NOISE, antennas=3) == one
 
     def test_noiseless_capture_is_tone_sum(self):
         # a sensor at the origin is a unit cosine at its band offset
-        plan = assign_channels(1, FM, 5.0)
-        (res,) = simulate_cluster(CODEC, [(0.0, 0.0)], plan, FM, NO_NOISE)
+        (res,) = simulate_cluster(CODEC, [(0.0, 0.0)], FM, NO_NOISE)
         n = np.arange(FM.num_samples)
         spectrum = np.abs(np.fft.rfft(np.cos(2 * np.pi * 1000.0 / 65536.0 * n)))
         assert res.peak_hz == np.argmax(spectrum) == 1000.0
@@ -101,7 +80,6 @@ class TestCapture:
         # seed, so a field the cluster dropped would break the match with
         # the oracle
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
-        plan = assign_channels(3, FM, 5.0)
         base = ChannelSpec(snr_db=-35.0, rng_seed=3)
         variants = [
             dataclasses.replace(base, rng_seed=4),
@@ -109,16 +87,15 @@ class TestCapture:
         ]
         peaks = {}
         for ch in [base, *variants]:
-            peaks[ch] = [r.peak_hz for r in simulate_cluster(CODEC, truths, plan, FM, ch)]
-            assert peaks[ch] == [peak for _, peak, _ in cluster_chain(CODEC, truths, plan, FM, ch)]
+            peaks[ch] = [r.peak_hz for r in simulate_cluster(CODEC, truths, FM, ch)]
+            assert peaks[ch] == [peak for _, peak, _ in cluster_chain(CODEC, truths, FM, ch)]
         for ch in variants:
             assert peaks[ch] != peaks[base]
 
 
 class TestSimulateCluster:
     def test_single_sensor_roundtrip(self):
-        plan = assign_channels(1, FM, 5.0)
-        (res,) = simulate_cluster(CODEC, [(0.21, 0.58)], plan, FM, NO_NOISE)
+        (res,) = simulate_cluster(CODEC, [(0.21, 0.58)], FM, NO_NOISE)
         assert abs(res.vd_hat - res.vd_true) <= 0.5 / FM.scale + 1e-9
         assert abs(res.decoded.x1_hat - 0.21) <= 0.5 / FM.scale + 1e-9
 
@@ -130,52 +107,53 @@ class TestSimulateCluster:
             st.just((16, 65536.0)), st.tuples(st.integers(8, 16), st.floats(1000.0, 200_000.0))
         ),
         antennas=st.integers(1, 3),
+        guard=st.floats(0.0, 1.5),
         snr_db=st.sampled_from([math.inf, -20.0, -30.0]),
         rng_seed=st.integers(0, 2**62),
     )
     @settings(max_examples=50, deadline=None)
     def test_peak_is_band_argmax_of_combined_spectrum(
-        self, truths, geometry, antennas, snr_db, rng_seed
+        self, truths, geometry, antennas, guard, snr_db, rng_seed
     ):
         # records of 2^8..2^16 samples at any rate; the scale keeps the
-        # default geometry's 1000 Hz per volt and fits five bands below Nyquist
+        # default geometry's 1000 Hz per volt, and guards of up to 1.5 V of
+        # tone fit five bands below Nyquist
         record_exp, sample_rate = geometry
         fm = FmConfig(
             scale=1000.0 * sample_rate / 65536.0,
             sample_rate=sample_rate,
             record_seconds=2**record_exp / sample_rate,
         )
-        plan = assign_channels(len(truths), fm, CODEC.d_max, guard_hz=fm.scale)
+        guard_hz = guard * fm.scale
+        layout = assign_channels(len(truths), fm, CODEC.d_max, guard_hz)
+        assert layout == fdma_bands(len(truths), fm, CODEC.d_max, guard_hz)
         ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
-        results = simulate_cluster(CODEC, truths, plan, fm, ch, antennas=antennas)
-        expected = cluster_chain(CODEC, truths, plan, fm, ch, antennas)
+        results = simulate_cluster(CODEC, truths, fm, ch, antennas, guard_hz)
+        expected = cluster_chain(CODEC, truths, fm, ch, antennas, guard_hz)
         assert [(r.vd_true, r.peak_hz, r.vd_hat) for r in results] == expected
 
     def test_three_sensors_noiseless_match_solo_runs(self):
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
-        plan = assign_channels(3, FM, 5.0)
-        joint = simulate_cluster(CODEC, truths, plan, FM, NO_NOISE)
+        joint = simulate_cluster(CODEC, truths, FM, NO_NOISE)
+        bands = assign_channels(3, FM, CODEC.d_max, 1000.0)
         for i, truth in enumerate(truths):
-            solo_plan = FdmaPlan(
-                offsets=(plan.offsets[i],),
-                guard_hz=plan.guard_hz,
-                band_width_hz=plan.band_width_hz,
-            )
-            (solo,) = simulate_cluster(CODEC, [truth], solo_plan, FM, NO_NOISE)
+            # sensor i alone: a one-sensor cluster whose guard puts it in band i
+            (solo,) = simulate_cluster(CODEC, [truth], FM, NO_NOISE, guard_hz=bands[i][0])
             assert joint[i].peak_hz == solo.peak_hz
             assert joint[i].vd_hat == solo.vd_hat
             assert joint[i].decoded == solo.decoded
 
-    def test_mismatched_plan_length_rejected(self):
-        plan = assign_channels(3, FM, 5.0)
-        with pytest.raises(ValueError):
-            simulate_cluster(CODEC, [(0.1, 0.1), (0.2, 0.2)], plan, FM, NO_NOISE)
+    def test_no_sensor_rejected(self):
+        with pytest.raises(ValueError, match="num_sensors"):
+            simulate_cluster(CODEC, [], FM, NO_NOISE)
 
-    def test_sensor_wider_than_its_band_rejected(self):
-        wide = MappingConfig(8.0, 11, 1.0)  # 8 kHz of tones in a 5 kHz band
-        plan = assign_channels(1, FM, 5.0)
-        with pytest.raises(ValueError, match="wider"):
-            simulate_cluster(wide, [(0.1, 0.1)], plan, FM, NO_NOISE)
+    def test_layout_follows_the_codec_range_and_guard(self):
+        # a 2 V codec gives 2 kHz bands: with 500 Hz guards the second
+        # sensor's band starts at 500 + 2000 + 500 Hz
+        codec = MappingConfig(2.0, 5, 1.0)
+        results = simulate_cluster(codec, [(0.0, 0.0), (0.0, 0.0)], FM, NO_NOISE, guard_hz=500.0)
+        assert [r.peak_hz for r in results] == [500.0, 3000.0]
+        assert [r.vd_hat for r in results] == [0.0, 0.0]
 
 
 class TestClusterLayout:
@@ -184,36 +162,35 @@ class TestClusterLayout:
     TRUTHS = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
 
     def test_noiseless_read_back_is_the_explicit_chain(self):
-        plan = assign_channels(3, FM, 5.0)
-        vds, peaks, vd_hats = receive_clusters(CODEC, plan, FM, [(NO_NOISE, self.TRUTHS)])
-        expected = cluster_chain(CODEC, self.TRUTHS, plan, FM, NO_NOISE)
+        vds, peaks, vd_hats = receive_clusters(CODEC, FM, [(NO_NOISE, self.TRUTHS)], 1, 1000.0)
+        expected = cluster_chain(CODEC, self.TRUTHS, FM, NO_NOISE)
         assert list(zip(vds[0].tolist(), peaks[0].tolist(), vd_hats[0].tolist())) == expected
         assert np.all(np.abs(vd_hats - vds) <= 0.5 / FM.scale)
 
     def test_peak_is_read_back_relative_to_its_band(self):
         # vd = 1.25 and 3.5 V put both tones on a bin: 1000 + 1250 and 7000 + 3500 Hz
         codec = MappingConfig(5.0, 5, 1.0)
-        plan = assign_channels(2, FM, 5.0)
         point = (NO_NOISE, [(0.75, 0.25), (0.5, 0.75)])
-        vds, peaks, vd_hats = receive_clusters(codec, plan, FM, [point])
+        vds, peaks, vd_hats = receive_clusters(codec, FM, [point], 1, 1000.0)
         assert peaks.tolist() == [[2250.0, 10500.0]]
         assert vd_hats.tolist() == vds.tolist() == [[1.25, 3.5]]
 
     def test_results_are_points_by_bands(self):
-        plan = assign_channels(3, FM, 5.0)
         channels = [ChannelSpec(-20.0, 5), ChannelSpec(-35.0, 5), ChannelSpec(-35.0, 6), NO_NOISE]
         points = [(ch, self.TRUTHS[i:] + self.TRUTHS[:i]) for i, ch in enumerate(channels)]
-        results = receive_clusters(CODEC, plan, FM, points, antennas=2)
+        results = receive_clusters(CODEC, FM, points, 2, 1000.0)
         assert [a.shape for a in results] == [(4, 3)] * 3
         for i, (ch, truths) in enumerate(points):
             got = list(zip(*(a[i].tolist() for a in results)))
-            assert got == cluster_chain(CODEC, truths, plan, FM, ch, antennas=2)
+            assert got == cluster_chain(CODEC, truths, FM, ch, antennas=2)
 
-    def test_truth_count_must_match_the_plan(self):
-        plan = assign_channels(3, FM, 5.0)
+    def test_points_share_one_truth_count(self):
         for truths in (self.TRUTHS[:2], self.TRUTHS * 2, []):
-            with pytest.raises(ValueError, match="matching lengths"):
-                receive_clusters(CODEC, plan, FM, [(NO_NOISE, self.TRUTHS), (NO_NOISE, truths)])
+            points = [(NO_NOISE, self.TRUTHS), (NO_NOISE, truths)]
+            with pytest.raises(ValueError, match="same number of truths"):
+                receive_clusters(CODEC, FM, points, 1, 1000.0)
+        with pytest.raises(ValueError, match="same number of truths"):
+            receive_clusters(CODEC, FM, [], 1, 1000.0)
 
 
 class TestDiversity:
@@ -242,16 +219,15 @@ class TestDiversity:
         with pytest.raises(ValueError, match="antennas"):
             receive_points(FM, [(NO_NOISE, self.FREQS, self.BANDS)], antennas=0)
         with pytest.raises(ValueError, match="antennas"):
-            simulate_cluster(CODEC, [(0.1, 0.1)], assign_channels(1, FM, 5.0), FM, NO_NOISE, 0)
+            simulate_cluster(CODEC, [(0.1, 0.1)], FM, NO_NOISE, 0)
 
     def test_two_capture_combining_reduces_miss_rate(self):
         # at -30 dB single captures miss the tone peak noticeably more often
-        plan = assign_channels(1, FM, 5.0)
         misses = {1: 0, 2: 0}
         for antennas in (1, 2):
             for trial in range(100):
                 ch = ChannelSpec(snr_db=-30.0, rng_seed=trial)
-                (res,) = simulate_cluster(CODEC, [(0.37, 0.53)], plan, FM, ch, antennas=antennas)
+                (res,) = simulate_cluster(CODEC, [(0.37, 0.53)], FM, ch, antennas=antennas)
                 if abs(res.vd_hat - res.vd_true) > 1e-3:
                     misses[antennas] += 1
         assert misses[2] <= misses[1]
