@@ -41,7 +41,7 @@ JOBS = 2
 # failing hypothesis property of the signal chain shrinks for up to minutes.
 # Their NEAREST tie kills nearest-ties-down in ~3 s, so test_mapping.py,
 # whose ~5 s would precede every mutant the digests miss, stays late; the
-# whole gate of 25 mutants took 95-117 s on a 2-vCPU host
+# whole gate of 27 mutants took 94-101 s on a 2-vCPU host
 TESTS = (
     "tests/test_golden.py",
     "tests/test_cli.py",
@@ -79,9 +79,9 @@ MUTANTS = (
     Mutant(
         "first-row-sigma",
         "src/ajscc/signal_chain.py",
-        "sigma = np.array([row[3] for row in rows])",
-        "sigma = np.full(len(rows), rows[0][3])",
-        "the rows of one block differ in the sigma that scales their noise",
+        "sigma = np.repeat(sigmas, bands)",
+        "sigma = np.repeat(sigmas[:1], bands * len(sigmas))",
+        "the points of one block differ in the sigma that scales their noise",
     ),
     Mutant(
         "zero-peak-margin",
@@ -93,8 +93,8 @@ MUTANTS = (
     Mutant(
         "another-seeds-draw",
         "src/ajscc/signal_chain.py",
-        "_noise_rng(seed, a).standard_normal(out=record)",
-        "_noise_rng(seed + 1, a).standard_normal(out=record)",
+        "_noise_rng(seeds[start], a).standard_normal(out=record)",
+        "_noise_rng(seeds[start] + 1, a).standard_normal(out=record)",
         "the proof must add the noise of the point's own seed, the one its capture draws",
     ),
     Mutant(
@@ -121,10 +121,16 @@ MUTANTS = (
     Mutant(
         "dedup-on-tones-only",
         "src/ajscc/signal_chain.py",
-        "keys.setdefault((tuple(freqs), lo, hi), len(keys))",
-        "keys.setdefault(next((k for k in keys if k[0] == tuple(freqs)), (tuple(freqs), lo, hi)),"
-        " len(keys))",
+        "first[at_key].astype(int), span[at_key]",
+        "first[at_key - at_key % bands].astype(int), span[at_key - at_key % bands]",
         "rows of the same tones in different bands evaluate different ranges",
+    ),
+    Mutant(
+        "band-zero-tone-bins",
+        "src/ajscc/signal_chain.py",
+        "= evaluated[at_key], first",
+        "= evaluated[at_key - at_key % bands], first",
+        "each band of a point reads its own evaluation of the tone bins, not band 0's",
     ),
     Mutant(
         "no-alias-limit",
@@ -136,10 +142,17 @@ MUTANTS = (
     Mutant(
         "stale-magnitude",
         "src/ajscc/signal_chain.py",
-        "yield _noise(bins, magnitude, record[:n])",
-        "yield (_noise(bins, magnitude, record[:n]) if seed == seeds[0]"
+        "noise = _noise(bins, magnitude, record[:n])",
+        "noise = (_noise(bins, magnitude, record[:n]) if start == 0"
         " else _Noise(tuple(bins), magnitude, float(np.max(magnitude))))",
         "each seed's noise magnitude bounds that seed's bins, not the first seed's",
+    ),
+    Mutant(
+        "fallback-wrong-point",
+        "src/ajscc/signal_chain.py",
+        "found[p, b] = k = lo + int(np.argmax(combined[lo : hi + 1]))",
+        "found[p - 1, b] = k = lo + int(np.argmax(combined[lo : hi + 1]))",
+        "a point's capture decides that point's bands, not another point's",
     ),
     Mutant(
         "buffered-combine-undivided",

@@ -33,7 +33,10 @@ public chain,
 ``decode(m, transmit_receive(fm, ch, encode(m, x1, x2)))``, on arrays: a
 level-sweep trial on a ``MappingConfig`` of every swept level count, the
 self check on all its trials' sources at once; each ``transmit_receive`` of
-an array is one receiver call.
+an array is one receiver call.  Every receiver call, from either sweep,
+takes one channel per point, a (points, tones) array and one band list for
+all its points, and returns a (points, bands) array, so neither sweep
+regroups the receiver's answer.
 """
 from __future__ import annotations
 
@@ -127,7 +130,12 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs, including the master seed."""
+    """Everything one experiment needs, including the master seed.
+
+    A field whose key its kind does not honour (``KIND_KEYS``) must keep its
+    default: a value that no runner of the kind reads is rejected, naming
+    the key.
+    """
 
     kind: ExperimentKind
     source: SourceSpec = SourceSpec()
@@ -149,6 +157,15 @@ class ExperimentConfig:
     fm: FmConfig = FmConfig()
 
     def __post_init__(self) -> None:
+        # a field whose key the kind does not honour must keep its default,
+        # or its value would be silently ignored
+        for key in sorted(set(CONFIG_KEYS) - KIND_KEYS[self.kind]):
+            name, sub, _ = CONFIG_KEYS[key]
+            value, default = getattr(self, name), self.__dataclass_fields__[name].default
+            if sub is not None:
+                value, default = getattr(value, sub), getattr(default, sub)
+            if value != default:
+                raise ValueError(f"config kind {self.kind.value!r} ignores key {key!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.trials < 1:

@@ -8,11 +8,12 @@ between them and below the first, and rejects a layout whose top band
 would reach Nyquist.  Each sensor's encoded voltage vd becomes a tone at
 offset + fm.scale * vd Hz, its single-sensor frequency shifted into its
 band.  ``receive_clusters`` is the one cluster link: at each
-(channel, truths) point it encodes every sensor, places the tones and makes
-one ``signal_chain.receive_points`` call, which captures each point's
-superposition over its channel on one or more antennas, seeded by the
-channel's rng_seed like the single-sensor chain, and returns the strongest
-bin of each sensor's band in the antennas' noncoherently combined spectrum.
+(channel, truths) point it encodes every sensor and places the tones, a
+(points, sensors) array, and makes one ``signal_chain.receive_points`` call
+with the one band list, which captures each point's superposition over its
+channel on one or more antennas, seeded by the channel's rng_seed like the
+single-sensor chain, and returns the strongest bin of each sensor's band in
+the antennas' noncoherently combined spectrum as a (points, sensors) array.
 Voltage is read back as (peak - offset) / fm.scale.  Band disjointness makes
 noiseless recovery bit-identical to running each sensor alone.
 
@@ -94,10 +95,10 @@ def receive_clusters(
     least one.  The bands are ``assign_channels`` of that number, the
     mapping's d_max and guard_hz.  Sensor i's tone is at
     offset_i + fm.scale * vd Hz, the tones are summed in band order, and
-    every point goes to one ``receive_points`` call with one band per
-    sensor.  Returns (vds, peaks, vd_hats), each a (points, bands) array:
-    the encoded voltages, each band's peak in Hz and its read-back
-    (peak - offset) / fm.scale volts.
+    one ``receive_points`` call takes every point's channel, the
+    (points, sensors) tone array and the bands.  Returns (vds, peaks,
+    vd_hats), each a (points, bands) array: the encoded voltages, each
+    band's peak in Hz and its read-back (peak - offset) / fm.scale volts.
     """
     counts = {len(truths) for _, truths in points}
     if len(counts) != 1:
@@ -106,9 +107,7 @@ def receive_clusters(
     offsets = np.array([lo for lo, _ in bands])
     pairs = np.reshape([truths for _, truths in points], (len(points), len(bands), 2))
     vds = encode(mapping, pairs[..., 0], pairs[..., 1])
-    tones = offsets + fm.scale * vds
-    calls = [(ch, freqs, bands) for (ch, _), freqs in zip(points, tones.tolist())]
-    peaks = np.reshape(receive_points(fm, calls, antennas), vds.shape)
+    peaks = receive_points(fm, [ch for ch, _ in points], offsets + fm.scale * vds, bands, antennas)
     return vds, peaks, (peaks - offsets) / fm.scale
 
 

@@ -19,16 +19,18 @@ The noise has one convention: antenna a of a channel ch adds
 noise_sigma(ch) times its unit draw, the standard normal record of
 default_rng(SeedSequence([ch.rng_seed, a])) (for antenna 0, the
 default_rng(ch.rng_seed) stream).  ``capture`` adds it to the samples, and
-the proof adds sigma times the rfft of the same draw (``_unit_noise``) to
-the tones' closed-form bins, so one draw per (seed, antenna) is the noise
-of every SNR of a seed (common random numbers).
+the proof adds sigma times the rfft of the same draw to the tones'
+closed-form bins, so one draw per (seed, antenna) is the noise of every SNR
+of a seed (common random numbers).
 ``receive_points`` is the one receiver: at each point of a sweep, the
 strongest bin of each band of the antennas' noncoherently combined rfft
-spectra of a capture.  A single sensor is a one-tone capture searched over
-the whole spectrum (``transmit_receive``; an array of voltages is one
-``receive_points`` call with one point per voltage, all on one channel);
-the FDMA cluster (``multisensor.receive_clusters``) passes one frequency
-and one band per sensor.
+spectra of a capture.  A call takes one channel per point, a
+(points, tones) array of tone frequencies and one band list for every
+point, and returns a (points, bands) array.  A single sensor is a one-tone
+capture searched over the whole spectrum (``transmit_receive``; an array
+of voltages is one call with one point per voltage, all on one channel);
+the FDMA cluster (``multisensor.receive_clusters``) passes one tone and one
+band per sensor.
 ``tone_bins`` is the closed-form FFT of a sum of capture tones, so a
 spectrum can be formed as tone bins plus the FFT of the noise.  Its
 Dirichlet kernel takes the ratio sin(pi*d)/sin(pi*d/M) from each offset d
@@ -37,32 +39,30 @@ and factors the phase into one complex exponential per tone half and one
 per bin instead of one per (half, bin) pair.
 
 ``receive_points`` alone chooses between the proof and the capture.  It
-checks each point's tones as a capture checks them (``_check_tones``) and
-each band's bins before anything is proved, and turns every (point, band)
-into one row that carries its point's seed.  It proves the rows of each run
-of one seed and one tone count from the run's one noise draw
-(``_unit_noise``), in blocks of at most BLOCK_ROWS rows (``_proved_bins``,
-whose docstring holds the proof), and synthesizes, transforms and searches
-a point's capture only when some band of it is left open.  The block's
-first stage is array operations over all its rows: the tones' nearest
-bins, windows clear of Nyquist and evaluated ranges, the closed-form tone
-bins, the scaled noise gathered by index, the antenna combine and a
-row-wise argmax, runner-up and margin test, with rows of narrower ranges
-padded by masked bins.  Rows of the same tones and band, such as one
-point's bands at each SNR of a seed, share one evaluation of the tone bins
-and differ only in the sigma that scales their noise.  Only the rows the
-block leaves open take the exact candidate stage, one by one.  A call may
-hold the points of several seeds: it draws each run's noise once, into one
-set of buffers that it reuses for every run and frees on return, so a seed
-whose points are not consecutive has its noise drawn once per run.  The
-block cap bounds the proof's temporaries, whatever the number of points.
+checks the tones as a capture checks them (``_check_tones``), the channel
+count and each band's bins before anything is proved.  It proves the
+points of each run of one seed from the run's one noise draw, in blocks of
+at most BLOCK_ROWS (point, band) rows (``_proved_bins``, whose docstring
+holds the proof), and synthesizes, transforms and searches a point's
+capture only when some band of it is left open.  The block's first stage
+is array operations over all its rows: the tones' nearest bins, windows
+clear of Nyquist and evaluated ranges, the closed-form tone bins, the
+scaled noise gathered by index, the antenna combine and a row-wise argmax,
+runner-up and margin test, with rows of narrower ranges padded by masked
+bins.  Points of the same tones, such as one trial's points at each SNR of
+a seed, share one evaluation of the tone bins per band and differ only in
+the sigma that scales their noise.  Only the rows the block leaves open
+take the exact candidate stage, one by one.  A call may hold the points of
+several seeds: it draws each run's noise once, into one block of buffers
+that it reuses for every run and frees on return, so a seed whose points
+are not consecutive has its noise drawn once per run.  The block cap
+bounds the proof's temporaries, whatever the number of points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -144,17 +144,19 @@ def _noise_rng(rng_seed: int, antenna: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([rng_seed, antenna]))
 
 
-def _check_tones(fm: FmConfig, freqs: list[float], antennas: int) -> None:
-    """Reject what no capture can hold: no antenna, no tone, a tone outside [0, Nyquist)."""
+def _check_tones(fm: FmConfig, tones: np.ndarray, antennas: int) -> None:
+    """Reject what no capture can hold: no antenna, no tone, a tone outside [0, Nyquist).
+
+    tones is a (points, tones) array; the first tone outside, point by
+    point, is named.
+    """
     if antennas < 1:
         raise ValueError("antennas must be >= 1")
-    if not freqs:
-        raise ValueError("capture needs at least one tone")
-    for freq in freqs:
-        if not 0.0 <= freq < fm.sample_rate / 2:
-            raise ValueError(
-                f"tone at {freq} Hz is outside [0, Nyquist) for fs={fm.sample_rate} Hz"
-            )
+    if tones.ndim != 2 or tones.shape[1] < 1:
+        raise ValueError(f"tones must be (points, tones), a tone or more per point; got {tones.shape}")
+    outside = tones[~((0.0 <= tones) & (tones < fm.sample_rate / 2))].tolist()
+    if outside:
+        raise ValueError(f"tone at {outside[0]} Hz is outside [0, Nyquist) for fs={fm.sample_rate} Hz")
 
 
 def capture(
@@ -166,7 +168,7 @@ def capture(
     are summed in the given order.  Antenna a adds noise_sigma(ch) times
     its unit draw.
     """
-    _check_tones(fm, freqs, antennas)
+    _check_tones(fm, np.array([freqs], dtype=float), antennas)
     n = np.arange(fm.num_samples)
     mix = None
     for freq in freqs:
@@ -282,42 +284,16 @@ def _noise(bins, out=None, scratch=None) -> _Noise:
     return _Noise(tuple(bins), magnitude, float(np.max(magnitude)))
 
 
-def _unit_noise(fm: FmConfig, seeds: list[int], antennas: int):
-    """Each seed's unit-variance ``_Noise`` in turn, all drawn into one set of buffers.
-
-    Antenna a's bins are the rfft of the seed's unit draw on antenna a.  The
-    buffers are one noise record, one rfft per antenna and one combined
-    magnitude, allocated when the first spectrum is drawn: the record takes
-    each antenna's unit draw and then serves as the combine's scratch.
-    Drawing the next seed overwrites the previous spectrum, so each must be
-    used up before the generator resumes; a seed that comes again is drawn
-    again.
-    """
-    m = fm.num_samples
-    n = m // 2 + 1
-    # one allocation for all of them.  Once a block this large (1.3 MB and up
-    # at 2^16 samples) has been freed, glibc serves and keeps allocations up
-    # to its size on the heap, so each rfft reuses its ~0.9 MB of work
-    # arrays; four smaller buffers left every rfft faulting them in afresh
-    # (~220 minor faults per rfft)
-    block = np.empty(m + n + 2 * n * antennas)
-    record, magnitude = block[:m], block[m : m + n]
-    bins = tuple(block[m + n :].reshape(antennas, 2 * n).view(complex))
-    for seed in seeds:
-        for a, spectrum in enumerate(bins):
-            _noise_rng(seed, a).standard_normal(out=record)
-            np.fft.rfft(record, out=spectrum)
-        yield _noise(bins, magnitude, record[:n])
-
-
 def _band_bins(fm: FmConfig, band: tuple[float, float]) -> tuple[int, int]:
     """First and last rfft bin k with lo_hz <= k * fs / M <= hi_hz, to 1e-9 bins.
 
-    The range is clipped to bins 0..M/2; lo > hi when the band holds no bin.
+    The range is clipped to bins 0..M/2; a band that holds no bin is rejected.
     """
     bin_width = fm.sample_rate / fm.num_samples
     lo = max(0, math.ceil(band[0] / bin_width - 1e-9))
     hi = min(fm.num_samples // 2, math.floor(band[1] / bin_width + 1e-9))
+    if lo > hi:
+        raise ValueError(f"band {band} contains no FFT bins")
     return lo, hi
 
 
@@ -357,11 +333,12 @@ def _wins(best, runner_up, outside):
     return np.isfinite(best) & (best > (1.0 + PEAK_MARGIN) * np.maximum(outside, runner_up))
 
 
-def _candidate_stage(fm, freqs, lo, hi, window, mags, noise, sigma, leak, best) -> int | None:
+def _candidate_stage(fm, freqs, lo, hi, window, mags, noise, sigma, leak, best) -> float:
     """The exact second stage of ``_proved_bins`` for a row the first stage left open.
 
     window holds the evaluated bins, first to last, mags their combined
-    magnitudes and best the largest of those.
+    magnitudes and best the largest of those.  Returns the proved bin, or
+    NaN when the row stays open.
     """
     magnitude = noise.magnitude[lo : hi + 1]
     rival = magnitude >= (best / (1.0 + PEAK_MARGIN) - leak) / sigma
@@ -372,20 +349,24 @@ def _candidate_stage(fm, freqs, lo, hi, window, mags, noise, sigma, leak, best) 
     cand_mags = _combined([cand_tones + sigma * b[candidates] for b in noise.bins])
     ((j,), (best,), (runner_up,)) = _best_two(np.concatenate([mags, cand_mags])[np.newaxis])
     if _wins(best, runner_up, leak + sigma * rest):
-        return int(np.concatenate([window, candidates])[j])
-    return None
+        return float(np.concatenate([window, candidates])[j])
+    return math.nan
 
 
 def _proved_bins(
-    fm: FmConfig, rows: list[tuple[list[float], int, int, float]], noise: _Noise | None
-) -> list[int | None]:
-    """The rfft argmax bin of each (freqs, lo, hi, sigma) row's band, or None when unproved.
+    fm: FmConfig,
+    tones: np.ndarray,
+    spans: list[tuple[int, int]],
+    sigmas: np.ndarray,
+    noise: _Noise | None,
+) -> np.ndarray:
+    """Each (point, band)'s rfft argmax bin, as a (points, bands) float array, NaN when unproved.
 
-    A row's capture is the sum of the tones at freqs (Hz) plus sigma times
-    the noise's bins on each antenna (noiseless when noise is None or sigma
-    is 0), combined over the antennas as ``receive_points`` combines them;
-    its band is the bins lo..hi.  Every row holds the same number of tones,
-    each one ``_check_tones`` accepts: at least one, each in [0, Nyquist).
+    Point p's capture is the sum of the tones of row p of tones (Hz) plus
+    sigmas[p] times the noise's bins on each antenna (noiseless when noise
+    is None or the sigma is 0), combined over the antennas as
+    ``receive_points`` combines them; band b is the bins lo..hi of
+    spans[b].  Every tone is one ``_check_tones`` accepts.
 
     With M = fm.num_samples, a tone's window is the bins within PEAK_WINDOW
     of its nearest bin c0; the band bins from the lowest to the highest
@@ -394,8 +375,8 @@ def _proved_bins(
     at least PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin outside its
     window as long as the window stays clear of Nyquist, so no tone bin
     there exceeds the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the
-    tones together at most len(freqs) times it; by Minkowski's inequality a
-    bin's combined magnitude is at most that plus sigma times the noise
+    tones together at most their number times it; by Minkowski's inequality
+    a bin's combined magnitude is at most that plus sigma times the noise
     magnitude.  Two stages prove the peak:
 
     - every band bin outside the evaluated range is bounded by the tones'
@@ -407,71 +388,70 @@ def _proved_bins(
 
     The best evaluated bin is returned when it is finite and beats the
     runner-up and the bound by PEAK_MARGIN.  A window that reaches Nyquist,
-    a band that meets no window or a non-finite quantity gives None, so
+    a band that meets no window or a non-finite quantity gives NaN, so
     ``receive_points``' capture decides, with its errors.
 
-    The first stage runs on every row in one array block.  Rows of the same
-    tones and band (a key) share one evaluation of their tone bins and
-    differ only in the sigma that scales their noise.  Each row's bins past
-    its evaluated range are masked to -inf, so each row's tones, noise and
-    decision are its own; a row with no evaluated range has every bin
-    masked and is left open.  A row the block leaves open, with a finite
-    best bin and noise in its bound, goes on to the exact candidate stage
-    alone.
+    The first stage runs on every (point, band) row in one array block.
+    Points of the same tones share one evaluation of their tone bins per
+    band and differ only in the sigma that scales their noise.  Each row's
+    bins past its evaluated range are masked to -inf, so each row's tones,
+    noise and decision are its own; a row with no evaluated range has every
+    bin masked and is left open.  A row the block leaves open, with a
+    finite best bin and noise in its bound, goes on to the exact candidate
+    stage alone.
     """
     m = fm.num_samples
-    keys: dict[tuple, int] = {}  # each distinct (tones, lo, hi), in order of first appearance
-    u = [keys.setdefault((tuple(freqs), lo, hi), len(keys)) for freqs, lo, hi, _ in rows]
-    tone_sets, lo, hi = zip(*keys)
-    freqs = np.array(tone_sets, dtype=float)
-    lo, hi = np.array([lo, hi], dtype=float)[:, :, np.newaxis]
+    bands = len(spans)
+    keys: dict[tuple, int] = {}  # each distinct tone row, in order of first appearance
+    u = np.array([keys.setdefault(row, len(keys)) for row in map(tuple, tones.tolist())])
+    freqs = np.array(list(keys))
+    lo, hi = np.array(spans, dtype=float).T[:, :, np.newaxis]  # (bands, 1)
     offsets = freqs * m / fm.sample_rate  # in bins
-    nearest = np.rint(offsets)
-    # the evaluated range: the band bins from the lowest to the highest
-    # window (the bins within PEAK_WINDOW of a tone's nearest bin) that
-    # meets the band.  A window that reaches Nyquist voids its key's leak
-    # bound, and the range ends at NaN; a key whose windows all miss the
-    # band ends at -inf
+    nearest = np.rint(offsets)[:, np.newaxis]  # (keys, 1, tones)
+    # the evaluated range of each (key, band): the band bins from the lowest
+    # to the highest window (the bins within PEAK_WINDOW of a tone's nearest
+    # bin) that meets the band.  A window that reaches Nyquist voids its
+    # key's leak bound, and the range ends at NaN; a (key, band) whose
+    # windows all miss the band ends at -inf
     start = np.maximum(nearest - PEAK_WINDOW, lo)
     top = nearest + PEAK_WINDOW
     stop = np.minimum(top, hi)
     meets = start <= stop
-    first = np.minimum.reduce(np.where(meets, start, hi), axis=1)
+    first = np.minimum.reduce(np.where(meets, start, hi), axis=2).ravel()
     stop = np.where(top < m // 2, np.where(meets, stop, -math.inf), math.nan)
-    last = np.maximum.reduce(stop, axis=1)
-    span = last - first  # the range's width less one
+    span = np.maximum.reduce(stop, axis=2).ravel() - first  # the range's width less one
     width = np.fmax.reduce(span)
     if not width >= 0.0:
-        return [None] * len(rows)
+        return np.full((len(tones), bands), math.nan)
     columns = np.arange(int(width) + 1)
     halves = np.concatenate([offsets, -offsets], axis=1)  # every exp(+iwn), then every exp(-iwn)
-    tones = _tone_sum(m, halves, first[:, np.newaxis], columns)
-    u = np.array(u)  # each row's key
-    tones, first, span = tones[u], first[u].astype(int), span[u]
+    evaluated = _tone_sum(m, np.repeat(halves, bands, axis=0), first[:, np.newaxis], columns)
+    # row (point p, band b) reads its key's (key, band) entry
+    at_key = (u[:, np.newaxis] * bands + np.arange(bands)).ravel()
+    evaluated, first, span = evaluated[at_key], first[at_key].astype(int), span[at_key]
     leak = freqs.shape[1] / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
+    sigma = np.repeat(sigmas, bands)  # every sigma is 0 when noise is None
     if noise is None:
-        mags = np.abs(tones)
+        mags = np.abs(evaluated)
         outside = leak
     else:
-        sigma = np.array([row[3] for row in rows])
-        # |tones * phase + noise| = |tones + noise / phase|; a masked bin
+        # |bins * phase + noise| = |bins + noise / phase|; a masked bin
         # past M/2 reads bin M/2
         at = first[:, np.newaxis] + columns
         scale = sigma[:, np.newaxis] * _bin_phase(m, columns).conj()
-        mags = _combined([tones + scale * b.take(at, mode="clip") for b in noise.bins])
+        mags = _combined([evaluated + scale * b.take(at, mode="clip") for b in noise.bins])
         outside = leak + sigma * noise.peak
     mags = np.where(columns <= span[:, np.newaxis], mags, -math.inf)
     j, best, runner_up = _best_two(mags)
     won = _wins(best, runner_up, outside)
-    found = [k if w else None for k, w in zip((first + j).tolist(), won.tolist())]
-    if noise is not None:
-        for r in (~won & (sigma != 0.0) & np.isfinite(best)).nonzero()[0]:
-            freqs, lo, hi, _ = rows[r]
-            window = slice(0, int(span[r]) + 1)
-            found[r] = _candidate_stage(
-                fm, freqs, lo, hi, at[r, window], mags[r, window], noise, sigma[r], leak, best[r]
-            )
-    return found
+    found = np.where(won, first + j, math.nan)
+    for r in (~won & (sigma != 0.0) & np.isfinite(best)).nonzero()[0]:
+        p, b = divmod(int(r), bands)
+        window = slice(0, int(span[r]) + 1)
+        found[r] = _candidate_stage(
+            fm, tones[p], *spans[b], at[r, window], mags[r, window], noise, sigma[r], leak, best[r]
+        )
+    return found.reshape(len(tones), bands)
 
 
 # an overflowing mean square is reported by the capture's finiteness check,
@@ -479,79 +459,92 @@ def _proved_bins(
 @np.errstate(over="ignore")
 def receive_points(
     fm: FmConfig,
-    points: list[tuple[ChannelSpec, list[float], list[tuple[float, float]]]],
+    channels: list[ChannelSpec],
+    tones,
+    bands: list[tuple[float, float]],
     antennas: int = 1,
-) -> list[list[float]]:
-    """The receiver at each (ch, freqs, bands) point: per point, each band's strongest bin in Hz.
+) -> np.ndarray:
+    """The receiver at each point: each band's strongest bin in Hz, as a (points, bands) array.
 
-    Each antenna's record from ``capture`` is transformed by one rfft; with
+    Point p is the capture of the tones of row p of tones, a (points, tones)
+    array in Hz, over channels[p], one ChannelSpec per point; the one band
+    list bands, of (lo_hz, hi_hz) pairs, applies to every point.  Each
+    antenna's record from ``capture`` is transformed by one rfft; with
     several antennas the magnitudes are combined noncoherently, as the root
-    of their mean square per bin.  For each band (lo_hz, hi_hz) the result
-    is k * fs / M for the strongest bin k in 0..M/2 with
-    lo_hz <= k * fs / M <= hi_hz (to 1e-9 bins); of equal bins the lowest
-    wins.  Points may come from channels of several seeds; the points of
-    one rng_seed re-observe one noise realization at their own SNRs (common
-    random numbers).  Every point is validated, in order, before anything
-    is drawn, proved or captured: no antenna, no tone, a tone outside
-    [0, Nyquist), and a band that holds no bin are rejected whatever the
-    proof would find.  Each (point, band) becomes one row of the proof
-    that carries its point's seed.  The rows are then proved run by run, a
-    run being consecutive points of one rng_seed and one number of tones: a
-    run with a noisy point has its unit-variance noise drawn once, into
-    buffers that every run of the call reuses and that are freed on return,
-    and its rows are proved in blocks of at most BLOCK_ROWS rows each
-    (``_proved_bins``).  A caller that sends each seed's points together,
-    with one number of tones, draws each seed's noise once.  Last, point by
-    point in order, a point with a band left open has its capture
-    synthesized, transformed and searched.  The capture rejects a band
-    whose bins are all zero (a noiseless DC tone leaves every other bin
-    exactly 0) or whose peak is not finite (the mean square overflows when
-    the noise is within ~10*log10(M) dB of ChannelSpec's variance limit).
-    The proof accepts neither: its peak must beat a positive leak bound,
-    and a bin whose mean square overflows outranks every finite evaluated
-    bin, so the proof either evaluates it, and finds it not finite, or
-    cannot bound it.
+    of their mean square per bin.  For each band the result is k * fs / M
+    for the strongest bin k in 0..M/2 with lo_hz <= k * fs / M <= hi_hz (to
+    1e-9 bins); of equal bins the lowest wins.  The points of one rng_seed
+    re-observe one noise realization at their own SNRs (common random
+    numbers).
+
+    Before anything is drawn, proved or captured, the call checks, in this
+    order: antennas >= 1; tones is 2-D with at least one tone per point;
+    every tone lies in [0, Nyquist) (the error names the first one outside,
+    point by point); there is one channel per point; each band holds a bin.
+    A call with no band returns a (points, 0) array and draws nothing.  The
+    points are then proved run by run, a run being consecutive points of
+    one rng_seed: a run with a noisy point has its unit-variance noise drawn
+    once, into one block that every run of the call reuses and that is
+    freed on return, and its (point, band) rows are proved in blocks of at
+    most BLOCK_ROWS rows (``_proved_bins``), whole points at a time, or a
+    point's bands in parts when they alone exceed the cap.  A caller that
+    sends each seed's points together draws each seed's noise once.  Last,
+    point by point in order, a point with a band left open has its capture
+    synthesized, transformed and searched.  The capture rejects a band whose
+    bins are all zero (a noiseless DC tone leaves every other bin exactly
+    0) or whose peak is not finite (the mean square overflows when the
+    noise is within ~10*log10(M) dB of ChannelSpec's variance limit).  The
+    proof accepts neither: its peak must beat a positive leak bound, and a
+    bin whose mean square overflows outranks every finite evaluated bin, so
+    the proof either evaluates it, and finds it not finite, or cannot bound
+    it.
     """
-    rows = []  # per (point, band): the point's seed, then the proof's (freqs, lo, hi, sigma)
-    for ch, freqs, bands in points:  # the first point rejected raises its error
-        _check_tones(fm, freqs, antennas)
-        sigma = noise_sigma(ch)
-        for band in bands:
-            lo, hi = _band_bins(fm, band)
-            if lo > hi:
-                raise ValueError(f"band {band} contains no FFT bins")
-            rows.append((ch.rng_seed, (freqs, lo, hi, sigma)))
-    # each run of consecutive rows of one seed and one tone count: its noise
-    # is drawn once, and its rows are proved in blocks of at most BLOCK_ROWS
-    runs = [
-        (seed, [row for _, row in run])
-        for (seed, _), run in groupby(rows, key=lambda row: (row[0], len(row[1][0])))
-    ]
-    noisy = [any(row[3] != 0.0 for row in run) for _, run in runs]
-    spectra = _unit_noise(fm, [seed for (seed, _), drawn in zip(runs, noisy) if drawn], antennas)
-    peaks: list[int | None] = []
-    for (_, run), drawn in zip(runs, noisy):
-        noise = next(spectra) if drawn else None
-        for start in range(0, len(run), BLOCK_ROWS):
-            peaks += _proved_bins(fm, run[start : start + BLOCK_ROWS], noise)
-    if None in peaks:
-        # in order, each point with a band left open: its capture decides all its bands
-        start = 0
-        for ch, freqs, bands in points:
-            end = start + len(bands)
-            if None in peaks[start:end]:
-                combined = _combined([np.fft.rfft(y) for y in capture(fm, ch, freqs, antennas)])
-                for i, band in enumerate(bands, start):
-                    _, lo, hi, _ = rows[i][1]
-                    peaks[i] = k = lo + int(np.argmax(combined[lo : hi + 1]))
-                    if not math.isfinite(combined[k]):
-                        raise ValueError("the combined spectrum overflows: the noise power is too large")
-                    if not combined[k] > 0:
-                        raise ValueError(f"degenerate all-zero band {band}: no signal to detect")
-            start = end
-    bin_width = fm.sample_rate / fm.num_samples
-    values = iter([k * bin_width for k in peaks])
-    return [list(islice(values, len(bands))) for _, _, bands in points]
+    tones = np.asarray(tones, dtype=float)
+    _check_tones(fm, tones, antennas)
+    if len(channels) != len(tones):
+        raise ValueError(f"{len(channels)} channels for {len(tones)} points of tones")
+    spans = [_band_bins(fm, band) for band in bands]
+    found = np.full((len(tones), len(bands)), math.nan)  # each (point, band)'s bin, NaN while open
+    if not bands:
+        return found
+    sigmas = np.array([noise_sigma(ch) for ch in channels])
+    m = fm.num_samples
+    n = m // 2 + 1
+    if sigmas.any():
+        # one allocation for the noise record, one rfft per antenna and
+        # their combined magnitude; the record then serves as the combine's
+        # scratch.  Once a block this large (1.3 MB and up at 2^16 samples)
+        # has been freed, glibc serves and keeps allocations up to its size
+        # on the heap, so each rfft reuses its ~0.9 MB of work arrays; four
+        # smaller buffers left every rfft faulting them in afresh (~220
+        # minor faults per rfft)
+        block = np.empty(m + n + 2 * n * antennas)
+        record, magnitude = block[:m], block[m : m + n]
+        bins = tuple(block[m + n :].reshape(antennas, 2 * n).view(complex))
+    seeds = [ch.rng_seed for ch in channels]
+    starts = [p for p in range(len(seeds)) if p == 0 or seeds[p] != seeds[p - 1]]
+    per = max(1, BLOCK_ROWS // len(bands))  # whole points per block
+    for start, end in zip(starts, [*starts[1:], len(seeds)]):
+        noise = None
+        if sigmas[start:end].any():
+            for a, spectrum in enumerate(bins):
+                _noise_rng(seeds[start], a).standard_normal(out=record)
+                np.fft.rfft(record, out=spectrum)
+            noise = _noise(bins, magnitude, record[:n])
+        for p in range(start, end, per):
+            for b in range(0, len(bands), BLOCK_ROWS):
+                rows, cols = slice(p, min(p + per, end)), slice(b, b + BLOCK_ROWS)
+                found[rows, cols] = _proved_bins(fm, tones[rows], spans[cols], sigmas[rows], noise)
+    # in order, each point with a band left open: its capture decides all its bands
+    for p in np.isnan(found).any(axis=1).nonzero()[0]:
+        combined = _combined([np.fft.rfft(y) for y in capture(fm, channels[p], tones[p], antennas)])
+        for b, (band, (lo, hi)) in enumerate(zip(bands, spans)):
+            found[p, b] = k = lo + int(np.argmax(combined[lo : hi + 1]))
+            if not math.isfinite(combined[k]):
+                raise ValueError("the combined spectrum overflows: the noise power is too large")
+            if not combined[k] > 0:
+                raise ValueError(f"degenerate all-zero band {band}: no signal to detect")
+    return found * (fm.sample_rate / fm.num_samples)
 
 
 def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd):
@@ -562,7 +555,6 @@ def transmit_receive(fm: FmConfig, ch: ChannelSpec, vd):
     one noise draw.  A scalar gives a float, an array an array of its shape.
     """
     vd = np.asarray(vd, dtype=float)
-    band = (0.0, fm.sample_rate / 2)
-    points = [(ch, [freq], [band]) for freq in (fm.scale * vd).ravel().tolist()]
-    peaks = np.array([peak for (peak,) in receive_points(fm, points)]) / fm.scale
-    return float(peaks[0]) if vd.ndim == 0 else peaks.reshape(vd.shape)
+    tones = (fm.scale * vd).reshape(-1, 1)
+    peaks = receive_points(fm, [ch] * len(tones), tones, [(0.0, fm.sample_rate / 2)]) / fm.scale
+    return float(peaks[0, 0]) if vd.ndim == 0 else peaks.reshape(vd.shape)

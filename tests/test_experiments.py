@@ -132,8 +132,30 @@ class TestConfigValidation:
         for run, kind, fields, message in bad:
             with pytest.raises(ValueError, match=message):
                 run(ExperimentConfig(kind=kind, trials=4, workers=2, **fields))
-        # the lowest SNR a channel can hold stays a valid sweep point
-        ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, snr_values=(-3050.0,), snr_db=-3050.0)
+        # the lowest SNR a channel can hold stays a valid sweep point of each sweep
+        ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, snr_values=(-3050.0,))
+        ExperimentConfig(kind=ExperimentKind.MSE_VS_L, snr_db=-3050.0)
+
+    def test_field_a_kind_ignores_must_keep_its_default(self):
+        # a directly built config that sets a field its kind does not honour
+        # is rejected naming the key, as a config file is, and the field's
+        # default passes: a level sweep given snr_values=(-10.0,) would
+        # otherwise run at snr_db without a word
+        defaults = ExperimentConfig(kind=ExperimentKind.MSE_VS_L)
+        changed = dict(
+            num_levels=11, snr_values=(-10.0,), sensor_count=2, antennas=2, guard_hz=500.0,
+            gain_error=0.1, offset_error=0.1, l_values=(5,), snr_db=-10.0, workers=2, trials=3,
+            source=SourceSpec("fixed", x1=0.2, x2=0.2),
+        )
+        for kind, honoured in KIND_KEYS.items():
+            for name, value in changed.items():
+                keys = sorted(k for k in set(CONFIG_KEYS) - honoured if CONFIG_KEYS[k][0] == name)
+                if keys:
+                    with pytest.raises(ValueError, match=f"ignores key '{keys[0]}'"):
+                        ExperimentConfig(kind=kind, **{name: value})
+                    ExperimentConfig(kind=kind, **{name: getattr(defaults, name)})
+                else:
+                    ExperimentConfig(kind=kind, **{name: value})
 
     def test_impossible_layout_rejected_before_any_worker_starts(self, monkeypatch):
         # six 6 kHz bands exceed the 32768 Hz Nyquist capacity; a NaN guard
@@ -535,7 +557,7 @@ class TestTrialMajorSdrEngine:
         monkeypatch.setattr(
             multisensor,
             "receive_points",
-            lambda fm, points, antennas: calls.append(len(points)) or receive_points(fm, points, antennas),
+            lambda fm, channels, *args: calls.append(len(channels)) or receive_points(fm, channels, *args),
         )
         cfg = ExperimentConfig(
             kind=ExperimentKind.SDR_VS_CSNR,
@@ -816,7 +838,9 @@ class TestConfigFile:
         # a field behind a key the kind honours that its runner never reads
         # would be silently ignored, and a field it reads behind a key the
         # kind rejects could not be set from a config file
-        cfg = RecordingConfig(ExperimentConfig(kind=kind, trials=2, l_values=(5, 11)))
+        # the fields set are those of the two the kind honours: it rejects the others
+        fields = {k: v for k, v in dict(trials=2, l_values=(5, 11)).items() if k in KIND_KEYS[kind]}
+        cfg = RecordingConfig(ExperimentConfig(kind=kind, **fields))
         runner(cfg)
         assert cfg.read == {CONFIG_KEYS[key][0] for key in KIND_KEYS[kind]}
 

@@ -205,19 +205,19 @@ class TestDiversity:
         (samples,) = capture(FM, ch, self.FREQS)
         own = np.abs(np.fft.rfft(samples))
         expected = [float(lo + np.argmax(own[int(lo) : int(hi) + 1])) for lo, hi in self.BANDS]
-        assert receive_points(FM, [(ch, self.FREQS, self.BANDS)]) == [expected]
+        assert receive_points(FM, [ch], [self.FREQS], self.BANDS).tolist() == [expected]
 
     def test_identical_spectra_keep_argmax(self):
         # noiseless antennas see identical spectra, whose combine is the
         # spectrum itself: the peaks equal the one-antenna peaks
-        point = (NO_NOISE, self.FREQS, self.BANDS)
-        one = receive_points(FM, [point])
-        assert receive_points(FM, [point], antennas=3) == one == [[3457.0, 9877.0]]
+        one = receive_points(FM, [NO_NOISE], [self.FREQS], self.BANDS).tolist()
+        three = receive_points(FM, [NO_NOISE], [self.FREQS], self.BANDS, antennas=3).tolist()
+        assert three == one == [[3457.0, 9877.0]]
 
     def test_empty_rejected(self):
         # no antenna means no spectrum to combine
         with pytest.raises(ValueError, match="antennas"):
-            receive_points(FM, [(NO_NOISE, self.FREQS, self.BANDS)], antennas=0)
+            receive_points(FM, [NO_NOISE], [self.FREQS], self.BANDS, antennas=0)
         with pytest.raises(ValueError, match="antennas"):
             simulate_cluster(CODEC, [(0.1, 0.1)], FM, NO_NOISE, 0)
 

@@ -39,7 +39,7 @@ def fm_tone(fm, vd):
 
 def full_band_peak(fm, ch, freq):
     """The receiver's peak (Hz) of one tone searched over the whole spectrum."""
-    ((peak,),) = receive_points(fm, [(ch, [freq], [(0.0, fm.sample_rate / 2)])])
+    ((peak,),) = receive_points(fm, [ch], [[freq]], [(0.0, fm.sample_rate / 2)]).tolist()
     return peak
 
 
@@ -206,10 +206,17 @@ class TestLeakBound:
 FULL = (0.0, FM.sample_rate / 2)
 
 
+def bins_or_none(found):
+    """A ``_proved_bins`` array as nested lists of int bins, None for each row left open."""
+    return [[None if math.isnan(k) else int(k) for k in row] for row in found.tolist()]
+
+
 def proved_bin(fm, freqs, band, noise, sigma):
-    """The proof's bin of one band (lo_hz, hi_hz): ``_proved_bins`` of one row, or None."""
-    row = (freqs, *signal_chain._band_bins(fm, band), sigma)
-    return signal_chain._proved_bins(fm, [row], noise)[0]
+    """The proof's bin of one band (lo_hz, hi_hz) at one point: ``_proved_bins`` of one row, or None."""
+    spans = [signal_chain._band_bins(fm, band)]
+    found = signal_chain._proved_bins(fm, np.array([freqs]), spans, np.array([sigma]), noise)
+    ((k,),) = bins_or_none(found)
+    return k
 
 
 def zero_noise(fm=FM):
@@ -337,7 +344,8 @@ class TestProvedPeak:
         assert proved_bin(FM, tones, (2505.0, 2530.0), None, 0.0) is None
         # a band that meets no window, or holds no bin, is left to receive_points
         assert proved_bin(FM, tones, (6000.0, 7000.0), None, 0.0) is None
-        assert proved_bin(FM, tones, (2500.2, 2500.8), None, 0.0) is None
+        no_bin = signal_chain._proved_bins(FM, np.array([tones]), [(2501, 2500)], np.zeros(1), None)
+        assert bins_or_none(no_bin) == [[None]]
 
     def test_sigma_scales_the_unit_noise(self):
         # sigma times a unit spectrum proves what the scaled spectrum proves
@@ -356,25 +364,26 @@ class TestProvedPeak:
         with np.errstate(over="ignore"):
             assert proved_bin(FM, [2500.0], FULL, noise, noise_sigma(ch)) is None
             with pytest.raises(ValueError, match="overflows"):
-                receive_points(FM, [(ch, [2500.0], [FULL])], antennas=2)
+                receive_points(FM, [ch], [[2500.0]], [FULL], antennas=2)
         # one antenna needs no square: both prove the same finite peak
         one = signal_chain._noise(noise.bins[:1])
         k = proved_bin(FM, [2500.0], FULL, one, noise_sigma(ch))
-        assert k is not None and [[float(k)]] == receive_points(FM, [(ch, [2500.0], [FULL])])
+        assert k is not None and [[float(k)]] == receive_points(FM, [ch], [[2500.0]], [FULL]).tolist()
 
     @given(
         sample_rate=st.floats(8.0, 200_000.0),
         record_exp=st.integers(7, 16),
+        tone_count=st.integers(1, 4),
         point_draws=st.lists(
             st.tuples(
-                st.lists(TONE_PLACES, min_size=1, max_size=4),
-                st.lists(BAND_PLACES, min_size=1, max_size=3),
+                st.lists(TONE_PLACES, min_size=4, max_size=4),
                 st.sampled_from([math.inf, 0.0, -20.0, -35.0, -45.0]),
                 st.integers(0, 2),
             ),
             min_size=1,
             max_size=4,
         ),
+        band_places=st.lists(BAND_PLACES, min_size=1, max_size=3),
         half_bin=st.booleans(),
         antennas=st.integers(1, 3),
         rng_seeds=st.lists(st.integers(0, 2**62), min_size=1, max_size=3),
@@ -382,29 +391,31 @@ class TestProvedPeak:
     )
     @settings(max_examples=150, deadline=None)
     def test_proved_bin_is_the_explicit_chain_peak(
-        self, sample_rate, record_exp, point_draws, half_bin, antennas, rng_seeds, pin
+        self, sample_rate, record_exp, tone_count, point_draws, band_places, half_bin, antennas,
+        rng_seeds, pin,
     ):
         # the proof, and one receive_points call over points of 1-3 seeds,
-        # interleaved, each with its own tones, bands and SNR, against the
-        # oracle at each point; the call proves each run of one seed's points
-        # of one tone count in one block, each run's noise drawn into the
-        # buffers of the one before.  pin adds a noise bin next to the first
-        # point's top window that only the leak bound tells from the window's
-        # peak (pin 0: a tie)
+        # interleaved, each with its own tones and SNR, one tone count and
+        # one band list for the call, against the oracle at each point; the
+        # call proves each run of one seed's points in one block, each run's
+        # noise drawn into the buffers of the one before.  pin adds a noise
+        # bin next to the first point's top window that only the leak bound
+        # tells from the window's peak (pin 0: a tie)
         m = 2**record_exp
         fm = FmConfig(sample_rate=sample_rate, record_seconds=m / sample_rate)
         bin_width = sample_rate / m
-        points = []
-        for places, band_places, snr_db, seed_index in point_draws:
-            freqs = [tone_frequency(fm, place) for place in places]
+        channels, tones = [], []
+        for places, snr_db, seed_index in point_draws:
+            freqs = [tone_frequency(fm, place) for place in places[:tone_count]]
             if half_bin:  # exact half-bin offsets, the closest calls
                 freqs = [(math.floor(f / bin_width) + 0.5) * bin_width for f in freqs]
-                freqs = [f for f in freqs if f < sample_rate / 2] or [0.5 * bin_width]
-            bands = [band_edges(fm, place, freqs[0]) for place in band_places]
+                freqs = [f if f < sample_rate / 2 else 0.5 * bin_width for f in freqs]
             rng_seed = rng_seeds[seed_index % len(rng_seeds)]
-            points.append((ChannelSpec(snr_db=snr_db, rng_seed=rng_seed), freqs, bands))
-        expected = [band_peaks(fm, ch, freqs, bands, antennas) for ch, freqs, bands in points]
-        for (ch, freqs, bands), peaks in zip(points, expected):
+            channels.append(ChannelSpec(snr_db=snr_db, rng_seed=rng_seed))
+            tones.append(freqs)
+        bands = [band_edges(fm, place, tones[0][0]) for place in band_places]
+        expected = [band_peaks(fm, ch, freqs, bands, antennas) for ch, freqs in zip(channels, tones)]
+        for ch, freqs, peaks in zip(channels, tones, expected):
             noise = unit_spectrum(fm, ch.rng_seed, antennas)
             for band, peak in zip(bands, peaks):
                 k = proved_bin(fm, freqs, band, noise, noise_sigma(ch))
@@ -414,12 +425,14 @@ class TestProvedPeak:
         degenerate = [None in peaks for peaks in expected]
         if any(degenerate):
             with pytest.raises(ValueError, match="degenerate"):
-                receive_points(fm, points, antennas)
-            points, expected = points[: degenerate.index(True)], expected[: degenerate.index(True)]
-        assert receive_points(fm, points, antennas) == expected
-        if not points:
+                receive_points(fm, channels, tones, bands, antennas)
+            cut = degenerate.index(True)
+            channels, tones, expected = channels[:cut], tones[:cut], expected[:cut]
+        got = receive_points(fm, channels, np.reshape(tones, (-1, tone_count)), bands, antennas)
+        assert got.tolist() == expected
+        if not channels:
             return
-        ch, freqs, _ = points[0]
+        ch, freqs = channels[0], tones[0]
         sigma = noise_sigma(ch)
         if pin is None or sigma == 0.0:
             return
@@ -450,63 +463,66 @@ class TestProvedPeak:
         ]
         # (2490, 2499): the band ends one bin below the first tone's peak
         bands = [FULL, (2490.0, 2505.0), (2490.0, 2499.0), (0.0, 100.0), (11990.0, 12010.0)]
-        rows = []
+        points = []
         for freqs in tone_sets:
-            for band in bands:
-                for snr_db in (math.inf, 0.0, -35.0):
-                    sigma = noise_sigma(ChannelSpec(snr_db=snr_db))
-                    rows.append((freqs, *signal_chain._band_bins(FM, band), sigma))
-        alone = blocks_of_each_tone_count(rows, noise)
+            for snr_db in (math.inf, 0.0, -35.0):
+                points.append((freqs, noise_sigma(ChannelSpec(snr_db=snr_db))))
+        alone = blocks_of_each_tone_count(points, bands, noise)
         # proved rows of every tone count, and of ranges 10, 16 and 65 bins wide
-        assert {len(row[0]) for row, k in zip(rows, alone) if k is not None} == {1, 2, 3, 4}
+        proved = {len(freqs) for (freqs, _), ks in zip(points, alone) if ks != [None] * len(bands)}
+        assert proved == {1, 2, 3, 4}
         # one (tones, band) at five sigmas, repeated and interleaved with
-        # other rows, and on-bin tones, whose peak bins take the kernel's
-        # on-bin limit: the rows of one (tones, band) share one evaluation of
-        # its tone bins, and each still decides as it would alone
+        # other points, and on-bin tones, whose peak bins take the kernel's
+        # on-bin limit: the points of one tones share one evaluation of their
+        # tone bins per band, and each row still decides as it would alone
         on_bin = [[2500.0], [2500.0, 9000.0, 31000.0]]
         repeated = []
         for snr_db in (math.inf, 10.0, -20.0, -35.0, -45.0):
             sigma = noise_sigma(ChannelSpec(snr_db=snr_db))
             for freqs in on_bin + tone_sets[:2]:
-                for band in bands[:2]:
-                    repeated.append((freqs, *signal_chain._band_bins(FM, band), sigma))
-        repeated += rows[::7] + repeated[::3]
-        alone = blocks_of_each_tone_count(repeated, noise)
+                repeated.append((freqs, sigma))
+        repeated += points[::7] + repeated[::3]
+        alone = blocks_of_each_tone_count(repeated, bands[:2], noise)
         # the on-bin tones are proved noiseless, and the sigmas of one
         # (tones, band) reach different decisions
-        assert alone[:2] == [2500, 2500]
-        assert len({k for row, k in zip(repeated, alone) if row[:3] == repeated[0][:3]}) > 1
+        assert alone[0] == [2500, 2500]
+        assert len({ks[0] for (freqs, _), ks in zip(repeated, alone) if freqs == on_bin[0]}) > 1
 
-    def test_runs_of_one_seed_and_tone_count(self, monkeypatch):
-        # one seed's points of 1, 3 and 2 tones, interleaved, then a run of
-        # one tone count that is longer than BLOCK_ROWS: each run is proved
-        # in blocks of at most BLOCK_ROWS rows on its one noise draw, and
-        # each point reads what its one-point call reads
+    def test_runs_of_one_seed(self, monkeypatch):
+        # points of seeds 6 and 7, alternating, then a run of one seed that
+        # is longer than BLOCK_ROWS rows: each run is proved in blocks of at
+        # most BLOCK_ROWS rows, whole points at a time, on its one noise
+        # draw, and each point reads what its one-point call reads
         fm = FmConfig(sample_rate=8192.0, record_seconds=0.5)
         blocks = []
         proved_bins = signal_chain._proved_bins
 
-        def recorded(fm, rows, noise):
-            blocks.append((len(rows), noise))
-            return proved_bins(fm, rows, noise)
+        def recorded(fm, tones, spans, sigmas, noise):
+            blocks.append((len(tones) * len(spans), noise))
+            return proved_bins(fm, tones, spans, sigmas, noise)
 
         monkeypatch.setattr(signal_chain, "_proved_bins", recorded)
         bands = [(0.0, 2000.0), (0.0, 4096.0)]
-        tone_sets = [[1500.3], [1500.7, 2500.2, 3300.0], [600.0, 1900.4]]
-        points = [
-            (ChannelSpec(snr_db=snr_db, rng_seed=6), freqs, bands)
-            for snr_db in (math.inf, 0.0, -10.0)
-            for freqs in tone_sets
-        ]
+        tone_sets = [[1500.3, 2500.2], [1500.7, 3300.0], [600.0, 1900.4]]
+        channels, tones = [], []
+        for snr_db in (math.inf, 0.0, -10.0):
+            for freqs in tone_sets:
+                channels.append(ChannelSpec(snr_db=snr_db, rng_seed=[6, 7][len(tones) % 2]))
+                tones.append(freqs)
         run = signal_chain.BLOCK_ROWS + 44
-        ch = ChannelSpec(snr_db=-5.0, rng_seed=6)
-        points += [(ch, [freq], bands) for freq in np.linspace(10.0, 1990.0, run // 2).tolist()]
-        mixed = receive_points(fm, points, antennas=2)
+        for freq in np.linspace(10.0, 1990.0, run // 2).tolist():
+            channels.append(ChannelSpec(snr_db=-5.0, rng_seed=7))
+            tones.append([freq, 3000.0])
+        mixed = receive_points(fm, channels, tones, bands, antennas=2).tolist()
         sizes = [n for n, _ in blocks]
         assert sizes == [2] * 9 + [signal_chain.BLOCK_ROWS, 44]
         assert [noise is None for _, noise in blocks[:9]] == [True] * 3 + [False] * 6
         assert blocks[-1][1] is blocks[-2][1]
-        assert mixed == [receive_points(fm, [point], antennas=2)[0] for point in points]
+        alone = [
+            receive_points(fm, [ch], [freqs], bands, antennas=2).tolist()[0]
+            for ch, freqs in zip(channels, tones)
+        ]
+        assert mixed == alone
 
     def test_rows_of_one_tones_and_band_share_one_evaluation(self, monkeypatch):
         # a seed's points at six SNRs, each with the same three tones and
@@ -523,8 +539,9 @@ class TestProvedPeak:
         freqs = [3457.3, 9877.6, 16000.2]
         bands = [(0.0, 6000.0), (6500.0, 13000.0), (13500.0, 20000.0)]
         snrs = (math.inf, 20.0, 10.0, 0.0, -10.0, -20.0)
-        points = [(ChannelSpec(snr_db=snr_db, rng_seed=5), freqs, bands) for snr_db in snrs]
-        assert receive_points(FM, points, antennas=2) == [[3457.0, 9878.0, 16000.0]] * 6
+        channels = [ChannelSpec(snr_db=snr_db, rng_seed=5) for snr_db in snrs]
+        got = receive_points(FM, channels, [freqs] * 6, bands, antennas=2)
+        assert got.tolist() == [[3457.0, 9878.0, 16000.0]] * 6
         assert evaluated == [3]
 
     def test_a_best_bin_at_the_margin_bound_does_not_win(self):
@@ -540,13 +557,19 @@ class TestProvedPeak:
         assert not signal_chain._wins(np.array([math.inf, math.nan]), -math.inf, 1.0).any()
 
 
-def blocks_of_each_tone_count(rows, noise):
-    """Each row's one-row proof, checked against the block of each tone count's rows."""
-    alone = [signal_chain._proved_bins(FM, [row], noise)[0] for row in rows]
-    for count in {len(row[0]) for row in rows}:
-        index = [i for i, row in enumerate(rows) if len(row[0]) == count]
-        block = signal_chain._proved_bins(FM, [rows[i] for i in index], noise)
-        assert block == [alone[i] for i in index]
+def blocks_of_each_tone_count(points, bands, noise):
+    """Each (freqs, sigma) point's one-row proofs per band, checked against each tone count's block.
+
+    Returns one list of bins per point, None for a band left open.
+    """
+    alone = [[proved_bin(FM, freqs, band, noise, sigma) for band in bands] for freqs, sigma in points]
+    spans = [signal_chain._band_bins(FM, band) for band in bands]
+    for count in {len(freqs) for freqs, _ in points}:
+        index = [i for i, (freqs, _) in enumerate(points) if len(freqs) == count]
+        tones = np.array([points[i][0] for i in index])
+        sigmas = np.array([points[i][1] for i in index])
+        block = signal_chain._proved_bins(FM, tones, spans, sigmas, noise)
+        assert bins_or_none(block) == [alone[i] for i in index]
     return alone
 
 
@@ -566,59 +589,59 @@ class TestReceiveRejects:
     def test_no_antenna(self, no_capture):
         assert proved_bin(FM, [2500.0], FULL, None, 0.0) == 2500
         with pytest.raises(ValueError, match="antennas must be >= 1"):
-            receive_points(FM, [(NO_NOISE, [2500.0], [FULL])], antennas=0)
+            receive_points(FM, [NO_NOISE], [[2500.0]], [FULL], antennas=0)
 
     def test_no_tone(self, no_capture):
         for bands in ([FULL], []):
-            with pytest.raises(ValueError, match="at least one tone"):
-                receive_points(FM, [(NO_NOISE, [], bands)])
+            with pytest.raises(ValueError, match="a tone or more per point"):
+                receive_points(FM, [NO_NOISE], np.empty((1, 0)), bands)
 
     def test_tone_outside_nyquist_without_a_band(self, no_capture):
         for freq in (-1.0, FM.sample_rate / 2, math.nan, math.inf):
             with pytest.raises(ValueError, match=r"outside \[0, Nyquist\)"):
-                receive_points(FM, [(NO_NOISE, [2500.0, freq], [])])
+                receive_points(FM, [NO_NOISE], [[2500.0, freq]], [])
 
     def test_band_without_bins(self, no_capture):
         ch = ChannelSpec(snr_db=-20.0, rng_seed=4)
-        assert receive_points(FM, [(ch, [2500.0], [FULL])]) == [[2500.0]]
+        assert receive_points(FM, [ch], [[2500.0]], [FULL]).tolist() == [[2500.0]]
         with pytest.raises(ValueError, match="contains no FFT bins"):
-            receive_points(FM, [(ch, [2500.0], [FULL, (2000.4, 2000.8)])])
-        # every point is checked, not only the first
-        points = [(ch, [2500.0], [FULL]), (ch, [2500.0], [(2000.4, 2000.8)])]
+            receive_points(FM, [ch], [[2500.0]], [FULL, (2000.4, 2000.8)])
+        # every band is checked, whatever the number of points
         with pytest.raises(ValueError, match="contains no FFT bins"):
-            receive_points(FM, points)
+            receive_points(FM, [ch, ch], [[2500.0], [2500.0]], [FULL, (2000.4, 2000.8)])
 
     def test_the_first_rejected_point_raises(self, no_capture):
-        # points are checked in order, each one's tones before its bands, so
-        # the first point at fault raises its own error
-        empty_band = (ChannelSpec(), [2500.0], [FULL, (2000.4, 2000.8)])
-        bad_tone = (ChannelSpec(), [2500.0, -1.0], [FULL])
+        # the checks run in order: antennas, the tones' shape, the tones'
+        # range (naming the first tone outside, point by point), the channel
+        # count, the bands; so each call raises its earliest fault
+        empty_band = [FULL, (2000.4, 2000.8)]
+        with pytest.raises(ValueError, match="antennas"):
+            receive_points(FM, [], [2500.0], empty_band, antennas=0)
+        with pytest.raises(ValueError, match="a tone or more per point"):
+            receive_points(FM, [], [2500.0, -1.0], empty_band)
+        with pytest.raises(ValueError, match=r"tone at -1.0 Hz is outside \[0, Nyquist\)"):
+            receive_points(FM, [], [[2500.0, -1.0], [-2.0, 1.0]], empty_band)
+        with pytest.raises(ValueError, match="1 channels for 2 points"):
+            receive_points(FM, [ChannelSpec()], [[2500.0], [1000.0]], empty_band)
         with pytest.raises(ValueError, match="contains no FFT bins"):
-            receive_points(FM, [empty_band, bad_tone])
-        with pytest.raises(ValueError, match=r"outside \[0, Nyquist\)"):
-            receive_points(FM, [bad_tone, empty_band])
-        with pytest.raises(ValueError, match=r"outside \[0, Nyquist\)"):
-            receive_points(FM, [(ChannelSpec(), [-1.0], [(2000.4, 2000.8)])])
+            receive_points(FM, [ChannelSpec()], [[2500.0]], empty_band)
 
     def test_all_zero_band_beside_a_proved_band(self):
         # the proof accepts no all-zero band: its peak must beat a positive leak
         assert proved_bin(FM, [0.0], (0.0, 2000.0), None, 0.0) == 0
         with pytest.raises(ValueError, match="degenerate"):
-            receive_points(FM, [(NO_NOISE, [0.0], [(0.0, 2000.0), (1000.0, 2000.0)])])
+            receive_points(FM, [NO_NOISE], [[0.0]], [(0.0, 2000.0), (1000.0, 2000.0)])
 
     def test_overflowing_combine_with_the_trial_noise(self, monkeypatch):
         # a -20 dB point proves its bands from the trial's noise; the -3050 dB
         # point of the same seed is left open, so exactly one capture runs
         # and rejects it
-        points = [
-            (ChannelSpec(snr_db=snr_db, rng_seed=3), [2500.0, 9000.0], [(0.0, 5000.0), FULL])
-            for snr_db in (-20.0, -3050.0)
-        ]
+        channels = [ChannelSpec(snr_db=snr_db, rng_seed=3) for snr_db in (-20.0, -3050.0)]
         captures = []
         original = signal_chain.capture
         monkeypatch.setattr(signal_chain, "capture", lambda *a: captures.append(a) or original(*a))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-            receive_points(FM, points, 2)
+            receive_points(FM, channels, [[2500.0, 9000.0]] * 2, [(0.0, 5000.0), FULL], 2)
         assert len(captures) == 1
         assert captures[0][1].snr_db == -3050.0
 
@@ -632,15 +655,76 @@ class TestReceiveRejects:
             ChannelSpec(snr_db=-10.0, rng_seed=4),
             ChannelSpec(snr_db=-35.0, rng_seed=5),
         ]
-        points = [(ch, [2500.3, 9000.7], [(0.0, 5000.0), (5000.0, 12000.0)]) for ch in channels]
-        mixed = receive_points(FM, points, antennas=2)
+        tones = [[2500.3, 9000.7]] * len(channels)
+        bands = [(0.0, 5000.0), (5000.0, 12000.0)]
+        mixed = receive_points(FM, channels, tones, bands, antennas=2).tolist()
         for seed in (4, 5, NO_NOISE.rng_seed):
             mine = [i for i, ch in enumerate(channels) if ch.rng_seed == seed]
-            alone = receive_points(FM, [points[i] for i in mine], antennas=2)
-            assert [mixed[i] for i in mine] == alone
+            alone = receive_points(FM, [channels[i] for i in mine], tones[: len(mine)], bands, 2)
+            assert [mixed[i] for i in mine] == alone.tolist()
         assert mixed[1] == [2500.0, 9001.0]
         # the two noisy seeds differ somewhere, so neither read the other's draw
         assert mixed[0] != mixed[2] or mixed[3] != mixed[4]
+
+
+def count_draws(monkeypatch):
+    """The list that records the seed of each unit noise draw from now on."""
+    draws = []
+    noise_rng = signal_chain._noise_rng
+    monkeypatch.setattr(
+        signal_chain, "_noise_rng", lambda seed, a: draws.append(seed) or noise_rng(seed, a)
+    )
+    return draws
+
+
+class TestReceiveShapes:
+    """receive_points takes one band list and a (points, tones) array and returns (points, bands)."""
+
+    def test_no_point_gives_no_row_and_draws_no_noise(self, monkeypatch, no_capture):
+        draws = count_draws(monkeypatch)
+        got = receive_points(FM, [], np.empty((0, 2)), [FULL, (0.0, 5000.0)], antennas=2)
+        assert got.shape == (0, 2)
+        assert draws == []
+
+    def test_no_band_gives_no_column_after_the_tones_are_checked(self, monkeypatch, no_capture):
+        draws = count_draws(monkeypatch)
+        channels = [ChannelSpec(snr_db=-20.0, rng_seed=3)] * 3
+        got = receive_points(FM, channels, [[2500.0]] * 3, [])
+        assert got.shape == (3, 0)
+        assert draws == []
+        with pytest.raises(ValueError, match=r"outside \[0, Nyquist\)"):
+            receive_points(FM, channels, [[2500.0], [40000.0], [2500.0]], [])
+
+    def test_tones_must_be_one_row_per_channel(self, no_capture):
+        with pytest.raises(ValueError, match="a tone or more per point"):
+            receive_points(FM, [NO_NOISE], [2500.0], [FULL])
+        with pytest.raises(ValueError, match="a tone or more per point"):
+            receive_points(FM, [NO_NOISE], [[[2500.0]]], [FULL])
+        with pytest.raises(ValueError, match="2 channels for 1 points"):
+            receive_points(FM, [NO_NOISE, NO_NOISE], [[2500.0]], [FULL])
+        with pytest.raises(ValueError, match="1 channels for 2 points"):
+            receive_points(FM, [NO_NOISE], [[2500.0], [2600.0]], [FULL])
+
+    def test_bands_beyond_the_block_cap_are_split(self, monkeypatch):
+        # with a cap of 4 rows, a point of 6 bands is proved in two blocks
+        # of its bands, and the answer is what the uncapped call returns
+        channels = [ChannelSpec(snr_db=snr_db, rng_seed=8) for snr_db in (math.inf, -20.0, -30.0)]
+        tones = [[2500.3, 7000.0, 9000.6]] * 3
+        bands = [(0.0, 3000.0), FULL, (6000.0, 8000.0), (8000.0, 10000.0), (2000.0, 2600.0), (0.0, 50.0)]
+        uncapped = receive_points(FM, channels, tones, bands, antennas=2)
+        sizes = []
+        proved_bins = signal_chain._proved_bins
+
+        def recorded(fm, tones, spans, sigmas, noise):
+            sizes.append(len(tones) * len(spans))
+            return proved_bins(fm, tones, spans, sigmas, noise)
+
+        monkeypatch.setattr(signal_chain, "_proved_bins", recorded)
+        monkeypatch.setattr(signal_chain, "BLOCK_ROWS", 4)
+        capped = receive_points(FM, channels, tones, bands, antennas=2)
+        assert max(sizes) <= 4
+        assert sizes == [4, 2] * 3
+        assert capped.tolist() == uncapped.tolist()
 
 
 def explicit_combine(bins):
@@ -648,11 +732,33 @@ def explicit_combine(bins):
     return np.sqrt(np.mean(np.square(np.abs(np.array(bins))), axis=0))
 
 
-class TestUnitNoise:
-    """``_unit_noise`` and the noncoherent combine of its spectra."""
+def drawn_noise(monkeypatch, fm, seeds, antennas):
+    """The unit noise that one receive_points call, one point per seed, hands each block.
 
-    def test_bins_are_the_rfft_of_unit_channel_noise(self):
-        noise = next(signal_chain._unit_noise(FM, [12], antennas=3))
+    Each draw is copied while it is current, with the address of its first
+    antenna's bins.
+    """
+    drawn = []
+    proved_bins = signal_chain._proved_bins
+
+    def recorded(fm, tones, spans, sigmas, noise):
+        bins = tuple(b.copy() for b in noise.bins)
+        address = noise.bins[0].__array_interface__["data"][0]
+        drawn.append((signal_chain._Noise(bins, noise.magnitude.copy(), noise.peak), address))
+        return proved_bins(fm, tones, spans, sigmas, noise)
+
+    monkeypatch.setattr(signal_chain, "_proved_bins", recorded)
+    channels = [ChannelSpec(snr_db=0.0, rng_seed=seed) for seed in seeds]
+    tones = [[fm.sample_rate / 8]] * len(seeds)
+    receive_points(fm, channels, tones, [(0.0, fm.sample_rate / 2)], antennas)
+    return drawn
+
+
+class TestUnitNoise:
+    """The unit noise receive_points draws for each run of one seed, and the combine of its spectra."""
+
+    def test_bins_are_the_rfft_of_unit_channel_noise(self, monkeypatch):
+        ((noise, _),) = drawn_noise(monkeypatch, FM, [12], antennas=3)
         assert [b.shape for b in noise.bins] == [(FM.num_samples // 2 + 1,)] * 3
         for b, unit in zip(noise.bins, unit_noise(FM, 12, 3), strict=True):
             assert b.tobytes() == np.fft.rfft(unit).tobytes()
@@ -660,19 +766,22 @@ class TestUnitNoise:
         assert np.allclose(noise.magnitude, rms, rtol=1e-14)
         assert noise.peak == np.max(noise.magnitude)
 
-    def test_one_antenna_is_its_own_magnitude(self):
-        noise = next(signal_chain._unit_noise(FM, [12], antennas=1))
+    def test_one_antenna_is_its_own_magnitude(self, monkeypatch):
+        ((noise, _),) = drawn_noise(monkeypatch, FM, [12], antennas=1)
         assert [b.shape for b in noise.bins] == [(FM.num_samples // 2 + 1,)]
         assert np.array_equal(noise.magnitude, np.abs(noise.bins[0]))
 
     @pytest.mark.parametrize("antennas", [1, 2, 3])
-    def test_buffered_draws_are_bit_exact(self, antennas):
+    def test_buffered_draws_are_bit_exact(self, monkeypatch, antennas):
         # the seeds of one call drawn in turn into one set of buffers: each
         # spectrum, while it is current, is the rfft of its own unit channel
         # noise, with the explicit combine and its maximum, bit for bit
         fm = FmConfig(sample_rate=4096.0)
         seeds = [12, 3, 12, 40]
-        for seed, noise in zip(seeds, signal_chain._unit_noise(fm, seeds, antennas)):
+        drawn = drawn_noise(monkeypatch, fm, seeds, antennas)
+        assert len(drawn) == len(seeds)
+        assert len({address for _, address in drawn}) == 1
+        for seed, (noise, _) in zip(seeds, drawn):
             unit = [np.fft.rfft(u) for u in unit_noise(fm, seed, antennas)]
             assert all(np.array_equal(b, u) for b, u in zip(noise.bins, unit, strict=True))
             assert explicit_combine(unit).tobytes() == noise.magnitude.tobytes()
@@ -797,38 +906,39 @@ class TestPeakDetection:
         # combine below about -3034 dB; one antenna needs no square
         ch = ChannelSpec(snr_db=-3050.0, rng_seed=1)
         bands = [(0.0, FM.sample_rate / 2)]
-        assert math.isfinite(receive_points(FM, [(ch, [2500.0], bands)])[0][0])
+        assert math.isfinite(receive_points(FM, [ch], [[2500.0]], bands)[0, 0])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-            receive_points(FM, [(ch, [2500.0], bands)], antennas=2)
+            receive_points(FM, [ch], [[2500.0]], bands, antennas=2)
 
     def test_band_restriction(self):
         # an on-bin tone at 30 Hz outshines an off-bin one at 70.3 Hz
         fm = FmConfig(sample_rate=256.0)
         freqs = [30.0, 70.3]
-        assert receive_points(fm, [(NO_NOISE, freqs, [(0.0, 128.0), (50.0, 100.0)])]) == [[30.0, 70.0]]
+        got = receive_points(fm, [NO_NOISE], [freqs], [(0.0, 128.0), (50.0, 100.0)])
+        assert got.tolist() == [[30.0, 70.0]]
         # a band edge within 1e-9 bins past a bin still includes that bin
         edges = [(71.0 + 1e-12, 90.0), (0.0, 29.0 - 1e-12)]
-        assert receive_points(fm, [(NO_NOISE, freqs, edges)]) == [[71.0, 29.0]]
-        assert receive_points(fm, [(NO_NOISE, freqs, [(71.0 + 1e-6, 90.0)])]) == [[72.0]]
+        assert receive_points(fm, [NO_NOISE], [freqs], edges).tolist() == [[71.0, 29.0]]
+        assert receive_points(fm, [NO_NOISE], [freqs], [(71.0 + 1e-6, 90.0)]).tolist() == [[72.0]]
 
     def test_all_zero_band_rejected(self):
         # a noiseless DC tone leaves every other bin exactly zero
         with pytest.raises(ValueError, match="degenerate"):
-            receive_points(FM, [(NO_NOISE, [0.0], [(1000.0, 2000.0)])])
-        assert receive_points(FM, [(NO_NOISE, [0.0], [(0.0, 2000.0)])]) == [[0.0]]
+            receive_points(FM, [NO_NOISE], [[0.0]], [(1000.0, 2000.0)])
+        assert receive_points(FM, [NO_NOISE], [[0.0]], [(0.0, 2000.0)]).tolist() == [[0.0]]
 
     def test_empty_band_rejected(self):
         # a band narrower than a bin can hold none; the cluster CLI reaches
         # it with --dmax 0.0004
         with pytest.raises(ValueError, match="contains no FFT bins"):
-            receive_points(FM, [(NO_NOISE, [2000.5], [(2000.4, 2000.8)])])
+            receive_points(FM, [NO_NOISE], [[2000.5]], [(2000.4, 2000.8)])
         with pytest.raises(ValueError, match="contains no FFT bins"):
-            receive_points(FM, [(NO_NOISE, [2000.5], [(60.0, 50.0)])])
+            receive_points(FM, [NO_NOISE], [[2000.5]], [(60.0, 50.0)])
         # bins exist only from DC to Nyquist
         for band in ((-20.0, -10.0), (40000.0, 50000.0)):
             with pytest.raises(ValueError, match="contains no FFT bins"):
-                receive_points(FM, [(NO_NOISE, [2000.5], [band])])
-        assert receive_points(FM, [(NO_NOISE, [2000.0], [(-10.0, 1e6)])]) == [[2000.0]]
+                receive_points(FM, [NO_NOISE], [[2000.5]], [band])
+        assert receive_points(FM, [NO_NOISE], [[2000.0]], [(-10.0, 1e6)]).tolist() == [[2000.0]]
 
     def test_tone_peak_dominates_every_other_bin(self):
         for freq, peak in ((2345.6, 2346.0), (2345.4, 2345.0), (17.25, 17.0)):
@@ -855,9 +965,9 @@ class TestPeakDetection:
         expected = band_peaks(fm, ch, freqs, bands, antennas)
         if None in expected:  # noiseless DC tones leave the upper band all zero
             with pytest.raises(ValueError, match="degenerate"):
-                receive_points(fm, [(ch, freqs, bands)], antennas)
+                receive_points(fm, [ch], [freqs], bands, antennas)
         else:
-            assert receive_points(fm, [(ch, freqs, bands)], antennas) == [expected]
+            assert receive_points(fm, [ch], [freqs], bands, antennas).tolist() == [expected]
 
 
 class TestEndToEnd:
@@ -956,6 +1066,13 @@ class TestArrayVoltages:
         assert got.shape == self.VOLTAGES.shape
         want = [[chain_voltage(FM, ch, vd) for vd in row] for row in self.VOLTAGES.tolist()]
         assert got.tolist() == want
+
+    def test_empty_input_gives_an_empty_array_of_its_shape(self, monkeypatch, no_capture):
+        draws = count_draws(monkeypatch)
+        for shape in ((0,), (2, 0), (0, 3)):
+            got = transmit_receive(FM, ChannelSpec(snr_db=-20.0, rng_seed=2), np.empty(shape))
+            assert got.shape == shape and got.dtype == np.float64
+        assert draws == []
 
     def test_zero_dimensional_input_gives_a_float(self):
         for vd in (2.5, np.float64(2.5), np.array(2.5)):
