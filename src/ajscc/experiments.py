@@ -157,8 +157,6 @@ class ExperimentConfig:
     fm: FmConfig = FmConfig()
 
     def __post_init__(self) -> None:
-        # a field whose key the kind does not honour must keep its default,
-        # or its value would be silently ignored
         for key in sorted(set(CONFIG_KEYS) - KIND_KEYS[self.kind]):
             name, sub, _ = CONFIG_KEYS[key]
             value, default = getattr(self, name), self.__dataclass_fields__[name].default
