@@ -41,7 +41,7 @@ JOBS = 2
 # failing hypothesis property of the signal chain shrinks for up to minutes.
 # Their NEAREST tie kills nearest-ties-down in ~3 s, so test_mapping.py,
 # whose ~5 s would precede every mutant the digests miss, stays late; the
-# whole gate of 27 mutants took 94-101 s on a 2-vCPU host
+# whole gate of 29 mutants took 91-146 s on a 2-vCPU host
 TESTS = (
     "tests/test_golden.py",
     "tests/test_cli.py",
@@ -100,8 +100,8 @@ MUTANTS = (
     Mutant(
         "first-snr-for-all-points",
         "src/ajscc/experiments.py",
-        "ChannelSpec(snr_db, capture_seed), truths) for snr_db in cfg.snr_values",
-        "ChannelSpec(cfg.snr_values[0], capture_seed), truths) for snr_db in cfg.snr_values",
+        "ChannelSpec(snr_db, capture_seed) for snr_db in cfg.snr_values",
+        "ChannelSpec(cfg.snr_values[0], capture_seed) for snr_db in cfg.snr_values",
         "each SNR point of the SDR sweep scales the trial's noise by its own sigma",
     ),
     Mutant(
@@ -213,6 +213,13 @@ MUTANTS = (
         "a band's peak reads back as its voltage once the band's offset is taken off",
     ),
     Mutant(
+        "truths-shape-unchecked",
+        "src/ajscc/multisensor.py",
+        "if truths.ndim != 3 or truths.shape[2] != 2:",
+        "if False:",
+        "a truths array that is not (points, sensors, 2) is rejected, naming its shape",
+    ),
+    Mutant(
         "capacity-at-nyquist",
         "src/ajscc/multisensor.py",
         "if num_sensors * (width + guard_hz) >= fm.sample_rate / 2:",
@@ -232,6 +239,13 @@ MUTANTS = (
         "    assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)\n",
         "",
         "the SDR sweep rejects a layout no trial could receive before any worker starts",
+    ),
+    Mutant(
+        "swept-levels-unchecked",
+        "src/ajscc/experiments.py",
+        "MappingConfig(self.d_max, np.array(self.l_values), self.v2, self.quantizer)",
+        "pass",
+        "a swept level count the codec rejects is rejected when the config is built",
     ),
     Mutant(
         "range-end-excluded",

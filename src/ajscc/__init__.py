@@ -9,7 +9,7 @@ Library layout:
   or read from the capture)
 - ``multisensor``: the FDMA band layout, worked out from the sensor count,
   the codec's range and the guard, and the one cluster link (encode,
-  receive, read back) at many points at once
+  receive, read back) over a (points, sensors, 2) array of truths
 - ``metrics``: SDR
 - ``experiments``: seeded Monte-Carlo sweeps, self checks, CSV/JSON output
 """
@@ -35,12 +35,7 @@ from .signal_chain import (
     capture,
     transmit_receive,
 )
-from .multisensor import (
-    SensorResult,
-    assign_channels,
-    receive_clusters,
-    simulate_cluster,
-)
+from .multisensor import assign_channels, receive_clusters
 from .metrics import SDR_CAP_DB, sdr
 from .experiments import (
     DEFAULT_L_GRID,

@@ -160,11 +160,8 @@ def _run(args: argparse.Namespace) -> int:
     elif args.command == "sdr-sweep":
         _emit_result(run_sdr_vs_csnr(cfg), args)
     elif args.command == "cluster":
-        results = run_cluster_demo(cfg)
-        for sensor_id, res in enumerate(results):
-            fields = asdict(res)
-            decoded = fields.pop("decoded")  # its fields follow the sensor's own
-            print(json.dumps({"sensor_id": sensor_id, **fields, **decoded}))
+        for sensor_id, res in enumerate(run_cluster_demo(cfg)):
+            print(json.dumps({"sensor_id": sensor_id, **res}))
     elif args.command == "selftest":
         report = run_roundtrip_suite(cfg)
         for check in report.checks:

@@ -25,11 +25,13 @@ of every SNR point.  Both sweeps run trial-major: within a trial the
 sources and the capture seed do not depend on the sweep point, so a trial
 draws them once, and its points are encoded in one array call before the
 receiver call.  The SDR sweep makes one ``multisensor.receive_clusters``
-call per worker chunk, over every (trial, SNR) point, whose receiver
-proves each trial's points in one array block and draws every trial's
-noise into the same buffers; the whole chunk's read-backs are then decoded
-in one array pass.  The level sweep and the chain self check run the one
-public chain,
+call per worker chunk, over every (trial, SNR) point: a channel per point
+and the chunk's (trial, sensor, 2) sources, repeated over the SNRs and
+scaled to volts.  Its receiver proves each trial's points in one array
+block and draws every trial's noise into the same buffers; the whole
+chunk's read-backs are then decoded in one array pass.  The cluster demo
+is one such call at one point, and one array decode.  The level sweep and
+the chain self check run the one public chain,
 ``decode(m, transmit_receive(fm, ch, encode(m, x1, x2)))``, on arrays: a
 level-sweep trial on a ``MappingConfig`` of every swept level count, the
 self check on all its trials' sources at once; each ``transmit_receive`` of
@@ -56,7 +58,7 @@ import numpy as np
 from .circuit import CircuitConfig, circuit_encode, equivalent_mapping
 from .mapping import MappingConfig, Quantizer, decode, encode
 from .metrics import sdr
-from .multisensor import SensorResult, assign_channels, receive_clusters, simulate_cluster
+from .multisensor import assign_channels, receive_clusters
 from .signal_chain import ChannelSpec, FmConfig, transmit_receive
 
 __all__ = [
@@ -170,8 +172,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.l_values:
             raise ValueError("l_values must be non-empty")
-        if any(l < 2 for l in self.l_values):
-            raise ValueError("every swept level count must be >= 2")
         if not self.snr_values:
             raise ValueError("snr_values must be non-empty")
         # a channel of each SNR rejects what no sweep could run, before any worker starts
@@ -181,8 +181,13 @@ class ExperimentConfig:
             raise ValueError("sensor_count and antennas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # construction validates the codec parameters and the circuit's fault knobs
+        # construction validates the codec parameters, each swept level count
+        # as the level sweep's codec takes it, and the circuit's fault knobs
         MappingConfig(self.d_max, self.num_levels, self.v2, self.quantizer)
+        try:
+            MappingConfig(self.d_max, np.array(self.l_values), self.v2, self.quantizer)
+        except ValueError as exc:
+            raise ValueError(f"l_values: {exc}") from exc
         CircuitConfig(gain_error=self.gain_error, offset_error=self.offset_error)
         top = self.fm.scale * self.d_max
         if top >= self.fm.sample_rate / 2:
@@ -365,25 +370,27 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
     The quantities are the x1 error, the x2 error, x2_hat and |vd error|,
     the errors squared and normalized to the codec ranges.  Each trial
     draws its sensors' sources once and contributes one point per SNR, all
-    on its capture seed, so every SNR sees the trial's one noise draw.  The points
-    of every trial go to one ``receive_clusters`` call, and the read-backs
-    of the whole (trial, SNR point, sensor) array are decoded in one pass.
+    on its capture seed, so every SNR sees the trial's one noise draw.  The
+    channels and truths of every (trial, SNR point) go to one
+    ``receive_clusters`` call, and the read-backs of the whole
+    (trial, SNR point, sensor) array are decoded in one pass.
     Each error is squared as a Python float, as ``_level_errors`` squares
     its errors.
     """
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     sources = []
-    points = []
+    channels = []
     for trial in trials:
         draws, capture_seed = _trial_draws(cfg, trial, cfg.sensor_count)
-        truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
-        points.extend((ChannelSpec(snr_db, capture_seed), truths) for snr_db in cfg.snr_values)
+        channels.extend(ChannelSpec(snr_db, capture_seed) for snr_db in cfg.snr_values)
         sources.append(draws)
+    u = np.array(sources)  # (trial, sensor, coordinate)
+    truths = np.repeat(u * (mapping.v1, mapping.v2), len(cfg.snr_values), axis=0)
     shape = (len(trials), len(cfg.snr_values), cfg.sensor_count)
-    received = receive_clusters(mapping, cfg.fm, points, cfg.antennas, cfg.guard_hz)
+    received = receive_clusters(mapping, cfg.fm, channels, truths, cfg.antennas, cfg.guard_hz)
     vds, _, vd_hat = (np.reshape(a, shape) for a in received)
     dec = decode(mapping, vd_hat)
-    u = np.array(sources)[:, np.newaxis]  # (trial, 1, sensor, coordinate)
+    u = u[:, np.newaxis]  # (trial, 1, sensor, coordinate)
     errors1 = (dec.x1_hat / mapping.v1 - u[..., 0]).ravel().tolist()
     errors2 = (dec.x2_hat / mapping.v2 - u[..., 1]).ravel().tolist()
     quantities = [
@@ -531,15 +538,26 @@ def run_roundtrip_suite(cfg: ExperimentConfig) -> RoundTripReport:
 # one-shot cluster demo
 
 
-def run_cluster_demo(cfg: ExperimentConfig) -> list[SensorResult]:
-    """Single capture of sensor_count sensors with drawn or fixed truths."""
+def run_cluster_demo(cfg: ExperimentConfig) -> list[dict]:
+    """Single capture of sensor_count sensors with drawn or fixed truths.
+
+    One dict per band, in band order: the true and detected voltage, the
+    peak frequency and the decoded pair (vd_true, vd_hat, peak_hz, x1_hat,
+    x2_hat, level_index), each a Python scalar.
+    """
     if cfg.kind is not ExperimentKind.CLUSTER_DEMO:
         raise ValueError(f"config kind is {cfg.kind}, expected CLUSTER_DEMO")
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
     draws, capture_seed = _trial_draws(cfg, 0, cfg.sensor_count)
-    truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
     channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=capture_seed)
-    return simulate_cluster(mapping, truths, cfg.fm, channel, cfg.antennas, cfg.guard_hz)
+    truths = np.array([draws]) * (mapping.v1, mapping.v2)
+    (vds,), (peaks,), (vd_hats,) = receive_clusters(
+        mapping, cfg.fm, [channel], truths, cfg.antennas, cfg.guard_hz
+    )
+    dec = decode(mapping, vd_hats)
+    keys = ("vd_true", "vd_hat", "peak_hz", "x1_hat", "x2_hat", "level_index")
+    columns = (vds, vd_hats, peaks, dec.x1_hat, dec.x2_hat, dec.level_index)
+    return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
 # ---------------------------------------------------------------------------

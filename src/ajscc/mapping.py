@@ -51,9 +51,11 @@ class MappingConfig:
     number of parallel lines, and v2 the full range of the quantized source.
     The per-level span v1 = d_max / num_levels and the line spacing
     delta = v2 / (num_levels - 1) are derived at construction.  num_levels
-    must be whole: 11 and 11.0 are one config, 5.5 is rejected.  An integer
-    array num_levels makes v1 and delta arrays of its shape, and the codec
-    broadcasts the inputs against them; such a config is not hashable.
+    must be whole: 11 and 11.0 are one config, 5.5 is rejected, and so is
+    a count numpy cannot hold as a number (an integer of 2**64 or more,
+    which it keeps as an object).  An integer array num_levels makes v1 and
+    delta arrays of its shape, and the codec broadcasts the inputs against
+    them; such a config is not hashable.
     """
 
     d_max: float
@@ -71,8 +73,11 @@ class MappingConfig:
         if not isinstance(self.quantizer, Quantizer):
             raise ValueError(f"quantizer must be a Quantizer, got {self.quantizer!r}")
         levels = np.asarray(self.num_levels)
-        if not np.all(np.isfinite(levels) & (levels == np.floor(levels))):
-            raise ValueError(f"num_levels must be a whole number of lines, got {self.num_levels}")
+        # a count numpy cannot hold as a number, such as 2**64, is an object array
+        if levels.dtype.kind not in "biuf" or not np.all(
+            np.isfinite(levels) & (levels == np.floor(levels))
+        ):
+            raise ValueError(f"num_levels must be a whole number numpy can hold, got {self.num_levels}")
         if np.any(levels < 2):
             raise ValueError(
                 f"num_levels must be >= 2 (line spacing undefined), got {self.num_levels}"

@@ -4,8 +4,8 @@ The receiver is written out here step by step from ``capture`` and numpy
 alone (one rfft per antenna, magnitudes, root-mean-square combine, argmax per
 band), with no proof, shortcut or call into ``signal_chain.receive_points``,
 so a test that compares ``receive_points``, ``transmit_receive``,
-``receive_clusters``, ``simulate_cluster`` or a sweep with it does not
-compare the library with itself.  ``fdma_bands`` writes out the FDMA band
+``receive_clusters``, the cluster demo or a sweep with it does not compare
+the library with itself.  ``fdma_bands`` writes out the FDMA band
 layout with numpy alone, and ``cluster_chain`` the cluster's tone placement
 and read-back around it, one scalar ``encode`` per sensor.  ``unit_noise``
 is the channel's noise convention written out from numpy alone.

@@ -32,7 +32,7 @@ from ajscc.experiments import (
     run_sdr_vs_csnr,
 )
 from ajscc.mapping import MappingConfig, Quantizer, decode, encode
-from ajscc.multisensor import assign_channels, simulate_cluster
+from ajscc.multisensor import assign_channels, receive_clusters
 from ajscc.signal_chain import (
     ChannelSpec,
     FmConfig,
@@ -210,27 +210,31 @@ def test_criterion_6_fdma_independence():
     # sensor i alone is a one-sensor cluster whose guard is band i's offset:
     # guard + 0 * (width + guard) puts it in exactly that band
     solo_guards = [lo for lo, _ in assign_channels(3, FM, mapping.d_max, 1000.0)]
+    # point 0 is noiseless, point 1 + t trial t at -20 dB; one call per layout
+    trials = 220
+    channels = [NO_NOISE] + [ChannelSpec(snr_db=-20.0, rng_seed=t) for t in range(trials)]
+    points = np.array([sensors] * len(channels))  # (point, sensor, coordinate)
+    _, joint_peaks, joint_vd = receive_clusters(mapping, FM, channels, points, 1, 1000.0)
+    solo_runs = [
+        receive_clusters(mapping, FM, channels, points[:, i : i + 1], 1, guard)
+        for i, guard in enumerate(solo_guards)
+    ]
+    solo_peaks = np.hstack([peaks for _, peaks, _ in solo_runs])
+    solo_vd = np.hstack([vd_hats for _, _, vd_hats in solo_runs])
+    joint, solo = decode(mapping, joint_vd), decode(mapping, solo_vd)
 
-    # no noise: decoded values must match solo runs exactly
-    joint = simulate_cluster(mapping, sensors, FM, NO_NOISE)
-    exact = True
-    for i, sensor in enumerate(sensors):
-        (solo,) = simulate_cluster(mapping, [sensor], FM, NO_NOISE, guard_hz=solo_guards[i])
-        exact = exact and joint[i].peak_hz == solo.peak_hz and joint[i].decoded == solo.decoded
+    # no noise: peaks and decoded values must match solo runs exactly
+    exact = np.array_equal(joint_peaks[0], solo_peaks[0]) and all(
+        np.array_equal(getattr(joint, name)[0], getattr(solo, name)[0])
+        for name in ("x1_hat", "x2_hat", "level_index")
+    )
 
     # matched noise: per-sensor median SDR within 1 dB of solo
-    trials = 220
-    mse_joint = np.zeros((trials, 3))
-    mse_solo = np.zeros((trials, 3))
-    for t in range(trials):
-        ch = ChannelSpec(snr_db=-20.0, rng_seed=t)
-        res_joint = simulate_cluster(mapping, sensors, FM, ch)
-        for i, sensor in enumerate(sensors):
-            (res_solo,) = simulate_cluster(mapping, [sensor], FM, ch, guard_hz=solo_guards[i])
-            for res, store in ((res_joint[i], mse_joint), (res_solo, mse_solo)):
-                u1, u2 = truths[i]
-                store[t, i] = ((res.decoded.x1_hat / mapping.v1 - u1) ** 2
-                               + (res.decoded.x2_hat / mapping.v2 - u2) ** 2)
+    u = np.array(truths)
+    mse_joint, mse_solo = (
+        (dec.x1_hat[1:] / mapping.v1 - u[:, 0]) ** 2 + (dec.x2_hat[1:] / mapping.v2 - u[:, 1]) ** 2
+        for dec in (joint, solo)
+    )
     sdr_joint = 10 * np.log10(1.0 / np.median(mse_joint, axis=0))
     sdr_solo = 10 * np.log10(1.0 / np.median(mse_solo, axis=0))
     gap = float(np.max(np.abs(sdr_joint - sdr_solo)))
@@ -267,10 +271,9 @@ def test_criterion_7a_median_sdr_monotone(sdr_sweep_fixed_truth):
     # the high-SNR plateau is the quantization-limited ceiling of a noiseless run
     mapping = MappingConfig(5.0, 11, 1.0)
     sensor = (0.37 * mapping.v1, 0.53)
-    (res,) = simulate_cluster(mapping, [sensor], FM, NO_NOISE)
-    ceiling_mse = (res.decoded.x1_hat / mapping.v1 - 0.37) ** 2 + (
-        res.decoded.x2_hat - 0.53
-    ) ** 2
+    ((vd_hat,),) = receive_clusters(mapping, FM, [NO_NOISE], [[sensor]], 1, 1000.0)[2]
+    res = decode(mapping, vd_hat)
+    ceiling_mse = (res.x1_hat / mapping.v1 - 0.37) ** 2 + (res.x2_hat - 0.53) ** 2
     ceiling = 10 * np.log10(1.0 / ceiling_mse)
     at_ceiling = abs(medians[-1] - ceiling) <= 0.5
 
@@ -313,12 +316,11 @@ def test_criterion_7c_diversity_never_hurts():
     mapping = MappingConfig(5.0, 11, 1.0)
     sensor = (0.37 * mapping.v1, 0.53)
     trials = 500
-    errs = {1: np.zeros(trials), 2: np.zeros(trials)}
+    channels = [ChannelSpec(snr_db=-30.0, rng_seed=t) for t in range(trials)]
+    errs = {}
     for antennas in (1, 2):
-        for t in range(trials):
-            ch = ChannelSpec(snr_db=-30.0, rng_seed=t)
-            (res,) = simulate_cluster(mapping, [sensor], FM, ch, antennas=antennas)
-            errs[antennas][t] = abs(res.vd_hat - res.vd_true)
+        vds, _, vd_hats = receive_clusters(mapping, FM, channels, [[sensor]] * trials, antennas, 1000.0)
+        errs[antennas] = np.abs(vd_hats - vds)[:, 0]
     med1, med2 = np.median(errs[1]), np.median(errs[2])
     miss1 = float(np.mean(errs[1] > 1e-3))
     miss2 = float(np.mean(errs[2] > 1e-3))

@@ -392,6 +392,9 @@ class TestConfigContract:
             (("chain", "--seed", "-1", "--snr-db", "0", "0.01", "0.1"), "rng_seed"),
             (("selftest", "--gain-error", "nan"), "gain_error"),
             (("selftest", "--offset-error", "inf"), "offset_error"),
+            # numpy holds a count of 2**64 or more as an object, not a number
+            (("encode", "--levels", str(2**64), "0", "0.1"), "num_levels"),
+            (("sweep-l", "--l-grid", str(2**64), "--trials", "1"), "num_levels"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
     )

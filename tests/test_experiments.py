@@ -92,8 +92,12 @@ class TestConfigValidation:
             ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, snr_values=())
 
     def test_rejects_bad_level_in_sweep(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind=ExperimentKind.MSE_VS_L, l_values=(5, 1))
+        # every swept count takes the codec's own check at construction, not
+        # in a worker's codec after the fork
+        for bad in ((5, 1), (10.5,), (math.nan,), (2**64,), (11, 2**64)):
+            with pytest.raises(ValueError, match="l_values: num_levels must be"):
+                ExperimentConfig(kind=ExperimentKind.MSE_VS_L, l_values=bad)
+        ExperimentConfig(kind=ExperimentKind.MSE_VS_L, l_values=(2, 2**64 - 1))
 
     def test_rejects_negative_seed(self):
         # numpy would reject it only when a trial seeds its generator, with
@@ -703,8 +707,10 @@ class TestClusterDemo:
         )
         results = run_cluster_demo(cfg)
         assert len(results) == 3
+        keys = ["vd_true", "vd_hat", "peak_hz", "x1_hat", "x2_hat", "level_index"]
         for res in results:
-            assert abs(res.vd_hat - res.vd_true) <= 0.5 / 1000.0 + 1e-9
+            assert list(res) == keys
+            assert abs(res["vd_hat"] - res["vd_true"]) <= 0.5 / 1000.0 + 1e-9
 
 
 class TestOutput:

@@ -251,14 +251,16 @@ class TestLevelArray:
             cfg(5.0, np.array([10, 1, 20]))
 
     def test_rejects_a_fractional_level_count(self):
-        # a fractional count would run the codec on fractional lines
-        for levels in (5.5, np.array([10.5, 20.0]), math.inf, np.array([10.0, math.nan])):
+        # a fractional count would run the codec on fractional lines; numpy
+        # holds 2**64 as an object, which its ufuncs do not take
+        for levels in (5.5, np.array([10.5, 20.0]), math.inf, np.array([10.0, math.nan]), 2**64):
             with pytest.raises(ValueError, match="whole number"):
                 cfg(5.0, levels)
 
     def test_whole_level_counts_of_any_type(self):
         # integer arrays, and integral floats as scalars or elements
         assert cfg(5.0, 11.0) == cfg(5.0, 11)
+        assert cfg(5.0, 2**64 - 1).num_levels == 2**64 - 1
         for levels in (np.array([10, 20]), np.array([10.0, 20.0])):
             c = cfg(5.0, levels)
             assert self.bits(c.v1) == self.bits([5.0 / 10, 5.0 / 20])

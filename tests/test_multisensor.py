@@ -1,14 +1,15 @@
 """FDMA cluster tests: the band layout, joint capture, solo equivalence, diversity."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajscc.mapping import MappingConfig
-from ajscc.multisensor import assign_channels, receive_clusters, simulate_cluster
+from ajscc.mapping import MappingConfig, decode, encode
+from ajscc.multisensor import assign_channels, receive_clusters
 from ajscc.signal_chain import ChannelSpec, FmConfig, capture, receive_points
 from oracle import cluster_chain, fdma_bands
 
@@ -60,19 +61,26 @@ class TestAssignChannels:
             assign_channels(1, FM, math.inf, 1000.0)
 
 
+def receive(truths, ch=NO_NOISE, antennas=1, guard_hz=1000.0, codec=CODEC, fm=FM):
+    """receive_clusters at one point (ch, truths): (vd, peak, vd_hat) per band, as cluster_chain."""
+    vds, peaks, vd_hats = receive_clusters(codec, fm, [ch], [truths], antennas, guard_hz)
+    return list(zip(vds[0].tolist(), peaks[0].tolist(), vd_hats[0].tolist()))
+
+
 class TestCapture:
     def test_noiseless_antennas_match_one_antenna(self):
-        truths = [(0.2, 0.3), (0.1, 0.8)]
-        one = simulate_cluster(CODEC, truths, FM, NO_NOISE)
-        assert simulate_cluster(CODEC, truths, FM, NO_NOISE, antennas=3) == one
+        truths = [[(0.2, 0.3), (0.1, 0.8)]]
+        one = receive_clusters(CODEC, FM, [NO_NOISE], truths, 1, 1000.0)
+        three = receive_clusters(CODEC, FM, [NO_NOISE], truths, 3, 1000.0)
+        assert [a.tolist() for a in three] == [a.tolist() for a in one]
 
     def test_noiseless_capture_is_tone_sum(self):
         # a sensor at the origin is a unit cosine at its band offset
-        (res,) = simulate_cluster(CODEC, [(0.0, 0.0)], FM, NO_NOISE)
+        ((vd, peak, vd_hat),) = receive([(0.0, 0.0)])
         n = np.arange(FM.num_samples)
         spectrum = np.abs(np.fft.rfft(np.cos(2 * np.pi * 1000.0 / 65536.0 * n)))
-        assert res.peak_hz == np.argmax(spectrum) == 1000.0
-        assert res.vd_hat == res.vd_true == 0.0
+        assert peak == np.argmax(spectrum) == 1000.0
+        assert vd_hat == vd == 0.0
 
     def test_channel_gain_and_seed_reach_capture(self):
         # at -35 dB the band argmaxes move with the received level (the SNR:
@@ -81,23 +89,27 @@ class TestCapture:
         # the oracle
         truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
         base = ChannelSpec(snr_db=-35.0, rng_seed=3)
-        variants = [
+        channels = [
+            base,
             dataclasses.replace(base, rng_seed=4),
             dataclasses.replace(base, snr_db=-35.0 + 20.0 * math.log10(3.0)),
         ]
-        peaks = {}
-        for ch in [base, *variants]:
-            peaks[ch] = [r.peak_hz for r in simulate_cluster(CODEC, truths, FM, ch)]
-            assert peaks[ch] == [peak for _, peak, _ in cluster_chain(CODEC, truths, FM, ch)]
-        for ch in variants:
-            assert peaks[ch] != peaks[base]
+        _, peaks, _ = receive_clusters(CODEC, FM, channels, [truths] * 3, 1, 1000.0)
+        for ch, row in zip(channels, peaks.tolist()):
+            assert row == [peak for _, peak, _ in cluster_chain(CODEC, truths, FM, ch)]
+        assert peaks.tolist()[1] != peaks.tolist()[0] != peaks.tolist()[2]
 
 
-class TestSimulateCluster:
+class TestReceiveClusters:
+    """receive_clusters: the tone layout and read-back of the SDR sweep and the cluster demo."""
+
+    TRUTHS = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
+
     def test_single_sensor_roundtrip(self):
-        (res,) = simulate_cluster(CODEC, [(0.21, 0.58)], FM, NO_NOISE)
-        assert abs(res.vd_hat - res.vd_true) <= 0.5 / FM.scale + 1e-9
-        assert abs(res.decoded.x1_hat - 0.21) <= 0.5 / FM.scale + 1e-9
+        _, _, vd_hats = receive_clusters(CODEC, FM, [NO_NOISE], [[(0.21, 0.58)]], 1, 1000.0)
+        dec = decode(CODEC, vd_hats)
+        assert abs(vd_hats[0, 0] - encode(CODEC, 0.21, 0.58)) <= 0.5 / FM.scale + 1e-9
+        assert abs(dec.x1_hat[0, 0] - 0.21) <= 0.5 / FM.scale + 1e-9
 
     @given(
         truths=st.lists(
@@ -128,41 +140,31 @@ class TestSimulateCluster:
         layout = assign_channels(len(truths), fm, CODEC.d_max, guard_hz)
         assert layout == fdma_bands(len(truths), fm, CODEC.d_max, guard_hz)
         ch = ChannelSpec(snr_db=snr_db, rng_seed=rng_seed)
-        results = simulate_cluster(CODEC, truths, fm, ch, antennas, guard_hz)
         expected = cluster_chain(CODEC, truths, fm, ch, antennas, guard_hz)
-        assert [(r.vd_true, r.peak_hz, r.vd_hat) for r in results] == expected
+        assert receive(truths, ch, antennas, guard_hz, fm=fm) == expected
 
     def test_three_sensors_noiseless_match_solo_runs(self):
-        truths = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
-        joint = simulate_cluster(CODEC, truths, FM, NO_NOISE)
+        joint = receive(self.TRUTHS)
         bands = assign_channels(3, FM, CODEC.d_max, 1000.0)
-        for i, truth in enumerate(truths):
+        for i, truth in enumerate(self.TRUTHS):
             # sensor i alone: a one-sensor cluster whose guard puts it in band i
-            (solo,) = simulate_cluster(CODEC, [truth], FM, NO_NOISE, guard_hz=bands[i][0])
-            assert joint[i].peak_hz == solo.peak_hz
-            assert joint[i].vd_hat == solo.vd_hat
-            assert joint[i].decoded == solo.decoded
+            (solo,) = receive([truth], guard_hz=bands[i][0])
+            assert joint[i] == solo
+            assert decode(CODEC, joint[i][2]) == decode(CODEC, solo[2])
 
     def test_no_sensor_rejected(self):
         with pytest.raises(ValueError, match="num_sensors"):
-            simulate_cluster(CODEC, [], FM, NO_NOISE)
+            receive_clusters(CODEC, FM, [NO_NOISE], np.empty((1, 0, 2)), 1, 1000.0)
 
     def test_layout_follows_the_codec_range_and_guard(self):
         # a 2 V codec gives 2 kHz bands: with 500 Hz guards the second
         # sensor's band starts at 500 + 2000 + 500 Hz
         codec = MappingConfig(2.0, 5, 1.0)
-        results = simulate_cluster(codec, [(0.0, 0.0), (0.0, 0.0)], FM, NO_NOISE, guard_hz=500.0)
-        assert [r.peak_hz for r in results] == [500.0, 3000.0]
-        assert [r.vd_hat for r in results] == [0.0, 0.0]
-
-
-class TestClusterLayout:
-    """receive_clusters: the tone layout and read-back that simulate_cluster and the SDR sweep share."""
-
-    TRUTHS = [(0.11, 0.27), (0.35, 0.62), (0.02, 0.93)]
+        results = receive([(0.0, 0.0), (0.0, 0.0)], guard_hz=500.0, codec=codec)
+        assert [(peak, vd_hat) for _, peak, vd_hat in results] == [(500.0, 0.0), (3000.0, 0.0)]
 
     def test_noiseless_read_back_is_the_explicit_chain(self):
-        vds, peaks, vd_hats = receive_clusters(CODEC, FM, [(NO_NOISE, self.TRUTHS)], 1, 1000.0)
+        vds, peaks, vd_hats = receive_clusters(CODEC, FM, [NO_NOISE], [self.TRUTHS], 1, 1000.0)
         expected = cluster_chain(CODEC, self.TRUTHS, FM, NO_NOISE)
         assert list(zip(vds[0].tolist(), peaks[0].tolist(), vd_hats[0].tolist())) == expected
         assert np.all(np.abs(vd_hats - vds) <= 0.5 / FM.scale)
@@ -170,27 +172,37 @@ class TestClusterLayout:
     def test_peak_is_read_back_relative_to_its_band(self):
         # vd = 1.25 and 3.5 V put both tones on a bin: 1000 + 1250 and 7000 + 3500 Hz
         codec = MappingConfig(5.0, 5, 1.0)
-        point = (NO_NOISE, [(0.75, 0.25), (0.5, 0.75)])
-        vds, peaks, vd_hats = receive_clusters(codec, FM, [point], 1, 1000.0)
+        truths = [[(0.75, 0.25), (0.5, 0.75)]]
+        vds, peaks, vd_hats = receive_clusters(codec, FM, [NO_NOISE], truths, 1, 1000.0)
         assert peaks.tolist() == [[2250.0, 10500.0]]
         assert vd_hats.tolist() == vds.tolist() == [[1.25, 3.5]]
 
     def test_results_are_points_by_bands(self):
         channels = [ChannelSpec(-20.0, 5), ChannelSpec(-35.0, 5), ChannelSpec(-35.0, 6), NO_NOISE]
-        points = [(ch, self.TRUTHS[i:] + self.TRUTHS[:i]) for i, ch in enumerate(channels)]
-        results = receive_clusters(CODEC, FM, points, 2, 1000.0)
+        truths = [self.TRUTHS[i:] + self.TRUTHS[:i] for i in range(len(channels))]
+        results = receive_clusters(CODEC, FM, channels, truths, 2, 1000.0)
         assert [a.shape for a in results] == [(4, 3)] * 3
-        for i, (ch, truths) in enumerate(points):
+        for i, ch in enumerate(channels):
             got = list(zip(*(a[i].tolist() for a in results)))
-            assert got == cluster_chain(CODEC, truths, FM, ch, antennas=2)
+            assert got == cluster_chain(CODEC, truths[i], FM, ch, antennas=2)
 
-    def test_points_share_one_truth_count(self):
-        for truths in (self.TRUTHS[:2], self.TRUTHS * 2, []):
-            points = [(NO_NOISE, self.TRUTHS), (NO_NOISE, truths)]
-            with pytest.raises(ValueError, match="same number of truths"):
-                receive_clusters(CODEC, FM, points, 1, 1000.0)
-        with pytest.raises(ValueError, match="same number of truths"):
-            receive_clusters(CODEC, FM, [], 1, 1000.0)
+    def test_truths_must_be_points_by_sensors_by_two(self):
+        # one point's (sensors, 2) array, pairs of three coordinates and a
+        # point list with no array shape are rejected, naming the shape
+        for truths, shape in (
+            (self.TRUTHS, "(3, 2)"),
+            ([[(0.1, 0.2, 0.3)]], "(1, 1, 3)"),
+            (np.zeros((1, 3, 2, 1)), "(1, 3, 2, 1)"),
+            ([], "(0,)"),
+        ):
+            message = f"truths must be a (points, sensors, 2) array, got shape {shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                receive_clusters(CODEC, FM, [NO_NOISE], truths, 1, 1000.0)
+
+    def test_one_channel_per_point(self):
+        for channels in ([NO_NOISE] * 2, []):
+            with pytest.raises(ValueError, match="channels for 1 points"):
+                receive_clusters(CODEC, FM, channels, [self.TRUTHS], 1, 1000.0)
 
 
 class TestDiversity:
@@ -219,16 +231,16 @@ class TestDiversity:
         with pytest.raises(ValueError, match="antennas"):
             receive_points(FM, [NO_NOISE], [self.FREQS], self.BANDS, antennas=0)
         with pytest.raises(ValueError, match="antennas"):
-            simulate_cluster(CODEC, [(0.1, 0.1)], FM, NO_NOISE, 0)
+            receive_clusters(CODEC, FM, [NO_NOISE], [[(0.1, 0.1)]], 0, 1000.0)
 
     def test_two_capture_combining_reduces_miss_rate(self):
         # at -30 dB single captures miss the tone peak noticeably more often
-        misses = {1: 0, 2: 0}
+        channels = [ChannelSpec(snr_db=-30.0, rng_seed=trial) for trial in range(100)]
+        misses = {}
         for antennas in (1, 2):
-            for trial in range(100):
-                ch = ChannelSpec(snr_db=-30.0, rng_seed=trial)
-                (res,) = simulate_cluster(CODEC, [(0.37, 0.53)], FM, ch, antennas=antennas)
-                if abs(res.vd_hat - res.vd_true) > 1e-3:
-                    misses[antennas] += 1
+            vds, _, vd_hats = receive_clusters(
+                CODEC, FM, channels, [[(0.37, 0.53)]] * 100, antennas, 1000.0
+            )
+            misses[antennas] = int(np.sum(np.abs(vd_hats - vds) > 1e-3))
         assert misses[2] <= misses[1]
         assert misses[1] > 0
