@@ -41,7 +41,7 @@ JOBS = 2
 # failing hypothesis property of the signal chain shrinks for up to minutes.
 # Their NEAREST tie kills nearest-ties-down in ~3 s, so test_mapping.py,
 # whose ~5 s would precede every mutant the digests miss, stays late; the
-# whole gate of 29 mutants took 91-146 s on a 2-vCPU host
+# whole gate of 32 mutants took ~116 s on a 2-vCPU host
 TESTS = (
     "tests/test_golden.py",
     "tests/test_cli.py",
@@ -107,8 +107,8 @@ MUTANTS = (
     Mutant(
         "caller-chunk-last",
         "src/ajscc/experiments.py",
-        "for chunk in (own, *forked)",
-        "for chunk in (*forked, own)",
+        "np.concatenate([own, *forked])",
+        "np.concatenate([*forked, own])",
         "the caller runs chunk 0, whose trials come first",
     ),
     Mutant(
@@ -201,9 +201,32 @@ MUTANTS = (
     Mutant(
         "level-sums-reversed",
         "src/ajscc/experiments.py",
-        "for row in _map_trials(cfg, _level_errors):",
-        "for row in reversed(_map_trials(cfg, _level_errors)):",
+        "np.sum(_map_trials(cfg, _level_errors), axis=0)",
+        "np.sum(_map_trials(cfg, _level_errors)[::-1], axis=0)",
         "the level sweep sums its trials in trial order, so its floats are reproducible",
+    ),
+    Mutant(
+        "level-sums-pairwise",
+        "src/ajscc/experiments.py",
+        "np.sum(_map_trials(cfg, _level_errors), axis=0)",
+        "np.moveaxis(_map_trials(cfg, _level_errors), 0, -1).copy().sum(axis=-1)",
+        "a contiguous trial axis is summed pairwise from 8 trials on, not in trial order",
+    ),
+    Mutant(
+        "roundtrip-bounds-swapped",
+        "src/ajscc/experiments.py",
+        '_check(f"{name}-x1", float(np.max(np.abs(dec.x1_hat - x1))), bound1),\n'
+        '        _check(f"{name}-x2", float(np.max(np.abs(dec.x2_hat - x2))), bound2),',
+        '_check(f"{name}-x1", float(np.max(np.abs(dec.x1_hat - x1))), bound2),\n'
+        '        _check(f"{name}-x2", float(np.max(np.abs(dec.x2_hat - x2))), bound1),',
+        "each round trip's x1 error is held to the x1 bound and its x2 error to the x2 bound",
+    ),
+    Mutant(
+        "bool-count-accepted",
+        "src/ajscc/experiments.py",
+        "if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+        "if not isinstance(value, (int, np.integer)):",
+        "a bool is not a count: trials=True would run and write True in the CSV",
     ),
     Mutant(
         "offset-added",

@@ -11,15 +11,16 @@ results depend only on the configuration and never on scheduling or the
 worker count.  Trial streams are common to all sweep points (common random
 numbers), which stabilizes the location of the sweep minimum.  Both sweeps
 hand workers contiguous chunks of trials (``_map_trials``); each worker runs
-every sweep point of its trials, and the caller reduces in trial order, so
-the output bytes do not depend on the worker count.  N workers are the
-calling process, which runs chunk 0, plus N - 1 forked processes.  Each
-trial's sweep points, one per level count or per SNR, are all on the
-trial's channel seed, and the receiver (``signal_chain``) draws and
-transforms a seed's unit-variance noise once (not at all when every point
-is noiseless), shares it across the seed's points, proves each band's peak
-from the tones' closed-form spectrum and captures only when the proof
-leaves a band open.  A channel's noise is sigma times its seed's unit draw
+every sweep point of its trials and returns one array with a row per trial,
+the chunks are joined in trial order, and the caller reduces over that
+array's leading axis, so the output bytes do not depend on the worker
+count.  N workers are the calling process, which runs chunk 0, plus N - 1
+forked processes.  Each trial's sweep points, one per level count or per
+SNR, are all on the trial's channel seed, and the receiver
+(``signal_chain``) draws and transforms a seed's unit-variance noise once
+(not at all when every point is noiseless), shares it across the seed's
+points, proves each band's peak from the tones' closed-form spectrum and
+captures only when the proof leaves a band open.  A channel's noise is sigma times its seed's unit draw
 (``signal_chain``), so that one draw is the noise of every level count and
 of every SNR point.  Both sweeps run trial-major: within a trial the
 sources and the capture seed do not depend on the sweep point, so a trial
@@ -136,7 +137,9 @@ class ExperimentConfig:
 
     A field whose key its kind does not honour (``KIND_KEYS``) must keep its
     default: a value that no runner of the kind reads is rejected, naming
-    the key.
+    the key.  The counts ``trials``, ``workers``, ``sensor_count``,
+    ``antennas`` and ``master_seed`` must be integers (a bool is not one); a
+    numpy integer is kept as an int.
     """
 
     kind: ExperimentKind
@@ -159,6 +162,11 @@ class ExperimentConfig:
     fm: FmConfig = FmConfig()
 
     def __post_init__(self) -> None:
+        for name in ("trials", "workers", "sensor_count", "antennas", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for key in sorted(set(CONFIG_KEYS) - KIND_KEYS[self.kind]):
             name, sub, _ = CONFIG_KEYS[key]
             value, default = getattr(self, name), self.__dataclass_fields__[name].default
@@ -231,6 +239,10 @@ def _trial_draws(
     return draws, int(rng.integers(0, 2**62))
 
 
+def _row(param: float, mean_mse: float, mse_x1: float, mse_x2: float, trials: int) -> SweepRow:
+    return SweepRow(float(param), mean_mse, sdr(mean_mse), mse_x1, mse_x2, trials)
+
+
 def _finish(kind: ExperimentKind, rows: list[SweepRow], details: dict) -> SweepResult:
     best = min(rows, key=lambda r: r.mean_mse)
     return SweepResult(
@@ -238,7 +250,7 @@ def _finish(kind: ExperimentKind, rows: list[SweepRow], details: dict) -> SweepR
     )
 
 
-def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
+def _map_trials(cfg: ExperimentConfig, trial_fn) -> np.ndarray:
     """trial_fn(cfg, trials) over contiguous chunks of the trials, one chunk per worker.
 
     The calling process is a worker: it forks one process per further chunk
@@ -251,11 +263,11 @@ def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
     (~0.25 s on a 2-vCPU host), longer than a whole 50-trial two-antenna SDR
     sweep takes; the library starts no thread that a fork could copy in a
     locked state.
-    trial_fn returns one result per trial of its range; the results come back
-    in trial order, whatever the worker count.  An exception raised by any
-    chunk propagates, with a forked one's traceback as its cause; every
-    forked process has ended (stopped, if still running) when the call
-    returns or raises.
+    trial_fn returns one array with a row per trial of its range; the chunks'
+    arrays are joined in trial order into one, whatever the worker count.
+    An exception raised by any chunk propagates, with a forked one's
+    traceback as its cause; every forked process has ended (stopped, if
+    still running) when the call returns or raises.
     """
     step = -(-cfg.trials // cfg.workers)
     chunks = [range(a, min(a + step, cfg.trials)) for a in range(0, cfg.trials, step)]
@@ -275,7 +287,7 @@ def _map_trials(cfg: ExperimentConfig, trial_fn) -> list:
             workers.append((process, receiver))
         own = trial_fn(cfg, chunks[0])
         forked = [_received(receiver) for _, receiver in workers]
-        return [result for chunk in (own, *forked) for result in chunk]
+        return np.concatenate([own, *forked])
     finally:
         # a worker whose results are in, or whose caller failed, has nothing left to do
         for process, receiver in workers:
@@ -292,7 +304,7 @@ def _forked_chunk(sender, trial_fn, cfg: ExperimentConfig, trials: range) -> Non
         sender.send((exc, traceback.format_exc()))
 
 
-def _received(receiver) -> list:
+def _received(receiver) -> np.ndarray:
     """A forked worker's results; its exception is raised here."""
     try:
         value, failure = receiver.recv()
@@ -307,8 +319,8 @@ def _received(receiver) -> list:
 # mean MSE vs number of levels
 
 
-def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float, float]]]:
-    """Normalized squared errors (x1, x2) per trial and per swept level count.
+def _level_errors(cfg: ExperimentConfig, trials: range) -> np.ndarray:
+    """A (trial, level count, 2) array of the normalized squared x1 and x2 errors.
 
     A trial runs one chain over a codec of every swept level count: one
     array ``encode``, one ``transmit_receive`` of all the voltages, so all of
@@ -326,7 +338,7 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> list[list[tuple[float
         errors1 = ((dec.x1_hat - x1) / mapping.v1).tolist()
         errors2 = ((dec.x2_hat - x2) / mapping.v2).tolist()
         errors.append([(e1**2, e2**2) for e1, e2 in zip(errors1, errors2)])
-    return errors
+    return np.array(errors)
 
 
 def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
@@ -334,29 +346,16 @@ def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
 
     Each trial draws its source from ``cfg.source``: uniform by default, or
     the one fixed point of ``source_kind=fixed``.  The per-L sums run in
-    trial order, so the rows do not depend on the worker count.
+    trial order (a numpy reduction over the leading axis adds one trial at a
+    time), so the rows do not depend on the worker count.
     """
     if cfg.kind is not ExperimentKind.MSE_VS_L:
         raise ValueError(f"config kind is {cfg.kind}, expected MSE_VS_L")
-    sum1 = [0.0] * len(cfg.l_values)
-    sum2 = [0.0] * len(cfg.l_values)
-    for row in _map_trials(cfg, _level_errors):
-        for j, (e1, e2) in enumerate(row):
-            sum1[j] += e1
-            sum2[j] += e2
-    rows = []
-    for num_levels, s1, s2 in zip(cfg.l_values, sum1, sum2):
-        m1, m2 = s1 / cfg.trials, s2 / cfg.trials
-        rows.append(
-            SweepRow(
-                param=float(num_levels),
-                mean_mse=m1 + m2,
-                mean_sdr_db=sdr(m1 + m2),
-                mse_x1=m1,
-                mse_x2=m2,
-                trials=cfg.trials,
-            )
-        )
+    means = np.sum(_map_trials(cfg, _level_errors), axis=0) / cfg.trials
+    rows = [
+        _row(num_levels, m1 + m2, m1, m2, cfg.trials)
+        for num_levels, (m1, m2) in zip(cfg.l_values, means.tolist())
+    ]
     return _finish(cfg.kind, rows, details={})
 
 
@@ -364,8 +363,8 @@ def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
 # SDR vs channel SNR for one or more FDMA sensors
 
 
-def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
-    """Per trial, an (SNR point, sensor, quantity) array.
+def _sdr_trials(cfg: ExperimentConfig, trials: range) -> np.ndarray:
+    """A (trial, SNR point, sensor, quantity) array.
 
     The quantities are the x1 error, the x2 error, x2_hat and |vd error|,
     the errors squared and normalized to the codec ranges.  Each trial
@@ -399,7 +398,7 @@ def _sdr_trials(cfg: ExperimentConfig, trials: range) -> list[np.ndarray]:
         dec.x2_hat,
         np.abs(vd_hat - vds),
     ]
-    return list(np.stack(quantities, axis=-1))
+    return np.stack(quantities, axis=-1)
 
 
 def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:
@@ -414,20 +413,13 @@ def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:
     assign_channels(cfg.sensor_count, cfg.fm, cfg.d_max, cfg.guard_hz)
     # (SNR point, quantity, trial, sensor): every mean below runs over a
     # contiguous (trials, sensors) array, which fixes its summation order
-    per_point = np.array(_map_trials(cfg, _sdr_trials)).transpose(1, 3, 0, 2).copy()
+    per_point = _map_trials(cfg, _sdr_trials).transpose(1, 3, 0, 2).copy()
     rows = []
     details = {}
     for snr_db, (mse_x1, mse_x2, x2_hat, vd_err) in zip(cfg.snr_values, per_point):
         per_trial_mse = mse_x1 + mse_x2
-        mean_mse = float(per_trial_mse.mean())
-        row = SweepRow(
-            param=float(snr_db),
-            mean_mse=mean_mse,
-            mean_sdr_db=sdr(mean_mse),
-            mse_x1=float(mse_x1.mean()),
-            mse_x2=float(mse_x2.mean()),
-            trials=cfg.trials,
-        )
+        means = (float(a.mean()) for a in (per_trial_mse, mse_x1, mse_x2))
+        row = _row(snr_db, *means, cfg.trials)
         rows.append(row)
         details[row.param] = {
             "per_trial_mse": per_trial_mse,
@@ -458,6 +450,18 @@ class RoundTripReport:
         return all(c.passed for c in self.checks)
 
 
+def _check(name: str, worst: float, bound: float) -> CheckResult:
+    return CheckResult(name, worst <= bound, worst, bound)
+
+
+def _roundtrip_checks(name: str, dec, x1, x2, bound1: float, bound2: float) -> list[CheckResult]:
+    """The worst |x1| and |x2| errors of the decoded pair ``dec``, checked against their bounds."""
+    return [
+        _check(f"{name}-x1", float(np.max(np.abs(dec.x1_hat - x1))), bound1),
+        _check(f"{name}-x2", float(np.max(np.abs(dec.x2_hat - x2))), bound2),
+    ]
+
+
 def _x2_base_bound(mapping: MappingConfig) -> float:
     return mapping.delta if mapping.quantizer is Quantizer.FLOOR else mapping.delta / 2
 
@@ -469,14 +473,8 @@ def _check_mapping_roundtrip(cfg: ExperimentConfig) -> list[CheckResult]:
     x1 = rng.uniform(0.0, mapping.v1, n)
     x2 = rng.uniform(0.0, mapping.v2, n)
     dec = decode(mapping, encode(mapping, x1, x2))
-    worst1 = float(np.max(np.abs(dec.x1_hat - x1)))
-    worst2 = float(np.max(np.abs(dec.x2_hat - x2)))
     bound1 = 1e-9 * max(1.0, mapping.d_max)
-    bound2 = _x2_base_bound(mapping)
-    return [
-        CheckResult("mapping-roundtrip-x1", worst1 <= bound1, worst1, bound1),
-        CheckResult("mapping-roundtrip-x2", worst2 <= bound2, worst2, bound2),
-    ]
+    return _roundtrip_checks("mapping-roundtrip", dec, x1, x2, bound1, _x2_base_bound(mapping))
 
 
 def _check_circuit_equivalence(cfg: ExperimentConfig) -> CheckResult:
@@ -493,8 +491,7 @@ def _check_circuit_equivalence(cfg: ExperimentConfig) -> CheckResult:
     )
     x1 = vt * circuit.v_r / circuit.vt_max
     worst = float(np.max(np.abs(circuit_encode(circuit, vt, vh) - encode(mapping, x1, vh))))
-    bound = 1e-9 * mapping.d_max
-    return CheckResult("circuit-codec-equivalence", worst <= bound, worst, bound)
+    return _check("circuit-codec-equivalence", worst, 1e-9 * mapping.d_max)
 
 
 def _check_chain_roundtrip(cfg: ExperimentConfig) -> list[CheckResult]:
@@ -510,12 +507,7 @@ def _check_chain_roundtrip(cfg: ExperimentConfig) -> list[CheckResult]:
     # row by row, the same stream as alternating scalar x1 and x2 draws
     x1, x2 = rng.uniform(0.0, [mapping.v1, mapping.v2], size=(cfg.trials, 2)).T
     dec = decode(mapping, transmit_receive(cfg.fm, channel, encode(mapping, x1, x2)))
-    worst1 = float(np.max(np.abs(dec.x1_hat - x1)))
-    worst2 = float(np.max(np.abs(dec.x2_hat - x2)))
-    return [
-        CheckResult("chain-roundtrip-x1", worst1 <= bound1, worst1, bound1),
-        CheckResult("chain-roundtrip-x2", worst2 <= bound2, worst2, bound2),
-    ]
+    return _roundtrip_checks("chain-roundtrip", dec, x1, x2, bound1, bound2)
 
 
 def run_roundtrip_suite(cfg: ExperimentConfig) -> RoundTripReport:

@@ -45,15 +45,15 @@ TINY_SWEEP = ExperimentConfig(
 
 
 def pid_trials(cfg, trials):
-    """Each trial with the pid and parent pid of the process that ran it."""
-    return [(trial, os.getpid(), os.getppid()) for trial in trials]
+    """A row per trial: the trial, and the pid and parent pid of the process that ran it."""
+    return np.array([(trial, os.getpid(), os.getppid()) for trial in trials])
 
 
 def failing_trials(cfg, trials):
     """Raise in the chunk that holds trial ``cfg.master_seed``."""
     if cfg.master_seed in trials:
         raise ValueError(f"trial {cfg.master_seed} failed")
-    return list(trials)
+    return np.array(trials)
 
 
 def stalled_trials(cfg, trials):
@@ -61,14 +61,14 @@ def stalled_trials(cfg, trials):
     if 0 in trials:
         raise ValueError("trial 0 failed")
     time.sleep(60)
-    return list(trials)
+    return np.array(trials)
 
 
 def dying_trials(cfg, trials):
     """The chunk that holds trial 6 ends its process without a result."""
     if 6 in trials:
         os._exit(3)
-    return list(trials)
+    return np.array(trials)
 
 
 def no_fork(monkeypatch):
@@ -98,6 +98,29 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="l_values: num_levels must be"):
                 ExperimentConfig(kind=ExperimentKind.MSE_VS_L, l_values=bad)
         ExperimentConfig(kind=ExperimentKind.MSE_VS_L, l_values=(2, 2**64 - 1))
+
+    def test_rejects_counts_that_are_not_integers(self):
+        # each would otherwise fail only inside the runner (range, SeedSequence
+        # or the receiver), and trials=True would run and write True as its count
+        kinds = {
+            "trials": ExperimentKind.MSE_VS_L,
+            "workers": ExperimentKind.MSE_VS_L,
+            "sensor_count": ExperimentKind.SDR_VS_CSNR,
+            "antennas": ExperimentKind.SDR_VS_CSNR,
+            "master_seed": ExperimentKind.ROUND_TRIP,
+        }
+        for name, kind in kinds.items():
+            for bad in (1.5, 2.0, True, np.True_, "2", None):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    ExperimentConfig(kind=kind, **{name: bad})
+            cfg = ExperimentConfig(kind=kind, **{name: np.int64(2)})
+            assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
+
+    def test_numpy_integer_trials_render_as_int(self):
+        cfg = dataclasses.replace(TINY_SWEEP, trials=np.int32(4))
+        result = run_mse_vs_L(cfg)
+        assert render_csv(result) == render_csv(run_mse_vs_L(TINY_SWEEP))
+        assert json.loads(render_json(result))["rows"][0]["trials"] == 4
 
     def test_rejects_negative_seed(self):
         # numpy would reject it only when a trial seeds its generator, with
@@ -353,6 +376,13 @@ class TestSharedNoiseEngine:
         )
         self.assert_matches_oracle(cfg)
 
+    def test_twelve_trial_sums_equal_scalar_chain(self):
+        # from 8 values on, numpy's pairwise sum of a contiguous axis adds in
+        # another order than one value at a time: 12 trials tell the level
+        # sweep's trial-order sums from a pairwise or reversed one
+        cfg = dataclasses.replace(ENGINE_SWEEP, trials=12, l_values=(11, 41, 71), snr_db=-20.0)
+        self.assert_matches_oracle(cfg)
+
     def test_no_fallback_at_0_db(self, monkeypatch):
         calls = counting_fallbacks(monkeypatch)
         run_mse_vs_L(ENGINE_SWEEP)
@@ -468,8 +498,8 @@ def explicit_sdr_trials(decisions):
                         for (u1, u2), (vd_true, vd_hat, dec) in zip(draws, decided)
                     ]
                 )
-            per_trial.append(np.array(points))
-        return per_trial
+            per_trial.append(points)
+        return np.array(per_trial)
 
     return trials_fn
 
