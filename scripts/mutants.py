@@ -41,7 +41,7 @@ JOBS = 2
 # failing hypothesis property of the signal chain shrinks for up to minutes.
 # Their NEAREST tie kills nearest-ties-down in ~3 s, so test_mapping.py,
 # whose ~5 s would precede every mutant the digests miss, stays late; the
-# whole gate of 32 mutants took ~116 s on a 2-vCPU host
+# whole gate of 35 mutants took ~145 s on a 2-vCPU host
 TESTS = (
     "tests/test_golden.py",
     "tests/test_cli.py",
@@ -131,6 +131,27 @@ MUTANTS = (
         "= evaluated[at_key], first",
         "= evaluated[at_key - at_key % bands], first",
         "each band of a point reads its own evaluation of the tone bins, not band 0's",
+    ),
+    Mutant(
+        "rival-threshold-unmargined",
+        "src/ajscc/signal_chain.py",
+        "(best[r] / (1.0 + PEAK_MARGIN) - leak) / sigma[r]",
+        "(best[r] - leak) / sigma[r]",
+        "a bin within PEAK_MARGIN of the best is a rival, or the second stage proves a near-tie",
+    ),
+    Mutant(
+        "window-not-reevaluated",
+        "src/ajscc/signal_chain.py",
+        "        rival[first[r] - lo : first[r] - lo + int(span[r]) + 1] = True\n",
+        "",
+        "the second stage decides over the row's window too, not over its rivals alone",
+    ),
+    Mutant(
+        "rival-band-end-dropped",
+        "src/ajscc/signal_chain.py",
+        "noise.magnitude[lo : hi + 1]",
+        "noise.magnitude[lo : hi]",
+        "the band's last bin may hold the noise's winner",
     ),
     Mutant(
         "no-alias-limit",

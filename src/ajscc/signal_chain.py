@@ -31,12 +31,9 @@ capture searched over the whole spectrum (``transmit_receive``; an array
 of voltages is one call with one point per voltage, all on one channel);
 the FDMA cluster (``multisensor.receive_clusters``) passes one tone and one
 band per sensor.
-``tone_bins`` is the closed-form FFT of a sum of capture tones, so a
-spectrum can be formed as tone bins plus the FFT of the noise.  Its
-Dirichlet kernel takes the ratio sin(pi*d)/sin(pi*d/M) from each offset d
-itself, with the on-bin limit M at d = 0 and the alias limit -M at d = +-M,
-and factors the phase into one complex exponential per tone half and one
-per bin instead of one per (half, bin) pair.
+The proof forms the spectrum of a capture without synthesizing it: each
+tone's rfft is a Dirichlet kernel in closed form (``_tone_sum``), and a
+bin of the capture is the tones' bin plus sigma times the noise's.
 
 ``receive_points`` alone chooses between the proof and the capture.  It
 checks the tones as a capture checks them (``_check_tones``), the channel
@@ -51,8 +48,9 @@ scaled noise gathered by index, the antenna combine and a row-wise argmax,
 runner-up and margin test, with rows of narrower ranges padded by masked
 bins.  Points of the same tones, such as one trial's points at each SNR of
 a seed, share one evaluation of the tone bins per band and differ only in
-the sigma that scales their noise.  Only the rows the block leaves open
-take the exact candidate stage, one by one.  A call may hold the points of
+the sigma that scales their noise.  A row the block leaves open is proved
+again alone, by the same evaluation and decision over its window and the
+band bins whose noise could make them rivals.  A call may hold the points of
 several seeds: it draws each run's noise once, into one block of buffers
 that it reuses for every run and frees on return, so a seed whose points
 are not consecutive has its noise drawn once per run.  The block cap
@@ -71,7 +69,6 @@ __all__ = [
     "FmConfig",
     "ChannelSpec",
     "capture",
-    "tone_bins",
     "noise_sigma",
     "receive_points",
     "transmit_receive",
@@ -110,12 +107,14 @@ class FmConfig:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Static AWGN channel set by SNR, seeded by a non-negative rng_seed.
+    """Static AWGN channel set by SNR, seeded by a non-negative integer rng_seed.
 
     snr_db = math.inf disables noise.  Transmitted power is taken as 1
     regardless of the waveform, so a -20 dB channel has noise variance 100
     and a unit tone is received as sent.  An snr_db whose noise variance
-    overflows a float (below about -3082.5 dB) is rejected.
+    overflows a float (below about -3082.5 dB) is rejected, and so is an
+    rng_seed that is not an integer (a bool is not one); a numpy integer
+    seed is kept as an int.
     """
 
     snr_db: float = math.inf
@@ -128,6 +127,9 @@ class ChannelSpec:
             noise_sigma(self)
         except OverflowError:
             raise ValueError(f"snr_db {self.snr_db} dB gives a noise variance that overflows") from None
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer)):
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -188,22 +190,29 @@ def capture(
     )
 
 
-def _tone_sum(m: int, offsets: np.ndarray, first: np.ndarray, columns: np.ndarray) -> np.ndarray:
+def _tone_sum(m: int, offsets: np.ndarray, first, columns: np.ndarray) -> np.ndarray:
     """Per row r, the closed-form rfft at bins first[r] + columns of the tone halves at offsets.
 
-    offsets (rows, halves) are in bins, +freq * M / fs for a tone's exp(+iwn)
-    half and -freq * M / fs for its exp(-iwn) half, each half of amplitude
-    1/2, and first is (rows, 1); every row holds the same number of halves.
-    The bins are the returned sums times ``_bin_phase`` of their bins, one
-    unit factor per column, so |sums| are the bins' magnitudes.  See
-    ``tone_bins`` for the kernel.
+    offsets (rows, halves) are in bins, o = +freq * M / fs for the exp(+iwn)
+    half of a tone cos(w*n) as ``capture`` synthesizes it, w = 2*pi*freq/fs,
+    and -freq * M / fs for its exp(-iwn) half, each half of amplitude 1/2;
+    first is (rows, 1), or one bin for every row, and every row holds the
+    same number of halves.  A half sums over n < M to a Dirichlet kernel: at
+    offset d = o - k bins from bin k, sin(pi*d)/sin(pi*d/M) *
+    exp(i*pi*(M-1)/M * d).  The ratio of sines is evaluated from d itself,
+    except within ~1e-9 bins of d = 0 (mod M), where the rounded sines are
+    0/0 or a quotient of rounding residues and the ratio is taken as its
+    limit, which it equals to double precision there: M at d = 0 (on bin),
+    -M at d = +-M (the image of a tone next to Nyquist on bin M/2).  The
+    phase factors into exp(i*pi*(M-1)/M * (o - first)), one per half, times
+    ``_bin_phase`` of the column, one unit factor per column: the returned
+    sums leave the second factor out, so |sums| are the bins' magnitudes.
+    For 0 <= freq < fs/2 and bins in [0, M/2], sums times ``_bin_phase`` of
+    the columns equal np.fft.rfft of the synthesized samples up to rounding.
     """
-    # the phase is taken relative to first, not to bin 0, so that the proof's
-    # first stage rotates its noise by one phase vector over the columns,
-    # shared by every row, instead of a phase per (row, bin).  Running both
-    # proof stages through the absolute phase of ``tone_bins`` made the
-    # level-sweep benchmark ~12.5 % slower and selftest ~7.4 % (in-process
-    # serial medians, 2-vCPU host)
+    # the phase is taken relative to first, not to bin 0, so that the proof
+    # rotates its noise by one phase vector over the columns, shared by every
+    # row, instead of a phase per (row, bin)
     rel = offsets - first
     d = rel[:, :, np.newaxis] - columns  # (rows, halves, columns)
     ratio = np.sin(np.pi * d)
@@ -219,31 +228,8 @@ def _tone_sum(m: int, offsets: np.ndarray, first: np.ndarray, columns: np.ndarra
 
 
 def _bin_phase(m: int, bins: np.ndarray) -> np.ndarray:
-    """The unit phase exp(-i*pi*(M-1)/M * k) of each bin k of ``_tone_sum``'s sums."""
+    """The unit phase exp(-i*pi*(M-1)/M * k) of each column k of ``_tone_sum``'s sums."""
     return np.exp((-1j * np.pi * (m - 1) / m) * bins)
-
-
-def tone_bins(fm: FmConfig, freqs: list[float], bins: np.ndarray) -> np.ndarray:
-    """rfft of the sum of the capture tones at freqs over the whole record, in closed form.
-
-    The tone at freq Hz is cos(w*n) as ``capture`` synthesizes it,
-    w = 2*pi*freq/fs.  Each of its two complex exponentials sums over
-    n < M = fm.num_samples to a Dirichlet kernel: at offset d = o - k bins
-    from bin k, o = +-freq*M/fs, sin(pi*d)/sin(pi*d/M) * exp(i*pi*(M-1)/M * d).
-    The ratio of sines is evaluated from d itself, except within ~1e-9 bins
-    of d = 0 (mod M), where the rounded sines are 0/0 or a quotient of
-    rounding residues and the ratio is taken as its limit, which it equals
-    to double precision there: M at d = 0 (on bin), -M at d = +-M (the
-    image of a tone next to Nyquist on bin M/2).  The phase factors into
-    exp(i*pi*(M-1)/M * o), one per exponential, times exp(-i*pi*(M-1)/M * k),
-    one per bin.  The kernels of all the tones are evaluated in one pass and
-    summed.  For 0 <= freq < fs/2 and bins in [0, M/2] the result equals
-    np.fft.rfft of the synthesized samples up to rounding.
-    """
-    m = fm.num_samples
-    halves = np.array([[*freqs, *(-freq for freq in freqs)]]) * m / fm.sample_rate
-    bins = np.asarray(bins)
-    return _tone_sum(m, halves, np.zeros((1, 1)), bins)[0] * _bin_phase(m, bins)
 
 
 # half-width in bins of the window around a tone that the proof evaluates
@@ -317,13 +303,6 @@ def _combined(spectra, out=None, scratch=None) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _best_two(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of mags: the argmax column, the maximum, and the runner-up (-inf for one column)."""
-    top = np.sort(mags, axis=1)
-    runner_up = top[:, -2] if mags.shape[1] > 1 else np.full(len(mags), -math.inf)
-    return mags.argmax(axis=1), top[:, -1], runner_up
-
-
 def _wins(best, runner_up, outside):
     """Whether a finite best bin beats the runner-up and the bound ``outside`` by PEAK_MARGIN.
 
@@ -333,24 +312,34 @@ def _wins(best, runner_up, outside):
     return np.isfinite(best) & (best > (1.0 + PEAK_MARGIN) * np.maximum(outside, runner_up))
 
 
-def _candidate_stage(fm, freqs, lo, hi, window, mags, noise, sigma, leak, best) -> float:
-    """The exact second stage of ``_proved_bins`` for a row the first stage left open.
+def _received(m: int, sums: np.ndarray, first, columns: np.ndarray, sigma, noise) -> np.ndarray:
+    """The combined magnitudes of ``_tone_sum``'s sums plus sigma times the noise at their bins.
 
-    window holds the evaluated bins, first to last, mags their combined
-    magnitudes and best the largest of those.  Returns the proved bin, or
-    NaN when the row stays open.
+    sums are the tones at bins first + columns, as ``_tone_sum`` returns
+    them; sigma scales the noise per row, and noise None is no noise.  Since
+    |sums * phase + noise| = |sums + noise / phase|, each noise bin is turned
+    by the conjugate ``_bin_phase`` of its column instead; a masked column
+    past M/2 reads bin M/2.
     """
-    magnitude = noise.magnitude[lo : hi + 1]
-    rival = magnitude >= (best / (1.0 + PEAK_MARGIN) - leak) / sigma
-    rest = float(np.max(magnitude, where=~rival, initial=0.0))
-    rival[window[0] - lo : window[-1] - lo + 1] = False
-    candidates = lo + np.flatnonzero(rival)
-    cand_tones = tone_bins(fm, freqs, candidates)
-    cand_mags = _combined([cand_tones + sigma * b[candidates] for b in noise.bins])
-    ((j,), (best,), (runner_up,)) = _best_two(np.concatenate([mags, cand_mags])[np.newaxis])
-    if _wins(best, runner_up, leak + sigma * rest):
-        return float(np.concatenate([window, candidates])[j])
-    return math.nan
+    if noise is None:
+        return np.abs(sums)
+    at = first + columns
+    scale = sigma * _bin_phase(m, columns).conj()
+    return _combined([sums + scale * b.take(at, mode="clip") for b in noise.bins])
+
+
+def _decided(mags: np.ndarray, outside, first, columns: np.ndarray):
+    """Each row's proved bin, NaN when open, and its best, for rows mags of bins first + columns.
+
+    A row's best column is its argmax and its runner-up the second largest
+    (-inf for one column); outside bounds every bin not in mags.  The bin
+    of the best column is proved when it ``_wins``.
+    """
+    top = np.sort(mags, axis=1)
+    best = top[:, -1]
+    runner_up = top[:, -2] if mags.shape[1] > 1 else -math.inf
+    won = _wins(best, runner_up, outside)
+    return np.where(won, first + columns[mags.argmax(axis=1)], math.nan), best
 
 
 def _proved_bins(
@@ -370,26 +359,30 @@ def _proved_bins(
 
     With M = fm.num_samples, a tone's window is the bins within PEAK_WINDOW
     of its nearest bin c0; the band bins from the lowest to the highest
-    window that meets the band are evaluated in closed form (``tone_bins``)
-    and added to the scaled noise bins.  Each Dirichlet kernel of a tone is
-    at least PEAK_WINDOW + 1/2 bins (mod M) from every rfft bin outside its
-    window as long as the window stays clear of Nyquist, so no tone bin
-    there exceeds the leak bound 1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the
-    tones together at most their number times it; by Minkowski's inequality
-    a bin's combined magnitude is at most that plus sigma times the noise
-    magnitude.  Two stages prove the peak:
+    window that meets the band are evaluated in closed form (``_tone_sum``)
+    and added to the scaled noise bins (``_received``).  Each Dirichlet
+    kernel of a tone is at least PEAK_WINDOW + 1/2 bins (mod M) from every
+    rfft bin outside its window as long as the window stays clear of
+    Nyquist, so no tone bin there exceeds the leak bound
+    1 / sin(pi*(PEAK_WINDOW + 1/2)/M), and the tones together at most their
+    number times it; by Minkowski's inequality a bin's combined magnitude is
+    at most that plus sigma times the noise magnitude.  Two stages prove the peak:
 
     - every band bin outside the evaluated range is bounded by the tones'
       leak plus sigma times the noise's peak;
-    - when that fails, the band bins whose bound reaches the range's best
-      over (1 + PEAK_MARGIN) are evaluated in closed form, and every other
-      bin is bounded by the leak plus sigma times the largest noise
-      magnitude among them (``_candidate_stage``).
+    - when that fails, the range is evaluated again together with every
+      band bin whose bound reaches the range's best over (1 + PEAK_MARGIN),
+      and the bound outside is the leak alone.  A band bin left out has
+      noise magnitude below (best / (1 + PEAK_MARGIN) - leak) / sigma, so
+      its bound is below best / (1 + PEAK_MARGIN); the evaluated set holds
+      the range, so its own best is at least best, and a bin left out can
+      never be within PEAK_MARGIN of it.
 
-    The best evaluated bin is returned when it is finite and beats the
-    runner-up and the bound by PEAK_MARGIN.  A window that reaches Nyquist,
-    a band that meets no window or a non-finite quantity gives NaN, so
-    ``receive_points``' capture decides, with its errors.
+    In each stage the best evaluated bin is returned when it is finite and
+    beats the runner-up and the bound by PEAK_MARGIN (``_decided``).  A
+    window that reaches Nyquist, a band that meets no window or a non-finite
+    quantity gives NaN, so ``receive_points``' capture decides, with its
+    errors.
 
     The first stage runs on every (point, band) row in one array block.
     Points of the same tones share one evaluation of their tone bins per
@@ -397,8 +390,8 @@ def _proved_bins(
     bins past its evaluated range are masked to -inf, so each row's tones,
     noise and decision are its own; a row with no evaluated range has every
     bin masked and is left open.  A row the block leaves open, with a
-    finite best bin and noise in its bound, goes on to the exact candidate
-    stage alone.
+    finite best bin and noise in its bound, goes on to the second stage
+    alone, in bins relative to the row's own first bin as in the block.
     """
     m = fm.num_samples
     bands = len(spans)
@@ -431,26 +424,19 @@ def _proved_bins(
     evaluated, first, span = evaluated[at_key], first[at_key].astype(int), span[at_key]
     leak = freqs.shape[1] / math.sin(math.pi * (PEAK_WINDOW + 0.5) / m)
     sigma = np.repeat(sigmas, bands)  # every sigma is 0 when noise is None
-    if noise is None:
-        mags = np.abs(evaluated)
-        outside = leak
-    else:
-        # |bins * phase + noise| = |bins + noise / phase|; a masked bin
-        # past M/2 reads bin M/2
-        at = first[:, np.newaxis] + columns
-        scale = sigma[:, np.newaxis] * _bin_phase(m, columns).conj()
-        mags = _combined([evaluated + scale * b.take(at, mode="clip") for b in noise.bins])
-        outside = leak + sigma * noise.peak
+    outside = leak if noise is None else leak + sigma * noise.peak
+    mags = _received(m, evaluated, first[:, np.newaxis], columns, sigma[:, np.newaxis], noise)
     mags = np.where(columns <= span[:, np.newaxis], mags, -math.inf)
-    j, best, runner_up = _best_two(mags)
-    won = _wins(best, runner_up, outside)
-    found = np.where(won, first + j, math.nan)
-    for r in (~won & (sigma != 0.0) & np.isfinite(best)).nonzero()[0]:
-        p, b = divmod(int(r), bands)
-        window = slice(0, int(span[r]) + 1)
-        found[r] = _candidate_stage(
-            fm, tones[p], *spans[b], at[r, window], mags[r, window], noise, sigma[r], leak, best[r]
-        )
+    found, best = _decided(mags, outside, first, columns)
+    for r in (np.isnan(found) & (sigma != 0.0) & np.isfinite(best)).nonzero()[0]:
+        lo, hi = spans[r % bands]
+        magnitude = noise.magnitude[lo : hi + 1]
+        rival = magnitude >= (best[r] / (1.0 + PEAK_MARGIN) - leak) / sigma[r]
+        rival[first[r] - lo : first[r] - lo + int(span[r]) + 1] = True
+        rivals = lo - first[r] + np.flatnonzero(rival)
+        sums = _tone_sum(m, halves[u[r // bands], np.newaxis], first[r], rivals)
+        mags = _received(m, sums, first[r], rivals, sigma[r], noise)
+        found[r] = _decided(mags, leak, first[r], rivals)[0][0]
     return found.reshape(len(tones), bands)
 
 

@@ -9,11 +9,26 @@ the library with itself.  ``fdma_bands`` writes out the FDMA band
 layout with numpy alone, and ``cluster_chain`` the cluster's tone placement
 and read-back around it, one scalar ``encode`` per sensor.  ``unit_noise``
 is the channel's noise convention written out from numpy alone.
+``tone_bins`` is the closed-form spectrum of capture tones at absolute bins,
+the library's kernel (``signal_chain._tone_sum``) times each bin's phase, so
+the kernel is checked against the rfft of a synthesized record.
 """
 import numpy as np
 
 from ajscc.mapping import encode
-from ajscc.signal_chain import PEAK_WINDOW, ChannelSpec, capture, tone_bins
+from ajscc.signal_chain import PEAK_WINDOW, ChannelSpec, _bin_phase, _tone_sum, capture
+
+
+def tone_bins(fm, freqs, bins):
+    """rfft bins of the sum of the capture tones at freqs, in closed form, at absolute bins.
+
+    For 0 <= freq < fs/2 and bins in [0, M/2] this equals np.fft.rfft of
+    the synthesized samples up to rounding.
+    """
+    m = fm.num_samples
+    halves = np.array([[*freqs, *(-freq for freq in freqs)]]) * m / fm.sample_rate
+    bins = np.asarray(bins)
+    return _tone_sum(m, halves, 0.0, bins)[0] * _bin_phase(m, bins)
 
 
 def unit_noise(fm, rng_seed, antennas=1):

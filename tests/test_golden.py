@@ -74,8 +74,8 @@ SWEEPS = {
     # the README's SDR sweep
     "sdr-sweep --snrs=-30,-20,-10,0 --sensors 3 --levels 11 --workers 1":
         ((2,), "f3e95211570700694c64fd705a16c0ea766ba3c7034cdac47c0d4d4200e8191f"),
-    # down to -35 dB the noise peaks rival the tones, so the proof's exact
-    # candidate stage settles bands of a combined spectrum
+    # down to -35 dB the noise peaks rival the tones, so the proof's second
+    # stage settles bands of a combined spectrum
     "sdr-sweep --snrs=-35,-30,-20,0 --sensors 3 --levels 11 --antennas 2 --workers 1":
         ((2,), "f1119d5bb79b35fdf66692d54961d3d37d18a59ebf873c087a30c8cc5095c642"),
     # each chunk is one receiver call over several trial seeds, in uneven
@@ -83,7 +83,7 @@ SWEEPS = {
     "sdr-sweep --snrs=-35,-20,0 --sensors 3 --levels 11 --antennas 3 --trials 7 --workers 1":
         ((2, 3), "d7838c6dce3fd3e90e46d63daa3e13c4fc5a24fd50726014ab1ea37086ec033d"),
     # at -45..-35 dB the array first stage leaves most bands open for the
-    # candidate stage
+    # second stage
     "sdr-sweep --snrs=-45,-40,-35 --sensors 3 --levels 11 --antennas 2 --trials 6 --workers 1":
         ((2,), "c521b96b960c88214026380b313998528971f5256baac884c0a1e37087828d41"),
     # the top sensor's tone sits 8 bins below Nyquist, where no proof window

@@ -16,7 +16,6 @@ from ajscc.signal_chain import (
     capture,
     noise_sigma,
     receive_points,
-    tone_bins,
     transmit_receive,
 )
 from oracle import (
@@ -25,6 +24,7 @@ from oracle import (
     leak_pinned_noise,
     record_peaks,
     tie_frequency,
+    tone_bins,
     unit_noise,
 )
 
@@ -228,10 +228,11 @@ def unit_spectrum(fm, rng_seed, antennas=1):
     return signal_chain._noise([np.fft.rfft(u) for u in unit_noise(fm, rng_seed, antennas)])
 
 
-def pinned_noise(bin_index, value):
-    """A noise spectrum of FM's record that is zero except for one bin."""
+def pinned_noise(pins):
+    """A noise spectrum of FM's record, zero except for the bins of pins, a {bin: value} dict."""
     bins = np.zeros(FM.num_samples // 2 + 1, dtype=complex)
-    bins[bin_index] = value
+    for bin_index, value in pins.items():
+        bins[bin_index] = value
     return signal_chain._noise([bins])
 
 
@@ -282,7 +283,7 @@ class TestProvedPeak:
 
     def test_out_of_window_noise_winner_is_proved(self):
         # a real noise record whose bin 10000 beats the tone's peak: the
-        # leak-plus-peak bound fails, and the exact candidate wins
+        # leak-plus-peak bound fails, and the second stage proves it
         noise = 1.25 * capture(FM, NO_NOISE, [10000.0])[0]
         spectrum = signal_chain._noise([np.fft.rfft(noise)])
         assert spectrum.peak + 1.0 / math.sin(math.pi * (PEAK_WINDOW + 0.5) / FM.num_samples) > (
@@ -297,7 +298,7 @@ class TestProvedPeak:
         peak = abs(tone_bins(FM, [2500.0], np.array([2500]))[0])
         leak = tone_bins(FM, [2500.0], np.array([10000]))[0]
         for ratio, expected in ((1.0 + 1e-12, None), (1.01, 10000), (0.99, 2500)):
-            noise = pinned_noise(10000, leak * (peak * ratio / abs(leak) - 1.0))
+            noise = pinned_noise({10000: leak * (peak * ratio / abs(leak) - 1.0)})
             assert proved_bin(FM, [2500.0], FULL, noise, 1.0) == expected, ratio
 
     def test_tone_leak_decides_an_out_of_window_winner(self):
@@ -307,17 +308,38 @@ class TestProvedPeak:
         freq = 2500.5
         peak = float(np.max(np.abs(tone_bins(FM, [freq], np.array([2500, 2501])))))
         leak = tone_bins(FM, [freq], np.array([10000]))[0]
-        noise = pinned_noise(10000, leak / abs(leak) * (peak - abs(leak) / 2))
+        noise = pinned_noise({10000: leak / abs(leak) * (peak - abs(leak) / 2)})
         assert noise.peak < peak
         assert abs(leak + noise.bins[0][10000]) > peak * (1.0 + 1e-5)
         assert proved_bin(FM, [freq], FULL, noise, 1.0) == 10000
+
+    def test_rival_threshold_keeps_the_margin(self):
+        # bin 2500 lifted in phase to ~1e12 and bin 10000 pinned in phase
+        # with the tone's leak to 1e-8 below it: the two cannot be told
+        # apart.  1e-8 of the best is ~1e4, above the leak bound (~642), so a
+        # rival threshold without PEAK_MARGIN would leave bin 10000 out and
+        # prove bin 2500; 1e-6 below, bin 10000 is no rival and 2500 is proved
+        t = tone_bins(FM, [2500.0], np.array([2500, 10000]))
+        lift = 1e12 * t[0] / abs(t[0])
+        best = abs(t[0] + lift)
+        for gap, expected in ((1e-8, None), (1e-6, 2500)):
+            near = t[1] / abs(t[1]) * (best * (1.0 - gap) - abs(t[1]))
+            noise = pinned_noise({2500: lift, 10000: near})
+            assert abs(t[1] + near) == pytest.approx(best * (1.0 - gap), rel=1e-15)
+            assert proved_bin(FM, [2500.0], FULL, noise, 1.0) == expected, gap
+
+    def test_noise_winner_on_the_band_end_is_proved(self):
+        # the second stage's rivals run through the band's last bin
+        noise = pinned_noise({5000: 1.25 * FM.num_samples / 2})
+        assert proved_bin(FM, [2500.0], (0.0, 5000.0), noise, 1.0) == 5000
+        assert proved_bin(FM, [2500.0], (0.0, 4999.0), noise, 1.0) == 2500
 
     def test_near_tie_in_window_falls_back(self):
         # a half-bin tone plus a small noise value that lifts bin 2501 to
         # within 1e-12 of bin 2500; the image term alone separates them by ~2e-4
         freq = 2500.5
         t = tone_bins(FM, [freq], np.array([2500, 2501]))
-        noise = pinned_noise(2501, t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0))
+        noise = pinned_noise({2501: t[1] * (abs(t[0]) * (1.0 + 1e-12) / abs(t[1]) - 1.0)})
         assert noise.peak < 10.0
         assert proved_bin(FM, [freq], FULL, zero_noise(), 1.0) is not None
         assert proved_bin(FM, [freq], FULL, noise, 1.0) is None
@@ -884,6 +906,18 @@ class TestChannel:
         # with an error that names no field
         with pytest.raises(ValueError, match="rng_seed"):
             ChannelSpec(snr_db=0.0, rng_seed=-1)
+        # numpy would reject a float seed only when the noise is drawn, and
+        # would draw a bool's stream as seed 0 or 1
+        for bad in (1.5, 2.0, math.inf, math.nan, True, False, "3", None):
+            with pytest.raises(ValueError, match="rng_seed must be an integer"):
+                ChannelSpec(snr_db=-10.0, rng_seed=bad)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        ch = ChannelSpec(snr_db=-10.0, rng_seed=np.uint64(2**62))
+        assert type(ch.rng_seed) is int and ch.rng_seed == 2**62
+        assert ch == ChannelSpec(snr_db=-10.0, rng_seed=2**62)
+        with pytest.raises(ValueError, match="rng_seed"):
+            ChannelSpec(snr_db=-10.0, rng_seed=np.int64(-1))
 
     def test_snr_whose_noise_variance_overflows_rejected(self):
         # 10**(3083/10) overflows a float; noise_sigma would raise OverflowError
