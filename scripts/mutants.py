@@ -41,7 +41,7 @@ JOBS = 2
 # failing hypothesis property of the signal chain shrinks for up to minutes.
 # Their NEAREST tie kills nearest-ties-down in ~3 s, so test_mapping.py,
 # whose ~5 s would precede every mutant the digests miss, stays late; the
-# whole gate of 35 mutants took ~145 s on a 2-vCPU host
+# whole gate of 39 mutants took ~131 s on a 2-vCPU host
 TESTS = (
     "tests/test_golden.py",
     "tests/test_cli.py",
@@ -100,8 +100,8 @@ MUTANTS = (
     Mutant(
         "first-snr-for-all-points",
         "src/ajscc/experiments.py",
-        "ChannelSpec(snr_db, capture_seed) for snr_db in cfg.snr_values",
-        "ChannelSpec(cfg.snr_values[0], capture_seed) for snr_db in cfg.snr_values",
+        "ChannelSpec(snr_db, seed) for seed in seeds for snr_db in snrs",
+        "ChannelSpec(snrs[0], seed) for seed in seeds for snr_db in snrs",
         "each SNR point of the SDR sweep scales the trial's noise by its own sigma",
     ),
     Mutant(
@@ -213,11 +213,22 @@ MUTANTS = (
     Mutant(
         "seed-before-sources",
         "src/ajscc/experiments.py",
-        "    draws = [cfg.source.draw(rng) for _ in range(sources)]\n"
-        "    return draws, int(rng.integers(0, 2**62))",
-        "    seed = int(rng.integers(0, 2**62))\n"
-        "    return [cfg.source.draw(rng) for _ in range(sources)], seed",
+        "            draws.append(rng.uniform(size=(sources, 2)))\n"
+        "        seeds.append(int(rng.integers(0, 2**62)))\n",
+        "            seed = int(rng.integers(0, 2**62))\n"
+        "            draws.append(rng.uniform(size=(sources, 2)))\n"
+        "            seeds.append(seed)\n"
+        "            continue\n"
+        "        seeds.append(int(rng.integers(0, 2**62)))\n",
         "a trial draws its sources, then its capture seed, from its stream",
+    ),
+    Mutant(
+        "fixed-source-draws",
+        "src/ajscc/experiments.py",
+        "            draws.append(np.full((sources, 2), (cfg.source.x1, cfg.source.x2)))\n",
+        "            rng.uniform(size=(sources, 2))\n"
+        "            draws.append(np.full((sources, 2), (cfg.source.x1, cfg.source.x2)))\n",
+        "a fixed source draws nothing, so its capture seed is its stream's first draw",
     ),
     Mutant(
         "level-sums-reversed",
@@ -285,6 +296,20 @@ MUTANTS = (
         "the SDR sweep rejects a layout no trial could receive before any worker starts",
     ),
     Mutant(
+        "repeated-snr-accepted",
+        "src/ajscc/experiments.py",
+        "if len(set(self.snr_values)) != len(self.snr_values):",
+        "if False:",
+        "the SDR details are keyed by SNR, so a repeated SNR is rejected when the config is built",
+    ),
+    Mutant(
+        "demo-runs-trial-1",
+        "src/ajscc/experiments.py",
+        "_cluster_trials(cfg, range(1), (cfg.snr_db,))",
+        "_cluster_trials(cfg, range(1, 2), (cfg.snr_db,))",
+        "the cluster demo is the SDR sweep's trial 0",
+    ),
+    Mutant(
         "swept-levels-unchecked",
         "src/ajscc/experiments.py",
         "MappingConfig(self.d_max, np.array(self.l_values), self.v2, self.quantizer)",
@@ -304,6 +329,13 @@ MUTANTS = (
         "return repr(float(x)) if isinstance(x, float) and not math.isfinite(x) else x",
         "return x",
         "JSON has no number for the noiseless SNR: it is written as the CSV's text",
+    ),
+    Mutant(
+        "circuit-levels-not-integer",
+        "src/ajscc/circuit.py",
+        "if isinstance(self.num_levels, bool) or not isinstance(self.num_levels, (int, np.integer)):",
+        "if False:",
+        "the circuit's level count is an integer: 11.0 and 2.5 are rejected by name",
     ),
     Mutant(
         "every-flag-on-every-experiment",

@@ -49,7 +49,9 @@ class CircuitConfig:
     thresholds defaults to the placement implied by the quantizer mode; pass an
     explicit tuple to model comparator offset errors.  gain_error and
     offset_error, which must be finite, perturb the VCVS outputs (affine,
-    clamped at the mux inputs).
+    clamped at the mux inputs).  num_levels must be an integer (a bool is
+    not one; a numpy integer is kept as an int), delta_h, v_r and vt_max
+    positive and finite, and every threshold finite.
     """
 
     num_levels: int = 11
@@ -62,14 +64,14 @@ class CircuitConfig:
     offset_error: float = 0.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.num_levels, bool) or not isinstance(self.num_levels, (int, np.integer)):
+            raise ValueError(f"num_levels must be an integer, got {self.num_levels!r}")
+        object.__setattr__(self, "num_levels", int(self.num_levels))
         if self.num_levels < 2:
             raise ValueError(f"num_levels must be >= 2, got {self.num_levels}")
-        if not self.delta_h > 0:
-            raise ValueError(f"delta_h must be positive, got {self.delta_h}")
-        if not self.v_r > 0:
-            raise ValueError(f"v_r must be positive, got {self.v_r}")
-        if not self.vt_max > 0:
-            raise ValueError(f"vt_max must be positive, got {self.vt_max}")
+        for name in ("delta_h", "v_r", "vt_max"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not isinstance(self.quantizer, Quantizer):
             raise ValueError(f"quantizer must be a Quantizer, got {self.quantizer!r}")
         for name in ("gain_error", "offset_error"):
@@ -85,6 +87,8 @@ class CircuitConfig:
             raise ValueError(
                 f"need {self.num_levels - 1} thresholds, got {len(self.thresholds)}"
             )
+        if not all(math.isfinite(t) for t in self.thresholds):
+            raise ValueError(f"thresholds must be finite, got {self.thresholds}")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
 

@@ -10,36 +10,27 @@ from a generator seeded by SeedSequence([master_seed, trial])
 results depend only on the configuration and never on scheduling or the
 worker count.  Trial streams are common to all sweep points (common random
 numbers), which stabilizes the location of the sweep minimum.  Both sweeps
-hand workers contiguous chunks of trials (``_map_trials``); each worker runs
-every sweep point of its trials and returns one array with a row per trial,
-the chunks are joined in trial order, and the caller reduces over that
-array's leading axis, so the output bytes do not depend on the worker
-count.  N workers are the calling process, which runs chunk 0, plus N - 1
-forked processes.  Each trial's sweep points, one per level count or per
-SNR, are all on the trial's channel seed, and the receiver
-(``signal_chain``) draws and transforms a seed's unit-variance noise once
-(not at all when every point is noiseless), shares it across the seed's
-points, proves each band's peak from the tones' closed-form spectrum and
-captures only when the proof leaves a band open.  A channel's noise is sigma times its seed's unit draw
-(``signal_chain``), so that one draw is the noise of every level count and
-of every SNR point.  Both sweeps run trial-major: within a trial the
-sources and the capture seed do not depend on the sweep point, so a trial
-draws them once, and its points are encoded in one array call before the
-receiver call.  The SDR sweep makes one ``multisensor.receive_clusters``
-call per worker chunk, over every (trial, SNR) point: a channel per point
-and the chunk's (trial, sensor, 2) sources, repeated over the SNRs and
-scaled to volts.  Its receiver proves each trial's points in one array
-block and draws every trial's noise into the same buffers; the whole
-chunk's read-backs are then decoded in one array pass.  The cluster demo
-is one such call at one point, and one array decode.  The level sweep and
-the chain self check run the one public chain,
-``decode(m, transmit_receive(fm, ch, encode(m, x1, x2)))``, on arrays: a
-level-sweep trial on a ``MappingConfig`` of every swept level count, the
-self check on all its trials' sources at once; each ``transmit_receive`` of
-an array is one receiver call.  Every receiver call, from either sweep,
-takes one channel per point, a (points, tones) array and one band list for
-all its points, and returns a (points, bands) array, so neither sweep
-regroups the receiver's answer.
+hand workers contiguous chunks of trials (``_map_trials``): N workers are
+the calling process, which runs chunk 0, plus N - 1 forked processes.  A
+worker draws its chunk's sources in one ``_trial_draws`` call, runs every
+sweep point of its trials and returns one array with a row per trial; the
+chunks are joined in trial order and the caller reduces over that array's
+leading axis, so the output bytes do not depend on the worker count.
+
+Each trial's sweep points, one per level count or per SNR, are all on the
+trial's capture seed, so they share its one noise draw (the receiver,
+``signal_chain``, draws it once and scales it by each point's sigma).  Two
+pipelines drive the receiver:
+
+- the level sweep and the chain self check run the public chain
+  ``decode(m, transmit_receive(fm, ch, encode(m, x1, x2)))`` on arrays: a
+  level-sweep trial on a ``MappingConfig`` of every swept level count, the
+  self check on all its trials' sources at once;
+- the cluster link (``_cluster_trials``) makes one channel per (trial, SNR)
+  point and one ``multisensor.receive_clusters`` call over them all, then
+  decodes every read-back in one array call.  The SDR sweep runs it on a
+  worker chunk at every SNR, and the cluster demo on trial 0 at one SNR, so
+  the demo is the sweep's trial 0 by construction.
 """
 from __future__ import annotations
 
@@ -124,12 +115,6 @@ class SourceSpec:
         if not (0 <= self.x1 <= 1 and 0 <= self.x2 <= 1):
             raise ValueError("fixed source point must lie in [0, 1]^2")
 
-    def draw(self, rng: np.random.Generator) -> tuple[float, float]:
-        if self.kind == "fixed":
-            return self.x1, self.x2
-        u = rng.uniform(size=2)
-        return float(u[0]), float(u[1])
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -182,6 +167,9 @@ class ExperimentConfig:
             raise ValueError("l_values must be non-empty")
         if not self.snr_values:
             raise ValueError("snr_values must be non-empty")
+        # details are keyed by SNR: a repeated one (0.0 and -0.0 too) would lose a point's
+        if len(set(self.snr_values)) != len(self.snr_values):
+            raise ValueError(f"snr_values must not repeat a value, got {self.snr_values}")
         # a channel of each SNR rejects what no sweep could run, before any worker starts
         for snr_db in (self.snr_db, *self.snr_values):
             ChannelSpec(snr_db)
@@ -231,12 +219,25 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 
 def _trial_draws(
-    cfg: ExperimentConfig, trial: int, sources: int
-) -> tuple[list[tuple[float, float]], int]:
-    """A trial's normalized sources, then its capture seed, in stream order."""
-    rng = _trial_rng(cfg.master_seed, trial)
-    draws = [cfg.source.draw(rng) for _ in range(sources)]
-    return draws, int(rng.integers(0, 2**62))
+    cfg: ExperimentConfig, trials: range, sources: int
+) -> tuple[np.ndarray, list[int]]:
+    """Each trial's normalized sources, then its capture seed, in stream order.
+
+    Trial t draws from ``SeedSequence([cfg.master_seed, t])``.  A uniform
+    source draws a (sources, 2) block, the same stream as one uniform
+    (x1, x2) pair per source; a fixed source draws nothing, so its capture
+    seed is the stream's first draw.  Returns the (trial, source, 2) array
+    of sources in [0, 1] and the list of capture seeds, both in trial order.
+    """
+    draws, seeds = [], []
+    for trial in trials:
+        rng = _trial_rng(cfg.master_seed, trial)
+        if cfg.source.kind == "fixed":
+            draws.append(np.full((sources, 2), (cfg.source.x1, cfg.source.x2)))
+        else:
+            draws.append(rng.uniform(size=(sources, 2)))
+        seeds.append(int(rng.integers(0, 2**62)))
+    return np.array(draws), seeds
 
 
 def _row(param: float, mean_mse: float, mse_x1: float, mse_x2: float, trials: int) -> SweepRow:
@@ -330,8 +331,8 @@ def _level_errors(cfg: ExperimentConfig, trials: range) -> np.ndarray:
     """
     mapping = MappingConfig(cfg.d_max, np.array(cfg.l_values), cfg.v2, cfg.quantizer)
     errors = []
-    for trial in trials:
-        ((u1, u2),), capture_seed = _trial_draws(cfg, trial, 1)
+    sources, seeds = _trial_draws(cfg, trials, 1)
+    for (u1, u2), capture_seed in zip(sources[:, 0].tolist(), seeds):
         channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=capture_seed)
         x1, x2 = u1 * mapping.v1, u2 * mapping.v2
         dec = decode(mapping, transmit_receive(cfg.fm, channel, encode(mapping, x1, x2)))
@@ -363,42 +364,41 @@ def run_mse_vs_L(cfg: ExperimentConfig) -> SweepResult:
 # SDR vs channel SNR for one or more FDMA sensors
 
 
-def _sdr_trials(cfg: ExperimentConfig, trials: range) -> np.ndarray:
-    """A (trial, SNR point, sensor, quantity) array.
+def _cluster_trials(cfg: ExperimentConfig, trials: range, snrs: tuple[float, ...]) -> tuple:
+    """The cluster link at every (trial, SNR) point: the one pipeline of the SDR sweep and the demo.
 
-    The quantities are the x1 error, the x2 error, x2_hat and |vd error|,
-    the errors squared and normalized to the codec ranges.  Each trial
-    draws its sensors' sources once and contributes one point per SNR, all
-    on its capture seed, so every SNR sees the trial's one noise draw.  The
-    channels and truths of every (trial, SNR point) go to one
-    ``receive_clusters`` call, and the read-backs of the whole
-    (trial, SNR point, sensor) array are decoded in one pass.
-    Each error is squared as a Python float, as ``_level_errors`` squares
-    its errors.
+    Draws the trials' sources (``_trial_draws``), makes one channel per
+    (trial, SNR) point on the trial's capture seed and passes every point,
+    its sources scaled to volts, to one ``receive_clusters`` call; the
+    read-backs are decoded in one array call.  Returns the codec, the
+    (trial, sensor, 2) normalized sources, the encoded voltages, band peaks
+    and read-backs as (trial, SNR, sensor) arrays, and their decoded pair.
     """
     mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
-    sources = []
-    channels = []
-    for trial in trials:
-        draws, capture_seed = _trial_draws(cfg, trial, cfg.sensor_count)
-        channels.extend(ChannelSpec(snr_db, capture_seed) for snr_db in cfg.snr_values)
-        sources.append(draws)
-    u = np.array(sources)  # (trial, sensor, coordinate)
-    truths = np.repeat(u * (mapping.v1, mapping.v2), len(cfg.snr_values), axis=0)
-    shape = (len(trials), len(cfg.snr_values), cfg.sensor_count)
+    sources, seeds = _trial_draws(cfg, trials, cfg.sensor_count)
+    channels = [ChannelSpec(snr_db, seed) for seed in seeds for snr_db in snrs]
+    truths = np.repeat(sources * (mapping.v1, mapping.v2), len(snrs), axis=0)
+    shape = (len(trials), len(snrs), cfg.sensor_count)
     received = receive_clusters(mapping, cfg.fm, channels, truths, cfg.antennas, cfg.guard_hz)
-    vds, _, vd_hat = (np.reshape(a, shape) for a in received)
-    dec = decode(mapping, vd_hat)
-    u = u[:, np.newaxis]  # (trial, 1, sensor, coordinate)
-    errors1 = (dec.x1_hat / mapping.v1 - u[..., 0]).ravel().tolist()
-    errors2 = (dec.x2_hat / mapping.v2 - u[..., 1]).ravel().tolist()
-    quantities = [
-        np.reshape([e1**2 for e1 in errors1], shape),
-        np.reshape([e2**2 for e2 in errors2], shape),
-        dec.x2_hat,
-        np.abs(vd_hat - vds),
-    ]
-    return np.stack(quantities, axis=-1)
+    vds, peaks, vd_hats = (np.reshape(a, shape) for a in received)
+    return mapping, sources, vds, peaks, vd_hats, decode(mapping, vd_hats)
+
+
+def _sdr_trials(cfg: ExperimentConfig, trials: range) -> np.ndarray:
+    """A (trial, SNR point, sensor, quantity) array: ``_cluster_trials`` at ``cfg.snr_values``.
+
+    The quantities are the x1 error, the x2 error, x2_hat and |vd error|,
+    the errors normalized to the codec ranges and squared.  Every SNR point
+    of a trial is on its capture seed, so every SNR sees the trial's one
+    noise draw.  Each error is squared as a Python float, as
+    ``_level_errors`` squares its errors.
+    """
+    mapping, u, vds, _, vd_hats, dec = _cluster_trials(cfg, trials, cfg.snr_values)
+    # (trial, SNR point, sensor, coordinate); u has no SNR axis
+    errors = np.stack([dec.x1_hat / mapping.v1, dec.x2_hat / mapping.v2], axis=-1) - u[:, np.newaxis]
+    squared = np.reshape([e**2 for e in errors.ravel().tolist()], errors.shape)
+    others = np.stack([dec.x2_hat, np.abs(vd_hats - vds)], axis=-1)
+    return np.concatenate([squared, others], axis=-1)
 
 
 def run_sdr_vs_csnr(cfg: ExperimentConfig) -> SweepResult:
@@ -533,23 +533,18 @@ def run_roundtrip_suite(cfg: ExperimentConfig) -> RoundTripReport:
 def run_cluster_demo(cfg: ExperimentConfig) -> list[dict]:
     """Single capture of sensor_count sensors with drawn or fixed truths.
 
-    One dict per band, in band order: the true and detected voltage, the
-    peak frequency and the decoded pair (vd_true, vd_hat, peak_hz, x1_hat,
-    x2_hat, level_index), each a Python scalar.
+    It is ``_cluster_trials`` at trial 0 and ``cfg.snr_db``, so it equals
+    the SDR sweep's trial 0 at that SNR.  One dict per band, in band order:
+    the true and detected voltage, the peak frequency and the decoded pair
+    (vd_true, vd_hat, peak_hz, x1_hat, x2_hat, level_index), each a Python
+    scalar.
     """
     if cfg.kind is not ExperimentKind.CLUSTER_DEMO:
         raise ValueError(f"config kind is {cfg.kind}, expected CLUSTER_DEMO")
-    mapping = MappingConfig(cfg.d_max, cfg.num_levels, cfg.v2, cfg.quantizer)
-    draws, capture_seed = _trial_draws(cfg, 0, cfg.sensor_count)
-    channel = ChannelSpec(snr_db=cfg.snr_db, rng_seed=capture_seed)
-    truths = np.array([draws]) * (mapping.v1, mapping.v2)
-    (vds,), (peaks,), (vd_hats,) = receive_clusters(
-        mapping, cfg.fm, [channel], truths, cfg.antennas, cfg.guard_hz
-    )
-    dec = decode(mapping, vd_hats)
+    _, _, vds, peaks, vd_hats, dec = _cluster_trials(cfg, range(1), (cfg.snr_db,))
     keys = ("vd_true", "vd_hat", "peak_hz", "x1_hat", "x2_hat", "level_index")
     columns = (vds, vd_hats, peaks, dec.x1_hat, dec.x2_hat, dec.level_index)
-    return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
+    return [dict(zip(keys, row)) for row in zip(*(c[0, 0].tolist() for c in columns))]
 
 
 # ---------------------------------------------------------------------------

@@ -35,19 +35,32 @@ class TestConfig:
             CircuitConfig(num_levels=4, thresholds=(0.3, 0.2, 0.5))
         with pytest.raises(ValueError):
             CircuitConfig(num_levels=4, thresholds=(0.3, 0.6))
+        # a NaN comparator fails every ordering test, so it is named, not ordered
+        for bad in ((0.3, math.nan), (0.3, math.inf), (-math.inf, 0.3)):
+            with pytest.raises(ValueError, match="thresholds must be finite"):
+                CircuitConfig(num_levels=3, thresholds=bad)
 
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):
             CircuitConfig(num_levels=1)
-        with pytest.raises(ValueError):
-            CircuitConfig(delta_h=0.0)
-        with pytest.raises(ValueError):
-            CircuitConfig(v_r=-1.0)
+        # an infinite v_r makes circuit_encode NaN, and an infinite vt_max a constant
+        for name in ("delta_h", "v_r", "vt_max"):
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    CircuitConfig(**{name: bad})
         # a fault that is not finite is bad input, not a fault to measure
         for name in ("gain_error", "offset_error"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=name):
                     CircuitConfig(**{name: bad})
+
+    def test_num_levels_must_be_an_integer(self):
+        # range() takes neither 11.0 nor 2.5 as a count; a bool is not one either
+        for bad in (11.0, 2.5, True, "11"):
+            with pytest.raises(ValueError, match="num_levels"):
+                CircuitConfig(num_levels=bad)
+        c = CircuitConfig(num_levels=np.int64(4))
+        assert type(c.num_levels) is int and len(c.thresholds) == 3
 
     def test_rejects_a_quantizer_that_is_not_a_quantizer(self):
         # the name "floor" is not Quantizer.FLOOR; taken as given it placed NEAREST thresholds

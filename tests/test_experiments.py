@@ -148,7 +148,13 @@ class TestConfigValidation:
         assert SourceSpec() == SourceSpec("uniform", None, None)
         # a fixed source fills a coordinate it is not given with 0.5
         assert (SourceSpec("fixed", x1=0.25).x1, SourceSpec("fixed", x1=0.25).x2) == (0.25, 0.5)
-        assert SourceSpec("fixed").draw(np.random.default_rng(0)) == (0.5, 0.5)
+        assert (SourceSpec("fixed").x1, SourceSpec("fixed").x2) == (0.5, 0.5)
+
+    @pytest.mark.parametrize("snrs", [(-20.0, -20.0), (0.0, -0.0), (math.inf, -10.0, math.inf)])
+    def test_rejects_a_repeated_snr(self, snrs):
+        # the details are keyed by SNR, so a repeated one would lose a point's
+        with pytest.raises(ValueError, match="snr_values"):
+            ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, snr_values=snrs)
 
     def test_bad_snr_rejected_before_any_worker_starts(self, monkeypatch):
         no_fork(monkeypatch)
@@ -268,6 +274,22 @@ class TestMapTrials:
         assert multiprocessing.active_children() == []
 
 
+class TestTrialDraws:
+    @pytest.mark.parametrize(
+        "source", [SourceSpec(), SourceSpec("fixed", x1=0.37, x2=0.53)], ids=["uniform", "fixed"]
+    )
+    def test_chunk_draws_equal_each_trials_stream(self, source):
+        # trial t's stream: three (u1, u2) pairs (none for a fixed source),
+        # then the capture seed
+        cfg = ExperimentConfig(kind=ExperimentKind.SDR_VS_CSNR, source=source, master_seed=11)
+        sources, seeds = experiments._trial_draws(cfg, range(3, 7), 3)
+        assert sources.shape == (4, 3, 2)
+        for t, drawn, seed in zip(range(3, 7), sources.tolist(), seeds):
+            rng = np.random.default_rng(np.random.SeedSequence([11, t]))
+            assert drawn == [list(pair) for pair in stream_sources(source, rng, 3)]
+            assert seed == int(rng.integers(0, 2**62))
+
+
 class TestMseVsL:
     def test_row_per_sweep_point_and_argmin(self):
         result = run_mse_vs_L(TINY_SWEEP)
@@ -298,6 +320,13 @@ class TestMseVsL:
         assert row.mse_x1 < 1e-4
 
 
+def stream_sources(source, rng, count):
+    """count (u1, u2) pairs of a trial's stream: two scalar uniforms each, or the fixed point."""
+    if source.kind == "fixed":
+        return [(source.x1, source.x2)] * count
+    return [(rng.uniform(), rng.uniform()) for _ in range(count)]
+
+
 def scalar_rows(cfg):
     """The level sweep as one explicit capture -> FFT -> peak chain per (L, trial): the oracle."""
     rows = []
@@ -306,7 +335,7 @@ def scalar_rows(cfg):
         sum1 = sum2 = 0.0
         for trial in range(cfg.trials):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial]))
-            u1, u2 = cfg.source.draw(rng)
+            u1, u2 = stream_sources(cfg.source, rng, 1)[0]
             noise_seed = int(rng.integers(0, 2**62))
             x1 = u1 * mapping.v1
             x2 = u2 * mapping.v2
@@ -480,7 +509,7 @@ def explicit_sdr_trials(decisions):
         per_trial = []
         for trial in trials:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, trial]))
-            draws = [cfg.source.draw(rng) for _ in range(cfg.sensor_count)]
+            draws = stream_sources(cfg.source, rng, cfg.sensor_count)
             seed = int(rng.integers(0, 2**62))
             truths = [(u1 * mapping.v1, u2 * mapping.v2) for u1, u2 in draws]
             points = []
@@ -741,6 +770,21 @@ class TestClusterDemo:
         for res in results:
             assert list(res) == keys
             assert abs(res["vd_hat"] - res["vd_true"]) <= 0.5 / 1000.0 + 1e-9
+
+    def test_demo_is_the_sdr_sweeps_first_trial(self):
+        fields = dict(sensor_count=3, num_levels=11, antennas=2, master_seed=5)
+        demo = run_cluster_demo(
+            ExperimentConfig(kind=ExperimentKind.CLUSTER_DEMO, snr_db=-30.0, **fields)
+        )
+        sweep = run_sdr_vs_csnr(
+            ExperimentConfig(
+                kind=ExperimentKind.SDR_VS_CSNR, trials=2, snr_values=(0.0, -30.0), **fields
+            )
+        )
+        detail = sweep.details[-30.0]
+        assert [res["x2_hat"] for res in demo] == detail["per_trial_x2_hat"][0].tolist()
+        vd_err = [abs(res["vd_hat"] - res["vd_true"]) for res in demo]
+        assert vd_err == detail["per_trial_vd_err"][0].tolist()
 
 
 class TestOutput:
